@@ -3,10 +3,9 @@ in the silicon device layer of an electronic chip."""
 
 from .geometry import (BoundarySpec, Case, PowerProfile, UnitCellSpec,
                        build_mesh)
-from .materials import (Material, PCM_NAMES, builtin_material,
-                        effective_property, validate)
-from .metrics import MetricsReport, compute_metrics, detect_quasi_steady, \
-    sensitivity, simulate_metrics
+from .materials import Material, PCM_NAMES, builtin_material, validate
+from .metrics import (MetricsReport, compute_metrics, sensitivity,
+                      simulate_metrics)
 from .network import NetworkModel, assemble_network
 from .optimize import (GAConfig, OptimizationProblem, OptimizationResult,
                        ParameterSpec, PSOConfig, FunctionBackend,
@@ -20,9 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundarySpec", "Case", "PowerProfile", "UnitCellSpec", "build_mesh",
-    "Material", "PCM_NAMES", "builtin_material", "effective_property",
-    "validate", "MetricsReport", "compute_metrics", "detect_quasi_steady",
-    "sensitivity", "simulate_metrics", "NetworkModel", "assemble_network",
+    "Material", "PCM_NAMES", "builtin_material", "validate",
+    "MetricsReport", "compute_metrics", "sensitivity", "simulate_metrics",
+    "NetworkModel", "assemble_network",
     "GAConfig", "OptimizationProblem", "OptimizationResult", "ParameterSpec",
     "PSOConfig", "FunctionBackend", "ga_minimize", "parametric_sweep",
     "pso_minimize", "repeat_with_seeds", "ThermalHistory", "ThermalState",

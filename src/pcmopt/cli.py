@@ -131,13 +131,7 @@ def _load_problem(args):
     dx = spec.get("dx", 5e-6)
     sim_kwargs = spec.get("sim_kwargs", {})
 
-    if kind == "geometry":
-        builder = lambda v: studies.geometry_case(v, power=power, dx=dx)  # noqa: E731
-    elif kind == "properties":
-        builder = lambda v: studies.property_case(v, power=power)  # noqa: E731
-    else:
-        builder = lambda v: studies.tm_case(v, power=power)  # noqa: E731
-
+    builder = studies.case_builder(kind, power=power, dx=dx)
     verifier = studies.SimulatorBackend(builder, list(bounds), objective,
                                         sim_kwargs=sim_kwargs)
     if args.backend.startswith("nn:"):
@@ -195,8 +189,8 @@ def _cmd_ablation(args):
     objective = _TARGET_OBJECTIVES[args.target]
 
     def verifier_factory(_):
-        builder = lambda v: studies.geometry_case(  # noqa: E731
-            v, power=args.power, dx=args.dx_um * 1e-6)
+        builder = studies.case_builder("geometry", power=args.power,
+                                       dx=args.dx_um * 1e-6)
         return studies.SimulatorBackend(builder, list(studies.GEOMETRY_BOUNDS),
                                         objective)
 

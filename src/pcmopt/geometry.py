@@ -154,9 +154,6 @@ class Mesh:
         s = self.spec
         return round((s.t_cap + s.t_device) / self.dx) - 1
 
-    def node_index(self, iy: int, ix: int) -> int:
-        return iy * self.nx + ix
-
 
 def build_mesh(spec: UnitCellSpec) -> Mesh:
     """Discretize the half unit cell into labeled voxels."""

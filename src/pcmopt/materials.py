@@ -95,31 +95,6 @@ def builtin_material(name: str) -> Material:
             f"unknown material {name!r}; valid names: {valid}") from None
 
 
-_PROPERTY_PAIRS = {
-    "k": ("k_solid", "k_liquid"),
-    "cp": ("cp_solid", "cp_liquid"),
-    "rho": ("rho_solid", "rho_liquid"),
-}
-
-
-def effective_property(m: Material, prop: str, melt_fraction: float) -> float:
-    """Phase-blended property for a (partially) melted element.
-
-    Linear blend (1-phi)*solid + phi*liquid; non-PCM materials return the
-    solid value regardless of phi.
-    """
-    if prop not in _PROPERTY_PAIRS:
-        raise ValueError(f"property must be one of {sorted(_PROPERTY_PAIRS)}")
-    if not 0.0 <= melt_fraction <= 1.0:
-        raise ValueError(f"melt fraction {melt_fraction} outside [0, 1]")
-    solid_field, liquid_field = _PROPERTY_PAIRS[prop]
-    solid = getattr(m, solid_field)
-    if not m.is_pcm:
-        return solid
-    liquid = getattr(m, liquid_field)
-    return (1.0 - melt_fraction) * solid + melt_fraction * liquid
-
-
 def validate(m: Material) -> list[str]:
     """Check record invariants; returns a list of violations (empty = valid)."""
     violations = []

@@ -14,8 +14,8 @@ from dataclasses import dataclass, asdict, replace as dc_replace
 import numpy as np
 
 from .geometry import Case
-from .materials import Material, builtin_material
-from .solver import ThermalHistory, simulate
+from .materials import Material
+from .solver import ThermalHistory, resolve_pcm, simulate
 
 DEFAULT_CUTOFF_C = 85.0
 
@@ -44,34 +44,6 @@ class MetricsReport:
         if d.get("dt_85") == "never":
             d["dt_85"] = None
         return cls(**d)
-
-
-def _cycle_extrema(trace: np.ndarray, steps_per_cycle: int) -> tuple[np.ndarray, np.ndarray]:
-    n_cycles = trace.size // steps_per_cycle
-    per_cycle = trace[: n_cycles * steps_per_cycle].reshape(n_cycles, steps_per_cycle)
-    return per_cycle.max(axis=1), per_cycle.min(axis=1)
-
-
-def detect_quasi_steady(history: ThermalHistory,
-                        tol: float = 0.01) -> tuple[int, bool]:
-    """Find the first settled cycle of the maximum-temperature trace.
-
-    Returns (cycle, converged) where cycle is the 1-based index of the first
-    cycle n such that both the cycle maxima and minima agree with the
-    previous cycle within tol for three consecutive cycles starting at n.
-    If never satisfied, returns (last cycle, False).
-    """
-    if history.n_cycles < 2:
-        raise ValueError("need at least two complete cycles")
-    maxima, minima = _cycle_extrema(history.T_max, history.steps_per_cycle)
-    ok = (np.abs(np.diff(maxima)) < tol) & (np.abs(np.diff(minima)) < tol)
-    # ok[i] compares cycle i+1 (0-based) against cycle i
-    run = 0
-    for i, good in enumerate(ok):
-        run = run + 1 if good else 0
-        if run >= 3:
-            return i, True  # 0-based i-2+... -> first passing cycle, 1-based
-    return maxima.size, False
 
 
 def _interp_crossing(t: np.ndarray, trace: np.ndarray, cutoff: float,
@@ -145,10 +117,9 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
     Returns {property: {"dT_o_max": ..., "dT_osc": ...}} where each value is
     the average over the up and down perturbations of |metric - base|.
     """
-    if base_case.pcm_override is not None:
-        base_mat = Material.from_dict(base_case.pcm_override)
-    else:
-        base_mat = builtin_material(base_case.pcm_name)
+    base_mat = resolve_pcm(base_case)
+    if base_mat is None or not base_mat.is_pcm:
+        raise ValueError("sensitivity needs a case with a PCM channel")
     base = simulate_metrics(base_case, **sim_kwargs)
     T_amb_C = base_case.boundary.T_amb_C
 

@@ -100,17 +100,6 @@ class NetworkModel:
         data = np.concatenate([-g, -g, g, g, self.conv_G])
         return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
 
-    def laplacian(self, phi_full: np.ndarray) -> sp.csc_matrix:
-        """Internal conduction Laplacian only (zero row sums)."""
-        g = self.edge_conductances(phi_full)
-        n = self.n_nodes
-        rows = np.concatenate([self.edge_i, self.edge_j,
-                               self.edge_i, self.edge_j])
-        cols = np.concatenate([self.edge_j, self.edge_i,
-                               self.edge_i, self.edge_j])
-        data = np.concatenate([-g, -g, g, g])
-        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
-
     def source_vector(self, q_flux: float) -> np.ndarray:
         """Nodal power vector for a given interface heat flux, W."""
         b = np.zeros(self.n_nodes)

@@ -57,7 +57,7 @@ class ThermalHistory:
     t_on: float
     dt: float
     T_amb_C: float
-    quasi_steady_cycle: int | None = None  # first cycle of the settled run
+    quasi_steady_cycle: int | None = None  # see QuasiSteadyDetector.result
     converged: bool = False
     energy_residual: float = 0.0  # global |in - out - stored| / in
     snapshots: list = field(default_factory=list)  # (t, T field, phi field)
@@ -83,7 +83,8 @@ class _Integrator:
     since the last build, since G and C depend on state only through phi.
     """
 
-    def __init__(self, network: NetworkModel, dt: float, rebuild_tol: float = 1e-9):
+    def __init__(self, network: NetworkModel, dt: float, q_flux: float,
+                 rebuild_tol: float = 1e-9):
         self.net = network
         self.dt = dt
         self.rebuild_tol = rebuild_tol
@@ -91,7 +92,10 @@ class _Integrator:
         self._lu = None
         self._C = None
         self._G = None
-        self._b_amb = network.ambient_vector()
+        # right-hand side and interface power of the on and off phases
+        self._b_off = network.ambient_vector()
+        self._b_on = network.source_vector(q_flux) + self._b_off
+        self._power_on = q_flux * network.width  # W (unit depth)
         self._pcm_idx = network.pcm_nodes
         self._latent_cap = network.latent_capacity
         self._conv_nodes = network.conv_nodes
@@ -110,17 +114,15 @@ class _Integrator:
         self._lu = splu(A.tocsc())
         self._phi_at_build = phi.copy()
 
-    def step(self, state: ThermalState, source_power: float) -> tuple[ThermalState, float]:
-        """Advance one dt; returns (next state, per-step energy residual)."""
+    def step(self, state: ThermalState,
+             heating: bool) -> tuple[ThermalState, StepDiagnostics]:
+        """Advance one dt, with the source on or off."""
         net = self.net
         dt = self.dt
         self._ensure_factorized(state.phi)
         C = self._C
-
-        b = np.zeros(net.n_nodes)
-        if source_power:
-            b[net.source_nodes] = source_power / net.source_nodes.size
-        b += self._b_amb
+        b = self._b_on if heating else self._b_off
+        source_power = self._power_on if heating else 0.0
 
         rhs = C / dt * state.T + b
         T_star = self._lu.solve(rhs)
@@ -162,17 +164,57 @@ class _Integrator:
         return ThermalState(state.t + dt, T_new, phi_new, new_latent), diag
 
 
-def _resolve_pcm(case: Case) -> Material | None:
-    if case.pcm_override is not None:
-        return Material.from_dict(case.pcm_override)
+class QuasiSteadyDetector:
+    """The settle rule of the cyclic response, fed one cycle at a time.
+
+    A cycle matches its predecessor when both the maximum and the minimum
+    of its maximum-temperature trace agree with the previous cycle's within
+    tol. The settled cycle is the 1-based number of the first of three
+    consecutive cycles that each match their predecessor; cycle 1 has none,
+    so a run cannot settle before its fourth cycle. A run that never
+    settles reports the number of cycles run.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.cycles = 0
+        self.settled_cycle: int | None = None
+        self._previous: tuple[float, float] | None = None
+        self._matching = 0  # current run of cycles matching their predecessor
+
+    def add_cycle(self, cycle_max: float, cycle_min: float) -> bool:
+        """Record the extrema of the next cycle; True once settled."""
+        prev = self._previous
+        self._previous = (cycle_max, cycle_min)
+        self.cycles += 1
+        if (prev is not None and abs(cycle_max - prev[0]) < self.tol
+                and abs(cycle_min - prev[1]) < self.tol):
+            self._matching += 1
+        else:
+            self._matching = 0
+        if self._matching >= 3 and self.settled_cycle is None:
+            self.settled_cycle = self.cycles - 2
+        return self.settled_cycle is not None
+
+    def result(self) -> tuple[int, bool]:
+        """(settled cycle, or cycles run if unsettled; whether settled)."""
+        if self.settled_cycle is None:
+            return self.cycles, False
+        return self.settled_cycle, True
+
+
+def resolve_pcm(case: Case) -> Material | None:
+    """The channel material of a case; None for the solid baseline."""
     if case.cell.no_channel:
         return None
+    if case.pcm_override is not None:
+        return Material.from_dict(case.pcm_override)
     return builtin_material(case.pcm_name)
 
 
 def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
     mesh = build_mesh(case.cell)
-    pcm = _resolve_pcm(case)
+    pcm = resolve_pcm(case)
     net = assemble_network(mesh, case.boundary, pcm=pcm)
     return mesh, net
 
@@ -186,8 +228,8 @@ def simulate(case: Case, dt: float = 0.01,
     """Run the square-wave transient for a case.
 
     Starts from ambient with all PCM solid. Terminates early once the
-    cyclic response has settled (three consecutive cycles whose maxima and
-    minima agree within quasi_steady_tol), otherwise runs the full duration.
+    cyclic response has settled (see QuasiSteadyDetector; the settle
+    tolerance is quasi_steady_tol), otherwise runs the full duration.
     """
     case.power.validate()
     power = case.power
@@ -207,23 +249,18 @@ def simulate(case: Case, dt: float = 0.01,
         phi=np.zeros(n_pcm),
         stored_latent=np.zeros(n_pcm),
     )
-    stepper = _Integrator(net, dt, rebuild_tol=rebuild_tol)
-    q_on_power = power.q0 * net.width  # W (unit depth)
+    stepper = _Integrator(net, dt, power.q0, rebuild_tol=rebuild_tol)
 
     times, tmax, pmean = [], [], []
     snapshots = []
-    cycle_max, cycle_min = [], []
     e_in_total = e_out_total = e_stored_total = 0.0
-    quasi_cycle = None
-    converged = False
     worst_residual = 0.0
     step_count = 0
-    consecutive = 0
+    settle = QuasiSteadyDetector(quasi_steady_tol)
 
     for cycle in range(n_cycles):
         for k in range(steps_cycle):
-            p = q_on_power if k < steps_on else 0.0
-            state, diag = stepper.step(state, p)
+            state, diag = stepper.step(state, k < steps_on)
             worst_residual = max(worst_residual, diag.residual)
             e_in_total += diag.e_in
             e_out_total += diag.e_out
@@ -235,25 +272,10 @@ def simulate(case: Case, dt: float = 0.01,
             if snapshot_every and step_count % snapshot_every == 0:
                 snapshots.append((state.t, state.T.copy(),
                                   net.expand_phi(state.phi).reshape(mesh.ny, mesh.nx)))
-        sl = slice(cycle * steps_cycle, (cycle + 1) * steps_cycle)
-        cycle_max.append(max(tmax[sl]))
-        cycle_min.append(min(tmax[sl]))
-        if cycle >= 1:
-            if (abs(cycle_max[-1] - cycle_max[-2]) < quasi_steady_tol
-                    and abs(cycle_min[-1] - cycle_min[-2]) < quasi_steady_tol):
-                consecutive += 1
-            else:
-                consecutive = 0
-            if consecutive >= 3 and quasi_cycle is None:
-                # 1-based index of the first cycle of the settled run
-                quasi_cycle = cycle - 1
-                converged = True
-                if early_exit:
-                    break
-
-    if quasi_cycle is None:
-        quasi_cycle = len(cycle_max)
-        converged = False
+        cycle_trace = tmax[cycle * steps_cycle:]
+        if settle.add_cycle(max(cycle_trace), min(cycle_trace)) and early_exit:
+            break
+    quasi_cycle, converged = settle.result()
 
     # Global conservation check over the whole run.
     denom = max(e_in_total, 1e-30)

@@ -15,6 +15,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace as dc_replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,25 @@ def tm_case(values: dict, power: float = 100e3,
                 pcm_override=mat.to_dict())
 
 
+#: The case builder of each case kind, called as build(values, power, dx).
+#: Kinds at a fixed geometry mesh the reference cell at dx.
+CASE_KINDS = {
+    "geometry": lambda values, power, dx: geometry_case(
+        values, power=power, dx=dx),
+    "properties": lambda values, power, dx: property_case(
+        values, power=power, cell=dc_replace(REFERENCE_CELL, dx=dx)),
+    "tm": lambda values, power, dx: tm_case(
+        values, power=power, cell=dc_replace(REFERENCE_CELL, dx=dx)),
+}
+
+
+def case_builder(kind: str, power: float = 100e3, dx: float = 5e-6):
+    """Builder values -> Case of one case kind at a given power and mesh."""
+    if kind not in CASE_KINDS:
+        raise ValueError(f"kind must be one of {list(CASE_KINDS)}")
+    return partial(CASE_KINDS[kind], power=power, dx=dx)
+
+
 _METRIC_FIELDS = {"T_o_max": "T_o_max", "T_osc": "T_osc"}
 
 
@@ -193,14 +213,9 @@ class ResamplingSurrogateBackend(SurrogateBackend):
                         **self.train_kwargs)
 
     def fresh(self, seed: int) -> "ResamplingSurrogateBackend":
-        clone = object.__new__(ResamplingSurrogateBackend)
-        clone.pool = self.pool
-        clone.size = self.size
-        clone.hidden = self.hidden
-        clone.train_kwargs = self.train_kwargs
-        clone.verifier = self.verifier
-        clone.model = self._train(seed)
-        return clone
+        return ResamplingSurrogateBackend(self.pool, self.size, self.verifier,
+                                          hidden=self.hidden, seed=seed,
+                                          **self.train_kwargs)
 
 
 def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
@@ -310,8 +325,7 @@ def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
 # Training-data campaigns
 
 
-_CASE_KIND_BUILDERS = {"geometry": geometry_case, "properties": property_case}
-_CASE_KIND_BOUNDS = {"geometry": GEOMETRY_BOUNDS, "properties": PROPERTY_BOUNDS}
+_CAMPAIGN_BOUNDS = {"geometry": GEOMETRY_BOUNDS, "properties": PROPERTY_BOUNDS}
 
 
 def _sample_inputs(sampler: str, n: int, bounds: dict, seed: int) -> np.ndarray:
@@ -333,11 +347,7 @@ def _sample_inputs(sampler: str, n: int, bounds: dict, seed: int) -> np.ndarray:
 def _run_campaign_case(args):
     index, names, x, kind, power, dx, sim_kwargs = args
     values = dict(zip(names, x))
-    builder = _CASE_KIND_BUILDERS[kind]
-    if kind == "geometry":
-        case = builder(values, power=power, dx=dx)
-    else:
-        case = builder(values, power=power)
+    case = case_builder(kind, power=power, dx=dx)(values)
     try:
         m = simulate_metrics(case, **sim_kwargs)
         return index, {"inputs": values, "T_o_max_C": m.T_o_max,
@@ -359,9 +369,9 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     """
     if n < 1:
         raise ValueError("campaign size must be >= 1")
-    if kind not in _CASE_KIND_BUILDERS:
-        raise ValueError(f"kind must be one of {list(_CASE_KIND_BUILDERS)}")
-    bounds = bounds or _CASE_KIND_BOUNDS[kind]
+    if kind not in _CAMPAIGN_BOUNDS:
+        raise ValueError(f"kind must be one of {list(_CAMPAIGN_BOUNDS)}")
+    bounds = bounds or _CAMPAIGN_BOUNDS[kind]
     sim_kwargs = sim_kwargs or {}
     workers = workers or default_workers()
     out = Path(out_dir)

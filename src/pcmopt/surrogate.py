@@ -194,13 +194,6 @@ def _forward_jacobian(p, Xn, n_hid):
     return y, J
 
 
-def network_jacobian(model: SurrogateModel, Xn: np.ndarray) -> np.ndarray:
-    """Jacobian of the normalized-space output at the model's weights."""
-    p = _pack(model.W1, model.b1, model.W2, model.b2)
-    _, J = _forward_jacobian(p, Xn, model.hidden[0])
-    return J
-
-
 def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
              max_epochs: int = 300, val_fraction: float = 0.15,
              mu0: float = 1e-3, mu_max: float = 1e10,

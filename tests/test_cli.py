@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from pcmopt.cli import build_parser, main
+from pcmopt.cli import _load_problem, build_parser, main
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import UnknownMaterialError
+from pcmopt.studies import GEOMETRY_BOUNDS, PROPERTY_BOUNDS
 
 SUBCOMMANDS = ["simulate", "metrics", "compare-pcms", "sweep", "optimize",
                "generate", "train", "ablation", "surface", "sensitivity"]
@@ -110,3 +111,23 @@ def test_sweep_command_with_grid_problem(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["table"]) == 3
     assert payload["result"]["strategy"] == "sweep"
+
+
+KIND_BOUNDS = {"tm": {"T_m_C": (47.0, 96.0)},
+               "properties": PROPERTY_BOUNDS,
+               "geometry": GEOMETRY_BOUNDS}
+
+
+@pytest.mark.parametrize("kind", list(KIND_BOUNDS))
+def test_problem_file_dx_sets_the_mesh_of_every_kind(tmp_path, kind):
+    bounds = KIND_BOUNDS[kind]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "kind": kind, "dx": 1e-5, "power": 50e3,
+        "bounds": {k: list(v) for k, v in bounds.items()}}))
+    args = build_parser().parse_args(["optimize", "--problem", str(problem),
+                                      "--strategy", "ga"])
+    backend = _load_problem(args).backend
+    case = backend.case_builder({k: lo for k, (lo, hi) in bounds.items()})
+    assert case.cell.dx == 1e-5
+    assert case.power.q0 == 50e3

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pcmopt.geometry import BoundarySpec, UnitCellSpec, build_mesh
 from pcmopt.materials import (Material, PCM_NAMES, UnknownMaterialError,
-                              builtin_material, effective_property,
-                              load_material_file, validate)
+                              builtin_material, load_material_file, validate)
+from pcmopt.network import assemble_network
 
 
 def test_seven_pcms_ordered_by_melt_temperature():
@@ -52,36 +54,62 @@ def test_validate_flags_bad_records():
     assert any("L_H" in p for p in problems)
 
 
+_MESH = build_mesh(UnitCellSpec(dx=10e-6))
+_NETWORKS = {name: assemble_network(_MESH, BoundarySpec(),
+                                    pcm=builtin_material(name))
+             for name in PCM_NAMES}
+
+
+def effective_properties(name, phi):
+    """Phase-blended k, cp*rho*V on every node of a channel of one PCM,
+    with every PCM node at melt fraction phi."""
+    net = _NETWORKS[name]
+    phi_full = net.expand_phi(np.full(net.pcm_nodes.size, phi))
+    return net, net.k_nodes(phi_full), net.capacitance(phi_full)
+
+
 def test_effective_property_endpoints_and_midpoint():
     m = builtin_material("Solder174")
-    assert effective_property(m, "k", 0.0) == m.k_solid
-    assert effective_property(m, "k", 1.0) == m.k_liquid
-    mid = effective_property(m, "cp", 0.5)
-    assert mid == pytest.approx((m.cp_solid + m.cp_liquid) / 2)
+    net, k0, c0 = effective_properties("Solder174", 0.0)
+    _, k1, c1 = effective_properties("Solder174", 1.0)
+    _, k_mid, c_mid = effective_properties("Solder174", 0.5)
+    idx = net.pcm_nodes
+    V = net.volume
+    assert np.all(k0[idx] == m.k_solid)
+    assert np.all(k1[idx] == m.k_liquid)
+    assert k_mid[idx] == pytest.approx((m.k_solid + m.k_liquid) / 2)
+    assert c0[idx] == pytest.approx(m.rho_solid * m.cp_solid * V)
+    assert c1[idx] == pytest.approx(m.rho_liquid * m.cp_liquid * V)
+    rho_mid = (m.rho_solid + m.rho_liquid) / 2
+    cp_mid = (m.cp_solid + m.cp_liquid) / 2
+    assert c_mid[idx] == pytest.approx(rho_mid * cp_mid * V)
 
 
 def test_effective_property_non_pcm_ignores_phi():
-    si = builtin_material("Silicon")
-    assert effective_property(si, "k", 1.0) == si.k_solid
-
-
-def test_effective_property_rejects_bad_inputs():
-    m = builtin_material("Solder174")
-    with pytest.raises(ValueError):
-        effective_property(m, "T_m", 0.5)
-    with pytest.raises(ValueError):
-        effective_property(m, "k", 1.5)
+    net, k0, c0 = effective_properties("Solder174", 0.0)
+    for phi in (0.5, 1.0):
+        _, k, c = effective_properties("Solder174", phi)
+        assert np.array_equal(k[~net.is_pcm], k0[~net.is_pcm])
+        assert np.array_equal(c[~net.is_pcm], c0[~net.is_pcm])
+    solids = [builtin_material(n).k_solid for n in ("Silicon", "Alumina")]
+    assert np.all(np.isin(k0[~net.is_pcm], solids))
 
 
 @given(phi=st.floats(min_value=0.0, max_value=1.0),
-       prop=st.sampled_from(["k", "cp", "rho"]),
        name=st.sampled_from(PCM_NAMES))
-def test_effective_property_stays_between_phases(phi, prop, name):
+def test_effective_property_stays_between_phases(phi, name):
     m = builtin_material(name)
-    v = effective_property(m, prop, phi)
-    solid = getattr(m, prop + "_solid")
-    liquid = getattr(m, prop + "_liquid")
-    assert min(solid, liquid) - 1e-9 <= v <= max(solid, liquid) + 1e-9
+    net, k, c = effective_properties(name, phi)
+    idx = net.pcm_nodes
+    lo, hi = sorted((m.k_solid, m.k_liquid))
+    assert np.all((lo - 1e-9 <= k[idx]) & (k[idx] <= hi + 1e-9))
+    # rho and cp each blend linearly, so C is bounded by its extreme corners
+    V = net.volume
+    corners = [r * cp * V for r in (m.rho_solid, m.rho_liquid)
+               for cp in (m.cp_solid, m.cp_liquid)]
+    tol = 1e-9 * max(corners)
+    assert np.all((min(corners) - tol <= c[idx])
+                  & (c[idx] <= max(corners) + tol))
 
 
 def test_material_json_round_trip():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from pcmopt.geometry import Case, UnitCellSpec
-from pcmopt.metrics import (MetricsReport, compute_metrics,
-                            detect_quasi_steady, sensitivity)
-from pcmopt.solver import ThermalHistory
+from pcmopt.metrics import MetricsReport, compute_metrics, sensitivity
+from pcmopt.solver import QuasiSteadyDetector, ThermalHistory
 
 
 def make_history(cycle_max, cycle_min, steps=10, period=1.0,
@@ -42,15 +41,21 @@ def enumerate_first_settled(cycle_max, cycle_min, tol=0.01):
     return len(cycle_max), False
 
 
+def detect(cycle_max, cycle_min, tol=0.01):
+    """Feed per-cycle extrema to the solver's settle rule."""
+    settle = QuasiSteadyDetector(tol)
+    for hi, lo in zip(cycle_max, cycle_min):
+        settle.add_cycle(hi, lo)
+    return settle.result()
+
+
 def test_exactly_periodic_sawtooth_settles_at_cycle_two():
-    h = make_history([50.0] * 6, [30.0] * 6)
-    assert detect_quasi_steady(h) == (2, True)
+    assert detect([50.0] * 6, [30.0] * 6) == (2, True)
 
 
 def test_startup_transient_shifts_detection():
-    h = make_history([40.0, 50.0, 50.0, 50.0, 50.0, 50.0],
-                     [25.0, 30.0, 30.0, 30.0, 30.0, 30.0])
-    assert detect_quasi_steady(h) == (3, True)
+    assert detect([40.0, 50.0, 50.0, 50.0, 50.0, 50.0],
+                  [25.0, 30.0, 30.0, 30.0, 30.0, 30.0]) == (3, True)
 
 
 def test_exponentially_settling_trace_settles_near_cycle_35():
@@ -58,8 +63,7 @@ def test_exponentially_settling_trace_settles_near_cycle_35():
     cycles = np.arange(1, n + 1)
     maxima = 90.0 - A * np.exp(-cycles / tau)
     minima = 60.0 - A * np.exp(-cycles / tau)
-    h = make_history(maxima, minima)
-    got = detect_quasi_steady(h, tol=0.01)
+    got = detect(maxima, minima, tol=0.01)
     expect = enumerate_first_settled(maxima, minima, tol=0.01)
     assert got == expect
     assert got[1]
@@ -68,15 +72,19 @@ def test_exponentially_settling_trace_settles_near_cycle_35():
 
 def test_ramping_trace_never_settles():
     maxima = 50.0 + np.arange(8.0)
-    h = make_history(maxima, maxima - 20.0)
-    cycle, converged = detect_quasi_steady(h)
+    cycle, converged = detect(maxima, maxima - 20.0)
     assert not converged
     assert cycle == 8
 
 
-def test_detection_needs_two_cycles():
-    with pytest.raises(ValueError):
-        detect_quasi_steady(make_history([50.0], [30.0]))
+def test_cannot_settle_before_the_fourth_cycle():
+    # cycle 1 has no predecessor, so three matching cycles after it are
+    # needed: an exactly periodic run cannot settle before its fourth cycle
+    settle = QuasiSteadyDetector(0.01)
+    assert not any(settle.add_cycle(50.0, 30.0) for _ in range(3))
+    assert settle.result() == (3, False)
+    assert settle.add_cycle(50.0, 30.0)
+    assert settle.result() == (2, True)
 
 
 def test_metrics_reduce_last_cycle():
@@ -126,3 +134,9 @@ def test_sensitivity_reports_mean_absolute_shift():
     # melt temperature is by far the dominant lever
     assert out["T_m"]["dT_o_max"] > out["k"]["dT_o_max"]
     assert out["T_m"]["dT_osc"] > out["k"]["dT_osc"]
+
+
+def test_sensitivity_rejects_case_without_pcm():
+    with pytest.raises(ValueError, match="PCM"):
+        sensitivity(Case(cell=UnitCellSpec(no_channel=True, dx=10e-6)),
+                    properties=("T_m",), dt=0.025)

@@ -50,10 +50,12 @@ def test_source_vector_total_power(net):
     assert set(np.flatnonzero(b)) == set(net.source_nodes)
 
 
-def test_laplacian_rows_sum_to_zero(net):
+def test_conductance_rows_sum_to_convection(net):
     phi = np.zeros(net.n_nodes)
-    L = net.laplacian(phi)
-    assert np.allclose(np.asarray(L.sum(axis=1)).ravel(), 0.0, atol=1e-10)
+    rows = np.asarray(net.conductance_matrix(phi).sum(axis=1)).ravel()
+    expect = np.zeros(net.n_nodes)
+    expect[net.conv_nodes] = net.conv_G
+    assert np.allclose(rows, expect, rtol=0.0, atol=1e-10)
 
 
 def test_conductance_matrix_symmetric_positive_definite(net):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pcmopt.geometry import UnitCellSpec
+from pcmopt.metrics import simulate_metrics
 from pcmopt.optimize import FunctionBackend, GAConfig
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             ResamplingSurrogateBackend, SimulatorBackend,
@@ -136,11 +137,23 @@ def test_campaign_grid_sampler_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_properties_campaign_honours_dx(tmp_path):
+    csv_path = generate_training_data("properties", 1, tmp_path, dx=10e-6,
+                                      workers=1, sim_kwargs=COARSE_SIM)
+    inputs = json.loads(
+        (tmp_path / "cases" / "case_000000.json").read_text())["inputs"]
+    expect = simulate_metrics(property_case(inputs, cell=COARSE_CELL),
+                              **COARSE_SIM)
+    assert float(read_csv(csv_path)[0]["T_o_max_C"]) == expect.T_o_max
+
+
 def test_campaign_input_validation(tmp_path):
     with pytest.raises(ValueError):
         generate_training_data("geometry", 0, tmp_path)
     with pytest.raises(ValueError):
         generate_training_data("shapes", 5, tmp_path)
+    with pytest.raises(ValueError):
+        generate_training_data("tm", 5, tmp_path)
 
 
 def test_simulator_backend_evaluate_and_verify():
@@ -184,6 +197,10 @@ def test_resampling_backend_fresh_retrains():
     other = backend.fresh(1)
     assert same.evaluate(x) == pytest.approx(backend.evaluate(x))
     assert other.evaluate(x) != backend.evaluate(x)
+    direct = ResamplingSurrogateBackend(pool, 60, truth, seed=1)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(other.model, name),
+                              getattr(direct.model, name))
     with pytest.raises(ValueError):
         ResamplingSurrogateBackend(pool, 500, truth)
 
