@@ -24,9 +24,9 @@ if __name__ == "__main__":
 
     runs = [
         ("GA", ga_minimize(problem, GAConfig(population=30,
-                                             max_generations=40), seed=0)),
+                                             max_generations=40))),
         ("PSO", pso_minimize(problem, PSOConfig(swarm=25,
-                                                max_iterations=40), seed=0)),
+                                                max_iterations=40))),
     ]
     for label, r in runs:
         verified = simulate_metrics(property_case(r.parameters)).T_o_max

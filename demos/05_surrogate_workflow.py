@@ -42,7 +42,7 @@ if __name__ == "__main__":
     problem = problem_from_bounds(GEOMETRY_BOUNDS, "T_o_max",
                                   SurrogateBackend(model, verifier))
     result = ga_minimize(problem, GAConfig(population=40,
-                                           max_generations=60), seed=0)
+                                           max_generations=60))
 
     x = np.array([result.parameters[k] for k in problem.names])
     verified = simulate_metrics(geometry_case(result.parameters,

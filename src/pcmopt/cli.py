@@ -146,17 +146,16 @@ def _load_problem(args):
 def _cmd_optimize(args):
     problem = _load_problem(args)
     if args.repeats:
-        out = repeat_with_seeds(problem, args.strategy, n_runs=args.repeats,
-                                base_seed=args.seed)
+        out = repeat_with_seeds(problem, args.strategy, n_runs=args.repeats)
         payload = {"summary": out["summary"],
                    "runs": [r.to_dict() for r in out["runs"]]}
     elif args.strategy == "sweep":
         result, table = parametric_sweep(problem)
         payload = {"result": result.to_dict(), "table": table}
     elif args.strategy == "ga":
-        payload = {"result": ga_minimize(problem, seed=args.seed).to_dict()}
+        payload = {"result": ga_minimize(problem).to_dict()}
     elif args.strategy == "pso":
-        payload = {"result": pso_minimize(problem, seed=args.seed).to_dict()}
+        payload = {"result": pso_minimize(problem).to_dict()}
     else:
         raise SystemExit(f"unknown strategy {args.strategy}")
     text = json.dumps(payload, indent=2)

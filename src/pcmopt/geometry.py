@@ -46,9 +46,9 @@ class UnitCellSpec:
         return UnitCellSpec(**d)
 
     def validate(self) -> None:
-        s = self.snapped()
-        if s.dx <= 0:
+        if not self.dx > 0:
             raise ValueError("dx must be positive")
+        s = self.snapped()
         for key in ("t_alumina", "t_device", "t_cap", "pitch"):
             if getattr(s, key) <= 0:
                 raise ValueError(f"{key} must be positive after snapping")
@@ -86,10 +86,6 @@ class PowerProfile:
             raise ValueError("q0 must be non-negative")
         if self.duration < self.period:
             raise ValueError("duration must cover at least one period")
-
-    def flux_at(self, t: float) -> float:
-        """Instantaneous heat flux, W/m^2."""
-        return self.q0 if (t % self.period) < self.t_on else 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -213,7 +209,3 @@ class Case:
     def from_json_file(cls, path) -> "Case":
         with open(path) as f:
             return cls.from_dict(json.load(f))
-
-    def to_json_file(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)

@@ -32,13 +32,6 @@ class Material:
     def from_dict(cls, d: dict) -> "Material":
         return cls(**d)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "Material":
-        return cls.from_dict(json.loads(s))
-
 
 # Commercial PCM database. Where the source gives a single value for a
 # property, solid and liquid carry the identical value.
@@ -109,11 +102,16 @@ def validate(m: Material) -> list[str]:
     return violations
 
 
+def validated(m: Material, source: str) -> Material:
+    """m itself; ValueError naming the source and every violation if the
+    record is invalid."""
+    problems = validate(m)
+    if problems:
+        raise ValueError(f"invalid material {source}: " + "; ".join(problems))
+    return m
+
+
 def load_material_file(path) -> Material:
     """Read one material record from a JSON file."""
     with open(path) as f:
-        m = Material.from_dict(json.load(f))
-    problems = validate(m)
-    if problems:
-        raise ValueError(f"invalid material file {path}: " + "; ".join(problems))
-    return m
+        return validated(Material.from_dict(json.load(f)), f"file {path}")

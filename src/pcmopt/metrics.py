@@ -8,7 +8,6 @@ cutoff, and the melt-fraction swing over the settled cycle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict, replace as dc_replace
 
 import numpy as np
@@ -17,7 +16,9 @@ from .geometry import Case
 from .materials import Material
 from .solver import ThermalHistory, resolve_pcm, simulate
 
-DEFAULT_CUTOFF_C = 85.0
+CUTOFF_C = 85.0  # temperature limit of dt_85, degC
+# Relative up and down step of each property in the sensitivity study.
+PERTURBATION = 0.10
 
 
 @dataclass(frozen=True)
@@ -35,16 +36,6 @@ class MetricsReport:
             d["dt_85"] = "never"
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        d = dict(d)
-        if d.get("dt_85") == "never":
-            d["dt_85"] = None
-        return cls(**d)
-
 
 def _interp_crossing(t: np.ndarray, trace: np.ndarray, cutoff: float,
                      t0: float, T0: float) -> float | None:
@@ -61,8 +52,7 @@ def _interp_crossing(t: np.ndarray, trace: np.ndarray, cutoff: float,
     return float(t_prev + frac * (t[i] - t_prev))
 
 
-def compute_metrics(history: ThermalHistory,
-                    cutoff: float = DEFAULT_CUTOFF_C) -> MetricsReport:
+def compute_metrics(history: ThermalHistory) -> MetricsReport:
     """Reduce a history to the four evaluation metrics.
 
     T_osc and dPhi_melt are taken over the last full simulated cycle, which
@@ -76,7 +66,7 @@ def compute_metrics(history: ThermalHistory,
     sl = history.cycle_slice(history.n_cycles - 1)
     last_T = history.T_max[sl]
     last_phi = history.phi_mean[sl]
-    dt85 = _interp_crossing(history.t, history.T_max, cutoff,
+    dt85 = _interp_crossing(history.t, history.T_max, CUTOFF_C,
                             t0=0.0, T0=history.T_amb_C)
     return MetricsReport(
         T_o_max=float(history.T_max.max()),
@@ -88,10 +78,9 @@ def compute_metrics(history: ThermalHistory,
     )
 
 
-def simulate_metrics(case: Case, cutoff: float = DEFAULT_CUTOFF_C,
-                     **sim_kwargs) -> MetricsReport:
+def simulate_metrics(case: Case, **sim_kwargs) -> MetricsReport:
     """Convenience wrapper: run the transient and reduce it."""
-    return compute_metrics(simulate(case, **sim_kwargs), cutoff=cutoff)
+    return compute_metrics(simulate(case, **sim_kwargs))
 
 
 #: Properties perturbed by the sensitivity study.
@@ -110,9 +99,8 @@ def _perturbed_material(base: Material, prop: str, factor: float,
 
 
 def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
-                perturbation: float = 0.10,
                 **sim_kwargs) -> dict[str, dict[str, float]]:
-    """Mean absolute metric shift under +/-perturbation of each property.
+    """Mean absolute metric shift under +/-PERTURBATION of each property.
 
     Returns {property: {"dT_o_max": ..., "dT_osc": ...}} where each value is
     the average over the up and down perturbations of |metric - base|.
@@ -126,7 +114,7 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
     out = {}
     for prop in properties:
         deltas_max, deltas_osc = [], []
-        for factor in (1.0 + perturbation, 1.0 - perturbation):
+        for factor in (1.0 + PERTURBATION, 1.0 - PERTURBATION):
             mat = _perturbed_material(base_mat, prop, factor, T_amb_C)
             case = dc_replace(base_case, pcm_override=mat.to_dict())
             m = simulate_metrics(case, **sim_kwargs)

@@ -124,21 +124,18 @@ def _grid_edges(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_network(mesh: Mesh, boundary: BoundarySpec,
-                     pcm: Material | None = None,
-                     silicon: Material | None = None,
-                     alumina: Material | None = None) -> NetworkModel:
-    """Build the RC network for a mesh.
+                     pcm: Material | None = None) -> NetworkModel:
+    """Build the RC network for a mesh of built-in silicon and alumina.
 
     pcm may be None only for a mesh without PCM voxels.
     """
     boundary.validate()
-    silicon = silicon or builtin_material("Silicon")
-    alumina = alumina or builtin_material("Alumina")
     labels = mesh.labels.ravel()
     if pcm is None and np.any(labels == PCM):
         raise ValueError("mesh contains PCM voxels but no PCM material given")
 
-    by_label = {ALUMINA: alumina, SILICON: silicon}
+    by_label = {ALUMINA: builtin_material("Alumina"),
+                SILICON: builtin_material("Silicon")}
     if pcm is not None:
         by_label[PCM] = pcm
 

@@ -10,12 +10,24 @@ before reporting).
 from __future__ import annotations
 
 import itertools
-import json
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace as dc_replace
 
 import numpy as np
+
+# Fixed GA operators: survivors per generation, share of children bred by
+# crossover (the rest by mutation), and tournament size.
+GA_ELITE = 2
+GA_CROSSOVER_FRACTION = 0.8
+GA_TOURNAMENT = 3
+# PSO inertia, annealed linearly from start to end, and acceleration weights.
+PSO_INERTIA_START = 0.9
+PSO_INERTIA_END = 0.4
+PSO_COGNITIVE = 1.49
+PSO_SOCIAL = 1.49
+# Largest grid parametric_sweep will enumerate.
+SWEEP_GRID_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -82,29 +94,20 @@ class OptimizationProblem:
 @dataclass
 class GAConfig:
     population: int = 50
-    elite: int = 2
-    crossover_fraction: float = 0.8
     mutation_sigma_frac: float = 0.05  # of each parameter's range
     stall_generations: int = 10
     max_generations: int = 100
     tol: float = 1e-3
-    tournament: int = 3
 
     def validate(self):
-        if min(self.population, self.elite, self.stall_generations,
-               self.max_generations, self.tournament) < 1:
+        if min(self.population, self.stall_generations,
+               self.max_generations) < 1:
             raise ValueError("all GA counts must be >= 1")
-        if not 0.0 <= self.crossover_fraction <= 1.0:
-            raise ValueError("crossover_fraction must be in [0, 1]")
 
 
 @dataclass
 class PSOConfig:
     swarm: int = 40
-    inertia_start: float = 0.9
-    inertia_end: float = 0.4
-    cognitive: float = 1.49
-    social: float = 1.49
     stall_iterations: int = 15
     max_iterations: int = 100
     tol: float = 1e-3
@@ -126,15 +129,8 @@ class OptimizationResult:
     seed: int | None
     config: dict = field(default_factory=dict)
 
-    def rounded_parameters(self, decimals: int = 0) -> dict[str, float]:
-        """Paper-table resolution (1 degC / 1 um); raw optima kept above."""
-        return {k: round(v, decimals) for k, v in self.parameters.items()}
-
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 class _CachedObjective:
@@ -165,6 +161,12 @@ class _CachedObjective:
         return np.array([self(x) for x in X])
 
 
+def _stalled(trace: list[float], window: int, tol: float) -> bool:
+    """True once the best objective has improved by less than tol over the
+    last window generations (iterations)."""
+    return len(trace) > window and trace[-window - 1] - trace[-1] < tol
+
+
 def _result(problem, strategy, x_best, f_best, cached, trace, t0, seed, config):
     return OptimizationResult(
         parameters=dict(zip(problem.names, (float(v) for v in x_best))),
@@ -179,8 +181,7 @@ def _result(problem, strategy, x_best, f_best, cached, trace, t0, seed, config):
     )
 
 
-def parametric_sweep(problem: OptimizationProblem,
-                     grid_cap: int = 200_000
+def parametric_sweep(problem: OptimizationProblem
                      ) -> tuple[OptimizationResult, list[dict]]:
     """Evaluate every grid point; returns the argmin (deterministic
     first-lowest tie break) plus the full table for plotting."""
@@ -192,9 +193,9 @@ def parametric_sweep(problem: OptimizationProblem,
         n = int(np.floor((p.upper - p.lower) / p.step + 1e-9)) + 1
         axes.append(p.lower + p.step * np.arange(n))
     total = int(np.prod([a.size for a in axes]))
-    if total > grid_cap:
+    if total > SWEEP_GRID_CAP:
         raise ValueError(
-            f"grid of {total} points exceeds cap {grid_cap}; "
+            f"grid of {total} points exceeds cap {SWEEP_GRID_CAP}; "
             "use ga_minimize or pso_minimize instead")
 
     cached = _CachedObjective(problem.backend)
@@ -208,19 +209,18 @@ def parametric_sweep(problem: OptimizationProblem,
         if f < best_f:
             best_f, best_x = f, x
     result = _result(problem, "sweep", best_x, best_f, cached, [best_f],
-                     t0, None, {"grid_cap": grid_cap})
+                     t0, None, {"grid_cap": SWEEP_GRID_CAP})
     return result, table
 
 
-def ga_minimize(problem: OptimizationProblem, config: GAConfig | None = None,
-                seed: int | None = None) -> OptimizationResult:
-    """Real-coded GA: tournament selection, blend crossover, annealed
-    single-coordinate Gaussian mutation, elitism; stalls out when the best
-    objective stops improving."""
+def ga_minimize(problem: OptimizationProblem,
+                config: GAConfig | None = None) -> OptimizationResult:
+    """Real-coded GA seeded by problem.seed: tournament selection, blend
+    crossover, annealed single-coordinate Gaussian mutation, elitism; stalls
+    out when the best objective stops improving."""
     config = config or GAConfig()
     config.validate()
-    seed = problem.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(problem.seed)
     t0 = time.time()
 
     lower, upper = problem.lower, problem.upper
@@ -232,23 +232,19 @@ def ga_minimize(problem: OptimizationProblem, config: GAConfig | None = None,
     fitness = cached.batch(pop)
 
     def tournament():
-        idx = rng.integers(0, config.population, size=config.tournament)
+        idx = rng.integers(0, config.population, size=GA_TOURNAMENT)
         return pop[idx[np.argmin(fitness[idx])]]
 
     trace = []
-    best_hist = []
     for gen in range(config.max_generations):
         order = np.argsort(fitness, kind="stable")
         pop, fitness = pop[order], fitness[order]
         trace.append(float(fitness[0]))
-        best_hist.append(float(fitness[0]))
-        if (len(best_hist) > config.stall_generations
-                and best_hist[-config.stall_generations - 1]
-                - best_hist[-1] < config.tol):
+        if _stalled(trace, config.stall_generations, config.tol):
             break
 
-        n_children = config.population - config.elite
-        n_xover = int(round(config.crossover_fraction * n_children))
+        n_children = config.population - GA_ELITE
+        n_xover = int(round(GA_CROSSOVER_FRACTION * n_children))
         sigma = config.mutation_sigma_frac * span * (
             1.0 - 0.9 * gen / config.max_generations)
         children = np.empty((n_children, dim))
@@ -266,23 +262,23 @@ def ga_minimize(problem: OptimizationProblem, config: GAConfig | None = None,
             children[i] = child
         np.clip(children, lower, upper, out=children)
 
-        pop = np.vstack([pop[:config.elite], children])
-        fitness = np.concatenate([fitness[:config.elite],
+        pop = np.vstack([pop[:GA_ELITE], children])
+        fitness = np.concatenate([fitness[:GA_ELITE],
                                   cached.batch(children)])
 
     best = int(np.argmin(fitness))
     return _result(problem, "ga", pop[best], fitness[best], cached, trace,
-                   t0, seed, asdict(config))
+                   t0, problem.seed, asdict(config))
 
 
-def pso_minimize(problem: OptimizationProblem, config: PSOConfig | None = None,
-                 seed: int | None = None) -> OptimizationResult:
-    """Particle swarm with linearly annealed inertia; positions clipped to
-    bounds with the wall-normal velocity zeroed."""
+def pso_minimize(problem: OptimizationProblem,
+                 config: PSOConfig | None = None) -> OptimizationResult:
+    """Particle swarm seeded by problem.seed, with linearly annealed
+    inertia; positions clipped to bounds with the wall-normal velocity
+    zeroed."""
     config = config or PSOConfig()
     config.validate()
-    seed = problem.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(problem.seed)
     t0 = time.time()
 
     lower, upper = problem.lower, problem.upper
@@ -298,21 +294,17 @@ def pso_minimize(problem: OptimizationProblem, config: PSOConfig | None = None,
     g_best_x, g_best_f = x[g].copy(), float(f[g])
 
     trace = []
-    best_hist = []
     for it in range(config.max_iterations):
         trace.append(g_best_f)
-        best_hist.append(g_best_f)
-        if (len(best_hist) > config.stall_iterations
-                and best_hist[-config.stall_iterations - 1]
-                - best_hist[-1] < config.tol):
+        if _stalled(trace, config.stall_iterations, config.tol):
             break
 
-        w = config.inertia_start + (config.inertia_end - config.inertia_start
-                                    ) * it / max(config.max_iterations - 1, 1)
+        w = PSO_INERTIA_START + (PSO_INERTIA_END - PSO_INERTIA_START
+                                 ) * it / max(config.max_iterations - 1, 1)
         r1 = rng.uniform(size=(config.swarm, dim))
         r2 = rng.uniform(size=(config.swarm, dim))
-        v = (w * v + config.cognitive * r1 * (p_best_x - x)
-             + config.social * r2 * (g_best_x - x))
+        v = (w * v + PSO_COGNITIVE * r1 * (p_best_x - x)
+             + PSO_SOCIAL * r2 * (g_best_x - x))
         x = x + v
         low_hit = x < lower
         high_hit = x > upper
@@ -329,16 +321,16 @@ def pso_minimize(problem: OptimizationProblem, config: PSOConfig | None = None,
             g_best_x = p_best_x[g].copy()
 
     return _result(problem, "pso", g_best_x, g_best_f, cached, trace,
-                   t0, seed, asdict(config))
+                   t0, problem.seed, asdict(config))
 
 
 _STRATEGIES = {"ga": ga_minimize, "pso": pso_minimize}
 
 
 def repeat_with_seeds(problem: OptimizationProblem, strategy: str,
-                      n_runs: int = 10, base_seed: int | None = None,
-                      config=None) -> dict:
-    """Repeat a stochastic strategy n_runs times with distinct seeds.
+                      n_runs: int = 10, config=None) -> dict:
+    """Repeat a stochastic strategy n_runs times with the seeds
+    problem.seed, problem.seed + 1, ...
 
     Surrogate backends resample their training subset and retrain per run
     (via Backend.fresh). Reports mean/min/max per parameter and for the
@@ -347,21 +339,18 @@ def repeat_with_seeds(problem: OptimizationProblem, strategy: str,
     if n_runs < 2:
         raise ValueError("n_runs must be >= 2")
     if strategy == "sweep":
-        runner = lambda prob, seed: parametric_sweep(prob)[0]  # noqa: E731
+        runner = lambda prob: parametric_sweep(prob)[0]  # noqa: E731
     elif strategy in _STRATEGIES:
         opt = _STRATEGIES[strategy]
-        runner = lambda prob, seed: opt(prob, config, seed=seed)  # noqa: E731
+        runner = lambda prob: opt(prob, config)  # noqa: E731
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    base_seed = problem.seed if base_seed is None else base_seed
 
     results = []
     for run in range(n_runs):
-        run_seed = base_seed + run
-        prob = OptimizationProblem(problem.parameters, problem.objective,
-                                   problem.backend.fresh(run_seed),
-                                   seed=run_seed)
-        results.append(runner(prob, run_seed))
+        run_seed = problem.seed + run
+        results.append(runner(dc_replace(
+            problem, backend=problem.backend.fresh(run_seed), seed=run_seed)))
 
     def stats(values):
         arr = np.asarray(values, dtype=float)

@@ -18,8 +18,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .geometry import Case, Mesh, build_mesh
-from .materials import Material, builtin_material
+from .materials import Material, builtin_material, validated
 from .network import NetworkModel, assemble_network
+
+# Settle tolerance on each cycle's extrema, degC (see QuasiSteadyDetector).
+QUASI_STEADY_TOL = 0.01
+# Largest relative energy residual a single step may leave.
+MAX_STEP_RESIDUAL = 1e-6
+# The factorization is rebuilt once any melt fraction moves more than this.
+REBUILD_TOL = 1e-9
 
 
 class SolverDivergence(RuntimeError):
@@ -83,11 +90,9 @@ class _Integrator:
     since the last build, since G and C depend on state only through phi.
     """
 
-    def __init__(self, network: NetworkModel, dt: float, q_flux: float,
-                 rebuild_tol: float = 1e-9):
+    def __init__(self, network: NetworkModel, dt: float, q_flux: float):
         self.net = network
         self.dt = dt
-        self.rebuild_tol = rebuild_tol
         self._phi_at_build = None
         self._lu = None
         self._C = None
@@ -104,7 +109,7 @@ class _Integrator:
     def _ensure_factorized(self, phi: np.ndarray) -> None:
         if self._phi_at_build is not None and (
                 phi.size == 0
-                or np.max(np.abs(phi - self._phi_at_build)) <= self.rebuild_tol):
+                or np.max(np.abs(phi - self._phi_at_build)) <= REBUILD_TOL):
             return
         net = self.net
         phi_full = net.expand_phi(phi)
@@ -169,10 +174,10 @@ class QuasiSteadyDetector:
 
     A cycle matches its predecessor when both the maximum and the minimum
     of its maximum-temperature trace agree with the previous cycle's within
-    tol. The settled cycle is the 1-based number of the first of three
-    consecutive cycles that each match their predecessor; cycle 1 has none,
-    so a run cannot settle before its fourth cycle. A run that never
-    settles reports the number of cycles run.
+    tol (QUASI_STEADY_TOL in simulate). The settled cycle is the 1-based
+    number of the first of three consecutive cycles that each match their
+    predecessor; cycle 1 has none, so a run cannot settle before its fourth
+    cycle. A run that never settles reports the number of cycles run.
     """
 
     def __init__(self, tol: float):
@@ -208,7 +213,7 @@ def resolve_pcm(case: Case) -> Material | None:
     if case.cell.no_channel:
         return None
     if case.pcm_override is not None:
-        return Material.from_dict(case.pcm_override)
+        return validated(Material.from_dict(case.pcm_override), "pcm_override")
     return builtin_material(case.pcm_name)
 
 
@@ -220,18 +225,16 @@ def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
 
 
 def simulate(case: Case, dt: float = 0.01,
-             quasi_steady_tol: float = 0.01,
-             early_exit: bool = True,
-             snapshot_every: int | None = None,
-             max_step_residual: float = 1e-6,
-             rebuild_tol: float = 1e-9) -> ThermalHistory:
+             snapshot_every: int | None = None) -> ThermalHistory:
     """Run the square-wave transient for a case.
 
     Starts from ambient with all PCM solid. Terminates early once the
-    cyclic response has settled (see QuasiSteadyDetector; the settle
-    tolerance is quasi_steady_tol), otherwise runs the full duration.
+    cyclic response has settled (see QuasiSteadyDetector), otherwise runs
+    the full duration.
     """
     case.power.validate()
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     power = case.power
     steps_on = power.t_on / dt
     steps_cycle = power.period / dt
@@ -249,14 +252,14 @@ def simulate(case: Case, dt: float = 0.01,
         phi=np.zeros(n_pcm),
         stored_latent=np.zeros(n_pcm),
     )
-    stepper = _Integrator(net, dt, power.q0, rebuild_tol=rebuild_tol)
+    stepper = _Integrator(net, dt, power.q0)
 
     times, tmax, pmean = [], [], []
     snapshots = []
     e_in_total = e_out_total = e_stored_total = 0.0
     worst_residual = 0.0
     step_count = 0
-    settle = QuasiSteadyDetector(quasi_steady_tol)
+    settle = QuasiSteadyDetector(QUASI_STEADY_TOL)
 
     for cycle in range(n_cycles):
         for k in range(steps_cycle):
@@ -273,7 +276,7 @@ def simulate(case: Case, dt: float = 0.01,
                 snapshots.append((state.t, state.T.copy(),
                                   net.expand_phi(state.phi).reshape(mesh.ny, mesh.nx)))
         cycle_trace = tmax[cycle * steps_cycle:]
-        if settle.add_cycle(max(cycle_trace), min(cycle_trace)) and early_exit:
+        if settle.add_cycle(max(cycle_trace), min(cycle_trace)):
             break
     quasi_cycle, converged = settle.result()
 
@@ -281,10 +284,10 @@ def simulate(case: Case, dt: float = 0.01,
     denom = max(e_in_total, 1e-30)
     global_residual = abs(e_in_total - e_out_total - e_stored_total) / denom
 
-    if worst_residual > max_step_residual:
+    if worst_residual > MAX_STEP_RESIDUAL:
         raise SolverDivergence(
             f"per-step energy residual {worst_residual:.3e} exceeds "
-            f"{max_step_residual:.1e}")
+            f"{MAX_STEP_RESIDUAL:.1e}")
 
     return ThermalHistory(
         t=np.asarray(times),

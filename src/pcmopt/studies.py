@@ -44,6 +44,8 @@ GEOMETRY_BOUNDS = {
 }
 
 REFERENCE_CELL = UnitCellSpec(H=100e-6, W=50e-6)
+# Every swept PCM starts from this material.
+BASE_PCM = "Solder174"
 REFERENCE_POWER = PowerProfile(q0=100e3)
 DEFAULT_POWER_LEVELS = (50e3, 75e3, 100e3, 125e3)
 
@@ -77,18 +79,22 @@ def _write_json(path, obj):
 # Case builders for the optimization parameterizations
 
 
+def _swept_case(cell: UnitCellSpec, power: float, **properties) -> Case:
+    """BASE_PCM with some properties overridden, in a channel of cell."""
+    mat = dc_replace(builtin_material(BASE_PCM), name="swept", **properties)
+    return Case(cell=cell, power=PowerProfile(q0=power),
+                pcm_override=mat.to_dict())
+
+
 def property_case(values: dict, power: float = 100e3,
-                  cell: UnitCellSpec = REFERENCE_CELL,
-                  base_pcm: str = "Solder174") -> Case:
-    """Solder-174-based PCM with the five swept properties overridden.
+                  cell: UnitCellSpec = REFERENCE_CELL) -> Case:
+    """BASE_PCM with the five swept properties overridden.
 
     A single conductivity value applies to both phases; densities stay at
     the base material's values.
     """
-    base = builtin_material(base_pcm)
-    mat = dc_replace(
-        base,
-        name="swept",
+    return _swept_case(
+        cell, power,
         T_m=values["T_m_C"],
         L_H=values["L_H_J_per_kg"],
         k_solid=values["k_W_per_mK"],
@@ -96,29 +102,20 @@ def property_case(values: dict, power: float = 100e3,
         cp_solid=values["cp_solid_J_per_kgK"],
         cp_liquid=values["cp_liquid_J_per_kgK"],
     )
-    return Case(cell=cell, power=PowerProfile(q0=power),
-                pcm_override=mat.to_dict())
 
 
 def geometry_case(values: dict, power: float = 100e3,
-                  dx: float = 5e-6, base_pcm: str = "Solder174") -> Case:
+                  dx: float = 5e-6) -> Case:
     """Channel height/width plus melt temperature; other properties fixed."""
-    base = builtin_material(base_pcm)
-    mat = dc_replace(base, name="swept", T_m=values["T_m_C"])
     cell = UnitCellSpec(H=values["H_um"] * 1e-6, W=values["W_um"] * 1e-6,
                         dx=dx)
-    return Case(cell=cell, power=PowerProfile(q0=power),
-                pcm_override=mat.to_dict())
+    return _swept_case(cell, power, T_m=values["T_m_C"])
 
 
 def tm_case(values: dict, power: float = 100e3,
-            cell: UnitCellSpec = REFERENCE_CELL,
-            base_pcm: str = "Solder174") -> Case:
-    """Melt temperature only; everything else Solder 174 at fixed geometry."""
-    base = builtin_material(base_pcm)
-    mat = dc_replace(base, name="swept", T_m=values["T_m_C"])
-    return Case(cell=cell, power=PowerProfile(q0=power),
-                pcm_override=mat.to_dict())
+            cell: UnitCellSpec = REFERENCE_CELL) -> Case:
+    """Melt temperature only; everything else BASE_PCM at fixed geometry."""
+    return _swept_case(cell, power, T_m=values["T_m_C"])
 
 
 #: The case builder of each case kind, called as build(values, power, dx).
@@ -140,39 +137,39 @@ def case_builder(kind: str, power: float = 100e3, dx: float = 5e-6):
     return partial(CASE_KINDS[kind], power=power, dx=dx)
 
 
-_METRIC_FIELDS = {"T_o_max": "T_o_max", "T_osc": "T_osc"}
+#: MetricsReport fields a simulator-backed search can minimize.
+_OBJECTIVES = ("T_o_max", "T_osc")
 
 
 class SimulatorBackend(Backend):
     """Objective evaluated by running the transient simulator.
 
-    evaluate() may use cheaper settings (coarse mesh, larger rebuild
-    tolerance); verify() always re-simulates with the verification settings.
+    evaluate() and verify() both simulate the case with sim_kwargs; the
+    cell (and so the mesh) is whatever case_builder returns. verify() calls
+    the shared helper, not evaluate(), so a wrapper put on an instance's
+    evaluate() (as the benchmark's timers do) never counts verifications.
     """
 
     def __init__(self, case_builder, param_names, objective: str,
-                 sim_kwargs: dict | None = None,
-                 verify_kwargs: dict | None = None):
-        if objective not in _METRIC_FIELDS:
-            raise ValueError(f"objective must be one of {list(_METRIC_FIELDS)}")
+                 sim_kwargs: dict | None = None):
+        if objective not in _OBJECTIVES:
+            raise ValueError(f"objective must be one of {list(_OBJECTIVES)}")
         self.case_builder = case_builder
         self.param_names = list(param_names)
         self.objective = objective
         self.sim_kwargs = dict(sim_kwargs or {})
-        self.verify_kwargs = dict(verify_kwargs) if verify_kwargs else dict(
-            self.sim_kwargs)
 
-    def _metric(self, x, kwargs) -> float:
+    def _metric(self, x) -> float:
         values = dict(zip(self.param_names, np.asarray(x, dtype=float)))
         case = self.case_builder(values)
-        report = simulate_metrics(case, **kwargs)
-        return float(getattr(report, _METRIC_FIELDS[self.objective]))
+        report = simulate_metrics(case, **self.sim_kwargs)
+        return float(getattr(report, self.objective))
 
     def evaluate(self, x):
-        return self._metric(x, self.sim_kwargs)
+        return self._metric(x)
 
     def verify(self, x):
-        return self._metric(x, self.verify_kwargs)
+        return self._metric(x)
 
 
 class SurrogateBackend(Backend):
@@ -195,13 +192,11 @@ class ResamplingSurrogateBackend(SurrogateBackend):
     """Surrogate retrained on a freshly resampled subset per repeat seed."""
 
     def __init__(self, pool: TrainingSet, size: int,
-                 verifier: SimulatorBackend, hidden: int = 10,
-                 seed: int = 0, **train_kwargs):
+                 verifier: SimulatorBackend, seed: int = 0, **train_kwargs):
         if size > len(pool):
             raise ValueError("subset size exceeds pool")
         self.pool = pool
         self.size = size
-        self.hidden = hidden
         self.train_kwargs = train_kwargs
         model = self._train(seed)
         super().__init__(model, verifier)
@@ -209,13 +204,11 @@ class ResamplingSurrogateBackend(SurrogateBackend):
     def _train(self, seed: int) -> SurrogateModel:
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(self.pool), size=self.size, replace=False)
-        return train_lm(self.pool.subset(idx), hidden=self.hidden, seed=seed,
-                        **self.train_kwargs)
+        return train_lm(self.pool.subset(idx), seed=seed, **self.train_kwargs)
 
     def fresh(self, seed: int) -> "ResamplingSurrogateBackend":
         return ResamplingSurrogateBackend(self.pool, self.size, self.verifier,
-                                          hidden=self.hidden, seed=seed,
-                                          **self.train_kwargs)
+                                          seed=seed, **self.train_kwargs)
 
 
 def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
@@ -359,7 +352,6 @@ def _run_campaign_case(args):
 def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                            sampler: str = "lhs", power: float = 100e3,
                            dx: float = 5e-6, workers: int | None = None,
-                           bounds: dict | None = None,
                            sim_kwargs: dict | None = None) -> Path:
     """Sample, simulate, and persist a training campaign.
 
@@ -371,7 +363,7 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
         raise ValueError("campaign size must be >= 1")
     if kind not in _CAMPAIGN_BOUNDS:
         raise ValueError(f"kind must be one of {list(_CAMPAIGN_BOUNDS)}")
-    bounds = bounds or _CAMPAIGN_BOUNDS[kind]
+    bounds = _CAMPAIGN_BOUNDS[kind]
     sim_kwargs = sim_kwargs or {}
     workers = workers or default_workers()
     out = Path(out_dir)
@@ -435,9 +427,9 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
 
 def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
                  verifier_factory, repeats: int = 10, base_seed: int = 0,
-                 strategies=("ga", "pso"), optimizer_config=None,
-                 bounds: dict | None = None, hidden: int = 10) -> list[dict]:
-    """Train/optimize/verify across training-set sizes.
+                 strategies=("ga", "pso"), optimizer_config=None
+                 ) -> list[dict]:
+    """Train/optimize/verify over GEOMETRY_BOUNDS across training-set sizes.
 
     verifier_factory(objective) must return the SimulatorBackend used for
     verification. pool and test must target the same metric pair; pool's
@@ -445,7 +437,6 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
     """
     from .optimize import repeat_with_seeds  # local to avoid cycle at import
 
-    bounds = bounds or GEOMETRY_BOUNDS
     report = []
     for size in sizes:
         entry = {"size": int(size)}
@@ -454,7 +445,7 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
             seed = base_seed + rep
             rng = np.random.default_rng(seed)
             idx = rng.choice(len(pool), size=int(size), replace=False)
-            model = train_lm(pool.subset(idx), hidden=hidden, seed=seed)
+            model = train_lm(pool.subset(idx), seed=seed)
             r2_values.append(r_squared(model, test))
         entry["r_squared"] = {"mean": float(np.mean(r2_values)),
                               "min": float(np.min(r2_values)),
@@ -463,11 +454,10 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
         for strategy in strategies:
             backend = ResamplingSurrogateBackend(
                 pool, int(size), verifier_factory(pool.target_name),
-                hidden=hidden, seed=base_seed)
-            problem = problem_from_bounds(bounds, pool.target_name, backend,
-                                          seed=base_seed)
+                seed=base_seed)
+            problem = problem_from_bounds(GEOMETRY_BOUNDS, pool.target_name,
+                                          backend, seed=base_seed)
             out = repeat_with_seeds(problem, strategy, n_runs=repeats,
-                                    base_seed=base_seed,
                                     config=optimizer_config)
             entry[strategy] = out["summary"]
         report.append(entry)

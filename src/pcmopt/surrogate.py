@@ -31,13 +31,12 @@ def activation(x):
 
 @dataclass
 class TrainingSet:
-    """Rows of (input vector, scalar target) with provenance metadata."""
+    """Rows of (input vector, scalar target) with their column names."""
 
     X: np.ndarray  # (n_rows, n_inputs)
     y: np.ndarray  # (n_rows,)
     input_names: list[str]
     target_name: str
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -52,7 +51,7 @@ class TrainingSet:
 
     def subset(self, idx) -> "TrainingSet":
         return TrainingSet(self.X[idx], self.y[idx], self.input_names,
-                           self.target_name, dict(self.metadata))
+                           self.target_name)
 
 
 def load_training_csv(path, target: str,
@@ -194,16 +193,23 @@ def _forward_jacobian(p, Xn, n_hid):
     return y, J
 
 
+# Levenberg-Marquardt settings of train_lm: share of rows held out for early
+# stopping, initial and largest damping, and the gradient-norm stop.
+VAL_FRACTION = 0.15
+MU0 = 1e-3
+MU_MAX = 1e10
+GRAD_TOL = 1e-7
+
+
 def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
-             max_epochs: int = 300, val_fraction: float = 0.15,
-             mu0: float = 1e-3, mu_max: float = 1e10,
-             grad_tol: float = 1e-7, patience: int = 6) -> SurrogateModel:
+             max_epochs: int = 300, patience: int = 6) -> SurrogateModel:
     """Fit a surrogate by damped Gauss-Newton least squares.
 
-    Each epoch solves (J^T J + mu I) dw = J^T e, shrinking mu x0.1 on an
-    accepted step and growing it x10 on a rejected one. Stops on max_epochs,
-    mu overflow, gradient norm below grad_tol, or validation error rising
-    for `patience` consecutive epochs. Deterministic for a given seed.
+    Each epoch solves (J^T J + mu I) dw = J^T e, starting from mu = MU0,
+    shrinking mu x0.1 on an accepted step and growing it x10 on a rejected
+    one. Stops on max_epochs, mu above MU_MAX, gradient norm below GRAD_TOL,
+    or validation error (on a VAL_FRACTION hold-out) rising for `patience`
+    consecutive epochs. Deterministic for a given seed.
     """
     if len(data) < 10:
         raise ValueError("need at least 10 training rows")
@@ -216,8 +222,8 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
     out_max = float(data.y.max())
     config = {
         "hidden": hidden, "max_epochs": max_epochs,
-        "val_fraction": val_fraction, "mu0": mu0, "mu_max": mu_max,
-        "grad_tol": grad_tol, "patience": patience,
+        "val_fraction": VAL_FRACTION, "mu0": MU0, "mu_max": MU_MAX,
+        "grad_tol": GRAD_TOL, "patience": patience,
         "init": "uniform[-0.5,0.5]",
     }
 
@@ -236,7 +242,7 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
     yn = _normalize(data.y, out_min, out_max)
 
     order = rng.permutation(n)
-    n_val = int(round(val_fraction * n))
+    n_val = int(round(VAL_FRACTION * n))
     val_idx = order[:n_val]
     tr_idx = order[n_val:]
     Xtr, ytr = Xn[tr_idx], yn[tr_idx]
@@ -249,7 +255,7 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
         out, _ = _forward_jacobian(params, X, hidden)
         return float(np.sum((y - out) ** 2))
 
-    mu = mu0
+    mu = MU0
     best_val = np.inf
     best_p = p.copy()
     val_rises = 0
@@ -259,11 +265,11 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
         yhat, J = _forward_jacobian(p, Xtr, hidden)
         e = ytr - yhat
         g = J.T @ e
-        if np.linalg.norm(g) < grad_tol:
+        if np.linalg.norm(g) < GRAD_TOL:
             break
         JtJ = J.T @ J
         accepted = False
-        while mu <= mu_max:
+        while mu <= MU_MAX:
             try:
                 step = np.linalg.solve(JtJ + mu * np.eye(n_params), g)
             except np.linalg.LinAlgError:

@@ -163,8 +163,8 @@ def test_ga_and_pso_find_the_tm_optimum():
     cfg_pso = PSOConfig(swarm=12, max_iterations=30, stall_iterations=8)
 
     def compute():
-        ga = ga_minimize(_tm_problem(), cfg_ga, seed=0)
-        pso = pso_minimize(_tm_problem(), cfg_pso, seed=0)
+        ga = ga_minimize(_tm_problem(), cfg_ga)
+        pso = pso_minimize(_tm_problem(), cfg_pso)
         return {"ga": ga.parameters["T_m_C"], "pso": pso.parameters["T_m_C"]}
 
     found = cached("tm_optimizers", {"seed": 0, "mesh": "coarse"}, compute)
@@ -209,9 +209,9 @@ def property_optima():
     def run(strategy):
         def compute():
             if strategy == "ga":
-                r = ga_minimize(problem, PROP_GA_CFG, seed=0)
+                r = ga_minimize(problem, PROP_GA_CFG)
             else:
-                r = pso_minimize(problem, PSO_CFG, seed=0)
+                r = pso_minimize(problem, PSO_CFG)
             verified = simulate_metrics(property_case(r.parameters)).T_o_max
             return {"parameters": r.parameters, "verified": verified}
         cfg = PROP_GA_CFG if strategy == "ga" else PSO_CFG
@@ -248,9 +248,9 @@ def geometry_optima():
     def run(strategy):
         def compute():
             if strategy == "ga":
-                r = ga_minimize(problem, GEO_GA_CFG, seed=0)
+                r = ga_minimize(problem, GEO_GA_CFG)
             else:
-                r = pso_minimize(problem, GEO_PSO_CFG, seed=0)
+                r = pso_minimize(problem, GEO_PSO_CFG)
             verified = simulate_metrics(
                 geometry_case(r.parameters, dx=5e-6)).T_osc
             return {"parameters": r.parameters, "verified": verified}

@@ -14,8 +14,9 @@ SUBCOMMANDS = ["simulate", "metrics", "compare-pcms", "sweep", "optimize",
 
 def coarse_case_file(tmp_path, **cell_kwargs):
     path = tmp_path / "case.json"
-    Case(cell=UnitCellSpec(dx=10e-6, **cell_kwargs),
-         power=PowerProfile(q0=100e3)).to_json_file(path)
+    case = Case(cell=UnitCellSpec(dx=10e-6, **cell_kwargs),
+                power=PowerProfile(q0=100e3))
+    path.write_text(json.dumps(case.to_dict()))
     return str(path)
 
 

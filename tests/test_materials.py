@@ -114,13 +114,13 @@ def test_effective_property_stays_between_phases(phi, name):
 
 def test_material_json_round_trip():
     m = builtin_material("Cerrolow136")
-    assert Material.from_json(m.to_json()) == m
+    assert Material.from_dict(json.loads(json.dumps(m.to_dict()))) == m
 
 
 def test_load_material_file(tmp_path):
     path = tmp_path / "mat.json"
     m = builtin_material("WoodsMetal")
-    path.write_text(m.to_json())
+    path.write_text(json.dumps(m.to_dict()))
     assert load_material_file(path) == m
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcmopt.geometry import Case, UnitCellSpec
-from pcmopt.metrics import MetricsReport, compute_metrics, sensitivity
+from pcmopt.metrics import compute_metrics, sensitivity
 from pcmopt.solver import QuasiSteadyDetector, ThermalHistory
 
 
@@ -115,13 +115,6 @@ def test_dt_85_never_reached():
     m = compute_metrics(h)
     assert m.dt_85 is None
     assert m.to_dict()["dt_85"] == "never"
-
-
-def test_report_round_trip_with_never():
-    m = MetricsReport(80.0, 5.0, None, 0.5, 3, True)
-    assert MetricsReport.from_dict(m.to_dict()) == m
-    m2 = MetricsReport(97.0, 40.0, 0.49, 0.0, 6, True)
-    assert MetricsReport.from_dict(m2.to_dict()) == m2
 
 
 def test_sensitivity_reports_mean_absolute_shift():

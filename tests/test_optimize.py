@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,55 +18,59 @@ def rosenbrock(x):
                         + (1.0 - x[:-1]) ** 2))
 
 
-def make_problem(fn, dim, lo=-5.0, hi=5.0, step=None, objective="f"):
+def make_problem(fn, dim, lo=-5.0, hi=5.0, step=None, objective="f",
+                 seed=0):
     params = [ParameterSpec(f"x{i}", lo, hi, step) for i in range(dim)]
-    return OptimizationProblem(params, objective, FunctionBackend(fn))
+    return OptimizationProblem(params, objective, FunctionBackend(fn),
+                               seed=seed)
 
 
 def test_ga_solves_sphere():
     problem = make_problem(sphere, 5)
     cfg = GAConfig(max_generations=200, stall_generations=50, tol=1e-12)
-    result = ga_minimize(problem, cfg, seed=0)
+    result = ga_minimize(problem, cfg)
     assert result.objective_value < 1e-3
     assert all(abs(v) < 0.05 for v in result.parameters.values())
     assert result.strategy == "ga"
 
 
 def test_pso_solves_rosenbrock():
-    problem = make_problem(rosenbrock, 2, lo=-2.0, hi=2.0)
+    problem = make_problem(rosenbrock, 2, lo=-2.0, hi=2.0, seed=1)
     cfg = PSOConfig(max_iterations=300, stall_iterations=100, tol=1e-12)
-    result = pso_minimize(problem, cfg, seed=1)
+    result = pso_minimize(problem, cfg)
     assert result.objective_value < 1e-2
     assert result.parameters["x0"] == pytest.approx(1.0, abs=0.1)
     assert result.parameters["x1"] == pytest.approx(1.0, abs=0.1)
 
 
 def test_same_seed_is_bitwise_deterministic():
-    problem = make_problem(sphere, 3)
+    problem = make_problem(sphere, 3, seed=42)
     for run in (ga_minimize, pso_minimize):
-        r1 = run(problem, seed=42)
-        r2 = run(problem, seed=42)
+        r1 = run(problem)
+        r2 = run(problem)
         assert r1.parameters == r2.parameters
         assert r1.objective_value == r2.objective_value
         assert r1.trace == r2.trace
-        r3 = run(problem, seed=43)
+        assert r1.seed == 42
+        r3 = run(replace(problem, seed=43))
         assert r3.parameters != r1.parameters
 
 
 def test_optimizers_respect_bounds():
     # optimum outside the box: both must pin to the boundary
-    problem = make_problem(lambda x: sphere(x - 10.0), 2, lo=-1.0, hi=2.0)
+    problem = make_problem(lambda x: sphere(x - 10.0), 2, lo=-1.0, hi=2.0,
+                           seed=3)
     for run in (ga_minimize, pso_minimize):
-        r = run(problem, seed=3)
+        r = run(problem)
         for v in r.parameters.values():
             assert -1.0 - 1e-12 <= v <= 2.0 + 1e-12
         assert r.parameters["x0"] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_best_so_far_trace_is_monotone():
-    problem = make_problem(sphere, 4)
+    problem = make_problem(sphere, 4, seed=5)
     for run in (ga_minimize, pso_minimize):
-        trace = run(problem, seed=5).trace
+        trace = run(problem).trace
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
 
@@ -115,15 +121,15 @@ def test_evaluation_cache_avoids_repeat_calls():
         return sphere(x)
 
     problem = make_problem(counted, 2)
-    r = ga_minimize(problem, GAConfig(max_generations=30), seed=0)
+    r = ga_minimize(problem, GAConfig(max_generations=30))
     # cache hits are not re-evaluated; verification adds exactly one call
     assert count["n"] == r.n_evaluations + 1
 
 
 def test_repeat_with_seeds_summary():
-    problem = make_problem(sphere, 2)
+    problem = make_problem(sphere, 2, seed=10)
     cfg = GAConfig(max_generations=40)
-    out = repeat_with_seeds(problem, "ga", n_runs=3, base_seed=10, config=cfg)
+    out = repeat_with_seeds(problem, "ga", n_runs=3, config=cfg)
     s = out["summary"]
     assert s["n_runs"] == 3
     assert len(out["runs"]) == 3
@@ -145,9 +151,8 @@ def test_parameter_spec_validation():
 
 
 def test_result_rounding_and_serialization():
-    problem = make_problem(sphere, 1)
-    r = ga_minimize(problem, GAConfig(max_generations=20), seed=2)
-    assert r.rounded_parameters() == {"x0": round(r.parameters["x0"], 0)}
+    problem = make_problem(sphere, 1, seed=2)
+    r = ga_minimize(problem, GAConfig(max_generations=20))
     d = r.to_dict()
     assert d["strategy"] == "ga"
     assert "trace" in d

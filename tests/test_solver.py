@@ -111,6 +111,19 @@ def test_unmeltable_pcm_equals_plain_solid():
     assert np.allclose(h1.phi_mean, 0.0)
 
 
+@pytest.mark.parametrize("change,violation", [
+    ({"L_H": -1000.0}, "L_H"),
+    ({"k_solid": 0.0, "k_liquid": 0.0}, "k_solid"),
+    ({"rho_solid": 0.0}, "rho_solid"),
+    ({"cp_solid": 0.0}, "cp_solid"),
+], ids=["negative_L_H", "zero_k", "zero_rho_solid", "zero_cp_solid"])
+def test_invalid_pcm_override_is_rejected(change, violation):
+    bad = replace(builtin_material("Solder174"), **change)
+    case = Case(cell=COARSE, pcm_override=bad.to_dict())
+    with pytest.raises(ValueError, match=violation):
+        simulate(case, dt=0.025)
+
+
 def test_early_exit_history_covers_settled_cycles(baseline_history):
     h = baseline_history
     assert h.converged
@@ -121,13 +134,14 @@ def test_early_exit_history_covers_settled_cycles(baseline_history):
 
 
 def test_dt_must_divide_the_cycle():
-    with pytest.raises(ValueError, match="dt"):
-        simulate(Case(cell=COARSE), dt=0.03)
+    for dt in (0.03, 0.0, -0.025):
+        with pytest.raises(ValueError, match="dt"):
+            simulate(Case(cell=COARSE), dt=dt)
 
 
 def test_snapshots_have_field_shapes():
     case = Case(cell=COARSE, power=PowerProfile(duration=2.0))
-    h = simulate(case, dt=0.025, early_exit=False, snapshot_every=40)
+    h = simulate(case, dt=0.025, snapshot_every=40)
     assert len(h.snapshots) == 2
     t, T, phi = h.snapshots[0]
     assert t == pytest.approx(1.0)

@@ -159,7 +159,7 @@ def test_campaign_input_validation(tmp_path):
 def test_simulator_backend_evaluate_and_verify():
     backend = SimulatorBackend(
         lambda v: tm_case(v, cell=COARSE_CELL), ["T_m_C"], "T_o_max",
-        sim_kwargs=COARSE_SIM, verify_kwargs=COARSE_SIM)
+        sim_kwargs=COARSE_SIM)
     x = np.array([77.0])
     assert backend.evaluate(x) == pytest.approx(backend.verify(x))
     with pytest.raises(ValueError):
