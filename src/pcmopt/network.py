@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import ALUMINA, PCM, SILICON, BoundarySpec, Mesh
 from .materials import Material, builtin_material
@@ -32,7 +31,7 @@ class NetworkModel:
     L_H: np.ndarray = field(repr=False)
     is_pcm: np.ndarray = field(repr=False)  # bool mask
     T_m: float = 0.0  # PCM melt temperature, degC
-    # edge node-index pairs (length n_edges)
+    # edge node-index pairs (length n_edges), edge_i < edge_j
     edge_i: np.ndarray = field(repr=False, default=None)
     edge_j: np.ndarray = field(repr=False, default=None)
     # convection
@@ -89,16 +88,24 @@ class NetworkModel:
         kj = k[self.edge_j]
         return 2.0 * ki * kj / (ki + kj)
 
-    def conductance_matrix(self, phi_full: np.ndarray) -> sp.csc_matrix:
-        """Full conduction Laplacian plus convection diagonal (SPD)."""
+    def conductance_matrix(self, phi_full: np.ndarray) -> np.ndarray:
+        """Conduction Laplacian plus convection diagonal (SPD), in LAPACK
+        upper band storage of shape (nx + 1, n).
+
+        Row nx holds the diagonal; row nx - d holds the superdiagonal at
+        offset d, so A[i, j] (i <= j) sits at [nx + i - j, j]. Only offsets
+        1 (horizontal edges) and nx (vertical edges) are nonzero. The
+        array is Fortran-ordered so LAPACK can factor it in place.
+        """
         g = self.edge_conductances(phi_full)
         n = self.n_nodes
-        rows = np.concatenate([self.edge_i, self.edge_j,
-                               self.edge_i, self.edge_j, self.conv_nodes])
-        cols = np.concatenate([self.edge_j, self.edge_i,
-                               self.edge_i, self.edge_j, self.conv_nodes])
-        data = np.concatenate([-g, -g, g, g, self.conv_G])
-        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+        nx = self.mesh.nx
+        band = np.zeros((nx + 1, n), order="F")
+        band[nx - (self.edge_j - self.edge_i), self.edge_j] = -g
+        band[nx] = (np.bincount(self.edge_i, g, n)
+                    + np.bincount(self.edge_j, g, n)
+                    + np.bincount(self.conv_nodes, self.conv_G, n))
+        return band
 
     def source_vector(self, q_flux: float) -> np.ndarray:
         """Nodal power vector for a given interface heat flux, W."""

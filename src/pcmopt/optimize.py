@@ -103,6 +103,9 @@ class GAConfig:
         if min(self.population, self.stall_generations,
                self.max_generations) < 1:
             raise ValueError("all GA counts must be >= 1")
+        if self.population <= GA_ELITE:
+            raise ValueError(f"GA population must exceed the {GA_ELITE} "
+                             f"elite survivors, got {self.population}")
 
 
 @dataclass

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .geometry import Case, Mesh, build_mesh
 from .materials import Material, builtin_material, validated
@@ -67,6 +66,8 @@ class ThermalHistory:
     quasi_steady_cycle: int | None = None  # see QuasiSteadyDetector.result
     converged: bool = False
     energy_residual: float = 0.0  # global |in - out - stored| / in
+    worst_step_residual: float = 0.0  # largest per-step relative residual
+    n_factorizations: int = 0  # system-matrix factorizations in the run
     snapshots: list = field(default_factory=list)  # (t, T field, phi field)
 
     @property
@@ -83,20 +84,34 @@ class ThermalHistory:
         return slice(cycle * n, (cycle + 1) * n)
 
 
-class _Integrator:
-    """Backward-Euler stepper with a reusable sparse factorization.
+def _factor_band(band: np.ndarray) -> np.ndarray:
+    """Banded Cholesky factor of an SPD matrix in upper band storage."""
+    chol, info = dpbtrf(band, overwrite_ab=1)
+    if info > 0:
+        raise SolverDivergence(
+            f"system matrix is not positive definite (leading minor of "
+            f"order {info} of {band.shape[1]}); check inputs")
+    if info < 0:
+        raise SolverDivergence(f"dpbtrf rejected argument {-info}")
+    return chol
 
-    The factorization is rebuilt only when the melt-fraction field has moved
-    since the last build, since G and C depend on state only through phi.
+
+class _Integrator:
+    """Backward-Euler stepper with a reusable banded Cholesky factorization.
+
+    The factorization of C/dt + G is rebuilt only when the melt-fraction
+    field has moved since the last build, since G and C depend on state only
+    through phi.
     """
 
     def __init__(self, network: NetworkModel, dt: float, q_flux: float):
         self.net = network
         self.dt = dt
+        self.n_factorizations = 0
         self._phi_at_build = None
-        self._lu = None
+        self._chol = None
         self._C = None
-        self._G = None
+        self._C_dt = None
         # right-hand side and interface power of the on and off phases
         self._b_off = network.ambient_vector()
         self._b_on = network.source_vector(q_flux) + self._b_off
@@ -114,10 +129,12 @@ class _Integrator:
         net = self.net
         phi_full = net.expand_phi(phi)
         self._C = net.capacitance(phi_full)
-        self._G = net.conductance_matrix(phi_full)
-        A = sp.diags(self._C / self.dt) + self._G
-        self._lu = splu(A.tocsc())
+        self._C_dt = self._C / self.dt
+        band = net.conductance_matrix(phi_full)
+        band[-1] += self._C_dt
+        self._chol = _factor_band(band)
         self._phi_at_build = phi.copy()
+        self.n_factorizations += 1
 
     def step(self, state: ThermalState,
              heating: bool) -> tuple[ThermalState, StepDiagnostics]:
@@ -129,8 +146,7 @@ class _Integrator:
         b = self._b_on if heating else self._b_off
         source_power = self._power_on if heating else 0.0
 
-        rhs = C / dt * state.T + b
-        T_star = self._lu.solve(rhs)
+        T_star, _ = dpbtrs(self._chol, self._C_dt * state.T + b)
         if not np.all(np.isfinite(T_star)):
             raise SolverDivergence(
                 f"non-finite temperature at t={state.t + dt:.6g} s "
@@ -300,6 +316,8 @@ def simulate(case: Case, dt: float = 0.01,
         quasi_steady_cycle=quasi_cycle,
         converged=converged,
         energy_residual=global_residual,
+        worst_step_residual=worst_residual,
+        n_factorizations=stepper.n_factorizations,
         snapshots=snapshots,
     )
 
@@ -313,7 +331,6 @@ def steady_state(case: Case, constant_flux: float,
     """
     mesh, net = build_case_network(case)
     phi_full = net.expand_phi(phi) if phi is not None else np.zeros(net.n_nodes)
-    G = net.conductance_matrix(phi_full)
-    b = net.source_vector(constant_flux) + net.ambient_vector()
-    T = splu(G.tocsc()).solve(b)
+    chol = _factor_band(net.conductance_matrix(phi_full))
+    T, _ = dpbtrs(chol, net.source_vector(constant_flux) + net.ambient_vector())
     return T.reshape(mesh.ny, mesh.nx)

@@ -50,9 +50,34 @@ def test_source_vector_total_power(net):
     assert set(np.flatnonzero(b)) == set(net.source_nodes)
 
 
+def band_to_dense(band):
+    """Expand LAPACK upper band storage (kd + 1, n) to the full matrix."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    A = np.zeros((n, n))
+    for d in range(kd + 1):
+        A += np.diag(band[kd - d, d:], d)
+        if d:
+            A += np.diag(band[kd - d, d:], -d)
+    return A
+
+
+def dense_laplacian(net, phi_full):
+    """Conduction Laplacian plus convection, assembled edge by edge."""
+    A = np.zeros((net.n_nodes, net.n_nodes))
+    for i, j, g in zip(net.edge_i, net.edge_j,
+                       net.edge_conductances(phi_full)):
+        A[i, i] += g
+        A[j, j] += g
+        A[i, j] -= g
+        A[j, i] -= g
+    for node, g in zip(net.conv_nodes, net.conv_G):
+        A[node, node] += g
+    return A
+
+
 def test_conductance_rows_sum_to_convection(net):
     phi = np.zeros(net.n_nodes)
-    rows = np.asarray(net.conductance_matrix(phi).sum(axis=1)).ravel()
+    rows = band_to_dense(net.conductance_matrix(phi)).sum(axis=1)
     expect = np.zeros(net.n_nodes)
     expect[net.conv_nodes] = net.conv_G
     assert np.allclose(rows, expect, rtol=0.0, atol=1e-10)
@@ -60,13 +85,32 @@ def test_conductance_rows_sum_to_convection(net):
 
 def test_conductance_matrix_symmetric_positive_definite(net):
     phi = np.zeros(net.n_nodes)
-    G = net.conductance_matrix(phi)
+    G = band_to_dense(net.conductance_matrix(phi))
     assert abs(G - G.T).max() < 1e-12
     # diagonally dominant with positive diagonal -> SPD
     d = G.diagonal()
-    off = np.asarray(abs(G).sum(axis=1)).ravel() - abs(d)
+    off = abs(G).sum(axis=1) - abs(d)
     assert np.all(d > 0)
     assert np.all(d >= off - 1e-10)
+
+
+@pytest.mark.parametrize("cell", [
+    UnitCellSpec(), UnitCellSpec(dx=10e-6), UnitCellSpec(no_channel=True)],
+    ids=["5um", "10um", "no_channel"])
+def test_conductance_band_matches_dense_laplacian(cell):
+    mesh = build_mesh(cell)
+    pcm = None if cell.no_channel else builtin_material("Solder174")
+    net = assemble_network(mesh, BoundarySpec(), pcm=pcm)
+    # a graded melt field exercises the blended conductivities
+    phi = net.expand_phi(np.linspace(0.0, 1.0, net.pcm_nodes.size))
+    band = net.conductance_matrix(phi)
+    assert band.shape == (mesh.nx + 1, net.n_nodes)
+    expect = dense_laplacian(net, phi)
+    assert np.allclose(band_to_dense(band), expect, rtol=1e-14, atol=0.0)
+    # only the diagonal and offsets 1 and nx are populated
+    d = np.arange(mesh.nx + 1)
+    empty = (d != 0) & (d != 1) & (d != mesh.nx)
+    assert not np.any(band[mesh.nx - d[empty]])
 
 
 def test_capacitance_blends_with_melt_fraction(net):

@@ -6,7 +6,9 @@ import pytest
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import builtin_material
 from pcmopt.metrics import compute_metrics
-from pcmopt.solver import build_case_network, simulate, steady_state
+from pcmopt.solver import (MAX_STEP_RESIDUAL, SolverDivergence,
+                           _factor_band, build_case_network, simulate,
+                           steady_state)
 
 COARSE = UnitCellSpec(dx=10e-6)
 
@@ -122,6 +124,33 @@ def test_invalid_pcm_override_is_rejected(change, violation):
     case = Case(cell=COARSE, pcm_override=bad.to_dict())
     with pytest.raises(ValueError, match=violation):
         simulate(case, dt=0.025)
+
+
+def test_reference_runs_match_recorded_values(solder_history, solder_metrics,
+                                             baseline_history,
+                                             baseline_metrics):
+    """5 um, 10 ms transients against the values the sparse-LU stepper
+    recorded (bench/oracle.json), with the run's own counters."""
+    assert solder_history.t.size == 3300
+    assert solder_history.n_factorizations == 2849
+    assert solder_metrics.T_o_max == pytest.approx(79.42590782665373, abs=1e-6)
+    assert solder_metrics.T_osc == pytest.approx(6.17521111674688, abs=1e-6)
+    assert baseline_history.t.size == 800
+    assert baseline_history.n_factorizations == 1
+    assert baseline_metrics.T_o_max == pytest.approx(97.68125934945314,
+                                                     abs=1e-6)
+    assert baseline_metrics.T_osc == pytest.approx(41.57354567459051, abs=1e-6)
+    assert baseline_metrics.dt_85 == pytest.approx(0.4919803014702346,
+                                                   abs=1e-6)
+    for h in (solder_history, baseline_history):
+        assert 0.0 < h.worst_step_residual <= MAX_STEP_RESIDUAL
+
+
+def test_factorization_rejects_indefinite_matrix():
+    # [[1, 2], [2, 1]] in upper band storage: eigenvalues 3 and -1
+    band = np.array([[0.0, 2.0], [1.0, 1.0]])
+    with pytest.raises(SolverDivergence, match="not positive definite"):
+        _factor_band(band)
 
 
 def test_early_exit_history_covers_settled_cycles(baseline_history):
