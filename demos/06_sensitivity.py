@@ -9,7 +9,7 @@ that conduction through the surrounding silicon dominates.
 """
 
 from pcmopt.geometry import Case
-from pcmopt.metrics import sensitivity
+from pcmopt.studies import sensitivity
 
 if __name__ == "__main__":
     out = sensitivity(Case())

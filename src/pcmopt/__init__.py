@@ -4,14 +4,14 @@ in the silicon device layer of an electronic chip."""
 from .geometry import (BoundarySpec, Case, PowerProfile, UnitCellSpec,
                        build_mesh)
 from .materials import Material, PCM_NAMES, builtin_material, validate
-from .metrics import (MetricsReport, compute_metrics, sensitivity,
-                      simulate_metrics)
+from .metrics import MetricsReport, compute_metrics, simulate_metrics
 from .network import NetworkModel, assemble_network
 from .optimize import (GAConfig, OptimizationProblem, OptimizationResult,
                        ParameterSpec, PSOConfig, FunctionBackend,
                        ga_minimize, parametric_sweep, pso_minimize,
                        repeat_with_seeds)
 from .solver import ThermalHistory, ThermalState, simulate, steady_state
+from .studies import sensitivity
 from .surrogate import (SurrogateModel, TrainingSet, activation,
                         load_training_csv, predict, r_squared, train_lm)
 

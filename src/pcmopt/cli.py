@@ -14,7 +14,7 @@ import numpy as np
 from . import studies
 from .geometry import Case, PowerProfile, UnitCellSpec
 from .materials import builtin_material, load_material_file
-from .metrics import compute_metrics, sensitivity
+from .metrics import compute_metrics
 from .optimize import (GAConfig, PSOConfig, ga_minimize, parametric_sweep,
                        pso_minimize, repeat_with_seeds)
 from .solver import simulate
@@ -218,7 +218,7 @@ def _cmd_surface(args):
 
 def _cmd_sensitivity(args):
     case = _case_from_args(args)
-    result = sensitivity(case, dt=args.dt_ms * 1e-3)
+    result = studies.sensitivity(case, dt=args.dt_ms * 1e-3)
     if args.out:
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)

@@ -45,8 +45,10 @@ class ParameterSpec:
 
 
 class Backend:
-    """Objective backend. evaluate() drives the search; verify() is the
-    simulator-truth value reported alongside every optimum."""
+    """Objective backend: evaluate() drives the search; an optimum reports
+    verify() if a separate `verifier` is set, else its search value."""
+
+    verifier: Backend | None = None
 
     def evaluate(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -171,10 +173,12 @@ def _stalled(trace: list[float], window: int, tol: float) -> bool:
 
 
 def _result(problem, strategy, x_best, f_best, cached, trace, t0, seed, config):
+    verified = (f_best if problem.backend.verifier is None
+                else problem.backend.verify(np.asarray(x_best)))
     return OptimizationResult(
         parameters=dict(zip(problem.names, (float(v) for v in x_best))),
         objective_value=float(f_best),
-        verified_objective=float(problem.backend.verify(np.asarray(x_best))),
+        verified_objective=float(verified),
         n_evaluations=cached.n_evaluations,
         wall_time=time.time() - t0,
         trace=[float(v) for v in trace],

@@ -1,5 +1,6 @@
-"""Study orchestration: PCM comparison, melt-temperature sweeps, training
-campaigns, the training-set-size ablation, and surface emission.
+"""Study orchestration: PCM comparison, melt-temperature sweeps, property
+sensitivity, training campaigns, the training-set-size ablation, and surface
+emission, each fanning its cases out through evaluate_cases.
 
 Each study writes a directory with config.json, results.csv, and
 summary.json; training campaigns additionally keep one artifact per case so
@@ -19,13 +20,12 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .geometry import Case, PowerProfile, UnitCellSpec
-from .materials import PCM_NAMES, builtin_material
-from .metrics import simulate_metrics
+from .materials import PCM_NAMES, Material, builtin_material
+from .metrics import compute_metrics, simulate_metrics
 from .optimize import Backend, OptimizationProblem, ParameterSpec
-from .solver import simulate
+from .solver import resolve_pcm, simulate
 from .surrogate import (SurrogateModel, TrainingSet, predict, train_lm,
                         r_squared)
 
@@ -48,6 +48,8 @@ REFERENCE_CELL = UnitCellSpec(H=100e-6, W=50e-6)
 BASE_PCM = "Solder174"
 REFERENCE_POWER = PowerProfile(q0=100e3)
 DEFAULT_POWER_LEVELS = (50e3, 75e3, 100e3, 125e3)
+# Cases sent to a worker process at a time.
+_CHUNK = 4
 
 
 def default_workers() -> int:
@@ -55,6 +57,21 @@ def default_workers() -> int:
     if env:
         return max(int(env), 1)
     return os.cpu_count() or 1
+
+
+def evaluate_cases(fn, items, workers: int | None = None):
+    """Yield fn(item) for each item, in input order, as the results arrive,
+    from a pool of up to `workers` processes (default_workers() when None),
+    one per chunk of _CHUNK items, or from this process if that is one. The
+    pool keeps the platform's start method (fork on Linux): a spawned worker
+    spends ~1 s re-importing numpy and scipy, longer than most studies."""
+    items = list(items)
+    workers = min(workers or default_workers(), -(-len(items) // _CHUNK))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, items, chunksize=_CHUNK)
+    else:
+        yield from map(fn, items)
 
 
 def config_hash(config: dict) -> str:
@@ -73,6 +90,17 @@ def _write_csv(path, header, rows):
 def _write_json(path, obj):
     with open(path, "w") as f:
         json.dump(obj, f, indent=2)
+
+
+def _write_study(out_dir, config, header, rows, summary) -> Path:
+    """Write config.json, results.csv and summary.json; returns the CSV."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "config.json", config)
+    _write_csv(out / "results.csv", header, rows)
+    _write_json(out / "summary.json",
+                {"config_hash": config_hash(config), **summary})
+    return out / "results.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -232,34 +260,37 @@ def run_pcm_comparison(power: float = 100e3, out_dir=None,
               "cell": cell.to_dict(), "sim_kwargs": repr(sim_kwargs)}
     chash = config_hash(config)
 
-    rows = []
-    baseline = Case(cell=dc_replace(cell, no_channel=True),
-                    power=PowerProfile(q0=power))
-    m = simulate_metrics(baseline, **sim_kwargs)
-    rows.append({"material": "Silicon", "T_m_C": None, **m.to_dict(),
-                 "config_hash": chash})
-    for name in PCM_NAMES:
-        case = Case(cell=cell, power=PowerProfile(q0=power), pcm_name=name)
-        m = simulate_metrics(case, **sim_kwargs)
-        rows.append({"material": name, "T_m_C": builtin_material(name).T_m,
-                     **m.to_dict(), "config_hash": chash})
+    profile = PowerProfile(q0=power)
+    cases = [Case(cell=dc_replace(cell, no_channel=True), power=profile)] + [
+        Case(cell=cell, power=profile, pcm_name=name) for name in PCM_NAMES]
+    reports = evaluate_cases(partial(simulate_metrics, **sim_kwargs), cases)
+    rows = [{"material": name, "T_m_C": tm, **m.to_dict(),
+             "config_hash": chash}
+            for m, name, tm in zip(
+                reports, ["Silicon", *PCM_NAMES],
+                [None] + [builtin_material(n).T_m for n in PCM_NAMES])]
 
     if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "config.json", config)
         header = list(rows[0])
-        _write_csv(out / "results.csv", header,
-                   [[r[h] for h in header] for r in rows])
-        best = min((r for r in rows if r["material"] != "Silicon"),
-                   key=lambda r: r["T_o_max"])
-        _write_json(out / "summary.json",
-                    {"config_hash": chash, "best_T_o_max": best["material"]})
+        best = min(rows[1:], key=lambda r: r["T_o_max"])
+        _write_study(out_dir, config, header,
+                     [[r[h] for h in header] for r in rows],
+                     {"best_T_o_max": best["material"]})
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Study 2: melt-temperature sweeps across power levels
+
+
+def _tm_row(item, cell: UnitCellSpec, sim_kwargs: dict) -> dict:
+    """Metrics and settled-cycle band of one (power, T_m) point."""
+    power, tm = item
+    h = simulate(tm_case({"T_m_C": tm}, power=power, cell=cell), **sim_kwargs)
+    m = compute_metrics(h)
+    last = h.T_max[h.cycle_slice(h.n_cycles - 1)]
+    return {"T_m_C": tm, "T_o_max": m.T_o_max, "T_osc": m.T_osc,
+            "band_hi_C": float(last.max()), "band_lo_C": float(last.min())}
 
 
 def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
@@ -271,46 +302,30 @@ def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
               "tm_step": tm_step, "tm_range": list(tm_range),
               "cell": cell.to_dict(), "sim_kwargs": repr(sim_kwargs)}
     chash = config_hash(config)
-    tms = np.arange(tm_range[0], tm_range[1] + tm_step / 2, tm_step)
+    tms = np.arange(tm_range[0], tm_range[1] + tm_step / 2, tm_step).tolist()
 
+    points = [(power, tm) for power in power_levels for tm in tms]
+    rows = [{**r, "config_hash": chash} for r in evaluate_cases(
+        partial(_tm_row, cell=cell, sim_kwargs=sim_kwargs), points)]
     per_power = {}
-    for power in power_levels:
-        table = []
-        for tm in tms:
-            case = tm_case({"T_m_C": float(tm)}, power=power, cell=cell)
-            h = simulate(case, **sim_kwargs)
-            last = h.T_max[h.cycle_slice(h.n_cycles - 1)]
-            table.append({
-                "T_m_C": float(tm),
-                "T_o_max": float(h.T_max.max()),
-                "T_osc": float(last.max() - last.min()),
-                "band_hi_C": float(last.max()),
-                "band_lo_C": float(last.min()),
-                "config_hash": chash,
-            })
-        i_max = min(range(len(table)), key=lambda i: table[i]["T_o_max"])
-        i_osc = min(range(len(table)), key=lambda i: table[i]["T_osc"])
+    for k, power in enumerate(power_levels):
+        table = rows[k * len(tms):(k + 1) * len(tms)]
         per_power[power] = {
             "table": table,
-            "opt_T_m_for_T_o_max": table[i_max]["T_m_C"],
-            "opt_T_m_for_T_osc": table[i_osc]["T_m_C"],
+            "opt_T_m_for_T_o_max": min(table,
+                                       key=lambda r: r["T_o_max"])["T_m_C"],
+            "opt_T_m_for_T_osc": min(table, key=lambda r: r["T_osc"])["T_m_C"],
         }
 
     if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "config.json", config)
         header = ["power_W_m2", "T_m_C", "T_o_max", "T_osc",
                   "band_hi_C", "band_lo_C", "config_hash"]
-        rows = [[p, r["T_m_C"], r["T_o_max"], r["T_osc"],
-                 r["band_hi_C"], r["band_lo_C"], chash]
-                for p, d in per_power.items() for r in d["table"]]
-        _write_csv(out / "results.csv", header, rows)
-        _write_json(out / "summary.json", {
-            "config_hash": chash,
-            "optima": {str(p): {"T_o_max": d["opt_T_m_for_T_o_max"],
-                                "T_osc": d["opt_T_m_for_T_osc"]}
-                       for p, d in per_power.items()}})
+        _write_study(out_dir, config, header,
+                     [[p] + [r[h] for h in header[1:]]
+                      for p, d in per_power.items() for r in d["table"]],
+                     {"optima": {str(p): {"T_o_max": d["opt_T_m_for_T_o_max"],
+                                          "T_osc": d["opt_T_m_for_T_osc"]}
+                                 for p, d in per_power.items()}})
     return per_power
 
 
@@ -326,27 +341,30 @@ def _sample_inputs(sampler: str, n: int, bounds: dict, seed: int) -> np.ndarray:
     lows = np.array([bounds[k][0] for k in names])
     highs = np.array([bounds[k][1] for k in names])
     if sampler == "lhs":
+        from scipy.stats import qmc  # ~0.9 s to import; only LHS needs it
         lhs = qmc.LatinHypercube(d=len(names), seed=seed)
         return qmc.scale(lhs.random(n), lows, highs)
     if sampler == "grid":
-        per_axis = int(np.ceil(n ** (1.0 / len(names))))
+        d = len(names)
+        per_axis = round(n ** (1.0 / d))
+        if per_axis ** d != n:
+            k = int(n ** (1.0 / d) + 1e-9)
+            raise ValueError(f"a grid campaign needs a whole {d}-th power "
+                             f"of cases, got {n}; nearest sizes are "
+                             f"{k ** d} and {(k + 1) ** d}")
         axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(lows, highs)]
-        full = np.array(np.meshgrid(*axes, indexing="ij")).reshape(
-            len(names), -1).T
-        return full[:n]
+        return np.array(np.meshgrid(*axes, indexing="ij")).reshape(d, -1).T
     raise ValueError(f"unknown sampler {sampler!r} (use 'lhs' or 'grid')")
 
 
-def _run_campaign_case(args):
-    index, names, x, kind, power, dx, sim_kwargs = args
+def _run_campaign_case(x, names, kind, power, dx, sim_kwargs) -> dict:
     values = dict(zip(names, x))
     case = case_builder(kind, power=power, dx=dx)(values)
     try:
         m = simulate_metrics(case, **sim_kwargs)
-        return index, {"inputs": values, "T_o_max_C": m.T_o_max,
-                       "T_osc_C": m.T_osc}
+        return {"inputs": values, "T_o_max_C": m.T_o_max, "T_osc_C": m.T_osc}
     except Exception as exc:  # noqa: BLE001 - skip failed case, keep campaign
-        return index, {"inputs": values, "failed": str(exc)}
+        return {"inputs": values, "failed": str(exc)}
 
 
 def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
@@ -357,7 +375,8 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
 
     Writes one JSON artifact per case under out_dir/cases/ (the resume
     markers) and assembles results.csv ordered by case index, so a resumed
-    campaign reproduces the identical file. Returns the CSV path.
+    campaign reproduces the identical file. A directory that holds another
+    campaign's config.json is refused. Returns the CSV path.
     """
     if n < 1:
         raise ValueError("campaign size must be >= 1")
@@ -365,39 +384,33 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
         raise ValueError(f"kind must be one of {list(_CAMPAIGN_BOUNDS)}")
     bounds = _CAMPAIGN_BOUNDS[kind]
     sim_kwargs = sim_kwargs or {}
-    workers = workers or default_workers()
-    out = Path(out_dir)
-    cases_dir = out / "cases"
-    cases_dir.mkdir(parents=True, exist_ok=True)
+    names = list(bounds)
+    X = _sample_inputs(sampler, n, bounds, seed)
 
     config = {"study": "campaign", "kind": kind, "n": n, "seed": seed,
               "sampler": sampler, "power_W_m2": power, "dx_m": dx,
               "bounds": {k: list(v) for k, v in bounds.items()},
               "sim_kwargs": repr(sim_kwargs)}
     chash = config_hash(config)
+    out = Path(out_dir)
+    if (out / "config.json").exists():
+        found = config_hash(json.loads((out / "config.json").read_text()))
+        if found != chash:
+            raise ValueError(f"{out} holds campaign {found}, not {chash}; "
+                             "resume it with its own settings or use a new "
+                             "directory")
+    cases_dir = out / "cases"
+    cases_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", config)
 
-    names = list(bounds)
-    X = _sample_inputs(sampler, n, bounds, seed)
-
-    pending = []
-    for i in range(n):
-        if not (cases_dir / f"case_{i:06d}.json").exists():
-            pending.append((i, names, X[i], kind, power, dx, sim_kwargs))
-
-    def store(index, record):
-        with open(cases_dir / f"case_{index:06d}.json", "w") as f:
+    pending = [i for i in range(n)
+               if not (cases_dir / f"case_{i:06d}.json").exists()]
+    run_case = partial(_run_campaign_case, names=names, kind=kind,
+                       power=power, dx=dx, sim_kwargs=sim_kwargs)
+    records = evaluate_cases(run_case, [X[i] for i in pending], workers)
+    for record, i in zip(records, pending):
+        with open(cases_dir / f"case_{i:06d}.json", "w") as f:
             json.dump(record, f, sort_keys=True)
-
-    if workers > 1 and pending:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, record in pool.map(_run_campaign_case, pending,
-                                          chunksize=4):
-                store(index, record)
-    else:
-        for task in pending:
-            index, record = _run_campaign_case(task)
-            store(index, record)
 
     rows = []
     n_failed = 0
@@ -411,14 +424,10 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
         rows.append([i] + [rec["inputs"][k] for k in names]
                     + [rec["T_o_max_C"], rec["T_osc_C"], chash])
 
-    csv_path = out / "results.csv"
-    _write_csv(csv_path, ["case_index"] + names
-               + ["T_o_max_C", "T_osc_C", "config_hash"], rows)
-    _write_json(out / "summary.json", {"config_hash": chash,
-                                       "n_requested": n,
-                                       "n_complete": len(rows),
-                                       "n_failed": n_failed})
-    return csv_path
+    return _write_study(out, config, ["case_index"] + names
+                        + ["T_o_max_C", "T_osc_C", "config_hash"], rows,
+                        {"n_requested": n, "n_complete": len(rows),
+                         "n_failed": n_failed})
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +487,66 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
     if training_points is not None:
         train_set = {(round(float(h), 6), round(float(w), 6))
                      for h, w, *_ in training_points}
+    points = [np.array([float(h_um), float(w_um), float(fixed_tm)])
+              for h_um in h_grid for w_um in w_grid]
+    cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power, dx=dx)
+             for x in points]
     rows = []
-    for h_um in h_grid:
-        for w_um in w_grid:
-            x = np.array([float(h_um), float(w_um), float(fixed_tm)])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                t_nn = float(predict(model, x))
-            case = geometry_case({"H_um": x[0], "W_um": x[1],
-                                  "T_m_C": x[2]}, power=power, dx=dx)
-            t_sim = simulate_metrics(case, **sim_kwargs).T_o_max
-            rows.append({"H_um": x[0], "W_um": x[1], "T_m_C": x[2],
-                         "T_nn_C": t_nn, "T_sim_C": t_sim,
-                         "is_training_point":
-                             (round(x[0], 6), round(x[1], 6)) in train_set})
+    for m, x in zip(evaluate_cases(partial(simulate_metrics, **sim_kwargs),
+                                   cases), points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            t_nn = float(predict(model, x))
+        rows.append({"H_um": x[0], "W_um": x[1], "T_m_C": x[2],
+                     "T_nn_C": t_nn, "T_sim_C": m.T_o_max,
+                     "is_training_point":
+                         (round(x[0], 6), round(x[1], 6)) in train_set})
     if out_path:
         header = list(rows[0])
         _write_csv(out_path, header, [[r[h] for h in header] for r in rows])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Property sensitivity
+
+
+#: Properties perturbed by the sensitivity study.
+SENSITIVITY_PROPERTIES = ("T_m", "L_H", "k", "cp_solid", "cp_liquid")
+# Relative up and down step of each property in the sensitivity study.
+PERTURBATION = 0.10
+
+
+def _perturbed_material(base: Material, prop: str, factor: float,
+                        T_amb_C: float) -> Material:
+    if prop == "T_m":
+        # scale the melt superheat above ambient, not T_m itself
+        return dc_replace(base, T_m=T_amb_C + factor * (base.T_m - T_amb_C))
+    if prop == "k":
+        return dc_replace(base, k_solid=factor * base.k_solid,
+                          k_liquid=factor * base.k_liquid)
+    return dc_replace(base, **{prop: factor * getattr(base, prop)})
+
+
+def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
+                **sim_kwargs) -> dict[str, dict[str, float]]:
+    """Mean absolute metric shift under +/-PERTURBATION of each property.
+
+    Returns {property: {"dT_o_max": ..., "dT_osc": ...}} where each value is
+    the average over the up and down perturbations of |metric - base|.
+    """
+    base_mat = resolve_pcm(base_case)
+    if base_mat is None or not base_mat.is_pcm:
+        raise ValueError("sensitivity needs a case with a PCM channel")
+    cases = [base_case] + [
+        dc_replace(base_case, pcm_override=_perturbed_material(
+            base_mat, prop, factor, base_case.boundary.T_amb_C).to_dict())
+        for prop in properties
+        for factor in (1.0 + PERTURBATION, 1.0 - PERTURBATION)]
+    base, *runs = evaluate_cases(partial(simulate_metrics, **sim_kwargs),
+                                 cases)
+    return {prop: {"dT_o_max": float(np.mean([abs(m.T_o_max - base.T_o_max)
+                                              for m in pair])),
+                   "dT_osc": float(np.mean([abs(m.T_osc - base.T_osc)
+                                            for m in pair]))}
+            for prop, pair in zip(properties, zip(runs[0::2], runs[1::2]))}

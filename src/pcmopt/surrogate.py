@@ -143,9 +143,10 @@ def _denormalize(v, lo, hi):
     return (v + 1.0) / 2.0 * (hi - lo) + lo
 
 
-def _forward_normalized(model: SurrogateModel, Xn: np.ndarray) -> np.ndarray:
-    A = activation(Xn @ model.W1.T + model.b1)
-    return (A @ model.W2.T).ravel() + model.b2[0]
+def _forward(W1, b1, W2, b2, Xn):
+    """Hidden activations and network output on normalized inputs."""
+    A = activation(Xn @ W1.T + b1)
+    return A, (A @ W2.T).ravel() + b2[0]
 
 
 def predict(model: SurrogateModel, x) -> float | np.ndarray:
@@ -158,7 +159,7 @@ def predict(model: SurrogateModel, x) -> float | np.ndarray:
         warnings.warn("input outside training bounds; extrapolating",
                       ExtrapolationWarning, stacklevel=2)
     Xn = _normalize(X, model.in_min, model.in_max)
-    yn = _forward_normalized(model, Xn)
+    _, yn = _forward(model.W1, model.b1, model.W2, model.b2, Xn)
     y = _denormalize(yn, model.out_min, model.out_max)
     return float(y[0]) if np.asarray(x).ndim == 1 else y
 
@@ -180,8 +181,7 @@ def _forward_jacobian(p, Xn, n_hid):
     """Network output and its Jacobian w.r.t. every weight, both per sample."""
     n, n_in = Xn.shape
     W1, b1, W2, b2 = _unpack(p, n_in, n_hid)
-    A = activation(Xn @ W1.T + b1)          # (n, h)
-    y = (A @ W2.T).ravel() + b2[0]
+    A, y = _forward(W1, b1, W2, b2, Xn)     # A: (n, h)
     dact = (1.0 - A * A) * W2.ravel()       # (n, h)
     J_W1 = dact[:, :, None] * Xn[:, None, :]  # (n, h, n_in)
     J = np.concatenate([
@@ -252,7 +252,7 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
     p = rng.uniform(-0.5, 0.5, size=n_params)
 
     def sse(params, X, y):
-        out, _ = _forward_jacobian(params, X, hidden)
+        _, out = _forward(*_unpack(params, n_in, hidden), X)
         return float(np.sum((y - out) ** 2))
 
     mu = MU0

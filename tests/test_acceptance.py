@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from pcmopt.geometry import Case, UnitCellSpec
-from pcmopt.metrics import compute_metrics, sensitivity, simulate_metrics
+from pcmopt.metrics import compute_metrics, simulate_metrics
 from pcmopt.optimize import GAConfig, PSOConfig, ga_minimize, pso_minimize
 from pcmopt.solver import simulate
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
@@ -30,7 +30,7 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             generate_training_data, geometry_case,
                             problem_from_bounds, property_case,
                             run_ablation, run_pcm_comparison, run_tm_study,
-                            tm_case)
+                            sensitivity, tm_case)
 from pcmopt.surrogate import load_training_csv, r_squared, train_lm
 
 CACHE = Path(__file__).parent / ".acceptance_cache"

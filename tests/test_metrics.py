@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pcmopt.geometry import Case, UnitCellSpec
-from pcmopt.metrics import compute_metrics, sensitivity
+from pcmopt.metrics import compute_metrics
 from pcmopt.solver import QuasiSteadyDetector, ThermalHistory
+from pcmopt.studies import sensitivity
 
 
 def make_history(cycle_max, cycle_min, steps=10, period=1.0,

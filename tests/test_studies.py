@@ -1,11 +1,12 @@
 import csv
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from pcmopt.geometry import UnitCellSpec
+from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.metrics import simulate_metrics
 from pcmopt.optimize import FunctionBackend, GAConfig
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
@@ -14,7 +15,7 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             emit_surface, generate_training_data,
                             geometry_case, problem_from_bounds, property_case,
                             run_ablation, run_pcm_comparison, run_tm_study,
-                            tm_case)
+                            sensitivity, tm_case)
 from pcmopt.surrogate import TrainingSet, train_lm
 
 COARSE_CELL = UnitCellSpec(dx=10e-6)
@@ -154,6 +155,24 @@ def test_campaign_input_validation(tmp_path):
         generate_training_data("shapes", 5, tmp_path)
     with pytest.raises(ValueError):
         generate_training_data("tm", 5, tmp_path)
+    # a 3-parameter grid needs a cube number of cases
+    with pytest.raises(ValueError, match="8 and 27"):
+        generate_training_data("geometry", 10, tmp_path, sampler="grid")
+    assert not any(tmp_path.iterdir())
+
+
+def test_campaign_resume_refuses_another_config(tmp_path):
+    generate_training_data("geometry", 2, tmp_path, seed=0, dx=10e-6,
+                           workers=1, sim_kwargs=COARSE_SIM)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    before = [p.read_bytes() for p in files]
+    seed0 = config_hash(json.loads((tmp_path / "config.json").read_text()))
+    with pytest.raises(ValueError, match=seed0) as err:
+        generate_training_data("geometry", 2, tmp_path, seed=1, dx=10e-6,
+                               workers=1, sim_kwargs=COARSE_SIM)
+    assert len(set(re.findall(r"\b[0-9a-f]{12}\b", str(err.value)))) == 2
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
+    assert [p.read_bytes() for p in files] == before
 
 
 def test_simulator_backend_evaluate_and_verify():
@@ -247,3 +266,36 @@ def test_emit_surface(tmp_path):
     for r in rows:
         assert r["T_sim_C"] > 26.85
     assert len(read_csv(out)) == 4
+
+
+def _coarse_surface(out):
+    model = train_lm(synthetic_pool(150), seed=4)
+    return emit_surface(model, fixed_tm=77.0, h_grid=[40.0, 70.0, 100.0],
+                        w_grid=[40.0, 100.0], out_path=out / "surface.csv",
+                        dx=10e-6, sim_kwargs=COARSE_SIM)
+
+
+STUDIES = {
+    "pcm_comparison": lambda out: run_pcm_comparison(
+        out_dir=out, cell=COARSE_CELL, **COARSE_SIM),
+    "tm_study": lambda out: run_tm_study(
+        power_levels=(50e3, 100e3), tm_step=10.0, tm_range=(47.0, 87.0),
+        out_dir=out, cell=COARSE_CELL, **COARSE_SIM),
+    "sensitivity": lambda out: sensitivity(Case(cell=COARSE_CELL),
+                                           **COARSE_SIM),
+    "surface": _coarse_surface,
+}
+
+
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_study_results_do_not_depend_on_worker_count(study, tmp_path,
+                                                     monkeypatch):
+    results, files = [], []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("PCMOPT_WORKERS", workers)
+        out = tmp_path / workers
+        out.mkdir()
+        results.append(STUDIES[study](out))
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert results[0] == results[1]
+    assert files[0] == files[1]
