@@ -10,7 +10,7 @@ from .optimize import (GAConfig, OptimizationProblem, OptimizationResult,
                        ParameterSpec, PSOConfig, FunctionBackend,
                        ga_minimize, parametric_sweep, pso_minimize,
                        repeat_with_seeds)
-from .solver import ThermalHistory, ThermalState, simulate, steady_state
+from .solver import ThermalHistory, simulate, steady_state
 from .studies import sensitivity
 from .surrogate import (SurrogateModel, TrainingSet, activation,
                         load_training_csv, predict, r_squared, train_lm)
@@ -24,8 +24,8 @@ __all__ = [
     "NetworkModel", "assemble_network",
     "GAConfig", "OptimizationProblem", "OptimizationResult", "ParameterSpec",
     "PSOConfig", "FunctionBackend", "ga_minimize", "parametric_sweep",
-    "pso_minimize", "repeat_with_seeds", "ThermalHistory", "ThermalState",
-    "simulate", "steady_state", "SurrogateModel", "TrainingSet",
-    "activation", "load_training_csv", "predict", "r_squared", "train_lm",
+    "pso_minimize", "repeat_with_seeds", "ThermalHistory", "simulate",
+    "steady_state", "SurrogateModel", "TrainingSet", "activation",
+    "load_training_csv", "predict", "r_squared", "train_lm",
     "__version__",
 ]

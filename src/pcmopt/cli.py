@@ -77,11 +77,10 @@ def _cmd_simulate(args):
         with open(out / f"snapshot_{i:04d}.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["x_um", "y_um", "T_C", "phi"])
-            field = T.reshape(ny, nx)
             for iy in range(ny):
                 for ix in range(nx):
                     w.writerow([(ix + 0.5) * dx_um, (iy + 0.5) * dx_um,
-                                field[iy, ix], phi[iy, ix]])
+                                T[iy, ix], phi[iy, ix]])
     with open(out / "config.json", "w") as f:
         json.dump({"case": case.to_dict(),
                    "snapped_cell": case.cell.snapped().to_dict(),

@@ -4,11 +4,16 @@ One node per voxel centroid; neighbor conductances use the series (harmonic
 mean) combination of the two half-voxel conductivities. Convection attaches
 boundary faces to a fixed ambient; the source flux is divided uniformly over
 the silicon-alumina interface row. Unit depth (1 m) out of plane.
+
+Nodes are numbered row by row from the top (alumina) down, so every matrix
+entry that melting changes lies in the trailing columns of the band: the
+solver refactors only that block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +56,7 @@ class NetworkModel:
         """Per-node volume (uniform voxels, unit depth), m^3."""
         return self.mesh.dx * self.mesh.dx * 1.0
 
-    @property
+    @cached_property
     def pcm_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.is_pcm)
 
@@ -61,15 +66,34 @@ class NetworkModel:
         idx = self.pcm_nodes
         return self.rho_solid[idx] * self.volume * self.L_H[idx]
 
+    @property
+    def melt_block_start(self) -> int:
+        """First band column holding a phi-dependent entry (n_nodes if
+        none). The leading block before it never changes as the PCM melts.
+        """
+        _, i, _ = self._band_split
+        cols = np.concatenate([i, self.pcm_nodes])
+        return int(cols.min()) if cols.size else self.n_nodes
+
     def k_nodes(self, phi_full: np.ndarray) -> np.ndarray:
         """Per-node conductivity with melt-fraction blending."""
         return self.k_solid + phi_full * (self.k_liquid - self.k_solid)
 
     def capacitance(self, phi_full: np.ndarray) -> np.ndarray:
         """Per-node sensible capacitance rho(phi)*cp(phi)*V, J/K."""
-        rho = self.rho_solid + phi_full * (self.rho_liquid - self.rho_solid)
-        cp = self.cp_solid + phi_full * (self.cp_liquid - self.cp_solid)
-        return rho * cp * self.volume
+        return _blended_capacitance(
+            self.rho_solid, self.rho_liquid, self.cp_solid, self.cp_liquid,
+            phi_full, self.volume)
+
+    def pcm_capacitance(self, phi: np.ndarray) -> np.ndarray:
+        """capacitance() on the PCM nodes only, from their melt fractions."""
+        return _blended_capacitance(*self._pcm_phase_props, phi, self.volume)
+
+    @cached_property
+    def _pcm_phase_props(self) -> tuple[np.ndarray, ...]:
+        idx = self.pcm_nodes
+        return (self.rho_solid[idx], self.rho_liquid[idx],
+                self.cp_solid[idx], self.cp_liquid[idx])
 
     def expand_phi(self, phi: np.ndarray) -> np.ndarray:
         """Melt fractions of the PCM nodes -> full-length node array."""
@@ -77,16 +101,11 @@ class NetworkModel:
         full[self.pcm_nodes] = phi
         return full
 
-    def edge_conductances(self, phi_full: np.ndarray) -> np.ndarray:
-        """Series conductance per edge, W/K.
-
-        With square voxels and unit depth, G = k_series * A / dx reduces
-        numerically to the harmonic mean 2*ki*kj/(ki+kj).
-        """
-        k = self.k_nodes(phi_full)
-        ki = k[self.edge_i]
-        kj = k[self.edge_j]
-        return 2.0 * ki * kj / (ki + kj)
+    def mesh_field(self, values: np.ndarray) -> np.ndarray:
+        """Per-node values as a fresh (ny, nx) array in the mesh's
+        orientation (row 0 is the cap underside, as in Mesh.labels)."""
+        return np.ascontiguousarray(
+            values.reshape(self.mesh.ny, self.mesh.nx)[::-1])
 
     def conductance_matrix(self, phi_full: np.ndarray) -> np.ndarray:
         """Conduction Laplacian plus convection diagonal (SPD), in LAPACK
@@ -96,16 +115,28 @@ class NetworkModel:
         offset d, so A[i, j] (i <= j) sits at [nx + i - j, j]. Only offsets
         1 (horizontal edges) and nx (vertical edges) are nonzero. The
         array is Fortran-ordered so LAPACK can factor it in place.
+
+        Built as a copy of the phi-independent band with the edges that
+        touch a PCM node scattered in; phi_full is read on PCM nodes only.
         """
-        g = self.edge_conductances(phi_full)
-        n = self.n_nodes
-        nx = self.mesh.nx
-        band = np.zeros((nx + 1, n), order="F")
-        band[nx - (self.edge_j - self.edge_i), self.edge_j] = -g
-        band[nx] = (np.bincount(self.edge_i, g, n)
-                    + np.bincount(self.edge_j, g, n)
-                    + np.bincount(self.conv_nodes, self.conv_G, n))
+        base, i, j = self._band_split
+        band = base.copy(order="F")
+        if i.size:
+            k = self.k_nodes(phi_full)
+            _add_edges(band, i, j, k[i], k[j])
         return band
+
+    @cached_property
+    def _band_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The band of every edge that touches no PCM node plus the
+        convection diagonal, and (edge_i, edge_j) of the other edges."""
+        melt = self.is_pcm[self.edge_i] | self.is_pcm[self.edge_j]
+        i, j = self.edge_i[~melt], self.edge_j[~melt]
+        n = self.n_nodes
+        base = np.zeros((self.mesh.nx + 1, n), order="F")
+        _add_edges(base, i, j, self.k_solid[i], self.k_solid[j])
+        base[-1] += np.bincount(self.conv_nodes, self.conv_G, n)
+        return base, self.edge_i[melt], self.edge_j[melt]
 
     def source_vector(self, q_flux: float) -> np.ndarray:
         """Nodal power vector for a given interface heat flux, W."""
@@ -119,6 +150,27 @@ class NetworkModel:
         b = np.zeros(self.n_nodes)
         b[self.conv_nodes] += self.conv_G * self.T_amb_C
         return b
+
+
+def _blended_capacitance(rho_solid, rho_liquid, cp_solid, cp_liquid, phi,
+                         volume):
+    rho = rho_solid + phi * (rho_liquid - rho_solid)
+    cp = cp_solid + phi * (cp_liquid - cp_solid)
+    return rho * cp * volume
+
+
+def _add_edges(band: np.ndarray, i: np.ndarray, j: np.ndarray,
+               ki: np.ndarray, kj: np.ndarray) -> None:
+    """Add edges (i < j) between nodes of conductivity ki and kj to a band
+    whose off-diagonal slots for them are still empty.
+
+    With square voxels and unit depth, the series conductance
+    G = k_series * A / dx reduces to the harmonic mean 2*ki*kj/(ki+kj), W/K.
+    """
+    g = 2.0 * ki * kj / (ki + kj)
+    nx, n = band.shape[0] - 1, band.shape[1]
+    band[nx - (j - i), j] = -g
+    band[nx] += np.bincount(i, g, n) + np.bincount(j, g, n)
 
 
 def _grid_edges(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +189,8 @@ def assemble_network(mesh: Mesh, boundary: BoundarySpec,
     pcm may be None only for a mesh without PCM voxels.
     """
     boundary.validate()
-    labels = mesh.labels.ravel()
+    # node order: top row first (see the module docstring)
+    labels = mesh.labels[::-1].ravel()
     if pcm is None and np.any(labels == PCM):
         raise ValueError("mesh contains PCM voxels but no PCM material given")
 
@@ -156,7 +209,7 @@ def assemble_network(mesh: Mesh, boundary: BoundarySpec,
 
     edge_i, edge_j = _grid_edges(mesh.ny, mesh.nx)
 
-    idx = np.arange(n).reshape(mesh.ny, mesh.nx)
+    idx = np.arange(n).reshape(mesh.ny, mesh.nx)[::-1]  # [iy, ix] -> node
     top = idx[-1, :]
     bottom = idx[0, :]
     conv_nodes = np.concatenate([top, bottom])

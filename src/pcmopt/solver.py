@@ -10,8 +10,8 @@ step, so every step balances energy to solver precision.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -32,24 +32,8 @@ class SolverDivergence(RuntimeError):
     """Non-finite temperatures encountered during integration."""
 
 
-class StepDiagnostics(NamedTuple):
-    """Per-step energy bookkeeping, J (residual is relative)."""
-
-    residual: float
-    e_in: float
-    e_out: float
-    e_sensible: float
-    e_latent: float
-
-
-@dataclass
-class ThermalState:
-    """Instantaneous solver state."""
-
-    t: float
-    T: np.ndarray          # per-node temperature, degC
-    phi: np.ndarray        # per-PCM-node melt fraction in [0, 1]
-    stored_latent: np.ndarray  # per-PCM-node absorbed latent energy, J
+#: Wall-time phases of a transient, in ThermalHistory.phase_s.
+PHASES = ("assemble", "rebuild", "factor", "solve", "enthalpy", "bookkeeping")
 
 
 @dataclass
@@ -68,6 +52,11 @@ class ThermalHistory:
     energy_residual: float = 0.0  # global |in - out - stored| / in
     worst_step_residual: float = 0.0  # largest per-step relative residual
     n_factorizations: int = 0  # system-matrix factorizations in the run
+    # wall seconds per phase, keyed by PHASES: mesh and network assembly;
+    # the melt-fraction test and band + capacitance rebuild; factorization;
+    # right-hand side and triangular solves; the enthalpy correction; and
+    # the rest of the loop (energy balance, history, settle test)
+    phase_s: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)  # (t, T field, phi field)
 
     @property
@@ -85,7 +74,8 @@ class ThermalHistory:
 
 
 def _factor_band(band: np.ndarray) -> np.ndarray:
-    """Banded Cholesky factor of an SPD matrix in upper band storage."""
+    """Banded Cholesky factor of an SPD matrix in upper band storage,
+    computed in place when band is Fortran-ordered float64."""
     chol, info = dpbtrf(band, overwrite_ab=1)
     if info > 0:
         raise SolverDivergence(
@@ -96,93 +86,171 @@ def _factor_band(band: np.ndarray) -> np.ndarray:
     return chol
 
 
+class _TrailingCholesky:
+    """Banded Cholesky factor U (A = U^T U) of a matrix whose leading block
+    of columns [0, start) never changes.
+
+    With A = [[A11, A12], [A12^T, A22]] and U = [[U11, U12], [0, U22]],
+    U11 and U12 depend only on A11 and A12, and U22 is the factor of
+    A22 - U12^T U12. The band couples only nx rows across the split, so
+    S = U12^T U12 fills just the first nx columns of the trailing block. The
+    first factorization is a full one and keeps S; refactor() then factors
+    only A22 - S, in place in the trailing columns of the stored factor,
+    whose slots above the block keep U12.
+    """
+
+    def __init__(self, band: np.ndarray, start: int):
+        self.chol = _factor_band(band)
+        self.start = start
+        kd, n = band.shape[0] - 1, band.shape[1]
+        w = min(kd, n - start)
+        # band row r of trailing column c holds row start + c - kd + r,
+        # which lies above the block (in U12) when r < kd - c
+        r, c = np.indices((kd + 1, w))
+        above = r < kd - c
+        # U12 holds rows start - kd .. start - 1; rows before 0 read the
+        # band's unused corner, which stays zero
+        U12 = np.zeros((kd, w))
+        U12[(c + r)[above], c[above]] = self.chol[r[above], start + c[above]]
+        S = U12.T @ U12
+        self._S = np.zeros((kd + 1, w))
+        self._S[~above] = S[(c - kd + r)[~above], c[~above]]
+        self._head_in_block = ~above
+
+    def refactor(self, band: np.ndarray) -> None:
+        """Refactor after a change confined to the trailing block."""
+        start, w = self.start, self._S.shape[1]
+        tail = self.chol[:, start:]
+        if not tail.size:
+            return
+        tail[:, w:] = band[:, start + w:]
+        np.subtract(band[:, start:start + w], self._S, out=tail[:, :w],
+                    where=self._head_in_block)
+        if _factor_band(tail) is not tail:
+            raise RuntimeError("dpbtrf copied the trailing block")
+
+
 class _Integrator:
-    """Backward-Euler stepper with a reusable banded Cholesky factorization.
+    """Backward-Euler stepper over the state T, phi and stored latent energy.
 
     The factorization of C/dt + G is rebuilt only when the melt-fraction
     field has moved since the last build, since G and C depend on state only
-    through phi.
+    through phi, and then only in its trailing block (see _TrailingCholesky).
+    Each step adds its energy terms to the run totals and its wall time to
+    phase_s; simulate fills in the assemble and bookkeeping phases.
     """
 
     def __init__(self, network: NetworkModel, dt: float, q_flux: float):
-        self.net = network
+        net = network
+        self.net = net
         self.dt = dt
-        self.n_factorizations = 0
+        self.t = 0.0
+        self.T = np.full(net.n_nodes, net.T_amb_C)
+        self._pcm_idx = net.pcm_nodes
+        self.phi = np.zeros(self._pcm_idx.size)
+        self.latent = np.zeros(self._pcm_idx.size)  # absorbed latent, J
+        self._latent_cap = net.latent_capacity
+        self._C = net.capacitance(np.zeros(net.n_nodes))
+        self._C_dt = self._C / dt
+        # set by each rebuild, the first of which comes with the first step
+        self._C_pcm = self._scale_floor = self._factor = None
         self._phi_at_build = None
-        self._chol = None
-        self._C = None
-        self._C_dt = None
         # right-hand side and interface power of the on and off phases
-        self._b_off = network.ambient_vector()
-        self._b_on = network.source_vector(q_flux) + self._b_off
-        self._power_on = q_flux * network.width  # W (unit depth)
-        self._pcm_idx = network.pcm_nodes
-        self._latent_cap = network.latent_capacity
-        self._conv_nodes = network.conv_nodes
-        self._conv_G = network.conv_G
+        self._b_off = net.ambient_vector()
+        self._b_on = net.source_vector(q_flux) + self._b_off
+        self._power_on = q_flux * net.width  # W (unit depth)
+        self._conv_nodes = net.conv_nodes
+        self._conv_G = net.conv_G
+        self._conv_G_T_amb = float(np.sum(net.conv_G)) * net.T_amb_C
+        self._rhs = np.empty(net.n_nodes)
+        self._dT = np.empty(net.n_nodes)
+        # run totals
+        self.n_factorizations = 0
+        self.e_in = self.e_out = self.e_stored = 0.0
+        self.worst_residual = 0.0
+        self.phase_s = dict.fromkeys(PHASES, 0.0)
 
-    def _ensure_factorized(self, phi: np.ndarray) -> None:
-        if self._phi_at_build is not None and (
-                phi.size == 0
-                or np.max(np.abs(phi - self._phi_at_build)) <= REBUILD_TOL):
-            return
+    def _phi_moved(self) -> bool:
+        return self._phi_at_build is None or (
+            self.phi.size > 0
+            and np.abs(self.phi - self._phi_at_build).max() > REBUILD_TOL)
+
+    def _rebuild(self) -> np.ndarray:
+        """Capacitance update and the band of C/dt + G at the current phi."""
         net = self.net
-        phi_full = net.expand_phi(phi)
-        self._C = net.capacitance(phi_full)
-        self._C_dt = self._C / self.dt
-        band = net.conductance_matrix(phi_full)
+        idx = self._pcm_idx
+        self._C_pcm = net.pcm_capacitance(self.phi)
+        self._C[idx] = self._C_pcm
+        self._C_dt[idx] = self._C_pcm / self.dt
+        # floor of the per-step balance scale: the energy of a uniform
+        # millikelvin change, so a quiescent step is not judged by roundoff
+        self._scale_floor = 1e-3 * float(self._C.sum())
+        band = net.conductance_matrix(net.expand_phi(self.phi))
         band[-1] += self._C_dt
-        self._chol = _factor_band(band)
-        self._phi_at_build = phi.copy()
+        self._phi_at_build = self.phi.copy()
+        return band
+
+    def _factorize(self, band: np.ndarray) -> None:
+        if self._factor is None:
+            self._factor = _TrailingCholesky(band, self.net.melt_block_start)
+        else:
+            self._factor.refactor(band)
         self.n_factorizations += 1
 
-    def step(self, state: ThermalState,
-             heating: bool) -> tuple[ThermalState, StepDiagnostics]:
+    def step(self, heating: bool) -> None:
         """Advance one dt, with the source on or off."""
-        net = self.net
+        clock = time.perf_counter
+        phase = self.phase_s
         dt = self.dt
-        self._ensure_factorized(state.phi)
-        C = self._C
-        b = self._b_on if heating else self._b_off
-        source_power = self._power_on if heating else 0.0
+        t0 = clock()
+        band = self._rebuild() if self._phi_moved() else None
+        t1 = clock()
+        phase["rebuild"] += t1 - t0
+        if band is not None:
+            self._factorize(band)
+            t0, t1 = t1, clock()
+            phase["factor"] += t1 - t0
 
-        T_star, _ = dpbtrs(self._chol, self._C_dt * state.T + b)
-        if not np.all(np.isfinite(T_star)):
+        rhs = np.multiply(self._C_dt, self.T, out=self._rhs)
+        rhs += self._b_on if heating else self._b_off
+        T_new, _ = dpbtrs(self._factor.chol, rhs, overwrite_b=1)
+        if not np.isfinite(T_new).all():
             raise SolverDivergence(
-                f"non-finite temperature at t={state.t + dt:.6g} s "
+                f"non-finite temperature at t={self.t + dt:.6g} s "
                 f"(dt={dt}); reduce dt or check inputs")
+        e_out = (float(np.dot(self._conv_G, T_new[self._conv_nodes]))
+                 - self._conv_G_T_amb) * dt
+        t0, t1 = t1, clock()
+        phase["solve"] += t1 - t0
 
+        e_lat = 0.0
         idx = self._pcm_idx
         if idx.size:
-            Cp = C[idx]
-            excess = Cp * (T_star[idx] - net.T_m)
-            tentative = state.stored_latent + excess
-            new_latent = np.clip(tentative, 0.0, self._latent_cap)
-            d_latent = new_latent - state.stored_latent
-            residual = excess - d_latent
-            T_new = T_star.copy()
-            T_new[idx] = net.T_m + residual / Cp
-            phi_new = new_latent / self._latent_cap
-        else:
-            T_new = T_star
-            new_latent = state.stored_latent
-            phi_new = state.phi
-            d_latent = 0.0
+            Cp = self._C_pcm
+            excess = Cp * (T_new[idx] - self.net.T_m)
+            new_latent = np.maximum(self.latent + excess, 0.0)
+            np.minimum(new_latent, self._latent_cap, out=new_latent)
+            d_latent = new_latent - self.latent
+            T_new[idx] = self.net.T_m + (excess - d_latent) / Cp
+            self.phi = new_latent / self._latent_cap
+            self.latent = new_latent
+            e_lat = float(d_latent.sum())
+        phase["enthalpy"] += clock() - t1
 
         # Per-step balance, evaluated with the matrices the solve used.
-        e_in = source_power * dt
-        e_out = float(np.sum(
-            self._conv_G * (T_star[self._conv_nodes] - net.T_amb_C))) * dt
-        e_sens = float(np.sum(C * (T_new - state.T)))
-        e_lat = float(np.sum(d_latent))
-        # floor the scale at the energy of a uniform millikelvin change so a
-        # quiescent (zero-power, settled) step is not judged by roundoff
+        e_in = self._power_on * dt if heating else 0.0
+        e_sens = float(np.dot(self._C, np.subtract(T_new, self.T,
+                                                   out=self._dT)))
         scale = max(abs(e_in), abs(e_out), abs(e_sens) + abs(e_lat),
-                    1e-3 * float(np.sum(C)))
-        step_residual = abs(e_in - e_out - e_sens - e_lat) / scale
-
-        diag = StepDiagnostics(step_residual, e_in, e_out, e_sens, e_lat)
-        return ThermalState(state.t + dt, T_new, phi_new, new_latent), diag
+                    self._scale_floor)
+        residual = abs(e_in - e_out - e_sens - e_lat) / scale
+        if residual > self.worst_residual:
+            self.worst_residual = residual
+        self.e_in += e_in
+        self.e_out += e_out
+        self.e_stored += e_sens + e_lat
+        self._rhs, self.T = self.T, T_new
+        self.t += dt
 
 
 class QuasiSteadyDetector:
@@ -260,50 +328,47 @@ def simulate(case: Case, dt: float = 0.01,
     steps_cycle = round(steps_cycle)
     n_cycles = int(round(power.duration / power.period))
 
+    t_start = time.perf_counter()
     mesh, net = build_case_network(case)
-    n_pcm = net.pcm_nodes.size
-    state = ThermalState(
-        t=0.0,
-        T=np.full(net.n_nodes, net.T_amb_C),
-        phi=np.zeros(n_pcm),
-        stored_latent=np.zeros(n_pcm),
-    )
     stepper = _Integrator(net, dt, power.q0)
+    t_loop = time.perf_counter()
+    n_pcm = net.pcm_nodes.size
 
     times, tmax, pmean = [], [], []
     snapshots = []
-    e_in_total = e_out_total = e_stored_total = 0.0
-    worst_residual = 0.0
     step_count = 0
     settle = QuasiSteadyDetector(QUASI_STEADY_TOL)
 
     for cycle in range(n_cycles):
         for k in range(steps_cycle):
-            state, diag = stepper.step(state, k < steps_on)
-            worst_residual = max(worst_residual, diag.residual)
-            e_in_total += diag.e_in
-            e_out_total += diag.e_out
-            e_stored_total += diag.e_sensible + diag.e_latent
+            stepper.step(k < steps_on)
             step_count += 1
-            times.append(state.t)
-            tmax.append(float(state.T.max()))
-            pmean.append(float(state.phi.mean()) if n_pcm else 0.0)
+            times.append(stepper.t)
+            tmax.append(float(stepper.T.max()))
+            pmean.append(float(stepper.phi.sum()) / n_pcm if n_pcm else 0.0)
             if snapshot_every and step_count % snapshot_every == 0:
-                snapshots.append((state.t, state.T.copy(),
-                                  net.expand_phi(state.phi).reshape(mesh.ny, mesh.nx)))
+                snapshots.append((stepper.t, net.mesh_field(stepper.T),
+                                  net.mesh_field(net.expand_phi(stepper.phi))))
         cycle_trace = tmax[cycle * steps_cycle:]
         if settle.add_cycle(max(cycle_trace), min(cycle_trace)):
             break
     quasi_cycle, converged = settle.result()
+    t_end = time.perf_counter()
 
     # Global conservation check over the whole run.
-    denom = max(e_in_total, 1e-30)
-    global_residual = abs(e_in_total - e_out_total - e_stored_total) / denom
+    denom = max(stepper.e_in, 1e-30)
+    global_residual = abs(stepper.e_in - stepper.e_out
+                          - stepper.e_stored) / denom
 
+    worst_residual = stepper.worst_residual
     if worst_residual > MAX_STEP_RESIDUAL:
         raise SolverDivergence(
             f"per-step energy residual {worst_residual:.3e} exceeds "
             f"{MAX_STEP_RESIDUAL:.1e}")
+
+    phase_s = stepper.phase_s
+    phase_s["bookkeeping"] = t_end - t_loop - sum(phase_s.values())
+    phase_s["assemble"] = t_loop - t_start
 
     return ThermalHistory(
         t=np.asarray(times),
@@ -318,6 +383,7 @@ def simulate(case: Case, dt: float = 0.01,
         energy_residual=global_residual,
         worst_step_residual=worst_residual,
         n_factorizations=stepper.n_factorizations,
+        phase_s=phase_s,
         snapshots=snapshots,
     )
 
@@ -329,8 +395,8 @@ def steady_state(case: Case, constant_flux: float,
     Returns the nodal temperature field (degC) reshaped to (ny, nx).
     Used as a verification oracle; h > 0 keeps the system nonsingular.
     """
-    mesh, net = build_case_network(case)
+    _, net = build_case_network(case)
     phi_full = net.expand_phi(phi) if phi is not None else np.zeros(net.n_nodes)
     chol = _factor_band(net.conductance_matrix(phi_full))
     T, _ = dpbtrs(chol, net.source_vector(constant_flux) + net.ambient_vector())
-    return T.reshape(mesh.ny, mesh.nx)
+    return net.mesh_field(T)

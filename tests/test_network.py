@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcmopt.geometry import BoundarySpec, UnitCellSpec, build_mesh
+from pcmopt.geometry import PCM, BoundarySpec, UnitCellSpec, build_mesh
 from pcmopt.materials import builtin_material
 from pcmopt.network import assemble_network
 
@@ -13,9 +13,15 @@ def net():
                             pcm=builtin_material("Solder174"))
 
 
+def band_edge_conductances(net, phi_full):
+    """Each edge's conductance, read from the off-diagonal of the band."""
+    band = net.conductance_matrix(phi_full)
+    return -band[net.mesh.nx - (net.edge_j - net.edge_i), net.edge_j]
+
+
 def test_edge_conductance_is_harmonic_mean(net):
     phi = np.zeros(net.n_nodes)
-    g = net.edge_conductances(phi)
+    g = band_edge_conductances(net, phi)
     k = net.k_nodes(phi)
     # silicon-silicon edge reduces to k itself
     si_si = (k[net.edge_i] == 130.0) & (k[net.edge_j] == 130.0)
@@ -64,8 +70,9 @@ def band_to_dense(band):
 def dense_laplacian(net, phi_full):
     """Conduction Laplacian plus convection, assembled edge by edge."""
     A = np.zeros((net.n_nodes, net.n_nodes))
-    for i, j, g in zip(net.edge_i, net.edge_j,
-                       net.edge_conductances(phi_full)):
+    k = net.k_nodes(phi_full)
+    for i, j in zip(net.edge_i, net.edge_j):
+        g = 2.0 * k[i] * k[j] / (k[i] + k[j])
         A[i, i] += g
         A[j, j] += g
         A[i, j] -= g
@@ -95,8 +102,9 @@ def test_conductance_matrix_symmetric_positive_definite(net):
 
 
 @pytest.mark.parametrize("cell", [
-    UnitCellSpec(), UnitCellSpec(dx=10e-6), UnitCellSpec(no_channel=True)],
-    ids=["5um", "10um", "no_channel"])
+    UnitCellSpec(), UnitCellSpec(dx=10e-6), UnitCellSpec(H=200e-6),
+    UnitCellSpec(W=100e-6), UnitCellSpec(no_channel=True)],
+    ids=["5um", "10um", "full_height", "full_width", "no_channel"])
 def test_conductance_band_matches_dense_laplacian(cell):
     mesh = build_mesh(cell)
     pcm = None if cell.no_channel else builtin_material("Solder174")
@@ -111,6 +119,46 @@ def test_conductance_band_matches_dense_laplacian(cell):
     d = np.arange(mesh.nx + 1)
     empty = (d != 0) & (d != 1) & (d != mesh.nx)
     assert not np.any(band[mesh.nx - d[empty]])
+
+
+def test_nodes_are_numbered_top_down(net):
+    mesh = net.mesh
+    assert np.all(net.mesh_field(net.is_pcm) == (mesh.labels == PCM))
+    # node 0 sits in the top (alumina) row, the last node on the cap underside
+    assert net.k_solid[0] == 30.0 and net.k_solid[-1] == 130.0
+    assert set(net.source_nodes) == set(
+        np.flatnonzero(net.mesh_field(np.arange(net.n_nodes)).ravel()
+                       // mesh.nx == mesh.source_row))
+    assert np.all(net.edge_i < net.edge_j)
+
+
+@pytest.mark.parametrize("cell,trailing", [
+    (UnitCellSpec(), 310), (UnitCellSpec(dx=10e-6), 80),
+    (UnitCellSpec(dx=2.5e-6), 1220), (UnitCellSpec(no_channel=True), 0)],
+    ids=["5um", "10um", "2.5um", "no_channel"])
+def test_melting_changes_only_the_trailing_block(cell, trailing):
+    mesh = build_mesh(cell)
+    pcm = None if cell.no_channel else builtin_material("Solder174")
+    net = assemble_network(mesh, BoundarySpec(), pcm=pcm)
+    start = net.melt_block_start
+    assert net.n_nodes - start == trailing
+    solid = net.conductance_matrix(np.zeros(net.n_nodes))
+    melted = net.conductance_matrix(net.expand_phi(
+        np.linspace(0.5, 1.0, net.pcm_nodes.size)))
+    r, j = np.nonzero(solid != melted)
+    # band slot [r, j] holds the entry in row j - nx + r
+    assert np.all(j - mesh.nx + r >= start)
+    if trailing:
+        assert j.min() == start
+    c = net.capacitance(net.expand_phi(np.ones(net.pcm_nodes.size)))
+    assert np.all(np.flatnonzero(c != net.capacitance(np.zeros(net.n_nodes)))
+                  >= start)
+
+
+def test_pcm_capacitance_matches_full_capacitance(net):
+    phi = np.linspace(0.0, 1.0, net.pcm_nodes.size)
+    full = net.capacitance(net.expand_phi(phi))
+    assert np.array_equal(net.pcm_capacitance(phi), full[net.pcm_nodes])
 
 
 def test_capacitance_blends_with_melt_fraction(net):

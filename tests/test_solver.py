@@ -1,14 +1,16 @@
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrs
 
-from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
+from pcmopt.geometry import PCM, Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import builtin_material
 from pcmopt.metrics import compute_metrics
-from pcmopt.solver import (MAX_STEP_RESIDUAL, SolverDivergence,
-                           _factor_band, build_case_network, simulate,
-                           steady_state)
+from pcmopt.solver import (MAX_STEP_RESIDUAL, PHASES, SolverDivergence,
+                           _factor_band, _TrailingCholesky,
+                           build_case_network, simulate, steady_state)
 
 COARSE = UnitCellSpec(dx=10e-6)
 
@@ -176,3 +178,71 @@ def test_snapshots_have_field_shapes():
     assert t == pytest.approx(1.0)
     assert phi.shape == (30, 5)
     assert T.size == 150
+
+
+def system_band(net, phi, dt=0.01):
+    """C/dt + G at the PCM melt fractions phi, in upper band storage."""
+    phi_full = net.expand_phi(phi)
+    band = net.conductance_matrix(phi_full)
+    band[-1] += net.capacitance(phi_full) / dt
+    return band
+
+
+@pytest.mark.parametrize("cell", [
+    UnitCellSpec(), UnitCellSpec(dx=10e-6), UnitCellSpec(dx=2.5e-6),
+    UnitCellSpec(H=200e-6), UnitCellSpec(W=100e-6),
+    UnitCellSpec(no_channel=True)],
+    ids=["5um", "10um", "2.5um", "full_height", "full_width", "no_channel"])
+def test_trailing_refactor_matches_full_factorization(cell):
+    _, net = build_case_network(Case(cell=cell))
+    n_pcm = net.pcm_nodes.size
+    start = net.melt_block_start
+    factor = _TrailingCholesky(system_band(net, np.zeros(n_pcm)), start)
+    chol = factor.chol
+    kd = chol.shape[0] - 1
+    # slots of the trailing columns that hold rows above the block (U12)
+    r, c = np.indices(chol[:, start:start + kd].shape)
+    above = r < kd - c
+    u12 = chol[:, start:start + kd][above].copy()
+    b = np.random.default_rng(0).uniform(1.0, 2.0, net.n_nodes)
+    for phi in (np.linspace(0.0, 1.0, n_pcm), np.ones(n_pcm)):
+        band = system_band(net, phi)
+        factor.refactor(band)
+        assert factor.chol is chol
+        assert np.array_equal(chol[:, start:start + kd][above], u12)
+        x, _ = dpbtrs(chol, b)
+        expect, _ = dpbtrs(_factor_band(band.copy(order="F")), b)
+        assert np.max(np.abs(x - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_phase_times_cover_the_run():
+    case = Case(cell=UnitCellSpec(no_channel=True, dx=10e-6),
+                power=PowerProfile(duration=20.0))
+    t0 = time.perf_counter()
+    h = simulate(case, dt=0.025)
+    wall = time.perf_counter() - t0
+    assert tuple(h.phase_s) == PHASES
+    assert all(v >= 0.0 for v in h.phase_s.values())
+    assert sum(h.phase_s.values()) <= wall
+    # one factorization, against one solve per step
+    assert h.n_factorizations == 1
+    assert 0.0 < h.phase_s["factor"] < h.phase_s["solve"]
+
+
+def test_snapshot_fields_keep_the_mesh_orientation():
+    # Cerrolow 117 (T_m 47 degC) melts through within the first pulse
+    case = Case(cell=COARSE, power=PowerProfile(duration=1.0),
+                pcm_name="Cerrolow117")
+    h = simulate(case, dt=0.025, snapshot_every=20)
+    mesh, _ = build_case_network(case)
+    t, T, phi = h.snapshots[0]
+    assert t == pytest.approx(0.5)
+    assert T.shape == phi.shape == (mesh.ny, mesh.nx)
+    n_cap, n_h, n_w = 5, 10, 2  # 50, 100 and 25 um at 10 um voxels
+    channel = np.zeros(phi.shape, dtype=bool)
+    channel[n_cap:n_cap + n_h, :n_w] = True
+    assert np.all((mesh.labels == PCM) == channel)
+    assert np.all(phi[channel] > 0.0)
+    assert np.all(phi[~channel] == 0.0)
+    # at the end of the pulse the heated source row is the hottest
+    assert int(np.argmax(T.max(axis=1))) == mesh.source_row
