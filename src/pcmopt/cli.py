@@ -7,6 +7,7 @@ import csv
 import json
 import sys
 from dataclasses import replace as dc_replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +41,12 @@ def _case_from_args(args) -> Case:
     power = case.power
     if args.flux_kw_m2 is not None:
         power = dc_replace(power, q0=args.flux_kw_m2 * 1e3)
-    pcm_name, pcm_override = case.pcm_name, case.pcm_override
+    pcm = case.pcm
     if args.material:
-        pcm_name, pcm_override = args.material, None
-        builtin_material(args.material)  # fail fast on unknown names
+        pcm = builtin_material(args.material)
     if args.material_file:
-        pcm_override = load_material_file(args.material_file).to_dict()
-    return Case(cell=cell, power=power, boundary=case.boundary,
-                pcm_name=pcm_name, pcm_override=pcm_override)
+        pcm = load_material_file(args.material_file)
+    return dc_replace(case, cell=cell, power=power, pcm=pcm)
 
 
 def _add_case_flags(p):
@@ -119,10 +118,17 @@ def _cmd_sweep(args):
               f"(T_osc) = {d['opt_T_m_for_T_osc']:.0f} C")
 
 
+#: Keys a problem file may set; its bounds' names define the case.
+_PROBLEM_KEYS = ("power", "objective", "bounds", "steps", "dx", "sim_kwargs")
+
+
 def _load_problem(args):
     with open(args.problem) as f:
         spec = json.load(f)
-    kind = spec.get("kind", "tm")
+    for key in spec:
+        if key not in _PROBLEM_KEYS:
+            raise ValueError(f"unknown problem key {key!r} in {args.problem}; "
+                             f"expected one of {list(_PROBLEM_KEYS)}")
     power = spec.get("power", 100e3)
     objective = spec.get("objective", "T_o_max")
     bounds = {k: tuple(v) for k, v in spec["bounds"].items()}
@@ -130,7 +136,8 @@ def _load_problem(args):
     dx = spec.get("dx", 5e-6)
     sim_kwargs = spec.get("sim_kwargs", {})
 
-    builder = studies.case_builder(kind, power=power, dx=dx)
+    builder = partial(studies.geometry_case, power=power, dx=dx)
+    builder({k: lo for k, (lo, hi) in bounds.items()})  # fail before searching
     verifier = studies.SimulatorBackend(builder, list(bounds), objective,
                                         sim_kwargs=sim_kwargs)
     if args.backend.startswith("nn:"):
@@ -166,8 +173,7 @@ def _cmd_optimize(args):
 def _cmd_generate(args):
     path = studies.generate_training_data(
         kind=args.kind, n=args.n, out_dir=args.out, seed=args.seed,
-        sampler=args.sampler, power=args.power, dx=args.dx_um * 1e-6,
-        workers=args.workers)
+        sampler=args.sampler, power=args.power, dx=args.dx_um * 1e-6)
     print(f"campaign written to {path}")
 
 
@@ -186,13 +192,10 @@ def _cmd_ablation(args):
     sizes = [int(s) for s in args.sizes.split(",")]
     objective = _TARGET_OBJECTIVES[args.target]
 
-    def verifier_factory(_):
-        builder = studies.case_builder("geometry", power=args.power,
-                                       dx=args.dx_um * 1e-6)
-        return studies.SimulatorBackend(builder, list(studies.GEOMETRY_BOUNDS),
-                                        objective)
-
-    report = studies.run_ablation(pool, test, sizes, verifier_factory,
+    verifier = studies.SimulatorBackend(
+        partial(studies.geometry_case, power=args.power, dx=args.dx_um * 1e-6),
+        list(studies.GEOMETRY_BOUNDS), objective)
+    report = studies.run_ablation(pool, test, sizes, verifier,
                                   repeats=args.repeats, base_seed=args.seed)
     text = json.dumps(report, indent=2)
     if args.out:
@@ -276,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sampler", choices=["lhs", "grid"], default="lhs")
     sp.add_argument("--power", type=float, default=100e3)
     sp.add_argument("--dx-um", type=float, default=5.0)
-    sp.add_argument("--workers", type=int)
     sp.set_defaults(func=_cmd_generate)
 
     sp = sub.add_parser("train", help="train a surrogate network")

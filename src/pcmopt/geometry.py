@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .materials import Material, builtin_material, validated
+
 # Voxel labels
 ALUMINA = 0
 SILICON = 1
@@ -178,31 +180,45 @@ def build_mesh(spec: UnitCellSpec) -> Mesh:
 
 @dataclass(frozen=True)
 class Case:
-    """One complete simulation case: geometry + heating + boundary + PCM."""
+    """One complete simulation case: geometry + heating + boundary + PCM.
+
+    pcm fills the channel (unused by a no_channel cell); an invalid record
+    raises ValueError when the case is built.
+    """
 
     cell: UnitCellSpec = UnitCellSpec()
     power: PowerProfile = PowerProfile()
     boundary: BoundarySpec = BoundarySpec()
-    pcm_name: str = "Solder174"  # builtin name; overridden by pcm_override
-    pcm_override: dict | None = None  # full Material dict, replaces pcm_name
+    pcm: Material = builtin_material("Solder174")
+
+    def __post_init__(self):
+        validated(self.pcm, "pcm")
 
     def to_dict(self) -> dict:
         return {
             "cell": self.cell.to_dict(),
             "power": self.power.to_dict(),
             "boundary": self.boundary.to_dict(),
-            "pcm_name": self.pcm_name,
-            "pcm_override": self.pcm_override,
+            "pcm": self.pcm.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Case":
+        """Inverse of to_dict; "pcm" may also be a built-in material name.
+
+        Raises ValueError on a key to_dict does not write.
+        """
+        unknown = set(d) - {"cell", "power", "boundary", "pcm"}
+        if unknown:
+            raise ValueError(f"unknown case keys {sorted(unknown)}; expected "
+                             "cell, power, boundary, pcm")
+        pcm = d.get("pcm", cls.pcm.name)
         return cls(
             cell=UnitCellSpec.from_dict(d.get("cell", {})),
             power=PowerProfile.from_dict(d.get("power", {})),
             boundary=BoundarySpec.from_dict(d.get("boundary", {})),
-            pcm_name=d.get("pcm_name", "Solder174"),
-            pcm_override=d.get("pcm_override"),
+            pcm=(builtin_material(pcm) if isinstance(pcm, str)
+                 else Material.from_dict(pcm)),
         )
 
     @classmethod

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .geometry import Case, Mesh, build_mesh
-from .materials import Material, builtin_material, validated
 from .network import NetworkModel, assemble_network
 
 # Settle tolerance on each cycle's extrema, degC (see QuasiSteadyDetector).
@@ -292,19 +291,10 @@ class QuasiSteadyDetector:
         return self.settled_cycle, True
 
 
-def resolve_pcm(case: Case) -> Material | None:
-    """The channel material of a case; None for the solid baseline."""
-    if case.cell.no_channel:
-        return None
-    if case.pcm_override is not None:
-        return validated(Material.from_dict(case.pcm_override), "pcm_override")
-    return builtin_material(case.pcm_name)
-
-
 def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
     mesh = build_mesh(case.cell)
-    pcm = resolve_pcm(case)
-    net = assemble_network(mesh, case.boundary, pcm=pcm)
+    net = assemble_network(mesh, case.boundary,
+                           pcm=None if case.cell.no_channel else case.pcm)
     return mesh, net
 
 
@@ -388,15 +378,14 @@ def simulate(case: Case, dt: float = 0.01,
     )
 
 
-def steady_state(case: Case, constant_flux: float,
-                 phi: np.ndarray | None = None) -> np.ndarray:
-    """Direct solve of G T = b for a constant (non-cyclic) source flux.
+def steady_state(case: Case, constant_flux: float) -> np.ndarray:
+    """Direct solve of G T = b for a constant (non-cyclic) source flux,
+    with every PCM node solid.
 
     Returns the nodal temperature field (degC) reshaped to (ny, nx).
     Used as a verification oracle; h > 0 keeps the system nonsingular.
     """
     _, net = build_case_network(case)
-    phi_full = net.expand_phi(phi) if phi is not None else np.zeros(net.n_nodes)
-    chol = _factor_band(net.conductance_matrix(phi_full))
+    chol = _factor_band(net.conductance_matrix(np.zeros(net.n_nodes)))
     T, _ = dpbtrs(chol, net.source_vector(constant_flux) + net.ambient_vector())
     return net.mesh_field(T)

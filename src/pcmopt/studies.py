@@ -25,7 +25,7 @@ from .geometry import Case, PowerProfile, UnitCellSpec
 from .materials import PCM_NAMES, Material, builtin_material
 from .metrics import compute_metrics, simulate_metrics
 from .optimize import Backend, OptimizationProblem, ParameterSpec
-from .solver import resolve_pcm, simulate
+from .solver import simulate
 from .surrogate import (SurrogateModel, TrainingSet, predict, train_lm,
                         r_squared)
 
@@ -59,14 +59,14 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def evaluate_cases(fn, items, workers: int | None = None):
+def evaluate_cases(fn, items):
     """Yield fn(item) for each item, in input order, as the results arrive,
-    from a pool of up to `workers` processes (default_workers() when None),
-    one per chunk of _CHUNK items, or from this process if that is one. The
-    pool keeps the platform's start method (fork on Linux): a spawned worker
-    spends ~1 s re-importing numpy and scipy, longer than most studies."""
+    from a pool of up to default_workers() processes, one per chunk of
+    _CHUNK items, or from this process if that is one. The pool keeps the
+    platform's start method (fork on Linux): a spawned worker spends ~1 s
+    re-importing numpy and scipy, longer than most studies."""
     items = list(items)
-    workers = min(workers or default_workers(), -(-len(items) // _CHUNK))
+    workers = min(default_workers(), -(-len(items) // _CHUNK))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, items, chunksize=_CHUNK)
@@ -104,65 +104,45 @@ def _write_study(out_dir, config, header, rows, summary) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Case builders for the optimization parameterizations
+# Case builder for every swept parameterization
 
 
-def _swept_case(cell: UnitCellSpec, power: float, **properties) -> Case:
-    """BASE_PCM with some properties overridden, in a channel of cell."""
-    mat = dc_replace(builtin_material(BASE_PCM), name="swept", **properties)
-    return Case(cell=cell, power=PowerProfile(q0=power),
-                pcm_override=mat.to_dict())
+#: Swept material parameter -> the BASE_PCM fields it sets. A single
+#: conductivity applies to both phases; densities are never swept.
+_PCM_PARAMETERS = {
+    "T_m_C": ("T_m",),
+    "L_H_J_per_kg": ("L_H",),
+    "k_W_per_mK": ("k_solid", "k_liquid"),
+    "cp_solid_J_per_kgK": ("cp_solid",),
+    "cp_liquid_J_per_kgK": ("cp_liquid",),
+}
+#: Swept channel dimension (um) -> the UnitCellSpec field (m) it sets.
+_CHANNEL_PARAMETERS = {"H_um": "H", "W_um": "W"}
 
 
 def property_case(values: dict, power: float = 100e3,
                   cell: UnitCellSpec = REFERENCE_CELL) -> Case:
-    """BASE_PCM with the five swept properties overridden.
-
-    A single conductivity value applies to both phases; densities stay at
-    the base material's values.
-    """
-    return _swept_case(
-        cell, power,
-        T_m=values["T_m_C"],
-        L_H=values["L_H_J_per_kg"],
-        k_solid=values["k_W_per_mK"],
-        k_liquid=values["k_W_per_mK"],
-        cp_solid=values["cp_solid_J_per_kgK"],
-        cp_liquid=values["cp_liquid_J_per_kgK"],
-    )
+    """BASE_PCM in a channel of cell, with every swept parameter in values
+    applied; ValueError on a name neither table knows."""
+    unknown = set(values) - set(_PCM_PARAMETERS) - set(_CHANNEL_PARAMETERS)
+    if unknown:
+        known = [*_PCM_PARAMETERS, *_CHANNEL_PARAMETERS]
+        raise ValueError(f"unknown swept parameters {sorted(unknown)}; "
+                         f"known: {known}")
+    cell = dc_replace(cell, **{field: values[name] * 1e-6
+                               for name, field in _CHANNEL_PARAMETERS.items()
+                               if name in values})
+    pcm = dc_replace(builtin_material(BASE_PCM), name="swept",
+                     **{field: values[name]
+                        for name, fields in _PCM_PARAMETERS.items()
+                        if name in values for field in fields})
+    return Case(cell=cell, power=PowerProfile(q0=power), pcm=pcm)
 
 
 def geometry_case(values: dict, power: float = 100e3,
                   dx: float = 5e-6) -> Case:
-    """Channel height/width plus melt temperature; other properties fixed."""
-    cell = UnitCellSpec(H=values["H_um"] * 1e-6, W=values["W_um"] * 1e-6,
-                        dx=dx)
-    return _swept_case(cell, power, T_m=values["T_m_C"])
-
-
-def tm_case(values: dict, power: float = 100e3,
-            cell: UnitCellSpec = REFERENCE_CELL) -> Case:
-    """Melt temperature only; everything else BASE_PCM at fixed geometry."""
-    return _swept_case(cell, power, T_m=values["T_m_C"])
-
-
-#: The case builder of each case kind, called as build(values, power, dx).
-#: Kinds at a fixed geometry mesh the reference cell at dx.
-CASE_KINDS = {
-    "geometry": lambda values, power, dx: geometry_case(
-        values, power=power, dx=dx),
-    "properties": lambda values, power, dx: property_case(
-        values, power=power, cell=dc_replace(REFERENCE_CELL, dx=dx)),
-    "tm": lambda values, power, dx: tm_case(
-        values, power=power, cell=dc_replace(REFERENCE_CELL, dx=dx)),
-}
-
-
-def case_builder(kind: str, power: float = 100e3, dx: float = 5e-6):
-    """Builder values -> Case of one case kind at a given power and mesh."""
-    if kind not in CASE_KINDS:
-        raise ValueError(f"kind must be one of {list(CASE_KINDS)}")
-    return partial(CASE_KINDS[kind], power=power, dx=dx)
+    """property_case on the reference cell meshed at dx."""
+    return property_case(values, power, dc_replace(REFERENCE_CELL, dx=dx))
 
 
 #: MetricsReport fields a simulator-backed search can minimize.
@@ -216,6 +196,14 @@ class SurrogateBackend(Backend):
         return self.verifier.verify(x)
 
 
+def _train_on_subset(pool: TrainingSet, size: int, seed: int,
+                     **train_kwargs) -> SurrogateModel:
+    """train_lm on `size` rows of pool drawn without replacement by seed."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(pool), size=size, replace=False)
+    return train_lm(pool.subset(idx), seed=seed, **train_kwargs)
+
+
 class ResamplingSurrogateBackend(SurrogateBackend):
     """Surrogate retrained on a freshly resampled subset per repeat seed."""
 
@@ -226,13 +214,8 @@ class ResamplingSurrogateBackend(SurrogateBackend):
         self.pool = pool
         self.size = size
         self.train_kwargs = train_kwargs
-        model = self._train(seed)
+        model = _train_on_subset(pool, size, seed, **train_kwargs)
         super().__init__(model, verifier)
-
-    def _train(self, seed: int) -> SurrogateModel:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(self.pool), size=self.size, replace=False)
-        return train_lm(self.pool.subset(idx), seed=seed, **self.train_kwargs)
 
     def fresh(self, seed: int) -> "ResamplingSurrogateBackend":
         return ResamplingSurrogateBackend(self.pool, self.size, self.verifier,
@@ -262,7 +245,8 @@ def run_pcm_comparison(power: float = 100e3, out_dir=None,
 
     profile = PowerProfile(q0=power)
     cases = [Case(cell=dc_replace(cell, no_channel=True), power=profile)] + [
-        Case(cell=cell, power=profile, pcm_name=name) for name in PCM_NAMES]
+        Case(cell=cell, power=profile, pcm=builtin_material(name))
+        for name in PCM_NAMES]
     reports = evaluate_cases(partial(simulate_metrics, **sim_kwargs), cases)
     rows = [{"material": name, "T_m_C": tm, **m.to_dict(),
              "config_hash": chash}
@@ -286,7 +270,7 @@ def run_pcm_comparison(power: float = 100e3, out_dir=None,
 def _tm_row(item, cell: UnitCellSpec, sim_kwargs: dict) -> dict:
     """Metrics and settled-cycle band of one (power, T_m) point."""
     power, tm = item
-    h = simulate(tm_case({"T_m_C": tm}, power=power, cell=cell), **sim_kwargs)
+    h = simulate(property_case({"T_m_C": tm}, power, cell), **sim_kwargs)
     m = compute_metrics(h)
     last = h.T_max[h.cycle_slice(h.n_cycles - 1)]
     return {"T_m_C": tm, "T_o_max": m.T_o_max, "T_osc": m.T_osc,
@@ -357,11 +341,10 @@ def _sample_inputs(sampler: str, n: int, bounds: dict, seed: int) -> np.ndarray:
     raise ValueError(f"unknown sampler {sampler!r} (use 'lhs' or 'grid')")
 
 
-def _run_campaign_case(x, names, kind, power, dx, sim_kwargs) -> dict:
+def _run_campaign_case(x, names, power, dx, sim_kwargs) -> dict:
     values = dict(zip(names, x))
-    case = case_builder(kind, power=power, dx=dx)(values)
     try:
-        m = simulate_metrics(case, **sim_kwargs)
+        m = simulate_metrics(geometry_case(values, power, dx), **sim_kwargs)
         return {"inputs": values, "T_o_max_C": m.T_o_max, "T_osc_C": m.T_osc}
     except Exception as exc:  # noqa: BLE001 - skip failed case, keep campaign
         return {"inputs": values, "failed": str(exc)}
@@ -369,7 +352,7 @@ def _run_campaign_case(x, names, kind, power, dx, sim_kwargs) -> dict:
 
 def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                            sampler: str = "lhs", power: float = 100e3,
-                           dx: float = 5e-6, workers: int | None = None,
+                           dx: float = 5e-6,
                            sim_kwargs: dict | None = None) -> Path:
     """Sample, simulate, and persist a training campaign.
 
@@ -405,9 +388,9 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
 
     pending = [i for i in range(n)
                if not (cases_dir / f"case_{i:06d}.json").exists()]
-    run_case = partial(_run_campaign_case, names=names, kind=kind,
-                       power=power, dx=dx, sim_kwargs=sim_kwargs)
-    records = evaluate_cases(run_case, [X[i] for i in pending], workers)
+    run_case = partial(_run_campaign_case, names=names, power=power, dx=dx,
+                       sim_kwargs=sim_kwargs)
+    records = evaluate_cases(run_case, [X[i] for i in pending])
     for record, i in zip(records, pending):
         with open(cases_dir / f"case_{i:06d}.json", "w") as f:
             json.dump(record, f, sort_keys=True)
@@ -435,13 +418,13 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
 
 
 def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
-                 verifier_factory, repeats: int = 10, base_seed: int = 0,
+                 verifier: Backend, repeats: int = 10, base_seed: int = 0,
                  strategies=("ga", "pso"), optimizer_config=None
                  ) -> list[dict]:
     """Train/optimize/verify over GEOMETRY_BOUNDS across training-set sizes.
 
-    verifier_factory(objective) must return the SimulatorBackend used for
-    verification. pool and test must target the same metric pair; pool's
+    verifier scores each optimum (a SimulatorBackend of the ablated
+    metric). pool and test must target the same metric pair; pool's
     target_name selects the metric being ablated.
     """
     from .optimize import repeat_with_seeds  # local to avoid cycle at import
@@ -449,21 +432,15 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
     report = []
     for size in sizes:
         entry = {"size": int(size)}
-        r2_values = []
-        for rep in range(repeats):
-            seed = base_seed + rep
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(len(pool), size=int(size), replace=False)
-            model = train_lm(pool.subset(idx), seed=seed)
-            r2_values.append(r_squared(model, test))
+        r2_values = [r_squared(_train_on_subset(pool, int(size), seed), test)
+                     for seed in range(base_seed, base_seed + repeats)]
         entry["r_squared"] = {"mean": float(np.mean(r2_values)),
                               "min": float(np.min(r2_values)),
                               "max": float(np.max(r2_values))}
 
         for strategy in strategies:
-            backend = ResamplingSurrogateBackend(
-                pool, int(size), verifier_factory(pool.target_name),
-                seed=base_seed)
+            backend = ResamplingSurrogateBackend(pool, int(size), verifier,
+                                                 seed=base_seed)
             problem = problem_from_bounds(GEOMETRY_BOUNDS, pool.target_name,
                                           backend, seed=base_seed)
             out = repeat_with_seeds(problem, strategy, n_runs=repeats,
@@ -535,12 +512,11 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
     Returns {property: {"dT_o_max": ..., "dT_osc": ...}} where each value is
     the average over the up and down perturbations of |metric - base|.
     """
-    base_mat = resolve_pcm(base_case)
-    if base_mat is None or not base_mat.is_pcm:
+    if base_case.cell.no_channel or not base_case.pcm.is_pcm:
         raise ValueError("sensitivity needs a case with a PCM channel")
     cases = [base_case] + [
-        dc_replace(base_case, pcm_override=_perturbed_material(
-            base_mat, prop, factor, base_case.boundary.T_amb_C).to_dict())
+        dc_replace(base_case, pcm=_perturbed_material(
+            base_case.pcm, prop, factor, base_case.boundary.T_amb_C))
         for prop in properties
         for factor in (1.0 + PERTURBATION, 1.0 - PERTURBATION)]
     base, *runs = evaluate_cases(partial(simulate_metrics, **sim_kwargs),

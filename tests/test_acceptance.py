@@ -30,7 +30,7 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             generate_training_data, geometry_case,
                             problem_from_bounds, property_case,
                             run_ablation, run_pcm_comparison, run_tm_study,
-                            sensitivity, tm_case)
+                            sensitivity)
 from pcmopt.surrogate import load_training_csv, r_squared, train_lm
 
 CACHE = Path(__file__).parent / ".acceptance_cache"
@@ -151,7 +151,7 @@ def test_tm_landscape_has_two_plateaus_and_a_dip(tm_sweep_table):
 
 
 def _tm_problem(objective="T_o_max"):
-    backend = SimulatorBackend(lambda v: tm_case(v, cell=COARSE_CELL),
+    backend = SimulatorBackend(lambda v: property_case(v, cell=COARSE_CELL),
                                ["T_m_C"], objective, sim_kwargs=COARSE_SIM)
     return problem_from_bounds({"T_m_C": PROPERTY_BOUNDS["T_m_C"]},
                                objective, backend)
@@ -285,7 +285,7 @@ N_CAMPAIGN, N_POOL = 2500, 2000
 def geometry_campaign_csv():
     return generate_training_data(
         "geometry", N_CAMPAIGN, CAMPAIGN_DIR, seed=0, sampler="lhs",
-        power=100e3, dx=COARSE_DX, workers=1, sim_kwargs=COARSE_SIM)
+        power=100e3, dx=COARSE_DX, sim_kwargs=COARSE_SIM)
 
 
 def split_pool_test(csv_path, target):
@@ -337,14 +337,13 @@ def test_surrogate_accuracy_improves_with_training_size(surrogate_scores):
 def test_surrogate_optimization_dispersion_shrinks(geometry_campaign_csv):
     pool, test = split_pool_test(geometry_campaign_csv, "T_osc_C")
 
-    def verifier_factory(_):
-        return SimulatorBackend(lambda v: geometry_case(v, dx=COARSE_DX),
+    verifier = SimulatorBackend(lambda v: geometry_case(v, dx=COARSE_DX),
                                 list(GEOMETRY_BOUNDS), "T_osc",
                                 sim_kwargs=COARSE_SIM)
 
     def compute():
         report = run_ablation(
-            pool, test, sizes=(50, 250), verifier_factory=verifier_factory,
+            pool, test, sizes=(50, 250), verifier=verifier,
             repeats=10, base_seed=0, strategies=("ga",),
             optimizer_config=GAConfig(population=24, max_generations=30,
                                       stall_generations=8))

@@ -66,8 +66,7 @@ def test_simulate_writes_history_and_snapshots(tmp_path):
 def test_generate_train_optimize_surface_chain(tmp_path, capsys):
     camp = tmp_path / "camp"
     assert main(["generate", "--kind", "geometry", "--n", "12",
-                 "--out", str(camp), "--dx-um", "10", "--workers", "1",
-                 "--seed", "5"]) == 0
+                 "--out", str(camp), "--dx-um", "10", "--seed", "5"]) == 0
 
     model = tmp_path / "model.json"
     assert main(["train", "--data", str(camp / "results.csv"),
@@ -76,7 +75,7 @@ def test_generate_train_optimize_surface_chain(tmp_path, capsys):
 
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
-        "kind": "geometry", "objective": "T_o_max", "dx": 10e-6,
+        "objective": "T_o_max", "dx": 10e-6,
         "sim_kwargs": {"dt": 0.025},
         "bounds": {"H_um": [20, 100], "W_um": [20, 100],
                    "T_m_C": [47, 96]}}))
@@ -103,7 +102,7 @@ def test_generate_train_optimize_surface_chain(tmp_path, capsys):
 def test_sweep_command_with_grid_problem(tmp_path, capsys):
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
-        "kind": "tm", "objective": "T_o_max",
+        "objective": "T_o_max",
         "sim_kwargs": {"dt": 0.025},
         "bounds": {"T_m_C": [70, 80]}, "steps": {"T_m_C": 5.0}}))
     # grid sweeps run through the same optimize entry point
@@ -124,11 +123,40 @@ def test_problem_file_dx_sets_the_mesh_of_every_kind(tmp_path, kind):
     bounds = KIND_BOUNDS[kind]
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
-        "kind": kind, "dx": 1e-5, "power": 50e3,
+        "dx": 1e-5, "power": 50e3,
         "bounds": {k: list(v) for k, v in bounds.items()}}))
     args = build_parser().parse_args(["optimize", "--problem", str(problem),
                                       "--strategy", "ga"])
     backend = _load_problem(args).backend
-    case = backend.case_builder({k: lo for k, (lo, hi) in bounds.items()})
+    lows = {k: lo for k, (lo, hi) in bounds.items()}
+    case = backend.case_builder(lows)
     assert case.cell.dx == 1e-5
     assert case.power.q0 == 50e3
+    # the bounds' names alone define the case: geometry bounds resize it
+    if "H_um" in lows:
+        assert (case.cell.H, case.cell.W) == (lows["H_um"] * 1e-6,
+                                              lows["W_um"] * 1e-6)
+    else:
+        assert (case.cell.H, case.cell.W) == (100e-6, 50e-6)
+    assert case.pcm.T_m == bounds["T_m_C"][0]
+
+
+@pytest.mark.parametrize("extra", [{"kind": "geometry"}, {"bound": {}},
+                                   {"seed": 1}])
+def test_problem_file_rejects_unknown_keys(tmp_path, extra):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"bounds": {"T_m_C": [47, 96]}, **extra}))
+    args = build_parser().parse_args(["optimize", "--problem", str(problem),
+                                      "--strategy", "ga"])
+    with pytest.raises(ValueError, match=repr(next(iter(extra)))):
+        _load_problem(args)
+
+
+def test_problem_file_rejects_unknown_bound_names(tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"bounds": {"H_um": [20, 100],
+                                              "Tm_C": [47, 96]}}))
+    args = build_parser().parse_args(["optimize", "--problem", str(problem),
+                                      "--strategy", "ga"])
+    with pytest.raises(ValueError, match="'Tm_C'"):
+        _load_problem(args)

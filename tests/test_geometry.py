@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from pcmopt.geometry import (ALUMINA, PCM, SILICON, BoundarySpec, Case,
                              PowerProfile, UnitCellSpec, build_mesh)
+from pcmopt.materials import UnknownMaterialError, builtin_material
 
 
 def test_default_mesh_dimensions():
@@ -96,9 +98,25 @@ def test_boundary_defaults_and_celsius():
 
 
 def test_case_json_round_trip(tmp_path):
-    case = Case(cell=UnitCellSpec(H=60e-6, W=40e-6),
-                power=PowerProfile(q0=75e3),
-                pcm_name="WoodsMetal")
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps(case.to_dict()))
-    assert Case.from_json_file(path) == case
+    custom = replace(builtin_material("WoodsMetal"), name="custom",
+                     T_m=66.5, k_liquid=12.25)
+    for pcm in (builtin_material("WoodsMetal"), custom):
+        case = Case(cell=UnitCellSpec(H=60e-6, W=40e-6),
+                    power=PowerProfile(q0=75e3), pcm=pcm)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(case.to_dict()))
+        assert Case.from_json_file(path) == case
+        assert Case.from_json_file(path).pcm == pcm
+
+
+def test_case_from_dict_names_a_builtin_pcm_and_rejects_unknown_keys():
+    case = Case.from_dict({"pcm": "WoodsMetal"})
+    assert case.pcm == builtin_material("WoodsMetal")
+    assert Case.from_dict({}) == Case()
+    # the old field name and a misspelling both fail instead of running
+    # the default Solder 174
+    for key in ("pcm_name", "pcm_nmae"):
+        with pytest.raises(ValueError, match=key):
+            Case.from_dict({key: "WoodsMetal"})
+    with pytest.raises(UnknownMaterialError):
+        Case.from_dict({"pcm": "Adamantium"})

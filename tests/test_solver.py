@@ -106,8 +106,8 @@ def test_unmeltable_pcm_equals_plain_solid():
     solder = builtin_material("Solder174")
     never = replace(solder, T_m=500.0)
     inert = replace(never, is_pcm=False, L_H=0.0)
-    case_pcm = Case(cell=COARSE, pcm_override=never.to_dict())
-    case_solid = Case(cell=COARSE, pcm_override=inert.to_dict())
+    case_pcm = Case(cell=COARSE, pcm=never)
+    case_solid = Case(cell=COARSE, pcm=inert)
     h1 = simulate(case_pcm, dt=0.025)
     h2 = simulate(case_solid, dt=0.025)
     n = min(h1.T_max.size, h2.T_max.size)
@@ -123,9 +123,10 @@ def test_unmeltable_pcm_equals_plain_solid():
 ], ids=["negative_L_H", "zero_k", "zero_rho_solid", "zero_cp_solid"])
 def test_invalid_pcm_override_is_rejected(change, violation):
     bad = replace(builtin_material("Solder174"), **change)
-    case = Case(cell=COARSE, pcm_override=bad.to_dict())
     with pytest.raises(ValueError, match=violation):
-        simulate(case, dt=0.025)
+        Case(cell=COARSE, pcm=bad)
+    with pytest.raises(ValueError, match=violation):
+        Case.from_dict({"pcm": bad.to_dict()})
 
 
 def test_reference_runs_match_recorded_values(solder_history, solder_metrics,
@@ -232,7 +233,7 @@ def test_phase_times_cover_the_run():
 def test_snapshot_fields_keep_the_mesh_orientation():
     # Cerrolow 117 (T_m 47 degC) melts through within the first pulse
     case = Case(cell=COARSE, power=PowerProfile(duration=1.0),
-                pcm_name="Cerrolow117")
+                pcm=builtin_material("Cerrolow117"))
     h = simulate(case, dt=0.025, snapshot_every=20)
     mesh, _ = build_case_network(case)
     t, T, phi = h.snapshots[0]

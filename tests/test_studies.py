@@ -15,7 +15,7 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             emit_surface, generate_training_data,
                             geometry_case, problem_from_bounds, property_case,
                             run_ablation, run_pcm_comparison, run_tm_study,
-                            sensitivity, tm_case)
+                            sensitivity)
 from pcmopt.surrogate import TrainingSet, train_lm
 
 COARSE_CELL = UnitCellSpec(dx=10e-6)
@@ -45,20 +45,36 @@ def test_default_workers_env_override(monkeypatch):
 def test_case_builders():
     values = {name: lo for name, (lo, hi) in PROPERTY_BOUNDS.items()}
     case = property_case(values)
-    mat = case.pcm_override
-    assert mat["T_m"] == 47.0
-    assert mat["k_solid"] == mat["k_liquid"] == 10.0
-    assert mat["rho_solid"] == 8780.0  # density stays at the base material
+    mat = case.pcm
+    assert mat.T_m == 47.0
+    assert mat.k_solid == mat.k_liquid == 10.0
+    assert mat.rho_solid == 8780.0  # density stays at the base material
 
     geo = geometry_case({"H_um": 60.0, "W_um": 40.0, "T_m_C": 70.0},
                         dx=10e-6)
     assert geo.cell.H == pytest.approx(60e-6)
     assert geo.cell.dx == 10e-6
-    assert geo.pcm_override["T_m"] == 70.0
-    assert geo.pcm_override["L_H"] == 47730.0
+    assert geo.pcm.T_m == 70.0
+    assert geo.pcm.L_H == 47730.0
 
-    tm = tm_case({"T_m_C": 55.0})
-    assert tm.pcm_override["T_m"] == 55.0
+    tm = property_case({"T_m_C": 55.0})
+    assert tm.pcm.T_m == 55.0
+    assert tm.cell == UnitCellSpec(H=100e-6, W=50e-6)
+
+    # channel and material names apply together
+    both = property_case({"H_um": 20.0, "W_um": 30.0, "T_m_C": 60.0,
+                          "k_W_per_mK": 12.0}, cell=COARSE_CELL)
+    assert (both.cell.H, both.cell.W) == (20.0 * 1e-6, 30.0 * 1e-6)
+    assert both.cell.dx == 10e-6
+    assert (both.pcm.T_m, both.pcm.k_liquid) == (60.0, 12.0)
+
+
+@pytest.mark.parametrize("name", ["H", "tm_C", "rho_solid"])
+def test_property_case_rejects_unknown_names(name):
+    with pytest.raises(ValueError, match=f"'{name}'.*H_um"):
+        property_case({"T_m_C": 70.0, name: 1.0})
+    with pytest.raises(ValueError, match=f"'{name}'"):
+        geometry_case({name: 1.0}, dx=10e-6)
 
 
 def test_pcm_comparison_rows_and_artifacts(tmp_path):
@@ -90,9 +106,10 @@ def test_tm_study_band_and_optima(tmp_path):
 @pytest.fixture(scope="module")
 def small_campaign(tmp_path_factory):
     out = tmp_path_factory.mktemp("campaign")
-    csv_path = generate_training_data(
-        "geometry", 10, out, seed=3, dx=10e-6, workers=1,
-        sim_kwargs=COARSE_SIM)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PCMOPT_WORKERS", "1")
+        csv_path = generate_training_data(
+            "geometry", 10, out, seed=3, dx=10e-6, sim_kwargs=COARSE_SIM)
     return out, csv_path
 
 
@@ -117,30 +134,30 @@ def test_campaign_resume_is_byte_identical(small_campaign, tmp_path):
     (out / "cases" / "case_000003.json").unlink()
     (out / "cases" / "case_000007.json").unlink()
     again = generate_training_data("geometry", 10, out, seed=3, dx=10e-6,
-                                   workers=1, sim_kwargs=COARSE_SIM)
+                                   sim_kwargs=COARSE_SIM)
     assert again.read_bytes() == original
 
 
 def test_campaign_worker_count_does_not_change_results(small_campaign,
-                                                       tmp_path):
+                                                       tmp_path, monkeypatch):
     out, csv_path = small_campaign
+    monkeypatch.setenv("PCMOPT_WORKERS", "2")
     parallel = generate_training_data("geometry", 10, tmp_path, seed=3,
-                                      dx=10e-6, workers=2,
-                                      sim_kwargs=COARSE_SIM)
+                                      dx=10e-6, sim_kwargs=COARSE_SIM)
     assert parallel.read_bytes() == csv_path.read_bytes()
 
 
 def test_campaign_grid_sampler_deterministic(tmp_path):
     a = generate_training_data("geometry", 8, tmp_path / "a", sampler="grid",
-                               dx=10e-6, workers=1, sim_kwargs=COARSE_SIM)
+                               dx=10e-6, sim_kwargs=COARSE_SIM)
     b = generate_training_data("geometry", 8, tmp_path / "b", sampler="grid",
-                               dx=10e-6, workers=1, sim_kwargs=COARSE_SIM)
+                               dx=10e-6, sim_kwargs=COARSE_SIM)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_properties_campaign_honours_dx(tmp_path):
     csv_path = generate_training_data("properties", 1, tmp_path, dx=10e-6,
-                                      workers=1, sim_kwargs=COARSE_SIM)
+                                      sim_kwargs=COARSE_SIM)
     inputs = json.loads(
         (tmp_path / "cases" / "case_000000.json").read_text())["inputs"]
     expect = simulate_metrics(property_case(inputs, cell=COARSE_CELL),
@@ -163,13 +180,13 @@ def test_campaign_input_validation(tmp_path):
 
 def test_campaign_resume_refuses_another_config(tmp_path):
     generate_training_data("geometry", 2, tmp_path, seed=0, dx=10e-6,
-                           workers=1, sim_kwargs=COARSE_SIM)
+                           sim_kwargs=COARSE_SIM)
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     before = [p.read_bytes() for p in files]
     seed0 = config_hash(json.loads((tmp_path / "config.json").read_text()))
     with pytest.raises(ValueError, match=seed0) as err:
         generate_training_data("geometry", 2, tmp_path, seed=1, dx=10e-6,
-                               workers=1, sim_kwargs=COARSE_SIM)
+                               sim_kwargs=COARSE_SIM)
     assert len(set(re.findall(r"\b[0-9a-f]{12}\b", str(err.value)))) == 2
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
     assert [p.read_bytes() for p in files] == before
@@ -177,12 +194,12 @@ def test_campaign_resume_refuses_another_config(tmp_path):
 
 def test_simulator_backend_evaluate_and_verify():
     backend = SimulatorBackend(
-        lambda v: tm_case(v, cell=COARSE_CELL), ["T_m_C"], "T_o_max",
+        lambda v: property_case(v, cell=COARSE_CELL), ["T_m_C"], "T_o_max",
         sim_kwargs=COARSE_SIM)
     x = np.array([77.0])
     assert backend.evaluate(x) == pytest.approx(backend.verify(x))
     with pytest.raises(ValueError):
-        SimulatorBackend(tm_case, ["T_m_C"], "dt_85")
+        SimulatorBackend(property_case, ["T_m_C"], "dt_85")
 
 
 def synthetic_pool(n, seed=0):
@@ -239,7 +256,7 @@ def test_ablation_structure_with_synthetic_truth():
     truth = FunctionBackend(lambda x: 100.0 - 0.1 * x[0] - 0.05 * x[1]
                             + 0.01 * (x[2] - 77.0) ** 2)
     report = run_ablation(pool, test, sizes=(40, 200),
-                          verifier_factory=lambda target: truth,
+                          verifier=truth,
                           repeats=3, strategies=("ga",),
                           optimizer_config=GAConfig(population=12,
                                                     max_generations=10))
