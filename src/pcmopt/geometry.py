@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .materials import Material, builtin_material, validated
+from .materials import Material, builtin_material, from_record, validated
 
 # Voxel labels
 ALUMINA = 0
@@ -206,7 +206,8 @@ class Case:
     def from_dict(cls, d: dict) -> "Case":
         """Inverse of to_dict; "pcm" may also be a built-in material name.
 
-        Raises ValueError on a key to_dict does not write.
+        Raises ValueError on a key to_dict does not write, at the top level
+        or in a section, and on a pcm record that misses a key.
         """
         unknown = set(d) - {"cell", "power", "boundary", "pcm"}
         if unknown:
@@ -214,11 +215,12 @@ class Case:
                              "cell, power, boundary, pcm")
         pcm = d.get("pcm", cls.pcm.name)
         return cls(
-            cell=UnitCellSpec.from_dict(d.get("cell", {})),
-            power=PowerProfile.from_dict(d.get("power", {})),
-            boundary=BoundarySpec.from_dict(d.get("boundary", {})),
+            cell=from_record(UnitCellSpec, d.get("cell", {}), "case cell"),
+            power=from_record(PowerProfile, d.get("power", {}), "case power"),
+            boundary=from_record(BoundarySpec, d.get("boundary", {}),
+                                 "case boundary"),
             pcm=(builtin_material(pcm) if isinstance(pcm, str)
-                 else Material.from_dict(pcm)),
+                 else from_record(Material, pcm, "case pcm")),
         )
 
     @classmethod

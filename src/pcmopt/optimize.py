@@ -45,13 +45,21 @@ class ParameterSpec:
 
 
 class Backend:
-    """Objective backend: evaluate() drives the search; an optimum reports
-    verify() if a separate `verifier` is set, else its search value."""
+    """Objective backend: evaluate_batch() drives the search; an optimum
+    reports verify() if a separate `verifier` is set, else its search
+    value."""
 
     verifier: Backend | None = None
 
     def evaluate(self, x: np.ndarray) -> float:
         raise NotImplementedError
+
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        """Objective of each row of X. The default calls evaluate() row by
+        row, looked up on the instance so that a wrapper set there (as the
+        benchmark's timers are) sees every evaluation; a row that raises
+        scores +inf with a warning and the other rows still run."""
+        return np.array([_penalized(self.evaluate, x) for x in X])
 
     def verify(self, x: np.ndarray) -> float:
         return self.evaluate(x)
@@ -127,9 +135,11 @@ class OptimizationResult:
     parameters: dict[str, float]
     objective_value: float        # backend value at the optimum
     verified_objective: float     # simulator-verified value
-    n_evaluations: int
+    n_evaluations: int            # unique points the backend scored
+    n_calls: int                  # points requested, cache hits included
     wall_time: float
     trace: list[float]            # best-so-far objective per generation
+    generation_s: list[float]     # wall seconds behind each trace entry
     strategy: str
     seed: int | None
     config: dict = field(default_factory=dict)
@@ -138,38 +148,64 @@ class OptimizationResult:
         return asdict(self)
 
 
+def _penalized(evaluate, X) -> np.ndarray | float:
+    """evaluate(X) as floats, or +inf with a warning if it raises."""
+    try:
+        return np.asarray(evaluate(X), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - penalize, keep optimizing
+        warnings.warn(f"objective evaluation failed ({exc}); "
+                      "penalized with +inf", stacklevel=2)
+        return np.inf
+
+
 class _CachedObjective:
-    """Memoizes backend evaluations; failures score +inf, never abort."""
+    """Memoizes backend evaluations; failures score +inf, never abort.
+
+    Each batch sends the backend its uncached rows once each, in first-seen
+    order, in one evaluate_batch call; a batch call that raises scores all
+    of them +inf. Non-finite values score +inf.
+    """
 
     def __init__(self, backend: Backend):
         self.backend = backend
         self.cache: dict[tuple, float] = {}
         self.n_evaluations = 0
-
-    def __call__(self, x: np.ndarray) -> float:
-        key = tuple(np.asarray(x, dtype=float))
-        if key in self.cache:
-            return self.cache[key]
-        self.n_evaluations += 1
-        try:
-            value = float(self.backend.evaluate(np.asarray(x, dtype=float)))
-            if not np.isfinite(value):
-                value = np.inf
-        except Exception as exc:  # noqa: BLE001 - penalize, keep optimizing
-            warnings.warn(f"objective evaluation failed ({exc}); "
-                          "penalized with +inf", stacklevel=2)
-            value = np.inf
-        self.cache[key] = value
-        return value
+        self.n_calls = 0
 
     def batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self(x) for x in X])
+        keys = [tuple(row) for row in np.asarray(X, dtype=float).tolist()]
+        new = list(dict.fromkeys(k for k in keys if k not in self.cache))
+        if new:
+            values = np.broadcast_to(
+                _penalized(self.backend.evaluate_batch, np.array(new)),
+                len(new))
+            values = np.where(np.isfinite(values), values, np.inf)
+            self.cache.update(zip(new, values.tolist()))
+            self.n_evaluations += len(new)
+        self.n_calls += len(keys)
+        return np.array([self.cache[k] for k in keys])
 
 
 def _stalled(trace: list[float], window: int, tol: float) -> bool:
     """True once the best objective has improved by less than tol over the
     last window generations (iterations)."""
     return len(trace) > window and trace[-window - 1] - trace[-1] < tol
+
+
+class _Trace:
+    """Best-so-far objective per generation, and the wall seconds since the
+    previous entry (the first since the search started)."""
+
+    def __init__(self):
+        self.best: list[float] = []
+        self.seconds: list[float] = []
+        self._last = time.perf_counter()
+
+    def append(self, best: float) -> None:
+        now = time.perf_counter()
+        self.best.append(float(best))
+        self.seconds.append(now - self._last)
+        self._last = now
 
 
 def _result(problem, strategy, x_best, f_best, cached, trace, t0, seed, config):
@@ -180,8 +216,10 @@ def _result(problem, strategy, x_best, f_best, cached, trace, t0, seed, config):
         objective_value=float(f_best),
         verified_objective=float(verified),
         n_evaluations=cached.n_evaluations,
+        n_calls=cached.n_calls,
         wall_time=time.time() - t0,
-        trace=[float(v) for v in trace],
+        trace=trace.best,
+        generation_s=trace.seconds,
         strategy=strategy,
         seed=seed,
         config=config,
@@ -205,18 +243,16 @@ def parametric_sweep(problem: OptimizationProblem
             f"grid of {total} points exceeds cap {SWEEP_GRID_CAP}; "
             "use ga_minimize or pso_minimize instead")
 
+    trace = _Trace()
+    grid = np.array(list(itertools.product(*axes)))
     cached = _CachedObjective(problem.backend)
-    best_x, best_f = None, np.inf
-    table = []
-    for combo in itertools.product(*axes):
-        x = np.array(combo)
-        f = cached(x)
-        table.append({**dict(zip(problem.names, map(float, combo))),
-                      problem.objective: f})
-        if f < best_f:
-            best_f, best_x = f, x
-    result = _result(problem, "sweep", best_x, best_f, cached, [best_f],
-                     t0, None, {"grid_cap": SWEEP_GRID_CAP})
+    values = cached.batch(grid)
+    best = int(np.argmin(values))  # first of the lowest
+    trace.append(values[best])
+    table = [{**dict(zip(problem.names, combo)), problem.objective: f}
+             for combo, f in zip(grid.tolist(), values.tolist())]
+    result = _result(problem, "sweep", grid[best], values[best], cached,
+                     trace, t0, None, {"grid_cap": SWEEP_GRID_CAP})
     return result, table
 
 
@@ -234,6 +270,7 @@ def ga_minimize(problem: OptimizationProblem,
     span = upper - lower
     dim = lower.size
     cached = _CachedObjective(problem.backend)
+    trace = _Trace()
 
     pop = rng.uniform(lower, upper, size=(config.population, dim))
     fitness = cached.batch(pop)
@@ -242,12 +279,11 @@ def ga_minimize(problem: OptimizationProblem,
         idx = rng.integers(0, config.population, size=GA_TOURNAMENT)
         return pop[idx[np.argmin(fitness[idx])]]
 
-    trace = []
     for gen in range(config.max_generations):
         order = np.argsort(fitness, kind="stable")
         pop, fitness = pop[order], fitness[order]
-        trace.append(float(fitness[0]))
-        if _stalled(trace, config.stall_generations, config.tol):
+        trace.append(fitness[0])
+        if _stalled(trace.best, config.stall_generations, config.tol):
             break
 
         n_children = config.population - GA_ELITE
@@ -292,6 +328,7 @@ def pso_minimize(problem: OptimizationProblem,
     span = upper - lower
     dim = lower.size
     cached = _CachedObjective(problem.backend)
+    trace = _Trace()
 
     x = rng.uniform(lower, upper, size=(config.swarm, dim))
     v = rng.uniform(-1.0, 1.0, size=(config.swarm, dim)) * span * 0.1
@@ -300,10 +337,9 @@ def pso_minimize(problem: OptimizationProblem,
     g = int(np.argmin(f))
     g_best_x, g_best_f = x[g].copy(), float(f[g])
 
-    trace = []
     for it in range(config.max_iterations):
         trace.append(g_best_f)
-        if _stalled(trace, config.stall_iterations, config.tol):
+        if _stalled(trace.best, config.stall_iterations, config.tol):
             break
 
         w = PSO_INERTIA_START + (PSO_INERTIA_END - PSO_INERTIA_START

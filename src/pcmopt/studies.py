@@ -181,16 +181,20 @@ class SimulatorBackend(Backend):
 
 
 class SurrogateBackend(Backend):
-    """Objective evaluated by a trained network, simulator-verified."""
+    """Objective evaluated by a trained network, simulator-verified. A batch
+    is one predict call, which scores each row to the same bits as alone."""
 
     def __init__(self, model: SurrogateModel, verifier: SimulatorBackend):
         self.model = model
         self.verifier = verifier
 
     def evaluate(self, x):
+        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
+
+    def evaluate_batch(self, X):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return float(predict(self.model, np.asarray(x, dtype=float)))
+            return predict(self.model, X)
 
     def verify(self, x):
         return self.verifier.verify(x)
@@ -468,14 +472,14 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
               for h_um in h_grid for w_um in w_grid]
     cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power, dx=dx)
              for x in points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        t_nn = predict(model, np.array(points)).tolist()
     rows = []
-    for m, x in zip(evaluate_cases(partial(simulate_metrics, **sim_kwargs),
-                                   cases), points):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            t_nn = float(predict(model, x))
+    for m, x, t in zip(evaluate_cases(partial(simulate_metrics, **sim_kwargs),
+                                      cases), points, t_nn):
         rows.append({"H_um": x[0], "W_um": x[1], "T_m_C": x[2],
-                     "T_nn_C": t_nn, "T_sim_C": m.T_o_max,
+                     "T_nn_C": t, "T_sim_C": m.T_o_max,
                      "is_training_point":
                          (round(x[0], 6), round(x[1], 6)) in train_set})
     if out_path:

@@ -120,3 +120,17 @@ def test_case_from_dict_names_a_builtin_pcm_and_rejects_unknown_keys():
             Case.from_dict({key: "WoodsMetal"})
     with pytest.raises(UnknownMaterialError):
         Case.from_dict({"pcm": "Adamantium"})
+
+
+@pytest.mark.parametrize("section,record,named", [
+    ("cell", {"H_um": 20}, "H_um"),
+    ("power", {"q0": 75e3, "duty": 0.5}, "duty"),
+    ("boundary", {"h_W_m2K": 500.0}, "h_W_m2K"),
+    ("pcm", {"name": "partial", "T_m": 60.0}, "L_H"),
+], ids=["cell", "power", "boundary", "pcm"])
+def test_case_from_dict_names_a_bad_key_in_each_section(section, record,
+                                                        named):
+    with pytest.raises(ValueError, match=rf"case {section}: .*'{named}'"):
+        Case.from_dict({section: record})
+    with pytest.raises(ValueError, match=f"case {section} must be"):
+        Case.from_dict({section: [record]})

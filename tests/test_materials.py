@@ -131,3 +131,12 @@ def test_load_material_file_rejects_invalid(tmp_path):
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError, match="k_solid"):
         load_material_file(path)
+
+
+def test_load_material_file_names_missing_keys(tmp_path):
+    path = tmp_path / "mat.json"
+    d = builtin_material("WoodsMetal").to_dict()
+    del d["cp_liquid"]
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="missing keys.*cp_liquid"):
+        load_material_file(path)

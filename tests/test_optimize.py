@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pcmopt.optimize import (FunctionBackend, GAConfig, OptimizationProblem,
-                             ParameterSpec, PSOConfig, ga_minimize,
-                             parametric_sweep, pso_minimize,
-                             repeat_with_seeds)
+from pcmopt.optimize import (Backend, FunctionBackend, GAConfig,
+                             OptimizationProblem, ParameterSpec, PSOConfig,
+                             _CachedObjective, ga_minimize, parametric_sweep,
+                             pso_minimize, repeat_with_seeds)
 
 
 def sphere(x):
@@ -112,6 +112,18 @@ def test_failed_evaluations_are_penalized_not_fatal():
     assert any(row["f"] == np.inf for row in table)
 
 
+def test_sweep_where_every_point_fails_reports_the_first():
+    def broken(x):
+        raise RuntimeError("boom")
+
+    problem = make_problem(broken, 1, lo=0.0, hi=1.0, step=0.5)
+    with pytest.warns(UserWarning, match="penalized"):
+        result, table = parametric_sweep(problem)
+    assert result.parameters == {"x0": 0.0}
+    assert result.objective_value == np.inf
+    assert [row["f"] for row in table] == [np.inf] * 3
+
+
 def test_evaluation_cache_avoids_repeat_calls():
     count = {"n": 0}
 
@@ -123,7 +135,72 @@ def test_evaluation_cache_avoids_repeat_calls():
     r = ga_minimize(problem, GAConfig(max_generations=30))
     # cache hits are not re-evaluated, nor is the optimum to verify it
     assert count["n"] == r.n_evaluations
+    assert r.n_calls >= r.n_evaluations
+    assert len(r.generation_s) == len(r.trace)
+    assert all(s >= 0.0 for s in r.generation_s)
     assert r.verified_objective == r.objective_value
+
+
+class RecordingBackend(Backend):
+    """sphere(x), recording each batch sent and each row evaluated; the
+    row `fail` raises."""
+
+    def __init__(self, fail=None):
+        self.sent, self.evaluated = [], []
+        self.fail = fail
+
+    def evaluate(self, x):
+        self.evaluated.append(tuple(x))
+        if tuple(x) == self.fail:
+            raise RuntimeError("boom")
+        return sphere(x)
+
+    def evaluate_batch(self, X):
+        self.sent.append([tuple(x) for x in X.tolist()])
+        return super().evaluate_batch(X)
+
+
+def test_cached_batch_sends_each_uncached_row_once_in_order():
+    backend = RecordingBackend()
+    cached = _CachedObjective(backend)
+    a, b, c, d = (1.0, 2.0), (0.5, 0.0), (3.0, -1.0), (0.0, 0.0)
+    assert cached.batch(np.array([a, b, a, c])).tolist() == [5, 0.25, 5, 10]
+    assert backend.sent == [[a, b, c]]
+    assert cached.batch(np.array([c, d, b, d])).tolist() == [10, 0, 0.25, 0]
+    assert backend.sent[1] == [d]
+    cached.batch(np.array([a, c]))  # all cached: no backend call
+    assert len(backend.sent) == 2
+    assert (cached.n_evaluations, cached.n_calls) == (4, 10)
+
+
+def test_cached_batch_penalizes_a_failing_row_without_rerunning_others():
+    backend = RecordingBackend(fail=(1.0, 1.0))
+    cached = _CachedObjective(backend)
+    X = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+    with pytest.warns(UserWarning, match="penalized"):
+        assert cached.batch(X).tolist() == [1.0, np.inf, 4.0]
+    cached.batch(X)
+    assert backend.evaluated == [(0.0, 1.0), (1.0, 1.0), (2.0, 0.0)]
+    assert cached.n_evaluations == 3
+
+
+def test_cached_batch_penalizes_a_failing_batch_and_non_finite_values():
+    class Broken(Backend):
+        calls = 0
+
+        def evaluate_batch(self, X):
+            self.calls += 1
+            raise RuntimeError("boom")
+
+    backend = Broken()
+    cached = _CachedObjective(backend)
+    X = np.array([[0.0], [1.0]])
+    with pytest.warns(UserWarning, match="penalized"):
+        assert cached.batch(X).tolist() == [np.inf, np.inf]
+    cached.batch(X)
+    assert backend.calls == 1
+    nan_or_inf = FunctionBackend(lambda x: np.nan if x[0] else -np.inf)
+    assert _CachedObjective(nan_or_inf).batch(X).tolist() == [np.inf] * 2
 
 
 def test_repeat_with_seeds_summary():

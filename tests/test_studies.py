@@ -2,13 +2,15 @@ import csv
 import json
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.metrics import simulate_metrics
-from pcmopt.optimize import FunctionBackend, GAConfig
+from pcmopt.optimize import (Backend, FunctionBackend, GAConfig, PSOConfig,
+                             ga_minimize, parametric_sweep, pso_minimize)
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             ResamplingSurrogateBackend, SimulatorBackend,
                             SurrogateBackend, config_hash, default_workers,
@@ -16,7 +18,7 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             geometry_case, problem_from_bounds, property_case,
                             run_ablation, run_pcm_comparison, run_tm_study,
                             sensitivity)
-from pcmopt.surrogate import TrainingSet, train_lm
+from pcmopt.surrogate import TrainingSet, predict, train_lm
 
 COARSE_CELL = UnitCellSpec(dx=10e-6)
 COARSE_SIM = {"dt": 0.025}
@@ -222,6 +224,41 @@ def test_surrogate_backend_verifies_through_simulator_stub():
     x = np.array([60.0, 60.0, 77.0])
     assert backend.evaluate(x) == pytest.approx(backend.verify(x), abs=2.0)
     assert backend.verify(x) == truth.evaluate(x)
+
+
+class RowwiseSurrogateBackend(SurrogateBackend):
+    """SurrogateBackend without its batch override: the base class scores a
+    population with one single-row predict per row."""
+
+    evaluate_batch = Backend.evaluate_batch
+
+    def evaluate(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return predict(self.model, x)
+
+
+@pytest.mark.parametrize("search", ["ga", "pso", "sweep"])
+def test_batched_surrogate_search_matches_row_by_row(search):
+    model = train_lm(synthetic_pool(200), seed=0)
+    truth = FunctionBackend(lambda x: float(np.sum(x)))
+    run = {"ga": lambda p: ga_minimize(p, GAConfig(max_generations=15)),
+           "pso": lambda p: pso_minimize(p, PSOConfig(max_iterations=15)),
+           "sweep": parametric_sweep}[search]
+    results = []
+    for backend in (SurrogateBackend(model, truth),
+                    RowwiseSurrogateBackend(model, truth)):
+        problem = problem_from_bounds(
+            GEOMETRY_BOUNDS, "T_osc", backend, seed=3,
+            steps={"H_um": 10.0, "W_um": 10.0, "T_m_C": 7.0})
+        results.append(run(problem))
+    batched, rowwise = results
+    if search == "sweep":
+        assert batched[1] == rowwise[1]  # every grid value, bit for bit
+        batched, rowwise = batched[0], rowwise[0]
+    for key in ("parameters", "objective_value", "verified_objective",
+                "trace", "n_evaluations", "n_calls"):
+        assert getattr(batched, key) == getattr(rowwise, key), key
 
 
 def test_resampling_backend_fresh_retrains():

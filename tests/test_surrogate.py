@@ -72,7 +72,28 @@ def test_predict_round_trips_normalization():
     y_batch = predict(model, data.X[:3])
     assert isinstance(y_scalar, float)
     assert y_batch.shape == (3,)
-    assert y_batch[0] == pytest.approx(y_scalar)
+    assert y_batch[0] == y_scalar
+
+
+@pytest.fixture(scope="module")
+def geometry_model():
+    """A 3-input model trained on a smooth stand-in for the geometry
+    campaign's T_o_max surface."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform([20.0, 20.0, 47.0], [100.0, 100.0, 96.0], size=(300, 3))
+    y = 90.0 - 0.08 * X[:, 0] - 0.03 * X[:, 1] + 0.01 * (X[:, 2] - 77.0) ** 2
+    return train_lm(TrainingSet(X, y, ["H_um", "W_um", "T_m_C"], "T"),
+                    seed=0, max_epochs=40)
+
+
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_batched_predict_is_bitwise_per_row(geometry_model, n, seed):
+    X = np.random.default_rng(seed).uniform(geometry_model.in_min,
+                                            geometry_model.in_max,
+                                            size=(n, 3))
+    batched = predict(geometry_model, X)
+    rows = [predict(geometry_model, x) for x in X]
+    assert batched.tolist() == rows
 
 
 def test_predict_warns_on_extrapolation():
