@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .materials import Material, builtin_material, from_record, validated
+from .materials import Material, builtin_material, validated
 
 # Voxel labels
 ALUMINA = 0
@@ -213,14 +213,20 @@ class Case:
         if unknown:
             raise ValueError(f"unknown case keys {sorted(unknown)}; expected "
                              "cell, power, boundary, pcm")
+
+        def section(key, kind):
+            try:
+                return kind.from_dict(d.get(key, {}))
+            except TypeError as e:
+                raise ValueError(f"case {key}: {e}") from e
+
         pcm = d.get("pcm", cls.pcm.name)
         return cls(
-            cell=from_record(UnitCellSpec, d.get("cell", {}), "case cell"),
-            power=from_record(PowerProfile, d.get("power", {}), "case power"),
-            boundary=from_record(BoundarySpec, d.get("boundary", {}),
-                                 "case boundary"),
+            cell=section("cell", UnitCellSpec),
+            power=section("power", PowerProfile),
+            boundary=section("boundary", BoundarySpec),
             pcm=(builtin_material(pcm) if isinstance(pcm, str)
-                 else from_record(Material, pcm, "case pcm")),
+                 else section("pcm", Material)),
         )
 
     @classmethod

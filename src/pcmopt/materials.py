@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import dataclass, asdict
 
 
 @dataclass(frozen=True)
@@ -111,26 +111,13 @@ def validated(m: Material, source: str) -> Material:
     return m
 
 
-def from_record(cls, d, source: str):
-    """cls.from_dict(d) for a dataclass cls; ValueError naming the source
-    and every unknown or missing key if d does not fit cls's fields."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{source} must be a JSON object, got {d!r}")
-    names = [f.name for f in fields(cls)]
-    required = {f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING}
-    unknown = sorted(set(d) - set(names))
-    missing = sorted(required - set(d))
-    if unknown or missing:
-        problems = [f"{kind} keys {keys}" for kind, keys in
-                    (("unknown", unknown), ("missing", missing)) if keys]
-        raise ValueError(f"{source}: {', '.join(problems)}; "
-                         f"expected {names}")
-    return cls.from_dict(d)
-
-
 def load_material_file(path) -> Material:
     """Read one material record from a JSON file."""
     with open(path) as f:
-        source = f"file {path}"
-        return validated(from_record(Material, json.load(f), source), source)
+        d = json.load(f)
+    source = f"file {path}"
+    try:
+        m = Material.from_dict(d)
+    except TypeError as e:
+        raise ValueError(f"{source}: {e}") from e
+    return validated(m, source)

@@ -150,13 +150,7 @@ def _forward(W1, b1, W2, b2, Xn):
 
 
 def predict(model: SurrogateModel, x) -> float | np.ndarray:
-    """Metric estimate in physical units for one input vector or a batch.
-
-    Each row goes through its own (1, n) @ (n, h) product, stacked over the
-    batch, so a row's estimate has the same bits whatever batch it is in; a
-    plain 2-D product blocks rows together and moves about one row in nine
-    by up to ~1e-14.
-    """
+    """Metric estimate in physical units for one input vector or a batch."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.shape[1] != model.input_dim:
         raise ValueError(
@@ -164,9 +158,12 @@ def predict(model: SurrogateModel, x) -> float | np.ndarray:
     if np.any(X < model.in_min - 1e-12) or np.any(X > model.in_max + 1e-12):
         warnings.warn("input outside training bounds; extrapolating",
                       ExtrapolationWarning, stacklevel=2)
+    # Stacked as (n, 1, in), each row goes through its own (1, in) @ (in, h)
+    # product, so a row's estimate has the same bits whatever batch it is
+    # in; a plain 2-D product blocks rows together and moves about one row
+    # in nine by up to ~1e-14.
     Xn = _normalize(X, model.in_min, model.in_max)[:, None, :]
-    A = activation(Xn @ model.W1.T + model.b1)
-    yn = (A @ model.W2.T).ravel() + model.b2[0]
+    _, yn = _forward(model.W1, model.b1, model.W2, model.b2, Xn)
     y = _denormalize(yn, model.out_min, model.out_max)
     return float(y[0]) if np.asarray(x).ndim == 1 else y
 

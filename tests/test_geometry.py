@@ -132,5 +132,5 @@ def test_case_from_dict_names_a_bad_key_in_each_section(section, record,
                                                         named):
     with pytest.raises(ValueError, match=rf"case {section}: .*'{named}'"):
         Case.from_dict({section: record})
-    with pytest.raises(ValueError, match=f"case {section} must be"):
+    with pytest.raises(ValueError, match=f"case {section}: .*mapping"):
         Case.from_dict({section: [record]})

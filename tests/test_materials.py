@@ -138,5 +138,5 @@ def test_load_material_file_names_missing_keys(tmp_path):
     d = builtin_material("WoodsMetal").to_dict()
     del d["cp_liquid"]
     path.write_text(json.dumps(d))
-    with pytest.raises(ValueError, match="missing keys.*cp_liquid"):
+    with pytest.raises(ValueError, match="missing .*'cp_liquid'"):
         load_material_file(path)
