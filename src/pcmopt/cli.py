@@ -93,8 +93,11 @@ def _cmd_simulate(args):
 
 def _cmd_metrics(args):
     case = _case_from_args(args)
-    report = compute_metrics(simulate(case, dt=args.dt_ms * 1e-3))
-    text = json.dumps(report.to_dict(), indent=2)
+    history = simulate(case, dt=args.dt_ms * 1e-3)
+    report = compute_metrics(history).to_dict()
+    if args.stats:
+        report["stats"] = history.stats()
+    text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
@@ -246,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("metrics", help="simulate and report metrics")
     _add_case_flags(sp)
     sp.add_argument("--out")
+    sp.add_argument("--stats", action="store_true",
+                    help="add the run's counters and phase times")
     sp.set_defaults(func=_cmd_metrics)
 
     sp = sub.add_parser("compare-pcms", help="run the PCM comparison study")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,18 +72,13 @@ class NetworkModel:
         """First band column holding a phi-dependent entry (n_nodes if
         none). The leading block before it never changes as the PCM melts.
         """
-        _, i, _ = self._band_split
-        cols = np.concatenate([i, self.pcm_nodes])
-        return int(cols.min()) if cols.size else self.n_nodes
-
-    def k_nodes(self, phi_full: np.ndarray) -> np.ndarray:
-        """Per-node conductivity with melt-fraction blending."""
-        return self.k_solid + phi_full * (self.k_liquid - self.k_solid)
+        return self._melt.start
 
     def capacitance(self, phi_full: np.ndarray) -> np.ndarray:
         """Per-node sensible capacitance rho(phi)*cp(phi)*V, J/K."""
         return _blended_capacitance(
-            self.rho_solid, self.rho_liquid, self.cp_solid, self.cp_liquid,
+            self.rho_solid, self.rho_liquid - self.rho_solid,
+            self.cp_solid, self.cp_liquid - self.cp_solid,
             phi_full, self.volume)
 
     def pcm_capacitance(self, phi: np.ndarray) -> np.ndarray:
@@ -91,9 +87,11 @@ class NetworkModel:
 
     @cached_property
     def _pcm_phase_props(self) -> tuple[np.ndarray, ...]:
+        """Solid rho, liquid - solid rho, solid cp and liquid - solid cp of
+        the PCM nodes."""
         idx = self.pcm_nodes
-        return (self.rho_solid[idx], self.rho_liquid[idx],
-                self.cp_solid[idx], self.cp_liquid[idx])
+        return (self.rho_solid[idx], (self.rho_liquid - self.rho_solid)[idx],
+                self.cp_solid[idx], (self.cp_liquid - self.cp_solid)[idx])
 
     def expand_phi(self, phi: np.ndarray) -> np.ndarray:
         """Melt fractions of the PCM nodes -> full-length node array."""
@@ -107,36 +105,77 @@ class NetworkModel:
         return np.ascontiguousarray(
             values.reshape(self.mesh.ny, self.mesh.nx)[::-1])
 
-    def conductance_matrix(self, phi_full: np.ndarray) -> np.ndarray:
-        """Conduction Laplacian plus convection diagonal (SPD), in LAPACK
-        upper band storage of shape (nx + 1, n).
+    def conductance_matrix(self, phi: np.ndarray,
+                           trailing: np.ndarray | None = None,
+                           pcm_diag: np.ndarray | None = None) -> np.ndarray:
+        """Conduction Laplacian plus convection diagonal (SPD) at the PCM
+        nodes' melt fractions phi, in LAPACK upper band storage of shape
+        (nx + 1, n).
 
         Row nx holds the diagonal; row nx - d holds the superdiagonal at
         offset d, so A[i, j] (i <= j) sits at [nx + i - j, j]. Only offsets
         1 (horizontal edges) and nx (vertical edges) are nonzero. The
         array is Fortran-ordered so LAPACK can factor it in place.
 
-        Built as a copy of the phi-independent band with the edges that
-        touch a PCM node scattered in; phi_full is read on PCM nodes only.
+        One scatter adds the edges that touch a PCM node (the melt edges),
+        all of which lie in the trailing columns [melt_block_start:], to
+        the phi-independent entries. With trailing None it scatters into a
+        copy of fixed_band and returns the full band. Otherwise trailing
+        is those columns of a band that already holds the phi-independent
+        entries (the solver's factor); the scatter adds to it in place,
+        with pcm_diag (one value per PCM node) on the PCM nodes' diagonal,
+        and returns it.
         """
-        base, i, j = self._band_split
-        band = base.copy(order="F")
-        if i.size:
-            k = self.k_nodes(phi_full)
-            _add_edges(band, i, j, k[i], k[j])
+        s = self._melt
+        band = trailing
+        if trailing is None:
+            band = self.fixed_band.copy(order="F")
+            trailing = band[:, s.start:]
+        elif not trailing.flags.f_contiguous:
+            raise ValueError("trailing columns must be Fortran-contiguous")
+        k = s.k_end + phi[s.end_pcm] * s.dk_end
+        half = k.size // 2
+        g = _series_conductance(k[:half], k[half:])
+        trailing.ravel(order="F")[s.slots] -= g  # a view: Fortran order
+        w = np.concatenate((g, g) if pcm_diag is None else (g, g, pcm_diag))
+        trailing[-1] += np.bincount(s.diag[:w.size], w, trailing.shape[1])
         return band
 
     @cached_property
-    def _band_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The band of every edge that touches no PCM node plus the
-        convection diagonal, and (edge_i, edge_j) of the other edges."""
-        melt = self.is_pcm[self.edge_i] | self.is_pcm[self.edge_j]
-        i, j = self.edge_i[~melt], self.edge_j[~melt]
-        n = self.n_nodes
-        base = np.zeros((self.mesh.nx + 1, n), order="F")
-        _add_edges(base, i, j, self.k_solid[i], self.k_solid[j])
-        base[-1] += np.bincount(self.conv_nodes, self.conv_G, n)
-        return base, self.edge_i[melt], self.edge_j[melt]
+    def fixed_band(self) -> np.ndarray:
+        """The phi-independent band: every edge that touches no PCM node
+        plus the convection diagonal. Shared; copy it before writing."""
+        fixed = ~self._melt_edges
+        i, j = self.edge_i[fixed], self.edge_j[fixed]
+        g = _series_conductance(self.k_solid[i], self.k_solid[j])
+        nx, n = self.mesh.nx, self.n_nodes
+        band = np.zeros((nx + 1, n), order="F")
+        band[nx - (j - i), j] = -g
+        band[nx] = (np.bincount(i, g, n) + np.bincount(j, g, n)
+                    + np.bincount(self.conv_nodes, self.conv_G, n))
+        return band
+
+    @cached_property
+    def _melt_edges(self) -> np.ndarray:
+        """Mask of the edges that touch a PCM node."""
+        return self.is_pcm[self.edge_i] | self.is_pcm[self.edge_j]
+
+    @cached_property
+    def _melt(self) -> "_MeltScatter":
+        melt = self._melt_edges
+        i, j = self.edge_i[melt], self.edge_j[melt]
+        ends = np.concatenate([i, j])
+        pcm = self.pcm_nodes
+        start = int(np.concatenate([i, pcm]).min(initial=self.n_nodes))
+        # each end's index into phi; a non-PCM end reads phi[0] times 0
+        at = np.zeros(self.n_nodes, dtype=np.intp)
+        at[pcm] = np.arange(pcm.size)
+        dk = np.where(self.is_pcm, self.k_liquid - self.k_solid, 0.0)
+        rows = self.mesh.nx - (j - i)
+        return _MeltScatter(
+            start=start, slots=rows + (self.mesh.nx + 1) * (j - start),
+            end_pcm=at[ends], k_end=self.k_solid[ends], dk_end=dk[ends],
+            diag=np.concatenate([ends, pcm]) - start)
 
     def source_vector(self, q_flux: float) -> np.ndarray:
         """Nodal power vector for a given interface heat flux, W."""
@@ -152,25 +191,31 @@ class NetworkModel:
         return b
 
 
-def _blended_capacitance(rho_solid, rho_liquid, cp_solid, cp_liquid, phi,
-                         volume):
-    rho = rho_solid + phi * (rho_liquid - rho_solid)
-    cp = cp_solid + phi * (cp_liquid - cp_solid)
+class _MeltScatter(NamedTuple):
+    """Where conductance_matrix writes the melt edges, in trailing-column
+    coordinates (column c is band column start + c)."""
+
+    start: int  # NetworkModel.melt_block_start
+    slots: np.ndarray  # each edge's off-diagonal, flat in Fortran order
+    end_pcm: np.ndarray  # index into phi of each end, i ends then j ends
+    k_end: np.ndarray  # solid conductivity of each end
+    dk_end: np.ndarray  # liquid - solid conductivity (0 off the PCM)
+    diag: np.ndarray  # trailing column of each end, then of each PCM node
+
+
+def _blended_capacitance(rho_solid, d_rho, cp_solid, d_cp, phi, volume):
+    rho = rho_solid + phi * d_rho
+    cp = cp_solid + phi * d_cp
     return rho * cp * volume
 
 
-def _add_edges(band: np.ndarray, i: np.ndarray, j: np.ndarray,
-               ki: np.ndarray, kj: np.ndarray) -> None:
-    """Add edges (i < j) between nodes of conductivity ki and kj to a band
-    whose off-diagonal slots for them are still empty.
+def _series_conductance(ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
+    """Conductance of edges between nodes of conductivity ki and kj, W/K.
 
     With square voxels and unit depth, the series conductance
-    G = k_series * A / dx reduces to the harmonic mean 2*ki*kj/(ki+kj), W/K.
+    G = k_series * A / dx reduces to the harmonic mean 2*ki*kj/(ki+kj).
     """
-    g = 2.0 * ki * kj / (ki + kj)
-    nx, n = band.shape[0] - 1, band.shape[1]
-    band[nx - (j - i), j] = -g
-    band[nx] += np.bincount(i, g, n) + np.bincount(j, g, n)
+    return 2.0 * ki * kj / (ki + kj)
 
 
 def _grid_edges(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:

@@ -52,9 +52,10 @@ class ThermalHistory:
     worst_step_residual: float = 0.0  # largest per-step relative residual
     n_factorizations: int = 0  # system-matrix factorizations in the run
     # wall seconds per phase, keyed by PHASES: mesh and network assembly;
-    # the melt-fraction test and band + capacitance rebuild; factorization;
-    # right-hand side and triangular solves; the enthalpy correction; and
-    # the rest of the loop (energy balance, history, settle test)
+    # the melt-fraction test, capacitance update and band rebuild; the
+    # factorization; right-hand side and triangular solves; the enthalpy
+    # correction; and the rest of the loop (energy balance, history,
+    # settle test)
     phase_s: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)  # (t, T field, phi field)
 
@@ -65,6 +66,14 @@ class ThermalHistory:
     @property
     def n_cycles(self) -> int:
         return self.t.size // self.steps_per_cycle
+
+    def stats(self) -> dict:
+        """The run's counters and phase wall times, as JSON-ready values."""
+        return {"steps": int(self.t.size), "cycles": self.n_cycles,
+                "n_factorizations": self.n_factorizations,
+                "worst_step_residual": self.worst_step_residual,
+                "energy_residual": self.energy_residual,
+                "phase_s": dict(self.phase_s)}
 
     def cycle_slice(self, cycle: int) -> slice:
         """Sample range of one 0-based cycle."""
@@ -92,40 +101,46 @@ class _TrailingCholesky:
     With A = [[A11, A12], [A12^T, A22]] and U = [[U11, U12], [0, U22]],
     U11 and U12 depend only on A11 and A12, and U22 is the factor of
     A22 - U12^T U12. The band couples only nx rows across the split, so
-    S = U12^T U12 fills just the first nx columns of the trailing block. The
-    first factorization is a full one and keeps S; refactor() then factors
-    only A22 - S, in place in the trailing columns of the stored factor,
-    whose slots above the block keep U12.
+    S = U12^T U12 fills just the first nx columns of the trailing block.
+
+    The first factorization is a full one. It keeps the trailing base: the
+    fixed (phi-independent) part of A's trailing columns with S subtracted
+    in the block, and U12 in the slots above it. A rebuild copies the base
+    into the stored factor's trailing columns (load_base), adds the
+    phi-dependent entries there, and refactor() factors them in place.
     """
 
-    def __init__(self, band: np.ndarray, start: int):
+    def __init__(self, band: np.ndarray, start: int, fixed: np.ndarray):
+        """band is the full system band; fixed, the part of its trailing
+        columns [start:] that does not depend on phi."""
         self.chol = _factor_band(band)
-        self.start = start
-        kd, n = band.shape[0] - 1, band.shape[1]
-        w = min(kd, n - start)
+        self.tail = self.chol[:, start:]
+        kd = band.shape[0] - 1
+        w = min(kd, self.tail.shape[1])
         # band row r of trailing column c holds row start + c - kd + r,
         # which lies above the block (in U12) when r < kd - c
         r, c = np.indices((kd + 1, w))
         above = r < kd - c
         # U12 holds rows start - kd .. start - 1; rows before 0 read the
         # band's unused corner, which stays zero
+        head = self.tail[:, :w]
         U12 = np.zeros((kd, w))
-        U12[(c + r)[above], c[above]] = self.chol[r[above], start + c[above]]
+        U12[(c + r)[above], c[above]] = head[above]
         S = U12.T @ U12
-        self._S = np.zeros((kd + 1, w))
-        self._S[~above] = S[(c - kd + r)[~above], c[~above]]
-        self._head_in_block = ~above
+        self._base = np.array(fixed, order="F")
+        base_head = self._base[:, :w]
+        base_head[~above] -= S[(c - kd + r)[~above], c[~above]]
+        base_head[above] = head[above]
 
-    def refactor(self, band: np.ndarray) -> None:
-        """Refactor after a change confined to the trailing block."""
-        start, w = self.start, self._S.shape[1]
-        tail = self.chol[:, start:]
-        if not tail.size:
-            return
-        tail[:, w:] = band[:, start + w:]
-        np.subtract(band[:, start:start + w], self._S, out=tail[:, :w],
-                    where=self._head_in_block)
-        if _factor_band(tail) is not tail:
+    def load_base(self) -> np.ndarray:
+        """Reset the trailing columns of the factor to the base; returns
+        them for the phi-dependent entries to be added."""
+        self.tail[...] = self._base
+        return self.tail
+
+    def refactor(self) -> None:
+        """Factor the trailing columns in place after load_base()."""
+        if self.tail.size and _factor_band(self.tail) is not self.tail:
             raise RuntimeError("dpbtrf copied the trailing block")
 
 
@@ -175,25 +190,33 @@ class _Integrator:
             and np.abs(self.phi - self._phi_at_build).max() > REBUILD_TOL)
 
     def _rebuild(self) -> np.ndarray:
-        """Capacitance update and the band of C/dt + G at the current phi."""
+        """Capacitance update and C/dt + G at the current phi: the full band
+        on the first build, after that the trailing columns of the factor
+        (see _TrailingCholesky)."""
         net = self.net
         idx = self._pcm_idx
-        self._C_pcm = net.pcm_capacitance(self.phi)
-        self._C[idx] = self._C_pcm
-        self._C_dt[idx] = self._C_pcm / self.dt
+        C = self._C_pcm = net.pcm_capacitance(self.phi)
+        C_dt = C / self.dt
+        self._C[idx] = C
+        self._C_dt[idx] = C_dt
         # floor of the per-step balance scale: the energy of a uniform
         # millikelvin change, so a quiescent step is not judged by roundoff
         self._scale_floor = 1e-3 * float(self._C.sum())
-        band = net.conductance_matrix(net.expand_phi(self.phi))
-        band[-1] += self._C_dt
         self._phi_at_build = self.phi.copy()
-        return band
+        if self._factor is None:
+            band = net.conductance_matrix(self.phi)
+            band[-1] += self._C_dt
+            return band
+        return net.conductance_matrix(self.phi, self._factor.load_base(), C_dt)
 
     def _factorize(self, band: np.ndarray) -> None:
         if self._factor is None:
-            self._factor = _TrailingCholesky(band, self.net.melt_block_start)
+            start = self.net.melt_block_start
+            fixed = self.net.fixed_band[:, start:].copy(order="F")
+            fixed[-1] += np.where(self.net.is_pcm, 0.0, self._C_dt)[start:]
+            self._factor = _TrailingCholesky(band, start, fixed)
         else:
-            self._factor.refactor(band)
+            self._factor.refactor()
         self.n_factorizations += 1
 
     def step(self, heating: bool) -> None:
@@ -386,6 +409,6 @@ def steady_state(case: Case, constant_flux: float) -> np.ndarray:
     Used as a verification oracle; h > 0 keeps the system nonsingular.
     """
     _, net = build_case_network(case)
-    chol = _factor_band(net.conductance_matrix(np.zeros(net.n_nodes)))
+    chol = _factor_band(net.conductance_matrix(np.zeros(net.pcm_nodes.size)))
     T, _ = dpbtrs(chol, net.source_vector(constant_flux) + net.ambient_vector())
     return net.mesh_field(T)

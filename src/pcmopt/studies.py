@@ -363,7 +363,9 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     Writes one JSON artifact per case under out_dir/cases/ (the resume
     markers) and assembles results.csv ordered by case index, so a resumed
     campaign reproduces the identical file. A directory that holds another
-    campaign's config.json is refused. Returns the CSV path.
+    campaign's config.json, or a case file whose inputs this campaign does
+    not sample at its index, is refused before anything runs or is
+    written. Returns the CSV path.
     """
     if n < 1:
         raise ValueError("campaign size must be >= 1")
@@ -386,24 +388,34 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
             raise ValueError(f"{out} holds campaign {found}, not {chash}; "
                              "resume it with its own settings or use a new "
                              "directory")
+    # every case already on disk must be the one this config samples
     cases_dir = out / "cases"
+    records = {}
+    for path in sorted(cases_dir.glob("case_*.json")):
+        i = path.stem[len("case_"):]
+        rec = json.loads(path.read_text())
+        if not (i.isdigit() and int(i) < n and rec.get("inputs")
+                == dict(zip(names, X[int(i)].tolist()))):
+            raise ValueError(f"{path} is not a case of campaign {chash}; "
+                             "resume it with its own settings or use a new "
+                             "directory")
+        records[int(i)] = rec
     cases_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", config)
 
-    pending = [i for i in range(n)
-               if not (cases_dir / f"case_{i:06d}.json").exists()]
+    pending = [i for i in range(n) if i not in records]
     run_case = partial(_run_campaign_case, names=names, power=power, dx=dx,
                        sim_kwargs=sim_kwargs)
-    records = evaluate_cases(run_case, [X[i] for i in pending])
-    for record, i in zip(records, pending):
-        with open(cases_dir / f"case_{i:06d}.json", "w") as f:
-            json.dump(record, f, sort_keys=True)
+    for record, i in zip(evaluate_cases(run_case, [X[i] for i in pending]),
+                         pending):
+        text = json.dumps(record, sort_keys=True)
+        (cases_dir / f"case_{i:06d}.json").write_text(text)
+        records[i] = json.loads(text)
 
     rows = []
     n_failed = 0
     for i in range(n):
-        with open(cases_dir / f"case_{i:06d}.json") as f:
-            rec = json.load(f)
+        rec = records[i]
         if "failed" in rec:
             n_failed += 1
             warnings.warn(f"case {i} failed: {rec['failed']}", stacklevel=2)

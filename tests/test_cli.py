@@ -6,6 +6,7 @@ import pytest
 from pcmopt.cli import _load_problem, build_parser, main
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import UnknownMaterialError
+from pcmopt.solver import MAX_STEP_RESIDUAL, PHASES
 from pcmopt.studies import GEOMETRY_BOUNDS, PROPERTY_BOUNDS
 
 SUBCOMMANDS = ["simulate", "metrics", "compare-pcms", "sweep", "optimize",
@@ -38,6 +39,25 @@ def test_metrics_command_prints_report(tmp_path, capsys):
     assert report["dPhi_melt"] == 0.0
     assert report["converged"] is True
     assert json.loads(capsys.readouterr().out) == report
+
+
+def test_metrics_stats_flag_adds_run_counters(tmp_path, capsys):
+    case = coarse_case_file(tmp_path)
+    assert main(["metrics", "--case", case, "--dt-ms", "25"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert "stats" not in plain
+    assert main(["metrics", "--case", case, "--dt-ms", "25", "--stats"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    stats = report.pop("stats")
+    assert report == plain
+    # the 10 um Solder 174 channel at 25 ms: 1080 steps, 921 factorizations
+    assert stats["steps"] == 1080
+    assert stats["cycles"] == 1080 // 40
+    assert stats["n_factorizations"] == 921
+    assert 0.0 <= stats["worst_step_residual"] <= MAX_STEP_RESIDUAL
+    assert 0.0 <= stats["energy_residual"] < 1e-6
+    assert tuple(stats["phase_s"]) == PHASES
+    assert all(v >= 0.0 for v in stats["phase_s"].values())
 
 
 def test_metrics_rejects_unknown_material(tmp_path):

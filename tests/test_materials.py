@@ -65,7 +65,8 @@ def effective_properties(name, phi):
     with every PCM node at melt fraction phi."""
     net = _NETWORKS[name]
     phi_full = net.expand_phi(np.full(net.pcm_nodes.size, phi))
-    return net, net.k_nodes(phi_full), net.capacitance(phi_full)
+    k = net.k_solid + phi_full * (net.k_liquid - net.k_solid)
+    return net, k, net.capacitance(phi_full)
 
 
 def test_effective_property_endpoints_and_midpoint():

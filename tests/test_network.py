@@ -13,16 +13,21 @@ def net():
                             pcm=builtin_material("Solder174"))
 
 
-def band_edge_conductances(net, phi_full):
+def node_conductivity(net, phi_full):
+    """Per-node conductivity blended by melt fraction (reference)."""
+    return net.k_solid + phi_full * (net.k_liquid - net.k_solid)
+
+
+def band_edge_conductances(net, phi):
     """Each edge's conductance, read from the off-diagonal of the band."""
-    band = net.conductance_matrix(phi_full)
+    band = net.conductance_matrix(phi)
     return -band[net.mesh.nx - (net.edge_j - net.edge_i), net.edge_j]
 
 
 def test_edge_conductance_is_harmonic_mean(net):
-    phi = np.zeros(net.n_nodes)
+    phi = np.zeros(net.pcm_nodes.size)
     g = band_edge_conductances(net, phi)
-    k = net.k_nodes(phi)
+    k = node_conductivity(net, net.expand_phi(phi))
     # silicon-silicon edge reduces to k itself
     si_si = (k[net.edge_i] == 130.0) & (k[net.edge_j] == 130.0)
     assert np.allclose(g[si_si], 130.0)
@@ -70,7 +75,7 @@ def band_to_dense(band):
 def dense_laplacian(net, phi_full):
     """Conduction Laplacian plus convection, assembled edge by edge."""
     A = np.zeros((net.n_nodes, net.n_nodes))
-    k = net.k_nodes(phi_full)
+    k = node_conductivity(net, phi_full)
     for i, j in zip(net.edge_i, net.edge_j):
         g = 2.0 * k[i] * k[j] / (k[i] + k[j])
         A[i, i] += g
@@ -83,7 +88,7 @@ def dense_laplacian(net, phi_full):
 
 
 def test_conductance_rows_sum_to_convection(net):
-    phi = np.zeros(net.n_nodes)
+    phi = np.zeros(net.pcm_nodes.size)
     rows = band_to_dense(net.conductance_matrix(phi)).sum(axis=1)
     expect = np.zeros(net.n_nodes)
     expect[net.conv_nodes] = net.conv_G
@@ -91,7 +96,7 @@ def test_conductance_rows_sum_to_convection(net):
 
 
 def test_conductance_matrix_symmetric_positive_definite(net):
-    phi = np.zeros(net.n_nodes)
+    phi = np.zeros(net.pcm_nodes.size)
     G = band_to_dense(net.conductance_matrix(phi))
     assert abs(G - G.T).max() < 1e-12
     # diagonally dominant with positive diagonal -> SPD
@@ -110,10 +115,10 @@ def test_conductance_band_matches_dense_laplacian(cell):
     pcm = None if cell.no_channel else builtin_material("Solder174")
     net = assemble_network(mesh, BoundarySpec(), pcm=pcm)
     # a graded melt field exercises the blended conductivities
-    phi = net.expand_phi(np.linspace(0.0, 1.0, net.pcm_nodes.size))
+    phi = np.linspace(0.0, 1.0, net.pcm_nodes.size)
     band = net.conductance_matrix(phi)
     assert band.shape == (mesh.nx + 1, net.n_nodes)
-    expect = dense_laplacian(net, phi)
+    expect = dense_laplacian(net, net.expand_phi(phi))
     assert np.allclose(band_to_dense(band), expect, rtol=1e-14, atol=0.0)
     # only the diagonal and offsets 1 and nx are populated
     d = np.arange(mesh.nx + 1)
@@ -142,9 +147,9 @@ def test_melting_changes_only_the_trailing_block(cell, trailing):
     net = assemble_network(mesh, BoundarySpec(), pcm=pcm)
     start = net.melt_block_start
     assert net.n_nodes - start == trailing
-    solid = net.conductance_matrix(np.zeros(net.n_nodes))
-    melted = net.conductance_matrix(net.expand_phi(
-        np.linspace(0.5, 1.0, net.pcm_nodes.size)))
+    solid = net.conductance_matrix(np.zeros(net.pcm_nodes.size))
+    melted = net.conductance_matrix(np.linspace(0.5, 1.0,
+                                                net.pcm_nodes.size))
     r, j = np.nonzero(solid != melted)
     # band slot [r, j] holds the entry in row j - nx + r
     assert np.all(j - mesh.nx + r >= start)

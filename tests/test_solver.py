@@ -8,9 +8,10 @@ from scipy.linalg.lapack import dpbtrs
 from pcmopt.geometry import PCM, Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import builtin_material
 from pcmopt.metrics import compute_metrics
+from pcmopt.network import NetworkModel
 from pcmopt.solver import (MAX_STEP_RESIDUAL, PHASES, SolverDivergence,
-                           _factor_band, _TrailingCholesky,
-                           build_case_network, simulate, steady_state)
+                           _factor_band, _Integrator, build_case_network,
+                           simulate, steady_state)
 
 COARSE = UnitCellSpec(dx=10e-6)
 
@@ -183,10 +184,21 @@ def test_snapshots_have_field_shapes():
 
 def system_band(net, phi, dt=0.01):
     """C/dt + G at the PCM melt fractions phi, in upper band storage."""
-    phi_full = net.expand_phi(phi)
-    band = net.conductance_matrix(phi_full)
-    band[-1] += net.capacitance(phi_full) / dt
+    band = net.conductance_matrix(phi)
+    band[-1] += net.capacitance(net.expand_phi(phi)) / dt
     return band
+
+
+def first_factorization(net, dt=0.01):
+    """An integrator at all-solid phi after its first (full) factorization,
+    and the U12 slots of its factor: the band slots of the first trailing
+    columns that hold rows above the block."""
+    stepper = _Integrator(net, dt, 0.0)
+    stepper._factorize(stepper._rebuild())
+    chol, start = stepper._factor.chol, net.melt_block_start
+    kd = chol.shape[0] - 1
+    r, c = np.indices(chol[:, start:start + kd].shape)
+    return stepper, r < kd - c
 
 
 @pytest.mark.parametrize("cell", [
@@ -198,22 +210,69 @@ def test_trailing_refactor_matches_full_factorization(cell):
     _, net = build_case_network(Case(cell=cell))
     n_pcm = net.pcm_nodes.size
     start = net.melt_block_start
-    factor = _TrailingCholesky(system_band(net, np.zeros(n_pcm)), start)
-    chol = factor.chol
+    stepper, above = first_factorization(net)
+    chol = stepper._factor.chol
     kd = chol.shape[0] - 1
-    # slots of the trailing columns that hold rows above the block (U12)
-    r, c = np.indices(chol[:, start:start + kd].shape)
-    above = r < kd - c
     u12 = chol[:, start:start + kd][above].copy()
     b = np.random.default_rng(0).uniform(1.0, 2.0, net.n_nodes)
     for phi in (np.linspace(0.0, 1.0, n_pcm), np.ones(n_pcm)):
-        band = system_band(net, phi)
-        factor.refactor(band)
-        assert factor.chol is chol
+        stepper.phi = phi
+        stepper._factorize(stepper._rebuild())
+        assert stepper._factor.chol is chol
         assert np.array_equal(chol[:, start:start + kd][above], u12)
         x, _ = dpbtrs(chol, b)
-        expect, _ = dpbtrs(_factor_band(band.copy(order="F")), b)
+        expect, _ = dpbtrs(_factor_band(system_band(net, phi)), b)
         assert np.max(np.abs(x - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("cell", [
+    UnitCellSpec(), UnitCellSpec(dx=10e-6), UnitCellSpec(dx=2.5e-6),
+    UnitCellSpec(H=200e-6), UnitCellSpec(W=100e-6)],
+    ids=["5um", "10um", "2.5um", "full_height", "full_width"])
+def test_rebuild_writes_the_full_path_trailing_block(cell):
+    """A rebuild's trailing columns are those of C/dt + G from the full
+    band, less S = U12^T U12 in the block, with U12 above it."""
+    _, net = build_case_network(Case(cell=cell))
+    n_pcm = net.pcm_nodes.size
+    start = net.melt_block_start
+    stepper, above = first_factorization(net)
+    chol = stepper._factor.chol
+    kd, w = above.shape[0] - 1, above.shape[1]
+    u12 = chol[:, start:start + w][above].copy()
+    # S from U12 (rows start - kd .. start - 1), dense
+    r, c = np.indices(above.shape)
+    U12 = np.zeros((kd, w))
+    U12[(c + r)[above], c[above]] = u12
+    S = U12.T @ U12
+    for phi in (np.linspace(0.0, 1.0, n_pcm), np.ones(n_pcm)):
+        stepper.phi = phi
+        tail = stepper._rebuild()
+        assert tail.shape == (kd + 1, net.n_nodes - start)
+        assert np.shares_memory(tail, chol)
+        expect = system_band(net, phi)[:, start:]
+        head = expect[:, :w]
+        head[~above] -= S[(c - kd + r)[~above], c[~above]]
+        head[above] = u12
+        assert np.array_equal(tail[:-1], expect[:-1])
+        assert np.max(np.abs(tail[-1] - expect[-1])
+                      / np.abs(expect[-1])) <= 1e-13
+        stepper._factorize(tail)
+        assert stepper._factor.chol is chol
+        assert np.array_equal(chol[:, start:start + w][above], u12)
+
+
+def test_one_matrix_build_per_factorization(monkeypatch):
+    calls = []
+    build = NetworkModel.conductance_matrix
+
+    def counted(net, *args, **kwargs):
+        calls.append(args)
+        return build(net, *args, **kwargs)
+
+    monkeypatch.setattr(NetworkModel, "conductance_matrix", counted)
+    h = simulate(Case(cell=COARSE), dt=0.025)
+    assert 1 < h.n_factorizations < h.t.size
+    assert len(calls) == h.n_factorizations
 
 
 def test_phase_times_cover_the_run():

@@ -194,6 +194,23 @@ def test_campaign_resume_refuses_another_config(tmp_path):
     assert [p.read_bytes() for p in files] == before
 
 
+def test_campaign_resume_without_config_checks_each_case(tmp_path):
+    generate_training_data("geometry", 2, tmp_path, seed=0, dx=10e-6,
+                           sim_kwargs=COARSE_SIM)
+    (tmp_path / "config.json").unlink()
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    before = [p.read_bytes() for p in files]
+    with pytest.raises(ValueError, match="case_000000.json"):
+        generate_training_data("geometry", 2, tmp_path, seed=1, dx=10e-6,
+                               sim_kwargs=COARSE_SIM)
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
+    assert [p.read_bytes() for p in files] == before
+    # the campaign's own settings still resume it
+    generate_training_data("geometry", 2, tmp_path, seed=0, dx=10e-6,
+                           sim_kwargs=COARSE_SIM)
+    assert [p.read_bytes() for p in files] == before
+
+
 def test_simulator_backend_evaluate_and_verify():
     backend = SimulatorBackend(
         lambda v: property_case(v, cell=COARSE_CELL), ["T_m_C"], "T_o_max",
