@@ -6,7 +6,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 from functools import partial
 from pathlib import Path
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import studies
 from .geometry import Case, PowerProfile, UnitCellSpec
-from .materials import builtin_material, load_material_file
+from .materials import builtin_material, from_record, load_material_file
 from .metrics import compute_metrics
 from .optimize import (GAConfig, PSOConfig, ga_minimize, parametric_sweep,
                        pso_minimize, repeat_with_seeds)
@@ -81,8 +81,8 @@ def _cmd_simulate(args):
                     w.writerow([(ix + 0.5) * dx_um, (iy + 0.5) * dx_um,
                                 T[iy, ix], phi[iy, ix]])
     with open(out / "config.json", "w") as f:
-        json.dump({"case": case.to_dict(),
-                   "snapped_cell": case.cell.snapped().to_dict(),
+        json.dump({"case": asdict(case),
+                   "snapped_cell": asdict(case.cell.snapped()),
                    "dt_s": args.dt_ms * 1e-3,
                    "quasi_steady_cycle": h.quasi_steady_cycle,
                    "converged": h.converged}, f, indent=2)
@@ -91,16 +91,21 @@ def _cmd_simulate(args):
           f"history in {out}")
 
 
+def _emit(payload, out) -> None:
+    """Print payload as indented JSON, and also write it to out if given."""
+    text = json.dumps(payload, indent=2)
+    if out:
+        Path(out).write_text(text + "\n")
+    print(text)
+
+
 def _cmd_metrics(args):
     case = _case_from_args(args)
     history = simulate(case, dt=args.dt_ms * 1e-3)
     report = compute_metrics(history).to_dict()
     if args.stats:
         report["stats"] = history.stats()
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _emit(report, args.out)
 
 
 def _cmd_compare_pcms(args):
@@ -121,35 +126,35 @@ def _cmd_sweep(args):
               f"(T_osc) = {d['opt_T_m_for_T_osc']:.0f} C")
 
 
-#: Keys a problem file may set; its bounds' names define the case.
-_PROBLEM_KEYS = ("power", "objective", "bounds", "steps", "dx", "sim_kwargs")
+@dataclass(frozen=True)
+class _ProblemFile:
+    """The keys a problem file may set; its bounds' names define the case."""
+
+    bounds: dict
+    power: float = 100e3
+    objective: str = "T_o_max"
+    steps: dict | None = None
+    dx: float = 5e-6
+    sim_kwargs: dict = field(default_factory=dict)
 
 
 def _load_problem(args):
     with open(args.problem) as f:
-        spec = json.load(f)
-    for key in spec:
-        if key not in _PROBLEM_KEYS:
-            raise ValueError(f"unknown problem key {key!r} in {args.problem}; "
-                             f"expected one of {list(_PROBLEM_KEYS)}")
-    power = spec.get("power", 100e3)
-    objective = spec.get("objective", "T_o_max")
-    bounds = {k: tuple(v) for k, v in spec["bounds"].items()}
-    steps = spec.get("steps")
-    dx = spec.get("dx", 5e-6)
-    sim_kwargs = spec.get("sim_kwargs", {})
+        spec = from_record(_ProblemFile, json.load(f),
+                           f"problem file {args.problem}")
+    bounds = {k: tuple(v) for k, v in spec.bounds.items()}
 
-    builder = partial(studies.geometry_case, power=power, dx=dx)
+    builder = partial(studies.geometry_case, power=spec.power, dx=spec.dx)
     builder({k: lo for k, (lo, hi) in bounds.items()})  # fail before searching
-    verifier = studies.SimulatorBackend(builder, list(bounds), objective,
-                                        sim_kwargs=sim_kwargs)
+    verifier = studies.SimulatorBackend(builder, list(bounds), spec.objective,
+                                        sim_kwargs=spec.sim_kwargs)
     if args.backend.startswith("nn:"):
         model = SurrogateModel.load(args.backend[3:])
         backend = studies.SurrogateBackend(model, verifier)
     else:
         backend = verifier
-    return studies.problem_from_bounds(bounds, objective, backend,
-                                       seed=args.seed, steps=steps)
+    return studies.problem_from_bounds(bounds, spec.objective, backend,
+                                       seed=args.seed, steps=spec.steps)
 
 
 def _cmd_optimize(args):
@@ -157,20 +162,17 @@ def _cmd_optimize(args):
     if args.repeats:
         out = repeat_with_seeds(problem, args.strategy, n_runs=args.repeats)
         payload = {"summary": out["summary"],
-                   "runs": [r.to_dict() for r in out["runs"]]}
+                   "runs": [asdict(r) for r in out["runs"]]}
     elif args.strategy == "sweep":
         result, table = parametric_sweep(problem)
-        payload = {"result": result.to_dict(), "table": table}
+        payload = {"result": asdict(result), "table": table}
     elif args.strategy == "ga":
-        payload = {"result": ga_minimize(problem).to_dict()}
+        payload = {"result": asdict(ga_minimize(problem))}
     elif args.strategy == "pso":
-        payload = {"result": pso_minimize(problem).to_dict()}
+        payload = {"result": asdict(pso_minimize(problem))}
     else:
         raise SystemExit(f"unknown strategy {args.strategy}")
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _emit(payload, args.out)
 
 
 def _cmd_generate(args):
@@ -200,10 +202,7 @@ def _cmd_ablation(args):
         list(studies.GEOMETRY_BOUNDS), objective)
     report = studies.run_ablation(pool, test, sizes, verifier,
                                   repeats=args.repeats, base_seed=args.seed)
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _emit(report, args.out)
 
 
 def _cmd_surface(args):

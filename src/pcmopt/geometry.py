@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .materials import Material, builtin_material, validated
+from .materials import Material, builtin_material, from_record, validated
 
 # Voxel labels
 ALUMINA = 0
@@ -64,13 +64,6 @@ class UnitCellSpec:
             if s.W > s.pitch:
                 raise ValueError("channel width exceeds pitch")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UnitCellSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -89,13 +82,6 @@ class PowerProfile:
         if self.duration < self.period:
             raise ValueError("duration must cover at least one period")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PowerProfile":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class BoundarySpec:
@@ -113,13 +99,6 @@ class BoundarySpec:
     @property
     def T_amb_C(self) -> float:
         return self.T_amb - 273.15
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundarySpec":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -194,19 +173,12 @@ class Case:
     def __post_init__(self):
         validated(self.pcm, "pcm")
 
-    def to_dict(self) -> dict:
-        return {
-            "cell": self.cell.to_dict(),
-            "power": self.power.to_dict(),
-            "boundary": self.boundary.to_dict(),
-            "pcm": self.pcm.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Case":
-        """Inverse of to_dict; "pcm" may also be a built-in material name.
+        """Inverse of dataclasses.asdict; "pcm" may also be a built-in
+        material name.
 
-        Raises ValueError on a key to_dict does not write, at the top level
+        Raises ValueError on a key asdict does not write, at the top level
         or in a section, and on a pcm record that misses a key.
         """
         unknown = set(d) - {"cell", "power", "boundary", "pcm"}
@@ -215,10 +187,7 @@ class Case:
                              "cell, power, boundary, pcm")
 
         def section(key, kind):
-            try:
-                return kind.from_dict(d.get(key, {}))
-            except TypeError as e:
-                raise ValueError(f"case {key}: {e}") from e
+            return from_record(kind, d.get(key, {}), f"case {key}")
 
         pcm = d.get("pcm", cls.pcm.name)
         return cls(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,6 @@ class Material:
     cp_solid: float  # J/(kg K)
     cp_liquid: float  # J/(kg K)
     L_H: float  # latent heat of fusion, J/kg
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Material":
-        return cls(**d)
 
 
 # Commercial PCM database. Where the source gives a single value for a
@@ -111,13 +104,19 @@ def validated(m: Material, source: str) -> Material:
     return m
 
 
+def from_record(kind, d, source: str):
+    """kind(**d), the record d read back as the dataclass kind whose
+    dataclasses.asdict wrote it; ValueError naming source on a missing or
+    unknown key (the constructor's TypeError)."""
+    try:
+        return kind(**d)
+    except TypeError as e:
+        raise ValueError(f"{source}: {e}") from e
+
+
 def load_material_file(path) -> Material:
     """Read one material record from a JSON file."""
     with open(path) as f:
         d = json.load(f)
     source = f"file {path}"
-    try:
-        m = Material.from_dict(d)
-    except TypeError as e:
-        raise ValueError(f"{source}: {e}") from e
-    return validated(m, source)
+    return validated(from_record(Material, d, source), source)

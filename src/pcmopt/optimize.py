@@ -144,9 +144,6 @@ class OptimizationResult:
     seed: int | None
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _penalized(evaluate, X) -> np.ndarray | float:
     """evaluate(X) as floats, or +inf with a warning if it raises."""

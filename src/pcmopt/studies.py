@@ -15,7 +15,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace as dc_replace
+from dataclasses import asdict, replace as dc_replace
 from functools import partial
 from pathlib import Path
 
@@ -209,7 +209,8 @@ def _train_on_subset(pool: TrainingSet, size: int, seed: int,
 
 
 class ResamplingSurrogateBackend(SurrogateBackend):
-    """Surrogate retrained on a freshly resampled subset per repeat seed."""
+    """Surrogate retrained on a freshly resampled subset per repeat seed;
+    training is deterministic per seed, so its own seed reuses its model."""
 
     def __init__(self, pool: TrainingSet, size: int,
                  verifier: SimulatorBackend, seed: int = 0, **train_kwargs):
@@ -217,11 +218,14 @@ class ResamplingSurrogateBackend(SurrogateBackend):
             raise ValueError("subset size exceeds pool")
         self.pool = pool
         self.size = size
+        self.seed = seed
         self.train_kwargs = train_kwargs
         model = _train_on_subset(pool, size, seed, **train_kwargs)
         super().__init__(model, verifier)
 
     def fresh(self, seed: int) -> "ResamplingSurrogateBackend":
+        if seed == self.seed:
+            return self
         return ResamplingSurrogateBackend(self.pool, self.size, self.verifier,
                                           seed=seed, **self.train_kwargs)
 
@@ -244,7 +248,7 @@ def run_pcm_comparison(power: float = 100e3, out_dir=None,
                        **sim_kwargs) -> list[dict]:
     """Seven PCMs plus the solid-silicon baseline, ordered by T_m."""
     config = {"study": "pcm-compare", "power_W_m2": power,
-              "cell": cell.to_dict(), "sim_kwargs": repr(sim_kwargs)}
+              "cell": asdict(cell), "sim_kwargs": repr(sim_kwargs)}
     chash = config_hash(config)
 
     profile = PowerProfile(q0=power)
@@ -288,7 +292,7 @@ def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
     """Sweep T_m per power level; emits oscillation-band data and optima."""
     config = {"study": "tm-sweep", "power_levels": list(power_levels),
               "tm_step": tm_step, "tm_range": list(tm_range),
-              "cell": cell.to_dict(), "sim_kwargs": repr(sim_kwargs)}
+              "cell": asdict(cell), "sim_kwargs": repr(sim_kwargs)}
     chash = config_hash(config)
     tms = np.arange(tm_range[0], tm_range[1] + tm_step / 2, tm_step).tolist()
 
@@ -361,11 +365,12 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     """Sample, simulate, and persist a training campaign.
 
     Writes one JSON artifact per case under out_dir/cases/ (the resume
-    markers) and assembles results.csv ordered by case index, so a resumed
-    campaign reproduces the identical file. A directory that holds another
-    campaign's config.json, or a case file whose inputs this campaign does
-    not sample at its index, is refused before anything runs or is
-    written. Returns the CSV path.
+    markers, each stamped with the campaign's config hash) and assembles
+    results.csv ordered by case index, so a resumed campaign reproduces the
+    identical file. A directory that holds another campaign's config.json,
+    or a case file that carries another (or no) config hash or whose inputs
+    this campaign does not sample at its index, is refused before anything
+    runs or is written. Returns the CSV path.
     """
     if n < 1:
         raise ValueError("campaign size must be >= 1")
@@ -394,7 +399,8 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     for path in sorted(cases_dir.glob("case_*.json")):
         i = path.stem[len("case_"):]
         rec = json.loads(path.read_text())
-        if not (i.isdigit() and int(i) < n and rec.get("inputs")
+        if not (i.isdigit() and int(i) < n
+                and rec.get("config_hash") == chash and rec.get("inputs")
                 == dict(zip(names, X[int(i)].tolist()))):
             raise ValueError(f"{path} is not a case of campaign {chash}; "
                              "resume it with its own settings or use a new "
@@ -408,7 +414,7 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                        sim_kwargs=sim_kwargs)
     for record, i in zip(evaluate_cases(run_case, [X[i] for i in pending]),
                          pending):
-        text = json.dumps(record, sort_keys=True)
+        text = json.dumps({**record, "config_hash": chash}, sort_keys=True)
         (cases_dir / f"case_{i:06d}.json").write_text(text)
         records[i] = json.loads(text)
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
+
+from .materials import from_record
 
 
 class ExtrapolationWarning(UserWarning):
@@ -95,43 +97,18 @@ class SurrogateModel:
     seed: int
     train_config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "W1": self.W1.tolist(),
-            "b1": self.b1.tolist(),
-            "W2": self.W2.tolist(),
-            "b2": self.b2.tolist(),
-            "in_min": self.in_min.tolist(),
-            "in_max": self.in_max.tolist(),
-            "out_min": self.out_min,
-            "out_max": self.out_max,
-            "target": self.target,
-            "seed": self.seed,
-            "train_config": self.train_config,
-        }
+    def __post_init__(self):
+        for name in ("W1", "b1", "W2", "b2", "in_min", "in_max"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SurrogateModel":
-        return cls(
-            input_dim=d["input_dim"], hidden=list(d["hidden"]),
-            W1=np.asarray(d["W1"]), b1=np.asarray(d["b1"]),
-            W2=np.asarray(d["W2"]), b2=np.asarray(d["b2"]),
-            in_min=np.asarray(d["in_min"]), in_max=np.asarray(d["in_max"]),
-            out_min=d["out_min"], out_max=d["out_max"],
-            target=d["target"], seed=d["seed"],
-            train_config=d.get("train_config", {}),
-        )
+            json.dump(asdict(self), f, indent=2, default=np.ndarray.tolist)
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            return from_record(cls, json.load(f), f"model file {path}")
 
 
 def _normalize(v, lo, hi):

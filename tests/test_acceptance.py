@@ -277,15 +277,24 @@ def test_geometry_optimum_fills_the_device_layer(geometry_optima, strategy):
 # 8. Surrogate accuracy versus training-set size
 
 
-CAMPAIGN_DIR = CACHE / "geometry_campaign"
 N_CAMPAIGN, N_POOL = 2500, 2000
+CAMPAIGN = {"kind": "geometry", "n": N_CAMPAIGN, "seed": 0, "sampler": "lhs",
+            "power": 100e3, "dx": COARSE_DX, "sim_kwargs": COARSE_SIM}
 
 
 @pytest.fixture(scope="module")
-def geometry_campaign_csv():
-    return generate_training_data(
-        "geometry", N_CAMPAIGN, CAMPAIGN_DIR, seed=0, sampler="lhs",
-        power=100e3, dx=COARSE_DX, sim_kwargs=COARSE_SIM)
+def geometry_campaign_csv(tmp_path_factory):
+    """The campaign's results.csv, generated in a temporary directory and
+    cached as its text (bytes and CRLF line ends kept)."""
+    tmp = tmp_path_factory.mktemp("geometry_campaign")
+
+    def compute():
+        csv_path = generate_training_data(out_dir=tmp / "run", **CAMPAIGN)
+        return csv_path.read_bytes().decode()
+
+    path = tmp / "results.csv"
+    path.write_bytes(cached("geometry_campaign", CAMPAIGN, compute).encode())
+    return path
 
 
 def split_pool_test(csv_path, target):

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from dataclasses import asdict
 
 import pytest
 
@@ -17,7 +19,7 @@ def coarse_case_file(tmp_path, **cell_kwargs):
     path = tmp_path / "case.json"
     case = Case(cell=UnitCellSpec(dx=10e-6, **cell_kwargs),
                 power=PowerProfile(q0=100e3))
-    path.write_text(json.dumps(case.to_dict()))
+    path.write_text(json.dumps(asdict(case)))
     return str(path)
 
 
@@ -179,4 +181,9 @@ def test_problem_file_rejects_unknown_bound_names(tmp_path):
     args = build_parser().parse_args(["optimize", "--problem", str(problem),
                                       "--strategy", "ga"])
     with pytest.raises(ValueError, match="'Tm_C'"):
+        _load_problem(args)
+    # a file without bounds is refused by name, not with a bare KeyError
+    problem.write_text(json.dumps({"power": 50e3}))
+    named = rf"{re.escape(str(problem))}: .*'bounds'"
+    with pytest.raises(ValueError, match=named):
         _load_problem(args)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -104,7 +104,7 @@ def test_case_json_round_trip(tmp_path):
         case = Case(cell=UnitCellSpec(H=60e-6, W=40e-6),
                     power=PowerProfile(q0=75e3), pcm=pcm)
         path = tmp_path / "case.json"
-        path.write_text(json.dumps(case.to_dict()))
+        path.write_text(json.dumps(asdict(case)))
         assert Case.from_json_file(path) == case
         assert Case.from_json_file(path).pcm == pcm
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -115,19 +116,19 @@ def test_effective_property_stays_between_phases(phi, name):
 
 def test_material_json_round_trip():
     m = builtin_material("Cerrolow136")
-    assert Material.from_dict(json.loads(json.dumps(m.to_dict()))) == m
+    assert Material(**json.loads(json.dumps(asdict(m)))) == m
 
 
 def test_load_material_file(tmp_path):
     path = tmp_path / "mat.json"
     m = builtin_material("WoodsMetal")
-    path.write_text(json.dumps(m.to_dict()))
+    path.write_text(json.dumps(asdict(m)))
     assert load_material_file(path) == m
 
 
 def test_load_material_file_rejects_invalid(tmp_path):
     path = tmp_path / "mat.json"
-    d = builtin_material("WoodsMetal").to_dict()
+    d = asdict(builtin_material("WoodsMetal"))
     d["k_solid"] = 0.0
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError, match="k_solid"):
@@ -136,7 +137,7 @@ def test_load_material_file_rejects_invalid(tmp_path):
 
 def test_load_material_file_names_missing_keys(tmp_path):
     path = tmp_path / "mat.json"
-    d = builtin_material("WoodsMetal").to_dict()
+    d = asdict(builtin_material("WoodsMetal"))
     del d["cp_liquid"]
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError, match="missing .*'cp_liquid'"):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -242,6 +242,6 @@ def test_parameter_spec_validation():
 def test_result_rounding_and_serialization():
     problem = make_problem(sphere, 1, seed=2)
     r = ga_minimize(problem, GAConfig(max_generations=20))
-    d = r.to_dict()
+    d = asdict(r)
     assert d["strategy"] == "ga"
     assert "trace" in d

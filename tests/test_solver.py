@@ -1,5 +1,5 @@
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -127,7 +127,7 @@ def test_invalid_pcm_override_is_rejected(change, violation):
     with pytest.raises(ValueError, match=violation):
         Case(cell=COARSE, pcm=bad)
     with pytest.raises(ValueError, match=violation):
-        Case.from_dict({"pcm": bad.to_dict()})
+        Case.from_dict({"pcm": asdict(bad)})
 
 
 def test_reference_runs_match_recorded_values(solder_history, solder_metrics,

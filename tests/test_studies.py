@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from pcmopt import studies
 from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.metrics import simulate_metrics
 from pcmopt.optimize import (Backend, FunctionBackend, GAConfig, PSOConfig,
-                             ga_minimize, parametric_sweep, pso_minimize)
+                             ga_minimize, parametric_sweep, pso_minimize,
+                             repeat_with_seeds)
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             ResamplingSurrogateBackend, SimulatorBackend,
                             SurrogateBackend, config_hash, default_workers,
@@ -195,19 +197,22 @@ def test_campaign_resume_refuses_another_config(tmp_path):
 
 
 def test_campaign_resume_without_config_checks_each_case(tmp_path):
-    generate_training_data("geometry", 2, tmp_path, seed=0, dx=10e-6,
-                           sim_kwargs=COARSE_SIM)
+    own = {"seed": 0, "power": 100e3, "dx": 10e-6, "sim_kwargs": COARSE_SIM}
+    generate_training_data("geometry", 2, tmp_path, **own)
     (tmp_path / "config.json").unlink()
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     before = [p.read_bytes() for p in files]
-    with pytest.raises(ValueError, match="case_000000.json"):
-        generate_training_data("geometry", 2, tmp_path, seed=1, dx=10e-6,
-                               sim_kwargs=COARSE_SIM)
-    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
-    assert [p.read_bytes() for p in files] == before
+    # another seed moves the sampled inputs; another power, mesh or solver
+    # setting leaves them alone and is caught by each case's config hash
+    for changed in ({"seed": 1}, {"power": 50e3}, {"dx": 5e-6},
+                    {"sim_kwargs": {"dt": 0.05}}):
+        with pytest.raises(ValueError, match="case_000000.json"):
+            generate_training_data("geometry", 2, tmp_path,
+                                   **{**own, **changed})
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
+        assert [p.read_bytes() for p in files] == before
     # the campaign's own settings still resume it
-    generate_training_data("geometry", 2, tmp_path, seed=0, dx=10e-6,
-                           sim_kwargs=COARSE_SIM)
+    generate_training_data("geometry", 2, tmp_path, **own)
     assert [p.read_bytes() for p in files] == before
 
 
@@ -278,14 +283,13 @@ def test_batched_surrogate_search_matches_row_by_row(search):
         assert getattr(batched, key) == getattr(rowwise, key), key
 
 
-def test_resampling_backend_fresh_retrains():
+def test_resampling_backend_fresh_retrains(monkeypatch):
     pool = synthetic_pool(120)
     truth = FunctionBackend(lambda x: float(x[0]))
     backend = ResamplingSurrogateBackend(pool, 60, truth, seed=0)
     x = np.array([50.0, 50.0, 70.0])
-    same = backend.fresh(0)
+    assert backend.fresh(0) is backend
     other = backend.fresh(1)
-    assert same.evaluate(x) == pytest.approx(backend.evaluate(x))
     assert other.evaluate(x) != backend.evaluate(x)
     direct = ResamplingSurrogateBackend(pool, 60, truth, seed=1)
     for name in ("W1", "b1", "W2", "b2"):
@@ -293,6 +297,16 @@ def test_resampling_backend_fresh_retrains():
                               getattr(direct.model, name))
     with pytest.raises(ValueError):
         ResamplingSurrogateBackend(pool, 500, truth)
+    # a 3-run search trains 3 models: its first run reuses the backend's own
+    trained = []
+    monkeypatch.setattr(studies, "train_lm", lambda *a, **kw: (
+        trained.append(a) or train_lm(*a, **kw)))
+    problem = problem_from_bounds(
+        GEOMETRY_BOUNDS, "T_osc",
+        ResamplingSurrogateBackend(pool, 60, truth, seed=0))
+    repeat_with_seeds(problem, "ga", n_runs=3,
+                      config=GAConfig(population=8, max_generations=3))
+    assert len(trained) == 3
 
 
 def test_problem_from_bounds():

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -130,10 +132,17 @@ def test_model_json_round_trip(tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
     loaded = SurrogateModel.load(path)
+    for name in ("W1", "b1", "W2", "b2", "in_min", "in_max"):
+        assert np.array_equal(getattr(loaded, name), getattr(model, name))
     x = np.array([0.4, -1.1])
-    assert predict(loaded, x) == pytest.approx(predict(model, x))
+    assert predict(loaded, x) == predict(model, x)
     assert loaded.target == model.target
     assert loaded.seed == model.seed
+    assert loaded.train_config == model.train_config
+    # a key the model does not have fails and names the file, not dropped
+    path.write_text(json.dumps({**json.loads(path.read_text()), "bias": 1}))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*'bias'"):
+        SurrogateModel.load(path)
 
 
 def test_load_training_csv(tmp_path):
