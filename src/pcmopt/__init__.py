@@ -3,7 +3,7 @@ in the silicon device layer of an electronic chip."""
 
 from .geometry import (BoundarySpec, Case, PowerProfile, UnitCellSpec,
                        build_mesh)
-from .materials import Material, PCM_NAMES, builtin_material, validate
+from .materials import Material, PCM_NAMES, builtin_material
 from .metrics import MetricsReport, compute_metrics, simulate_metrics
 from .network import NetworkModel, assemble_network
 from .optimize import (GAConfig, OptimizationProblem, OptimizationResult,
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundarySpec", "Case", "PowerProfile", "UnitCellSpec", "build_mesh",
-    "Material", "PCM_NAMES", "builtin_material", "validate",
+    "Material", "PCM_NAMES", "builtin_material",
     "MetricsReport", "compute_metrics", "sensitivity", "simulate_metrics",
     "NetworkModel", "assemble_network",
     "GAConfig", "OptimizationProblem", "OptimizationResult", "ParameterSpec",

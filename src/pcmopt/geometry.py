@@ -10,11 +10,11 @@ symmetry plane; both are adiabatic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .materials import Material, builtin_material, from_record, validated
+from .materials import Material, builtin_material, check_numbers, from_record
 
 # Voxel labels
 ALUMINA = 0
@@ -40,29 +40,32 @@ class UnitCellSpec:
     dx: float = 5e-6       # voxel edge length
     no_channel: bool = False  # solid-silicon baseline (H, W ignored)
 
-    def snapped(self) -> "UnitCellSpec":
-        """Return a copy with every dimension snapped to a multiple of dx."""
-        d = asdict(self)
-        for key in ("H", "W", "t_alumina", "t_device", "t_cap", "pitch"):
-            d[key] = _snap(d[key], self.dx)
-        return UnitCellSpec(**d)
-
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_numbers(self)
         if not self.dx > 0:
             raise ValueError("dx must be positive")
-        s = self.snapped()
+        s = self._snapped_lengths()  # not snapped(), which builds a spec
         for key in ("t_alumina", "t_device", "t_cap", "pitch"):
-            if getattr(s, key) <= 0:
+            if s[key] <= 0:
                 raise ValueError(f"{key} must be positive after snapping")
-        if not s.no_channel:
-            if s.H <= 0 or s.W <= 0:
+        if not self.no_channel:
+            if s["H"] <= 0 or s["W"] <= 0:
                 raise ValueError(
                     "channel must have positive H and W; use no_channel for "
                     "the solid-silicon baseline")
-            if s.H > s.t_device:
+            if s["H"] > s["t_device"]:
                 raise ValueError("channel height exceeds device layer")
-            if s.W > s.pitch:
+            if s["W"] > s["pitch"]:
                 raise ValueError("channel width exceeds pitch")
+
+    def _snapped_lengths(self) -> dict[str, float]:
+        return {key: _snap(getattr(self, key), self.dx)
+                for key in ("H", "W", "t_alumina", "t_device", "t_cap",
+                            "pitch")}
+
+    def snapped(self) -> "UnitCellSpec":
+        """Return a copy with every dimension snapped to a multiple of dx."""
+        return dc_replace(self, **self._snapped_lengths())
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,8 @@ class PowerProfile:
     period: float = 1.0  # s
     duration: float = 1000.0  # total simulated time, s
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_numbers(self)
         if not 0 < self.t_on <= self.period:
             raise ValueError("need 0 < t_on <= period")
         if self.q0 < 0:
@@ -90,7 +94,8 @@ class BoundarySpec:
     h: float = 500.0    # W/(m^2 K)
     T_amb: float = 300.0  # ambient, K
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_numbers(self)
         if self.h <= 0:
             raise ValueError("h must be positive")
         if self.T_amb <= 0:
@@ -134,7 +139,6 @@ class Mesh:
 
 def build_mesh(spec: UnitCellSpec) -> Mesh:
     """Discretize the half unit cell into labeled voxels."""
-    spec.validate()
     s = spec.snapped()
     dx = s.dx
     nx = round((s.pitch / 2) / dx)
@@ -161,8 +165,7 @@ def build_mesh(spec: UnitCellSpec) -> Mesh:
 class Case:
     """One complete simulation case: geometry + heating + boundary + PCM.
 
-    pcm fills the channel (unused by a no_channel cell); an invalid record
-    raises ValueError when the case is built.
+    pcm fills the channel (unused by a no_channel cell).
     """
 
     cell: UnitCellSpec = UnitCellSpec()
@@ -170,16 +173,13 @@ class Case:
     boundary: BoundarySpec = BoundarySpec()
     pcm: Material = builtin_material("Solder174")
 
-    def __post_init__(self):
-        validated(self.pcm, "pcm")
-
     @classmethod
     def from_dict(cls, d: dict) -> "Case":
         """Inverse of dataclasses.asdict; "pcm" may also be a built-in
         material name.
 
-        Raises ValueError on a key asdict does not write, at the top level
-        or in a section, and on a pcm record that misses a key.
+        Raises ValueError, naming the section, on an unknown key, a pcm
+        record that misses a key, or a value a section rejects.
         """
         unknown = set(d) - {"cell", "power", "boundary", "pcm"}
         if unknown:

@@ -3,7 +3,20 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+
+def check_numbers(record) -> None:
+    """ValueError naming the first field of the dataclass record that is
+    annotated as a number but holds a str, a bool or None. numpy scalars
+    pass, and so does None where the annotation allows it. Each record's
+    __post_init__ calls this before it checks any value."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type in ("float", "int", "float | None") and (
+                isinstance(value, (str, bool))
+                or value is None and not f.type.endswith("None")):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -11,7 +24,8 @@ class Material:
     """Thermophysical properties of a solid or a phase change material.
 
     Solid and liquid values are piecewise constant; a material that is not a
-    PCM never melts and only its *_solid fields are used.
+    PCM never melts and only its *_solid fields are used. An invalid record
+    raises ValueError, naming every violation, when it is built.
     """
 
     name: str
@@ -24,6 +38,19 @@ class Material:
     cp_solid: float  # J/(kg K)
     cp_liquid: float  # J/(kg K)
     L_H: float  # latent heat of fusion, J/kg
+
+    def __post_init__(self):
+        check_numbers(self)
+        problems = [f"{key} must be strictly positive"
+                    for key in ("rho_solid", "rho_liquid", "k_solid",
+                                "k_liquid", "cp_solid", "cp_liquid")
+                    if getattr(self, key) <= 0.0]
+        if self.L_H < 0.0:
+            problems.append("L_H must be non-negative")
+        if self.is_pcm and self.L_H <= 0.0:
+            problems.append("L_H must be strictly positive for a PCM")
+        if problems:
+            raise ValueError("invalid material: " + "; ".join(problems))
 
 
 # Commercial PCM database. Where the source gives a single value for a
@@ -81,42 +108,18 @@ def builtin_material(name: str) -> Material:
             f"unknown material {name!r}; valid names: {valid}") from None
 
 
-def validate(m: Material) -> list[str]:
-    """Check record invariants; returns a list of violations (empty = valid)."""
-    violations = []
-    for field in ("rho_solid", "rho_liquid", "k_solid", "k_liquid",
-                  "cp_solid", "cp_liquid"):
-        if getattr(m, field) <= 0.0:
-            violations.append(f"{field} must be strictly positive")
-    if m.L_H < 0.0:
-        violations.append("L_H must be non-negative")
-    if m.is_pcm and m.L_H <= 0.0:
-        violations.append("L_H must be strictly positive for a PCM")
-    return violations
-
-
-def validated(m: Material, source: str) -> Material:
-    """m itself; ValueError naming the source and every violation if the
-    record is invalid."""
-    problems = validate(m)
-    if problems:
-        raise ValueError(f"invalid material {source}: " + "; ".join(problems))
-    return m
-
-
 def from_record(kind, d, source: str):
     """kind(**d), the record d read back as the dataclass kind whose
     dataclasses.asdict wrote it; ValueError naming source on a missing or
-    unknown key (the constructor's TypeError)."""
+    unknown key (the constructor's TypeError) or an invalid value (its
+    ValueError)."""
     try:
         return kind(**d)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ValueError(f"{source}: {e}") from e
 
 
 def load_material_file(path) -> Material:
     """Read one material record from a JSON file."""
     with open(path) as f:
-        d = json.load(f)
-    source = f"file {path}"
-    return validated(from_record(Material, d, source), source)
+        return from_record(Material, json.load(f), f"file {path}")

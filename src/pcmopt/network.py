@@ -233,7 +233,6 @@ def assemble_network(mesh: Mesh, boundary: BoundarySpec,
 
     pcm may be None only for a mesh without PCM voxels.
     """
-    boundary.validate()
     # node order: top row first (see the module docstring)
     labels = mesh.labels[::-1].ravel()
     if pcm is None and np.any(labels == PCM):

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, asdict, replace as dc_replace
 
 import numpy as np
 
+from .materials import check_numbers
+
 # Fixed GA operators: survivors per generation, share of children bred by
 # crossover (the rest by mutation), and tournament size.
 GA_ELITE = 2
@@ -37,7 +39,8 @@ class ParameterSpec:
     upper: float
     step: float | None = None  # grid step, required for sweeps
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_numbers(self)
         if not self.lower < self.upper:
             raise ValueError(f"{self.name}: lower must be < upper")
         if self.step is not None and self.step <= 0:
@@ -84,10 +87,6 @@ class OptimizationProblem:
     backend: Backend
     seed: int = 0
 
-    def __post_init__(self):
-        for p in self.parameters:
-            p.validate()
-
     @property
     def names(self) -> list[str]:
         return [p.name for p in self.parameters]
@@ -101,7 +100,7 @@ class OptimizationProblem:
         return np.array([p.upper for p in self.parameters])
 
 
-@dataclass
+@dataclass(frozen=True)
 class GAConfig:
     population: int = 50
     mutation_sigma_frac: float = 0.05  # of each parameter's range
@@ -109,7 +108,8 @@ class GAConfig:
     max_generations: int = 100
     tol: float = 1e-3
 
-    def validate(self):
+    def __post_init__(self):
+        check_numbers(self)
         if min(self.population, self.stall_generations,
                self.max_generations) < 1:
             raise ValueError("all GA counts must be >= 1")
@@ -118,14 +118,15 @@ class GAConfig:
                              f"elite survivors, got {self.population}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PSOConfig:
     swarm: int = 40
     stall_iterations: int = 15
     max_iterations: int = 100
     tol: float = 1e-3
 
-    def validate(self):
+    def __post_init__(self):
+        check_numbers(self)
         if min(self.swarm, self.stall_iterations, self.max_iterations) < 1:
             raise ValueError("all PSO counts must be >= 1")
 
@@ -191,12 +192,12 @@ def _stalled(trace: list[float], window: int, tol: float) -> bool:
 
 class _Trace:
     """Best-so-far objective per generation, and the wall seconds since the
-    previous entry (the first since the search started)."""
+    previous entry (the first since start, when the search began)."""
 
     def __init__(self):
         self.best: list[float] = []
         self.seconds: list[float] = []
-        self._last = time.perf_counter()
+        self.start = self._last = time.perf_counter()
 
     def append(self, best: float) -> None:
         now = time.perf_counter()
@@ -205,7 +206,7 @@ class _Trace:
         self._last = now
 
 
-def _result(problem, strategy, x_best, f_best, cached, trace, t0, seed, config):
+def _result(problem, strategy, x_best, f_best, cached, trace, seed, config):
     verified = (f_best if problem.backend.verifier is None
                 else problem.backend.verify(np.asarray(x_best)))
     return OptimizationResult(
@@ -214,7 +215,7 @@ def _result(problem, strategy, x_best, f_best, cached, trace, t0, seed, config):
         verified_objective=float(verified),
         n_evaluations=cached.n_evaluations,
         n_calls=cached.n_calls,
-        wall_time=time.time() - t0,
+        wall_time=time.perf_counter() - trace.start,
         trace=trace.best,
         generation_s=trace.seconds,
         strategy=strategy,
@@ -227,7 +228,7 @@ def parametric_sweep(problem: OptimizationProblem
                      ) -> tuple[OptimizationResult, list[dict]]:
     """Evaluate every grid point; returns the argmin (deterministic
     first-lowest tie break) plus the full table for plotting."""
-    t0 = time.time()
+    trace = _Trace()
     axes = []
     for p in problem.parameters:
         if p.step is None:
@@ -240,7 +241,6 @@ def parametric_sweep(problem: OptimizationProblem
             f"grid of {total} points exceeds cap {SWEEP_GRID_CAP}; "
             "use ga_minimize or pso_minimize instead")
 
-    trace = _Trace()
     grid = np.array(list(itertools.product(*axes)))
     cached = _CachedObjective(problem.backend)
     values = cached.batch(grid)
@@ -249,7 +249,7 @@ def parametric_sweep(problem: OptimizationProblem
     table = [{**dict(zip(problem.names, combo)), problem.objective: f}
              for combo, f in zip(grid.tolist(), values.tolist())]
     result = _result(problem, "sweep", grid[best], values[best], cached,
-                     trace, t0, None, {"grid_cap": SWEEP_GRID_CAP})
+                     trace, None, {"grid_cap": SWEEP_GRID_CAP})
     return result, table
 
 
@@ -259,15 +259,13 @@ def ga_minimize(problem: OptimizationProblem,
     crossover, annealed single-coordinate Gaussian mutation, elitism; stalls
     out when the best objective stops improving."""
     config = config or GAConfig()
-    config.validate()
     rng = np.random.default_rng(problem.seed)
-    t0 = time.time()
+    trace = _Trace()
 
     lower, upper = problem.lower, problem.upper
     span = upper - lower
     dim = lower.size
     cached = _CachedObjective(problem.backend)
-    trace = _Trace()
 
     pop = rng.uniform(lower, upper, size=(config.population, dim))
     fitness = cached.batch(pop)
@@ -308,7 +306,7 @@ def ga_minimize(problem: OptimizationProblem,
 
     best = int(np.argmin(fitness))
     return _result(problem, "ga", pop[best], fitness[best], cached, trace,
-                   t0, problem.seed, asdict(config))
+                   problem.seed, asdict(config))
 
 
 def pso_minimize(problem: OptimizationProblem,
@@ -317,15 +315,13 @@ def pso_minimize(problem: OptimizationProblem,
     inertia; positions clipped to bounds with the wall-normal velocity
     zeroed."""
     config = config or PSOConfig()
-    config.validate()
     rng = np.random.default_rng(problem.seed)
-    t0 = time.time()
+    trace = _Trace()
 
     lower, upper = problem.lower, problem.upper
     span = upper - lower
     dim = lower.size
     cached = _CachedObjective(problem.backend)
-    trace = _Trace()
 
     x = rng.uniform(lower, upper, size=(config.swarm, dim))
     v = rng.uniform(-1.0, 1.0, size=(config.swarm, dim)) * span * 0.1
@@ -361,7 +357,7 @@ def pso_minimize(problem: OptimizationProblem,
             g_best_x = p_best_x[g].copy()
 
     return _result(problem, "pso", g_best_x, g_best_f, cached, trace,
-                   t0, problem.seed, asdict(config))
+                   problem.seed, asdict(config))
 
 
 _STRATEGIES = {"ga": ga_minimize, "pso": pso_minimize}

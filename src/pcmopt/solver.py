@@ -329,7 +329,6 @@ def simulate(case: Case, dt: float = 0.01,
     cyclic response has settled (see QuasiSteadyDetector), otherwise runs
     the full duration.
     """
-    case.power.validate()
     if not dt > 0:
         raise ValueError("dt must be positive")
     power = case.power

@@ -46,7 +46,6 @@ GEOMETRY_BOUNDS = {
 REFERENCE_CELL = UnitCellSpec(H=100e-6, W=50e-6)
 # Every swept PCM starts from this material.
 BASE_PCM = "Solder174"
-REFERENCE_POWER = PowerProfile(q0=100e3)
 DEFAULT_POWER_LEVELS = (50e3, 75e3, 100e3, 125e3)
 # Cases sent to a worker process at a time.
 _CHUNK = 4

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .materials import from_record
+from .materials import check_numbers, from_record
 
 
 class ExtrapolationWarning(UserWarning):
@@ -98,8 +98,17 @@ class SurrogateModel:
     train_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("W1", "b1", "W2", "b2", "in_min", "in_max"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        check_numbers(self)
+        n, h = self.input_dim, self.hidden  # h lists the one layer's width
+        shapes = {"W1": (*h, n), "b1": (*h,), "W2": (1, *h), "b2": (1,),
+                  "in_min": (n,), "in_max": (n,)}
+        for name, shape in shapes.items():
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(
+                    f"{name} has shape {value.shape}, not {shape} for "
+                    f"input_dim {n} and hidden {h}")
+            setattr(self, name, value)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -143,10 +152,6 @@ def predict(model: SurrogateModel, x) -> float | np.ndarray:
     _, yn = _forward(model.W1, model.b1, model.W2, model.b2, Xn)
     y = _denormalize(yn, model.out_min, model.out_max)
     return float(y[0]) if np.asarray(x).ndim == 1 else y
-
-
-def _pack(W1, b1, W2, b2):
-    return np.concatenate([W1.ravel(), b1, W2.ravel(), b2])
 
 
 def _unpack(p, n_in, n_hid):

@@ -70,24 +70,24 @@ def test_snapping_is_idempotent(h, w):
 
 def test_validate_rejects_oversized_channel():
     with pytest.raises(ValueError, match="height"):
-        UnitCellSpec(H=250e-6).validate()
+        UnitCellSpec(H=250e-6)
     with pytest.raises(ValueError, match="width"):
-        UnitCellSpec(W=150e-6).validate()
+        UnitCellSpec(W=150e-6)
     with pytest.raises(ValueError):
-        UnitCellSpec(H=0.0).validate()
-    UnitCellSpec(no_channel=True, H=0.0).validate()  # baseline is exempt
+        UnitCellSpec(H=0.0)
+    UnitCellSpec(no_channel=True, H=0.0)  # baseline is exempt
     for dx in (0.0, -5e-6):
         with pytest.raises(ValueError, match="dx"):
-            UnitCellSpec(dx=dx).validate()
+            UnitCellSpec(dx=dx)
 
 
 def test_power_profile_validation():
     with pytest.raises(ValueError):
-        PowerProfile(t_on=1.5, period=1.0).validate()
+        PowerProfile(t_on=1.5, period=1.0)
     with pytest.raises(ValueError):
-        PowerProfile(q0=-1.0).validate()
+        PowerProfile(q0=-1.0)
     with pytest.raises(ValueError):
-        PowerProfile(duration=0.5).validate()
+        PowerProfile(duration=0.5)
 
 
 def test_boundary_defaults_and_celsius():

@@ -1,14 +1,17 @@
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmopt.geometry import BoundarySpec, UnitCellSpec, build_mesh
+from pcmopt.geometry import (BoundarySpec, PowerProfile, UnitCellSpec,
+                             build_mesh)
 from pcmopt.materials import (Material, PCM_NAMES, UnknownMaterialError,
-                              builtin_material, load_material_file, validate)
+                              builtin_material, load_material_file)
 from pcmopt.network import assemble_network
+from pcmopt.optimize import GAConfig, ParameterSpec, PSOConfig
 
 
 def test_seven_pcms_ordered_by_melt_temperature():
@@ -44,15 +47,16 @@ def test_unknown_material_lists_valid_names():
 
 def test_all_builtins_validate_clean():
     for name in PCM_NAMES + ("Silicon", "Alumina"):
-        assert validate(builtin_material(name)) == []
+        m = builtin_material(name)
+        assert Material(**asdict(m)) == m
 
 
 def test_validate_flags_bad_records():
-    bad = Material("bad", True, 50.0, -1.0, 1000.0, 10.0, 10.0,
-                   100.0, 100.0, 0.0)
-    problems = validate(bad)
-    assert any("rho_solid" in p for p in problems)
-    assert any("L_H" in p for p in problems)
+    with pytest.raises(ValueError) as err:
+        Material("bad", True, 50.0, -1.0, 1000.0, 10.0, 10.0,
+                 100.0, 100.0, 0.0)
+    assert "rho_solid" in str(err.value)
+    assert "L_H" in str(err.value)
 
 
 _MESH = build_mesh(UnitCellSpec(dx=10e-6))
@@ -131,7 +135,8 @@ def test_load_material_file_rejects_invalid(tmp_path):
     d = asdict(builtin_material("WoodsMetal"))
     d["k_solid"] = 0.0
     path.write_text(json.dumps(d))
-    with pytest.raises(ValueError, match="k_solid"):
+    named = rf"{re.escape(str(path))}: invalid material: k_solid"
+    with pytest.raises(ValueError, match=named):
         load_material_file(path)
 
 
@@ -142,3 +147,51 @@ def test_load_material_file_names_missing_keys(tmp_path):
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError, match="missing .*'cp_liquid'"):
         load_material_file(path)
+
+
+@pytest.mark.parametrize("key,value", [("k_solid", "31.6"), ("T_m", "70")])
+def test_load_material_file_rejects_a_string_number(tmp_path, key, value):
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({**asdict(builtin_material("WoodsMetal")),
+                                key: value}))
+    named = rf"{re.escape(str(path))}: {key} must be a number"
+    with pytest.raises(ValueError, match=named):
+        load_material_file(path)
+
+
+_VALID_RECORDS = {
+    "Material": builtin_material("Solder174"),
+    "UnitCellSpec": UnitCellSpec(),
+    "PowerProfile": PowerProfile(),
+    "BoundarySpec": BoundarySpec(),
+    "ParameterSpec": ParameterSpec("x", 0.0, 1.0, step=0.1),
+    "GAConfig": GAConfig(),
+    "PSOConfig": PSOConfig(),
+}
+
+
+@pytest.mark.parametrize("record,key,value,message", [
+    ("Material", "k_solid", 0.0, "k_solid must be strictly positive"),
+    ("Material", "T_m", "70", "T_m must be a number"),
+    ("UnitCellSpec", "H", 250e-6, "height exceeds"),
+    ("UnitCellSpec", "dx", None, "dx must be a number"),
+    ("PowerProfile", "q0", -1.0, "q0 must be non-negative"),
+    ("PowerProfile", "period", True, "period must be a number"),
+    ("BoundarySpec", "h", 0.0, "h must be positive"),
+    ("BoundarySpec", "T_amb", "300", "T_amb must be a number"),
+    ("ParameterSpec", "lower", 2.0, "lower must be < upper"),
+    ("ParameterSpec", "step", "0.1", "step must be a number"),
+    ("GAConfig", "population", 2, "elite"),
+    ("GAConfig", "tol", None, "tol must be a number"),
+    ("PSOConfig", "swarm", 0, ">= 1"),
+    ("PSOConfig", "max_iterations", "100", "max_iterations must be a number"),
+])
+def test_every_record_checks_itself_when_built(record, key, value, message):
+    valid = _VALID_RECORDS[record]
+    kind = type(valid)
+    with pytest.raises(ValueError, match=message):
+        kind(**{**asdict(valid), key: value})
+    with pytest.raises(ValueError, match=message):
+        replace(valid, **{key: value})
+    # the builders pass numpy scalars
+    assert replace(valid, **{key: np.float64(getattr(valid, key))}) == valid

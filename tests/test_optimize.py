@@ -221,22 +221,21 @@ def test_repeat_with_seeds_summary():
 
 
 def test_ga_config_validation():
-    problem = make_problem(sphere, 2)
     for population in (1, 2):
         with pytest.raises(ValueError, match="elite"):
-            ga_minimize(problem, GAConfig(population=population))
+            GAConfig(population=population)
     for bad in (dict(population=0), dict(stall_generations=0),
                 dict(max_generations=0)):
         with pytest.raises(ValueError, match=">= 1"):
-            GAConfig(**bad).validate()
-    GAConfig(population=3).validate()
+            GAConfig(**bad)
+    GAConfig(population=3)
 
 
 def test_parameter_spec_validation():
     with pytest.raises(ValueError):
-        ParameterSpec("x", 2.0, 1.0).validate()
+        ParameterSpec("x", 2.0, 1.0)
     with pytest.raises(ValueError):
-        ParameterSpec("x", 0.0, 1.0, step=-0.1).validate()
+        ParameterSpec("x", 0.0, 1.0, step=-0.1)
 
 
 def test_result_rounding_and_serialization():

@@ -123,11 +123,11 @@ def test_unmeltable_pcm_equals_plain_solid():
     ({"cp_solid": 0.0}, "cp_solid"),
 ], ids=["negative_L_H", "zero_k", "zero_rho_solid", "zero_cp_solid"])
 def test_invalid_pcm_override_is_rejected(change, violation):
-    bad = replace(builtin_material("Solder174"), **change)
+    solder = builtin_material("Solder174")
     with pytest.raises(ValueError, match=violation):
-        Case(cell=COARSE, pcm=bad)
-    with pytest.raises(ValueError, match=violation):
-        Case.from_dict({"pcm": asdict(bad)})
+        replace(solder, **change)
+    with pytest.raises(ValueError, match=f"case pcm: .*{violation}"):
+        Case.from_dict({"pcm": {**asdict(solder), **change}})
 
 
 def test_reference_runs_match_recorded_values(solder_history, solder_metrics,

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from pcmopt.surrogate import (DegenerateDataWarning, ExtrapolationWarning,
                               SurrogateModel, TrainingSet, activation,
                               load_training_csv, predict,
-                              r_squared, train_lm, _forward_jacobian, _pack)
+                              r_squared, train_lm, _forward_jacobian)
 
 
 def test_activation_values():
@@ -53,7 +53,8 @@ def test_jacobian_matches_central_differences():
     data = quadratic_set(n=40)
     model = train_lm(data, hidden=6, seed=0, max_epochs=20)
     Xn = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
-    p = _pack(model.W1, model.b1, model.W2, model.b2)
+    p = np.concatenate([model.W1.ravel(), model.b1, model.W2.ravel(),
+                        model.b2])
     y0, J = _forward_jacobian(p, Xn, 6)
     eps = 1e-6
     for col in range(p.size):
@@ -142,6 +143,17 @@ def test_model_json_round_trip(tmp_path):
     # a key the model does not have fails and names the file, not dropped
     path.write_text(json.dumps({**json.loads(path.read_text()), "bias": 1}))
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*'bias'"):
+        SurrogateModel.load(path)
+
+
+def test_model_file_with_a_truncated_weight_matrix_is_refused(tmp_path):
+    path = tmp_path / "model.json"
+    train_lm(quadratic_set(), hidden=4, seed=5).save(path)
+    record = json.loads(path.read_text())
+    record["W1"] = record["W1"][:-1]
+    path.write_text(json.dumps(record))
+    named = rf"{re.escape(str(path))}: W1 has shape \(3, 2\), not \(4, 2\)"
+    with pytest.raises(ValueError, match=named):
         SurrogateModel.load(path)
 
 
