@@ -14,7 +14,8 @@ import numpy as np
 
 from . import studies
 from .geometry import Case, PowerProfile, UnitCellSpec
-from .materials import builtin_material, from_record, load_material_file
+from .materials import (UnknownMaterialError, builtin_material, from_record,
+                        load_material_file)
 from .metrics import compute_metrics
 from .optimize import (GAConfig, PSOConfig, ga_minimize, parametric_sweep,
                        pso_minimize, repeat_with_seeds)
@@ -324,8 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; an input error is one stderr line and exit status 2,
+    as argparse reports its own."""
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (ValueError, UnknownMaterialError) as exc:
+        # args[0], since str() of a KeyError quotes its message
+        print(f"pcmopt {args.command}: error: {exc.args[0]}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .materials import Material, builtin_material, check_numbers, from_record
+from .materials import (Material, builtin_material, check_field_types,
+                        from_record)
 
 # Voxel labels
 ALUMINA = 0
@@ -41,7 +42,7 @@ class UnitCellSpec:
     no_channel: bool = False  # solid-silicon baseline (H, W ignored)
 
     def __post_init__(self):
-        check_numbers(self)
+        check_field_types(self)
         if not self.dx > 0:
             raise ValueError("dx must be positive")
         s = self._snapped_lengths()  # not snapped(), which builds a spec
@@ -78,7 +79,7 @@ class PowerProfile:
     duration: float = 1000.0  # total simulated time, s
 
     def __post_init__(self):
-        check_numbers(self)
+        check_field_types(self)
         if not 0 < self.t_on <= self.period:
             raise ValueError("need 0 < t_on <= period")
         if self.q0 < 0:
@@ -95,7 +96,7 @@ class BoundarySpec:
     T_amb: float = 300.0  # ambient, K
 
     def __post_init__(self):
-        check_numbers(self)
+        check_field_types(self)
         if self.h <= 0:
             raise ValueError("h must be positive")
         if self.T_amb <= 0:

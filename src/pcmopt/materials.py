@@ -5,14 +5,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
+import numpy as np
 
-def check_numbers(record) -> None:
-    """ValueError naming the first field of the dataclass record that is
-    annotated as a number but holds a str, a bool or None. numpy scalars
-    pass, and so does None where the annotation allows it. Each record's
+
+def check_field_types(record) -> None:
+    """ValueError naming the first field of the dataclass record whose value
+    does not fit its annotation: a number field holding a str, a bool or
+    None, or a bool field holding anything but a bool. numpy scalars pass,
+    and so does None where the annotation allows it. Each record's
     __post_init__ calls this before it checks any value."""
     for f in fields(record):
         value = getattr(record, f.name)
+        if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{f.name} must be a bool, got {value!r}")
         if f.type in ("float", "int", "float | None") and (
                 isinstance(value, (str, bool))
                 or value is None and not f.type.endswith("None")):
@@ -40,7 +45,7 @@ class Material:
     L_H: float  # latent heat of fusion, J/kg
 
     def __post_init__(self):
-        check_numbers(self)
+        check_field_types(self)
         problems = [f"{key} must be strictly positive"
                     for key in ("rho_solid", "rho_liquid", "k_solid",
                                 "k_liquid", "cp_solid", "cp_liquid")

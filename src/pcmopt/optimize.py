@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict, replace as dc_replace
 
 import numpy as np
 
-from .materials import check_numbers
+from .materials import check_field_types
 
 # Fixed GA operators: survivors per generation, share of children bred by
 # crossover (the rest by mutation), and tournament size.
@@ -40,7 +40,7 @@ class ParameterSpec:
     step: float | None = None  # grid step, required for sweeps
 
     def __post_init__(self):
-        check_numbers(self)
+        check_field_types(self)
         if not self.lower < self.upper:
             raise ValueError(f"{self.name}: lower must be < upper")
         if self.step is not None and self.step <= 0:
@@ -109,7 +109,7 @@ class GAConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        check_numbers(self)
+        check_field_types(self)
         if min(self.population, self.stall_generations,
                self.max_generations) < 1:
             raise ValueError("all GA counts must be >= 1")
@@ -126,7 +126,7 @@ class PSOConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        check_numbers(self)
+        check_field_types(self)
         if min(self.swarm, self.stall_iterations, self.max_iterations) < 1:
             raise ValueError("all PSO counts must be >= 1")
 

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from .geometry import Case, Mesh, build_mesh
 from .network import NetworkModel, assemble_network
 
-# Settle tolerance on each cycle's extrema, degC (see QuasiSteadyDetector).
+# Settle tolerance on each cycle's extrema, degC (see settled).
 QUASI_STEADY_TOL = 0.01
 # Largest relative energy residual a single step may leave.
 MAX_STEP_RESIDUAL = 1e-6
@@ -43,19 +43,19 @@ class ThermalHistory:
     T_max: np.ndarray      # max chip temperature per sample, degC
     phi_mean: np.ndarray   # mean PCM melt fraction per sample
     period: float
-    t_on: float
     dt: float
     T_amb_C: float
-    quasi_steady_cycle: int | None = None  # see QuasiSteadyDetector.result
+    # settled cycle, or cycles run if unsettled (see simulate)
+    quasi_steady_cycle: int | None = None
     converged: bool = False
     energy_residual: float = 0.0  # global |in - out - stored| / in
     worst_step_residual: float = 0.0  # largest per-step relative residual
     n_factorizations: int = 0  # system-matrix factorizations in the run
     # wall seconds per phase, keyed by PHASES: mesh and network assembly;
     # the melt-fraction test, capacitance update and band rebuild; the
-    # factorization; right-hand side and triangular solves; the enthalpy
-    # correction; and the rest of the loop (energy balance, history,
-    # settle test)
+    # factorizations, the first with its band build; right-hand side and
+    # triangular solves; the enthalpy correction; and the rest (stepper
+    # set-up, energy balance, history, settle test)
     phase_s: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)  # (t, T field, phi field)
 
@@ -95,24 +95,27 @@ def _factor_band(band: np.ndarray) -> np.ndarray:
 
 
 class _TrailingCholesky:
-    """Banded Cholesky factor U (A = U^T U) of a matrix whose leading block
-    of columns [0, start) never changes.
+    """Banded Cholesky factor U (A = U^T U) of a network's C/dt + G, whose
+    leading block of columns [0, melt_block_start) never changes.
 
     With A = [[A11, A12], [A12^T, A22]] and U = [[U11, U12], [0, U22]],
     U11 and U12 depend only on A11 and A12, and U22 is the factor of
     A22 - U12^T U12. The band couples only nx rows across the split, so
     S = U12^T U12 fills just the first nx columns of the trailing block.
 
-    The first factorization is a full one. It keeps the trailing base: the
-    fixed (phi-independent) part of A's trailing columns with S subtracted
-    in the block, and U12 in the slots above it. A rebuild copies the base
-    into the stored factor's trailing columns (load_base), adds the
-    phi-dependent entries there, and refactor() factors them in place.
+    Construction factors the full band with every PCM node solid. It keeps
+    the trailing base: the fixed (phi-independent) part of A's trailing
+    columns with S subtracted in the block, and U12 in the slots above it.
+    A rebuild copies the base into the stored factor's trailing columns
+    (load_base), adds the phi-dependent entries there, and refactor()
+    factors them in place.
     """
 
-    def __init__(self, band: np.ndarray, start: int, fixed: np.ndarray):
-        """band is the full system band; fixed, the part of its trailing
-        columns [start:] that does not depend on phi."""
+    def __init__(self, net: NetworkModel, C_dt: np.ndarray):
+        """C_dt is C/dt per node, that of the PCM nodes at phi = 0."""
+        band = net.conductance_matrix(np.zeros(net.pcm_nodes.size))
+        band[-1] += C_dt
+        start = net.melt_block_start
         self.chol = _factor_band(band)
         self.tail = self.chol[:, start:]
         kd = band.shape[0] - 1
@@ -127,7 +130,8 @@ class _TrailingCholesky:
         U12 = np.zeros((kd, w))
         U12[(c + r)[above], c[above]] = head[above]
         S = U12.T @ U12
-        self._base = np.array(fixed, order="F")
+        self._base = net.fixed_band[:, start:].copy(order="F")
+        self._base[-1] += np.where(net.is_pcm, 0.0, C_dt)[start:]
         base_head = self._base[:, :w]
         base_head[~above] -= S[(c - kd + r)[~above], c[~above]]
         base_head[above] = head[above]
@@ -147,11 +151,12 @@ class _TrailingCholesky:
 class _Integrator:
     """Backward-Euler stepper over the state T, phi and stored latent energy.
 
-    The factorization of C/dt + G is rebuilt only when the melt-fraction
-    field has moved since the last build, since G and C depend on state only
-    through phi, and then only in its trailing block (see _TrailingCholesky).
-    Each step adds its energy terms to the run totals and its wall time to
-    phase_s; simulate fills in the assemble and bookkeeping phases.
+    Construction factors C/dt + G with every PCM node solid. The factor is
+    rebuilt only when the melt-fraction field has moved since the last
+    build, since G and C depend on state only through phi, and then only
+    in its trailing block (see _TrailingCholesky). Each step adds its
+    energy terms to the run totals and its wall time to phase_s; simulate
+    fills in the assemble and bookkeeping phases.
     """
 
     def __init__(self, network: NetworkModel, dt: float, q_flux: float):
@@ -166,9 +171,7 @@ class _Integrator:
         self._latent_cap = net.latent_capacity
         self._C = net.capacitance(np.zeros(net.n_nodes))
         self._C_dt = self._C / dt
-        # set by each rebuild, the first of which comes with the first step
-        self._C_pcm = self._scale_floor = self._factor = None
-        self._phi_at_build = None
+        self._update_capacitance()
         # right-hand side and interface power of the on and off phases
         self._b_off = net.ambient_vector()
         self._b_on = net.source_vector(q_flux) + self._b_off
@@ -179,23 +182,18 @@ class _Integrator:
         self._rhs = np.empty(net.n_nodes)
         self._dT = np.empty(net.n_nodes)
         # run totals
-        self.n_factorizations = 0
         self.e_in = self.e_out = self.e_stored = 0.0
         self.worst_residual = 0.0
         self.phase_s = dict.fromkeys(PHASES, 0.0)
+        t0 = time.perf_counter()
+        self._factor = _TrailingCholesky(net, self._C_dt)
+        self.phase_s["factor"] = time.perf_counter() - t0
+        self.n_factorizations = 1
 
-    def _phi_moved(self) -> bool:
-        return self._phi_at_build is None or (
-            self.phi.size > 0
-            and np.abs(self.phi - self._phi_at_build).max() > REBUILD_TOL)
-
-    def _rebuild(self) -> np.ndarray:
-        """Capacitance update and C/dt + G at the current phi: the full band
-        on the first build, after that the trailing columns of the factor
-        (see _TrailingCholesky)."""
-        net = self.net
+    def _update_capacitance(self) -> np.ndarray:
+        """C and C/dt at the current phi; returns the PCM nodes' C/dt."""
         idx = self._pcm_idx
-        C = self._C_pcm = net.pcm_capacitance(self.phi)
+        C = self._C_pcm = self.net.pcm_capacitance(self.phi)
         C_dt = C / self.dt
         self._C[idx] = C
         self._C_dt[idx] = C_dt
@@ -203,21 +201,19 @@ class _Integrator:
         # millikelvin change, so a quiescent step is not judged by roundoff
         self._scale_floor = 1e-3 * float(self._C.sum())
         self._phi_at_build = self.phi.copy()
-        if self._factor is None:
-            band = net.conductance_matrix(self.phi)
-            band[-1] += self._C_dt
-            return band
-        return net.conductance_matrix(self.phi, self._factor.load_base(), C_dt)
+        return C_dt
 
-    def _factorize(self, band: np.ndarray) -> None:
-        if self._factor is None:
-            start = self.net.melt_block_start
-            fixed = self.net.fixed_band[:, start:].copy(order="F")
-            fixed[-1] += np.where(self.net.is_pcm, 0.0, self._C_dt)[start:]
-            self._factor = _TrailingCholesky(band, start, fixed)
-        else:
-            self._factor.refactor()
-        self.n_factorizations += 1
+    def _phi_moved(self) -> bool:
+        return self.phi.size > 0 and (
+            np.abs(self.phi - self._phi_at_build).max() > REBUILD_TOL)
+
+    def _rebuild(self) -> np.ndarray:
+        """Capacitance update and C/dt + G at the current phi, written into
+        the trailing columns of the factor, which it returns (see
+        _TrailingCholesky)."""
+        C_dt = self._update_capacitance()
+        return self.net.conductance_matrix(self.phi, self._factor.load_base(),
+                                           C_dt)
 
     def step(self, heating: bool) -> None:
         """Advance one dt, with the source on or off."""
@@ -225,11 +221,14 @@ class _Integrator:
         phase = self.phase_s
         dt = self.dt
         t0 = clock()
-        band = self._rebuild() if self._phi_moved() else None
+        moved = self._phi_moved()
+        if moved:
+            self._rebuild()
         t1 = clock()
         phase["rebuild"] += t1 - t0
-        if band is not None:
-            self._factorize(band)
+        if moved:
+            self._factor.refactor()
+            self.n_factorizations += 1
             t0, t1 = t1, clock()
             phase["factor"] += t1 - t0
 
@@ -275,43 +274,20 @@ class _Integrator:
         self.t += dt
 
 
-class QuasiSteadyDetector:
-    """The settle rule of the cyclic response, fed one cycle at a time.
+def settled(extrema: list[tuple[float, float]], tol: float) -> bool:
+    """The settle rule of the cyclic response, on the (max, min) of each
+    cycle's maximum-temperature trace so far.
 
-    A cycle matches its predecessor when both the maximum and the minimum
-    of its maximum-temperature trace agree with the previous cycle's within
-    tol (QUASI_STEADY_TOL in simulate). The settled cycle is the 1-based
-    number of the first of three consecutive cycles that each match their
-    predecessor; cycle 1 has none, so a run cannot settle before its fourth
-    cycle. A run that never settles reports the number of cycles run.
+    A cycle matches its predecessor when both extrema agree within tol
+    (QUASI_STEADY_TOL in simulate). The response has settled once each of
+    the last three cycles matches its predecessor; cycle 1 has none, so a
+    run cannot settle before its fourth cycle. The settled cycle is the
+    first of those three, len(extrema) - 2 (1-based), at the first length
+    for which this is true.
     """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.cycles = 0
-        self.settled_cycle: int | None = None
-        self._previous: tuple[float, float] | None = None
-        self._matching = 0  # current run of cycles matching their predecessor
-
-    def add_cycle(self, cycle_max: float, cycle_min: float) -> bool:
-        """Record the extrema of the next cycle; True once settled."""
-        prev = self._previous
-        self._previous = (cycle_max, cycle_min)
-        self.cycles += 1
-        if (prev is not None and abs(cycle_max - prev[0]) < self.tol
-                and abs(cycle_min - prev[1]) < self.tol):
-            self._matching += 1
-        else:
-            self._matching = 0
-        if self._matching >= 3 and self.settled_cycle is None:
-            self.settled_cycle = self.cycles - 2
-        return self.settled_cycle is not None
-
-    def result(self) -> tuple[int, bool]:
-        """(settled cycle, or cycles run if unsettled; whether settled)."""
-        if self.settled_cycle is None:
-            return self.cycles, False
-        return self.settled_cycle, True
+    return len(extrema) >= 4 and all(
+        abs(hi - prev_hi) < tol and abs(lo - prev_lo) < tol
+        for (prev_hi, prev_lo), (hi, lo) in zip(extrema[-4:-1], extrema[-3:]))
 
 
 def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
@@ -326,8 +302,8 @@ def simulate(case: Case, dt: float = 0.01,
     """Run the square-wave transient for a case.
 
     Starts from ambient with all PCM solid. Terminates early once the
-    cyclic response has settled (see QuasiSteadyDetector), otherwise runs
-    the full duration.
+    cyclic response has settled (see settled), otherwise runs the full
+    duration.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -342,14 +318,15 @@ def simulate(case: Case, dt: float = 0.01,
 
     t_start = time.perf_counter()
     mesh, net = build_case_network(case)
-    stepper = _Integrator(net, dt, power.q0)
     t_loop = time.perf_counter()
+    stepper = _Integrator(net, dt, power.q0)
     n_pcm = net.pcm_nodes.size
 
     times, tmax, pmean = [], [], []
     snapshots = []
     step_count = 0
-    settle = QuasiSteadyDetector(QUASI_STEADY_TOL)
+    extrema = []  # (max, min) of each cycle's T_max trace
+    converged = False
 
     for cycle in range(n_cycles):
         for k in range(steps_cycle):
@@ -362,9 +339,10 @@ def simulate(case: Case, dt: float = 0.01,
                 snapshots.append((stepper.t, net.mesh_field(stepper.T),
                                   net.mesh_field(net.expand_phi(stepper.phi))))
         cycle_trace = tmax[cycle * steps_cycle:]
-        if settle.add_cycle(max(cycle_trace), min(cycle_trace)):
+        extrema.append((max(cycle_trace), min(cycle_trace)))
+        converged = settled(extrema, QUASI_STEADY_TOL)
+        if converged:
             break
-    quasi_cycle, converged = settle.result()
     t_end = time.perf_counter()
 
     # Global conservation check over the whole run.
@@ -387,10 +365,9 @@ def simulate(case: Case, dt: float = 0.01,
         T_max=np.asarray(tmax),
         phi_mean=np.asarray(pmean),
         period=power.period,
-        t_on=power.t_on,
         dt=dt,
         T_amb_C=net.T_amb_C,
-        quasi_steady_cycle=quasi_cycle,
+        quasi_steady_cycle=len(extrema) - 2 if converged else len(extrema),
         converged=converged,
         energy_residual=global_residual,
         worst_step_residual=worst_residual,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .materials import check_numbers, from_record
+from .materials import check_field_types, from_record
 
 
 class ExtrapolationWarning(UserWarning):
@@ -98,7 +98,7 @@ class SurrogateModel:
     train_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_numbers(self)
+        check_field_types(self)
         n, h = self.input_dim, self.hidden  # h lists the one layer's width
         shapes = {"W1": (*h, n), "b1": (*h,), "W2": (1, *h), "b2": (1,),
                   "in_min": (n,), "in_max": (n,)}

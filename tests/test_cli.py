@@ -7,7 +7,7 @@ import pytest
 
 from pcmopt.cli import _load_problem, build_parser, main
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
-from pcmopt.materials import UnknownMaterialError
+from pcmopt.materials import PCM_NAMES
 from pcmopt.solver import MAX_STEP_RESIDUAL, PHASES
 from pcmopt.studies import GEOMETRY_BOUNDS, PROPERTY_BOUNDS
 
@@ -62,9 +62,26 @@ def test_metrics_stats_flag_adds_run_counters(tmp_path, capsys):
     assert all(v >= 0.0 for v in stats["phase_s"].values())
 
 
-def test_metrics_rejects_unknown_material(tmp_path):
-    with pytest.raises(UnknownMaterialError):
-        main(["metrics", "--material", "Adamantium"])
+def test_metrics_rejects_unknown_material(capsys):
+    assert main(["metrics", "--material", "Adamantium"]) == 2
+    valid = ", ".join(sorted([*PCM_NAMES, "Alumina", "Silicon"]))
+    assert capsys.readouterr().err == (
+        "pcmopt metrics: error: unknown material 'Adamantium'; "
+        f"valid names: {valid}\n")
+
+
+def test_input_error_is_one_stderr_line(tmp_path, capsys):
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps({"cell": {"no_channel": "false"}}))
+    for argv, message in [
+            (["metrics", "--flux-kw-m2", "-5"], "q0 must be non-negative"),
+            (["simulate", "--case", str(case), "--out", str(tmp_path / "o")],
+             "case cell: no_channel must be a bool, got 'false'")]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pcmopt {argv[0]}: error: ")
+        assert err.count("\n") == 1 and err.endswith(f"{message}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_writes_history_and_snapshots(tmp_path):

@@ -120,6 +120,10 @@ def test_case_from_dict_names_a_builtin_pcm_and_rejects_unknown_keys():
             Case.from_dict({key: "WoodsMetal"})
     with pytest.raises(UnknownMaterialError):
         Case.from_dict({"pcm": "Adamantium"})
+    # a string is no bool: "false" would run the solid-silicon baseline
+    with pytest.raises(ValueError,
+                       match="case cell: no_channel must be a bool"):
+        Case.from_dict({"cell": {"no_channel": "false"}})
 
 
 @pytest.mark.parametrize("section,record,named", [

@@ -149,12 +149,14 @@ def test_load_material_file_names_missing_keys(tmp_path):
         load_material_file(path)
 
 
-@pytest.mark.parametrize("key,value", [("k_solid", "31.6"), ("T_m", "70")])
+@pytest.mark.parametrize("key,value", [("k_solid", "31.6"), ("T_m", "70"),
+                                       ("is_pcm", "false")])
 def test_load_material_file_rejects_a_string_number(tmp_path, key, value):
     path = tmp_path / "mat.json"
-    path.write_text(json.dumps({**asdict(builtin_material("WoodsMetal")),
-                                key: value}))
-    named = rf"{re.escape(str(path))}: {key} must be a number"
+    d = asdict(builtin_material("WoodsMetal"))
+    kind = "bool" if isinstance(d[key], bool) else "number"
+    path.write_text(json.dumps({**d, key: value}))
+    named = rf"{re.escape(str(path))}: {key} must be a {kind}"
     with pytest.raises(ValueError, match=named):
         load_material_file(path)
 
@@ -173,8 +175,12 @@ _VALID_RECORDS = {
 @pytest.mark.parametrize("record,key,value,message", [
     ("Material", "k_solid", 0.0, "k_solid must be strictly positive"),
     ("Material", "T_m", "70", "T_m must be a number"),
+    ("Material", "is_pcm", "false", "is_pcm must be a bool"),
+    ("Material", "is_pcm", 0, "is_pcm must be a bool"),
     ("UnitCellSpec", "H", 250e-6, "height exceeds"),
     ("UnitCellSpec", "dx", None, "dx must be a number"),
+    ("UnitCellSpec", "no_channel", "false", "no_channel must be a bool"),
+    ("UnitCellSpec", "no_channel", None, "no_channel must be a bool"),
     ("PowerProfile", "q0", -1.0, "q0 must be non-negative"),
     ("PowerProfile", "period", True, "period must be a number"),
     ("BoundarySpec", "h", 0.0, "h must be positive"),
@@ -194,4 +200,5 @@ def test_every_record_checks_itself_when_built(record, key, value, message):
     with pytest.raises(ValueError, match=message):
         replace(valid, **{key: value})
     # the builders pass numpy scalars
-    assert replace(valid, **{key: np.float64(getattr(valid, key))}) == valid
+    scalar = np.bool_ if isinstance(getattr(valid, key), bool) else np.float64
+    assert replace(valid, **{key: scalar(getattr(valid, key))}) == valid

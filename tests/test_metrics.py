@@ -3,7 +3,7 @@ import pytest
 
 from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.metrics import compute_metrics
-from pcmopt.solver import QuasiSteadyDetector, ThermalHistory
+from pcmopt.solver import ThermalHistory, settled
 from pcmopt.studies import sensitivity
 
 
@@ -22,7 +22,7 @@ def make_history(cycle_max, cycle_min, steps=10, period=1.0,
     dt = period / steps
     t = dt * np.arange(1, trace.size + 1)
     return ThermalHistory(t=t, T_max=trace, phi_mean=phi, period=period,
-                          t_on=period / 2, dt=dt, T_amb_C=26.85,
+                          dt=dt, T_amb_C=26.85,
                           quasi_steady_cycle=quasi, converged=converged)
 
 
@@ -43,11 +43,15 @@ def enumerate_first_settled(cycle_max, cycle_min, tol=0.01):
 
 
 def detect(cycle_max, cycle_min, tol=0.01):
-    """Feed per-cycle extrema to the solver's settle rule."""
-    settle = QuasiSteadyDetector(tol)
+    """Feed per-cycle extrema to the solver's settle rule, stop at its
+    first true result and report (settled cycle, True) as simulate does,
+    or (cycles fed, False)."""
+    extrema = []
     for hi, lo in zip(cycle_max, cycle_min):
-        settle.add_cycle(hi, lo)
-    return settle.result()
+        extrema.append((hi, lo))
+        if settled(extrema, tol):
+            return len(extrema) - 2, True
+    return len(extrema), False
 
 
 def test_exactly_periodic_sawtooth_settles_at_cycle_two():
@@ -81,11 +85,11 @@ def test_ramping_trace_never_settles():
 def test_cannot_settle_before_the_fourth_cycle():
     # cycle 1 has no predecessor, so three matching cycles after it are
     # needed: an exactly periodic run cannot settle before its fourth cycle
-    settle = QuasiSteadyDetector(0.01)
-    assert not any(settle.add_cycle(50.0, 30.0) for _ in range(3))
-    assert settle.result() == (3, False)
-    assert settle.add_cycle(50.0, 30.0)
-    assert settle.result() == (2, True)
+    extrema = [(50.0, 30.0)] * 3
+    assert not any(settled(extrema[:n], 0.01) for n in range(4))
+    assert detect([50.0] * 3, [30.0] * 3) == (3, False)
+    assert settled(extrema + [(50.0, 30.0)], 0.01)
+    assert detect([50.0] * 4, [30.0] * 4) == (2, True)
 
 
 def test_metrics_reduce_last_cycle():

@@ -190,11 +190,10 @@ def system_band(net, phi, dt=0.01):
 
 
 def first_factorization(net, dt=0.01):
-    """An integrator at all-solid phi after its first (full) factorization,
-    and the U12 slots of its factor: the band slots of the first trailing
-    columns that hold rows above the block."""
+    """A freshly built integrator, factored at all-solid phi, and the U12
+    slots of its factor: the band slots of the first trailing columns that
+    hold rows above the block."""
     stepper = _Integrator(net, dt, 0.0)
-    stepper._factorize(stepper._rebuild())
     chol, start = stepper._factor.chol, net.melt_block_start
     kd = chol.shape[0] - 1
     r, c = np.indices(chol[:, start:start + kd].shape)
@@ -217,7 +216,8 @@ def test_trailing_refactor_matches_full_factorization(cell):
     b = np.random.default_rng(0).uniform(1.0, 2.0, net.n_nodes)
     for phi in (np.linspace(0.0, 1.0, n_pcm), np.ones(n_pcm)):
         stepper.phi = phi
-        stepper._factorize(stepper._rebuild())
+        stepper._rebuild()
+        stepper._factor.refactor()
         assert stepper._factor.chol is chol
         assert np.array_equal(chol[:, start:start + kd][above], u12)
         x, _ = dpbtrs(chol, b)
@@ -256,9 +256,25 @@ def test_rebuild_writes_the_full_path_trailing_block(cell):
         assert np.array_equal(tail[:-1], expect[:-1])
         assert np.max(np.abs(tail[-1] - expect[-1])
                       / np.abs(expect[-1])) <= 1e-13
-        stepper._factorize(tail)
+        stepper._factor.refactor()
         assert stepper._factor.chol is chol
         assert np.array_equal(chol[:, start:start + w][above], u12)
+
+
+def test_integrator_is_factored_when_built(monkeypatch):
+    calls = []
+    build = NetworkModel.conductance_matrix
+    monkeypatch.setattr(NetworkModel, "conductance_matrix",
+                        lambda net, *a: calls.append(a) or build(net, *a))
+    _, net = build_case_network(Case(cell=COARSE))
+    stepper = _Integrator(net, 0.025, 100e3)
+    assert stepper.n_factorizations == 1
+    assert len(calls) == 1
+    assert stepper.phase_s["factor"] > 0.0
+    # the first step solves with that factor: nothing has melted yet
+    stepper.step(True)
+    assert stepper.n_factorizations == 1
+    assert len(calls) == 1
 
 
 def test_one_matrix_build_per_factorization(monkeypatch):
