@@ -15,7 +15,7 @@ import numpy as np
 from . import studies
 from .geometry import Case, PowerProfile, UnitCellSpec
 from .materials import (UnknownMaterialError, builtin_material, from_record,
-                        load_material_file)
+                        load_material_file, read_json)
 from .metrics import compute_metrics
 from .optimize import (GAConfig, PSOConfig, ga_minimize, parametric_sweep,
                        pso_minimize, repeat_with_seeds)
@@ -140,9 +140,8 @@ class _ProblemFile:
 
 
 def _load_problem(args):
-    with open(args.problem) as f:
-        spec = from_record(_ProblemFile, json.load(f),
-                           f"problem file {args.problem}")
+    source = f"problem file {args.problem}"
+    spec = from_record(_ProblemFile, read_json(args.problem, source), source)
     bounds = {k: tuple(v) for k, v in spec.bounds.items()}
 
     builder = partial(studies.geometry_case, power=spec.power, dx=spec.dx)
@@ -333,6 +332,12 @@ def main(argv=None) -> int:
     except (ValueError, UnknownMaterialError) as exc:
         # args[0], since str() of a KeyError quotes its message
         print(f"pcmopt {args.command}: error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # strerror and filename, since an OSError's args[0] is its errno
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        print(f"pcmopt {args.command}: error: {exc.strerror}{where}",
+              file=sys.stderr)
         return 2
     return 0
 

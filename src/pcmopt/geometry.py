@@ -9,13 +9,12 @@ symmetry plane; both are adiabatic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
 from .materials import (Material, builtin_material, check_field_types,
-                        from_record)
+                        from_record, read_json)
 
 # Voxel labels
 ALUMINA = 0
@@ -201,5 +200,4 @@ class Case:
 
     @classmethod
     def from_json_file(cls, path) -> "Case":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json(path, f"case file {path}"))

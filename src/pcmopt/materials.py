@@ -124,7 +124,17 @@ def from_record(kind, d, source: str):
         raise ValueError(f"{source}: {e}") from e
 
 
+def read_json(path, source: str):
+    """The JSON value in the file at path; ValueError naming source if the
+    file is not JSON text (json's JSONDecodeError or UnicodeDecodeError)."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise ValueError(f"{source}: {e}") from e
+
+
 def load_material_file(path) -> Material:
     """Read one material record from a JSON file."""
-    with open(path) as f:
-        return from_record(Material, json.load(f), f"file {path}")
+    source = f"file {path}"
+    return from_record(Material, read_json(path, source), source)

@@ -10,14 +10,44 @@ step, so every step balances energy to solver precision.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .geometry import Case, Mesh, build_mesh
 from .network import NetworkModel, assemble_network
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file without running
+    scipy.linalg's __init__ (~0.3 s of imports the stepper never uses);
+    scipy.linalg.lapack re-exports its routines, so these are the very
+    objects it exports, and a later scipy.linalg import reuses this module."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # finds without importing
+    if scipy is None:
+        raise ImportError("pcmopt needs scipy")
+    where = [os.path.join(p, "linalg")
+             for p in scipy.submodule_search_locations]
+    found = importlib.machinery.PathFinder.find_spec("_flapack", where)
+    if found is None:
+        raise ImportError(f"no _flapack extension module in {where}")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 # Settle tolerance on each cycle's extrema, degC (see settled).
 QUASI_STEADY_TOL = 0.01

@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace as dc_replace
 from functools import partial
 from pathlib import Path
@@ -62,11 +61,14 @@ def evaluate_cases(fn, items):
     """Yield fn(item) for each item, in input order, as the results arrive,
     from a pool of up to default_workers() processes, one per chunk of
     _CHUNK items, or from this process if that is one. The pool keeps the
-    platform's start method (fork on Linux): a spawned worker spends ~1 s
-    re-importing numpy and scipy, longer than most studies."""
+    platform's start method (fork on Linux): a spawned worker spends
+    0.2-0.3 s starting Python and importing numpy and pcmopt, the time of
+    several coarse evaluations."""
     items = list(items)
     workers = min(default_workers(), -(-len(items) // _CHUNK))
     if workers > 1:
+        # ~25 ms of multiprocessing and socket imports a serial run skips
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, items, chunksize=_CHUNK)
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .materials import check_field_types, from_record
+from .materials import check_field_types, from_record, read_json
 
 
 class ExtrapolationWarning(UserWarning):
@@ -116,8 +116,8 @@ class SurrogateModel:
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":
-        with open(path) as f:
-            return from_record(cls, json.load(f), f"model file {path}")
+        source = f"model file {path}"
+        return from_record(cls, read_json(path, source), source)
 
 
 def _normalize(v, lo, hi):

@@ -84,6 +84,32 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# each JSON input file, as the last argument of a command that reads it
+JSON_INPUTS = {
+    "case": ["simulate", "--out", "{tmp}/o", "--case"],
+    "material": ["simulate", "--out", "{tmp}/o", "--material-file"],
+    "problem": ["optimize", "--strategy", "ga", "--problem"],
+    "model": ["surface", "--tm", "70", "--out", "{tmp}/o", "--model"],
+}
+
+
+@pytest.mark.parametrize("kind", list(JSON_INPUTS))
+def test_missing_or_malformed_input_file_is_one_line_naming_it(
+        tmp_path, capsys, kind):
+    missing = tmp_path / "missing.json"
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"cell": {"dx": 1e-5}\n"power": {}}\n')
+    for path, reason in [(missing, "No such file or directory"),
+                         (malformed, "Expecting ',' delimiter")]:
+        argv = [a.format(tmp=tmp_path) for a in JSON_INPUTS[kind]]
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pcmopt {argv[0]}: error: ")
+        assert err.count("\n") == 1
+        assert str(path) in err and reason in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_writes_history_and_snapshots(tmp_path):
     case = coarse_case_file(tmp_path)
     out = tmp_path / "run"

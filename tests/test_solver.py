@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from pcmopt.geometry import PCM, Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import builtin_material
 from pcmopt.metrics import compute_metrics
 from pcmopt.network import NetworkModel
+import pcmopt
 from pcmopt.solver import (MAX_STEP_RESIDUAL, PHASES, SolverDivergence,
                            _factor_band, _Integrator, build_case_network,
                            simulate, steady_state)
@@ -322,3 +327,35 @@ def test_snapshot_fields_keep_the_mesh_orientation():
     assert np.all(phi[~channel] == 0.0)
     # at the end of the pulse the heated source row is the hottest
     assert int(np.argmax(T.max(axis=1))) == mesh.source_row
+
+
+def run_fresh_python(code: str) -> str:
+    """Standard output of code run in a new interpreter on this pcmopt."""
+    src = str(Path(pcmopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_a_run_imports_neither_scipy_linalg_nor_a_process_pool():
+    out = run_fresh_python("""
+import sys
+import pcmopt
+pcmopt.simulate(pcmopt.Case(cell=pcmopt.UnitCellSpec(dx=10e-6,
+                                                     no_channel=True)))
+print([m for m in ("scipy.linalg", "concurrent.futures.process")
+       if m in sys.modules])
+""")
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("first", ["pcmopt.solver", "scipy.linalg.lapack"])
+def test_solver_calls_scipys_own_lapack_routines(first):
+    out = run_fresh_python(f"""
+import importlib
+importlib.import_module({first!r})
+import pcmopt.solver as solver
+import scipy.linalg.lapack as lapack
+print(solver.dpbtrf is lapack.dpbtrf, solver.dpbtrs is lapack.dpbtrs)
+""")
+    assert out == "True True\n"
