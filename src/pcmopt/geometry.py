@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .materials import (Material, builtin_material, check_field_types,
-                        from_record, read_json)
+from .materials import (Material, UnknownMaterialError, builtin_material,
+                        check_field_types, from_record, read_json)
 
 # Voxel labels
 ALUMINA = 0
@@ -116,7 +116,11 @@ class Mesh:
 
     spec: UnitCellSpec  # snapped spec actually meshed
     labels: np.ndarray = field(repr=False)
-    dx: float = 0.0
+
+    @property
+    def dx(self) -> float:
+        """Voxel edge length, m."""
+        return self.spec.dx
 
     @property
     def nx(self) -> int:
@@ -125,10 +129,6 @@ class Mesh:
     @property
     def ny(self) -> int:
         return self.labels.shape[0]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.labels.size
 
     @property
     def source_row(self) -> int:
@@ -158,7 +158,7 @@ def build_mesh(spec: UnitCellSpec) -> Mesh:
         # abutting the symmetry plane.
         if n_h > 0 and n_w > 0:
             labels[n_cap:n_cap + n_h, :n_w] = PCM
-    return Mesh(spec=s, labels=labels, dx=dx)
+    return Mesh(spec=s, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -200,4 +200,10 @@ class Case:
 
     @classmethod
     def from_json_file(cls, path) -> "Case":
-        return cls.from_dict(read_json(path, f"case file {path}"))
+        """from_dict of the JSON file at path; its errors name the file."""
+        source = f"case file {path}"
+        d = read_json(path, source)
+        try:
+            return cls.from_dict(d)
+        except (ValueError, UnknownMaterialError) as e:
+            raise type(e)(f"{source}: {e.args[0]}") from e

@@ -24,33 +24,37 @@ from .materials import Material, builtin_material
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable RC network: node property arrays, edges, boundary terms."""
+    """Immutable RC network: solid node arrays, PCM record, edges, boundary."""
 
     mesh: Mesh
-    # per-node properties (length n)
+    # per-node properties (length n), every node solid
     k_solid: np.ndarray = field(repr=False)
-    k_liquid: np.ndarray = field(repr=False)
-    rho_solid: np.ndarray = field(repr=False)
-    rho_liquid: np.ndarray = field(repr=False)
-    cp_solid: np.ndarray = field(repr=False)
-    cp_liquid: np.ndarray = field(repr=False)
-    L_H: np.ndarray = field(repr=False)
+    solid_capacitance: np.ndarray = field(repr=False)  # rho_s*cp_s*V, J/K
     is_pcm: np.ndarray = field(repr=False)  # bool mask
-    T_m: float = 0.0  # PCM melt temperature, degC
+    pcm: Material | None  # the channel fill if it melts, else None
     # edge node-index pairs (length n_edges), edge_i < edge_j
-    edge_i: np.ndarray = field(repr=False, default=None)
-    edge_j: np.ndarray = field(repr=False, default=None)
+    edge_i: np.ndarray = field(repr=False)
+    edge_j: np.ndarray = field(repr=False)
     # convection
-    conv_nodes: np.ndarray = field(repr=False, default=None)
-    conv_G: np.ndarray = field(repr=False, default=None)  # W/K per node
-    T_amb_C: float = 26.85
+    conv_nodes: np.ndarray = field(repr=False)
+    conv_G: np.ndarray = field(repr=False)  # W/K per node
+    T_amb_C: float
     # source
-    source_nodes: np.ndarray = field(repr=False, default=None)
-    width: float = 0.0  # simulated half-pitch width, m
+    source_nodes: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.is_pcm.size
+
+    @property
+    def T_m(self) -> float:
+        """PCM melt temperature, degC (0 without a PCM)."""
+        return self.pcm.T_m if self.pcm is not None else 0.0
+
+    @property
+    def width(self) -> float:
+        """Simulated half-pitch width, m."""
+        return self.mesh.nx * self.mesh.dx
 
     @property
     def volume(self) -> float:
@@ -64,8 +68,9 @@ class NetworkModel:
     @property
     def latent_capacity(self) -> np.ndarray:
         """Per-PCM-node latent energy capacity, J (solid-phase mass basis)."""
-        idx = self.pcm_nodes
-        return self.rho_solid[idx] * self.volume * self.L_H[idx]
+        m = self.pcm
+        per_node = m.rho_solid * self.volume * m.L_H if m is not None else 0.0
+        return np.full(self.pcm_nodes.size, per_node)
 
     @property
     def melt_block_start(self) -> int:
@@ -74,24 +79,16 @@ class NetworkModel:
         """
         return self._melt.start
 
-    def capacitance(self, phi_full: np.ndarray) -> np.ndarray:
-        """Per-node sensible capacitance rho(phi)*cp(phi)*V, J/K."""
-        return _blended_capacitance(
-            self.rho_solid, self.rho_liquid - self.rho_solid,
-            self.cp_solid, self.cp_liquid - self.cp_solid,
-            phi_full, self.volume)
-
-    def pcm_capacitance(self, phi: np.ndarray) -> np.ndarray:
-        """capacitance() on the PCM nodes only, from their melt fractions."""
-        return _blended_capacitance(*self._pcm_phase_props, phi, self.volume)
-
-    @cached_property
-    def _pcm_phase_props(self) -> tuple[np.ndarray, ...]:
-        """Solid rho, liquid - solid rho, solid cp and liquid - solid cp of
-        the PCM nodes."""
-        idx = self.pcm_nodes
-        return (self.rho_solid[idx], (self.rho_liquid - self.rho_solid)[idx],
-                self.cp_solid[idx], (self.cp_liquid - self.cp_solid)[idx])
+    def capacitance(self, phi: np.ndarray) -> np.ndarray:
+        """Sensible capacitance rho(phi)*cp(phi)*V of the PCM nodes at
+        their melt fractions phi, J/K; solid_capacitance holds every
+        node's at phi = 0."""
+        m = self.pcm
+        if m is None:
+            return np.zeros(0)
+        rho = m.rho_solid + phi * (m.rho_liquid - m.rho_solid)
+        cp = m.cp_solid + phi * (m.cp_liquid - m.cp_solid)
+        return rho * cp * self.volume
 
     def expand_phi(self, phi: np.ndarray) -> np.ndarray:
         """Melt fractions of the PCM nodes -> full-length node array."""
@@ -170,11 +167,13 @@ class NetworkModel:
         # each end's index into phi; a non-PCM end reads phi[0] times 0
         at = np.zeros(self.n_nodes, dtype=np.intp)
         at[pcm] = np.arange(pcm.size)
-        dk = np.where(self.is_pcm, self.k_liquid - self.k_solid, 0.0)
+        m = self.pcm
+        dk = m.k_liquid - m.k_solid if m is not None else 0.0
         rows = self.mesh.nx - (j - i)
         return _MeltScatter(
             start=start, slots=rows + (self.mesh.nx + 1) * (j - start),
-            end_pcm=at[ends], k_end=self.k_solid[ends], dk_end=dk[ends],
+            end_pcm=at[ends], k_end=self.k_solid[ends],
+            dk_end=np.where(self.is_pcm[ends], dk, 0.0),
             diag=np.concatenate([ends, pcm]) - start)
 
     def source_vector(self, q_flux: float) -> np.ndarray:
@@ -201,12 +200,6 @@ class _MeltScatter(NamedTuple):
     k_end: np.ndarray  # solid conductivity of each end
     dk_end: np.ndarray  # liquid - solid conductivity (0 off the PCM)
     diag: np.ndarray  # trailing column of each end, then of each PCM node
-
-
-def _blended_capacitance(rho_solid, d_rho, cp_solid, d_cp, phi, volume):
-    rho = rho_solid + phi * d_rho
-    cp = cp_solid + phi * d_cp
-    return rho * cp * volume
 
 
 def _series_conductance(ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
@@ -261,25 +254,19 @@ def assemble_network(mesh: Mesh, boundary: BoundarySpec,
 
     source_nodes = idx[mesh.source_row, :]
 
+    # channel voxels melt only when filled with an actual PCM
+    melts = pcm is not None and pcm.is_pcm
     return NetworkModel(
         mesh=mesh,
         k_solid=node_array("k_solid"),
-        k_liquid=node_array("k_liquid"),
-        rho_solid=node_array("rho_solid"),
-        rho_liquid=node_array("rho_liquid"),
-        cp_solid=node_array("cp_solid"),
-        cp_liquid=node_array("cp_liquid"),
-        L_H=node_array("L_H"),
-        # channel voxels melt only when filled with an actual PCM
-        is_pcm=(labels == PCM) if (pcm is not None and pcm.is_pcm
-                                   and pcm.L_H > 0.0)
-        else np.zeros(n, dtype=bool),
-        T_m=pcm.T_m if pcm is not None else 0.0,
+        solid_capacitance=(node_array("rho_solid") * node_array("cp_solid")
+                           * (mesh.dx * mesh.dx * 1.0)),
+        is_pcm=labels == PCM if melts else np.zeros(n, dtype=bool),
+        pcm=pcm if melts else None,
         edge_i=edge_i,
         edge_j=edge_j,
         conv_nodes=conv_nodes,
         conv_G=conv_G,
         T_amb_C=boundary.T_amb_C,
         source_nodes=source_nodes,
-        width=mesh.nx * mesh.dx,
     )

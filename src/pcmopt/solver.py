@@ -199,7 +199,8 @@ class _Integrator:
         self.phi = np.zeros(self._pcm_idx.size)
         self.latent = np.zeros(self._pcm_idx.size)  # absorbed latent, J
         self._latent_cap = net.latent_capacity
-        self._C = net.capacitance(np.zeros(net.n_nodes))
+        self._T_m = net.T_m
+        self._C = net.solid_capacitance.copy()
         self._C_dt = self._C / dt
         self._update_capacitance()
         # right-hand side and interface power of the on and off phases
@@ -223,7 +224,7 @@ class _Integrator:
     def _update_capacitance(self) -> np.ndarray:
         """C and C/dt at the current phi; returns the PCM nodes' C/dt."""
         idx = self._pcm_idx
-        C = self._C_pcm = self.net.pcm_capacitance(self.phi)
+        C = self._C_pcm = self.net.capacitance(self.phi)
         C_dt = C / self.dt
         self._C[idx] = C
         self._C_dt[idx] = C_dt
@@ -278,11 +279,11 @@ class _Integrator:
         idx = self._pcm_idx
         if idx.size:
             Cp = self._C_pcm
-            excess = Cp * (T_new[idx] - self.net.T_m)
+            excess = Cp * (T_new[idx] - self._T_m)
             new_latent = np.maximum(self.latent + excess, 0.0)
             np.minimum(new_latent, self._latent_cap, out=new_latent)
             d_latent = new_latent - self.latent
-            T_new[idx] = self.net.T_m + (excess - d_latent) / Cp
+            T_new[idx] = self._T_m + (excess - d_latent) / Cp
             self.phi = new_latent / self._latent_cap
             self.latent = new_latent
             e_lat = float(d_latent.sum())

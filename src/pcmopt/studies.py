@@ -51,10 +51,14 @@ _CHUNK = 4
 
 
 def default_workers() -> int:
+    """PCMOPT_WORKERS (at least 1) if set, else the CPU count."""
     env = os.environ.get("PCMOPT_WORKERS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(int(env), 1)
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"PCMOPT_WORKERS={env!r} is not an integer") from None
 
 
 def evaluate_cases(fn, items):

@@ -76,7 +76,8 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
     for argv, message in [
             (["metrics", "--flux-kw-m2", "-5"], "q0 must be non-negative"),
             (["simulate", "--case", str(case), "--out", str(tmp_path / "o")],
-             "case cell: no_channel must be a bool, got 'false'")]:
+             f"case file {case}: case cell: no_channel must be a bool, "
+             "got 'false'")]:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"pcmopt {argv[0]}: error: ")

@@ -14,7 +14,6 @@ def test_default_mesh_dimensions():
     mesh = build_mesh(UnitCellSpec())
     # 300 um stack at 5 um voxels, half of a 100 um pitch across
     assert (mesh.ny, mesh.nx) == (60, 10)
-    assert mesh.n_nodes == 600
     assert mesh.dx == 5e-6
 
 
@@ -107,6 +106,16 @@ def test_case_json_round_trip(tmp_path):
         path.write_text(json.dumps(asdict(case)))
         assert Case.from_json_file(path) == case
         assert Case.from_json_file(path).pcm == pcm
+
+
+def test_case_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "case.json"
+    for d, error in [({"cell": {"no_channel": "false"}}, ValueError),
+                     ({"pcm": "Adamantium"}, UnknownMaterialError)]:
+        path.write_text(json.dumps(d))
+        with pytest.raises(error) as err:
+            Case.from_json_file(path)
+        assert err.value.args[0].startswith(f"case file {path}: ")
 
 
 def test_case_from_dict_names_a_builtin_pcm_and_rejects_unknown_keys():

@@ -69,9 +69,12 @@ def effective_properties(name, phi):
     """Phase-blended k, cp*rho*V on every node of a channel of one PCM,
     with every PCM node at melt fraction phi."""
     net = _NETWORKS[name]
-    phi_full = net.expand_phi(np.full(net.pcm_nodes.size, phi))
-    k = net.k_solid + phi_full * (net.k_liquid - net.k_solid)
-    return net, k, net.capacitance(phi_full)
+    phi_pcm = np.full(net.pcm_nodes.size, phi)
+    k = net.k_solid + net.expand_phi(phi_pcm) * (net.pcm.k_liquid
+                                                 - net.pcm.k_solid)
+    c = net.solid_capacitance.copy()
+    c[net.pcm_nodes] = net.capacitance(phi_pcm)
+    return net, k, c
 
 
 def test_effective_property_endpoints_and_midpoint():

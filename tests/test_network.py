@@ -15,7 +15,9 @@ def net():
 
 def node_conductivity(net, phi_full):
     """Per-node conductivity blended by melt fraction (reference)."""
-    return net.k_solid + phi_full * (net.k_liquid - net.k_solid)
+    m = net.pcm
+    dk = m.k_liquid - m.k_solid if m is not None else 0.0
+    return net.k_solid + phi_full * dk
 
 
 def band_edge_conductances(net, phi):
@@ -155,30 +157,24 @@ def test_melting_changes_only_the_trailing_block(cell, trailing):
     assert np.all(j - mesh.nx + r >= start)
     if trailing:
         assert j.min() == start
-    c = net.capacitance(net.expand_phi(np.ones(net.pcm_nodes.size)))
-    assert np.all(np.flatnonzero(c != net.capacitance(np.zeros(net.n_nodes)))
-                  >= start)
-
-
-def test_pcm_capacitance_matches_full_capacitance(net):
-    phi = np.linspace(0.0, 1.0, net.pcm_nodes.size)
-    full = net.capacitance(net.expand_phi(phi))
-    assert np.array_equal(net.pcm_capacitance(phi), full[net.pcm_nodes])
+    # capacitance, too, varies only on the PCM nodes
+    assert np.all(net.pcm_nodes >= start)
 
 
 def test_capacitance_blends_with_melt_fraction(net):
     V = net.volume
     solder = builtin_material("Solder174")
     idx = net.pcm_nodes
-    c0 = net.capacitance(net.expand_phi(np.zeros(idx.size)))
-    c1 = net.capacitance(net.expand_phi(np.ones(idx.size)))
-    assert c0[idx[0]] == pytest.approx(solder.rho_solid * solder.cp_solid * V)
-    assert c1[idx[0]] == pytest.approx(solder.rho_liquid * solder.cp_liquid * V)
+    c0 = net.capacitance(np.zeros(idx.size))
+    c1 = net.capacitance(np.ones(idx.size))
+    assert c0 == pytest.approx(solder.rho_solid * solder.cp_solid * V)
+    assert c1 == pytest.approx(solder.rho_liquid * solder.cp_liquid * V)
+    assert np.array_equal(c0, net.solid_capacitance[idx])
     si = builtin_material("Silicon")
     non_pcm = np.flatnonzero(~net.is_pcm)[0]
-    assert c0[non_pcm] == c1[non_pcm]
-    assert c0[non_pcm] in (pytest.approx(si.rho_solid * si.cp_solid * V),
-                           pytest.approx(3950.0 * 775.0 * V))
+    assert net.solid_capacitance[non_pcm] in (
+        pytest.approx(si.rho_solid * si.cp_solid * V),
+        pytest.approx(3950.0 * 775.0 * V))
 
 
 def test_latent_capacity_uses_solid_mass(net):

@@ -121,6 +121,20 @@ def test_unmeltable_pcm_equals_plain_solid():
     assert np.allclose(h1.phi_mean, 0.0)
 
 
+def test_silicon_filled_channel_runs_as_the_solid_baseline():
+    """A channel filled with a material that never melts builds no melt
+    state; filled with silicon, it is the no_channel cell, bit for bit."""
+    case = Case(cell=COARSE, pcm=builtin_material("Silicon"))
+    _, net = build_case_network(case)
+    assert net.pcm is None
+    assert net.pcm_nodes.size == 0
+    h = simulate(case, dt=0.025)
+    base = simulate(Case(cell=replace(COARSE, no_channel=True)), dt=0.025)
+    for key in ("t", "T_max", "phi_mean"):
+        assert np.array_equal(getattr(h, key), getattr(base, key))
+    assert h.n_factorizations == base.n_factorizations
+
+
 @pytest.mark.parametrize("change,violation", [
     ({"L_H": -1000.0}, "L_H"),
     ({"k_solid": 0.0, "k_liquid": 0.0}, "k_solid"),
@@ -190,7 +204,9 @@ def test_snapshots_have_field_shapes():
 def system_band(net, phi, dt=0.01):
     """C/dt + G at the PCM melt fractions phi, in upper band storage."""
     band = net.conductance_matrix(phi)
-    band[-1] += net.capacitance(net.expand_phi(phi)) / dt
+    C = net.solid_capacitance.copy()
+    C[net.pcm_nodes] = net.capacitance(phi)
+    band[-1] += C / dt
     return band
 
 

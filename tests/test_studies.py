@@ -46,6 +46,16 @@ def test_default_workers_env_override(monkeypatch):
     assert default_workers() >= 1
 
 
+def test_default_workers_refuses_a_non_integer_by_name(monkeypatch):
+    monkeypatch.setenv("PCMOPT_WORKERS", "abc")
+    with pytest.raises(ValueError,
+                       match="PCMOPT_WORKERS='abc' is not an integer"):
+        default_workers()
+    for low in ("0", "-3"):
+        monkeypatch.setenv("PCMOPT_WORKERS", low)
+        assert default_workers() == 1
+
+
 def test_case_builders():
     values = {name: lo for name, (lo, hi) in PROPERTY_BOUNDS.items()}
     case = property_case(values)
