@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -10,18 +12,22 @@ import numpy as np
 
 def check_field_types(record) -> None:
     """ValueError naming the first field of the dataclass record whose value
-    does not fit its annotation: a number field holding a str, a bool or
-    None, or a bool field holding anything but a bool. numpy scalars pass,
-    and so does None where the annotation allows it. Each record's
-    __post_init__ calls this before it checks any value."""
+    does not fit its annotation: a number field holding anything but a real
+    number (a str, a bool, a list or None), or NaN or an infinity, or a bool
+    field holding anything but a bool. numpy scalars pass, and so does None
+    where the annotation allows it. Each record's __post_init__ calls this
+    before it checks any value."""
     for f in fields(record):
         value = getattr(record, f.name)
         if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{f.name} must be a bool, got {value!r}")
-        if f.type in ("float", "int", "float | None") and (
-                isinstance(value, (str, bool))
-                or value is None and not f.type.endswith("None")):
+        if f.type not in ("float", "int", "float | None") or (
+                value is None and f.type.endswith("None")):
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{f.name} must be a number, got {value!r}")
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

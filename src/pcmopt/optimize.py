@@ -146,14 +146,15 @@ class OptimizationResult:
     config: dict = field(default_factory=dict)
 
 
-def _penalized(evaluate, X) -> np.ndarray | float:
-    """evaluate(X) as floats, or +inf with a warning if it raises."""
+def _penalized(evaluate, X, failed=np.inf) -> np.ndarray | float:
+    """evaluate(X) as floats, or `failed` (+inf) with a warning if it
+    raises."""
     try:
         return np.asarray(evaluate(X), dtype=float)
     except Exception as exc:  # noqa: BLE001 - penalize, keep optimizing
         warnings.warn(f"objective evaluation failed ({exc}); "
                       "penalized with +inf", stacklevel=2)
-        return np.inf
+        return failed
 
 
 class _CachedObjective:
@@ -161,7 +162,8 @@ class _CachedObjective:
 
     Each batch sends the backend its uncached rows once each, in first-seen
     order, in one evaluate_batch call; a batch call that raises scores all
-    of them +inf. Non-finite values score +inf.
+    of them +inf. Non-finite values score +inf. A result that does not hold
+    one value per row raises ValueError.
     """
 
     def __init__(self, backend: Backend):
@@ -174,9 +176,11 @@ class _CachedObjective:
         keys = [tuple(row) for row in np.asarray(X, dtype=float).tolist()]
         new = list(dict.fromkeys(k for k in keys if k not in self.cache))
         if new:
-            values = np.broadcast_to(
-                _penalized(self.backend.evaluate_batch, np.array(new)),
-                len(new))
+            values = _penalized(self.backend.evaluate_batch, np.array(new),
+                                failed=np.full(len(new), np.inf))
+            if values.shape != (len(new),):
+                raise ValueError(f"backend returned {values.size} values "
+                                 f"for {len(new)} rows")
             values = np.where(np.isfinite(values), values, np.inf)
             self.cache.update(zip(new, values.tolist()))
             self.n_evaluations += len(new)
@@ -257,7 +261,14 @@ def ga_minimize(problem: OptimizationProblem,
                 config: GAConfig | None = None) -> OptimizationResult:
     """Real-coded GA seeded by problem.seed: tournament selection, blend
     crossover, annealed single-coordinate Gaussian mutation, elitism; stalls
-    out when the best objective stops improving."""
+    out when the best objective stops improving.
+
+    Seed contract: each child makes its draws in a fixed order, children in
+    turn. A crossover child draws its two tournaments, then its blend
+    weights; a mutant draws its tournament, then the coordinate, then the
+    normal step. A tournament goes to the fittest of its draws, and a tie
+    to the first drawn.
+    """
     config = config or GAConfig()
     rng = np.random.default_rng(problem.seed)
     trace = _Trace()
@@ -266,13 +277,16 @@ def ga_minimize(problem: OptimizationProblem,
     span = upper - lower
     dim = lower.size
     cached = _CachedObjective(problem.backend)
+    n_children = config.population - GA_ELITE
+    n_xover = int(round(GA_CROSSOVER_FRACTION * n_children))
+    mutants = np.arange(n_xover, n_children)
 
     pop = rng.uniform(lower, upper, size=(config.population, dim))
     fitness = cached.batch(pop)
 
-    def tournament():
-        idx = rng.integers(0, config.population, size=GA_TOURNAMENT)
-        return pop[idx[np.argmin(fitness[idx])]]
+    def draw(n_tournaments):
+        return rng.integers(0, config.population,
+                            size=n_tournaments * GA_TOURNAMENT).tolist()
 
     for gen in range(config.max_generations):
         order = np.argsort(fitness, kind="stable")
@@ -281,23 +295,28 @@ def ga_minimize(problem: OptimizationProblem,
         if _stalled(trace.best, config.stall_generations, config.tol):
             break
 
-        n_children = config.population - GA_ELITE
-        n_xover = int(round(GA_CROSSOVER_FRACTION * n_children))
         sigma = config.mutation_sigma_frac * span * (
             1.0 - 0.9 * gen / config.max_generations)
-        children = np.empty((n_children, dim))
-        for i in range(n_xover):
-            p1, p2 = tournament(), tournament()
-            u = rng.uniform(-0.25, 1.25, size=dim)
-            children[i] = p1 + u * (p2 - p1)
-        for i in range(n_xover, n_children):
+        # min() keeps the first of equal keys, as np.argmin does; fitness is
+        # never NaN (the cache scores non-finite values +inf).
+        rank = fitness.tolist().__getitem__
+        parents, mates, blends, coords, steps = [], [], [], [], []
+        for _ in range(n_xover):
+            idx = draw(2)
+            parents.append(min(idx[:GA_TOURNAMENT], key=rank))
+            mates.append(min(idx[GA_TOURNAMENT:], key=rank))
+            blends.append(rng.uniform(-0.25, 1.25, size=dim))
+        for _ in mutants:
             # One coordinate at a time: a steep valley in one variable must
             # not veto exploration along directions the objective barely
             # resolves.
-            child = tournament().copy()
-            j = int(rng.integers(dim))
-            child[j] += rng.normal(0.0, 1.0) * sigma[j]
-            children[i] = child
+            parents.append(min(draw(1), key=rank))
+            coords.append(int(rng.integers(dim)))
+            steps.append(rng.normal(0.0, 1.0))
+        children = pop[parents]
+        bred = children[:n_xover]  # a view: the first parents, blended
+        bred += np.array(blends) * (pop[mates] - bred)
+        children[mutants, coords] += np.array(steps) * sigma[coords]
         np.clip(children, lower, upper, out=children)
 
         pop = np.vstack([pop[:GA_ELITE], children])

@@ -7,7 +7,7 @@ import pytest
 
 from pcmopt.cli import _load_problem, build_parser, main
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
-from pcmopt.materials import PCM_NAMES
+from pcmopt.materials import PCM_NAMES, builtin_material
 from pcmopt.solver import MAX_STEP_RESIDUAL, PHASES
 from pcmopt.studies import GEOMETRY_BOUNDS, PROPERTY_BOUNDS
 
@@ -73,8 +73,14 @@ def test_metrics_rejects_unknown_material(capsys):
 def test_input_error_is_one_stderr_line(tmp_path, capsys):
     case = tmp_path / "case.json"
     case.write_text(json.dumps({"cell": {"no_channel": "false"}}))
+    material = tmp_path / "material.json"
+    material.write_text(json.dumps(
+        {**asdict(builtin_material("WoodsMetal")), "T_m": float("nan")}))
     for argv, message in [
             (["metrics", "--flux-kw-m2", "-5"], "q0 must be non-negative"),
+            (["simulate", "--material-file", str(material),
+              "--out", str(tmp_path / "o")],
+             f"file {material}: T_m must be finite, got nan"),
             (["simulate", "--case", str(case), "--out", str(tmp_path / "o")],
              f"case file {case}: case cell: no_channel must be a bool, "
              "got 'false'")]:

@@ -164,6 +164,20 @@ def test_load_material_file_rejects_a_string_number(tmp_path, key, value):
         load_material_file(path)
 
 
+
+@pytest.mark.parametrize("key,value", [("T_m", "NaN"), ("k_solid", "Infinity"),
+                                       ("L_H", "-Infinity")])
+def test_load_material_file_rejects_a_non_finite_number(tmp_path, key, value):
+    # Python's json writes and reads NaN and Infinity, though JSON has neither
+    path = tmp_path / "mat.json"
+    d = asdict(builtin_material("WoodsMetal"))
+    path.write_text(json.dumps({**d, key: float(value)}))
+    assert f'"{key}": {value}' in path.read_text()
+    named = (rf"{re.escape(str(path))}: {key} must be finite, "
+             rf"got {float(value)!r}")
+    with pytest.raises(ValueError, match=named):
+        load_material_file(path)
+
 _VALID_RECORDS = {
     "Material": builtin_material("Solder174"),
     "UnitCellSpec": UnitCellSpec(),
@@ -180,20 +194,28 @@ _VALID_RECORDS = {
     ("Material", "T_m", "70", "T_m must be a number"),
     ("Material", "is_pcm", "false", "is_pcm must be a bool"),
     ("Material", "is_pcm", 0, "is_pcm must be a bool"),
+    ("Material", "T_m", float("nan"), "T_m must be finite, got nan"),
+    ("Material", "rho_solid", [8780.0], "rho_solid must be a number"),
     ("UnitCellSpec", "H", 250e-6, "height exceeds"),
     ("UnitCellSpec", "dx", None, "dx must be a number"),
+    ("UnitCellSpec", "dx", float("inf"), "dx must be finite, got inf"),
     ("UnitCellSpec", "no_channel", "false", "no_channel must be a bool"),
     ("UnitCellSpec", "no_channel", None, "no_channel must be a bool"),
     ("PowerProfile", "q0", -1.0, "q0 must be non-negative"),
     ("PowerProfile", "period", True, "period must be a number"),
+    ("PowerProfile", "q0", float("inf"), "q0 must be finite, got inf"),
     ("BoundarySpec", "h", 0.0, "h must be positive"),
     ("BoundarySpec", "T_amb", "300", "T_amb must be a number"),
+    ("BoundarySpec", "h", float("nan"), "h must be finite, got nan"),
     ("ParameterSpec", "lower", 2.0, "lower must be < upper"),
     ("ParameterSpec", "step", "0.1", "step must be a number"),
+    ("ParameterSpec", "lower", -float("inf"), "lower must be finite, got -inf"),
     ("GAConfig", "population", 2, "elite"),
     ("GAConfig", "tol", None, "tol must be a number"),
+    ("GAConfig", "population", float("inf"), "population must be finite"),
     ("PSOConfig", "swarm", 0, ">= 1"),
     ("PSOConfig", "max_iterations", "100", "max_iterations must be a number"),
+    ("PSOConfig", "tol", float("nan"), "tol must be finite, got nan"),
 ])
 def test_every_record_checks_itself_when_built(record, key, value, message):
     valid = _VALID_RECORDS[record]

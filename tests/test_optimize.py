@@ -1,4 +1,6 @@
+import json
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +246,60 @@ def test_result_rounding_and_serialization():
     d = asdict(r)
     assert d["strategy"] == "ga"
     assert "trace" in d
+
+
+def on_bound(x):
+    """Minimum 0.27 at (1, 0.3, 0): on the upper bound of a, the lower of c."""
+    return float((x[0] - 1.5) ** 2 + (x[1] - 0.3) ** 2
+                 + 0.5 * (x[2] + 0.2) ** 2)
+
+
+_SEEDED_RUNS = {
+    "ga": ga_minimize,
+    "ga_small": lambda p: ga_minimize(p, GAConfig(population=10,
+                                                  max_generations=3)),
+    "pso": pso_minimize,
+}
+SEEDED_ANSWERS = Path(__file__).with_name("seeded_search_answers.json")
+
+
+def seeded_answers() -> dict:
+    """Each strategy's answer on on_bound for seeds 0-3, floats as
+    float.hex. Writing this dict to SEEDED_ANSWERS records new answers."""
+    params = [ParameterSpec("a", 0.0, 1.0), ParameterSpec("b", -1.0, 1.0),
+              ParameterSpec("c", 0.0, 2.0)]
+    answers = {}
+    for name, run in _SEEDED_RUNS.items():
+        for seed in range(4):
+            r = run(OptimizationProblem(params, "f", FunctionBackend(on_bound),
+                                        seed=seed))
+            answers[f"{name}/{seed}"] = {
+                "parameters": {k: v.hex() for k, v in r.parameters.items()},
+                "objective_value": r.objective_value.hex(),
+                "trace": [v.hex() for v in r.trace],
+                "n_evaluations": r.n_evaluations,
+                "n_calls": r.n_calls,
+            }
+    return answers
+
+
+def test_seeded_searches_reproduce_recorded_answers():
+    recorded = json.loads(SEEDED_ANSWERS.read_text())
+    answers = seeded_answers()
+    assert answers == recorded
+    # clipping to the bounds breeds duplicate children: cache hits
+    assert any(a["n_calls"] > a["n_evaluations"]
+               for key, a in answers.items() if key.startswith("ga"))
+
+
+@pytest.mark.parametrize("result", [np.array([1.0]), 1.0, np.ones(4)])
+def test_cached_batch_refuses_a_result_of_the_wrong_length(result):
+    class Short(Backend):
+        def evaluate_batch(self, X):
+            return result
+
+    cached = _CachedObjective(Short())
+    X = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match=r"returned \d+ values for 3 rows"):
+        cached.batch(X)
+    assert cached.cache == {} and cached.n_evaluations == 0
