@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace as dc_replace
@@ -13,18 +12,18 @@ from pathlib import Path
 import numpy as np
 
 from . import studies
-from .geometry import Case, PowerProfile, UnitCellSpec
+from .geometry import Case
 from .materials import (UnknownMaterialError, builtin_material, from_record,
                         load_material_file, read_json)
 from .metrics import compute_metrics
-from .optimize import (GAConfig, PSOConfig, ga_minimize, parametric_sweep,
-                       pso_minimize, repeat_with_seeds)
+from .optimize import STRATEGIES, repeat_with_seeds
 from .solver import simulate
 from .surrogate import (SurrogateModel, load_training_csv, train_lm,
                         r_squared)
 
-_TARGET_COLUMNS = {"tomax": "T_o_max_C", "tosc": "T_osc_C"}
-_TARGET_OBJECTIVES = {"tomax": "T_o_max", "tosc": "T_osc"}
+#: --target tag -> the metric it trains on; a campaign's results.csv holds
+#: that metric in the column named metric + "_C".
+_TARGETS = {"tomax": "T_o_max", "tosc": "T_osc"}
 
 
 def _case_from_args(args) -> Case:
@@ -67,26 +66,21 @@ def _cmd_simulate(args):
     out.mkdir(parents=True, exist_ok=True)
     h = simulate(case, dt=args.dt_ms * 1e-3,
                  snapshot_every=args.snapshot_every)
-    with open(out / "history.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_s", "T_max_C", "phi_mean"])
-        w.writerows(zip(h.t, h.T_max, h.phi_mean))
+    studies.write_csv(out / "history.csv", ["t_s", "T_max_C", "phi_mean"],
+                      zip(h.t, h.T_max, h.phi_mean))
+    dx_um = case.cell.snapped().dx * 1e6
     for i, (t, T, phi) in enumerate(h.snapshots):
         ny, nx = phi.shape
-        dx_um = case.cell.snapped().dx * 1e6
-        with open(out / f"snapshot_{i:04d}.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["x_um", "y_um", "T_C", "phi"])
-            for iy in range(ny):
-                for ix in range(nx):
-                    w.writerow([(ix + 0.5) * dx_um, (iy + 0.5) * dx_um,
-                                T[iy, ix], phi[iy, ix]])
-    with open(out / "config.json", "w") as f:
-        json.dump({"case": asdict(case),
-                   "snapped_cell": asdict(case.cell.snapped()),
-                   "dt_s": args.dt_ms * 1e-3,
-                   "quasi_steady_cycle": h.quasi_steady_cycle,
-                   "converged": h.converged}, f, indent=2)
+        studies.write_csv(
+            out / f"snapshot_{i:04d}.csv", ["x_um", "y_um", "T_C", "phi"],
+            ([(ix + 0.5) * dx_um, (iy + 0.5) * dx_um, T[iy, ix], phi[iy, ix]]
+             for iy in range(ny) for ix in range(nx)))
+    studies.write_json(out / "config.json",
+                       {"case": asdict(case),
+                        "snapped_cell": asdict(case.cell.snapped()),
+                        "dt_s": args.dt_ms * 1e-3,
+                        "quasi_steady_cycle": h.quasi_steady_cycle,
+                        "converged": h.converged})
     print(f"simulated {h.t[-1]:.1f} s "
           f"({'converged' if h.converged else 'full duration'}); "
           f"history in {out}")
@@ -163,15 +157,9 @@ def _cmd_optimize(args):
         out = repeat_with_seeds(problem, args.strategy, n_runs=args.repeats)
         payload = {"summary": out["summary"],
                    "runs": [asdict(r) for r in out["runs"]]}
-    elif args.strategy == "sweep":
-        result, table = parametric_sweep(problem)
-        payload = {"result": asdict(result), "table": table}
-    elif args.strategy == "ga":
-        payload = {"result": asdict(ga_minimize(problem))}
-    elif args.strategy == "pso":
-        payload = {"result": asdict(pso_minimize(problem))}
     else:
-        raise SystemExit(f"unknown strategy {args.strategy}")
+        result, extra = STRATEGIES[args.strategy](problem)
+        payload = {"result": asdict(result), **extra}
     _emit(payload, args.out)
 
 
@@ -183,7 +171,7 @@ def _cmd_generate(args):
 
 
 def _cmd_train(args):
-    data = load_training_csv(args.data, target=_TARGET_COLUMNS[args.target])
+    data = load_training_csv(args.data, target=_TARGETS[args.target] + "_C")
     model = train_lm(data, hidden=args.hidden, seed=args.seed)
     model.save(args.out)
     print(f"model saved to {args.out} "
@@ -191,11 +179,10 @@ def _cmd_train(args):
 
 
 def _cmd_ablation(args):
-    target_col = _TARGET_COLUMNS[args.target]
-    pool = load_training_csv(args.pool, target=target_col)
-    test = load_training_csv(args.test, target=target_col)
+    objective = _TARGETS[args.target]
+    pool = load_training_csv(args.pool, target=objective + "_C")
+    test = load_training_csv(args.test, target=objective + "_C")
     sizes = [int(s) for s in args.sizes.split(",")]
-    objective = _TARGET_OBJECTIVES[args.target]
 
     verifier = studies.SimulatorBackend(
         partial(studies.geometry_case, power=args.power, dx=args.dx_um * 1e-6),
@@ -224,11 +211,9 @@ def _cmd_sensitivity(args):
     case = _case_from_args(args)
     result = studies.sensitivity(case, dt=args.dt_ms * 1e-3)
     if args.out:
-        with open(args.out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["property", "dTo_max", "dTosc"])
-            for prop, d in result.items():
-                w.writerow([prop, d["dT_o_max"], d["dT_osc"]])
+        studies.write_csv(args.out, ["property", "dTo_max", "dTosc"],
+                          ([prop, d["dT_o_max"], d["dT_osc"]]
+                           for prop, d in result.items()))
     for prop, d in result.items():
         print(f"{prop:>12}: |dT_o_max| = {d['dT_o_max']:.4f} C, "
               f"|dT_osc| = {d['dT_osc']:.4f} C")
@@ -265,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("optimize", help="run an optimization problem")
     sp.add_argument("--problem", required=True)
-    sp.add_argument("--strategy", choices=["sweep", "ga", "pso"],
-                    required=True)
+    sp.add_argument("--strategy", choices=list(STRATEGIES), required=True)
     sp.add_argument("--backend", default="sim",
                     help="'sim' or 'nn:<model.json>'")
     sp.add_argument("--seed", type=int, default=0)
@@ -287,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train a surrogate network")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--target", choices=["tomax", "tosc"], required=True)
+    sp.add_argument("--target", choices=list(_TARGETS), required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--hidden", type=int, default=10)
     sp.add_argument("--out", required=True)
@@ -296,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ablation", help="training-set-size ablation")
     sp.add_argument("--pool", required=True)
     sp.add_argument("--test", required=True)
-    sp.add_argument("--target", choices=["tomax", "tosc"], required=True)
+    sp.add_argument("--target", choices=list(_TARGETS), required=True)
     sp.add_argument("--sizes", required=True)
     sp.add_argument("--repeats", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)

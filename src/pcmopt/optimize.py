@@ -379,47 +379,62 @@ def pso_minimize(problem: OptimizationProblem,
                    problem.seed, asdict(config))
 
 
-_STRATEGIES = {"ga": ga_minimize, "pso": pso_minimize}
+def _sweep(problem: OptimizationProblem, config=None
+           ) -> tuple[OptimizationResult, dict]:
+    """parametric_sweep as a strategy: it takes no config, and its grid
+    table is the extra payload."""
+    result, table = parametric_sweep(problem)
+    return result, {"table": table}
+
+
+def _search(minimize):
+    """A stochastic search as a strategy, with no extra payload."""
+    return lambda problem, config=None: (minimize(problem, config), {})
+
+
+#: Strategy name -> run(problem, config) -> (result, extra payload). Each
+#: holds the function object bound here, so a wrapper later set on a
+#: module name (as the benchmark's tracer does) does not run inside a
+#: repeat.
+STRATEGIES = {"sweep": _sweep, "ga": _search(ga_minimize),
+              "pso": _search(pso_minimize)}
+
+
+def value_range(values) -> dict[str, float]:
+    """Mean, min and max of values: the paper's range convention."""
+    arr = np.asarray(values, dtype=float)
+    return {"mean": float(arr.mean()), "min": float(arr.min()),
+            "max": float(arr.max())}
 
 
 def repeat_with_seeds(problem: OptimizationProblem, strategy: str,
                       n_runs: int = 10, config=None) -> dict:
-    """Repeat a stochastic strategy n_runs times with the seeds
+    """Repeat a strategy from STRATEGIES n_runs times with the seeds
     problem.seed, problem.seed + 1, ...
 
     Surrogate backends resample their training subset and retrain per run
-    (via Backend.fresh). Reports mean/min/max per parameter and for the
-    simulator-verified objective, the paper's range convention.
+    (via Backend.fresh). Reports the value_range of each parameter and of
+    the simulator-verified objective.
     """
     if n_runs < 2:
         raise ValueError("n_runs must be >= 2")
-    if strategy == "sweep":
-        runner = lambda prob: parametric_sweep(prob)[0]  # noqa: E731
-    elif strategy in _STRATEGIES:
-        opt = _STRATEGIES[strategy]
-        runner = lambda prob: opt(prob, config)  # noqa: E731
-    else:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    run = STRATEGIES[strategy]
 
-    results = []
-    for run in range(n_runs):
-        run_seed = problem.seed + run
-        results.append(runner(dc_replace(
-            problem, backend=problem.backend.fresh(run_seed), seed=run_seed)))
-
-    def stats(values):
-        arr = np.asarray(values, dtype=float)
-        return {"mean": float(arr.mean()), "min": float(arr.min()),
-                "max": float(arr.max())}
+    results = [run(dc_replace(problem, backend=problem.backend.fresh(seed),
+                              seed=seed), config)[0]
+               for seed in range(problem.seed, problem.seed + n_runs)]
 
     summary = {
         "strategy": strategy,
         "n_runs": n_runs,
         "parameters": {
-            name: stats([r.parameters[name] for r in results])
+            name: value_range([r.parameters[name] for r in results])
             for name in problem.names
         },
-        "verified_objective": stats([r.verified_objective for r in results]),
-        "objective_value": stats([r.objective_value for r in results]),
+        "verified_objective": value_range([r.verified_objective
+                                           for r in results]),
+        "objective_value": value_range([r.objective_value for r in results]),
     }
     return {"summary": summary, "runs": results}

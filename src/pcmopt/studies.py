@@ -23,7 +23,8 @@ import numpy as np
 from .geometry import Case, PowerProfile, UnitCellSpec
 from .materials import PCM_NAMES, Material, builtin_material
 from .metrics import compute_metrics, simulate_metrics
-from .optimize import Backend, OptimizationProblem, ParameterSpec
+from .optimize import (Backend, OptimizationProblem, ParameterSpec,
+                       repeat_with_seeds, value_range)
 from .solver import simulate
 from .surrogate import (SurrogateModel, TrainingSet, predict, train_lm,
                         r_squared)
@@ -85,14 +86,16 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """Write a header row, then rows, as CSV."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
 
 
-def _write_json(path, obj):
+def write_json(path, obj):
+    """Write obj as JSON indented by 2, with no trailing newline."""
     with open(path, "w") as f:
         json.dump(obj, f, indent=2)
 
@@ -101,10 +104,10 @@ def _write_study(out_dir, config, header, rows, summary) -> Path:
     """Write config.json, results.csv and summary.json; returns the CSV."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", config)
-    _write_csv(out / "results.csv", header, rows)
-    _write_json(out / "summary.json",
-                {"config_hash": config_hash(config), **summary})
+    write_json(out / "config.json", config)
+    write_csv(out / "results.csv", header, rows)
+    write_json(out / "summary.json",
+               {"config_hash": config_hash(config), **summary})
     return out / "results.csv"
 
 
@@ -412,7 +415,7 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                              "directory")
         records[int(i)] = rec
     cases_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", config)
+    write_json(out / "config.json", config)
 
     pending = [i for i in range(n) if i not in records]
     run_case = partial(_run_campaign_case, names=names, power=power, dx=dx,
@@ -454,16 +457,12 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
     metric). pool and test must target the same metric pair; pool's
     target_name selects the metric being ablated.
     """
-    from .optimize import repeat_with_seeds  # local to avoid cycle at import
-
     report = []
     for size in sizes:
         entry = {"size": int(size)}
-        r2_values = [r_squared(_train_on_subset(pool, int(size), seed), test)
-                     for seed in range(base_seed, base_seed + repeats)]
-        entry["r_squared"] = {"mean": float(np.mean(r2_values)),
-                              "min": float(np.min(r2_values)),
-                              "max": float(np.max(r2_values))}
+        entry["r_squared"] = value_range(
+            [r_squared(_train_on_subset(pool, int(size), seed), test)
+             for seed in range(base_seed, base_seed + repeats)])
 
         for strategy in strategies:
             backend = ResamplingSurrogateBackend(pool, int(size), verifier,
@@ -507,7 +506,7 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
                          (round(x[0], 6), round(x[1], 6)) in train_set})
     if out_path:
         header = list(rows[0])
-        _write_csv(out_path, header, [[r[h] for h in header] for r in rows])
+        write_csv(out_path, header, [[r[h] for h in header] for r in rows])
     return rows
 
 

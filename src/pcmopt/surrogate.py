@@ -272,18 +272,16 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
         if not accepted:
             break  # mu overflow: no descent direction left
 
-        if Xval.shape[0] >= 1:
-            val_sse = sse(p, Xval, yval)
-            if val_sse < best_val - 1e-15:
-                best_val = val_sse
-                best_p = p.copy()
-                val_rises = 0
-            else:
-                val_rises += 1
-                if val_rises >= patience:
-                    break
-        else:
+        # the hold-out is never empty: round(VAL_FRACTION * n) >= 2 rows
+        val_sse = sse(p, Xval, yval)
+        if val_sse < best_val - 1e-15:
+            best_val = val_sse
             best_p = p.copy()
+            val_rises = 0
+        else:
+            val_rises += 1
+            if val_rises >= patience:
+                break
 
     W1, b1, W2, b2 = _unpack(best_p, n_in, hidden)
     return SurrogateModel(

@@ -3,13 +3,16 @@ import json
 import re
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from pcmopt.cli import _load_problem, build_parser, main
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import PCM_NAMES, builtin_material
+from pcmopt.metrics import simulate_metrics
 from pcmopt.solver import MAX_STEP_RESIDUAL, PHASES
-from pcmopt.studies import GEOMETRY_BOUNDS, PROPERTY_BOUNDS
+from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
+                            SENSITIVITY_PROPERTIES)
 
 SUBCOMMANDS = ["simulate", "metrics", "compare-pcms", "sweep", "optimize",
                "generate", "train", "ablation", "surface", "sensitivity"]
@@ -237,3 +240,135 @@ def test_problem_file_rejects_unknown_bound_names(tmp_path):
     named = rf"{re.escape(str(problem))}: .*'bounds'"
     with pytest.raises(ValueError, match=named):
         _load_problem(args)
+
+
+def synthetic_campaign(tmp_path, n=30):
+    """A campaign-shaped results.csv over GEOMETRY_BOUNDS with smooth
+    made-up targets, so no transient runs to build it."""
+    rng = np.random.default_rng(0)
+    lows, highs = np.array(list(GEOMETRY_BOUNDS.values())).T
+    X = rng.uniform(lows, highs, size=(n, 3))
+    H, W, Tm = X.T
+    path = tmp_path / "campaign.csv"
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([*GEOMETRY_BOUNDS, "T_o_max_C", "T_osc_C"])
+        w.writerows(zip(H, W, Tm, 90.0 - 0.05 * H - 0.04 * W + 0.1 * Tm,
+                        1.0 + 0.001 * (Tm - 77.0) ** 2 + 0.01 * H))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags,cell", [
+    (["--no-channel"], {"no_channel": True}),
+    (["--height-um", "60", "--width-um", "40"], {"H": 60e-6, "W": 40e-6})],
+    ids=["no_channel", "height_width"])
+def test_case_flags_override_the_case_file(tmp_path, capsys, flags, cell):
+    case = coarse_case_file(tmp_path)
+    assert main(["metrics", "--case", case, "--dt-ms", "25", *flags]) == 0
+    expected = simulate_metrics(
+        Case(cell=UnitCellSpec(dx=10e-6, **cell),
+             power=PowerProfile(q0=100e3)), dt=0.025)
+    assert json.loads(capsys.readouterr().out) == expected.to_dict()
+
+
+def test_compare_pcms_command(tmp_path, capsys):
+    out = tmp_path / "compare"
+    assert main(["compare-pcms", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["Silicon", *PCM_NAMES]
+    with open(out / "results.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["material"] for r in rows] == ["Silicon", *PCM_NAMES]
+    for line, r in zip(lines, rows):
+        assert f"T_o_max={float(r['T_o_max']):.2f}" in line
+    best = min(rows[1:], key=lambda r: float(r["T_o_max"]))["material"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["best_T_o_max"] == best
+
+
+def test_sweep_command_writes_the_study(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--tm-step", "49", "--out", str(out)]) == 0
+    with open(out / "results.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [float(r["T_m_C"]) for r in rows] == [47.0, 96.0]
+    best = {m: min(rows, key=lambda r: float(r[m]))["T_m_C"]
+            for m in ("T_o_max", "T_osc")}
+    assert capsys.readouterr().out == (
+        f"power 100000 W/m2: optimal T_m (T_o_max) = "
+        f"{float(best['T_o_max']):.0f} C, (T_osc) = "
+        f"{float(best['T_osc']):.0f} C\n")
+
+
+def test_sensitivity_command_writes_each_property(tmp_path, capsys):
+    case = coarse_case_file(tmp_path)
+    out = tmp_path / "sensitivity.csv"
+    assert main(["sensitivity", "--case", case, "--dt-ms", "25",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["property"] for r in rows] == list(SENSITIVITY_PROPERTIES)
+    lines = capsys.readouterr().out.splitlines()
+    for line, r in zip(lines, rows, strict=True):
+        assert line == (f"{r['property']:>12}: |dT_o_max| = "
+                        f"{float(r['dTo_max']):.4f} C, |dT_osc| = "
+                        f"{float(r['dTosc']):.4f} C")
+        assert float(r["dTo_max"]) >= 0.0 and float(r["dTosc"]) >= 0.0
+
+
+def test_optimize_repeats_and_pso_on_a_surrogate(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", synthetic_campaign(tmp_path),
+                 "--target", "tomax", "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["target"] == "T_o_max_C"
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "objective": "T_o_max", "dx": 10e-6, "sim_kwargs": {"dt": 0.025},
+        "bounds": {k: list(v) for k, v in GEOMETRY_BOUNDS.items()}}))
+    argv = ["optimize", "--problem", str(problem), "--strategy", "pso",
+            "--backend", f"nn:{model}"]
+    capsys.readouterr()
+    assert main([*argv, "--repeats", "2"]) == 0
+    repeated = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    single = json.loads(capsys.readouterr().out)["result"]
+
+    runs = repeated["runs"]
+    assert [(r["strategy"], r["seed"]) for r in runs] == [("pso", 0),
+                                                         ("pso", 1)]
+    # run 0 is the single run with the same seed
+    for key in ("parameters", "objective_value", "verified_objective"):
+        assert runs[0][key] == single[key]
+    summary = repeated["summary"]
+    assert (summary["strategy"], summary["n_runs"]) == ("pso", 2)
+    verified = [r["verified_objective"] for r in runs]
+    assert summary["verified_objective"] == {
+        "mean": float(np.mean(verified)), "min": min(verified),
+        "max": max(verified)}
+
+    assert main([*argv, "--repeats", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "pcmopt optimize: error: n_runs must be >= 2\n")
+
+
+def test_ablation_command_on_a_synthetic_campaign(tmp_path, capsys):
+    campaign = synthetic_campaign(tmp_path)
+    out = tmp_path / "ablation.json"
+    assert main(["ablation", "--pool", campaign, "--test", campaign,
+                 "--target", "tosc", "--sizes", "12", "--repeats", "2",
+                 "--dx-um", "10", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    [entry] = report
+    assert entry["size"] == 12
+    r2 = entry["r_squared"]
+    assert r2["min"] <= r2["mean"] <= r2["max"] <= 1.0
+    for strategy in ("ga", "pso"):
+        summary = entry[strategy]
+        assert (summary["strategy"], summary["n_runs"]) == (strategy, 2)
+        assert set(summary["parameters"]) == set(GEOMETRY_BOUNDS)
+        # each optimum is verified on the simulator's T_osc, not the
+        # network trained on the made-up one
+        verified = summary["verified_objective"]
+        assert 0.0 < verified["min"] <= verified["max"] < 50.0
+        assert verified != summary["objective_value"]

@@ -176,6 +176,31 @@ def test_factorization_rejects_indefinite_matrix():
         _factor_band(band)
 
 
+def test_a_non_finite_solve_raises(monkeypatch):
+    def non_finite(chol, rhs, **kwargs):
+        T, info = dpbtrs(chol, rhs, **kwargs)
+        T[7] = np.inf
+        return T, info
+
+    monkeypatch.setattr(pcmopt.solver, "dpbtrs", non_finite)
+    with pytest.raises(SolverDivergence,
+                       match=r"non-finite temperature at t=0\.025 s"):
+        simulate(Case(cell=COARSE), dt=0.025)
+
+
+def test_a_step_that_breaks_the_energy_balance_raises(monkeypatch):
+    # a solve 1e-5 K off everywhere leaves a ~1e-5 per-step residual
+    def shifted(chol, rhs, **kwargs):
+        T, info = dpbtrs(chol, rhs, **kwargs)
+        return T + 1e-5, info
+
+    monkeypatch.setattr(pcmopt.solver, "dpbtrs", shifted)
+    with pytest.raises(SolverDivergence,
+                       match=r"per-step energy residual 1\.\d+e-05 exceeds "
+                             r"1\.0e-06"):
+        simulate(Case(cell=COARSE), dt=0.025)
+
+
 def test_early_exit_history_covers_settled_cycles(baseline_history):
     h = baseline_history
     assert h.converged

@@ -3,6 +3,7 @@ import json
 import re
 import shutil
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from pcmopt import studies
 from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.metrics import simulate_metrics
+from pcmopt.solver import SolverDivergence
 from pcmopt.optimize import (Backend, FunctionBackend, GAConfig, PSOConfig,
                              ga_minimize, parametric_sweep, pso_minimize,
                              repeat_with_seeds)
@@ -159,6 +161,40 @@ def test_campaign_worker_count_does_not_change_results(small_campaign,
     parallel = generate_training_data("geometry", 10, tmp_path, seed=3,
                                       dx=10e-6, sim_kwargs=COARSE_SIM)
     assert parallel.read_bytes() == csv_path.read_bytes()
+
+
+def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    calls = []
+
+    def third_fails(case, **sim_kwargs):
+        calls.append(case)
+        if len(calls) == 3:
+            raise SolverDivergence("diverged on purpose")
+        return SimpleNamespace(T_o_max=50.0 + case.cell.H * 1e6,
+                               T_osc=case.cell.W * 1e6)
+
+    monkeypatch.setattr(studies, "simulate_metrics", third_fails)
+    with pytest.warns(UserWarning, match="case 2 failed: diverged on purpose"):
+        csv_path = generate_training_data("geometry", 8, tmp_path,
+                                          sampler="grid", dx=10e-6)
+    assert len(calls) == 8
+    record = json.loads((tmp_path / "cases" / "case_000002.json").read_text())
+    assert record["failed"] == "diverged on purpose"
+    assert [int(r["case_index"]) for r in read_csv(csv_path)] == [
+        0, 1, 3, 4, 5, 6, 7]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["n_requested"], summary["n_complete"],
+            summary["n_failed"]) == (8, 7, 1)
+
+    # a resume keeps the failure: nothing re-runs, and it warns again
+    original = csv_path.read_bytes()
+    with pytest.warns(UserWarning, match="case 2 failed"):
+        again = generate_training_data("geometry", 8, tmp_path,
+                                       sampler="grid", dx=10e-6)
+    assert len(calls) == 8
+    assert again.read_bytes() == original
 
 
 def test_campaign_grid_sampler_deterministic(tmp_path):
