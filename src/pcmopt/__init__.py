@@ -1,8 +1,7 @@
 """Transient thermal simulation and optimization of PCM channels embedded
 in the silicon device layer of an electronic chip."""
 
-from .geometry import (BoundarySpec, Case, PowerProfile, UnitCellSpec,
-                       build_mesh)
+from .geometry import Case, PowerProfile, UnitCellSpec, build_mesh
 from .materials import Material, PCM_NAMES, builtin_material
 from .metrics import MetricsReport, compute_metrics, simulate_metrics
 from .network import NetworkModel, assemble_network
@@ -18,7 +17,7 @@ from .surrogate import (SurrogateModel, TrainingSet, activation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySpec", "Case", "PowerProfile", "UnitCellSpec", "build_mesh",
+    "Case", "PowerProfile", "UnitCellSpec", "build_mesh",
     "Material", "PCM_NAMES", "builtin_material",
     "MetricsReport", "compute_metrics", "sensitivity", "simulate_metrics",
     "NetworkModel", "assemble_network",

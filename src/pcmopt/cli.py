@@ -9,14 +9,12 @@ from dataclasses import asdict, dataclass, field, replace as dc_replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import studies
 from .geometry import Case
 from .materials import (UnknownMaterialError, builtin_material, from_record,
                         load_material_file, read_json)
 from .metrics import compute_metrics
-from .optimize import STRATEGIES, repeat_with_seeds
+from .optimize import STRATEGIES, grid_points, repeat_with_seeds
 from .solver import simulate
 from .surrogate import (SurrogateModel, load_training_csv, train_lm,
                         r_squared)
@@ -152,8 +150,10 @@ def _load_problem(args):
 
 
 def _cmd_optimize(args):
+    if args.repeats is not None and args.repeats < 2:
+        raise ValueError(f"--repeats must be at least 2, got {args.repeats}")
     problem = _load_problem(args)
-    if args.repeats:
+    if args.repeats is not None:
         out = repeat_with_seeds(problem, args.strategy, n_runs=args.repeats)
         payload = {"summary": out["summary"],
                    "runs": [asdict(r) for r in out["runs"]]}
@@ -197,7 +197,7 @@ def _cmd_surface(args):
 
     def parse_grid(s):
         lo, hi, step = (float(v) for v in s.split(":"))
-        return np.arange(lo, hi + step / 2, step)
+        return grid_points(lo, hi, step)
 
     rows = studies.emit_surface(model, fixed_tm=args.tm,
                                 h_grid=parse_grid(args.h_grid),

@@ -1,4 +1,4 @@
-"""Unit-cell geometry, heating profile, boundary conditions, and meshing.
+"""Unit-cell geometry, heating profile, boundary constants, and meshing.
 
 The simulated domain is the 2-D cross-section of half a channel pitch:
 an alumina insulation layer on top, the silicon device layer with a PCM
@@ -22,6 +22,23 @@ SILICON = 1
 PCM = 2
 
 
+# The package around the channel is fixed: layer thicknesses and the
+# channel center-to-center spacing, m.
+T_ALUMINA = 50e-6
+T_DEVICE = 200e-6
+T_CAP = 50e-6
+PITCH = 100e-6
+# The heater's square wave: on for T_ON of every PERIOD, s.
+T_ON = 0.5
+PERIOD = 1.0
+# Equivalent convection on the top and bottom faces, W/(m^2 K), to an
+# ambient of 300 K, degC.
+H_CONV = 500.0
+T_AMB_C = 300.0 - 273.15
+_LAYERS = {"alumina layer": T_ALUMINA, "device layer": T_DEVICE,
+           "cap layer": T_CAP, "channel pitch": PITCH}
+
+
 def _snap(length: float, dx: float) -> float:
     """Round a length to the nearest positive multiple of dx."""
     return max(round(length / dx), 0) * dx
@@ -29,14 +46,10 @@ def _snap(length: float, dx: float) -> float:
 
 @dataclass(frozen=True)
 class UnitCellSpec:
-    """Half-pitch unit cell geometry. All lengths in meters."""
+    """Half-pitch unit cell: the channel and the voxel size, in meters."""
 
     H: float = 100e-6  # channel height
     W: float = 50e-6   # channel width (full width; half is simulated)
-    t_alumina: float = 50e-6
-    t_device: float = 200e-6
-    t_cap: float = 50e-6
-    pitch: float = 100e-6  # channel center-to-center spacing
     dx: float = 5e-6       # voxel edge length
     no_channel: bool = False  # solid-silicon baseline (H, W ignored)
 
@@ -44,66 +57,41 @@ class UnitCellSpec:
         check_field_types(self)
         if not self.dx > 0:
             raise ValueError("dx must be positive")
-        s = self._snapped_lengths()  # not snapped(), which builds a spec
-        for key in ("t_alumina", "t_device", "t_cap", "pitch"):
-            if s[key] <= 0:
-                raise ValueError(f"{key} must be positive after snapping")
+        for name, length in _LAYERS.items():
+            if _snap(length, self.dx) <= 0:
+                raise ValueError(f"dx={self.dx!r} is too large: the {name} "
+                                 "snaps to no voxels")
         if not self.no_channel:
-            if s["H"] <= 0 or s["W"] <= 0:
+            H, W = _snap(self.H, self.dx), _snap(self.W, self.dx)
+            if H <= 0 or W <= 0:
                 raise ValueError(
                     "channel must have positive H and W; use no_channel for "
                     "the solid-silicon baseline")
-            if s["H"] > s["t_device"]:
+            if H > _snap(T_DEVICE, self.dx):
                 raise ValueError("channel height exceeds device layer")
-            if s["W"] > s["pitch"]:
+            if W > _snap(PITCH, self.dx):
                 raise ValueError("channel width exceeds pitch")
 
-    def _snapped_lengths(self) -> dict[str, float]:
-        return {key: _snap(getattr(self, key), self.dx)
-                for key in ("H", "W", "t_alumina", "t_device", "t_cap",
-                            "pitch")}
-
     def snapped(self) -> "UnitCellSpec":
-        """Return a copy with every dimension snapped to a multiple of dx."""
-        return dc_replace(self, **self._snapped_lengths())
+        """Return a copy with H and W snapped to multiples of dx."""
+        return dc_replace(self, H=_snap(self.H, self.dx),
+                          W=_snap(self.W, self.dx))
 
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Square-wave heat flux at the silicon-alumina interface."""
+    """Square-wave heat flux at the silicon-alumina interface, on for T_ON
+    of every PERIOD."""
 
     q0: float = 100e3   # amplitude, W/m^2
-    t_on: float = 0.5   # s
-    period: float = 1.0  # s
     duration: float = 1000.0  # total simulated time, s
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0 < self.t_on <= self.period:
-            raise ValueError("need 0 < t_on <= period")
         if self.q0 < 0:
             raise ValueError("q0 must be non-negative")
-        if self.duration < self.period:
+        if self.duration < PERIOD:
             raise ValueError("duration must cover at least one period")
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Equivalent convection on the top and bottom faces."""
-
-    h: float = 500.0    # W/(m^2 K)
-    T_amb: float = 300.0  # ambient, K
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.T_amb <= 0:
-            raise ValueError("T_amb must be positive")
-
-    @property
-    def T_amb_C(self) -> float:
-        return self.T_amb - 273.15
 
 
 @dataclass(frozen=True)
@@ -133,18 +121,18 @@ class Mesh:
     @property
     def source_row(self) -> int:
         """Row index of the heated silicon-alumina interface (device top)."""
-        s = self.spec
-        return round((s.t_cap + s.t_device) / self.dx) - 1
+        dx = self.dx
+        return round((_snap(T_CAP, dx) + _snap(T_DEVICE, dx)) / dx) - 1
 
 
 def build_mesh(spec: UnitCellSpec) -> Mesh:
     """Discretize the half unit cell into labeled voxels."""
     s = spec.snapped()
     dx = s.dx
-    nx = round((s.pitch / 2) / dx)
-    n_cap = round(s.t_cap / dx)
-    n_dev = round(s.t_device / dx)
-    n_al = round(s.t_alumina / dx)
+    nx = round((_snap(PITCH, dx) / 2) / dx)
+    n_cap = round(_snap(T_CAP, dx) / dx)
+    n_dev = round(_snap(T_DEVICE, dx) / dx)
+    n_al = round(_snap(T_ALUMINA, dx) / dx)
     if nx < 1:
         raise ValueError("pitch/2 smaller than one voxel")
     ny = n_cap + n_dev + n_al
@@ -163,14 +151,13 @@ def build_mesh(spec: UnitCellSpec) -> Mesh:
 
 @dataclass(frozen=True)
 class Case:
-    """One complete simulation case: geometry + heating + boundary + PCM.
+    """One complete simulation case: geometry + heating + PCM.
 
     pcm fills the channel (unused by a no_channel cell).
     """
 
     cell: UnitCellSpec = UnitCellSpec()
     power: PowerProfile = PowerProfile()
-    boundary: BoundarySpec = BoundarySpec()
     pcm: Material = builtin_material("Solder174")
 
     @classmethod
@@ -181,10 +168,10 @@ class Case:
         Raises ValueError, naming the section, on an unknown key, a pcm
         record that misses a key, or a value a section rejects.
         """
-        unknown = set(d) - {"cell", "power", "boundary", "pcm"}
+        unknown = set(d) - {"cell", "power", "pcm"}
         if unknown:
             raise ValueError(f"unknown case keys {sorted(unknown)}; expected "
-                             "cell, power, boundary, pcm")
+                             "cell, power, pcm")
 
         def section(key, kind):
             return from_record(kind, d.get(key, {}), f"case {key}")
@@ -193,7 +180,6 @@ class Case:
         return cls(
             cell=section("cell", UnitCellSpec),
             power=section("power", PowerProfile),
-            boundary=section("boundary", BoundarySpec),
             pcm=(builtin_material(pcm) if isinstance(pcm, str)
                  else section("pcm", Material)),
         )

@@ -11,7 +11,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .geometry import Case
+from .geometry import T_AMB_C, Case
 from .solver import ThermalHistory, simulate
 
 CUTOFF_C = 85.0  # temperature limit of dt_85, degC
@@ -63,7 +63,7 @@ def compute_metrics(history: ThermalHistory) -> MetricsReport:
     last_T = history.T_max[sl]
     last_phi = history.phi_mean[sl]
     dt85 = _interp_crossing(history.t, history.T_max, CUTOFF_C,
-                            t0=0.0, T0=history.T_amb_C)
+                            t0=0.0, T0=T_AMB_C)
     return MetricsReport(
         T_o_max=float(history.T_max.max()),
         T_osc=float(last_T.max() - last_T.min()),

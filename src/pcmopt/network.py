@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ALUMINA, PCM, SILICON, BoundarySpec, Mesh
+from .geometry import ALUMINA, H_CONV, PCM, SILICON, T_AMB_C, Mesh
 from .materials import Material, builtin_material
 
 
@@ -37,8 +37,7 @@ class NetworkModel:
     edge_j: np.ndarray = field(repr=False)
     # convection
     conv_nodes: np.ndarray = field(repr=False)
-    conv_G: np.ndarray = field(repr=False)  # W/K per node
-    T_amb_C: float
+    conv_G: np.ndarray = field(repr=False)  # W/K per node, to T_AMB_C
     # source
     source_nodes: np.ndarray = field(repr=False)
 
@@ -184,9 +183,9 @@ class NetworkModel:
         return b
 
     def ambient_vector(self) -> np.ndarray:
-        """Convection contribution h*A*T_amb on boundary nodes, W."""
+        """Convection contribution h*A*T_AMB_C on boundary nodes, W."""
         b = np.zeros(self.n_nodes)
-        b[self.conv_nodes] += self.conv_G * self.T_amb_C
+        b[self.conv_nodes] += self.conv_G * T_AMB_C
         return b
 
 
@@ -220,8 +219,7 @@ def _grid_edges(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([hi, vi]), np.concatenate([hj, vj])
 
 
-def assemble_network(mesh: Mesh, boundary: BoundarySpec,
-                     pcm: Material | None = None) -> NetworkModel:
+def assemble_network(mesh: Mesh, pcm: Material | None = None) -> NetworkModel:
     """Build the RC network for a mesh of built-in silicon and alumina.
 
     pcm may be None only for a mesh without PCM voxels.
@@ -250,7 +248,7 @@ def assemble_network(mesh: Mesh, boundary: BoundarySpec,
     top = idx[-1, :]
     bottom = idx[0, :]
     conv_nodes = np.concatenate([top, bottom])
-    conv_G = np.full(conv_nodes.size, boundary.h * mesh.dx * 1.0)
+    conv_G = np.full(conv_nodes.size, H_CONV * mesh.dx * 1.0)
 
     source_nodes = idx[mesh.source_row, :]
 
@@ -267,6 +265,5 @@ def assemble_network(mesh: Mesh, boundary: BoundarySpec,
         edge_j=edge_j,
         conv_nodes=conv_nodes,
         conv_G=conv_G,
-        T_amb_C=boundary.T_amb_C,
         source_nodes=source_nodes,
     )

@@ -228,6 +228,17 @@ def _result(problem, strategy, x_best, f_best, cached, trace, seed, config):
     )
 
 
+def grid_points(lower: float, upper: float, step: float) -> np.ndarray:
+    """lower, lower + step, ... for as long as the points stay within
+    upper; upper itself is the last point when step divides the range
+    (to 1e-9 of a step)."""
+    if not (step > 0 and lower <= upper):
+        raise ValueError(f"a grid from {lower} to {upper} needs a positive "
+                         f"step and lower <= upper, got step {step}")
+    n = int(np.floor((upper - lower) / step + 1e-9)) + 1
+    return lower + step * np.arange(n)
+
+
 def parametric_sweep(problem: OptimizationProblem
                      ) -> tuple[OptimizationResult, list[dict]]:
     """Evaluate every grid point; returns the argmin (deterministic
@@ -237,8 +248,7 @@ def parametric_sweep(problem: OptimizationProblem
     for p in problem.parameters:
         if p.step is None:
             raise ValueError(f"{p.name} has no grid step; use GA or PSO")
-        n = int(np.floor((p.upper - p.lower) / p.step + 1e-9)) + 1
-        axes.append(p.lower + p.step * np.arange(n))
+        axes.append(grid_points(p.lower, p.upper, p.step))
     total = int(np.prod([a.size for a in axes]))
     if total > SWEEP_GRID_CAP:
         raise ValueError(

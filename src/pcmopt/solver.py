@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Case, Mesh, build_mesh
+from .geometry import PERIOD, T_AMB_C, T_ON, Case, Mesh, build_mesh
 from .network import NetworkModel, assemble_network
 
 
@@ -72,9 +72,7 @@ class ThermalHistory:
     t: np.ndarray
     T_max: np.ndarray      # max chip temperature per sample, degC
     phi_mean: np.ndarray   # mean PCM melt fraction per sample
-    period: float
     dt: float
-    T_amb_C: float
     # settled cycle, or cycles run if unsettled (see simulate)
     quasi_steady_cycle: int | None = None
     converged: bool = False
@@ -91,7 +89,7 @@ class ThermalHistory:
 
     @property
     def steps_per_cycle(self) -> int:
-        return round(self.period / self.dt)
+        return round(PERIOD / self.dt)
 
     @property
     def n_cycles(self) -> int:
@@ -194,7 +192,7 @@ class _Integrator:
         self.net = net
         self.dt = dt
         self.t = 0.0
-        self.T = np.full(net.n_nodes, net.T_amb_C)
+        self.T = np.full(net.n_nodes, T_AMB_C)
         self._pcm_idx = net.pcm_nodes
         self.phi = np.zeros(self._pcm_idx.size)
         self.latent = np.zeros(self._pcm_idx.size)  # absorbed latent, J
@@ -209,7 +207,7 @@ class _Integrator:
         self._power_on = q_flux * net.width  # W (unit depth)
         self._conv_nodes = net.conv_nodes
         self._conv_G = net.conv_G
-        self._conv_G_T_amb = float(np.sum(net.conv_G)) * net.T_amb_C
+        self._conv_G_T_amb = float(np.sum(net.conv_G)) * T_AMB_C
         self._rhs = np.empty(net.n_nodes)
         self._dT = np.empty(net.n_nodes)
         # run totals
@@ -323,8 +321,7 @@ def settled(extrema: list[tuple[float, float]], tol: float) -> bool:
 
 def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
     mesh = build_mesh(case.cell)
-    net = assemble_network(mesh, case.boundary,
-                           pcm=None if case.cell.no_channel else case.pcm)
+    net = assemble_network(mesh, None if case.cell.no_channel else case.pcm)
     return mesh, net
 
 
@@ -339,13 +336,13 @@ def simulate(case: Case, dt: float = 0.01,
     if not dt > 0:
         raise ValueError("dt must be positive")
     power = case.power
-    steps_on = power.t_on / dt
-    steps_cycle = power.period / dt
+    steps_on = T_ON / dt
+    steps_cycle = PERIOD / dt
     if abs(steps_on - round(steps_on)) > 1e-9 or abs(steps_cycle - round(steps_cycle)) > 1e-9:
-        raise ValueError("dt must divide both t_on and the period")
+        raise ValueError("dt must divide both T_ON and PERIOD")
     steps_on = round(steps_on)
     steps_cycle = round(steps_cycle)
-    n_cycles = int(round(power.duration / power.period))
+    n_cycles = int(round(power.duration / PERIOD))
 
     t_start = time.perf_counter()
     mesh, net = build_case_network(case)
@@ -395,9 +392,7 @@ def simulate(case: Case, dt: float = 0.01,
         t=np.asarray(times),
         T_max=np.asarray(tmax),
         phi_mean=np.asarray(pmean),
-        period=power.period,
         dt=dt,
-        T_amb_C=net.T_amb_C,
         quasi_steady_cycle=len(extrema) - 2 if converged else len(extrema),
         converged=converged,
         energy_residual=global_residual,
@@ -413,7 +408,7 @@ def steady_state(case: Case, constant_flux: float) -> np.ndarray:
     with every PCM node solid.
 
     Returns the nodal temperature field (degC) reshaped to (ny, nx).
-    Used as a verification oracle; h > 0 keeps the system nonsingular.
+    Used as a verification oracle; H_CONV > 0 keeps the system nonsingular.
     """
     _, net = build_case_network(case)
     chol = _factor_band(net.conductance_matrix(np.zeros(net.pcm_nodes.size)))

@@ -20,14 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Case, PowerProfile, UnitCellSpec
+from .geometry import T_AMB_C, Case, PowerProfile, UnitCellSpec
 from .materials import PCM_NAMES, Material, builtin_material
 from .metrics import compute_metrics, simulate_metrics
 from .optimize import (Backend, OptimizationProblem, ParameterSpec,
-                       repeat_with_seeds, value_range)
+                       grid_points, repeat_with_seeds, value_range)
 from .solver import simulate
-from .surrogate import (SurrogateModel, TrainingSet, predict, train_lm,
-                        r_squared)
+from .surrogate import (ExtrapolationWarning, SurrogateModel, TrainingSet,
+                        predict, train_lm, r_squared)
 
 # Parameter bounds for the two optimization campaigns.
 PROPERTY_BOUNDS = {
@@ -201,7 +201,7 @@ class SurrogateBackend(Backend):
 
     def evaluate_batch(self, X):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", ExtrapolationWarning)
             return predict(self.model, X)
 
     def verify(self, x):
@@ -302,7 +302,7 @@ def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
               "tm_step": tm_step, "tm_range": list(tm_range),
               "cell": asdict(cell), "sim_kwargs": repr(sim_kwargs)}
     chash = config_hash(config)
-    tms = np.arange(tm_range[0], tm_range[1] + tm_step / 2, tm_step).tolist()
+    tms = grid_points(*tm_range, tm_step).tolist()
 
     points = [(power, tm) for power in power_levels for tm in tms]
     rows = [{**r, "config_hash": chash} for r in evaluate_cases(
@@ -495,7 +495,7 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
     cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power, dx=dx)
              for x in points]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", ExtrapolationWarning)
         t_nn = predict(model, np.array(points)).tolist()
     rows = []
     for m, x, t in zip(evaluate_cases(partial(simulate_metrics, **sim_kwargs),
@@ -520,11 +520,10 @@ SENSITIVITY_PROPERTIES = ("T_m", "L_H", "k", "cp_solid", "cp_liquid")
 PERTURBATION = 0.10
 
 
-def _perturbed_material(base: Material, prop: str, factor: float,
-                        T_amb_C: float) -> Material:
+def _perturbed_material(base: Material, prop: str, factor: float) -> Material:
     if prop == "T_m":
         # scale the melt superheat above ambient, not T_m itself
-        return dc_replace(base, T_m=T_amb_C + factor * (base.T_m - T_amb_C))
+        return dc_replace(base, T_m=T_AMB_C + factor * (base.T_m - T_AMB_C))
     if prop == "k":
         return dc_replace(base, k_solid=factor * base.k_solid,
                           k_liquid=factor * base.k_liquid)
@@ -541,8 +540,8 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
     if base_case.cell.no_channel or not base_case.pcm.is_pcm:
         raise ValueError("sensitivity needs a case with a PCM channel")
     cases = [base_case] + [
-        dc_replace(base_case, pcm=_perturbed_material(
-            base_case.pcm, prop, factor, base_case.boundary.T_amb_C))
+        dc_replace(base_case, pcm=_perturbed_material(base_case.pcm, prop,
+                                                      factor))
         for prop in properties
         for factor in (1.0 + PERTURBATION, 1.0 - PERTURBATION)]
     base, *runs = evaluate_cases(partial(simulate_metrics, **sim_kwargs),

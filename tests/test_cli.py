@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from pcmopt import studies
 from pcmopt.cli import _load_problem, build_parser, main
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import PCM_NAMES, builtin_material
@@ -13,6 +14,7 @@ from pcmopt.metrics import simulate_metrics
 from pcmopt.solver import MAX_STEP_RESIDUAL, PHASES
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             SENSITIVITY_PROPERTIES)
+from pcmopt.surrogate import SurrogateModel
 
 SUBCOMMANDS = ["simulate", "metrics", "compare-pcms", "sweep", "optimize",
                "generate", "train", "ablation", "surface", "sensitivity"]
@@ -76,6 +78,11 @@ def test_metrics_rejects_unknown_material(capsys):
 def test_input_error_is_one_stderr_line(tmp_path, capsys):
     case = tmp_path / "case.json"
     case.write_text(json.dumps({"cell": {"no_channel": "false"}}))
+    # the convection and the fixed stack are constants, not case keys
+    boundary = tmp_path / "boundary.json"
+    boundary.write_text(json.dumps({"boundary": {"h": 500}}))
+    pitch = tmp_path / "pitch.json"
+    pitch.write_text(json.dumps({"cell": {"pitch": 1e-4}}))
     material = tmp_path / "material.json"
     material.write_text(json.dumps(
         {**asdict(builtin_material("WoodsMetal")), "T_m": float("nan")}))
@@ -86,7 +93,14 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
              f"file {material}: T_m must be finite, got nan"),
             (["simulate", "--case", str(case), "--out", str(tmp_path / "o")],
              f"case file {case}: case cell: no_channel must be a bool, "
-             "got 'false'")]:
+             "got 'false'"),
+            (["simulate", "--case", str(boundary), "--out",
+              str(tmp_path / "o")],
+             f"case file {boundary}: unknown case keys ['boundary']; "
+             "expected cell, power, pcm"),
+            (["metrics", "--case", str(pitch)],
+             f"case file {pitch}: case cell: UnitCellSpec.__init__() got an "
+             "unexpected keyword argument 'pitch'")]:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"pcmopt {argv[0]}: error: ")
@@ -186,6 +200,38 @@ def test_sweep_command_with_grid_problem(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["table"]) == 3
     assert payload["result"]["strategy"] == "sweep"
+
+
+def test_grids_end_at_or_below_their_upper_end(tmp_path, capsys,
+                                              monkeypatch):
+    """A step that does not divide the range stops short of its upper end,
+    in the T_m sweep and on both surface axes; the default grids are the
+    inclusive ones they always were, to the bit."""
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    monkeypatch.setattr(studies, "_tm_row", lambda item, **_: {
+        "T_m_C": item[1], "T_o_max": 0.0, "T_osc": 0.0, "band_hi_C": 0.0,
+        "band_lo_C": 0.0})
+    monkeypatch.setattr(SurrogateModel, "load", staticmethod(lambda _: None))
+    grids = []
+    monkeypatch.setattr(studies, "emit_surface",
+                        lambda model, fixed_tm, h_grid, w_grid, **_:
+                        grids.append((h_grid.tolist(), w_grid.tolist())) or [])
+
+    def swept(*flags):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *flags, "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as f:
+            return [float(r["T_m_C"]) for r in csv.DictReader(f)]
+
+    assert swept("--tm-step", "30") == [47.0, 77.0]
+    assert swept("--tm-step", "0.6")[-1] == 47.0 + 0.6 * 81 < 96.0
+    assert swept() == np.arange(47.0, 96.5, 1.0).tolist()
+    for flags in (["--h-grid", "20:100:30", "--w-grid", "20:100:30"], []):
+        assert main(["surface", "--model", "m.json", "--tm", "77",
+                     "--out", str(tmp_path / "s.csv"), *flags]) == 0
+    capsys.readouterr()
+    assert grids == [([20.0, 50.0, 80.0], [20.0, 50.0, 80.0]),
+                     (np.arange(20.0, 105.0, 10.0).tolist(),) * 2]
 
 
 KIND_BOUNDS = {"tm": {"T_m_C": (47.0, 96.0)},
@@ -346,9 +392,11 @@ def test_optimize_repeats_and_pso_on_a_surrogate(tmp_path, capsys):
         "mean": float(np.mean(verified)), "min": min(verified),
         "max": max(verified)}
 
-    assert main([*argv, "--repeats", "1"]) == 2
-    assert capsys.readouterr().err == (
-        "pcmopt optimize: error: n_runs must be >= 2\n")
+    for repeats in ("0", "1", "-3"):
+        assert main([*argv, "--repeats", repeats]) == 2
+        assert capsys.readouterr().err == (
+            f"pcmopt optimize: error: --repeats must be at least 2, "
+            f"got {repeats}\n")
 
 
 def test_ablation_command_on_a_synthetic_campaign(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmopt.geometry import (ALUMINA, PCM, SILICON, BoundarySpec, Case,
+from pcmopt.geometry import (ALUMINA, H_CONV, PCM, SILICON, T_AMB_C, Case,
                              PowerProfile, UnitCellSpec, build_mesh)
 from pcmopt.materials import UnknownMaterialError, builtin_material
 
@@ -78,11 +78,13 @@ def test_validate_rejects_oversized_channel():
     for dx in (0.0, -5e-6):
         with pytest.raises(ValueError, match="dx"):
             UnitCellSpec(dx=dx)
+    # the 50 um alumina and cap layers snap to no voxels at 101 um
+    with pytest.raises(ValueError, match="dx=0.000101 is too large: the "
+                                         "alumina layer snaps to no voxels"):
+        UnitCellSpec(dx=101e-6, no_channel=True)
 
 
 def test_power_profile_validation():
-    with pytest.raises(ValueError):
-        PowerProfile(t_on=1.5, period=1.0)
     with pytest.raises(ValueError):
         PowerProfile(q0=-1.0)
     with pytest.raises(ValueError):
@@ -90,10 +92,9 @@ def test_power_profile_validation():
 
 
 def test_boundary_defaults_and_celsius():
-    b = BoundarySpec()
-    assert b.h == 500.0
-    assert b.T_amb == 300.0
-    assert b.T_amb_C == pytest.approx(26.85)
+    assert H_CONV == 500.0
+    # 300 K in degC, with the bits of the subtraction (not the literal)
+    assert T_AMB_C == 300.0 - 273.15 == pytest.approx(26.85)
 
 
 def test_case_json_round_trip(tmp_path):
@@ -110,12 +111,17 @@ def test_case_json_round_trip(tmp_path):
 
 def test_case_file_errors_name_the_file(tmp_path):
     path = tmp_path / "case.json"
-    for d, error in [({"cell": {"no_channel": "false"}}, ValueError),
-                     ({"pcm": "Adamantium"}, UnknownMaterialError)]:
+    # the fixed stack and the convection are constants, not case keys
+    for d, error, named in [
+            ({"cell": {"no_channel": "false"}}, ValueError, "no_channel"),
+            ({"pcm": "Adamantium"}, UnknownMaterialError, "Adamantium"),
+            ({"boundary": {"h": 500}}, ValueError, "'boundary'"),
+            ({"cell": {"pitch": 1e-4}}, ValueError, "'pitch'")]:
         path.write_text(json.dumps(d))
         with pytest.raises(error) as err:
             Case.from_json_file(path)
         assert err.value.args[0].startswith(f"case file {path}: ")
+        assert named in err.value.args[0]
 
 
 def test_case_from_dict_names_a_builtin_pcm_and_rejects_unknown_keys():
@@ -138,9 +144,8 @@ def test_case_from_dict_names_a_builtin_pcm_and_rejects_unknown_keys():
 @pytest.mark.parametrize("section,record,named", [
     ("cell", {"H_um": 20}, "H_um"),
     ("power", {"q0": 75e3, "duty": 0.5}, "duty"),
-    ("boundary", {"h_W_m2K": 500.0}, "h_W_m2K"),
     ("pcm", {"name": "partial", "T_m": 60.0}, "L_H"),
-], ids=["cell", "power", "boundary", "pcm"])
+], ids=["cell", "power", "pcm"])
 def test_case_from_dict_names_a_bad_key_in_each_section(section, record,
                                                         named):
     with pytest.raises(ValueError, match=rf"case {section}: .*'{named}'"):

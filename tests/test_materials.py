@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmopt.geometry import (BoundarySpec, PowerProfile, UnitCellSpec,
-                             build_mesh)
+from pcmopt.geometry import PowerProfile, UnitCellSpec, build_mesh
 from pcmopt.materials import (Material, PCM_NAMES, UnknownMaterialError,
                               builtin_material, load_material_file)
 from pcmopt.network import assemble_network
@@ -60,8 +59,7 @@ def test_validate_flags_bad_records():
 
 
 _MESH = build_mesh(UnitCellSpec(dx=10e-6))
-_NETWORKS = {name: assemble_network(_MESH, BoundarySpec(),
-                                    pcm=builtin_material(name))
+_NETWORKS = {name: assemble_network(_MESH, pcm=builtin_material(name))
              for name in PCM_NAMES}
 
 
@@ -182,7 +180,6 @@ _VALID_RECORDS = {
     "Material": builtin_material("Solder174"),
     "UnitCellSpec": UnitCellSpec(),
     "PowerProfile": PowerProfile(),
-    "BoundarySpec": BoundarySpec(),
     "ParameterSpec": ParameterSpec("x", 0.0, 1.0, step=0.1),
     "GAConfig": GAConfig(),
     "PSOConfig": PSOConfig(),
@@ -202,11 +199,10 @@ _VALID_RECORDS = {
     ("UnitCellSpec", "no_channel", "false", "no_channel must be a bool"),
     ("UnitCellSpec", "no_channel", None, "no_channel must be a bool"),
     ("PowerProfile", "q0", -1.0, "q0 must be non-negative"),
-    ("PowerProfile", "period", True, "period must be a number"),
+    ("PowerProfile", "duration", True, "duration must be a number"),
     ("PowerProfile", "q0", float("inf"), "q0 must be finite, got inf"),
-    ("BoundarySpec", "h", 0.0, "h must be positive"),
-    ("BoundarySpec", "T_amb", "300", "T_amb must be a number"),
-    ("BoundarySpec", "h", float("nan"), "h must be finite, got nan"),
+    ("PowerProfile", "q0", "300", "q0 must be a number"),
+    ("PowerProfile", "duration", 0.5, "duration must cover at least one"),
     ("ParameterSpec", "lower", 2.0, "lower must be < upper"),
     ("ParameterSpec", "step", "0.1", "step must be a number"),
     ("ParameterSpec", "lower", -float("inf"), "lower must be finite, got -inf"),

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from pcmopt.geometry import Case, UnitCellSpec
+from pcmopt.geometry import PERIOD, Case, UnitCellSpec
 from pcmopt.metrics import compute_metrics
 from pcmopt.solver import ThermalHistory, settled
 from pcmopt.studies import sensitivity
 
 
-def make_history(cycle_max, cycle_min, steps=10, period=1.0,
-                 converged=True, quasi=1, phi_cycles=None):
+def make_history(cycle_max, cycle_min, steps=10, converged=True, quasi=1,
+                 phi_cycles=None):
     """Synthetic sawtooth history: each cycle ramps min -> max linearly."""
     cycle_max = np.asarray(cycle_max, dtype=float)
     cycle_min = np.asarray(cycle_min, dtype=float)
@@ -19,10 +19,9 @@ def make_history(cycle_max, cycle_min, steps=10, period=1.0,
     else:
         phi = np.concatenate([np.linspace(a, b, steps)
                               for a, b in phi_cycles])
-    dt = period / steps
+    dt = PERIOD / steps
     t = dt * np.arange(1, trace.size + 1)
-    return ThermalHistory(t=t, T_max=trace, phi_mean=phi, period=period,
-                          dt=dt, T_amb_C=26.85,
+    return ThermalHistory(t=t, T_max=trace, phi_mean=phi, dt=dt,
                           quasi_steady_cycle=quasi, converged=converged)
 
 
@@ -103,7 +102,7 @@ def test_metrics_reduce_last_cycle():
 
 def test_dt_85_linear_interpolation_between_samples():
     # last cycle samples hit 80 then 90 -> crossing midway
-    h = make_history([90.0, 90.0], [80.0, 80.0], steps=2, period=1.0)
+    h = make_history([90.0, 90.0], [80.0, 80.0], steps=2)
     m = compute_metrics(h)
     assert m.dt_85 == pytest.approx(0.75)
 

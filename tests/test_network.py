@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcmopt.geometry import PCM, BoundarySpec, UnitCellSpec, build_mesh
+from pcmopt.geometry import PCM, UnitCellSpec, build_mesh
 from pcmopt.materials import builtin_material
 from pcmopt.network import assemble_network
 
@@ -9,8 +9,7 @@ from pcmopt.network import assemble_network
 @pytest.fixture(scope="module")
 def net():
     mesh = build_mesh(UnitCellSpec())
-    return assemble_network(mesh, BoundarySpec(),
-                            pcm=builtin_material("Solder174"))
+    return assemble_network(mesh, pcm=builtin_material("Solder174"))
 
 
 def node_conductivity(net, phi_full):
@@ -115,7 +114,7 @@ def test_conductance_matrix_symmetric_positive_definite(net):
 def test_conductance_band_matches_dense_laplacian(cell):
     mesh = build_mesh(cell)
     pcm = None if cell.no_channel else builtin_material("Solder174")
-    net = assemble_network(mesh, BoundarySpec(), pcm=pcm)
+    net = assemble_network(mesh, pcm=pcm)
     # a graded melt field exercises the blended conductivities
     phi = np.linspace(0.0, 1.0, net.pcm_nodes.size)
     band = net.conductance_matrix(phi)
@@ -146,7 +145,7 @@ def test_nodes_are_numbered_top_down(net):
 def test_melting_changes_only_the_trailing_block(cell, trailing):
     mesh = build_mesh(cell)
     pcm = None if cell.no_channel else builtin_material("Solder174")
-    net = assemble_network(mesh, BoundarySpec(), pcm=pcm)
+    net = assemble_network(mesh, pcm=pcm)
     start = net.melt_block_start
     assert net.n_nodes - start == trailing
     solid = net.conductance_matrix(np.zeros(net.pcm_nodes.size))
@@ -187,8 +186,8 @@ def test_latent_capacity_uses_solid_mass(net):
 def test_missing_pcm_material_rejected():
     mesh = build_mesh(UnitCellSpec())
     with pytest.raises(ValueError, match="PCM"):
-        assemble_network(mesh, BoundarySpec(), pcm=None)
+        assemble_network(mesh, pcm=None)
     # but a no-channel mesh is fine without one
     solid = build_mesh(UnitCellSpec(no_channel=True))
-    net = assemble_network(solid, BoundarySpec(), pcm=None)
+    net = assemble_network(solid, pcm=None)
     assert net.pcm_nodes.size == 0

@@ -12,6 +12,7 @@ from scipy.linalg.lapack import dpbtrs
 from pcmopt.geometry import PCM, Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import builtin_material
 from pcmopt.metrics import compute_metrics
+from pcmopt import network
 from pcmopt.network import NetworkModel
 import pcmopt
 from pcmopt.solver import (MAX_STEP_RESIDUAL, PHASES, SolverDivergence,
@@ -53,11 +54,10 @@ def test_steady_state_matches_series_resistance_oracle():
     assert T.max() == pytest.approx(expect, rel=0.005)
 
 
-def test_steady_state_h_dependence_follows_oracle():
+def test_steady_state_h_dependence_follows_oracle(monkeypatch):
     q = 100e3
-    case = Case(cell=UnitCellSpec(no_channel=True),
-                boundary=replace(Case().boundary, h=1000.0))
-    T = steady_state(case, q)
+    monkeypatch.setattr(network, "H_CONV", 1000.0)
+    T = steady_state(Case(cell=UnitCellSpec(no_channel=True)), q)
     assert T.max() == pytest.approx(
         two_path_interface_temperature(q, h=1000.0), rel=0.005)
 
@@ -90,10 +90,9 @@ def test_energy_balance_on_reference_cases(baseline_history, solder_history):
 
 @pytest.mark.parametrize("q0,h", [(60e3, 500.0), (100e3, 250.0),
                                   (140e3, 800.0)])
-def test_transient_invariants_across_conditions(q0, h):
-    case = Case(cell=COARSE, power=PowerProfile(q0=q0),
-                boundary=replace(Case().boundary, h=h))
-    hist = simulate(case, dt=0.025)
+def test_transient_invariants_across_conditions(q0, h, monkeypatch):
+    monkeypatch.setattr(network, "H_CONV", h)
+    hist = simulate(Case(cell=COARSE, power=PowerProfile(q0=q0)), dt=0.025)
     assert hist.energy_residual < 1e-4
     assert hist.T_max.min() >= 26.85 - 1e-9
     assert np.all((hist.phi_mean >= -1e-12) & (hist.phi_mean <= 1 + 1e-12))
@@ -211,7 +210,8 @@ def test_early_exit_history_covers_settled_cycles(baseline_history):
 
 
 def test_dt_must_divide_the_cycle():
-    for dt in (0.03, 0.0, -0.025):
+    # 0.2 s divides the period but not the 0.5 s on-time
+    for dt in (0.03, 0.2, 0.0, -0.025):
         with pytest.raises(ValueError, match="dt"):
             simulate(Case(cell=COARSE), dt=dt)
 
