@@ -44,6 +44,11 @@ def _snap(length: float, dx: float) -> float:
     return max(round(length / dx), 0) * dx
 
 
+def _half_pitch_voxels(dx: float) -> int:
+    """Voxels across the simulated half pitch (the mesh's nx)."""
+    return round((_snap(PITCH, dx) / 2) / dx)
+
+
 @dataclass(frozen=True)
 class UnitCellSpec:
     """Half-pitch unit cell: the channel and the voxel size, in meters."""
@@ -61,6 +66,9 @@ class UnitCellSpec:
             if _snap(length, self.dx) <= 0:
                 raise ValueError(f"dx={self.dx!r} is too large: the {name} "
                                  "snaps to no voxels")
+        if _half_pitch_voxels(self.dx) < 1:
+            raise ValueError(f"dx={self.dx!r} is too large: half the channel "
+                             "pitch snaps to no voxels")
         if not self.no_channel:
             H, W = _snap(self.H, self.dx), _snap(self.W, self.dx)
             if H <= 0 or W <= 0:
@@ -129,12 +137,10 @@ def build_mesh(spec: UnitCellSpec) -> Mesh:
     """Discretize the half unit cell into labeled voxels."""
     s = spec.snapped()
     dx = s.dx
-    nx = round((_snap(PITCH, dx) / 2) / dx)
+    nx = _half_pitch_voxels(dx)
     n_cap = round(_snap(T_CAP, dx) / dx)
     n_dev = round(_snap(T_DEVICE, dx) / dx)
     n_al = round(_snap(T_ALUMINA, dx) / dx)
-    if nx < 1:
-        raise ValueError("pitch/2 smaller than one voxel")
     ny = n_cap + n_dev + n_al
 
     labels = np.full((ny, nx), SILICON, dtype=np.int8)

@@ -82,12 +82,20 @@ class NetworkModel:
         """Sensible capacitance rho(phi)*cp(phi)*V of the PCM nodes at
         their melt fractions phi, J/K; solid_capacitance holds every
         node's at phi = 0."""
+        rho, drho, cp, dcp, volume = self._blend
+        return (rho + phi * drho) * (cp + phi * dcp) * volume
+
+    @cached_property
+    def _blend(self) -> tuple[np.ndarray, ...]:
+        """capacitance's constants, one per PCM node so that each product
+        has two array operands: solid rho, liquid - solid rho, solid cp,
+        liquid - solid cp and the volume."""
         m = self.pcm
         if m is None:
-            return np.zeros(0)
-        rho = m.rho_solid + phi * (m.rho_liquid - m.rho_solid)
-        cp = m.cp_solid + phi * (m.cp_liquid - m.cp_solid)
-        return rho * cp * self.volume
+            return (np.zeros(0),) * 5
+        return tuple(np.full(self.pcm_nodes.size, v) for v in (
+            m.rho_solid, m.rho_liquid - m.rho_solid,
+            m.cp_solid, m.cp_liquid - m.cp_solid, self.volume))
 
     def expand_phi(self, phi: np.ndarray) -> np.ndarray:
         """Melt fractions of the PCM nodes -> full-length node array."""
@@ -207,7 +215,7 @@ def _series_conductance(ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
     With square voxels and unit depth, the series conductance
     G = k_series * A / dx reduces to the harmonic mean 2*ki*kj/(ki+kj).
     """
-    return 2.0 * ki * kj / (ki + kj)
+    return (ki + ki) * kj / (ki + kj)  # ki + ki is 2.0 * ki, exactly
 
 
 def _grid_edges(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 import time
@@ -83,7 +84,7 @@ class ThermalHistory:
     # the melt-fraction test, capacitance update and band rebuild; the
     # factorizations, the first with its band build; right-hand side and
     # triangular solves; the enthalpy correction; and the rest (stepper
-    # set-up, energy balance, history, settle test)
+    # set-up, energy balance, history and cycle-end reductions, settle test)
     phase_s: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)  # (t, T field, phi field)
 
@@ -193,11 +194,16 @@ class _Integrator:
         self.dt = dt
         self.t = 0.0
         self.T = np.full(net.n_nodes, T_AMB_C)
-        self._pcm_idx = net.pcm_nodes
-        self.phi = np.zeros(self._pcm_idx.size)
-        self.latent = np.zeros(self._pcm_idx.size)  # absorbed latent, J
+        self._pcm_idx = idx = net.pcm_nodes
+        self._melts = idx.size > 0
+        self.phi = np.zeros(idx.size)
+        self.latent = np.zeros(idx.size)  # absorbed latent, J
+        # per-PCM-node constants: array operands are cheaper than floats
         self._latent_cap = net.latent_capacity
-        self._T_m = net.T_m
+        self._T_m = np.full(idx.size, net.T_m)
+        self._dt_pcm = np.full(idx.size, dt)
+        self._zero = np.zeros(idx.size)
+        self._rebuild_tol = np.full(idx.size, REBUILD_TOL)
         self._C = net.solid_capacitance.copy()
         self._C_dt = self._C / dt
         self._update_capacitance()
@@ -208,8 +214,6 @@ class _Integrator:
         self._conv_nodes = net.conv_nodes
         self._conv_G = net.conv_G
         self._conv_G_T_amb = float(np.sum(net.conv_G)) * T_AMB_C
-        self._rhs = np.empty(net.n_nodes)
-        self._dT = np.empty(net.n_nodes)
         # run totals
         self.e_in = self.e_out = self.e_stored = 0.0
         self.worst_residual = 0.0
@@ -223,18 +227,14 @@ class _Integrator:
         """C and C/dt at the current phi; returns the PCM nodes' C/dt."""
         idx = self._pcm_idx
         C = self._C_pcm = self.net.capacitance(self.phi)
-        C_dt = C / self.dt
+        C_dt = C / self._dt_pcm
         self._C[idx] = C
         self._C_dt[idx] = C_dt
         # floor of the per-step balance scale: the energy of a uniform
         # millikelvin change, so a quiescent step is not judged by roundoff
-        self._scale_floor = 1e-3 * float(self._C.sum())
-        self._phi_at_build = self.phi.copy()
+        self._scale_floor = 1e-3 * float(np.add.reduce(self._C))
+        self._phi_at_build = self.phi  # step replaces phi, never writes it
         return C_dt
-
-    def _phi_moved(self) -> bool:
-        return self.phi.size > 0 and (
-            np.abs(self.phi - self._phi_at_build).max() > REBUILD_TOL)
 
     def _rebuild(self) -> np.ndarray:
         """Capacitance update and C/dt + G at the current phi, written into
@@ -250,7 +250,8 @@ class _Integrator:
         phase = self.phase_s
         dt = self.dt
         t0 = clock()
-        moved = self._phi_moved()
+        moved = self._melts and np.count_nonzero(
+            np.abs(self.phi - self._phi_at_build) > self._rebuild_tol)
         if moved:
             self._rebuild()
         t1 = clock()
@@ -261,36 +262,37 @@ class _Integrator:
             t0, t1 = t1, clock()
             phase["factor"] += t1 - t0
 
-        rhs = np.multiply(self._C_dt, self.T, out=self._rhs)
+        rhs = self._C_dt * self.T
         rhs += self._b_on if heating else self._b_off
         T_new, _ = dpbtrs(self._factor.chol, rhs, overwrite_b=1)
-        if not np.isfinite(T_new).all():
-            raise SolverDivergence(
-                f"non-finite temperature at t={self.t + dt:.6g} s "
-                f"(dt={dt}); reduce dt or check inputs")
         e_out = (float(np.dot(self._conv_G, T_new[self._conv_nodes]))
                  - self._conv_G_T_amb) * dt
         t0, t1 = t1, clock()
         phase["solve"] += t1 - t0
 
         e_lat = 0.0
-        idx = self._pcm_idx
-        if idx.size:
+        if self._melts:
+            idx = self._pcm_idx
             Cp = self._C_pcm
             excess = Cp * (T_new[idx] - self._T_m)
-            new_latent = np.maximum(self.latent + excess, 0.0)
-            np.minimum(new_latent, self._latent_cap, out=new_latent)
+            new_latent = np.minimum(np.maximum(self.latent + excess,
+                                               self._zero), self._latent_cap)
             d_latent = new_latent - self.latent
             T_new[idx] = self._T_m + (excess - d_latent) / Cp
             self.phi = new_latent / self._latent_cap
             self.latent = new_latent
-            e_lat = float(d_latent.sum())
+            e_lat = float(np.add.reduce(d_latent))
         phase["enthalpy"] += clock() - t1
 
-        # Per-step balance, evaluated with the matrices the solve used.
+        # Per-step balance, evaluated with the matrices the solve used. As
+        # C > 0 and the enthalpy correction keeps a non-finite temperature
+        # non-finite, e_sens is finite only if T_new is.
+        e_sens = float(np.dot(self._C, T_new - self.T))
+        if not math.isfinite(e_sens):
+            raise SolverDivergence(
+                f"non-finite temperature at t={self.t + dt:.6g} s "
+                f"(dt={dt}); reduce dt or check inputs")
         e_in = self._power_on * dt if heating else 0.0
-        e_sens = float(np.dot(self._C, np.subtract(T_new, self.T,
-                                                   out=self._dT)))
         scale = max(abs(e_in), abs(e_out), abs(e_sens) + abs(e_lat),
                     self._scale_floor)
         residual = abs(e_in - e_out - e_sens - e_lat) / scale
@@ -299,7 +301,7 @@ class _Integrator:
         self.e_in += e_in
         self.e_out += e_out
         self.e_stored += e_sens + e_lat
-        self._rhs, self.T = self.T, T_new
+        self.T = T_new
         self.t += dt
 
 
@@ -350,24 +352,27 @@ def simulate(case: Case, dt: float = 0.01,
     stepper = _Integrator(net, dt, power.q0)
     n_pcm = net.pcm_nodes.size
 
-    times, tmax, pmean = [], [], []
+    # each step's T and phi go to one cycle's rows, reduced at its end
+    T_cycle = np.empty((steps_cycle, net.n_nodes))
+    phi_cycle = np.empty((steps_cycle, n_pcm))
+    times, T_max, phi_mean = [], [], []
     snapshots = []
-    step_count = 0
     extrema = []  # (max, min) of each cycle's T_max trace
     converged = False
 
     for cycle in range(n_cycles):
         for k in range(steps_cycle):
             stepper.step(k < steps_on)
-            step_count += 1
             times.append(stepper.t)
-            tmax.append(float(stepper.T.max()))
-            pmean.append(float(stepper.phi.sum()) / n_pcm if n_pcm else 0.0)
-            if snapshot_every and step_count % snapshot_every == 0:
+            T_cycle[k] = stepper.T
+            phi_cycle[k] = stepper.phi
+            if snapshot_every and len(times) % snapshot_every == 0:
                 snapshots.append((stepper.t, net.mesh_field(stepper.T),
                                   net.mesh_field(net.expand_phi(stepper.phi))))
-        cycle_trace = tmax[cycle * steps_cycle:]
-        extrema.append((max(cycle_trace), min(cycle_trace)))
+        trace = T_cycle.max(axis=1)
+        T_max.append(trace)
+        phi_mean.append(phi_cycle.sum(axis=1) / max(n_pcm, 1))
+        extrema.append((float(trace.max()), float(trace.min())))
         converged = settled(extrema, QUASI_STEADY_TOL)
         if converged:
             break
@@ -390,8 +395,8 @@ def simulate(case: Case, dt: float = 0.01,
 
     return ThermalHistory(
         t=np.asarray(times),
-        T_max=np.asarray(tmax),
-        phi_mean=np.asarray(pmean),
+        T_max=np.concatenate(T_max),
+        phi_mean=np.concatenate(phi_mean),
         dt=dt,
         quasi_steady_cycle=len(extrema) - 2 if converged else len(extrema),
         converged=converged,

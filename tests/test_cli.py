@@ -83,6 +83,9 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
     boundary.write_text(json.dumps({"boundary": {"h": 500}}))
     pitch = tmp_path / "pitch.json"
     pitch.write_text(json.dumps({"cell": {"pitch": 1e-4}}))
+    # builds no mesh: the half pitch snaps to no voxels
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps({"cell": {"dx": 7e-5, "no_channel": True}}))
     material = tmp_path / "material.json"
     material.write_text(json.dumps(
         {**asdict(builtin_material("WoodsMetal")), "T_m": float("nan")}))
@@ -100,7 +103,10 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
              "expected cell, power, pcm"),
             (["metrics", "--case", str(pitch)],
              f"case file {pitch}: case cell: UnitCellSpec.__init__() got an "
-             "unexpected keyword argument 'pitch'")]:
+             "unexpected keyword argument 'pitch'"),
+            (["metrics", "--case", str(coarse)],
+             f"case file {coarse}: case cell: dx=7e-05 is too large: half "
+             "the channel pitch snaps to no voxels")]:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"pcmopt {argv[0]}: error: ")

@@ -82,6 +82,13 @@ def test_validate_rejects_oversized_channel():
     with pytest.raises(ValueError, match="dx=0.000101 is too large: the "
                                          "alumina layer snaps to no voxels"):
         UnitCellSpec(dx=101e-6, no_channel=True)
+    # from ~66.7 to 100 um the pitch snaps to one voxel, and its half to none
+    for dx in (70e-6, 99e-6):
+        with pytest.raises(ValueError, match=f"dx={dx!r} is too large: half "
+                                             "the channel pitch snaps to no "
+                                             "voxels"):
+            UnitCellSpec(dx=dx, no_channel=True)
+    assert build_mesh(UnitCellSpec(dx=66e-6, no_channel=True)).nx == 1
 
 
 def test_power_profile_validation():
@@ -116,7 +123,9 @@ def test_case_file_errors_name_the_file(tmp_path):
             ({"cell": {"no_channel": "false"}}, ValueError, "no_channel"),
             ({"pcm": "Adamantium"}, UnknownMaterialError, "Adamantium"),
             ({"boundary": {"h": 500}}, ValueError, "'boundary'"),
-            ({"cell": {"pitch": 1e-4}}, ValueError, "'pitch'")]:
+            ({"cell": {"pitch": 1e-4}}, ValueError, "'pitch'"),
+            ({"cell": {"dx": 7e-5, "no_channel": True}}, ValueError,
+             "half the channel pitch")]:
         path.write_text(json.dumps(d))
         with pytest.raises(error) as err:
             Case.from_json_file(path)

@@ -175,16 +175,23 @@ def test_factorization_rejects_indefinite_matrix():
         _factor_band(band)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_non_finite_solve_raises(monkeypatch):
-    def non_finite(chol, rhs, **kwargs):
-        T, info = dpbtrs(chol, rhs, **kwargs)
-        T[7] = np.inf
-        return T, info
+    # each value, on a non-PCM node and on a PCM node (where it passes
+    # through the enthalpy correction), fails the first step's check
+    _, net = build_case_network(Case(cell=COARSE))
+    assert not net.is_pcm[7]
+    for node in (7, net.pcm_nodes[0]):
+        for value in (np.inf, -np.inf, np.nan):
+            def non_finite(chol, rhs, **kwargs):
+                T, info = dpbtrs(chol, rhs, **kwargs)
+                T[node] = value
+                return T, info
 
-    monkeypatch.setattr(pcmopt.solver, "dpbtrs", non_finite)
-    with pytest.raises(SolverDivergence,
-                       match=r"non-finite temperature at t=0\.025 s"):
-        simulate(Case(cell=COARSE), dt=0.025)
+            monkeypatch.setattr(pcmopt.solver, "dpbtrs", non_finite)
+            with pytest.raises(SolverDivergence,
+                               match=r"non-finite temperature at t=0\.025 s"):
+                simulate(Case(cell=COARSE), dt=0.025)
 
 
 def test_a_step_that_breaks_the_energy_balance_raises(monkeypatch):
@@ -349,6 +356,22 @@ def test_phase_times_cover_the_run():
     # one factorization, against one solve per step
     assert h.n_factorizations == 1
     assert 0.0 < h.phase_s["factor"] < h.phase_s["solve"]
+
+
+def test_cycle_reductions_match_each_steps_fields():
+    # Solder 174 melts and refreezes at 10 um: phi_mean moves every cycle
+    case = Case(cell=COARSE, power=PowerProfile(duration=3.0))
+    h = simulate(case, dt=0.025, snapshot_every=1)
+    _, net = build_case_network(case)
+    assert len(h.snapshots) == h.t.size == 120
+    for i, (t, T, phi) in enumerate(h.snapshots):
+        assert t == h.t[i]
+        assert h.T_max[i] == T.max()
+        # summed in node order, as the solver holds phi
+        phi_pcm = phi[::-1].ravel()[net.pcm_nodes]
+        assert h.phi_mean[i] == phi_pcm.sum() / net.pcm_nodes.size
+    assert all(0.0 < h.phi_mean[h.cycle_slice(c)].max() < 1.0
+               for c in range(h.n_cycles))
 
 
 def test_snapshot_fields_keep_the_mesh_orientation():
