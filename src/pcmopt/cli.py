@@ -12,7 +12,7 @@ from pathlib import Path
 from . import studies
 from .geometry import Case
 from .materials import (UnknownMaterialError, builtin_material, from_record,
-                        load_material_file, read_json)
+                        load_material_file, read_json, write_json)
 from .metrics import compute_metrics
 from .optimize import STRATEGIES, grid_points, repeat_with_seeds
 from .solver import simulate
@@ -73,12 +73,12 @@ def _cmd_simulate(args):
             out / f"snapshot_{i:04d}.csv", ["x_um", "y_um", "T_C", "phi"],
             ([(ix + 0.5) * dx_um, (iy + 0.5) * dx_um, T[iy, ix], phi[iy, ix]]
              for iy in range(ny) for ix in range(nx)))
-    studies.write_json(out / "config.json",
-                       {"case": asdict(case),
-                        "snapped_cell": asdict(case.cell.snapped()),
-                        "dt_s": args.dt_ms * 1e-3,
-                        "quasi_steady_cycle": h.quasi_steady_cycle,
-                        "converged": h.converged})
+    write_json(out / "config.json",
+               {"case": asdict(case),
+                "snapped_cell": asdict(case.cell.snapped()),
+                "dt_s": args.dt_ms * 1e-3,
+                "quasi_steady_cycle": h.quasi_steady_cycle,
+                "converged": h.converged})
     print(f"simulated {h.t[-1]:.1f} s "
           f"({'converged' if h.converged else 'full duration'}); "
           f"history in {out}")
@@ -137,9 +137,12 @@ def _load_problem(args):
     bounds = {k: tuple(v) for k, v in spec.bounds.items()}
 
     builder = partial(studies.geometry_case, power=spec.power, dx=spec.dx)
-    builder({k: lo for k, (lo, hi) in bounds.items()})  # fail before searching
-    verifier = studies.SimulatorBackend(builder, list(bounds), spec.objective,
-                                        sim_kwargs=spec.sim_kwargs)
+    try:  # fail before searching
+        builder({k: lo for k, (lo, hi) in bounds.items()})
+        verifier = studies.SimulatorBackend(
+            builder, list(bounds), spec.objective, sim_kwargs=spec.sim_kwargs)
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from e
     if args.backend.startswith("nn:"):
         model = SurrogateModel.load(args.backend[3:])
         backend = studies.SurrogateBackend(model, verifier)

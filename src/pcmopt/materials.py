@@ -140,6 +140,12 @@ def read_json(path, source: str):
             raise ValueError(f"{source}: {e}") from e
 
 
+def write_json(path, obj) -> None:
+    """Write obj as JSON indented by 2, arrays as lists, no end newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, default=np.ndarray.tolist)
+
+
 def load_material_file(path) -> Material:
     """Read one material record from a JSON file."""
     source = f"file {path}"

@@ -123,26 +123,27 @@ class NetworkModel:
 
         One scatter adds the edges that touch a PCM node (the melt edges),
         all of which lie in the trailing columns [melt_block_start:], to
-        the phi-independent entries. With trailing None it scatters into a
-        copy of fixed_band and returns the full band. Otherwise trailing
-        is those columns of a band that already holds the phi-independent
-        entries (the solver's factor); the scatter adds to it in place,
-        with pcm_diag (one value per PCM node) on the PCM nodes' diagonal,
-        and returns it.
+        the phi-independent entries, and pcm_diag (one value per PCM node)
+        to the PCM nodes' diagonal. With trailing None it scatters into a
+        copy of fixed_band with pcm_diag zero (+0.0, added last to a bin,
+        keeps its bits) and returns the full band. Otherwise trailing is
+        those columns of a band that already holds the phi-independent
+        entries (the solver's factor); the scatter adds to it in place.
         """
         s = self._melt
         band = trailing
         if trailing is None:
             band = self.fixed_band.copy(order="F")
             trailing = band[:, s.start:]
+            pcm_diag = np.zeros(self.pcm_nodes.size)
         elif not trailing.flags.f_contiguous:
             raise ValueError("trailing columns must be Fortran-contiguous")
         k = s.k_end + phi[s.end_pcm] * s.dk_end
         half = k.size // 2
         g = _series_conductance(k[:half], k[half:])
         trailing.ravel(order="F")[s.slots] -= g  # a view: Fortran order
-        w = np.concatenate((g, g) if pcm_diag is None else (g, g, pcm_diag))
-        trailing[-1] += np.bincount(s.diag[:w.size], w, trailing.shape[1])
+        trailing[-1] += np.bincount(s.diag, np.concatenate((g, g, pcm_diag)),
+                                    trailing.shape[1])
         return band
 
     @cached_property

@@ -49,7 +49,7 @@ class ParameterSpec:
 
 class Backend:
     """Objective backend: evaluate_batch() drives the search; an optimum
-    reports verify() if a separate `verifier` is set, else its search
+    reports verifier.verify() if a `verifier` is set, else its search
     value."""
 
     verifier: Backend | None = None
@@ -64,9 +64,6 @@ class Backend:
         scores +inf with a warning and the other rows still run."""
         return np.array([_penalized(self.evaluate, x) for x in X])
 
-    def verify(self, x: np.ndarray) -> float:
-        return self.evaluate(x)
-
     def fresh(self, seed: int) -> "Backend":
         """Per-repeat variant (e.g. retrained surrogate); default is self."""
         return self
@@ -78,6 +75,8 @@ class FunctionBackend(Backend):
 
     def evaluate(self, x):
         return float(self.fn(np.asarray(x, dtype=float)))
+
+    verify = evaluate
 
 
 @dataclass
@@ -212,7 +211,7 @@ class _Trace:
 
 def _result(problem, strategy, x_best, f_best, cached, trace, seed, config):
     verified = (f_best if problem.backend.verifier is None
-                else problem.backend.verify(np.asarray(x_best)))
+                else problem.backend.verifier.verify(np.asarray(x_best)))
     return OptimizationResult(
         parameters=dict(zip(problem.names, (float(v) for v in x_best))),
         objective_value=float(f_best),

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import inspect
 import math
+import numbers
 import os
 import sys
 import time
@@ -327,6 +329,29 @@ def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
     return mesh, net
 
 
+def step_counts(dt: float) -> tuple[int, int]:
+    """Steps of dt in the heating phase and in one cycle; ValueError
+    unless dt is positive and divides both T_ON and PERIOD."""
+    if not (isinstance(dt, numbers.Real) and dt > 0):
+        raise ValueError(f"dt must be a positive number, got {dt!r}")
+    steps = (T_ON / dt, PERIOD / dt)
+    if any(abs(n - round(n)) > 1e-9 for n in steps):
+        raise ValueError("dt must divide both T_ON and PERIOD")
+    return round(steps[0]), round(steps[1])
+
+
+def check_options(options: dict) -> None:
+    """ValueError unless simulate takes each key of options after its case
+    and step_counts takes their dt: settings are refused before a run."""
+    known = list(inspect.signature(simulate).parameters)[1:]
+    unknown = sorted(set(options) - set(known))
+    if unknown:
+        raise ValueError(f"unknown simulation settings {unknown}; "
+                         f"simulate takes {known}")
+    if "dt" in options:
+        step_counts(options["dt"])
+
+
 def simulate(case: Case, dt: float = 0.01,
              snapshot_every: int | None = None) -> ThermalHistory:
     """Run the square-wave transient for a case.
@@ -335,15 +360,8 @@ def simulate(case: Case, dt: float = 0.01,
     cyclic response has settled (see settled), otherwise runs the full
     duration.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    steps_on, steps_cycle = step_counts(dt)
     power = case.power
-    steps_on = T_ON / dt
-    steps_cycle = PERIOD / dt
-    if abs(steps_on - round(steps_on)) > 1e-9 or abs(steps_cycle - round(steps_cycle)) > 1e-9:
-        raise ValueError("dt must divide both T_ON and PERIOD")
-    steps_on = round(steps_on)
-    steps_cycle = round(steps_cycle)
     n_cycles = int(round(power.duration / PERIOD))
 
     t_start = time.perf_counter()

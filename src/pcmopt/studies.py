@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import T_AMB_C, Case, PowerProfile, UnitCellSpec
-from .materials import PCM_NAMES, Material, builtin_material
+from .materials import PCM_NAMES, Material, builtin_material, write_json
 from .metrics import compute_metrics, simulate_metrics
 from .optimize import (Backend, OptimizationProblem, ParameterSpec,
                        grid_points, repeat_with_seeds, value_range)
-from .solver import simulate
+from .solver import check_options, simulate
 from .surrogate import (ExtrapolationWarning, SurrogateModel, TrainingSet,
                         predict, train_lm, r_squared)
 
@@ -94,12 +94,6 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def write_json(path, obj):
-    """Write obj as JSON indented by 2, with no trailing newline."""
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2)
-
-
 def _write_study(out_dir, config, header, rows, summary) -> Path:
     """Write config.json, results.csv and summary.json; returns the CSV."""
     out = Path(out_dir)
@@ -158,13 +152,10 @@ _OBJECTIVES = ("T_o_max", "T_osc")
 
 
 class SimulatorBackend(Backend):
-    """Objective evaluated by running the transient simulator.
-
-    evaluate() and verify() both simulate the case with sim_kwargs; the
-    cell (and so the mesh) is whatever case_builder returns. verify() calls
-    the shared helper, not evaluate(), so a wrapper put on an instance's
-    evaluate() (as the benchmark's timers do) never counts verifications.
-    """
+    """Objective: a transient of the case case_builder returns, run with
+    sim_kwargs (checked when the backend is built). verify is evaluate,
+    bound on the class, so a wrapper put on an instance's evaluate (as the
+    benchmark's timers are) never counts a verification."""
 
     def __init__(self, case_builder, param_names, objective: str,
                  sim_kwargs: dict | None = None):
@@ -174,25 +165,28 @@ class SimulatorBackend(Backend):
         self.param_names = list(param_names)
         self.objective = objective
         self.sim_kwargs = dict(sim_kwargs or {})
-
-    def _metric(self, x) -> float:
-        values = dict(zip(self.param_names, np.asarray(x, dtype=float)))
-        case = self.case_builder(values)
-        report = simulate_metrics(case, **self.sim_kwargs)
-        return float(getattr(report, self.objective))
+        check_options(self.sim_kwargs)
 
     def evaluate(self, x):
-        return self._metric(x)
+        values = dict(zip(self.param_names, np.asarray(x, dtype=float)))
+        report = simulate_metrics(self.case_builder(values), **self.sim_kwargs)
+        return float(getattr(report, self.objective))
 
-    def verify(self, x):
-        return self._metric(x)
+    verify = evaluate
+
+
+def _predict_quietly(model: SurrogateModel, X) -> np.ndarray:
+    """predict(model, X) with ExtrapolationWarning silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        return predict(model, X)
 
 
 class SurrogateBackend(Backend):
     """Objective evaluated by a trained network, simulator-verified. A batch
     is one predict call, which scores each row to the same bits as alone."""
 
-    def __init__(self, model: SurrogateModel, verifier: SimulatorBackend):
+    def __init__(self, model: SurrogateModel, verifier: Backend):
         self.model = model
         self.verifier = verifier
 
@@ -200,42 +194,33 @@ class SurrogateBackend(Backend):
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
 
     def evaluate_batch(self, X):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExtrapolationWarning)
-            return predict(self.model, X)
-
-    def verify(self, x):
-        return self.verifier.verify(x)
-
-
-def _train_on_subset(pool: TrainingSet, size: int, seed: int,
-                     **train_kwargs) -> SurrogateModel:
-    """train_lm on `size` rows of pool drawn without replacement by seed."""
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(pool), size=size, replace=False)
-    return train_lm(pool.subset(idx), seed=seed, **train_kwargs)
+        return _predict_quietly(self.model, X)
 
 
 class ResamplingSurrogateBackend(SurrogateBackend):
-    """Surrogate retrained on a freshly resampled subset per repeat seed;
-    training is deterministic per seed, so its own seed reuses its model."""
+    """Surrogate trained on `size` rows of pool drawn without replacement
+    by seed. fresh(seed) builds a new backend the first time it sees a
+    seed and returns that one after: one network per seed."""
 
-    def __init__(self, pool: TrainingSet, size: int,
-                 verifier: SimulatorBackend, seed: int = 0, **train_kwargs):
+    def __init__(self, pool: TrainingSet, size: int, verifier: Backend,
+                 seed: int = 0, **train_kwargs):
         if size > len(pool):
             raise ValueError("subset size exceeds pool")
         self.pool = pool
         self.size = size
-        self.seed = seed
         self.train_kwargs = train_kwargs
-        model = _train_on_subset(pool, size, seed, **train_kwargs)
-        super().__init__(model, verifier)
+        idx = np.random.default_rng(seed).choice(len(pool), size=size,
+                                                 replace=False)
+        super().__init__(train_lm(pool.subset(idx), seed=seed,
+                                  **train_kwargs), verifier)
+        self._built = {seed: self}
 
     def fresh(self, seed: int) -> "ResamplingSurrogateBackend":
-        if seed == self.seed:
-            return self
-        return ResamplingSurrogateBackend(self.pool, self.size, self.verifier,
-                                          seed=seed, **self.train_kwargs)
+        if seed not in self._built:
+            self._built[seed] = ResamplingSurrogateBackend(
+                self.pool, self.size, self.verifier, seed=seed,
+                **self.train_kwargs)
+        return self._built[seed]
 
 
 def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
@@ -386,6 +371,7 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
         raise ValueError(f"kind must be one of {list(_CAMPAIGN_BOUNDS)}")
     bounds = _CAMPAIGN_BOUNDS[kind]
     sim_kwargs = sim_kwargs or {}
+    check_options(sim_kwargs)
     names = list(bounds)
     X = _sample_inputs(sampler, n, bounds, seed)
 
@@ -455,23 +441,22 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
 
     verifier scores each optimum (a SimulatorBackend of the ablated
     metric). pool and test must target the same metric pair; pool's
-    target_name selects the metric being ablated.
+    target_name selects the metric being ablated. Each size trains one
+    network per repeat seed, for its R^2 and for every strategy.
     """
     report = []
     for size in sizes:
-        entry = {"size": int(size)}
-        entry["r_squared"] = value_range(
-            [r_squared(_train_on_subset(pool, int(size), seed), test)
-             for seed in range(base_seed, base_seed + repeats)])
-
+        backend = ResamplingSurrogateBackend(pool, int(size), verifier,
+                                             seed=base_seed)
+        seeds = range(base_seed, base_seed + repeats)
+        entry = {"size": int(size), "r_squared": value_range(
+            [r_squared(backend.fresh(seed).model, test) for seed in seeds])}
+        problem = problem_from_bounds(GEOMETRY_BOUNDS, pool.target_name,
+                                      backend, seed=base_seed)
         for strategy in strategies:
-            backend = ResamplingSurrogateBackend(pool, int(size), verifier,
-                                                 seed=base_seed)
-            problem = problem_from_bounds(GEOMETRY_BOUNDS, pool.target_name,
-                                          backend, seed=base_seed)
-            out = repeat_with_seeds(problem, strategy, n_runs=repeats,
-                                    config=optimizer_config)
-            entry[strategy] = out["summary"]
+            entry[strategy] = repeat_with_seeds(
+                problem, strategy, n_runs=repeats,
+                config=optimizer_config)["summary"]
         report.append(entry)
     return report
 
@@ -482,28 +467,17 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
 
 def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
                  out_path=None, power: float = 100e3, dx: float = 5e-6,
-                 training_points: np.ndarray | None = None,
                  sim_kwargs: dict | None = None) -> list[dict]:
     """Paired NN/simulator T_o_max surface over an H/W grid at fixed T_m."""
     sim_kwargs = sim_kwargs or {}
-    train_set = set()
-    if training_points is not None:
-        train_set = {(round(float(h), 6), round(float(w), 6))
-                     for h, w, *_ in training_points}
     points = [np.array([float(h_um), float(w_um), float(fixed_tm)])
               for h_um in h_grid for w_um in w_grid]
     cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power, dx=dx)
              for x in points]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        t_nn = predict(model, np.array(points)).tolist()
-    rows = []
-    for m, x, t in zip(evaluate_cases(partial(simulate_metrics, **sim_kwargs),
-                                      cases), points, t_nn):
-        rows.append({"H_um": x[0], "W_um": x[1], "T_m_C": x[2],
-                     "T_nn_C": t, "T_sim_C": m.T_o_max,
-                     "is_training_point":
-                         (round(x[0], 6), round(x[1], 6)) in train_set})
+    t_nn = _predict_quietly(model, np.array(points)).tolist()
+    reports = evaluate_cases(partial(simulate_metrics, **sim_kwargs), cases)
+    rows = [{"H_um": x[0], "W_um": x[1], "T_m_C": x[2], "T_nn_C": t,
+             "T_sim_C": m.T_o_max} for m, x, t in zip(reports, points, t_nn)]
     if out_path:
         header = list(rows[0])
         write_csv(out_path, header, [[r[h] for h in header] for r in rows])

@@ -9,13 +9,12 @@ model so prediction round-trips in physical units.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .materials import check_field_types, from_record, read_json
+from .materials import check_field_types, from_record, read_json, write_json
 
 
 class ExtrapolationWarning(UserWarning):
@@ -111,8 +110,7 @@ class SurrogateModel:
             setattr(self, name, value)
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=2, default=np.ndarray.tolist)
+        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -292,6 +293,28 @@ def test_problem_file_rejects_unknown_bound_names(tmp_path):
     named = rf"{re.escape(str(problem))}: .*'bounds'"
     with pytest.raises(ValueError, match=named):
         _load_problem(args)
+
+
+@pytest.mark.parametrize("sim_kwargs,message", [
+    ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
+    ({"dtt": 0.025}, "unknown simulation settings ['dtt']; simulate takes "
+                     "['dt', 'snapshot_every']"),
+    ({"dt": "0.025"}, "dt must be a positive number, got '0.025'")],
+    ids=["dt", "unknown_key", "dt_text"])
+def test_problem_file_settings_are_refused_before_the_search(
+        tmp_path, capsys, sim_kwargs, message):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "dx": 10e-6, "steps": {"T_m_C": 24.5}, "sim_kwargs": sim_kwargs,
+        "bounds": {"T_m_C": [47, 96]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no case runs to be penalized
+        assert main(["optimize", "--problem", str(problem),
+                     "--strategy", "sweep"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"pcmopt optimize: error: problem file "
+                            f"{problem}: {message}\n")
 
 
 def synthetic_campaign(tmp_path, n=30):

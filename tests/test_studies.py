@@ -14,7 +14,7 @@ from pcmopt.metrics import simulate_metrics
 from pcmopt.solver import SolverDivergence
 from pcmopt.optimize import (Backend, FunctionBackend, GAConfig, PSOConfig,
                              ga_minimize, parametric_sweep, pso_minimize,
-                             repeat_with_seeds)
+                             repeat_with_seeds, value_range)
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             ResamplingSurrogateBackend, SimulatorBackend,
                             SurrogateBackend, config_hash, default_workers,
@@ -22,7 +22,7 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             geometry_case, problem_from_bounds, property_case,
                             run_ablation, run_pcm_comparison, run_tm_study,
                             sensitivity)
-from pcmopt.surrogate import TrainingSet, predict, train_lm
+from pcmopt.surrogate import TrainingSet, predict, r_squared, train_lm
 
 COARSE_CELL = UnitCellSpec(dx=10e-6)
 COARSE_SIM = {"dt": 0.025}
@@ -268,8 +268,38 @@ def test_simulator_backend_evaluate_and_verify():
         sim_kwargs=COARSE_SIM)
     x = np.array([77.0])
     assert backend.evaluate(x) == pytest.approx(backend.verify(x))
+    # one function on the class, which a wrapper there can time by name
+    assert SimulatorBackend.__dict__["verify"] is \
+        SimulatorBackend.__dict__["evaluate"]
     with pytest.raises(ValueError):
         SimulatorBackend(property_case, ["T_m_C"], "dt_85")
+
+
+@pytest.mark.parametrize("sim_kwargs,message", [
+    ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
+    ({"dtt": 0.025}, "unknown simulation settings ['dtt']; simulate takes "
+                     "['dt', 'snapshot_every']")],
+    ids=["dt", "unknown_key"])
+def test_settings_simulate_refuses_are_refused_before_any_case_runs(
+        tmp_path, monkeypatch, sim_kwargs, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(studies, "simulate_metrics", never)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimulatorBackend(geometry_case, list(GEOMETRY_BOUNDS), "T_o_max",
+                         sim_kwargs=sim_kwargs)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_training_data("geometry", 3, tmp_path, dx=10e-6,
+                               sim_kwargs=sim_kwargs)
+    assert not any(tmp_path.iterdir())
+    # so the directory still takes the corrected settings
+    monkeypatch.undo()
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    generate_training_data("geometry", 3, tmp_path, dx=10e-6,
+                           sim_kwargs=COARSE_SIM)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["n_complete"], summary["n_failed"]) == (3, 0)
 
 
 def synthetic_pool(n, seed=0):
@@ -290,8 +320,37 @@ def test_surrogate_backend_verifies_through_simulator_stub():
                             + 0.01 * (x[2] - 77.0) ** 2)
     backend = SurrogateBackend(model, truth)
     x = np.array([60.0, 60.0, 77.0])
-    assert backend.evaluate(x) == pytest.approx(backend.verify(x), abs=2.0)
-    assert backend.verify(x) == truth.evaluate(x)
+    assert backend.evaluate(x) == pytest.approx(backend.verifier.verify(x),
+                                                abs=2.0)
+    assert backend.verifier.verify(x) == truth.evaluate(x)
+
+
+def test_a_surrogate_search_verifies_its_optimum_once():
+    def fn(x):
+        return float(np.sum(x))
+
+    calls = []
+
+    class CountingTruth(FunctionBackend):
+        def verify(self, x):
+            calls.append(tuple(x))
+            return super().verify(x)
+
+    backend = SurrogateBackend(train_lm(synthetic_pool(200), seed=0),
+                               CountingTruth(fn))
+    # the network never answers for the simulator
+    assert not hasattr(backend, "verify")
+    problem = problem_from_bounds(
+        GEOMETRY_BOUNDS, "T_osc", backend, seed=3,
+        steps={"H_um": 20.0, "W_um": 20.0, "T_m_C": 7.0})
+    for run in (lambda p: ga_minimize(p, GAConfig(max_generations=5)),
+                lambda p: pso_minimize(p, PSOConfig(max_iterations=5)),
+                lambda p: parametric_sweep(p)[0]):
+        calls.clear()
+        result = run(problem)
+        assert calls == [tuple(result.parameters.values())]
+        assert result.verified_objective == fn(np.array(calls[0]))
+        assert result.verified_objective != result.objective_value
 
 
 class RowwiseSurrogateBackend(SurrogateBackend):
@@ -337,6 +396,10 @@ def test_resampling_backend_fresh_retrains(monkeypatch):
     assert backend.fresh(0) is backend
     other = backend.fresh(1)
     assert other.evaluate(x) != backend.evaluate(x)
+    # a new backend, built (not copied) once per seed and then kept
+    assert type(other) is ResamplingSurrogateBackend
+    assert other.model.seed == 1
+    assert backend.fresh(1) is other
     direct = ResamplingSurrogateBackend(pool, 60, truth, seed=1)
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(other.model, name),
@@ -364,16 +427,27 @@ def test_problem_from_bounds():
     assert list(problem.lower) == [20.0, 20.0, 47.0]
 
 
-def test_ablation_structure_with_synthetic_truth():
+def test_ablation_structure_with_synthetic_truth(monkeypatch):
     pool = synthetic_pool(300, seed=1)
     test = synthetic_pool(100, seed=2)
     truth = FunctionBackend(lambda x: 100.0 - 0.1 * x[0] - 0.05 * x[1]
                             + 0.01 * (x[2] - 77.0) ** 2)
+    trained = []
+    monkeypatch.setattr(studies, "train_lm", lambda *a, **kw: (
+        trained.append(a) or train_lm(*a, **kw)))
     report = run_ablation(pool, test, sizes=(40, 200),
                           verifier=truth,
                           repeats=3, strategies=("ga",),
                           optimizer_config=GAConfig(population=12,
                                                     max_generations=10))
+    # one network per (size, seed), scored and searched alike
+    assert len(trained) == 3 * 2
+    monkeypatch.undo()
+    for entry in report:
+        assert entry["r_squared"] == value_range(
+            [r_squared(ResamplingSurrogateBackend(pool, entry["size"], truth,
+                                                  seed=s).model, test)
+             for s in range(3)])
     assert [e["size"] for e in report] == [40, 200]
     for entry in report:
         assert entry["r_squared"]["min"] <= entry["r_squared"]["mean"] \
@@ -388,15 +462,13 @@ def test_emit_surface(tmp_path):
     out = tmp_path / "surface.csv"
     rows = emit_surface(model, fixed_tm=77.0, h_grid=[40.0, 100.0],
                         w_grid=[40.0, 100.0], out_path=out, dx=10e-6,
-                        training_points=np.array([[40.0, 100.0, 77.0]]),
                         sim_kwargs=COARSE_SIM)
     assert len(rows) == 4
-    flags = {(r["H_um"], r["W_um"]): r["is_training_point"] for r in rows}
-    assert flags[(40.0, 100.0)] is True
-    assert flags[(40.0, 40.0)] is False
     for r in rows:
         assert r["T_sim_C"] > 26.85
     assert len(read_csv(out)) == 4
+    assert list(read_csv(out)[0]) == ["H_um", "W_um", "T_m_C", "T_nn_C",
+                                      "T_sim_C"]
 
 
 def _coarse_surface(out):

@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -144,6 +145,14 @@ def test_model_json_round_trip(tmp_path):
     path.write_text(json.dumps({**json.loads(path.read_text()), "bias": 1}))
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*'bias'"):
         SurrogateModel.load(path)
+
+
+def test_model_file_is_its_record_as_indented_json(tmp_path):
+    model = train_lm(quadratic_set(), hidden=4, seed=5)
+    path = tmp_path / "model.json"
+    model.save(path)
+    assert path.read_bytes() == json.dumps(
+        asdict(model), indent=2, default=np.ndarray.tolist).encode()
 
 
 def test_model_file_with_a_truncated_weight_matrix_is_refused(tmp_path):
