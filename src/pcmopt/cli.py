@@ -42,15 +42,16 @@ def _case_from_args(args) -> Case:
     pcm = case.pcm
     if args.material:
         pcm = builtin_material(args.material)
-    if args.material_file:
+    elif args.material_file:
         pcm = load_material_file(args.material_file)
     return dc_replace(case, cell=cell, power=power, pcm=pcm)
 
 
 def _add_case_flags(p):
     p.add_argument("--case", help="case JSON file")
-    p.add_argument("--material", help="builtin PCM name")
-    p.add_argument("--material-file", help="material JSON file")
+    pcm = p.add_mutually_exclusive_group()
+    pcm.add_argument("--material", help="builtin PCM name")
+    pcm.add_argument("--material-file", help="material JSON file")
     p.add_argument("--height-um", type=float)
     p.add_argument("--width-um", type=float)
     p.add_argument("--flux-kw-m2", type=float)
@@ -60,13 +61,13 @@ def _add_case_flags(p):
 
 def _cmd_simulate(args):
     case = _case_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     h = simulate(case, dt=args.dt_ms * 1e-3,
                  snapshot_every=args.snapshot_every)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     studies.write_csv(out / "history.csv", ["t_s", "T_max_C", "phi_mean"],
                       zip(h.t, h.T_max, h.phi_mean))
-    dx_um = case.cell.snapped().dx * 1e6
+    dx_um = case.cell.dx * 1e6
     for i, (t, T, phi) in enumerate(h.snapshots):
         ny, nx = phi.shape
         studies.write_csv(
@@ -86,10 +87,9 @@ def _cmd_simulate(args):
 
 def _emit(payload, out) -> None:
     """Print payload as indented JSON, and also write it to out if given."""
-    text = json.dumps(payload, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
-    print(text)
+        write_json(out, payload)
+    print(json.dumps(payload, indent=2))
 
 
 def _cmd_metrics(args):

@@ -35,18 +35,17 @@ PERIOD = 1.0
 # ambient of 300 K, degC.
 H_CONV = 500.0
 T_AMB_C = 300.0 - 273.15
-_LAYERS = {"alumina layer": T_ALUMINA, "device layer": T_DEVICE,
-           "cap layer": T_CAP, "channel pitch": PITCH}
 
 
-def _snap(length: float, dx: float) -> float:
-    """Round a length to the nearest positive multiple of dx."""
-    return max(round(length / dx), 0) * dx
+def _voxels(length: float, dx: float) -> int:
+    """Whole voxels of edge dx nearest to a length (none if negative)."""
+    return max(round(length / dx), 0)
 
 
-def _half_pitch_voxels(dx: float) -> int:
-    """Voxels across the simulated half pitch (the mesh's nx)."""
-    return round((_snap(PITCH, dx) / 2) / dx)
+def _half_voxels(length: float, dx: float) -> int:
+    """Voxels across half of a length's whole voxels: the simulated half of
+    the pitch and of the channel width."""
+    return round((_voxels(length, dx) * dx / 2) / dx)
 
 
 @dataclass(frozen=True)
@@ -60,30 +59,35 @@ class UnitCellSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if not self.dx > 0:
+        dx = self.dx
+        if not dx > 0:
             raise ValueError("dx must be positive")
-        for name, length in _LAYERS.items():
-            if _snap(length, self.dx) <= 0:
-                raise ValueError(f"dx={self.dx!r} is too large: the {name} "
-                                 "snaps to no voxels")
-        if _half_pitch_voxels(self.dx) < 1:
-            raise ValueError(f"dx={self.dx!r} is too large: half the channel "
-                             "pitch snaps to no voxels")
+        counts = {"the alumina layer": _voxels(T_ALUMINA, dx),
+                  "the device layer": _voxels(T_DEVICE, dx),
+                  "the cap layer": _voxels(T_CAP, dx),
+                  "half the channel pitch": _half_voxels(PITCH, dx)}
+        for name, count in counts.items():
+            if count < 1:
+                raise ValueError(f"dx={dx!r} is too large: {name} snaps to "
+                                 "no voxels")
         if not self.no_channel:
-            H, W = _snap(self.H, self.dx), _snap(self.W, self.dx)
-            if H <= 0 or W <= 0:
+            n_h, n_w = _voxels(self.H, dx), _half_voxels(self.W, dx)
+            if n_h < 1 or n_w < 1:
                 raise ValueError(
-                    "channel must have positive H and W; use no_channel for "
-                    "the solid-silicon baseline")
-            if H > _snap(T_DEVICE, self.dx):
+                    f"at dx={dx!r} the height or half width of channel "
+                    f"H={self.H!r}, W={self.W!r} snaps to no voxels; use "
+                    "no_channel for the solid-silicon baseline")
+            if n_h > counts["the device layer"]:
                 raise ValueError("channel height exceeds device layer")
-            if W > _snap(PITCH, self.dx):
+            if n_w > counts["half the channel pitch"]:
                 raise ValueError("channel width exceeds pitch")
 
     def snapped(self) -> "UnitCellSpec":
-        """Return a copy with H and W snapped to multiples of dx."""
-        return dc_replace(self, H=_snap(self.H, self.dx),
-                          W=_snap(self.W, self.dx))
+        """Return a copy with H and W the channel the mesh holds: H in whole
+        voxels, W twice the voxels of its simulated half."""
+        dx = self.dx
+        return dc_replace(self, H=_voxels(self.H, dx) * dx,
+                          W=2 * _half_voxels(self.W, dx) * dx)
 
 
 @dataclass(frozen=True)
@@ -129,30 +133,22 @@ class Mesh:
     @property
     def source_row(self) -> int:
         """Row index of the heated silicon-alumina interface (device top)."""
-        dx = self.dx
-        return round((_snap(T_CAP, dx) + _snap(T_DEVICE, dx)) / dx) - 1
+        return _voxels(T_CAP, self.dx) + _voxels(T_DEVICE, self.dx) - 1
 
 
 def build_mesh(spec: UnitCellSpec) -> Mesh:
     """Discretize the half unit cell into labeled voxels."""
-    s = spec.snapped()
-    dx = s.dx
-    nx = _half_pitch_voxels(dx)
-    n_cap = round(_snap(T_CAP, dx) / dx)
-    n_dev = round(_snap(T_DEVICE, dx) / dx)
-    n_al = round(_snap(T_ALUMINA, dx) / dx)
-    ny = n_cap + n_dev + n_al
-
-    labels = np.full((ny, nx), SILICON, dtype=np.int8)
+    dx = spec.dx
+    n_cap, n_dev = _voxels(T_CAP, dx), _voxels(T_DEVICE, dx)
+    ny = n_cap + n_dev + _voxels(T_ALUMINA, dx)
+    labels = np.full((ny, _half_voxels(PITCH, dx)), SILICON, dtype=np.int8)
     labels[n_cap + n_dev:, :] = ALUMINA
-    if not s.no_channel:
-        n_h = round(s.H / dx)
-        n_w = round((s.W / 2) / dx)
+    if not spec.no_channel:
         # Channel etched from the device backside, seated on the cap layer,
         # abutting the symmetry plane.
-        if n_h > 0 and n_w > 0:
-            labels[n_cap:n_cap + n_h, :n_w] = PCM
-    return Mesh(spec=s, labels=labels)
+        labels[n_cap:n_cap + _voxels(spec.H, dx),
+               :_half_voxels(spec.W, dx)] = PCM
+    return Mesh(spec=spec.snapped(), labels=labels)
 
 
 @dataclass(frozen=True)

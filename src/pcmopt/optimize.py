@@ -156,8 +156,10 @@ def _penalized(evaluate, X, failed=np.inf) -> np.ndarray | float:
         return failed
 
 
-class _CachedObjective:
-    """Memoizes backend evaluations; failures score +inf, never abort.
+class _Search:
+    """One search's books: the memoized objective (failures score +inf,
+    never abort), the best-so-far trace with the wall seconds behind each
+    entry, and the result they report.
 
     Each batch sends the backend its uncached rows once each, in first-seen
     order, in one evaluate_batch call; a batch call that raises scores all
@@ -170,6 +172,9 @@ class _CachedObjective:
         self.cache: dict[tuple, float] = {}
         self.n_evaluations = 0
         self.n_calls = 0
+        self.best: list[float] = []
+        self.seconds: list[float] = []
+        self.start = self._last = time.perf_counter()
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         keys = [tuple(row) for row in np.asarray(X, dtype=float).tolist()]
@@ -186,45 +191,35 @@ class _CachedObjective:
         self.n_calls += len(keys)
         return np.array([self.cache[k] for k in keys])
 
-
-def _stalled(trace: list[float], window: int, tol: float) -> bool:
-    """True once the best objective has improved by less than tol over the
-    last window generations (iterations)."""
-    return len(trace) > window and trace[-window - 1] - trace[-1] < tol
-
-
-class _Trace:
-    """Best-so-far objective per generation, and the wall seconds since the
-    previous entry (the first since start, when the search began)."""
-
-    def __init__(self):
-        self.best: list[float] = []
-        self.seconds: list[float] = []
-        self.start = self._last = time.perf_counter()
-
     def append(self, best: float) -> None:
         now = time.perf_counter()
         self.best.append(float(best))
         self.seconds.append(now - self._last)
         self._last = now
 
+    def stalled(self, window: int, tol: float) -> bool:
+        """True once the best objective has improved by less than tol over
+        the last window generations (iterations)."""
+        return (len(self.best) > window
+                and self.best[-window - 1] - self.best[-1] < tol)
 
-def _result(problem, strategy, x_best, f_best, cached, trace, seed, config):
-    verified = (f_best if problem.backend.verifier is None
-                else problem.backend.verifier.verify(np.asarray(x_best)))
-    return OptimizationResult(
-        parameters=dict(zip(problem.names, (float(v) for v in x_best))),
-        objective_value=float(f_best),
-        verified_objective=float(verified),
-        n_evaluations=cached.n_evaluations,
-        n_calls=cached.n_calls,
-        wall_time=time.perf_counter() - trace.start,
-        trace=trace.best,
-        generation_s=trace.seconds,
-        strategy=strategy,
-        seed=seed,
-        config=config,
-    )
+    def result(self, problem, strategy, x_best, f_best, seed, config
+               ) -> OptimizationResult:
+        v = self.backend.verifier
+        verified = f_best if v is None else v.verify(np.asarray(x_best))
+        return OptimizationResult(
+            parameters=dict(zip(problem.names, map(float, x_best))),
+            objective_value=float(f_best),
+            verified_objective=float(verified),
+            n_evaluations=self.n_evaluations,
+            n_calls=self.n_calls,
+            wall_time=time.perf_counter() - self.start,
+            trace=self.best,
+            generation_s=self.seconds,
+            strategy=strategy,
+            seed=seed,
+            config=config,
+        )
 
 
 def grid_points(lower: float, upper: float, step: float) -> np.ndarray:
@@ -242,7 +237,7 @@ def parametric_sweep(problem: OptimizationProblem
                      ) -> tuple[OptimizationResult, list[dict]]:
     """Evaluate every grid point; returns the argmin (deterministic
     first-lowest tie break) plus the full table for plotting."""
-    trace = _Trace()
+    search = _Search(problem.backend)
     axes = []
     for p in problem.parameters:
         if p.step is None:
@@ -255,15 +250,13 @@ def parametric_sweep(problem: OptimizationProblem
             "use ga_minimize or pso_minimize instead")
 
     grid = np.array(list(itertools.product(*axes)))
-    cached = _CachedObjective(problem.backend)
-    values = cached.batch(grid)
+    values = search.batch(grid)
     best = int(np.argmin(values))  # first of the lowest
-    trace.append(values[best])
+    search.append(values[best])
     table = [{**dict(zip(problem.names, combo)), problem.objective: f}
              for combo, f in zip(grid.tolist(), values.tolist())]
-    result = _result(problem, "sweep", grid[best], values[best], cached,
-                     trace, None, {"grid_cap": SWEEP_GRID_CAP})
-    return result, table
+    return search.result(problem, "sweep", grid[best], values[best], None,
+                         {"grid_cap": SWEEP_GRID_CAP}), table
 
 
 def ga_minimize(problem: OptimizationProblem,
@@ -280,18 +273,17 @@ def ga_minimize(problem: OptimizationProblem,
     """
     config = config or GAConfig()
     rng = np.random.default_rng(problem.seed)
-    trace = _Trace()
+    search = _Search(problem.backend)
 
     lower, upper = problem.lower, problem.upper
     span = upper - lower
     dim = lower.size
-    cached = _CachedObjective(problem.backend)
     n_children = config.population - GA_ELITE
     n_xover = int(round(GA_CROSSOVER_FRACTION * n_children))
     mutants = np.arange(n_xover, n_children)
 
     pop = rng.uniform(lower, upper, size=(config.population, dim))
-    fitness = cached.batch(pop)
+    fitness = search.batch(pop)
 
     def draw(n_tournaments):
         return rng.integers(0, config.population,
@@ -300,8 +292,8 @@ def ga_minimize(problem: OptimizationProblem,
     for gen in range(config.max_generations):
         order = np.argsort(fitness, kind="stable")
         pop, fitness = pop[order], fitness[order]
-        trace.append(fitness[0])
-        if _stalled(trace.best, config.stall_generations, config.tol):
+        search.append(fitness[0])
+        if search.stalled(config.stall_generations, config.tol):
             break
 
         sigma = config.mutation_sigma_frac * span * (
@@ -330,11 +322,11 @@ def ga_minimize(problem: OptimizationProblem,
 
         pop = np.vstack([pop[:GA_ELITE], children])
         fitness = np.concatenate([fitness[:GA_ELITE],
-                                  cached.batch(children)])
+                                  search.batch(children)])
 
     best = int(np.argmin(fitness))
-    return _result(problem, "ga", pop[best], fitness[best], cached, trace,
-                   problem.seed, asdict(config))
+    return search.result(problem, "ga", pop[best], fitness[best],
+                         problem.seed, asdict(config))
 
 
 def pso_minimize(problem: OptimizationProblem,
@@ -344,23 +336,22 @@ def pso_minimize(problem: OptimizationProblem,
     zeroed."""
     config = config or PSOConfig()
     rng = np.random.default_rng(problem.seed)
-    trace = _Trace()
+    search = _Search(problem.backend)
 
     lower, upper = problem.lower, problem.upper
     span = upper - lower
     dim = lower.size
-    cached = _CachedObjective(problem.backend)
 
     x = rng.uniform(lower, upper, size=(config.swarm, dim))
     v = rng.uniform(-1.0, 1.0, size=(config.swarm, dim)) * span * 0.1
-    f = cached.batch(x)
+    f = search.batch(x)
     p_best_x, p_best_f = x.copy(), f.copy()
     g = int(np.argmin(f))
     g_best_x, g_best_f = x[g].copy(), float(f[g])
 
     for it in range(config.max_iterations):
-        trace.append(g_best_f)
-        if _stalled(trace.best, config.stall_iterations, config.tol):
+        search.append(g_best_f)
+        if search.stalled(config.stall_iterations, config.tol):
             break
 
         w = PSO_INERTIA_START + (PSO_INERTIA_END - PSO_INERTIA_START
@@ -375,7 +366,7 @@ def pso_minimize(problem: OptimizationProblem,
         v[low_hit | high_hit] = 0.0
         np.clip(x, lower, upper, out=x)
 
-        f = cached.batch(x)
+        f = search.batch(x)
         improved = f < p_best_f
         p_best_x[improved] = x[improved]
         p_best_f[improved] = f[improved]
@@ -384,8 +375,8 @@ def pso_minimize(problem: OptimizationProblem,
             g_best_f = float(p_best_f[g])
             g_best_x = p_best_x[g].copy()
 
-    return _result(problem, "pso", g_best_x, g_best_f, cached, trace,
-                   problem.seed, asdict(config))
+    return search.result(problem, "pso", g_best_x, g_best_f, problem.seed,
+                         asdict(config))
 
 
 def _sweep(problem: OptimizationProblem, config=None

@@ -329,9 +329,15 @@ def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
     return mesh, net
 
 
-def step_counts(dt: float) -> tuple[int, int]:
+def step_counts(dt: float, snapshot_every: int | None) -> tuple[int, int]:
     """Steps of dt in the heating phase and in one cycle; ValueError
-    unless dt is positive and divides both T_ON and PERIOD."""
+    unless dt is positive and divides both T_ON and PERIOD, and
+    snapshot_every is None or a positive integer (not a bool)."""
+    if not (snapshot_every is None or (
+            isinstance(snapshot_every, numbers.Integral)
+            and not isinstance(snapshot_every, bool) and snapshot_every > 0)):
+        raise ValueError("snapshot_every must be a positive integer, got "
+                         f"{snapshot_every!r}")
     if not (isinstance(dt, numbers.Real) and dt > 0):
         raise ValueError(f"dt must be a positive number, got {dt!r}")
     steps = (T_ON / dt, PERIOD / dt)
@@ -342,14 +348,15 @@ def step_counts(dt: float) -> tuple[int, int]:
 
 def check_options(options: dict) -> None:
     """ValueError unless simulate takes each key of options after its case
-    and step_counts takes their dt: settings are refused before a run."""
-    known = list(inspect.signature(simulate).parameters)[1:]
+    and step_counts takes them, with simulate's defaults for the rest:
+    settings are refused before a run."""
+    params = inspect.signature(simulate).parameters
+    known = list(params)[1:]
     unknown = sorted(set(options) - set(known))
     if unknown:
         raise ValueError(f"unknown simulation settings {unknown}; "
                          f"simulate takes {known}")
-    if "dt" in options:
-        step_counts(options["dt"])
+    step_counts(**{**{k: params[k].default for k in known}, **options})
 
 
 def simulate(case: Case, dt: float = 0.01,
@@ -360,7 +367,7 @@ def simulate(case: Case, dt: float = 0.01,
     cyclic response has settled (see settled), otherwise runs the full
     duration.
     """
-    steps_on, steps_cycle = step_counts(dt)
+    steps_on, steps_cycle = step_counts(dt, snapshot_every)
     power = case.power
     n_cycles = int(round(power.duration / PERIOD))
 

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import T_AMB_C, Case, PowerProfile, UnitCellSpec
-from .materials import PCM_NAMES, Material, builtin_material, write_json
+from .materials import (PCM_NAMES, Material, builtin_material, read_json,
+                        write_json)
 from .metrics import compute_metrics, simulate_metrics
 from .optimize import (Backend, OptimizationProblem, ParameterSpec,
                        grid_points, repeat_with_seeds, value_range)
@@ -381,8 +382,9 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
               "sim_kwargs": repr(sim_kwargs)}
     chash = config_hash(config)
     out = Path(out_dir)
-    if (out / "config.json").exists():
-        found = config_hash(json.loads((out / "config.json").read_text()))
+    config_path = out / "config.json"
+    if config_path.exists():
+        found = config_hash(read_json(config_path, f"file {config_path}"))
         if found != chash:
             raise ValueError(f"{out} holds campaign {found}, not {chash}; "
                              "resume it with its own settings or use a new "
@@ -392,8 +394,8 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     records = {}
     for path in sorted(cases_dir.glob("case_*.json")):
         i = path.stem[len("case_"):]
-        rec = json.loads(path.read_text())
-        if not (i.isdigit() and int(i) < n
+        rec = read_json(path, f"case file {path}")
+        if not (i.isdigit() and int(i) < n and isinstance(rec, dict)
                 and rec.get("config_hash") == chash and rec.get("inputs")
                 == dict(zip(names, X[int(i)].tolist()))):
             raise ValueError(f"{path} is not a case of campaign {chash}; "
@@ -401,7 +403,7 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                              "directory")
         records[int(i)] = rec
     cases_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out / "config.json", config)
+    write_json(config_path, config)
 
     pending = [i for i in range(n) if i not in records]
     run_case = partial(_run_campaign_case, names=names, power=power, dx=dx,
@@ -409,7 +411,10 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     for record, i in zip(evaluate_cases(run_case, [X[i] for i in pending]),
                          pending):
         text = json.dumps({**record, "config_hash": chash}, sort_keys=True)
-        (cases_dir / f"case_{i:06d}.json").write_text(text)
+        # a case file appears whole or not at all: it marks the case done
+        path = cases_dir / f"case_{i:06d}.json"
+        path.with_suffix(".tmp").write_text(text)
+        os.replace(path.with_suffix(".tmp"), path)
         records[i] = json.loads(text)
 
     rows = []

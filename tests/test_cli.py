@@ -46,7 +46,18 @@ def test_metrics_command_prints_report(tmp_path, capsys):
     assert report["T_o_max"] == pytest.approx(97.7, abs=3.0)
     assert report["dPhi_melt"] == 0.0
     assert report["converged"] is True
-    assert json.loads(capsys.readouterr().out) == report
+    # the file is the printed text, ending as every JSON file written does
+    assert out.read_text() + "\n" == capsys.readouterr().out
+
+
+def test_material_and_material_file_are_exclusive(tmp_path, capsys):
+    material = tmp_path / "material.json"
+    material.write_text(json.dumps(asdict(builtin_material("WoodsMetal"))))
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--material", "Solder174",
+              "--material-file", str(material)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_metrics_stats_flag_adds_run_counters(tmp_path, capsys):
@@ -107,7 +118,15 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
              "unexpected keyword argument 'pitch'"),
             (["metrics", "--case", str(coarse)],
              f"case file {coarse}: case cell: dx=7e-05 is too large: half "
-             "the channel pitch snaps to no voxels")]:
+             "the channel pitch snaps to no voxels"),
+            # one voxel wide: the simulated half holds none of it
+            (["metrics", "--width-um", "5"],
+             "at dx=5e-06 the height or half width of channel H=0.0001, "
+             f"W={5 * 1e-6!r} snaps to no voxels; use no_channel for the "
+             "solid-silicon baseline"),
+            (["simulate", "--no-channel", "--snapshot-every", "0", "--out",
+              str(tmp_path / "o")],
+             "snapshot_every must be a positive integer, got 0")]:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"pcmopt {argv[0]}: error: ")
@@ -299,8 +318,10 @@ def test_problem_file_rejects_unknown_bound_names(tmp_path):
     ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
     ({"dtt": 0.025}, "unknown simulation settings ['dtt']; simulate takes "
                      "['dt', 'snapshot_every']"),
-    ({"dt": "0.025"}, "dt must be a positive number, got '0.025'")],
-    ids=["dt", "unknown_key", "dt_text"])
+    ({"dt": "0.025"}, "dt must be a positive number, got '0.025'"),
+    ({"snapshot_every": 0}, "snapshot_every must be a positive integer, "
+                            "got 0")],
+    ids=["dt", "unknown_key", "dt_text", "snapshot_every"])
 def test_problem_file_settings_are_refused_before_the_search(
         tmp_path, capsys, sim_kwargs, message):
     problem = tmp_path / "problem.json"

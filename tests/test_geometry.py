@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmopt.geometry import (ALUMINA, H_CONV, PCM, SILICON, T_AMB_C, Case,
-                             PowerProfile, UnitCellSpec, build_mesh)
+from pcmopt.geometry import (ALUMINA, H_CONV, PCM, PITCH, SILICON, T_ALUMINA,
+                             T_AMB_C, T_CAP, T_DEVICE, Case, PowerProfile,
+                             UnitCellSpec, build_mesh)
 from pcmopt.materials import UnknownMaterialError, builtin_material
 
 
@@ -60,11 +61,66 @@ def test_snapping_rounds_to_voxel_multiples():
     assert spec.W == pytest.approx(50e-6)
 
 
+def test_snapped_width_is_the_meshed_channel():
+    # 50 um is 5 voxels at 10 um; the simulated half holds 2 of them
+    assert UnitCellSpec(dx=10e-6).snapped().W == 4e-05
+    assert int(np.sum(build_mesh(UnitCellSpec(dx=10e-6)).labels[10] == PCM)
+               ) == 2
+
+
 @given(h=st.floats(min_value=20e-6, max_value=200e-6),
-       w=st.floats(min_value=20e-6, max_value=100e-6))
-def test_snapping_is_idempotent(h, w):
-    once = UnitCellSpec(H=h, W=w).snapped()
+       w=st.floats(min_value=20e-6, max_value=100e-6),
+       dx=st.sampled_from([5e-6, 10e-6]))
+def test_snapping_is_idempotent(h, w, dx):
+    once = UnitCellSpec(H=h, W=w, dx=dx).snapped()
     assert once.snapped() == once
+    assert np.array_equal(build_mesh(once).labels,
+                          build_mesh(UnitCellSpec(H=h, W=w, dx=dx)).labels)
+
+
+def _reference_labels(H, W, dx):
+    """Labels by the earlier rule: validation snapped H and W to whole
+    voxels, and the mesh halved the snapped width and rounded again. None
+    where it refused the cell."""
+    def snap(length):
+        return max(round(length / dx), 0) * dx
+
+    H, W = snap(H), snap(W)
+    if H <= 0 or W <= 0 or H > snap(T_DEVICE) or W > snap(PITCH):
+        return None
+    n_cap = round(snap(T_CAP) / dx)
+    n_dev = round(snap(T_DEVICE) / dx)
+    n_al = round(snap(T_ALUMINA) / dx)
+    labels = np.full((n_cap + n_dev + n_al, round((snap(PITCH) / 2) / dx)),
+                     SILICON, dtype=np.int8)
+    labels[n_cap + n_dev:, :] = ALUMINA
+    n_h = round(H / dx)
+    n_w = round((W / 2) / dx)
+    if n_h > 0 and n_w > 0:
+        labels[n_cap:n_cap + n_h, :n_w] = PCM
+    return labels
+
+
+@pytest.mark.parametrize("dx_um", [2.5, 5.0, 10.0, 12.5, 20.0])
+def test_every_channel_meshes_as_before_or_is_refused(dx_um):
+    """Each H, W on a 1 um grid up to the device layer and the pitch meshes
+    the earlier rule's labels; a cell that rule meshed with no PCM voxel
+    (a height or a half width under one voxel) is refused, naming dx."""
+    dx = dx_um * 1e-6
+    n_meshed = n_refused = 0
+    for h_um in range(1, 201):
+        for w_um in range(1, 101):
+            H, W = h_um * 1e-6, w_um * 1e-6
+            expected = _reference_labels(H, W, dx)
+            if expected is not None and np.any(expected == PCM):
+                mesh = build_mesh(UnitCellSpec(H=H, W=W, dx=dx))
+                assert np.array_equal(mesh.labels, expected), (h_um, w_um)
+                n_meshed += 1
+            else:
+                with pytest.raises(ValueError, match=f"dx={dx!r}"):
+                    UnitCellSpec(H=H, W=W, dx=dx)
+                n_refused += 1
+    assert n_meshed > 0 and n_refused > 0
 
 
 def test_validate_rejects_oversized_channel():
@@ -74,6 +130,11 @@ def test_validate_rejects_oversized_channel():
         UnitCellSpec(W=150e-6)
     with pytest.raises(ValueError):
         UnitCellSpec(H=0.0)
+    # a channel one voxel wide has no voxel in its simulated half
+    for dx in (5e-6, 10e-6):
+        with pytest.raises(ValueError, match=f"at dx={dx!r} the height or "
+                                             "half width"):
+            UnitCellSpec(W=dx, dx=dx)
     UnitCellSpec(no_channel=True, H=0.0)  # baseline is exempt
     for dx in (0.0, -5e-6):
         with pytest.raises(ValueError, match="dx"):

@@ -7,7 +7,7 @@ import pytest
 
 from pcmopt.optimize import (Backend, FunctionBackend, GAConfig,
                              OptimizationProblem, ParameterSpec, PSOConfig,
-                             _CachedObjective, ga_minimize, parametric_sweep,
+                             _Search, ga_minimize, parametric_sweep,
                              pso_minimize, repeat_with_seeds)
 
 
@@ -164,7 +164,7 @@ class RecordingBackend(Backend):
 
 def test_cached_batch_sends_each_uncached_row_once_in_order():
     backend = RecordingBackend()
-    cached = _CachedObjective(backend)
+    cached = _Search(backend)
     a, b, c, d = (1.0, 2.0), (0.5, 0.0), (3.0, -1.0), (0.0, 0.0)
     assert cached.batch(np.array([a, b, a, c])).tolist() == [5, 0.25, 5, 10]
     assert backend.sent == [[a, b, c]]
@@ -177,7 +177,7 @@ def test_cached_batch_sends_each_uncached_row_once_in_order():
 
 def test_cached_batch_penalizes_a_failing_row_without_rerunning_others():
     backend = RecordingBackend(fail=(1.0, 1.0))
-    cached = _CachedObjective(backend)
+    cached = _Search(backend)
     X = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
     with pytest.warns(UserWarning, match="penalized"):
         assert cached.batch(X).tolist() == [1.0, np.inf, 4.0]
@@ -195,14 +195,14 @@ def test_cached_batch_penalizes_a_failing_batch_and_non_finite_values():
             raise RuntimeError("boom")
 
     backend = Broken()
-    cached = _CachedObjective(backend)
+    cached = _Search(backend)
     X = np.array([[0.0], [1.0]])
     with pytest.warns(UserWarning, match="penalized"):
         assert cached.batch(X).tolist() == [np.inf, np.inf]
     cached.batch(X)
     assert backend.calls == 1
     nan_or_inf = FunctionBackend(lambda x: np.nan if x[0] else -np.inf)
-    assert _CachedObjective(nan_or_inf).batch(X).tolist() == [np.inf] * 2
+    assert _Search(nan_or_inf).batch(X).tolist() == [np.inf] * 2
 
 
 def test_repeat_with_seeds_summary():
@@ -298,7 +298,7 @@ def test_cached_batch_refuses_a_result_of_the_wrong_length(result):
         def evaluate_batch(self, X):
             return result
 
-    cached = _CachedObjective(Short())
+    cached = _Search(Short())
     X = np.array([[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError, match=r"returned \d+ values for 3 rows"):
         cached.batch(X)

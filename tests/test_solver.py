@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from pcmopt.network import NetworkModel
 import pcmopt
 from pcmopt.solver import (MAX_STEP_RESIDUAL, PHASES, SolverDivergence,
                            _factor_band, _Integrator, build_case_network,
-                           simulate, steady_state)
+                           check_options, simulate, steady_state)
 
 COARSE = UnitCellSpec(dx=10e-6)
 
@@ -221,6 +222,18 @@ def test_dt_must_divide_the_cycle():
     for dt in (0.03, 0.2, 0.0, -0.025):
         with pytest.raises(ValueError, match="dt"):
             simulate(Case(cell=COARSE), dt=dt)
+
+
+def test_snapshot_every_must_be_a_positive_integer():
+    # 0 took no snapshot, -1 one per step and 2.5 every fifth step
+    for every in (0, -1, 2.5, True, "40"):
+        message = f"snapshot_every must be a positive integer, got {every!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(Case(cell=COARSE), dt=0.025, snapshot_every=every)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_options({"snapshot_every": every})
+    check_options({"snapshot_every": None})
+    check_options({"snapshot_every": np.int64(40), "dt": 0.025})
 
 
 def test_snapshots_have_field_shapes():

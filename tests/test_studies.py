@@ -262,6 +262,28 @@ def test_campaign_resume_without_config_checks_each_case(tmp_path):
     assert [p.read_bytes() for p in files] == before
 
 
+def test_campaign_resume_names_a_malformed_file(tmp_path):
+    own = {"seed": 0, "dx": 10e-6, "sim_kwargs": COARSE_SIM}
+    generate_training_data("geometry", 2, tmp_path, **own)
+    # each case file is written under a temporary name, then renamed
+    assert sorted(p.name for p in (tmp_path / "cases").iterdir()) == [
+        "case_000000.json", "case_000001.json"]
+    for path, source in [(tmp_path / "cases" / "case_000001.json",
+                          "case file"),
+                         (tmp_path / "config.json", "file")]:
+        intact = path.read_text()
+        path.write_text(intact[:30])
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{source} {path}: ")):
+            generate_training_data("geometry", 2, tmp_path, **own)
+        path.write_text(intact)
+    # JSON, but not a record
+    path = tmp_path / "cases" / "case_000000.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match=re.escape(f"{path} is not a case")):
+        generate_training_data("geometry", 2, tmp_path, **own)
+
+
 def test_simulator_backend_evaluate_and_verify():
     backend = SimulatorBackend(
         lambda v: property_case(v, cell=COARSE_CELL), ["T_m_C"], "T_o_max",
@@ -278,8 +300,10 @@ def test_simulator_backend_evaluate_and_verify():
 @pytest.mark.parametrize("sim_kwargs,message", [
     ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
     ({"dtt": 0.025}, "unknown simulation settings ['dtt']; simulate takes "
-                     "['dt', 'snapshot_every']")],
-    ids=["dt", "unknown_key"])
+                     "['dt', 'snapshot_every']"),
+    ({"snapshot_every": -1}, "snapshot_every must be a positive integer, "
+                             "got -1")],
+    ids=["dt", "unknown_key", "snapshot_every"])
 def test_settings_simulate_refuses_are_refused_before_any_case_runs(
         tmp_path, monkeypatch, sim_kwargs, message):
     def never(*args, **kwargs):
