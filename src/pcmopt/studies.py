@@ -1,6 +1,9 @@
 """Study orchestration: PCM comparison, melt-temperature sweeps, property
 sensitivity, training campaigns, the training-set-size ablation, and surface
-emission, each fanning its cases out through evaluate_cases.
+emission. Every study runs its transients through one case runner,
+evaluate_cases, which checks the settings before any case runs and yields
+each case's value or its exception: a training campaign records a failed
+case, and every other study (and SimulatorBackend.evaluate) raises the first.
 
 Each study writes a directory with config.json, results.csv, and
 summary.json; training campaigns additionally keep one artifact per case so
@@ -14,19 +17,19 @@ import hashlib
 import json
 import os
 import warnings
+from contextlib import closing
 from dataclasses import asdict, replace as dc_replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import metrics, solver
 from .geometry import T_AMB_C, Case, PowerProfile, UnitCellSpec
 from .materials import (PCM_NAMES, Material, builtin_material, read_json,
                         write_json)
-from .metrics import compute_metrics, simulate_metrics
 from .optimize import (Backend, OptimizationProblem, ParameterSpec,
                        grid_points, repeat_with_seeds, value_range)
-from .solver import check_options, simulate
 from .surrogate import (ExtrapolationWarning, SurrogateModel, TrainingSet,
                         predict, train_lm, r_squared)
 
@@ -63,15 +66,30 @@ def default_workers() -> int:
         raise ValueError(f"PCMOPT_WORKERS={env!r} is not an integer") from None
 
 
-def evaluate_cases(fn, items):
-    """Yield fn(item) for each item, in input order, as the results arrive,
-    from a pool of up to default_workers() processes, one per chunk of
-    _CHUNK items, or from this process if that is one. The pool keeps the
-    platform's start method (fork on Linux): a spawned worker spends
-    0.2-0.3 s starting Python and importing numpy and pcmopt, the time of
-    several coarse evaluations."""
-    items = list(items)
-    workers = min(default_workers(), -(-len(items) // _CHUNK))
+def _run_case(case: Case, sim_kwargs: dict, reduce=None):
+    """reduce (default compute_metrics) of the case's transient, or the
+    exception raised. simulate and compute_metrics are looked up on their
+    modules at call time, where a tracer may have wrapped them."""
+    try:
+        return (reduce or metrics.compute_metrics)(
+            solver.simulate(case, **sim_kwargs))
+    except Exception as exc:  # noqa: BLE001 - each caller sets the policy
+        return exc
+
+
+def evaluate_cases(cases, sim_kwargs: dict, reduce=None):
+    """Check sim_kwargs, then return an iterator over _run_case of each
+    case, in input order, from up to default_workers() processes, one per
+    chunk of _CHUNK cases. The pool keeps the platform's start method (fork
+    on Linux): a spawned worker spends 0.2-0.3 s starting Python and
+    importing numpy and pcmopt, the time of several coarse evaluations."""
+    solver.check_options(sim_kwargs)
+    cases = list(cases)
+    return _fan_out(partial(_run_case, sim_kwargs=sim_kwargs, reduce=reduce),
+                    cases, min(default_workers(), -(-len(cases) // _CHUNK)))
+
+
+def _fan_out(fn, items, workers):
     if workers > 1:
         # ~25 ms of multiprocessing and socket imports a serial run skips
         from concurrent.futures import ProcessPoolExecutor
@@ -79,6 +97,19 @@ def evaluate_cases(fn, items):
             yield from pool.map(fn, items, chunksize=_CHUNK)
     else:
         yield from map(fn, items)
+
+
+def _value(result):
+    """A case's value, or its exception raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _values(results):
+    """_value of each result; the first failure drops the cases to come."""
+    with closing(results):
+        yield from map(_value, results)
 
 
 def config_hash(config: dict) -> str:
@@ -153,10 +184,10 @@ _OBJECTIVES = ("T_o_max", "T_osc")
 
 
 class SimulatorBackend(Backend):
-    """Objective: a transient of the case case_builder returns, run with
-    sim_kwargs (checked when the backend is built). verify is evaluate,
-    bound on the class, so a wrapper put on an instance's evaluate (as the
-    benchmark's timers are) never counts a verification."""
+    """Objective: a transient of the case case_builder returns, run by
+    _run_case with sim_kwargs (checked when the backend is built). verify is
+    evaluate, bound on the class, so a wrapper put on an instance's evaluate
+    (as the benchmark's timers are) never counts a verification."""
 
     def __init__(self, case_builder, param_names, objective: str,
                  sim_kwargs: dict | None = None):
@@ -166,11 +197,11 @@ class SimulatorBackend(Backend):
         self.param_names = list(param_names)
         self.objective = objective
         self.sim_kwargs = dict(sim_kwargs or {})
-        check_options(self.sim_kwargs)
+        solver.check_options(self.sim_kwargs)
 
     def evaluate(self, x):
         values = dict(zip(self.param_names, np.asarray(x, dtype=float)))
-        report = simulate_metrics(self.case_builder(values), **self.sim_kwargs)
+        report = _value(_run_case(self.case_builder(values), self.sim_kwargs))
         return float(getattr(report, self.objective))
 
     verify = evaluate
@@ -249,7 +280,7 @@ def run_pcm_comparison(power: float = 100e3, out_dir=None,
     cases = [Case(cell=dc_replace(cell, no_channel=True), power=profile)] + [
         Case(cell=cell, power=profile, pcm=builtin_material(name))
         for name in PCM_NAMES]
-    reports = evaluate_cases(partial(simulate_metrics, **sim_kwargs), cases)
+    reports = _values(evaluate_cases(cases, sim_kwargs))
     rows = [{"material": name, "T_m_C": tm, **m.to_dict(),
              "config_hash": chash}
             for m, name, tm in zip(
@@ -269,13 +300,11 @@ def run_pcm_comparison(power: float = 100e3, out_dir=None,
 # Study 2: melt-temperature sweeps across power levels
 
 
-def _tm_row(item, cell: UnitCellSpec, sim_kwargs: dict) -> dict:
-    """Metrics and settled-cycle band of one (power, T_m) point."""
-    power, tm = item
-    h = simulate(property_case({"T_m_C": tm}, power, cell), **sim_kwargs)
-    m = compute_metrics(h)
+def _tm_row(h) -> dict:
+    """Metrics and settled-cycle band of one T_m point's history."""
+    m = metrics.compute_metrics(h)
     last = h.T_max[h.cycle_slice(h.n_cycles - 1)]
-    return {"T_m_C": tm, "T_o_max": m.T_o_max, "T_osc": m.T_osc,
+    return {"T_o_max": m.T_o_max, "T_osc": m.T_osc,
             "band_hi_C": float(last.max()), "band_lo_C": float(last.min())}
 
 
@@ -290,18 +319,17 @@ def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
     chash = config_hash(config)
     tms = grid_points(*tm_range, tm_step).tolist()
 
-    points = [(power, tm) for power in power_levels for tm in tms]
-    rows = [{**r, "config_hash": chash} for r in evaluate_cases(
-        partial(_tm_row, cell=cell, sim_kwargs=sim_kwargs), points)]
-    per_power = {}
-    for k, power in enumerate(power_levels):
-        table = rows[k * len(tms):(k + 1) * len(tms)]
-        per_power[power] = {
-            "table": table,
-            "opt_T_m_for_T_o_max": min(table,
-                                       key=lambda r: r["T_o_max"])["T_m_C"],
-            "opt_T_m_for_T_osc": min(table, key=lambda r: r["T_osc"])["T_m_C"],
-        }
+    cases = [property_case({"T_m_C": tm}, power, cell)
+             for power in power_levels for tm in tms]
+    rows = [{"T_m_C": tm, **r, "config_hash": chash} for tm, r in zip(
+        tms * len(power_levels),
+        _values(evaluate_cases(cases, sim_kwargs, _tm_row)))]
+    tables = [rows[k:k + len(tms)] for k in range(0, len(rows), len(tms))]
+    per_power = {power: {
+        "table": table,
+        "opt_T_m_for_T_o_max": min(table, key=lambda r: r["T_o_max"])["T_m_C"],
+        "opt_T_m_for_T_osc": min(table, key=lambda r: r["T_osc"])["T_m_C"]}
+        for power, table in zip(power_levels, tables)}
 
     if out_dir:
         header = ["power_W_m2", "T_m_C", "T_o_max", "T_osc",
@@ -343,15 +371,6 @@ def _sample_inputs(sampler: str, n: int, bounds: dict, seed: int) -> np.ndarray:
     raise ValueError(f"unknown sampler {sampler!r} (use 'lhs' or 'grid')")
 
 
-def _run_campaign_case(x, names, power, dx, sim_kwargs) -> dict:
-    values = dict(zip(names, x))
-    try:
-        m = simulate_metrics(geometry_case(values, power, dx), **sim_kwargs)
-        return {"inputs": values, "T_o_max_C": m.T_o_max, "T_osc_C": m.T_osc}
-    except Exception as exc:  # noqa: BLE001 - skip failed case, keep campaign
-        return {"inputs": values, "failed": str(exc)}
-
-
 def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                            sampler: str = "lhs", power: float = 100e3,
                            dx: float = 5e-6,
@@ -372,7 +391,6 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
         raise ValueError(f"kind must be one of {list(_CAMPAIGN_BOUNDS)}")
     bounds = _CAMPAIGN_BOUNDS[kind]
     sim_kwargs = sim_kwargs or {}
-    check_options(sim_kwargs)
     names = list(bounds)
     X = _sample_inputs(sampler, n, bounds, seed)
 
@@ -402,36 +420,33 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                              "resume it with its own settings or use a new "
                              "directory")
         records[int(i)] = rec
+    inputs = {i: dict(zip(names, X[i])) for i in range(n) if i not in records}
+    results = evaluate_cases(
+        [geometry_case(v, power, dx) for v in inputs.values()], sim_kwargs)
     cases_dir.mkdir(parents=True, exist_ok=True)
     write_json(config_path, config)
 
-    pending = [i for i in range(n) if i not in records]
-    run_case = partial(_run_campaign_case, names=names, power=power, dx=dx,
-                       sim_kwargs=sim_kwargs)
-    for record, i in zip(evaluate_cases(run_case, [X[i] for i in pending]),
-                         pending):
-        text = json.dumps({**record, "config_hash": chash}, sort_keys=True)
+    for (i, values), m in zip(inputs.items(), results):
+        record = ({"failed": str(m)} if isinstance(m, Exception) else
+                  {"T_o_max_C": m.T_o_max, "T_osc_C": m.T_osc})
+        text = json.dumps({"inputs": values, **record, "config_hash": chash},
+                          sort_keys=True)
         # a case file appears whole or not at all: it marks the case done
         path = cases_dir / f"case_{i:06d}.json"
         path.with_suffix(".tmp").write_text(text)
         os.replace(path.with_suffix(".tmp"), path)
         records[i] = json.loads(text)
 
-    rows = []
-    n_failed = 0
-    for i in range(n):
-        rec = records[i]
+    for i, rec in sorted(records.items()):
         if "failed" in rec:
-            n_failed += 1
             warnings.warn(f"case {i} failed: {rec['failed']}", stacklevel=2)
-            continue
-        rows.append([i] + [rec["inputs"][k] for k in names]
-                    + [rec["T_o_max_C"], rec["T_osc_C"], chash])
-
+    rows = [[i] + [rec["inputs"][k] for k in names]
+            + [rec["T_o_max_C"], rec["T_osc_C"], chash]
+            for i, rec in sorted(records.items()) if "failed" not in rec]
     return _write_study(out, config, ["case_index"] + names
                         + ["T_o_max_C", "T_osc_C", "config_hash"], rows,
                         {"n_requested": n, "n_complete": len(rows),
-                         "n_failed": n_failed})
+                         "n_failed": n - len(rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +489,12 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
                  out_path=None, power: float = 100e3, dx: float = 5e-6,
                  sim_kwargs: dict | None = None) -> list[dict]:
     """Paired NN/simulator T_o_max surface over an H/W grid at fixed T_m."""
-    sim_kwargs = sim_kwargs or {}
     points = [np.array([float(h_um), float(w_um), float(fixed_tm)])
               for h_um in h_grid for w_um in w_grid]
     cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power, dx=dx)
              for x in points]
+    reports = _values(evaluate_cases(cases, sim_kwargs or {}))
     t_nn = _predict_quietly(model, np.array(points)).tolist()
-    reports = evaluate_cases(partial(simulate_metrics, **sim_kwargs), cases)
     rows = [{"H_um": x[0], "W_um": x[1], "T_m_C": x[2], "T_nn_C": t,
              "T_sim_C": m.T_o_max} for m, x, t in zip(reports, points, t_nn)]
     if out_path:
@@ -523,8 +537,7 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
                                                       factor))
         for prop in properties
         for factor in (1.0 + PERTURBATION, 1.0 - PERTURBATION)]
-    base, *runs = evaluate_cases(partial(simulate_metrics, **sim_kwargs),
-                                 cases)
+    base, *runs = _values(evaluate_cases(cases, sim_kwargs))
     return {prop: {"dT_o_max": float(np.mean([abs(m.T_o_max - base.T_o_max)
                                               for m in pair])),
                    "dT_osc": float(np.mean([abs(m.T_osc - base.T_osc)

@@ -1,13 +1,19 @@
 import csv
+import functools
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcmopt import studies
+import pcmopt
+from pcmopt import solver, studies
 from pcmopt.cli import _load_problem, build_parser, main
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import PCM_NAMES, builtin_material
@@ -134,6 +140,19 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_module_entry_point_exits_2_with_one_stderr_line():
+    """python -m pcmopt.cli passes main's status to the shell."""
+    src = str(Path(pcmopt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcmopt.cli", "metrics", "--flux-kw-m2", "-5"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("pcmopt metrics: error: q0 must be "
+                           "non-negative\n")
+
+
 # each JSON input file, as the last argument of a command that reads it
 JSON_INPUTS = {
     "case": ["simulate", "--out", "{tmp}/o", "--case"],
@@ -234,9 +253,12 @@ def test_grids_end_at_or_below_their_upper_end(tmp_path, capsys,
     in the T_m sweep and on both surface axes; the default grids are the
     inclusive ones they always were, to the bit."""
     monkeypatch.setenv("PCMOPT_WORKERS", "1")
-    monkeypatch.setattr(studies, "_tm_row", lambda item, **_: {
-        "T_m_C": item[1], "T_o_max": 0.0, "T_osc": 0.0, "band_hi_C": 0.0,
-        "band_lo_C": 0.0})
+    # the case runner's seams: no transient runs, and each T_m point's
+    # history reduces to a constant row
+    no_run = functools.wraps(solver.simulate)(lambda case, **_: None)
+    monkeypatch.setattr(solver, "simulate", no_run)
+    monkeypatch.setattr(studies, "_tm_row", lambda history: {
+        "T_o_max": 0.0, "T_osc": 0.0, "band_hi_C": 0.0, "band_lo_C": 0.0})
     monkeypatch.setattr(SurrogateModel, "load", staticmethod(lambda _: None))
     grids = []
     monkeypatch.setattr(studies, "emit_surface",

@@ -1,5 +1,8 @@
+import concurrent.futures
 import csv
+import functools
 import json
+import os
 import re
 import shutil
 import warnings
@@ -8,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pcmopt import studies
+from pcmopt import metrics, solver, studies
 from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.metrics import simulate_metrics
 from pcmopt.solver import SolverDivergence
@@ -168,14 +171,21 @@ def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
     monkeypatch.setenv("PCMOPT_WORKERS", "1")
     calls = []
 
+    # wrapped, as a tracer's is, so check_options still sees simulate's
+    # signature through it
+    @functools.wraps(solver.simulate)
     def third_fails(case, **sim_kwargs):
         calls.append(case)
         if len(calls) == 3:
             raise SolverDivergence("diverged on purpose")
-        return SimpleNamespace(T_o_max=50.0 + case.cell.H * 1e6,
-                               T_osc=case.cell.W * 1e6)
+        return case
 
-    monkeypatch.setattr(studies, "simulate_metrics", third_fails)
+    # the case runner's seams: each case's transient, then its reduction
+    monkeypatch.setattr(solver, "simulate", third_fails)
+    monkeypatch.setattr(metrics, "compute_metrics",
+                        lambda case: SimpleNamespace(
+                            T_o_max=50.0 + case.cell.H * 1e6,
+                            T_osc=case.cell.W * 1e6))
     with pytest.warns(UserWarning, match="case 2 failed: diverged on purpose"):
         csv_path = generate_training_data("geometry", 8, tmp_path,
                                           sampler="grid", dx=10e-6)
@@ -306,16 +316,24 @@ def test_simulator_backend_evaluate_and_verify():
     ids=["dt", "unknown_key", "snapshot_every"])
 def test_settings_simulate_refuses_are_refused_before_any_case_runs(
         tmp_path, monkeypatch, sim_kwargs, message):
+    @functools.wraps(solver.simulate)
     def never(*args, **kwargs):
-        raise AssertionError("a case ran")
+        raise AssertionError("a case ran or a worker pool started")
 
-    monkeypatch.setattr(studies, "simulate_metrics", never)
+    # two workers, so that every study but the smallest would fan out
+    monkeypatch.setenv("PCMOPT_WORKERS", "2")
+    for owner, name in [(solver, "simulate"), (metrics, "simulate"),
+                        (concurrent.futures, "ProcessPoolExecutor")]:
+        monkeypatch.setattr(owner, name, never)
     with pytest.raises(ValueError, match=re.escape(message)):
         SimulatorBackend(geometry_case, list(GEOMETRY_BOUNDS), "T_o_max",
                          sim_kwargs=sim_kwargs)
     with pytest.raises(ValueError, match=re.escape(message)):
         generate_training_data("geometry", 3, tmp_path, dx=10e-6,
                                sim_kwargs=sim_kwargs)
+    for study, run in STUDIES.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(tmp_path / study, sim_kwargs)
     assert not any(tmp_path.iterdir())
     # so the directory still takes the corrected settings
     monkeypatch.undo()
@@ -495,21 +513,23 @@ def test_emit_surface(tmp_path):
                                       "T_sim_C"]
 
 
-def _coarse_surface(out):
+def _coarse_surface(out, sim_kwargs):
     model = train_lm(synthetic_pool(150), seed=4)
     return emit_surface(model, fixed_tm=77.0, h_grid=[40.0, 70.0, 100.0],
                         w_grid=[40.0, 100.0], out_path=out / "surface.csv",
-                        dx=10e-6, sim_kwargs=COARSE_SIM)
+                        dx=10e-6, sim_kwargs=sim_kwargs)
 
 
+#: Every study but the campaign, on the coarse mesh: (out_dir, sim_kwargs)
+#: -> its return value.
 STUDIES = {
-    "pcm_comparison": lambda out: run_pcm_comparison(
-        out_dir=out, cell=COARSE_CELL, **COARSE_SIM),
-    "tm_study": lambda out: run_tm_study(
+    "pcm_comparison": lambda out, sim_kwargs: run_pcm_comparison(
+        out_dir=out, cell=COARSE_CELL, **sim_kwargs),
+    "tm_study": lambda out, sim_kwargs: run_tm_study(
         power_levels=(50e3, 100e3), tm_step=10.0, tm_range=(47.0, 87.0),
-        out_dir=out, cell=COARSE_CELL, **COARSE_SIM),
-    "sensitivity": lambda out: sensitivity(Case(cell=COARSE_CELL),
-                                           **COARSE_SIM),
+        out_dir=out, cell=COARSE_CELL, **sim_kwargs),
+    "sensitivity": lambda out, sim_kwargs: sensitivity(Case(cell=COARSE_CELL),
+                                                       **sim_kwargs),
     "surface": _coarse_surface,
 }
 
@@ -522,7 +542,52 @@ def test_study_results_do_not_depend_on_worker_count(study, tmp_path,
         monkeypatch.setenv("PCMOPT_WORKERS", workers)
         out = tmp_path / workers
         out.mkdir()
-        results.append(STUDIES[study](out))
+        results.append(STUDIES[study](out, COARSE_SIM))
         files.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert results[0] == results[1]
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_failed_case_raises_its_own_exception_from_a_study(workers,
+                                                             monkeypatch):
+    """A study other than the campaign raises its first failed case's
+    exception, type and message, also across the worker process boundary."""
+    monkeypatch.setenv("PCMOPT_WORKERS", workers)
+    base = Case(cell=COARSE_CELL)
+
+    @functools.wraps(solver.simulate)
+    def diverges_at_higher_k(case, **sim_kwargs):
+        if case.pcm.k_solid > base.pcm.k_solid:
+            raise SolverDivergence(f"diverged in process {os.getpid()}")
+        return case
+
+    monkeypatch.setattr(solver, "simulate", diverges_at_higher_k)
+    monkeypatch.setattr(metrics, "compute_metrics",
+                        lambda case: SimpleNamespace(T_o_max=case.pcm.T_m,
+                                                     T_osc=case.pcm.L_H))
+    # 11 cases: at two workers, the k + 10 % case runs in a worker
+    with pytest.raises(SolverDivergence, match="diverged in process") as err:
+        sensitivity(base, **COARSE_SIM)
+    in_worker = str(err.value) != f"diverged in process {os.getpid()}"
+    assert in_worker == (workers == "2")
+
+
+def test_a_failed_case_raises_from_the_simulator_backend(monkeypatch):
+    @functools.wraps(solver.simulate)
+    def diverges(case, **sim_kwargs):
+        raise SolverDivergence("diverged on purpose")
+
+    monkeypatch.setattr(solver, "simulate", diverges)
+    backend = SimulatorBackend(lambda v: property_case(v, cell=COARSE_CELL),
+                               ["T_m_C"], "T_o_max", sim_kwargs=COARSE_SIM)
+    with pytest.raises(SolverDivergence, match="diverged on purpose"):
+        backend.evaluate(np.array([77.0]))
+    # so a search scores the point +inf and names the reason
+    problem = problem_from_bounds({"T_m_C": (70.0, 80.0)}, "T_o_max", backend,
+                                  steps={"T_m_C": 10.0})
+    with pytest.warns(UserWarning, match=re.escape(
+            "objective evaluation failed (diverged on purpose); "
+            "penalized with +inf")):
+        _, table = parametric_sweep(problem)
+    assert [row["T_o_max"] for row in table] == [np.inf, np.inf]
