@@ -14,6 +14,7 @@ Runs on a 10 um mesh so the four sweeps finish in a few minutes; pass
 import argparse
 
 from pcmopt.geometry import UnitCellSpec
+from pcmopt.solver import DEFAULT_DT
 from pcmopt.studies import run_tm_study
 
 if __name__ == "__main__":
@@ -23,12 +24,12 @@ if __name__ == "__main__":
     args = ap.parse_args()
 
     if args.fine:
-        cell, sim = UnitCellSpec(), {}
+        cell, dt = UnitCellSpec(), DEFAULT_DT
     else:
-        cell, sim = UnitCellSpec(dx=10e-6), {"dt": 0.025}
+        cell, dt = UnitCellSpec(dx=10e-6), 0.025
 
     res = run_tm_study(power_levels=(50e3, 75e3, 100e3, 125e3),
-                       tm_step=1.0, cell=cell, out_dir="out/tm_sweep", **sim)
+                       tm_step=1.0, cell=cell, out_dir="out/tm_sweep", dt=dt)
     print(f"{'power kW/m^2':>14} {'best T_m (peak)':>16} "
           f"{'best T_m (swing)':>17}")
     for power, d in res.items():

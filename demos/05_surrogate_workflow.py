@@ -23,12 +23,12 @@ from pcmopt.surrogate import load_training_csv, predict, r_squared, train_lm
 
 N_CASES = 150
 COARSE = {"dx": 10e-6}
-SIM = {"dt": 0.025}
+DT = 0.025
 
 if __name__ == "__main__":
     csv_path = generate_training_data(
         "geometry", N_CASES, "out/surrogate_campaign", seed=1,
-        dx=COARSE["dx"], sim_kwargs=SIM)
+        dx=COARSE["dx"], dt=DT)
     data = load_training_csv(csv_path, target="T_o_max_C",
                              input_names=["H_um", "W_um", "T_m_C"])
     holdout = data.subset(np.arange(N_CASES - 30, N_CASES))
@@ -38,7 +38,7 @@ if __name__ == "__main__":
 
     verifier = SimulatorBackend(
         lambda v: geometry_case(v, dx=COARSE["dx"]),
-        list(GEOMETRY_BOUNDS), "T_o_max", sim_kwargs=SIM)
+        list(GEOMETRY_BOUNDS), "T_o_max", sim_kwargs={"dt": DT})
     problem = problem_from_bounds(GEOMETRY_BOUNDS, "T_o_max",
                                   SurrogateBackend(model, verifier))
     result = ga_minimize(problem, GAConfig(population=40,
@@ -46,7 +46,7 @@ if __name__ == "__main__":
 
     x = np.array([result.parameters[k] for k in problem.names])
     verified = simulate_metrics(geometry_case(result.parameters,
-                                              dx=COARSE["dx"]), **SIM)
+                                              dx=COARSE["dx"]), dt=DT)
     print("best design:", {k: round(v, 1)
                            for k, v in result.parameters.items()})
     print(f"network prediction {predict(model, x):.2f} C, "

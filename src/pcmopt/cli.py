@@ -15,7 +15,7 @@ from .materials import (UnknownMaterialError, builtin_material, from_record,
                         load_material_file, read_json, write_json)
 from .metrics import compute_metrics
 from .optimize import STRATEGIES, grid_points, repeat_with_seeds
-from .solver import simulate
+from .solver import DEFAULT_DT, simulate
 from .surrogate import (SurrogateModel, load_training_csv, train_lm,
                         r_squared)
 
@@ -56,7 +56,7 @@ def _add_case_flags(p):
     p.add_argument("--width-um", type=float)
     p.add_argument("--flux-kw-m2", type=float)
     p.add_argument("--no-channel", action="store_true")
-    p.add_argument("--dt-ms", type=float, default=10.0)
+    p.add_argument("--dt-ms", type=float, default=DEFAULT_DT * 1e3)
 
 
 def _cmd_simulate(args):

@@ -43,9 +43,10 @@ def _voxels(length: float, dx: float) -> int:
 
 
 def _half_voxels(length: float, dx: float) -> int:
-    """Voxels across half of a length's whole voxels: the simulated half of
-    the pitch and of the channel width."""
-    return round((_voxels(length, dx) * dx / 2) / dx)
+    """Voxels across half of a length's whole voxels, an odd count's half
+    rounded to even: the simulated half of the pitch and of the channel
+    width."""
+    return round(_voxels(length, dx) / 2)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .geometry import T_AMB_C, Case
-from .solver import ThermalHistory, simulate
+from .solver import DEFAULT_DT, ThermalHistory, simulate
 
 CUTOFF_C = 85.0  # temperature limit of dt_85, degC
 
@@ -74,6 +74,6 @@ def compute_metrics(history: ThermalHistory) -> MetricsReport:
     )
 
 
-def simulate_metrics(case: Case, **sim_kwargs) -> MetricsReport:
-    """Convenience wrapper: run the transient and reduce it."""
-    return compute_metrics(simulate(case, **sim_kwargs))
+def simulate_metrics(case: Case, dt: float = DEFAULT_DT) -> MetricsReport:
+    """Convenience wrapper: run the transient at step dt and reduce it."""
+    return compute_metrics(simulate(case, dt=dt))

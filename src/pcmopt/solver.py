@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import inspect
 import math
 import numbers
 import os
@@ -52,6 +51,8 @@ def _load_flapack():
 _flapack = _load_flapack()
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
+# Time step of the reference transients, s.
+DEFAULT_DT = 0.01
 # Settle tolerance on each cycle's extrema, degC (see settled).
 QUASI_STEADY_TOL = 0.01
 # Largest relative energy residual a single step may leave.
@@ -329,15 +330,9 @@ def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
     return mesh, net
 
 
-def step_counts(dt: float, snapshot_every: int | None) -> tuple[int, int]:
+def step_counts(dt: float) -> tuple[int, int]:
     """Steps of dt in the heating phase and in one cycle; ValueError
-    unless dt is positive and divides both T_ON and PERIOD, and
-    snapshot_every is None or a positive integer (not a bool)."""
-    if not (snapshot_every is None or (
-            isinstance(snapshot_every, numbers.Integral)
-            and not isinstance(snapshot_every, bool) and snapshot_every > 0)):
-        raise ValueError("snapshot_every must be a positive integer, got "
-                         f"{snapshot_every!r}")
+    unless dt is positive and divides both T_ON and PERIOD."""
     if not (isinstance(dt, numbers.Real) and dt > 0):
         raise ValueError(f"dt must be a positive number, got {dt!r}")
     steps = (T_ON / dt, PERIOD / dt)
@@ -346,28 +341,21 @@ def step_counts(dt: float, snapshot_every: int | None) -> tuple[int, int]:
     return round(steps[0]), round(steps[1])
 
 
-def check_options(options: dict) -> None:
-    """ValueError unless simulate takes each key of options after its case
-    and step_counts takes them, with simulate's defaults for the rest:
-    settings are refused before a run."""
-    params = inspect.signature(simulate).parameters
-    known = list(params)[1:]
-    unknown = sorted(set(options) - set(known))
-    if unknown:
-        raise ValueError(f"unknown simulation settings {unknown}; "
-                         f"simulate takes {known}")
-    step_counts(**{**{k: params[k].default for k in known}, **options})
-
-
-def simulate(case: Case, dt: float = 0.01,
+def simulate(case: Case, dt: float = DEFAULT_DT,
              snapshot_every: int | None = None) -> ThermalHistory:
     """Run the square-wave transient for a case.
 
     Starts from ambient with all PCM solid. Terminates early once the
     cyclic response has settled (see settled), otherwise runs the full
-    duration.
+    duration. snapshot_every, if given, is a positive integer (not a
+    bool): the fields are kept every that many steps.
     """
-    steps_on, steps_cycle = step_counts(dt, snapshot_every)
+    if not (snapshot_every is None or (
+            isinstance(snapshot_every, numbers.Integral)
+            and not isinstance(snapshot_every, bool) and snapshot_every > 0)):
+        raise ValueError("snapshot_every must be a positive integer, got "
+                         f"{snapshot_every!r}")
+    steps_on, steps_cycle = step_counts(dt)
     power = case.power
     n_cycles = int(round(power.duration / PERIOD))
 

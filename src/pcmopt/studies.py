@@ -1,9 +1,11 @@
 """Study orchestration: PCM comparison, melt-temperature sweeps, property
 sensitivity, training campaigns, the training-set-size ablation, and surface
-emission. Every study runs its transients through one case runner,
-evaluate_cases, which checks the settings before any case runs and yields
-each case's value or its exception: a training campaign records a failed
-case, and every other study (and SimulatorBackend.evaluate) raises the first.
+emission. Every study runs its transients at one step dt through one case
+runner, evaluate_cases, which checks dt before any case runs and yields each
+case's value or its exception: a training campaign records a failed case,
+and every other study (and SimulatorBackend.evaluate) raises the first.
+SimulatorBackend alone keeps a settings dict, which may set only dt, since
+the benchmark builds it that way until ROADMAP item 2.
 
 Each study writes a directory with config.json, results.csv, and
 summary.json; training campaigns additionally keep one artifact per case so
@@ -66,27 +68,27 @@ def default_workers() -> int:
         raise ValueError(f"PCMOPT_WORKERS={env!r} is not an integer") from None
 
 
-def _run_case(case: Case, sim_kwargs: dict, reduce=None):
-    """reduce (default compute_metrics) of the case's transient, or the
-    exception raised. simulate and compute_metrics are looked up on their
-    modules at call time, where a tracer may have wrapped them."""
+def _run_case(case: Case, dt: float = solver.DEFAULT_DT, reduce=None):
+    """reduce (default compute_metrics) of the case's transient at step dt,
+    or the exception raised. simulate and compute_metrics are looked up on
+    their modules at call time, where a tracer may have wrapped them."""
     try:
         return (reduce or metrics.compute_metrics)(
-            solver.simulate(case, **sim_kwargs))
+            solver.simulate(case, dt=dt))
     except Exception as exc:  # noqa: BLE001 - each caller sets the policy
         return exc
 
 
-def evaluate_cases(cases, sim_kwargs: dict, reduce=None):
-    """Check sim_kwargs, then return an iterator over _run_case of each
-    case, in input order, from up to default_workers() processes, one per
-    chunk of _CHUNK cases. The pool keeps the platform's start method (fork
-    on Linux): a spawned worker spends 0.2-0.3 s starting Python and
-    importing numpy and pcmopt, the time of several coarse evaluations."""
-    solver.check_options(sim_kwargs)
+def evaluate_cases(cases, dt: float = solver.DEFAULT_DT, reduce=None):
+    """Check dt, then return an iterator over _run_case of each case, in
+    input order, from up to default_workers() processes, one per chunk of
+    _CHUNK cases. The pool keeps the platform's start method (fork on
+    Linux): a spawned worker spends 0.2-0.3 s starting Python and importing
+    numpy and pcmopt, the time of several coarse evaluations."""
+    solver.step_counts(dt)
     cases = list(cases)
-    return _fan_out(partial(_run_case, sim_kwargs=sim_kwargs, reduce=reduce),
-                    cases, min(default_workers(), -(-len(cases) // _CHUNK)))
+    return _fan_out(partial(_run_case, dt=dt, reduce=reduce), cases,
+                    min(default_workers(), -(-len(cases) // _CHUNK)))
 
 
 def _fan_out(fn, items, workers):
@@ -185,9 +187,11 @@ _OBJECTIVES = ("T_o_max", "T_osc")
 
 class SimulatorBackend(Backend):
     """Objective: a transient of the case case_builder returns, run by
-    _run_case with sim_kwargs (checked when the backend is built). verify is
-    evaluate, bound on the class, so a wrapper put on an instance's evaluate
-    (as the benchmark's timers are) never counts a verification."""
+    _run_case at the step dt that sim_kwargs may set, checked when built.
+    A dict, since the benchmark passes sim_kwargs={"dt": ...} until ROADMAP
+    item 2. verify is evaluate, bound on the class, so a wrapper put on an
+    instance's evaluate (as the benchmark's timers are) never counts a
+    verification."""
 
     def __init__(self, case_builder, param_names, objective: str,
                  sim_kwargs: dict | None = None):
@@ -196,12 +200,16 @@ class SimulatorBackend(Backend):
         self.case_builder = case_builder
         self.param_names = list(param_names)
         self.objective = objective
-        self.sim_kwargs = dict(sim_kwargs or {})
-        solver.check_options(self.sim_kwargs)
+        settings = dict(sim_kwargs or {})
+        self.dt = settings.pop("dt", solver.DEFAULT_DT)
+        if settings:
+            raise ValueError(f"unknown simulation settings {sorted(settings)}"
+                             "; the only one is 'dt'")
+        solver.step_counts(self.dt)
 
     def evaluate(self, x):
         values = dict(zip(self.param_names, np.asarray(x, dtype=float)))
-        report = _value(_run_case(self.case_builder(values), self.sim_kwargs))
+        report = _value(_run_case(self.case_builder(values), self.dt))
         return float(getattr(report, self.objective))
 
     verify = evaluate
@@ -270,17 +278,17 @@ def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
 
 def run_pcm_comparison(power: float = 100e3, out_dir=None,
                        cell: UnitCellSpec = REFERENCE_CELL,
-                       **sim_kwargs) -> list[dict]:
+                       dt: float = solver.DEFAULT_DT) -> list[dict]:
     """Seven PCMs plus the solid-silicon baseline, ordered by T_m."""
     config = {"study": "pcm-compare", "power_W_m2": power,
-              "cell": asdict(cell), "sim_kwargs": repr(sim_kwargs)}
+              "cell": asdict(cell), "dt": dt}
     chash = config_hash(config)
 
     profile = PowerProfile(q0=power)
     cases = [Case(cell=dc_replace(cell, no_channel=True), power=profile)] + [
         Case(cell=cell, power=profile, pcm=builtin_material(name))
         for name in PCM_NAMES]
-    reports = _values(evaluate_cases(cases, sim_kwargs))
+    reports = _values(evaluate_cases(cases, dt))
     rows = [{"material": name, "T_m_C": tm, **m.to_dict(),
              "config_hash": chash}
             for m, name, tm in zip(
@@ -309,21 +317,19 @@ def _tm_row(h) -> dict:
 
 
 def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
-                 tm_range=(47.0, 96.0), out_dir=None,
-                 cell: UnitCellSpec = REFERENCE_CELL,
-                 **sim_kwargs) -> dict:
-    """Sweep T_m per power level; emits oscillation-band data and optima."""
+                 out_dir=None, cell: UnitCellSpec = REFERENCE_CELL,
+                 dt: float = solver.DEFAULT_DT) -> dict:
+    """Sweep T_m over its bounds per power level: oscillation bands, optima."""
     config = {"study": "tm-sweep", "power_levels": list(power_levels),
-              "tm_step": tm_step, "tm_range": list(tm_range),
-              "cell": asdict(cell), "sim_kwargs": repr(sim_kwargs)}
+              "tm_step": tm_step, "cell": asdict(cell), "dt": dt}
     chash = config_hash(config)
-    tms = grid_points(*tm_range, tm_step).tolist()
+    tms = grid_points(*PROPERTY_BOUNDS["T_m_C"], tm_step).tolist()
 
     cases = [property_case({"T_m_C": tm}, power, cell)
              for power in power_levels for tm in tms]
     rows = [{"T_m_C": tm, **r, "config_hash": chash} for tm, r in zip(
         tms * len(power_levels),
-        _values(evaluate_cases(cases, sim_kwargs, _tm_row)))]
+        _values(evaluate_cases(cases, dt, _tm_row)))]
     tables = [rows[k:k + len(tms)] for k in range(0, len(rows), len(tms))]
     per_power = {power: {
         "table": table,
@@ -374,7 +380,7 @@ def _sample_inputs(sampler: str, n: int, bounds: dict, seed: int) -> np.ndarray:
 def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                            sampler: str = "lhs", power: float = 100e3,
                            dx: float = 5e-6,
-                           sim_kwargs: dict | None = None) -> Path:
+                           dt: float = solver.DEFAULT_DT) -> Path:
     """Sample, simulate, and persist a training campaign.
 
     Writes one JSON artifact per case under out_dir/cases/ (the resume
@@ -390,14 +396,13 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     if kind not in _CAMPAIGN_BOUNDS:
         raise ValueError(f"kind must be one of {list(_CAMPAIGN_BOUNDS)}")
     bounds = _CAMPAIGN_BOUNDS[kind]
-    sim_kwargs = sim_kwargs or {}
     names = list(bounds)
     X = _sample_inputs(sampler, n, bounds, seed)
 
     config = {"study": "campaign", "kind": kind, "n": n, "seed": seed,
               "sampler": sampler, "power_W_m2": power, "dx_m": dx,
               "bounds": {k: list(v) for k, v in bounds.items()},
-              "sim_kwargs": repr(sim_kwargs)}
+              "dt": dt}
     chash = config_hash(config)
     out = Path(out_dir)
     config_path = out / "config.json"
@@ -422,7 +427,7 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
         records[int(i)] = rec
     inputs = {i: dict(zip(names, X[i])) for i in range(n) if i not in records}
     results = evaluate_cases(
-        [geometry_case(v, power, dx) for v in inputs.values()], sim_kwargs)
+        [geometry_case(v, power, dx) for v in inputs.values()], dt)
     cases_dir.mkdir(parents=True, exist_ok=True)
     write_json(config_path, config)
 
@@ -487,13 +492,13 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
 
 def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
                  out_path=None, power: float = 100e3, dx: float = 5e-6,
-                 sim_kwargs: dict | None = None) -> list[dict]:
+                 dt: float = solver.DEFAULT_DT) -> list[dict]:
     """Paired NN/simulator T_o_max surface over an H/W grid at fixed T_m."""
     points = [np.array([float(h_um), float(w_um), float(fixed_tm)])
               for h_um in h_grid for w_um in w_grid]
     cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power, dx=dx)
              for x in points]
-    reports = _values(evaluate_cases(cases, sim_kwargs or {}))
+    reports = _values(evaluate_cases(cases, dt))
     t_nn = _predict_quietly(model, np.array(points)).tolist()
     rows = [{"H_um": x[0], "W_um": x[1], "T_m_C": x[2], "T_nn_C": t,
              "T_sim_C": m.T_o_max} for m, x, t in zip(reports, points, t_nn)]
@@ -524,7 +529,7 @@ def _perturbed_material(base: Material, prop: str, factor: float) -> Material:
 
 
 def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
-                **sim_kwargs) -> dict[str, dict[str, float]]:
+                dt: float = solver.DEFAULT_DT) -> dict[str, dict[str, float]]:
     """Mean absolute metric shift under +/-PERTURBATION of each property.
 
     Returns {property: {"dT_o_max": ..., "dT_osc": ...}} where each value is
@@ -537,7 +542,7 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
                                                       factor))
         for prop in properties
         for factor in (1.0 + PERTURBATION, 1.0 - PERTURBATION)]
-    base, *runs = _values(evaluate_cases(cases, sim_kwargs))
+    base, *runs = _values(evaluate_cases(cases, dt))
     return {prop: {"dT_o_max": float(np.mean([abs(m.T_o_max - base.T_o_max)
                                               for m in pair])),
                    "dT_osc": float(np.mean([abs(m.T_osc - base.T_osc)

@@ -38,7 +38,8 @@ CACHE.mkdir(exist_ok=True)
 
 COARSE_CELL = UnitCellSpec(dx=10e-6)
 COARSE_DX = 10e-6
-COARSE_SIM = {"dt": 0.025}
+COARSE_DT = 0.025
+COARSE_SIM = {"dt": COARSE_DT}
 
 GA_CFG = GAConfig(population=30, max_generations=40, stall_generations=8)
 PSO_CFG = PSOConfig(swarm=25, max_iterations=40, stall_iterations=10)
@@ -182,7 +183,7 @@ def test_optimal_tm_rises_with_power():
 
     def compute():
         res = run_tm_study(power_levels=powers, tm_step=1.0,
-                           cell=COARSE_CELL, **COARSE_SIM)
+                           cell=COARSE_CELL, dt=COARSE_DT)
         return {str(p): {"T_o_max": res[p]["opt_T_m_for_T_o_max"],
                          "T_osc": res[p]["opt_T_m_for_T_osc"]}
                 for p in powers}
@@ -279,7 +280,7 @@ def test_geometry_optimum_fills_the_device_layer(geometry_optima, strategy):
 
 N_CAMPAIGN, N_POOL = 2500, 2000
 CAMPAIGN = {"kind": "geometry", "n": N_CAMPAIGN, "seed": 0, "sampler": "lhs",
-            "power": 100e3, "dx": COARSE_DX, "sim_kwargs": COARSE_SIM}
+            "power": 100e3, "dx": COARSE_DX, "dt": COARSE_DT}
 
 
 @pytest.fixture(scope="module")

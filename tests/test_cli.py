@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import os
 import re
@@ -255,8 +254,7 @@ def test_grids_end_at_or_below_their_upper_end(tmp_path, capsys,
     monkeypatch.setenv("PCMOPT_WORKERS", "1")
     # the case runner's seams: no transient runs, and each T_m point's
     # history reduces to a constant row
-    no_run = functools.wraps(solver.simulate)(lambda case, **_: None)
-    monkeypatch.setattr(solver, "simulate", no_run)
+    monkeypatch.setattr(solver, "simulate", lambda case, **_: None)
     monkeypatch.setattr(studies, "_tm_row", lambda history: {
         "T_o_max": 0.0, "T_osc": 0.0, "band_hi_C": 0.0, "band_lo_C": 0.0})
     monkeypatch.setattr(SurrogateModel, "load", staticmethod(lambda _: None))
@@ -338,11 +336,12 @@ def test_problem_file_rejects_unknown_bound_names(tmp_path):
 
 @pytest.mark.parametrize("sim_kwargs,message", [
     ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
-    ({"dtt": 0.025}, "unknown simulation settings ['dtt']; simulate takes "
-                     "['dt', 'snapshot_every']"),
+    ({"dtt": 0.025}, "unknown simulation settings ['dtt']; the only one is "
+                     "'dt'"),
     ({"dt": "0.025"}, "dt must be a positive number, got '0.025'"),
-    ({"snapshot_every": 0}, "snapshot_every must be a positive integer, "
-                            "got 0")],
+    # simulate takes snapshot_every, but a search keeps no snapshots
+    ({"snapshot_every": 40}, "unknown simulation settings ['snapshot_every']; "
+                             "the only one is 'dt'")],
     ids=["dt", "unknown_key", "dt_text", "snapshot_every"])
 def test_problem_file_settings_are_refused_before_the_search(
         tmp_path, capsys, sim_kwargs, message):

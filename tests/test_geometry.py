@@ -80,8 +80,8 @@ def test_snapping_is_idempotent(h, w, dx):
 
 def _reference_labels(H, W, dx):
     """Labels by the earlier rule: validation snapped H and W to whole
-    voxels, and the mesh halved the snapped width and rounded again. None
-    where it refused the cell."""
+    voxels, and the mesh halved the snapped width's voxel count, an odd
+    count rounded to even. None where it refused the cell."""
     def snap(length):
         return max(round(length / dx), 0) * dx
 
@@ -91,11 +91,12 @@ def _reference_labels(H, W, dx):
     n_cap = round(snap(T_CAP) / dx)
     n_dev = round(snap(T_DEVICE) / dx)
     n_al = round(snap(T_ALUMINA) / dx)
-    labels = np.full((n_cap + n_dev + n_al, round((snap(PITCH) / 2) / dx)),
-                     SILICON, dtype=np.int8)
+    n_half_pitch = round(round(snap(PITCH) / dx) / 2)
+    labels = np.full((n_cap + n_dev + n_al, n_half_pitch), SILICON,
+                     dtype=np.int8)
     labels[n_cap + n_dev:, :] = ALUMINA
     n_h = round(H / dx)
-    n_w = round((W / 2) / dx)
+    n_w = round(round(W / dx) / 2)
     if n_h > 0 and n_w > 0:
         labels[n_cap:n_cap + n_h, :n_w] = PCM
     return labels
@@ -121,6 +122,26 @@ def test_every_channel_meshes_as_before_or_is_refused(dx_um):
                     UnitCellSpec(H=H, W=W, dx=dx)
                 n_refused += 1
     assert n_meshed > 0 and n_refused > 0
+
+
+@pytest.mark.parametrize("dx_um", [2.5, 12.5])
+def test_both_spellings_of_a_voxel_mesh_every_width_alike(dx_um):
+    """dx written as a literal and as dx_um * 1e-6 (what the CLI computes)
+    differ in the last bit; the half width counts whole voxels, so the two
+    mesh each channel width on the 1 um grid the same way."""
+    literal, scaled = float(f"{dx_um}e-6"), dx_um * 1e-6
+    assert literal != scaled
+
+    def labels(W, dx):
+        try:
+            return build_mesh(UnitCellSpec(W=W, dx=dx)).labels
+        except ValueError:
+            return None
+
+    for w_um in range(1, 101):
+        a, b = (labels(w_um * 1e-6, dx) for dx in (literal, scaled))
+        assert (a is None) == (b is None), w_um
+        assert a is None or np.array_equal(a, b), w_um
 
 
 def test_validate_rejects_oversized_channel():

@@ -1,6 +1,5 @@
 import concurrent.futures
 import csv
-import functools
 import json
 import os
 import re
@@ -28,7 +27,7 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
 from pcmopt.surrogate import TrainingSet, predict, r_squared, train_lm
 
 COARSE_CELL = UnitCellSpec(dx=10e-6)
-COARSE_SIM = {"dt": 0.025}
+COARSE_DT = 0.025
 
 
 def read_csv(path):
@@ -98,7 +97,7 @@ def test_property_case_rejects_unknown_names(name):
 
 def test_pcm_comparison_rows_and_artifacts(tmp_path):
     rows = run_pcm_comparison(out_dir=tmp_path, cell=COARSE_CELL,
-                              **COARSE_SIM)
+                              dt=COARSE_DT)
     assert [r["material"] for r in rows[:2]] == ["Silicon", "Cerrolow117"]
     assert len(rows) == 8
     tms = [r["T_m_C"] for r in rows[1:]]
@@ -110,9 +109,8 @@ def test_pcm_comparison_rows_and_artifacts(tmp_path):
 
 
 def test_tm_study_band_and_optima(tmp_path):
-    res = run_tm_study(power_levels=(100e3,), tm_step=10.0,
-                       tm_range=(47.0, 87.0), out_dir=tmp_path,
-                       cell=COARSE_CELL, **COARSE_SIM)
+    res = run_tm_study(power_levels=(100e3,), tm_step=10.0, out_dir=tmp_path,
+                       cell=COARSE_CELL, dt=COARSE_DT)
     d = res[100e3]
     assert [r["T_m_C"] for r in d["table"]] == [47.0, 57.0, 67.0, 77.0, 87.0]
     for r in d["table"]:
@@ -128,7 +126,7 @@ def small_campaign(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PCMOPT_WORKERS", "1")
         csv_path = generate_training_data(
-            "geometry", 10, out, seed=3, dx=10e-6, sim_kwargs=COARSE_SIM)
+            "geometry", 10, out, seed=3, dx=10e-6, dt=COARSE_DT)
     return out, csv_path
 
 
@@ -153,7 +151,7 @@ def test_campaign_resume_is_byte_identical(small_campaign, tmp_path):
     (out / "cases" / "case_000003.json").unlink()
     (out / "cases" / "case_000007.json").unlink()
     again = generate_training_data("geometry", 10, out, seed=3, dx=10e-6,
-                                   sim_kwargs=COARSE_SIM)
+                                   dt=COARSE_DT)
     assert again.read_bytes() == original
 
 
@@ -162,7 +160,7 @@ def test_campaign_worker_count_does_not_change_results(small_campaign,
     out, csv_path = small_campaign
     monkeypatch.setenv("PCMOPT_WORKERS", "2")
     parallel = generate_training_data("geometry", 10, tmp_path, seed=3,
-                                      dx=10e-6, sim_kwargs=COARSE_SIM)
+                                      dx=10e-6, dt=COARSE_DT)
     assert parallel.read_bytes() == csv_path.read_bytes()
 
 
@@ -171,10 +169,7 @@ def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
     monkeypatch.setenv("PCMOPT_WORKERS", "1")
     calls = []
 
-    # wrapped, as a tracer's is, so check_options still sees simulate's
-    # signature through it
-    @functools.wraps(solver.simulate)
-    def third_fails(case, **sim_kwargs):
+    def third_fails(case, **settings):
         calls.append(case)
         if len(calls) == 3:
             raise SolverDivergence("diverged on purpose")
@@ -209,19 +204,19 @@ def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
 
 def test_campaign_grid_sampler_deterministic(tmp_path):
     a = generate_training_data("geometry", 8, tmp_path / "a", sampler="grid",
-                               dx=10e-6, sim_kwargs=COARSE_SIM)
+                               dx=10e-6, dt=COARSE_DT)
     b = generate_training_data("geometry", 8, tmp_path / "b", sampler="grid",
-                               dx=10e-6, sim_kwargs=COARSE_SIM)
+                               dx=10e-6, dt=COARSE_DT)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_properties_campaign_honours_dx(tmp_path):
     csv_path = generate_training_data("properties", 1, tmp_path, dx=10e-6,
-                                      sim_kwargs=COARSE_SIM)
+                                      dt=COARSE_DT)
     inputs = json.loads(
         (tmp_path / "cases" / "case_000000.json").read_text())["inputs"]
     expect = simulate_metrics(property_case(inputs, cell=COARSE_CELL),
-                              **COARSE_SIM)
+                              dt=COARSE_DT)
     assert float(read_csv(csv_path)[0]["T_o_max_C"]) == expect.T_o_max
 
 
@@ -240,20 +235,20 @@ def test_campaign_input_validation(tmp_path):
 
 def test_campaign_resume_refuses_another_config(tmp_path):
     generate_training_data("geometry", 2, tmp_path, seed=0, dx=10e-6,
-                           sim_kwargs=COARSE_SIM)
+                           dt=COARSE_DT)
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     before = [p.read_bytes() for p in files]
     seed0 = config_hash(json.loads((tmp_path / "config.json").read_text()))
     with pytest.raises(ValueError, match=seed0) as err:
         generate_training_data("geometry", 2, tmp_path, seed=1, dx=10e-6,
-                               sim_kwargs=COARSE_SIM)
+                               dt=COARSE_DT)
     assert len(set(re.findall(r"\b[0-9a-f]{12}\b", str(err.value)))) == 2
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
     assert [p.read_bytes() for p in files] == before
 
 
 def test_campaign_resume_without_config_checks_each_case(tmp_path):
-    own = {"seed": 0, "power": 100e3, "dx": 10e-6, "sim_kwargs": COARSE_SIM}
+    own = {"seed": 0, "power": 100e3, "dx": 10e-6, "dt": COARSE_DT}
     generate_training_data("geometry", 2, tmp_path, **own)
     (tmp_path / "config.json").unlink()
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
@@ -261,7 +256,7 @@ def test_campaign_resume_without_config_checks_each_case(tmp_path):
     # another seed moves the sampled inputs; another power, mesh or solver
     # setting leaves them alone and is caught by each case's config hash
     for changed in ({"seed": 1}, {"power": 50e3}, {"dx": 5e-6},
-                    {"sim_kwargs": {"dt": 0.05}}):
+                    {"dt": 0.05}):
         with pytest.raises(ValueError, match="case_000000.json"):
             generate_training_data("geometry", 2, tmp_path,
                                    **{**own, **changed})
@@ -273,7 +268,7 @@ def test_campaign_resume_without_config_checks_each_case(tmp_path):
 
 
 def test_campaign_resume_names_a_malformed_file(tmp_path):
-    own = {"seed": 0, "dx": 10e-6, "sim_kwargs": COARSE_SIM}
+    own = {"seed": 0, "dx": 10e-6, "dt": COARSE_DT}
     generate_training_data("geometry", 2, tmp_path, **own)
     # each case file is written under a temporary name, then renamed
     assert sorted(p.name for p in (tmp_path / "cases").iterdir()) == [
@@ -297,7 +292,7 @@ def test_campaign_resume_names_a_malformed_file(tmp_path):
 def test_simulator_backend_evaluate_and_verify():
     backend = SimulatorBackend(
         lambda v: property_case(v, cell=COARSE_CELL), ["T_m_C"], "T_o_max",
-        sim_kwargs=COARSE_SIM)
+        sim_kwargs={"dt": COARSE_DT})
     x = np.array([77.0])
     assert backend.evaluate(x) == pytest.approx(backend.verify(x))
     # one function on the class, which a wrapper there can time by name
@@ -307,16 +302,18 @@ def test_simulator_backend_evaluate_and_verify():
         SimulatorBackend(property_case, ["T_m_C"], "dt_85")
 
 
-@pytest.mark.parametrize("sim_kwargs,message", [
+@pytest.mark.parametrize("settings,message", [
     ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
-    ({"dtt": 0.025}, "unknown simulation settings ['dtt']; simulate takes "
-                     "['dt', 'snapshot_every']"),
-    ({"snapshot_every": -1}, "snapshot_every must be a positive integer, "
-                             "got -1")],
+    ({"dtt": 0.025}, "unknown simulation settings ['dtt']; the only one is "
+                     "'dt'"),
+    ({"snapshot_every": 40}, "unknown simulation settings ['snapshot_every']; "
+                             "the only one is 'dt'")],
     ids=["dt", "unknown_key", "snapshot_every"])
 def test_settings_simulate_refuses_are_refused_before_any_case_runs(
-        tmp_path, monkeypatch, sim_kwargs, message):
-    @functools.wraps(solver.simulate)
+        tmp_path, monkeypatch, settings, message):
+    """A backend's settings dict may set only dt. A study takes dt alone,
+    so it refuses a bad dt by its message and any other setting as an
+    unexpected keyword; each before a case runs or a pool starts."""
     def never(*args, **kwargs):
         raise AssertionError("a case ran or a worker pool started")
 
@@ -327,21 +324,62 @@ def test_settings_simulate_refuses_are_refused_before_any_case_runs(
         monkeypatch.setattr(owner, name, never)
     with pytest.raises(ValueError, match=re.escape(message)):
         SimulatorBackend(geometry_case, list(GEOMETRY_BOUNDS), "T_o_max",
-                         sim_kwargs=sim_kwargs)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        generate_training_data("geometry", 3, tmp_path, dx=10e-6,
-                               sim_kwargs=sim_kwargs)
+                         sim_kwargs=settings)
+    error, match = ((ValueError, re.escape(message)) if "dt" in settings
+                    else (TypeError, "unexpected keyword argument"))
+    with pytest.raises(error, match=match):
+        generate_training_data("geometry", 3, tmp_path, dx=10e-6, **settings)
     for study, run in STUDIES.items():
-        with pytest.raises(ValueError, match=re.escape(message)):
-            run(tmp_path / study, sim_kwargs)
+        with pytest.raises(error, match=match):
+            run(tmp_path / study, **settings)
     assert not any(tmp_path.iterdir())
     # so the directory still takes the corrected settings
     monkeypatch.undo()
     monkeypatch.setenv("PCMOPT_WORKERS", "1")
-    generate_training_data("geometry", 3, tmp_path, dx=10e-6,
-                           sim_kwargs=COARSE_SIM)
+    generate_training_data("geometry", 3, tmp_path, dx=10e-6, dt=COARSE_DT)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert (summary["n_complete"], summary["n_failed"]) == (3, 0)
+
+
+def test_a_plain_wrapper_on_simulate_leaves_dt_settable(tmp_path,
+                                                        monkeypatch):
+    """A timer put on simulate without its signature, as (case, **kw),
+    changes no study's or backend's settings: they run at the dt given."""
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    steps, simulate = [], solver.simulate
+
+    def timed(case, **kw):
+        steps.append(kw["dt"])
+        return simulate(case, **kw)
+
+    monkeypatch.setattr(solver, "simulate", timed)
+    run_tm_study(power_levels=(100e3,), tm_step=49.0, cell=COARSE_CELL,
+                 dt=COARSE_DT)
+    generate_training_data("geometry", 1, tmp_path, dx=10e-6, dt=COARSE_DT)
+    backend = SimulatorBackend(lambda v: property_case(v, cell=COARSE_CELL),
+                               ["T_m_C"], "T_o_max", sim_kwargs={"dt": 0.025})
+    assert backend.evaluate(np.array([77.0])) > 26.85
+    assert steps == [0.025] * 4
+
+
+def test_equal_settings_hash_equally(tmp_path, monkeypatch):
+    """A study's config records dt itself: the default step given or left
+    out, and a numpy float or a Python one, is one config."""
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    monkeypatch.setattr(solver, "simulate", lambda case, **settings: case)
+    monkeypatch.setattr(metrics, "compute_metrics",
+                        lambda case: SimpleNamespace(T_o_max=50.0, T_osc=1.0))
+
+    def campaign_hash(name, **settings):
+        generate_training_data("geometry", 1, tmp_path / name, dx=10e-6,
+                               **settings)
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        return summary["config_hash"]
+
+    assert campaign_hash("default") == campaign_hash(
+        "given", dt=solver.DEFAULT_DT)
+    assert campaign_hash("numpy", dt=np.float64(0.025)) == campaign_hash(
+        "float", dt=0.025) != campaign_hash("default")
 
 
 def synthetic_pool(n, seed=0):
@@ -504,7 +542,7 @@ def test_emit_surface(tmp_path):
     out = tmp_path / "surface.csv"
     rows = emit_surface(model, fixed_tm=77.0, h_grid=[40.0, 100.0],
                         w_grid=[40.0, 100.0], out_path=out, dx=10e-6,
-                        sim_kwargs=COARSE_SIM)
+                        dt=COARSE_DT)
     assert len(rows) == 4
     for r in rows:
         assert r["T_sim_C"] > 26.85
@@ -513,23 +551,23 @@ def test_emit_surface(tmp_path):
                                       "T_sim_C"]
 
 
-def _coarse_surface(out, sim_kwargs):
+def _coarse_surface(out, **settings):
     model = train_lm(synthetic_pool(150), seed=4)
     return emit_surface(model, fixed_tm=77.0, h_grid=[40.0, 70.0, 100.0],
                         w_grid=[40.0, 100.0], out_path=out / "surface.csv",
-                        dx=10e-6, sim_kwargs=sim_kwargs)
+                        dx=10e-6, **settings)
 
 
-#: Every study but the campaign, on the coarse mesh: (out_dir, sim_kwargs)
+#: Every study but the campaign, on the coarse mesh: (out_dir, **settings)
 #: -> its return value.
 STUDIES = {
-    "pcm_comparison": lambda out, sim_kwargs: run_pcm_comparison(
-        out_dir=out, cell=COARSE_CELL, **sim_kwargs),
-    "tm_study": lambda out, sim_kwargs: run_tm_study(
-        power_levels=(50e3, 100e3), tm_step=10.0, tm_range=(47.0, 87.0),
-        out_dir=out, cell=COARSE_CELL, **sim_kwargs),
-    "sensitivity": lambda out, sim_kwargs: sensitivity(Case(cell=COARSE_CELL),
-                                                       **sim_kwargs),
+    "pcm_comparison": lambda out, **settings: run_pcm_comparison(
+        out_dir=out, cell=COARSE_CELL, **settings),
+    "tm_study": lambda out, **settings: run_tm_study(
+        power_levels=(50e3, 100e3), tm_step=10.0, out_dir=out,
+        cell=COARSE_CELL, **settings),
+    "sensitivity": lambda out, **settings: sensitivity(Case(cell=COARSE_CELL),
+                                                       **settings),
     "surface": _coarse_surface,
 }
 
@@ -542,7 +580,7 @@ def test_study_results_do_not_depend_on_worker_count(study, tmp_path,
         monkeypatch.setenv("PCMOPT_WORKERS", workers)
         out = tmp_path / workers
         out.mkdir()
-        results.append(STUDIES[study](out, COARSE_SIM))
+        results.append(STUDIES[study](out, dt=COARSE_DT))
         files.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert results[0] == results[1]
     assert files[0] == files[1]
@@ -556,8 +594,7 @@ def test_a_failed_case_raises_its_own_exception_from_a_study(workers,
     monkeypatch.setenv("PCMOPT_WORKERS", workers)
     base = Case(cell=COARSE_CELL)
 
-    @functools.wraps(solver.simulate)
-    def diverges_at_higher_k(case, **sim_kwargs):
+    def diverges_at_higher_k(case, **settings):
         if case.pcm.k_solid > base.pcm.k_solid:
             raise SolverDivergence(f"diverged in process {os.getpid()}")
         return case
@@ -568,19 +605,19 @@ def test_a_failed_case_raises_its_own_exception_from_a_study(workers,
                                                      T_osc=case.pcm.L_H))
     # 11 cases: at two workers, the k + 10 % case runs in a worker
     with pytest.raises(SolverDivergence, match="diverged in process") as err:
-        sensitivity(base, **COARSE_SIM)
+        sensitivity(base, dt=COARSE_DT)
     in_worker = str(err.value) != f"diverged in process {os.getpid()}"
     assert in_worker == (workers == "2")
 
 
 def test_a_failed_case_raises_from_the_simulator_backend(monkeypatch):
-    @functools.wraps(solver.simulate)
-    def diverges(case, **sim_kwargs):
+    def diverges(case, **settings):
         raise SolverDivergence("diverged on purpose")
 
     monkeypatch.setattr(solver, "simulate", diverges)
     backend = SimulatorBackend(lambda v: property_case(v, cell=COARSE_CELL),
-                               ["T_m_C"], "T_o_max", sim_kwargs=COARSE_SIM)
+                               ["T_m_C"], "T_o_max",
+                               sim_kwargs={"dt": COARSE_DT})
     with pytest.raises(SolverDivergence, match="diverged on purpose"):
         backend.evaluate(np.array([77.0]))
     # so a search scores the point +inf and names the reason
