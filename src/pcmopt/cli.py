@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from functools import partial
 from pathlib import Path
 
@@ -128,7 +128,7 @@ class _ProblemFile:
     objective: str = "T_o_max"
     steps: dict | None = None
     dx: float = 5e-6
-    sim_kwargs: dict = field(default_factory=dict)
+    dt: float = DEFAULT_DT
 
 
 def _load_problem(args):
@@ -140,7 +140,7 @@ def _load_problem(args):
     try:  # fail before searching
         builder({k: lo for k, (lo, hi) in bounds.items()})
         verifier = studies.SimulatorBackend(
-            builder, list(bounds), spec.objective, sim_kwargs=spec.sim_kwargs)
+            builder, list(bounds), spec.objective, sim_kwargs={"dt": spec.dt})
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from e
     if args.backend.startswith("nn:"):

@@ -109,19 +109,14 @@ class PowerProfile:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Labeled voxel grid over the half unit cell.
+    """Labeled voxel grid over the half unit cell, with voxel edge dx, m.
 
     labels[iy, ix]: iy = 0 at the bottom (cap underside), ix = 0 at the
     channel symmetry plane. Values are ALUMINA / SILICON / PCM.
     """
 
-    spec: UnitCellSpec  # snapped spec actually meshed
+    dx: float
     labels: np.ndarray = field(repr=False)
-
-    @property
-    def dx(self) -> float:
-        """Voxel edge length, m."""
-        return self.spec.dx
 
     @property
     def nx(self) -> int:
@@ -149,7 +144,7 @@ def build_mesh(spec: UnitCellSpec) -> Mesh:
         # abutting the symmetry plane.
         labels[n_cap:n_cap + _voxels(spec.H, dx),
                :_half_voxels(spec.W, dx)] = PCM
-    return Mesh(spec=spec.snapped(), labels=labels)
+    return Mesh(dx=dx, labels=labels)
 
 
 @dataclass(frozen=True)

@@ -33,18 +33,17 @@ class MetricsReport:
         return d
 
 
-def _interp_crossing(t: np.ndarray, trace: np.ndarray, cutoff: float,
-                     t0: float, T0: float) -> float | None:
-    """First time trace reaches cutoff, linearly interpolated."""
-    above = trace >= cutoff
+def _interp_crossing(t: np.ndarray, trace: np.ndarray) -> float | None:
+    """First time trace reaches CUTOFF_C, interpolated linearly from the
+    sample before it, or from ambient at t = 0 for the first sample; either
+    lies below the cutoff, so the interpolation never divides by zero."""
+    above = trace >= CUTOFF_C
     if not above.any():
         return None
     i = int(np.argmax(above))
-    t_prev = t[i - 1] if i > 0 else t0
-    T_prev = trace[i - 1] if i > 0 else T0
-    if trace[i] == T_prev:
-        return float(t[i])
-    frac = (cutoff - T_prev) / (trace[i] - T_prev)
+    t_prev = t[i - 1] if i > 0 else 0.0
+    T_prev = trace[i - 1] if i > 0 else T_AMB_C
+    frac = (CUTOFF_C - T_prev) / (trace[i] - T_prev)
     return float(t_prev + frac * (t[i] - t_prev))
 
 
@@ -62,8 +61,7 @@ def compute_metrics(history: ThermalHistory) -> MetricsReport:
     sl = history.cycle_slice(history.n_cycles - 1)
     last_T = history.T_max[sl]
     last_phi = history.phi_mean[sl]
-    dt85 = _interp_crossing(history.t, history.T_max, CUTOFF_C,
-                            t0=0.0, T0=T_AMB_C)
+    dt85 = _interp_crossing(history.t, history.T_max)
     return MetricsReport(
         T_o_max=float(history.T_max.max()),
         T_osc=float(last_T.max() - last_T.min()),

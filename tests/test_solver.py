@@ -127,7 +127,7 @@ def test_silicon_filled_channel_runs_as_the_solid_baseline():
     state; filled with silicon, it is the no_channel cell, bit for bit."""
     case = Case(cell=COARSE, pcm=builtin_material("Silicon"))
     _, net = build_case_network(case)
-    assert net.pcm is None
+    assert not net.pcm.is_pcm
     assert net.pcm_nodes.size == 0
     h = simulate(case, dt=0.025)
     base = simulate(Case(cell=replace(COARSE, no_channel=True)), dt=0.025)

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import traceback
 import warnings
 from types import SimpleNamespace
 
@@ -608,6 +609,9 @@ def test_a_failed_case_raises_its_own_exception_from_a_study(workers,
         sensitivity(base, dt=COARSE_DT)
     in_worker = str(err.value) != f"diverged in process {os.getpid()}"
     assert in_worker == (workers == "2")
+    # the raising function is named, from the worker's traceback there
+    assert "diverges_at_higher_k" in "".join(
+        traceback.format_exception(err.value))
 
 
 def test_a_failed_case_raises_from_the_simulator_backend(monkeypatch):
