@@ -4,8 +4,8 @@ Starting from the Solder 174 reference channel, each thermophysical
 property is nudged up and down 10% (melt temperature is scaled through
 its margin above ambient) and the mean absolute shift of the two headline
 metrics is reported. The melt temperature towers over everything else;
-conductivity barely registers because the 35 um channel is thin enough
-that conduction through the surrounding silicon dominates.
+conductivity barely registers because the 100 x 50 um channel is small
+enough that conduction through the surrounding silicon dominates.
 """
 
 from pcmopt.geometry import Case

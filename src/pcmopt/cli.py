@@ -10,9 +10,10 @@ from functools import partial
 from pathlib import Path
 
 from . import studies
-from .geometry import Case
-from .materials import (UnknownMaterialError, builtin_material, from_record,
-                        load_material_file, read_json, write_json)
+from .geometry import Case, PowerProfile, UnitCellSpec
+from .materials import (UnknownMaterialError, builtin_material,
+                        check_field_types, from_record, load_material_file,
+                        read_json, write_json)
 from .metrics import compute_metrics
 from .optimize import STRATEGIES, grid_points, repeat_with_seeds
 from .solver import DEFAULT_DT, simulate
@@ -25,17 +26,11 @@ _TARGETS = {"tomax": "T_o_max", "tosc": "T_osc"}
 
 
 def _case_from_args(args) -> Case:
-    if args.case:
-        case = Case.from_json_file(args.case)
-    else:
-        case = Case()
-    cell = case.cell
+    case = Case.from_json_file(args.case) if args.case else Case()
+    cell = {k: um / 1e6 for k, um in [("H", args.height_um),
+                                      ("W", args.width_um)] if um is not None}
     if args.no_channel:
-        cell = dc_replace(cell, no_channel=True)
-    if args.height_um is not None:
-        cell = dc_replace(cell, H=args.height_um * 1e-6)
-    if args.width_um is not None:
-        cell = dc_replace(cell, W=args.width_um * 1e-6)
+        cell["no_channel"] = True
     power = case.power
     if args.flux_kw_m2 is not None:
         power = dc_replace(power, q0=args.flux_kw_m2 * 1e3)
@@ -44,7 +39,8 @@ def _case_from_args(args) -> Case:
         pcm = builtin_material(args.material)
     elif args.material_file:
         pcm = load_material_file(args.material_file)
-    return dc_replace(case, cell=cell, power=power, pcm=pcm)
+    return dc_replace(case, cell=dc_replace(case.cell, **cell), power=power,
+                      pcm=pcm)
 
 
 def _add_case_flags(p):
@@ -61,8 +57,8 @@ def _add_case_flags(p):
 
 def _cmd_simulate(args):
     case = _case_from_args(args)
-    h = simulate(case, dt=args.dt_ms * 1e-3,
-                 snapshot_every=args.snapshot_every)
+    dt = args.dt_ms / 1e3
+    h = simulate(case, dt=dt, snapshot_every=args.snapshot_every)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     studies.write_csv(out / "history.csv", ["t_s", "T_max_C", "phi_mean"],
@@ -77,7 +73,7 @@ def _cmd_simulate(args):
     write_json(out / "config.json",
                {"case": asdict(case),
                 "snapped_cell": asdict(case.cell.snapped()),
-                "dt_s": args.dt_ms * 1e-3,
+                "dt_s": dt,
                 "quasi_steady_cycle": h.quasi_steady_cycle,
                 "converged": h.converged})
     print(f"simulated {h.t[-1]:.1f} s "
@@ -94,7 +90,7 @@ def _emit(payload, out) -> None:
 
 def _cmd_metrics(args):
     case = _case_from_args(args)
-    history = simulate(case, dt=args.dt_ms * 1e-3)
+    history = simulate(case, dt=args.dt_ms / 1e3)
     report = compute_metrics(history).to_dict()
     if args.stats:
         report["stats"] = history.stats()
@@ -124,23 +120,29 @@ class _ProblemFile:
     """The keys a problem file may set; its bounds' names define the case."""
 
     bounds: dict
-    power: float = 100e3
+    power: float = PowerProfile.q0
     objective: str = "T_o_max"
     steps: dict | None = None
-    dx: float = 5e-6
+    dx: float = UnitCellSpec.dx
     dt: float = DEFAULT_DT
+
+    def __post_init__(self):
+        check_field_types(self)
+        if not all(isinstance(v, list) and len(v) == 2
+                   for v in self.bounds.values()):
+            raise ValueError("bounds must map each name to a [lower, upper] "
+                             f"pair, got {self.bounds!r}")
 
 
 def _load_problem(args):
     source = f"problem file {args.problem}"
     spec = from_record(_ProblemFile, read_json(args.problem, source), source)
-    bounds = {k: tuple(v) for k, v in spec.bounds.items()}
-
     builder = partial(studies.geometry_case, power=spec.power, dx=spec.dx)
     try:  # fail before searching
-        builder({k: lo for k, (lo, hi) in bounds.items()})
+        builder({k: lo for k, (lo, hi) in spec.bounds.items()})
         verifier = studies.SimulatorBackend(
-            builder, list(bounds), spec.objective, sim_kwargs={"dt": spec.dt})
+            builder, list(spec.bounds), spec.objective,
+            sim_kwargs={"dt": spec.dt})
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from e
     if args.backend.startswith("nn:"):
@@ -148,7 +150,7 @@ def _load_problem(args):
         backend = studies.SurrogateBackend(model, verifier)
     else:
         backend = verifier
-    return studies.problem_from_bounds(bounds, spec.objective, backend,
+    return studies.problem_from_bounds(spec.bounds, spec.objective, backend,
                                        seed=args.seed, steps=spec.steps)
 
 
@@ -169,7 +171,7 @@ def _cmd_optimize(args):
 def _cmd_generate(args):
     path = studies.generate_training_data(
         kind=args.kind, n=args.n, out_dir=args.out, seed=args.seed,
-        sampler=args.sampler, power=args.power, dx=args.dx_um * 1e-6)
+        sampler=args.sampler, power=args.power, dx=args.dx_um / 1e6)
     print(f"campaign written to {path}")
 
 
@@ -188,7 +190,7 @@ def _cmd_ablation(args):
     sizes = [int(s) for s in args.sizes.split(",")]
 
     verifier = studies.SimulatorBackend(
-        partial(studies.geometry_case, power=args.power, dx=args.dx_um * 1e-6),
+        partial(studies.geometry_case, power=args.power, dx=args.dx_um / 1e6),
         list(studies.GEOMETRY_BOUNDS), objective)
     report = studies.run_ablation(pool, test, sizes, verifier,
                                   repeats=args.repeats, base_seed=args.seed)
@@ -206,13 +208,13 @@ def _cmd_surface(args):
                                 h_grid=parse_grid(args.h_grid),
                                 w_grid=parse_grid(args.w_grid),
                                 out_path=args.out, power=args.power,
-                                dx=args.dx_um * 1e-6)
+                                dx=args.dx_um / 1e6)
     print(f"{len(rows)} surface rows written to {args.out}")
 
 
 def _cmd_sensitivity(args):
     case = _case_from_args(args)
-    result = studies.sensitivity(case, dt=args.dt_ms * 1e-3)
+    result = studies.sensitivity(case, dt=args.dt_ms / 1e3)
     if args.out:
         studies.write_csv(args.out, ["property", "dTo_max", "dTosc"],
                           ([prop, d["dT_o_max"], d["dT_osc"]]
@@ -223,8 +225,7 @@ def _cmd_sensitivity(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="pcmopt",
-                                description=__doc__)
+    p = argparse.ArgumentParser(prog="pcmopt", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="run one transient case")
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_metrics)
 
     sp = sub.add_parser("compare-pcms", help="run the PCM comparison study")
-    sp.add_argument("--power", type=float, default=100e3)
+    sp.add_argument("--power", type=float, default=PowerProfile.q0)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_compare_pcms)
 
@@ -268,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--sampler", choices=["lhs", "grid"], default="lhs")
-    sp.add_argument("--power", type=float, default=100e3)
-    sp.add_argument("--dx-um", type=float, default=5.0)
+    sp.add_argument("--power", type=float, default=PowerProfile.q0)
+    sp.add_argument("--dx-um", type=float, default=UnitCellSpec.dx * 1e6)
     sp.set_defaults(func=_cmd_generate)
 
     sp = sub.add_parser("train", help="train a surrogate network")
@@ -287,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", required=True)
     sp.add_argument("--repeats", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--power", type=float, default=100e3)
-    sp.add_argument("--dx-um", type=float, default=5.0)
+    sp.add_argument("--power", type=float, default=PowerProfile.q0)
+    sp.add_argument("--dx-um", type=float, default=UnitCellSpec.dx * 1e6)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_ablation)
 
@@ -297,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tm", type=float, required=True)
     sp.add_argument("--h-grid", default="20:100:10")
     sp.add_argument("--w-grid", default="20:100:10")
-    sp.add_argument("--power", type=float, default=100e3)
-    sp.add_argument("--dx-um", type=float, default=5.0)
+    sp.add_argument("--power", type=float, default=PowerProfile.q0)
+    sp.add_argument("--dx-um", type=float, default=UnitCellSpec.dx * 1e6)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_surface)
 

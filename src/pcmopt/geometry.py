@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .materials import (Material, UnknownMaterialError, builtin_material,
-                        check_field_types, from_record, read_json)
+                        check_field_types, check_record_keys, from_record,
+                        read_json)
 
 # Voxel labels
 ALUMINA = 0
@@ -161,15 +162,9 @@ class Case:
     @classmethod
     def from_dict(cls, d: dict) -> "Case":
         """Inverse of dataclasses.asdict; "pcm" may also be a built-in
-        material name.
-
-        Raises ValueError, naming the section, on an unknown key, a pcm
-        record that misses a key, or a value a section rejects.
-        """
-        unknown = set(d) - {"cell", "power", "pcm"}
-        if unknown:
-            raise ValueError(f"unknown case keys {sorted(unknown)}; expected "
-                             "cell, power, pcm")
+        material name. ValueError, naming the section, on a key
+        check_record_keys refuses or a value a section rejects."""
+        check_record_keys(cls, d, "case")
 
         def section(key, kind):
             return from_record(kind, d.get(key, {}), f"case {key}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -13,16 +13,19 @@ import numpy as np
 def check_field_types(record) -> None:
     """ValueError naming the first field of the dataclass record whose value
     does not fit its annotation: a number field holding anything but a real
-    number (a str, a bool, a list or None), or NaN or an infinity, or a bool
-    field holding anything but a bool. numpy scalars pass, and so does None
-    where the annotation allows it. Each record's __post_init__ calls this
-    before it checks any value."""
+    number (a str, a bool, a list or None), or NaN or an infinity, a bool
+    field holding anything but a bool, or a dict field anything but a dict.
+    numpy scalars pass, and so does None where the annotation allows it.
+    Each record's __post_init__ calls this before it checks any value."""
     for f in fields(record):
         value = getattr(record, f.name)
         if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{f.name} must be a bool, got {value!r}")
-        if f.type not in ("float", "int", "float | None") or (
-                value is None and f.type.endswith("None")):
+        if value is None and f.type.endswith("None"):
+            continue
+        if f.type.startswith("dict") and not isinstance(value, dict):
+            raise ValueError(f"{f.name} must be an object, got {value!r}")
+        if f.type not in ("float", "int", "float | None"):
             continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{f.name} must be a number, got {value!r}")
@@ -119,11 +122,28 @@ def builtin_material(name: str) -> Material:
             f"unknown material {name!r}; valid names: {valid}") from None
 
 
+def check_record_keys(kind, d, source: str) -> None:
+    """ValueError naming source unless d is a dict whose keys are fields of
+    the dataclass kind, every field without a default among them; it names
+    the unknown and the missing keys and lists kind's fields."""
+    names = [f.name for f in fields(kind)]
+    expected = f"expected an object with keys {', '.join(names)}"
+    if not isinstance(d, dict):
+        raise ValueError(f"{source}: {expected}, got {type(d).__name__}")
+    keys = {"unknown": sorted(set(d) - set(names)), "missing": [
+        f.name for f in fields(kind) if f.name not in d
+        and f.default is MISSING and f.default_factory is MISSING]}
+    if any(keys.values()):
+        wrong = "; ".join(f"{k} keys {v}" for k, v in keys.items() if v)
+        raise ValueError(f"{source}: {wrong}; {expected}")
+
+
 def from_record(kind, d, source: str):
     """kind(**d), the record d read back as the dataclass kind whose
-    dataclasses.asdict wrote it; ValueError naming source on a missing or
-    unknown key (the constructor's TypeError) or an invalid value (its
-    ValueError)."""
+    dataclasses.asdict wrote it; ValueError naming source on a key
+    check_record_keys refuses or a value the constructor refuses (its
+    TypeError or ValueError)."""
+    check_record_keys(kind, d, source)
     try:
         return kind(**d)
     except (TypeError, ValueError) as e:

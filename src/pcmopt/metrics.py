@@ -61,11 +61,10 @@ def compute_metrics(history: ThermalHistory) -> MetricsReport:
     sl = history.cycle_slice(history.n_cycles - 1)
     last_T = history.T_max[sl]
     last_phi = history.phi_mean[sl]
-    dt85 = _interp_crossing(history.t, history.T_max)
     return MetricsReport(
         T_o_max=float(history.T_max.max()),
         T_osc=float(last_T.max() - last_T.min()),
-        dt_85=dt85,
+        dt_85=_interp_crossing(history.t, history.T_max),
         dPhi_melt=float(last_phi.max() - last_phi.min()),
         quasi_steady_cycle=int(history.quasi_steady_cycle),
         converged=bool(history.converged),

@@ -212,15 +212,6 @@ def _series_conductance(ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
     return (ki + ki) * kj / (ki + kj)  # ki + ki is 2.0 * ki, exactly
 
 
-def _grid_edges(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(ny * nx).reshape(ny, nx)
-    hi = idx[:, :-1].ravel()
-    hj = idx[:, 1:].ravel()
-    vi = idx[:-1, :].ravel()
-    vj = idx[1:, :].ravel()
-    return np.concatenate([hi, vi]), np.concatenate([hj, vj])
-
-
 def assemble_network(mesh: Mesh, pcm: Material) -> NetworkModel:
     """Build the RC network for a mesh of built-in silicon and alumina whose
     channel voxels hold pcm. They melt only if pcm.is_pcm; a mesh without
@@ -238,15 +229,12 @@ def assemble_network(mesh: Mesh, pcm: Material) -> NetworkModel:
             out[labels == label] = getattr(mat, attr)
         return out
 
-    edge_i, edge_j = _grid_edges(mesh.ny, mesh.nx)
-
-    idx = np.arange(n).reshape(mesh.ny, mesh.nx)[::-1]  # [iy, ix] -> node
-    top = idx[-1, :]
-    bottom = idx[0, :]
-    conv_nodes = np.concatenate([top, bottom])
-    conv_G = np.full(conv_nodes.size, H_CONV * mesh.dx * 1.0)
-
-    source_nodes = idx[mesh.source_row, :]
+    # node pairs of the horizontal, then the vertical, edges
+    nodes = np.arange(n).reshape(mesh.ny, mesh.nx)  # row 0 is the top
+    edge_i = np.concatenate([nodes[:, :-1].ravel(), nodes[:-1].ravel()])
+    edge_j = np.concatenate([nodes[:, 1:].ravel(), nodes[1:].ravel()])
+    idx = nodes[::-1]  # [iy, ix] -> node
+    conv_nodes = np.concatenate([idx[-1], idx[0]])  # top, bottom rows
 
     return NetworkModel(
         mesh=mesh,
@@ -258,6 +246,6 @@ def assemble_network(mesh: Mesh, pcm: Material) -> NetworkModel:
         edge_i=edge_i,
         edge_j=edge_j,
         conv_nodes=conv_nodes,
-        conv_G=conv_G,
-        source_nodes=source_nodes,
+        conv_G=np.full(conv_nodes.size, H_CONV * mesh.dx * 1.0),
+        source_nodes=idx[mesh.source_row],
     )

@@ -361,9 +361,7 @@ def pso_minimize(problem: OptimizationProblem,
         v = (w * v + PSO_COGNITIVE * r1 * (p_best_x - x)
              + PSO_SOCIAL * r2 * (g_best_x - x))
         x = x + v
-        low_hit = x < lower
-        high_hit = x > upper
-        v[low_hit | high_hit] = 0.0
+        v[(x < lower) | (x > upper)] = 0.0
         np.clip(x, lower, upper, out=x)
 
         f = search.batch(x)

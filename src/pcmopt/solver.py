@@ -326,8 +326,7 @@ def settled(extrema: list[tuple[float, float]], tol: float) -> bool:
 
 def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
     mesh = build_mesh(case.cell)
-    net = assemble_network(mesh, case.pcm)
-    return mesh, net
+    return mesh, assemble_network(mesh, case.pcm)
 
 
 def step_counts(dt: float) -> tuple[int, int]:

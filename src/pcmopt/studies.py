@@ -50,9 +50,6 @@ GEOMETRY_BOUNDS = {
     "T_m_C": (47.0, 96.0),
 }
 
-REFERENCE_CELL = UnitCellSpec(H=100e-6, W=50e-6)
-# Every swept PCM starts from this material.
-BASE_PCM = "Solder174"
 DEFAULT_POWER_LEVELS = (50e3, 75e3, 100e3, 125e3)
 # Cases sent to a worker process at a time.
 _CHUNK = 4
@@ -157,7 +154,7 @@ def _write_study(out_dir, config, header, rows, summary) -> Path:
 # Case builder for every swept parameterization
 
 
-#: Swept material parameter -> the BASE_PCM fields it sets. A single
+#: Swept material parameter -> the Case.pcm fields it sets. A single
 #: conductivity applies to both phases; densities are never swept.
 _PCM_PARAMETERS = {
     "T_m_C": ("T_m",),
@@ -170,29 +167,30 @@ _PCM_PARAMETERS = {
 _CHANNEL_PARAMETERS = {"H_um": "H", "W_um": "W"}
 
 
-def property_case(values: dict, power: float = 100e3,
-                  cell: UnitCellSpec = REFERENCE_CELL) -> Case:
-    """BASE_PCM in a channel of cell, with every swept parameter in values
-    applied; ValueError on a name neither table knows."""
+def property_case(values: dict, power: float = PowerProfile.q0,
+                  cell: UnitCellSpec = UnitCellSpec()) -> Case:
+    """Case.pcm, the reference Solder 174, in a channel of cell, with every
+    swept parameter in values applied; ValueError on a name neither table
+    knows."""
     unknown = set(values) - set(_PCM_PARAMETERS) - set(_CHANNEL_PARAMETERS)
     if unknown:
         known = [*_PCM_PARAMETERS, *_CHANNEL_PARAMETERS]
         raise ValueError(f"unknown swept parameters {sorted(unknown)}; "
                          f"known: {known}")
-    cell = dc_replace(cell, **{field: values[name] * 1e-6
+    cell = dc_replace(cell, **{field: values[name] / 1e6
                                for name, field in _CHANNEL_PARAMETERS.items()
                                if name in values})
-    pcm = dc_replace(builtin_material(BASE_PCM), name="swept",
+    pcm = dc_replace(Case.pcm, name="swept",
                      **{field: values[name]
                         for name, fields in _PCM_PARAMETERS.items()
                         if name in values for field in fields})
     return Case(cell=cell, power=PowerProfile(q0=power), pcm=pcm)
 
 
-def geometry_case(values: dict, power: float = 100e3,
-                  dx: float = 5e-6) -> Case:
+def geometry_case(values: dict, power: float = PowerProfile.q0,
+                  dx: float = UnitCellSpec.dx) -> Case:
     """property_case on the reference cell meshed at dx."""
-    return property_case(values, power, dc_replace(REFERENCE_CELL, dx=dx))
+    return property_case(values, power, UnitCellSpec(dx=dx))
 
 
 #: MetricsReport fields a simulator-backed search can minimize.
@@ -290,8 +288,8 @@ def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
 # Study 1: commercial PCM comparison
 
 
-def run_pcm_comparison(power: float = 100e3, out_dir=None,
-                       cell: UnitCellSpec = REFERENCE_CELL,
+def run_pcm_comparison(power: float = PowerProfile.q0, out_dir=None,
+                       cell: UnitCellSpec = UnitCellSpec(),
                        dt: float = solver.DEFAULT_DT) -> list[dict]:
     """Seven PCMs plus the solid-silicon baseline, ordered by T_m."""
     config = {"study": "pcm-compare", "power_W_m2": power,
@@ -331,7 +329,7 @@ def _tm_row(h) -> dict:
 
 
 def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
-                 out_dir=None, cell: UnitCellSpec = REFERENCE_CELL,
+                 out_dir=None, cell: UnitCellSpec = UnitCellSpec(),
                  dt: float = solver.DEFAULT_DT) -> dict:
     """Sweep T_m over its bounds per power level: oscillation bands, optima."""
     config = {"study": "tm-sweep", "power_levels": list(power_levels),
@@ -392,8 +390,9 @@ def _sample_inputs(sampler: str, n: int, bounds: dict, seed: int) -> np.ndarray:
 
 
 def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
-                           sampler: str = "lhs", power: float = 100e3,
-                           dx: float = 5e-6,
+                           sampler: str = "lhs",
+                           power: float = PowerProfile.q0,
+                           dx: float = UnitCellSpec.dx,
                            dt: float = solver.DEFAULT_DT) -> Path:
     """Sample, simulate, and persist a training campaign.
 
@@ -505,7 +504,8 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
 
 
 def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
-                 out_path=None, power: float = 100e3, dx: float = 5e-6,
+                 out_path=None, power: float = PowerProfile.q0,
+                 dx: float = UnitCellSpec.dx,
                  dt: float = solver.DEFAULT_DT) -> list[dict]:
     """Paired NN/simulator T_o_max surface over an H/W grid at fixed T_m."""
     points = [np.array([float(h_um), float(w_um), float(fixed_tm)])

@@ -7,12 +7,13 @@ import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import pcmopt
-from pcmopt import solver, studies
+from pcmopt import metrics, solver, studies
 from pcmopt.cli import _load_problem, build_parser, main
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import PCM_NAMES, builtin_material
@@ -116,18 +117,18 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
              "got 'false'"),
             (["simulate", "--case", str(boundary), "--out",
               str(tmp_path / "o")],
-             f"case file {boundary}: unknown case keys ['boundary']; "
-             "expected cell, power, pcm"),
+             f"case file {boundary}: case: unknown keys ['boundary']; "
+             "expected an object with keys cell, power, pcm"),
             (["metrics", "--case", str(pitch)],
-             f"case file {pitch}: case cell: UnitCellSpec.__init__() got an "
-             "unexpected keyword argument 'pitch'"),
+             f"case file {pitch}: case cell: unknown keys ['pitch']; "
+             "expected an object with keys H, W, dx, no_channel"),
             (["metrics", "--case", str(coarse)],
              f"case file {coarse}: case cell: dx=7e-05 is too large: half "
              "the channel pitch snaps to no voxels"),
             # one voxel wide: the simulated half holds none of it
             (["metrics", "--width-um", "5"],
              "at dx=5e-06 the height or half width of channel H=0.0001, "
-             f"W={5 * 1e-6!r} snaps to no voxels; use no_channel for the "
+             "W=5e-06 snaps to no voxels; use no_channel for the "
              "solid-silicon baseline"),
             (["simulate", "--no-channel", "--snapshot-every", "0", "--out",
               str(tmp_path / "o")],
@@ -301,8 +302,8 @@ def test_problem_file_dx_sets_the_mesh_of_every_kind(tmp_path, kind):
     assert case.power.q0 == 50e3
     # the bounds' names alone define the case: geometry bounds resize it
     if "H_um" in lows:
-        assert (case.cell.H, case.cell.W) == (lows["H_um"] * 1e-6,
-                                              lows["W_um"] * 1e-6)
+        assert (case.cell.H, case.cell.W) == (lows["H_um"] / 1e6,
+                                              lows["W_um"] / 1e6)
     else:
         assert (case.cell.H, case.cell.W) == (100e-6, 50e-6)
     assert case.pcm.T_m == bounds["T_m_C"][0]
@@ -332,27 +333,42 @@ def test_problem_file_rejects_unknown_bound_names(tmp_path):
     named = rf"{re.escape(str(problem))}: .*'bounds'"
     with pytest.raises(ValueError, match=named):
         _load_problem(args)
+    # and so is a file that is not an object
+    problem.write_text(json.dumps([{"bounds": {"T_m_C": [47, 96]}}]))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(problem))}: "
+                                         "expected an object .*, got list"):
+        _load_problem(args)
+
+
+PROBLEM_KEYS = ("expected an object with keys bounds, power, objective, "
+                "steps, dx, dt")
 
 
 @pytest.mark.parametrize("setting,message", [
     ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
-    ({"dtt": 0.025}, "_ProblemFile.__init__() got an unexpected keyword "
-                     "argument 'dtt'"),
-    ({"dt": "0.025"}, "dt must be a positive number, got '0.025'"),
+    ({"dtt": 0.025}, f"unknown keys ['dtt']; {PROBLEM_KEYS}"),
+    ({"dt": "0.025"}, "dt must be a number, got '0.025'"),
     # simulate takes snapshot_every, but a search keeps no snapshots
-    ({"snapshot_every": 40}, "_ProblemFile.__init__() got an unexpected "
-                             "keyword argument 'snapshot_every'"),
+    ({"snapshot_every": 40}, f"unknown keys ['snapshot_every']; "
+                             f"{PROBLEM_KEYS}"),
     # the settings dict of earlier problem files
-    ({"sim_kwargs": {"dt": 0.025}}, "_ProblemFile.__init__() got an "
-                                    "unexpected keyword argument "
-                                    "'sim_kwargs'")],
-    ids=["dt", "unknown_key", "dt_text", "snapshot_every", "sim_kwargs"])
+    ({"sim_kwargs": {"dt": 0.025}}, f"unknown keys ['sim_kwargs']; "
+                                    f"{PROBLEM_KEYS}"),
+    # bounds and steps of the wrong shape, refused when the file is read
+    ({"bounds": [1, 2]}, "bounds must be an object, got [1, 2]"),
+    ({"bounds": {"T_m_C": 5}}, "bounds must map each name to a [lower, "
+                               "upper] pair, got {'T_m_C': 5}"),
+    ({"bounds": {"T_m_C": [47]}}, "bounds must map each name to a [lower, "
+                                  "upper] pair, got {'T_m_C': [47]}"),
+    ({"steps": [1]}, "steps must be an object, got [1]")],
+    ids=["dt", "unknown_key", "dt_text", "snapshot_every", "sim_kwargs",
+         "bounds_list", "bound_number", "bound_single", "steps_list"])
 def test_problem_file_settings_are_refused_before_the_search(
         tmp_path, capsys, setting, message):
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
-        "dx": 10e-6, "steps": {"T_m_C": 24.5}, **setting,
-        "bounds": {"T_m_C": [47, 96]}}))
+        "dx": 10e-6, "steps": {"T_m_C": 24.5},
+        "bounds": {"T_m_C": [47, 96]}, **setting}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no case runs to be penalized
         assert main(["optimize", "--problem", str(problem),
@@ -361,6 +377,46 @@ def test_problem_file_settings_are_refused_before_the_search(
     assert captured.out == ""
     assert captured.err == (f"pcmopt optimize: error: problem file "
                             f"{problem}: {message}\n")
+
+
+def test_a_grid_without_a_positive_step_is_refused(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(SurrogateModel, "load", staticmethod(lambda _: None))
+    out = tmp_path / "o"
+    for argv, (lo, hi) in [(["sweep", "--tm-step", "0"], (47.0, 96.0)),
+                           (["surface", "--model", "m.json", "--tm", "77",
+                             "--h-grid", "20:100:0"], (20.0, 100.0))]:
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"pcmopt {argv[0]}: error: a grid from {lo} to {hi} needs a "
+            "positive step and lower <= upper, got step 0.0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,settings", [([], {}),
+                                            (["--dx-um", "20"],
+                                             {"dx": 20e-6})],
+                         ids=["defaults", "dx_20um"])
+def test_a_cli_campaign_resumes_through_the_api(tmp_path, capsys,
+                                                monkeypatch, flags,
+                                                settings):
+    """The CLI's defaults and unit flags name the API's campaign to the bit:
+    the same config hash, so a resume runs no case and rewrites the CSV."""
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    ran = []
+    # the case runner's seams: no transient runs
+    monkeypatch.setattr(solver, "simulate",
+                        lambda case, **_: ran.append(case) or case)
+    monkeypatch.setattr(metrics, "compute_metrics", lambda case:
+                        SimpleNamespace(T_o_max=case.pcm.T_m, T_osc=0.0))
+    out = tmp_path / "camp"
+    assert main(["generate", "--kind", "properties", "--n", "2",
+                 "--out", str(out), *flags]) == 0
+    capsys.readouterr()
+    written = (out / "results.csv").read_bytes()
+    again = studies.generate_training_data("properties", 2, out, **settings)
+    assert again.read_bytes() == written
+    assert [case.cell.dx for case in ran] == [settings.get("dx", 5e-6)] * 2
 
 
 def synthetic_campaign(tmp_path, n=30):

@@ -126,9 +126,10 @@ def test_every_channel_meshes_as_before_or_is_refused(dx_um):
 
 @pytest.mark.parametrize("dx_um", [2.5, 12.5])
 def test_both_spellings_of_a_voxel_mesh_every_width_alike(dx_um):
-    """dx written as a literal and as dx_um * 1e-6 (what the CLI computes)
-    differ in the last bit; the half width counts whole voxels, so the two
-    mesh each channel width on the 1 um grid the same way."""
+    """dx written as a literal and as dx_um * 1e-6 differ in the last bit
+    (the CLI divides by 1e6, which gives the literal); the half width counts
+    whole voxels, so the two mesh each channel width on the 1 um grid the
+    same way."""
     literal, scaled = float(f"{dx_um}e-6"), dx_um * 1e-6
     assert literal != scaled
 
@@ -241,5 +242,7 @@ def test_case_from_dict_names_a_bad_key_in_each_section(section, record,
                                                         named):
     with pytest.raises(ValueError, match=rf"case {section}: .*'{named}'"):
         Case.from_dict({section: record})
-    with pytest.raises(ValueError, match=f"case {section}: .*mapping"):
+    with pytest.raises(ValueError,
+                       match=f"case {section}: expected an object .*, got "
+                             "list"):
         Case.from_dict({section: [record]})

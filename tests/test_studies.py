@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pcmopt import metrics, solver, studies
-from pcmopt.geometry import Case, UnitCellSpec
+from pcmopt.geometry import Case, UnitCellSpec, build_mesh
 from pcmopt.metrics import simulate_metrics
 from pcmopt.solver import SolverDivergence
 from pcmopt.optimize import (Backend, FunctionBackend, GAConfig, PSOConfig,
@@ -71,7 +71,7 @@ def test_case_builders():
 
     geo = geometry_case({"H_um": 60.0, "W_um": 40.0, "T_m_C": 70.0},
                         dx=10e-6)
-    assert geo.cell.H == pytest.approx(60e-6)
+    assert geo.cell.H == 60e-6
     assert geo.cell.dx == 10e-6
     assert geo.pcm.T_m == 70.0
     assert geo.pcm.L_H == 47730.0
@@ -83,9 +83,20 @@ def test_case_builders():
     # channel and material names apply together
     both = property_case({"H_um": 20.0, "W_um": 30.0, "T_m_C": 60.0,
                           "k_W_per_mK": 12.0}, cell=COARSE_CELL)
-    assert (both.cell.H, both.cell.W) == (20.0 * 1e-6, 30.0 * 1e-6)
+    assert (both.cell.H, both.cell.W) == (20e-6, 30e-6)
     assert both.cell.dx == 10e-6
     assert (both.pcm.T_m, both.pcm.k_liquid) == (60.0, 12.0)
+
+
+def test_channel_dimensions_convert_to_their_literal_meters():
+    """H_um and W_um become the channel their literal spelling names, to
+    the bit: the reference design, and a channel at a voxel tie (1.5 and
+    5.5 voxels of 10 um) meshed as its literal spelling meshes."""
+    assert geometry_case({"H_um": 100.0, "W_um": 50.0}).cell == UnitCellSpec()
+    tie = geometry_case({"H_um": 15.0, "W_um": 55.0}, dx=10e-6)
+    literal = UnitCellSpec(H=15e-6, W=55e-6, dx=10e-6)
+    assert np.array_equal(build_mesh(tie.cell).labels,
+                          build_mesh(literal).labels)
 
 
 @pytest.mark.parametrize("name", ["H", "tm_C", "rho_solid"])
@@ -231,6 +242,8 @@ def test_campaign_input_validation(tmp_path):
     # a 3-parameter grid needs a cube number of cases
     with pytest.raises(ValueError, match="8 and 27"):
         generate_training_data("geometry", 10, tmp_path, sampler="grid")
+    with pytest.raises(ValueError, match="unknown sampler 'sobol'"):
+        generate_training_data("geometry", 8, tmp_path, sampler="sobol")
     assert not any(tmp_path.iterdir())
 
 

@@ -189,6 +189,8 @@ def test_r_squared_definition():
     assert r_squared(model, data) > 0.999
     with pytest.raises(ValueError):
         r_squared(model, TrainingSet(X[:5], np.full(5, 1.0), ["x"], "t"))
+    with pytest.raises(ValueError, match="at least 2 test rows"):
+        r_squared(model, data.subset([0]))
 
 
 def test_validation_split_reproducible_and_disjoint():

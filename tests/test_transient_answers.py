@@ -14,7 +14,6 @@ import ctypes
 import hashlib
 import importlib.util
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.materials import builtin_material
 from pcmopt.metrics import compute_metrics
 from pcmopt.solver import simulate, steady_state
-from pcmopt.studies import REFERENCE_CELL, geometry_case, property_case
+from pcmopt.studies import geometry_case, property_case
 
 ANSWERS = Path(__file__).with_name("transient_answers.json")
 # Largest shift of a value (degC, s, or melt fraction) allowed off the
@@ -37,7 +36,7 @@ CASES = {
     "property_10um": (property_case(
         {"T_m_C": 80.0, "L_H_J_per_kg": 30000.0, "k_W_per_mK": 20.0,
          "cp_solid_J_per_kgK": 300.0, "cp_liquid_J_per_kgK": 500.0},
-        cell=replace(REFERENCE_CELL, dx=10e-6)), {"dt": 0.025}),
+        cell=COARSE), {"dt": 0.025}),
     "channel_60x60_5um": (geometry_case(
         {"H_um": 60.0, "W_um": 60.0, "T_m_C": 77.0}, dx=5e-6), {"dt": 0.025}),
     "channel_60x60_10um": (geometry_case(
