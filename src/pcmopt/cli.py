@@ -143,15 +143,16 @@ def _load_problem(args):
         verifier = studies.SimulatorBackend(
             builder, list(spec.bounds), spec.objective,
             sim_kwargs={"dt": spec.dt})
+        problem = studies.problem_from_bounds(
+            spec.bounds, spec.objective, verifier, seed=args.seed,
+            steps=spec.steps)
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from e
     if args.backend.startswith("nn:"):
         model = SurrogateModel.load(args.backend[3:])
-        backend = studies.SurrogateBackend(model, verifier)
-    else:
-        backend = verifier
-    return studies.problem_from_bounds(spec.bounds, spec.objective, backend,
-                                       seed=args.seed, steps=spec.steps)
+        problem = dc_replace(
+            problem, backend=studies.SurrogateBackend(model, verifier))
+    return problem
 
 
 def _cmd_optimize(args):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -161,9 +162,12 @@ def read_json(path, source: str):
 
 
 def write_json(path, obj) -> None:
-    """Write obj as JSON indented by 2, arrays as lists, no end newline."""
-    with open(path, "w") as f:
+    """Write obj as JSON indented by 2, arrays as lists, no end newline,
+    whole or not at all: to <name>.tmp beside path, then renamed over it."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
         json.dump(obj, f, indent=2, default=np.ndarray.tolist)
+    os.replace(tmp, path)
 
 
 def load_material_file(path) -> Material:

@@ -18,7 +18,6 @@ import csv
 import hashlib
 import json
 import os
-import traceback
 import warnings
 from contextlib import closing
 from dataclasses import asdict, replace as dc_replace
@@ -51,8 +50,6 @@ GEOMETRY_BOUNDS = {
 }
 
 DEFAULT_POWER_LEVELS = (50e3, 75e3, 100e3, 125e3)
-# Cases sent to a worker process at a time.
-_CHUNK = 4
 
 
 def default_workers() -> int:
@@ -67,62 +64,62 @@ def default_workers() -> int:
 
 
 def _run_case(case: Case, dt: float = solver.DEFAULT_DT, reduce=None):
-    """reduce (default compute_metrics) of the case's transient at step dt,
-    or the exception raised. simulate and compute_metrics are looked up on
-    their modules at call time, where a tracer may have wrapped them."""
-    try:
-        return (reduce or metrics.compute_metrics)(
-            solver.simulate(case, dt=dt))
-    except Exception as exc:  # noqa: BLE001 - each caller sets the policy
-        # a worker's exception reaches the parent pickled, which keeps its
-        # __dict__ but not its __traceback__, so _value re-attaches this
-        exc._traceback_text = traceback.format_exc()
-        return exc
+    """reduce (default compute_metrics) of the case's transient at step dt.
+    simulate and compute_metrics are looked up on their modules at call
+    time, where a tracer may have wrapped them."""
+    return (reduce or metrics.compute_metrics)(solver.simulate(case, dt=dt))
 
 
 def evaluate_cases(cases, dt: float = solver.DEFAULT_DT, reduce=None):
-    """Check dt, then return an iterator over _run_case of each case, in
-    input order, from up to default_workers() processes, one per chunk of
-    _CHUNK cases. The pool keeps the platform's start method (fork on
-    Linux): a spawned worker spends 0.2-0.3 s starting Python and importing
-    numpy and pcmopt, the time of several coarse evaluations."""
+    """Check dt, then return an iterator over _run_case of each case, or the
+    Exception it raised, in input order, from up to default_workers()
+    processes. The pool keeps the platform's start method (fork on Linux):
+    a spawned worker spends 0.2-0.3 s starting Python and importing numpy
+    and pcmopt, the time of several coarse evaluations."""
     solver.step_counts(dt)
     cases = list(cases)
     return _fan_out(partial(_run_case, dt=dt, reduce=reduce), cases,
-                    min(default_workers(), -(-len(cases) // _CHUNK)))
+                    min(default_workers(), len(cases)))
 
 
 def _fan_out(fn, items, workers):
-    if workers > 1:
-        # ~25 ms of multiprocessing and socket imports a serial run skips
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, items, chunksize=_CHUNK)
-    else:
-        yield from map(fn, items)
-
-
-class _WorkerTraceback(Exception):
-    """The traceback text of an exception raised in a worker process."""
-
-    def __str__(self):
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _value(result):
-    """A case's value, or its exception raised: with its own traceback, or
-    if it lost that to pickling in a worker, from the worker's text."""
-    if isinstance(result, Exception):
-        if result.__traceback__ is None:
-            raise result from _WorkerTraceback(result._traceback_text)
-        raise result
-    return result
+    """fn of each item, or the Exception it raised, one pool task per item.
+    A worker's exception carries the worker's traceback as its __cause__. A
+    dead worker (BrokenExecutor) or a non-Exception is raised, and closing
+    the iterator cancels the tasks not yet started."""
+    if workers <= 1:
+        for item in items:
+            try:
+                result = fn(item)
+            except Exception as exc:  # noqa: BLE001 - each caller's policy
+                result = exc
+            yield result
+        return
+    # ~40 ms of multiprocessing and logging imports a serial run skips
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        for future in [pool.submit(fn, item) for item in items]:
+            exc = future.exception()
+            if exc is None:
+                yield future.result()
+            elif (isinstance(exc, Exception)
+                  and not isinstance(exc, BrokenExecutor)):
+                yield exc
+            else:
+                raise exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _values(results):
-    """_value of each result; the first failure drops the cases to come."""
+    """Each result, or its exception raised; the first failure drops the
+    cases to come."""
     with closing(results):
-        yield from map(_value, results)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+            yield result
 
 
 def config_hash(config: dict) -> str:
@@ -220,8 +217,8 @@ class SimulatorBackend(Backend):
         solver.step_counts(self.dt)
 
     def evaluate(self, x):
-        values = dict(zip(self.param_names, np.asarray(x, dtype=float)))
-        report = _value(_run_case(self.case_builder(values), self.dt))
+        values = dict(zip(self.param_names, map(float, x)))
+        report = _run_case(self.case_builder(values), self.dt)
         return float(getattr(report, self.objective))
 
     verify = evaluate
@@ -279,6 +276,9 @@ def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
                         seed: int = 0, steps: dict | None = None
                         ) -> OptimizationProblem:
     steps = steps or {}
+    if set(steps) - set(bounds):
+        raise ValueError(f"steps {sorted(set(steps) - set(bounds))} name no "
+                         f"bound; the bounds are {list(bounds)}")
     params = [ParameterSpec(name, lo, hi, steps.get(name))
               for name, (lo, hi) in bounds.items()]
     return OptimizationProblem(params, objective, backend, seed=seed)
@@ -438,22 +438,27 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                              "resume it with its own settings or use a new "
                              "directory")
         records[int(i)] = rec
-    inputs = {i: dict(zip(names, X[i])) for i in range(n) if i not in records}
+    inputs = {i: dict(zip(names, X[i].tolist()))
+              for i in range(n) if i not in records}
+    cases = {}
+    for i, values in inputs.items():
+        try:
+            cases[i] = geometry_case(values, power, dx)
+        except ValueError as exc:  # a sample no mesh holds fails alone
+            cases[i] = exc
     results = evaluate_cases(
-        [geometry_case(v, power, dx) for v in inputs.values()], dt)
+        [c for c in cases.values() if isinstance(c, Case)], dt)
     cases_dir.mkdir(parents=True, exist_ok=True)
     write_json(config_path, config)
 
-    for (i, values), m in zip(inputs.items(), results):
-        record = ({"failed": str(m)} if isinstance(m, Exception) else
-                  {"T_o_max_C": m.T_o_max, "T_osc_C": m.T_osc})
-        text = json.dumps({"inputs": values, **record, "config_hash": chash},
-                          sort_keys=True)
-        # a case file appears whole or not at all: it marks the case done
-        path = cases_dir / f"case_{i:06d}.json"
-        path.with_suffix(".tmp").write_text(text)
-        os.replace(path.with_suffix(".tmp"), path)
-        records[i] = json.loads(text)
+    with closing(results):
+        for i, case in cases.items():
+            m = next(results) if isinstance(case, Case) else case
+            record = ({"failed": str(m)} if isinstance(m, Exception) else
+                      {"T_o_max_C": m.T_o_max, "T_osc_C": m.T_osc})
+            records[i] = {"inputs": inputs[i], **record, "config_hash": chash}
+            # the case file marks the case done
+            write_json(cases_dir / f"case_{i:06d}.json", records[i])
 
     for i, rec in sorted(records.items()):
         if "failed" in rec:

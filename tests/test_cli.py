@@ -360,9 +360,15 @@ PROBLEM_KEYS = ("expected an object with keys bounds, power, objective, "
                                "upper] pair, got {'T_m_C': 5}"),
     ({"bounds": {"T_m_C": [47]}}, "bounds must map each name to a [lower, "
                                   "upper] pair, got {'T_m_C': [47]}"),
-    ({"steps": [1]}, "steps must be an object, got [1]")],
+    ({"steps": [1]}, "steps must be an object, got [1]"),
+    # and bounds and steps the search itself refuses
+    ({"bounds": {"T_m_C": [96, 47]}}, "T_m_C: lower must be < upper"),
+    ({"steps": {"T_m_C": -5}}, "T_m_C: grid step must be positive"),
+    ({"steps": {"Tm_C": 5}}, "steps ['Tm_C'] name no bound; the bounds are "
+                             "['T_m_C']")],
     ids=["dt", "unknown_key", "dt_text", "snapshot_every", "sim_kwargs",
-         "bounds_list", "bound_number", "bound_single", "steps_list"])
+         "bounds_list", "bound_number", "bound_single", "steps_list",
+         "bounds_reversed", "step_negative", "step_unknown_name"])
 def test_problem_file_settings_are_refused_before_the_search(
         tmp_path, capsys, setting, message):
     problem = tmp_path / "problem.json"
@@ -417,6 +423,38 @@ def test_a_cli_campaign_resumes_through_the_api(tmp_path, capsys,
     again = studies.generate_training_data("properties", 2, out, **settings)
     assert again.read_bytes() == written
     assert [case.cell.dx for case in ran] == [settings.get("dx", 5e-6)] * 2
+
+
+def test_a_cli_campaign_records_a_sample_no_mesh_holds(tmp_path, capsys,
+                                                       monkeypatch):
+    """LHS sample 3 has W = 22.95 um, whose half holds no 20 um voxel: that
+    case fails alone, as a transient that raises, and is not rerun."""
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    ran = []
+    # the case runner's seams: no transient runs
+    monkeypatch.setattr(solver, "simulate",
+                        lambda case, **_: ran.append(case) or case)
+    monkeypatch.setattr(metrics, "compute_metrics", lambda case:
+                        SimpleNamespace(T_o_max=case.pcm.T_m, T_osc=0.0))
+    out = tmp_path / "D"
+    argv = ["generate", "--kind", "geometry", "--n", "5", "--dx-um", "20",
+            "--out", str(out)]
+    # plain floats in the message, not numpy's scalar repr
+    message = re.escape("case 3 failed: at dx=2e-05 the height or half "
+                        "width of channel H=5.3038841219395706e-05, "
+                        "W=2.2946343134055485e-05 snaps to no voxels")
+    for _ in range(2):  # run, then resume
+        with pytest.warns(UserWarning, match=message):
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert len(ran) == 4
+    record = json.loads((out / "cases" / "case_000003.json").read_text())
+    assert "snaps to no voxels" in record["failed"]
+    with open(out / "results.csv", newline="") as f:
+        assert [r["case_index"] for r in csv.DictReader(f)] == [
+            "0", "1", "2", "4"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["n_complete"], summary["n_failed"]) == (4, 1)
 
 
 def synthetic_campaign(tmp_path, n=30):

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from pcmopt.geometry import PowerProfile, UnitCellSpec, build_mesh
 from pcmopt.materials import (Material, PCM_NAMES, UnknownMaterialError,
-                              builtin_material, load_material_file)
+                              builtin_material, load_material_file,
+                              write_json)
 from pcmopt.network import assemble_network
 from pcmopt.optimize import GAConfig, ParameterSpec, PSOConfig
 
@@ -129,6 +130,17 @@ def test_load_material_file(tmp_path):
     m = builtin_material("WoodsMetal")
     path.write_text(json.dumps(asdict(m)))
     assert load_material_file(path) == m
+
+
+def test_write_json_replaces_a_file_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "record.json"
+    write_json(path, {"a": np.arange(2)})
+    assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
+    assert path.read_text() == '{\n  "a": [\n    0,\n    1\n  ]\n}'
+    # a value JSON cannot hold fails the write and leaves the old file
+    with pytest.raises(TypeError):
+        write_json(path, {"a": object()})
+    assert json.loads(path.read_text()) == {"a": [0, 1]}
 
 
 def test_load_material_file_rejects_invalid(tmp_path):

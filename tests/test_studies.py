@@ -214,6 +214,51 @@ def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
     assert again.read_bytes() == original
 
 
+def test_a_dead_worker_aborts_the_campaign_and_loses_no_case(
+        small_campaign, tmp_path, monkeypatch):
+    """A worker that dies is no failed case: the campaign raises, the case
+    it ran has no case file, and a resume completes the campaign."""
+    out, csv_path = small_campaign
+    inputs = json.loads((out / "cases" / "case_000004.json").read_text())
+    doomed = geometry_case(inputs["inputs"], dx=10e-6)
+    parent, simulate = os.getpid(), solver.simulate
+
+    def dies_in_a_worker(case, **settings):
+        if case == doomed and os.getpid() != parent:
+            os._exit(1)
+        return simulate(case, **settings)
+
+    monkeypatch.setenv("PCMOPT_WORKERS", "2")
+    monkeypatch.setattr(solver, "simulate", dies_in_a_worker)
+    with pytest.raises(concurrent.futures.BrokenExecutor):
+        generate_training_data("geometry", 10, tmp_path, seed=3, dx=10e-6,
+                               dt=COARSE_DT)
+    assert not (tmp_path / "cases" / "case_000004.json").exists()
+    monkeypatch.setattr(solver, "simulate", simulate)
+    again = generate_training_data("geometry", 10, tmp_path, seed=3,
+                                   dx=10e-6, dt=COARSE_DT)
+    assert again.read_bytes() == csv_path.read_bytes()
+
+
+def test_a_compact_case_file_still_resumes(tmp_path, monkeypatch):
+    """Case files once were compact JSON with sorted keys; a campaign that
+    holds them resumes without running a case."""
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    monkeypatch.setattr(solver, "simulate", lambda case, **settings: case)
+    monkeypatch.setattr(metrics, "compute_metrics",
+                        lambda case: SimpleNamespace(T_o_max=case.cell.H,
+                                                     T_osc=case.cell.W))
+    csv_path = generate_training_data("geometry", 3, tmp_path, dx=10e-6)
+    written = csv_path.read_bytes()
+    for path in (tmp_path / "cases").iterdir():
+        path.write_text(json.dumps(json.loads(path.read_text()),
+                                   sort_keys=True))
+    csv_path.unlink()
+    monkeypatch.setattr(solver, "simulate", None)  # so no case can run
+    again = generate_training_data("geometry", 3, tmp_path, dx=10e-6)
+    assert again.read_bytes() == written
+
+
 def test_campaign_grid_sampler_deterministic(tmp_path):
     a = generate_training_data("geometry", 8, tmp_path / "a", sampler="grid",
                                dx=10e-6, dt=COARSE_DT)
