@@ -6,10 +6,9 @@ from .materials import Material, PCM_NAMES, builtin_material
 from .metrics import MetricsReport, compute_metrics, simulate_metrics
 from .network import NetworkModel, assemble_network
 from .optimize import (GAConfig, OptimizationProblem, OptimizationResult,
-                       ParameterSpec, PSOConfig, FunctionBackend,
-                       ga_minimize, parametric_sweep, pso_minimize,
-                       repeat_with_seeds)
-from .solver import ThermalHistory, simulate, steady_state
+                       ParameterSpec, PSOConfig, ga_minimize,
+                       parametric_sweep, pso_minimize, repeat_with_seeds)
+from .solver import ThermalHistory, simulate
 from .studies import sensitivity
 from .surrogate import (SurrogateModel, TrainingSet, activation,
                         load_training_csv, predict, r_squared, train_lm)
@@ -22,9 +21,9 @@ __all__ = [
     "MetricsReport", "compute_metrics", "sensitivity", "simulate_metrics",
     "NetworkModel", "assemble_network",
     "GAConfig", "OptimizationProblem", "OptimizationResult", "ParameterSpec",
-    "PSOConfig", "FunctionBackend", "ga_minimize", "parametric_sweep",
-    "pso_minimize", "repeat_with_seeds", "ThermalHistory", "simulate",
-    "steady_state", "SurrogateModel", "TrainingSet", "activation",
+    "PSOConfig", "ga_minimize", "parametric_sweep", "pso_minimize",
+    "repeat_with_seeds", "ThermalHistory", "simulate",
+    "SurrogateModel", "TrainingSet", "activation",
     "load_training_csv", "predict", "r_squared", "train_lm",
     "__version__",
 ]

@@ -111,8 +111,8 @@ def _cmd_sweep(args):
                                   out_dir=args.out)
     for power, d in result.items():
         print(f"power {power:.0f} W/m2: optimal T_m "
-              f"(T_o_max) = {d['opt_T_m_for_T_o_max']:.0f} C, "
-              f"(T_osc) = {d['opt_T_m_for_T_osc']:.0f} C")
+              f"(T_o_max) = {d['opt_T_m_for_T_o_max']:g} C, "
+              f"(T_osc) = {d['opt_T_m_for_T_osc']:g} C")
 
 
 @dataclass(frozen=True)

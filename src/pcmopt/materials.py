@@ -161,12 +161,23 @@ def read_json(path, source: str):
             raise ValueError(f"{source}: {e}") from e
 
 
+def _array_as_list(value):
+    """A numpy array as a list; TypeError naming any other type JSON cannot
+    hold."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
 def write_json(path, obj) -> None:
     """Write obj as JSON indented by 2, arrays as lists, no end newline,
-    whole or not at all: to <name>.tmp beside path, then renamed over it."""
+    whole or not at all: encoded first, so a value JSON cannot hold writes
+    nothing, then written to <name>.tmp beside path and renamed over it."""
+    text = json.dumps(obj, indent=2, default=_array_as_list)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
-        json.dump(obj, f, indent=2, default=np.ndarray.tolist)
+        f.write(text)
     os.replace(tmp, path)
 
 

@@ -1,6 +1,6 @@
 """Bound-constrained minimization: exhaustive sweep, real-coded genetic
-algorithm, and particle swarm, over objectives backed by the simulator, a
-trained surrogate, or a plain function.
+algorithm, and particle swarm, over objectives backed by the simulator or a
+trained surrogate.
 
 Every result carries both the backend's best objective and a simulator-
 verified value (for surrogate backends the optimum is always re-simulated
@@ -67,16 +67,6 @@ class Backend:
     def fresh(self, seed: int) -> "Backend":
         """Per-repeat variant (e.g. retrained surrogate); default is self."""
         return self
-
-
-class FunctionBackend(Backend):
-    def __init__(self, fn):
-        self.fn = fn
-
-    def evaluate(self, x):
-        return float(self.fn(np.asarray(x, dtype=float)))
-
-    verify = evaluate
 
 
 @dataclass

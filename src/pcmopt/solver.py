@@ -418,16 +418,3 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
         phase_s=phase_s,
         snapshots=snapshots,
     )
-
-
-def steady_state(case: Case, constant_flux: float) -> np.ndarray:
-    """Direct solve of G T = b for a constant (non-cyclic) source flux,
-    with every PCM node solid.
-
-    Returns the nodal temperature field (degC) reshaped to (ny, nx).
-    Used as a verification oracle; H_CONV > 0 keeps the system nonsingular.
-    """
-    _, net = build_case_network(case)
-    chol = _factor_band(net.conductance_matrix(np.zeros(net.pcm_nodes.size)))
-    T, _ = dpbtrs(chol, net.source_vector(constant_flux) + net.ambient_vector())
-    return net.mesh_field(T)

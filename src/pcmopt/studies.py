@@ -2,8 +2,9 @@
 sensitivity, training campaigns, the training-set-size ablation, and surface
 emission. Every study runs its transients at one step dt through one case
 runner, evaluate_cases, which checks dt before any case runs and yields each
-case's value or its exception: a training campaign records a failed case,
-and every other study (and SimulatorBackend.evaluate) raises the first.
+case's ThermalHistory or its exception; the study reduces each history
+itself. A training campaign records a failed case, and every other study
+(and SimulatorBackend.evaluate) raises the first.
 SimulatorBackend alone keeps a settings dict, which may set only dt, since
 the benchmark builds it that way until ROADMAP item 2.
 
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import warnings
+from collections import deque
 from contextlib import closing
 from dataclasses import asdict, replace as dc_replace
 from functools import partial
@@ -63,22 +65,22 @@ def default_workers() -> int:
         raise ValueError(f"PCMOPT_WORKERS={env!r} is not an integer") from None
 
 
-def _run_case(case: Case, dt: float = solver.DEFAULT_DT, reduce=None):
-    """reduce (default compute_metrics) of the case's transient at step dt.
-    simulate and compute_metrics are looked up on their modules at call
-    time, where a tracer may have wrapped them."""
-    return (reduce or metrics.compute_metrics)(solver.simulate(case, dt=dt))
+def _run_case(case: Case, dt: float = solver.DEFAULT_DT):
+    """The case's transient at step dt. simulate is looked up on its module
+    at call time, where a tracer may have wrapped it."""
+    return solver.simulate(case, dt=dt)
 
 
-def evaluate_cases(cases, dt: float = solver.DEFAULT_DT, reduce=None):
-    """Check dt, then return an iterator over _run_case of each case, or the
-    Exception it raised, in input order, from up to default_workers()
-    processes. The pool keeps the platform's start method (fork on Linux):
-    a spawned worker spends 0.2-0.3 s starting Python and importing numpy
-    and pcmopt, the time of several coarse evaluations."""
+def evaluate_cases(cases, dt: float = solver.DEFAULT_DT):
+    """Check dt, then return an iterator over each case's ThermalHistory,
+    or the Exception its transient raised, in input order, from up to
+    default_workers() processes. The pool keeps the platform's start
+    method (fork on Linux): a spawned worker spends 0.2-0.3 s starting
+    Python and importing numpy and pcmopt, the time of several coarse
+    evaluations."""
     solver.step_counts(dt)
     cases = list(cases)
-    return _fan_out(partial(_run_case, dt=dt, reduce=reduce), cases,
+    return _fan_out(partial(_run_case, dt=dt), cases,
                     min(default_workers(), len(cases)))
 
 
@@ -99,7 +101,10 @@ def _fan_out(fn, items, workers):
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        for future in [pool.submit(fn, item) for item in items]:
+        futures = deque(pool.submit(fn, item) for item in items)
+        while futures:
+            # popped, so each result is freed once the caller is done with it
+            future = futures.popleft()
             exc = future.exception()
             if exc is None:
                 yield future.result()
@@ -195,8 +200,9 @@ _OBJECTIVES = ("T_o_max", "T_osc")
 
 
 class SimulatorBackend(Backend):
-    """Objective: a transient of the case case_builder returns, run by
-    _run_case at the step dt that sim_kwargs may set, checked when built.
+    """Objective: a metric of the transient of the case case_builder
+    returns, run by _run_case at the step dt that sim_kwargs may set,
+    checked when built.
     A dict, since the benchmark passes sim_kwargs={"dt": ...} until ROADMAP
     item 2. verify is evaluate, bound on the class, so a wrapper put on an
     instance's evaluate (as the benchmark's timers are) never counts a
@@ -218,7 +224,8 @@ class SimulatorBackend(Backend):
 
     def evaluate(self, x):
         values = dict(zip(self.param_names, map(float, x)))
-        report = _run_case(self.case_builder(values), self.dt)
+        report = metrics.compute_metrics(
+            _run_case(self.case_builder(values), self.dt))
         return float(getattr(report, self.objective))
 
     verify = evaluate
@@ -300,7 +307,7 @@ def run_pcm_comparison(power: float = PowerProfile.q0, out_dir=None,
     cases = [Case(cell=dc_replace(cell, no_channel=True), power=profile)] + [
         Case(cell=cell, power=profile, pcm=builtin_material(name))
         for name in PCM_NAMES]
-    reports = _values(evaluate_cases(cases, dt))
+    reports = map(metrics.compute_metrics, _values(evaluate_cases(cases, dt)))
     rows = [{"material": name, "T_m_C": tm, **m.to_dict(),
              "config_hash": chash}
             for m, name, tm in zip(
@@ -341,7 +348,7 @@ def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
              for power in power_levels for tm in tms]
     rows = [{"T_m_C": tm, **r, "config_hash": chash} for tm, r in zip(
         tms * len(power_levels),
-        _values(evaluate_cases(cases, dt, _tm_row)))]
+        map(_tm_row, _values(evaluate_cases(cases, dt))))]
     tables = [rows[k:k + len(tms)] for k in range(0, len(rows), len(tms))]
     per_power = {power: {
         "table": table,
@@ -453,9 +460,12 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
 
     with closing(results):
         for i, case in cases.items():
-            m = next(results) if isinstance(case, Case) else case
-            record = ({"failed": str(m)} if isinstance(m, Exception) else
-                      {"T_o_max_C": m.T_o_max, "T_osc_C": m.T_osc})
+            h = next(results) if isinstance(case, Case) else case
+            if isinstance(h, Exception):
+                record = {"failed": str(h)}
+            else:
+                m = metrics.compute_metrics(h)
+                record = {"T_o_max_C": m.T_o_max, "T_osc_C": m.T_osc}
             records[i] = {"inputs": inputs[i], **record, "config_hash": chash}
             # the case file marks the case done
             write_json(cases_dir / f"case_{i:06d}.json", records[i])
@@ -517,7 +527,7 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
               for h_um in h_grid for w_um in w_grid]
     cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power, dx=dx)
              for x in points]
-    reports = _values(evaluate_cases(cases, dt))
+    reports = map(metrics.compute_metrics, _values(evaluate_cases(cases, dt)))
     t_nn = _predict_quietly(model, np.array(points)).tolist()
     rows = [{"H_um": x[0], "W_um": x[1], "T_m_C": x[2], "T_nn_C": t,
              "T_sim_C": m.T_o_max} for m, x, t in zip(reports, points, t_nn)]
@@ -561,7 +571,8 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
                                                       factor))
         for prop in properties
         for factor in (1.0 + PERTURBATION, 1.0 - PERTURBATION)]
-    base, *runs = _values(evaluate_cases(cases, dt))
+    base, *runs = map(metrics.compute_metrics,
+                      _values(evaluate_cases(cases, dt)))
     return {prop: {"dT_o_max": float(np.mean([abs(m.T_o_max - base.T_o_max)
                                               for m in pair])),
                    "dT_osc": float(np.mean([abs(m.T_osc - base.T_osc)

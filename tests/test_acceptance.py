@@ -10,12 +10,14 @@ step (cross-checked against the default 5 um mesh by the final
 verification simulations asserted below); the geometry search evaluates on
 the 5 um mesh because channel dimensions snap to voxels and the 10 um mesh
 flattens that landscape into plateaus. Long computations are cached
-under .acceptance_cache keyed by their configuration hash, so reruns are
-incremental; deleting the directory reproduces everything from scratch.
+under .acceptance_cache, or the directory PCMOPT_ACCEPTANCE_CACHE names,
+keyed by their configuration hash, so reruns are incremental; an empty
+directory reproduces everything from scratch.
 """
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +35,9 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             sensitivity)
 from pcmopt.surrogate import load_training_csv, r_squared, train_lm
 
-CACHE = Path(__file__).parent / ".acceptance_cache"
-CACHE.mkdir(exist_ok=True)
+CACHE = Path(os.environ.get("PCMOPT_ACCEPTANCE_CACHE",
+                           Path(__file__).parent / ".acceptance_cache"))
+CACHE.mkdir(parents=True, exist_ok=True)
 
 COARSE_CELL = UnitCellSpec(dx=10e-6)
 COARSE_DX = 10e-6
@@ -388,7 +391,7 @@ def test_melt_temperature_dominates_sensitivity():
 
 def test_core_invariants(baseline_history, solder_history):
     from pcmopt.surrogate import activation
-    from pcmopt.solver import steady_state
+    from helpers import steady_state
 
     assert baseline_history.energy_residual < 1e-4
     assert solder_history.energy_residual < 1e-4

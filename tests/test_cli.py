@@ -511,8 +511,26 @@ def test_sweep_command_writes_the_study(tmp_path, capsys):
             for m in ("T_o_max", "T_osc")}
     assert capsys.readouterr().out == (
         f"power 100000 W/m2: optimal T_m (T_o_max) = "
-        f"{float(best['T_o_max']):.0f} C, (T_osc) = "
-        f"{float(best['T_osc']):.0f} C\n")
+        f"{float(best['T_o_max']):g} C, (T_osc) = "
+        f"{float(best['T_osc']):g} C\n")
+
+
+def test_sweep_prints_a_sub_degree_optimum_as_its_grid_value(
+        tmp_path, capsys, monkeypatch):
+    """A half-degree grid's optima print as the grid values they are, not
+    rounded to a whole degree."""
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    # the seams: each T_m point's transient is its case, and its row
+    # scores the distance from a half-degree optimum
+    monkeypatch.setattr(solver, "simulate", lambda case, **_: case)
+    monkeypatch.setattr(studies, "_tm_row", lambda case: {
+        "T_o_max": abs(case.pcm.T_m - 76.5), "T_osc": abs(case.pcm.T_m - 77.5),
+        "band_hi_C": 0.0, "band_lo_C": 0.0})
+    assert main(["sweep", "--tm-step", "0.5",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert capsys.readouterr().out == (
+        "power 100000 W/m2: optimal T_m (T_o_max) = 76.5 C, "
+        "(T_osc) = 77.5 C\n")
 
 
 def test_sensitivity_command_writes_each_property(tmp_path, capsys):

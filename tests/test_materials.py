@@ -137,10 +137,13 @@ def test_write_json_replaces_a_file_whole_or_not_at_all(tmp_path):
     write_json(path, {"a": np.arange(2)})
     assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
     assert path.read_text() == '{\n  "a": [\n    0,\n    1\n  ]\n}'
-    # a value JSON cannot hold fails the write and leaves the old file
-    with pytest.raises(TypeError):
+    # a value JSON cannot hold fails the write by its type, and leaves the
+    # old file and no other
+    with pytest.raises(TypeError, match="^Object of type object is not JSON "
+                                        "serializable$"):
         write_json(path, {"a": object()})
     assert json.loads(path.read_text()) == {"a": [0, 1]}
+    assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
 
 
 def test_load_material_file_rejects_invalid(tmp_path):

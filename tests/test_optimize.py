@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcmopt.optimize import (Backend, FunctionBackend, GAConfig,
-                             OptimizationProblem, ParameterSpec, PSOConfig,
-                             _Search, ga_minimize, parametric_sweep,
-                             pso_minimize, repeat_with_seeds)
+from pcmopt.optimize import (Backend, GAConfig, OptimizationProblem,
+                             ParameterSpec, PSOConfig, _Search, ga_minimize,
+                             parametric_sweep, pso_minimize,
+                             repeat_with_seeds)
+
+from helpers import FunctionBackend
 
 
 def sphere(x):

@@ -18,8 +18,10 @@ from pcmopt.network import NetworkModel
 import pcmopt
 from pcmopt.solver import (MAX_STEP_RESIDUAL, PHASES, QUASI_STEADY_TOL,
                            SolverDivergence, _factor_band, _Integrator,
-                           build_case_network, simulate, steady_state)
+                           build_case_network, simulate)
 from pcmopt.studies import property_case
+
+from helpers import steady_state
 
 COARSE = UnitCellSpec(dx=10e-6)
 

@@ -15,8 +15,8 @@ from pcmopt import metrics, solver, studies
 from pcmopt.geometry import Case, UnitCellSpec, build_mesh
 from pcmopt.metrics import simulate_metrics
 from pcmopt.solver import SolverDivergence
-from pcmopt.optimize import (Backend, FunctionBackend, GAConfig, PSOConfig,
-                             ga_minimize, parametric_sweep, pso_minimize,
+from pcmopt.optimize import (Backend, GAConfig, PSOConfig, ga_minimize,
+                             parametric_sweep, pso_minimize,
                              repeat_with_seeds, value_range)
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             ResamplingSurrogateBackend, SimulatorBackend,
@@ -26,6 +26,8 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             run_ablation, run_pcm_comparison, run_tm_study,
                             sensitivity)
 from pcmopt.surrogate import TrainingSet, predict, r_squared, train_lm
+
+from helpers import FunctionBackend
 
 COARSE_CELL = UnitCellSpec(dx=10e-6)
 COARSE_DT = 0.025
@@ -187,7 +189,7 @@ def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
             raise SolverDivergence("diverged on purpose")
         return case
 
-    # the case runner's seams: each case's transient, then its reduction
+    # the seams: each case's transient, then the campaign's reduction of it
     monkeypatch.setattr(solver, "simulate", third_fails)
     monkeypatch.setattr(metrics, "compute_metrics",
                         lambda case: SimpleNamespace(
@@ -643,6 +645,23 @@ def test_study_results_do_not_depend_on_worker_count(study, tmp_path,
         files.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert results[0] == results[1]
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_the_case_runner_yields_each_transient_with_its_stats(workers,
+                                                             monkeypatch):
+    """evaluate_cases yields each case's whole history, also from a worker
+    process, so the parent reduces it and reads its stats()."""
+    monkeypatch.setenv("PCMOPT_WORKERS", workers)
+    cases = [property_case({"T_m_C": tm}, cell=COARSE_CELL)
+             for tm in (60.0, 77.0)]
+    for case, h in zip(cases, studies.evaluate_cases(cases, COARSE_DT)):
+        alone = solver.simulate(case, dt=COARSE_DT)
+        assert isinstance(h, solver.ThermalHistory)
+        assert np.array_equal(h.T_max, alone.T_max)
+        stats, want = h.stats(), alone.stats()
+        assert stats.pop("phase_s").keys() == want.pop("phase_s").keys()
+        assert stats == want
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -21,8 +21,10 @@ import numpy as np
 from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.materials import builtin_material
 from pcmopt.metrics import compute_metrics
-from pcmopt.solver import simulate, steady_state
+from pcmopt.solver import simulate
 from pcmopt.studies import geometry_case, property_case
+
+from helpers import steady_state
 
 ANSWERS = Path(__file__).with_name("transient_answers.json")
 # Largest shift of a value (degC, s, or melt fraction) allowed off the
