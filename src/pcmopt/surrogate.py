@@ -60,7 +60,9 @@ def load_training_csv(path, target: str,
     """Read a training set from a headered CSV.
 
     The target column is named explicitly; input columns default to every
-    column that is not a known target column.
+    column that is not a known target column. A row whose width is not the
+    header's, or whose value there is not a number, is a ValueError naming
+    the file and the line.
     """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -73,8 +75,16 @@ def load_training_csv(path, target: str,
             input_names = [h for h in header if h not in reserved]
         X, y = [], []
         for row in reader:
-            X.append([float(row[n]) for n in input_names])
-            y.append(float(row[target]))
+            try:
+                # DictReader keys a long row's extras by None, and fills a
+                # short row's gaps with None
+                if None in row or None in row.values():
+                    raise ValueError(f"not the header's {len(header)} fields")
+                X.append([float(row[n]) for n in input_names])
+                y.append(float(row[target]))
+            except ValueError as e:
+                raise ValueError(f"training file {path}, line "
+                                 f"{reader.line_num}: {e}") from e
     return TrainingSet(np.asarray(X), np.asarray(y), input_names, target)
 
 
@@ -161,20 +171,13 @@ def _unpack(p, n_in, n_hid):
     return W1, b1, W2, b2
 
 
-def _forward_jacobian(p, Xn, n_hid):
-    """Network output and its Jacobian w.r.t. every weight, both per sample."""
-    n, n_in = Xn.shape
-    W1, b1, W2, b2 = _unpack(p, n_in, n_hid)
-    A, y = _forward(W1, b1, W2, b2, Xn)     # A: (n, h)
+def _jacobian(A, W2, Xn):
+    """Jacobian of the network output w.r.t. every weight, per sample, from
+    the hidden activations A that the forward pass on Xn gave."""
     dact = (1.0 - A * A) * W2.ravel()       # (n, h)
     J_W1 = dact[:, :, None] * Xn[:, None, :]  # (n, h, n_in)
-    J = np.concatenate([
-        J_W1.reshape(n, n_hid * n_in),
-        dact,
-        A,
-        np.ones((n, 1)),
-    ], axis=1)
-    return y, J
+    return np.concatenate([J_W1.reshape(len(A), -1), dact, A,
+                           np.ones((len(A), 1))], axis=1)
 
 
 # Levenberg-Marquardt settings of train_lm: share of rows held out for early
@@ -211,75 +214,71 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
         "init": "uniform[-0.5,0.5]",
     }
 
+    n_params = hidden * n_in + hidden + hidden + 1
     if out_max <= out_min:
         warnings.warn("constant training targets; returning constant "
                       "predictor", DegenerateDataWarning, stacklevel=2)
-        return SurrogateModel(
-            input_dim=n_in, hidden=[hidden],
-            W1=np.zeros((hidden, n_in)), b1=np.zeros(hidden),
-            W2=np.zeros((1, hidden)), b2=np.array([0.0]),
-            in_min=in_min, in_max=in_max,
-            out_min=out_min - 0.5, out_max=out_min + 0.5,
-            target=data.target_name, seed=seed, train_config=config)
+        out_min, out_max = out_min - 0.5, out_min + 0.5
+        best_p = np.zeros(n_params)
+    else:
+        Xn = _normalize(data.X, in_min, in_max)
+        yn = _normalize(data.y, out_min, out_max)
 
-    Xn = _normalize(data.X, in_min, in_max)
-    yn = _normalize(data.y, out_min, out_max)
+        order = rng.permutation(n)
+        n_val = int(round(VAL_FRACTION * n))
+        val_idx = order[:n_val]
+        tr_idx = order[n_val:]
+        Xtr, ytr = Xn[tr_idx], yn[tr_idx]
+        Xval, yval = Xn[val_idx], yn[val_idx]
 
-    order = rng.permutation(n)
-    n_val = int(round(VAL_FRACTION * n))
-    val_idx = order[:n_val]
-    tr_idx = order[n_val:]
-    Xtr, ytr = Xn[tr_idx], yn[tr_idx]
-    Xval, yval = Xn[val_idx], yn[val_idx]
+        p = rng.uniform(-0.5, 0.5, size=n_params)
 
-    n_params = hidden * n_in + hidden + hidden + 1
-    p = rng.uniform(-0.5, 0.5, size=n_params)
+        def residual(params, X, y):  # hidden activations, output errors
+            A, out = _forward(*_unpack(params, n_in, hidden), X)
+            return A, y - out
 
-    def sse(params, X, y):
-        _, out = _forward(*_unpack(params, n_in, hidden), X)
-        return float(np.sum((y - out) ** 2))
+        mu = MU0
+        eye = np.eye(n_params)
+        best_val = np.inf
+        best_p = p.copy()
+        val_rises = 0
+        # p's pass on the training rows, kept from the trial that accepted p
+        A, e = residual(p, Xtr, ytr)
+        train_sse = float(np.sum(e ** 2))
 
-    mu = MU0
-    best_val = np.inf
-    best_p = p.copy()
-    val_rises = 0
-    train_sse = sse(p, Xtr, ytr)
-
-    for _ in range(max_epochs):
-        yhat, J = _forward_jacobian(p, Xtr, hidden)
-        e = ytr - yhat
-        g = J.T @ e
-        if np.linalg.norm(g) < GRAD_TOL:
-            break
-        JtJ = J.T @ J
-        accepted = False
-        while mu <= MU_MAX:
-            try:
-                step = np.linalg.solve(JtJ + mu * np.eye(n_params), g)
-            except np.linalg.LinAlgError:
+        for _ in range(max_epochs):
+            J = _jacobian(A, _unpack(p, n_in, hidden)[2], Xtr)
+            g = J.T @ e
+            if np.linalg.norm(g) < GRAD_TOL:
+                break
+            JtJ = J.T @ J
+            while mu <= MU_MAX:
+                try:
+                    step = np.linalg.solve(JtJ + mu * eye, g)
+                except np.linalg.LinAlgError:
+                    mu *= 10.0
+                    continue
+                trial = p + step
+                A_trial, e_trial = residual(trial, Xtr, ytr)
+                new_sse = float(np.sum(e_trial ** 2))
+                if new_sse < train_sse:
+                    p, A, e, train_sse = trial, A_trial, e_trial, new_sse
+                    mu = max(mu * 0.1, 1e-20)
+                    break
                 mu *= 10.0
-                continue
-            new_sse = sse(p + step, Xtr, ytr)
-            if new_sse < train_sse:
-                p = p + step
-                train_sse = new_sse
-                mu = max(mu * 0.1, 1e-20)
-                accepted = True
-                break
-            mu *= 10.0
-        if not accepted:
-            break  # mu overflow: no descent direction left
+            else:
+                break  # mu overflow: no descent direction left
 
-        # the hold-out is never empty: round(VAL_FRACTION * n) >= 2 rows
-        val_sse = sse(p, Xval, yval)
-        if val_sse < best_val - 1e-15:
-            best_val = val_sse
-            best_p = p.copy()
-            val_rises = 0
-        else:
-            val_rises += 1
-            if val_rises >= patience:
-                break
+            # the hold-out is never empty: round(VAL_FRACTION * n) >= 2 rows
+            val_sse = float(np.sum(residual(p, Xval, yval)[1] ** 2))
+            if val_sse < best_val - 1e-15:
+                best_val = val_sse
+                best_p = p.copy()
+                val_rises = 0
+            else:
+                val_rises += 1
+                if val_rises >= patience:
+                    break
 
     W1, b1, W2, b2 = _unpack(best_p, n_in, hidden)
     return SurrogateModel(

@@ -1,6 +1,10 @@
 """Test doubles and oracles that the package itself never calls: a backend
-over a plain function, and the direct steady-state solve the transient is
-checked against."""
+over a plain function, the direct steady-state solve the transient is
+checked against, and the OpenBLAS kernel the answer pins are keyed on."""
+
+import ctypes
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -34,3 +38,16 @@ def steady_state(case: Case, constant_flux: float) -> np.ndarray:
     T, _ = dpbtrs(chol,
                   net.source_vector(constant_flux) + net.ambient_vector())
     return net.mesh_field(T)
+
+
+def openblas_core() -> str | None:
+    """The kernel scipy's bundled OpenBLAS picked at load, or None where
+    scipy ships no such library."""
+    spec = importlib.util.find_spec("scipy")
+    libs = Path(spec.origin).parent.with_name("scipy.libs")
+    found = sorted(libs.glob("libscipy_openblas*.so"))
+    if not found:
+        return None
+    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename
+    corename.restype = ctypes.c_char_p
+    return corename().decode()

@@ -24,9 +24,8 @@ import numpy as np
 import pytest
 
 from pcmopt.geometry import Case, UnitCellSpec
-from pcmopt.metrics import compute_metrics, simulate_metrics
+from pcmopt.metrics import simulate_metrics
 from pcmopt.optimize import GAConfig, PSOConfig, ga_minimize, pso_minimize
-from pcmopt.solver import simulate
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             SimulatorBackend, config_hash,
                             generate_training_data, geometry_case,

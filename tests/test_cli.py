@@ -473,6 +473,25 @@ def synthetic_campaign(tmp_path, n=30):
     return str(path)
 
 
+@pytest.mark.parametrize("line,reason", [
+    ("12,50.0", "not the header's 5 fields"),
+    ("40,50,60,80.5,2.5,7", "not the header's 5 fields"),
+    ("40,50,abc,80.5,2.5", "could not convert string to float: 'abc'")],
+    ids=["short", "long", "not_a_number"])
+def test_a_malformed_training_row_is_one_line_naming_it(tmp_path, capsys,
+                                                        line, reason):
+    campaign = synthetic_campaign(tmp_path, n=11)
+    with open(campaign, "a") as f:
+        f.write(line + "\n")
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", campaign, "--target", "tomax",
+                 "--out", str(model)]) == 2
+    assert capsys.readouterr().err == (
+        f"pcmopt train: error: training file {campaign}, line 13: "
+        f"{reason}\n")
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("flags,cell", [
     (["--no-channel"], {"no_channel": True}),
     (["--height-um", "60", "--width-um", "40"], {"H": 60e-6, "W": 40e-6})],

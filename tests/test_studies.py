@@ -3,7 +3,6 @@ import csv
 import json
 import os
 import re
-import shutil
 import traceback
 import warnings
 from types import SimpleNamespace

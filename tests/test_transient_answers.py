@@ -10,9 +10,7 @@ Re-record, after a change that is meant to move the answers, with
 ``PYTHONPATH=src python tests/test_transient_answers.py``.
 """
 
-import ctypes
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
@@ -24,7 +22,7 @@ from pcmopt.metrics import compute_metrics
 from pcmopt.solver import simulate
 from pcmopt.studies import geometry_case, property_case
 
-from helpers import steady_state
+from helpers import openblas_core, steady_state
 
 ANSWERS = Path(__file__).with_name("transient_answers.json")
 # Largest shift of a value (degC, s, or melt fraction) allowed off the
@@ -50,19 +48,6 @@ CASES = {
     "snapshots_10um": (Case(cell=COARSE), {"dt": 0.025,
                                            "snapshot_every": 40}),
 }
-
-
-def openblas_core() -> str | None:
-    """The kernel scipy's bundled OpenBLAS picked at load, or None where
-    scipy ships no such library."""
-    spec = importlib.util.find_spec("scipy")
-    libs = Path(spec.origin).parent.with_name("scipy.libs")
-    found = sorted(libs.glob("libscipy_openblas*.so"))
-    if not found:
-        return None
-    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
 
 
 def _digest(*arrays) -> str:
