@@ -106,6 +106,10 @@ class PowerProfile:
             raise ValueError("q0 must be non-negative")
         if self.duration < PERIOD:
             raise ValueError("duration must cover at least one period")
+        cycles = self.duration / PERIOD
+        if abs(cycles - round(cycles)) > 1e-9:
+            raise ValueError("duration must be a whole number of periods, "
+                             f"got {self.duration!r}")
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,12 @@ _PCM_PARAMETERS = {
 _CHANNEL_PARAMETERS = {"H_um": "H", "W_um": "W"}
 
 
+def _swept_channel(values: dict) -> dict:
+    """The UnitCellSpec fields, in m, that the swept values set."""
+    return {field: values[name] / 1e6
+            for name, field in _CHANNEL_PARAMETERS.items() if name in values}
+
+
 def property_case(values: dict, power: float = PowerProfile.q0,
                   cell: UnitCellSpec = UnitCellSpec()) -> Case:
     """Case.pcm, the reference Solder 174, in a channel of cell, with every
@@ -179,9 +185,7 @@ def property_case(values: dict, power: float = PowerProfile.q0,
         known = [*_PCM_PARAMETERS, *_CHANNEL_PARAMETERS]
         raise ValueError(f"unknown swept parameters {sorted(unknown)}; "
                          f"known: {known}")
-    cell = dc_replace(cell, **{field: values[name] / 1e6
-                               for name, field in _CHANNEL_PARAMETERS.items()
-                               if name in values})
+    cell = dc_replace(cell, **_swept_channel(values))
     pcm = dc_replace(Case.pcm, name="swept",
                      **{field: values[name]
                         for name, fields in _PCM_PARAMETERS.items()
@@ -191,8 +195,10 @@ def property_case(values: dict, power: float = PowerProfile.q0,
 
 def geometry_case(values: dict, power: float = PowerProfile.q0,
                   dx: float = UnitCellSpec.dx) -> Case:
-    """property_case on the reference cell meshed at dx."""
-    return property_case(values, power, UnitCellSpec(dx=dx))
+    """property_case on the reference cell meshed at dx, with the swept
+    channel in place of the reference one, which need not mesh at dx."""
+    return property_case(values, power,
+                         UnitCellSpec(dx=dx, **_swept_channel(values)))
 
 
 #: MetricsReport fields a simulator-backed search can minimize.
@@ -415,6 +421,11 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
         raise ValueError("campaign size must be >= 1")
     if kind not in _CAMPAIGN_BOUNDS:
         raise ValueError(f"kind must be one of {list(_CAMPAIGN_BOUNDS)}")
+    # what every sample shares: settings no sample could run with are
+    # refused here, not recorded as n failed cases. Geometry samples sweep
+    # the channel, so only the solid cell must mesh at dx.
+    PowerProfile(q0=power)
+    UnitCellSpec(dx=dx, no_channel=kind == "geometry")
     bounds = _CAMPAIGN_BOUNDS[kind]
     names = list(bounds)
     X = _sample_inputs(sampler, n, bounds, seed)

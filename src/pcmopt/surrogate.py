@@ -68,7 +68,8 @@ def load_training_csv(path, target: str,
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         if target not in header:
-            raise ValueError(f"target column {target!r} not in {header}")
+            raise ValueError(f"training file {path}: target column "
+                             f"{target!r} not in {header}")
         if input_names is None:
             reserved = {"T_o_max_C", "T_osc_C", "case_index", "config_hash",
                         target}
@@ -200,6 +201,10 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
     """
     if len(data) < 10:
         raise ValueError("need at least 10 training rows")
+    for name, count in (("hidden", hidden), ("max_epochs", max_epochs),
+                        ("patience", patience)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     n, n_in = data.X.shape
 

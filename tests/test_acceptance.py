@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from pcmopt.geometry import Case, UnitCellSpec
-from pcmopt.metrics import simulate_metrics
 from pcmopt.optimize import GAConfig, PSOConfig, ga_minimize, pso_minimize
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             SimulatorBackend, config_hash,
@@ -202,27 +201,35 @@ def test_optimal_tm_rises_with_power():
 # 6. Five-property optimization
 
 
-@pytest.fixture(scope="module")
-def property_optima():
-    backend = SimulatorBackend(
-        lambda v: property_case(v, cell=COARSE_CELL),
-        list(PROPERTY_BOUNDS), "T_o_max", sim_kwargs=COARSE_SIM)
-    problem = problem_from_bounds(PROPERTY_BOUNDS, "T_o_max", backend)
+def optima(name, search_case, verify_case, bounds, objective, ga_cfg,
+           pso_cfg, **key):
+    """The GA and PSO optima of objective over bounds, searched on the
+    cases search_case builds at the coarse step and verified by the
+    search backend's verifier on the cases verify_case builds at the
+    reference step; cached under name, by strategy."""
+    backend = SimulatorBackend(search_case, list(bounds), objective,
+                               sim_kwargs=COARSE_SIM)
+    backend.verifier = SimulatorBackend(verify_case, list(bounds), objective)
+    problem = problem_from_bounds(bounds, objective, backend)
 
-    def run(strategy):
+    def run(strategy, search, cfg):
         def compute():
-            if strategy == "ga":
-                r = ga_minimize(problem, PROP_GA_CFG)
-            else:
-                r = pso_minimize(problem, PSO_CFG)
-            verified = simulate_metrics(property_case(r.parameters)).T_o_max
-            return {"parameters": r.parameters, "verified": verified}
-        cfg = PROP_GA_CFG if strategy == "ga" else PSO_CFG
-        return cached(f"property_opt_{strategy}",
-                      {"seed": 0, "strategy": strategy,
+            r = search(problem, cfg)
+            return {"parameters": r.parameters,
+                    "verified": r.verified_objective}
+        return cached(f"{name}_{strategy}",
+                      {"seed": 0, "strategy": strategy, **key,
                        "config": dataclasses.asdict(cfg)}, compute)
 
-    return {s: run(s) for s in ("ga", "pso")}
+    return {"ga": run("ga", ga_minimize, ga_cfg),
+            "pso": run("pso", pso_minimize, pso_cfg)}
+
+
+@pytest.fixture(scope="module")
+def property_optima():
+    return optima("property_opt", lambda v: property_case(v, cell=COARSE_CELL),
+                  property_case, PROPERTY_BOUNDS, "T_o_max",
+                  PROP_GA_CFG, PSO_CFG)
 
 
 @slow
@@ -243,26 +250,9 @@ def test_property_optimum_matches_reference(property_optima, strategy):
 
 @pytest.fixture(scope="module")
 def geometry_optima():
-    backend = SimulatorBackend(
-        lambda v: geometry_case(v, dx=GEO_DX),
-        list(GEOMETRY_BOUNDS), "T_osc", sim_kwargs=COARSE_SIM)
-    problem = problem_from_bounds(GEOMETRY_BOUNDS, "T_osc", backend)
-
-    def run(strategy):
-        def compute():
-            if strategy == "ga":
-                r = ga_minimize(problem, GEO_GA_CFG)
-            else:
-                r = pso_minimize(problem, GEO_PSO_CFG)
-            verified = simulate_metrics(
-                geometry_case(r.parameters, dx=5e-6)).T_osc
-            return {"parameters": r.parameters, "verified": verified}
-        cfg = GEO_GA_CFG if strategy == "ga" else GEO_PSO_CFG
-        return cached(f"geometry_opt_{strategy}",
-                      {"seed": 0, "strategy": strategy, "dx": GEO_DX,
-                       "config": dataclasses.asdict(cfg)}, compute)
-
-    return {s: run(s) for s in ("ga", "pso")}
+    return optima("geometry_opt", lambda v: geometry_case(v, dx=GEO_DX),
+                  geometry_case, GEOMETRY_BOUNDS, "T_osc",
+                  GEO_GA_CFG, GEO_PSO_CFG, dx=GEO_DX)
 
 
 @slow

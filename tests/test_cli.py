@@ -104,9 +104,13 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
     # builds no mesh: the half pitch snaps to no voxels
     coarse = tmp_path / "coarse.json"
     coarse.write_text(json.dumps({"cell": {"dx": 7e-5, "no_channel": True}}))
+    # 2.6 s would run three cycles
+    duration = tmp_path / "duration.json"
+    duration.write_text(json.dumps({"power": {"duration": 2.6}}))
     material = tmp_path / "material.json"
     material.write_text(json.dumps(
         {**asdict(builtin_material("WoodsMetal")), "T_m": float("nan")}))
+    campaign = ["generate", "--n", "3", "--out", str(tmp_path / "o")]
     for argv, message in [
             (["metrics", "--flux-kw-m2", "-5"], "q0 must be non-negative"),
             (["simulate", "--material-file", str(material),
@@ -125,6 +129,19 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
             (["metrics", "--case", str(coarse)],
              f"case file {coarse}: case cell: dx=7e-05 is too large: half "
              "the channel pitch snaps to no voxels"),
+            (["metrics", "--case", str(duration)],
+             f"case file {duration}: case power: duration must be a whole "
+             "number of periods, got 2.6"),
+            # a campaign refuses what no sample could run with
+            (campaign + ["--kind", "geometry", "--dx-um", "0"],
+             "dx must be positive"),
+            (campaign + ["--kind", "properties", "--power", "-5"],
+             "q0 must be non-negative"),
+            # no properties sample moves the reference channel off 40 um
+            (campaign + ["--kind", "properties", "--dx-um", "40"],
+             "at dx=4e-05 the height or half width of channel H=0.0001, "
+             "W=5e-05 snaps to no voxels; use no_channel for the "
+             "solid-silicon baseline"),
             # one voxel wide: the simulated half holds none of it
             (["metrics", "--width-um", "5"],
              "at dx=5e-06 the height or half width of channel H=0.0001, "
@@ -473,22 +490,38 @@ def synthetic_campaign(tmp_path, n=30):
     return str(path)
 
 
-@pytest.mark.parametrize("line,reason", [
-    ("12,50.0", "not the header's 5 fields"),
-    ("40,50,60,80.5,2.5,7", "not the header's 5 fields"),
-    ("40,50,abc,80.5,2.5", "could not convert string to float: 'abc'")],
-    ids=["short", "long", "not_a_number"])
+@pytest.mark.parametrize("edit,reason", [
+    (lambda text: text + "12,50.0\n", ", line 13: not the header's 5 fields"),
+    (lambda text: text + "40,50,60,80.5,2.5,7\n",
+     ", line 13: not the header's 5 fields"),
+    (lambda text: text + "40,50,abc,80.5,2.5\n",
+     ", line 13: could not convert string to float: 'abc'"),
+    (lambda text: text.replace("T_o_max_C", "T_max_C"),
+     ": target column 'T_o_max_C' not in ['H_um', 'W_um', 'T_m_C', "
+     "'T_max_C', 'T_osc_C']"),
+    (lambda text: "", ": target column 'T_o_max_C' not in []")],
+    ids=["short", "long", "not_a_number", "no_target_column", "empty"])
 def test_a_malformed_training_row_is_one_line_naming_it(tmp_path, capsys,
-                                                        line, reason):
-    campaign = synthetic_campaign(tmp_path, n=11)
-    with open(campaign, "a") as f:
-        f.write(line + "\n")
+                                                        edit, reason):
+    campaign = Path(synthetic_campaign(tmp_path, n=11))
+    campaign.write_text(edit(campaign.read_text()))
     model = tmp_path / "m.json"
-    assert main(["train", "--data", campaign, "--target", "tomax",
+    assert main(["train", "--data", str(campaign), "--target", "tomax",
                  "--out", str(model)]) == 2
     assert capsys.readouterr().err == (
-        f"pcmopt train: error: training file {campaign}, line 13: "
-        f"{reason}\n")
+        f"pcmopt train: error: training file {campaign}{reason}\n")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("hidden", ["0", "-1"])
+def test_train_refuses_a_network_without_hidden_neurons(tmp_path, capsys,
+                                                        hidden):
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", synthetic_campaign(tmp_path, n=11),
+                 "--target", "tomax", "--hidden", hidden,
+                 "--out", str(model)]) == 2
+    assert capsys.readouterr().err == (
+        f"pcmopt train: error: hidden must be >= 1, got {hidden}\n")
     assert not model.exists()
 
 

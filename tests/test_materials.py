@@ -218,6 +218,8 @@ _VALID_RECORDS = {
     ("PowerProfile", "q0", float("inf"), "q0 must be finite, got inf"),
     ("PowerProfile", "q0", "300", "q0 must be a number"),
     ("PowerProfile", "duration", 0.5, "duration must cover at least one"),
+    ("PowerProfile", "duration", 2.6,
+     "duration must be a whole number of periods, got 2.6"),
     ("ParameterSpec", "lower", 2.0, "lower must be < upper"),
     ("ParameterSpec", "step", "0.1", "step must be a number"),
     ("ParameterSpec", "lower", -float("inf"), "lower must be finite, got -inf"),

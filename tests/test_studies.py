@@ -76,6 +76,9 @@ def test_case_builders():
     assert geo.cell.dx == 10e-6
     assert geo.pcm.T_m == 70.0
     assert geo.pcm.L_H == 47730.0
+    # the swept channel meshes at 40 um, where the reference one does not
+    wide = geometry_case({"H_um": 100.0, "W_um": 100.0}, dx=40e-6)
+    assert (wide.cell.H, wide.cell.W) == (100e-6, 100e-6)
 
     tm = property_case({"T_m_C": 55.0})
     assert tm.pcm.T_m == 55.0

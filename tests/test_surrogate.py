@@ -129,6 +129,9 @@ def test_training_set_validation():
         TrainingSet(np.array([[np.nan, 1.0]]), np.array([1.0]), ["a", "b"], "t")
     with pytest.raises(ValueError):
         train_lm(TrainingSet(np.zeros((4, 1)), np.arange(4.0), ["x"], "t"))
+    for name in ("max_epochs", "patience"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            train_lm(quadratic_set(), **{name: 0})
 
 
 def test_model_json_round_trip(tmp_path):

@@ -1,17 +1,15 @@
 """Pinned training answers: the weights and output range train_lm returns
-on five fixed cases, recorded in training_answers.json.
-
-Values compare bitwise when scipy's OpenBLAS runs the kernel, and numpy's
-float64 exp runs the loop, that the answers were recorded under. Another
-kernel or exp loop moves the last bits of the normal equations and of the
-sigmoid, and LM carries them through every epoch, so there every value must
-agree within WEIGHT_TOL instead.
+on five fixed cases, recorded in training_answers.json and checked by the
+shared rule of helpers.check_answers. The host stamps are scipy's OpenBLAS
+kernel and the loop numpy runs float64 exp in: another kernel or exp loop
+moves the last bits of the normal equations and of the sigmoid, and LM
+carries them through every epoch, so there every value must agree within
+WEIGHT_TOL.
 
 Re-record, after a change that is meant to move the answers, with
 ``PYTHONPATH=src python tests/test_training_answers.py``.
 """
 
-import json
 import warnings
 from pathlib import Path
 
@@ -21,7 +19,7 @@ from numpy.lib.introspect import opt_func_info
 from pcmopt.studies import GEOMETRY_BOUNDS
 from pcmopt.surrogate import DegenerateDataWarning, TrainingSet, train_lm
 
-from helpers import openblas_core
+from helpers import check_answers, openblas_core, record_answers
 
 ANSWERS = Path(__file__).with_name("training_answers.json")
 # Largest shift of a weight or output bound allowed off the recorded kernel
@@ -62,8 +60,11 @@ def exp_target() -> str:
     return info["exp"]["dd"]["current"]
 
 
+HOST = (openblas_core, exp_target)
+
+
 def training_answers() -> dict:
-    answers = {"openblas_core": openblas_core(), "exp_target": exp_target()}
+    answers = {}
     for name, (make, kwargs) in CASES.items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateDataWarning)
@@ -75,32 +76,9 @@ def training_answers() -> dict:
     return answers
 
 
-def _max_shift(got, want) -> float:
-    """Largest difference between two answers' float.hex strings."""
-    if isinstance(want, dict):
-        assert got.keys() == want.keys()
-        return max(_max_shift(got[k], want[k]) for k in want)
-    if isinstance(want, list):
-        assert len(got) == len(want)
-        return max(map(_max_shift, got, want))
-    return abs(float.fromhex(got) - float.fromhex(want))
-
-
 def test_trainings_reproduce_recorded_answers():
-    recorded = json.loads(ANSWERS.read_text())
-    answers = training_answers()
-    host = ("openblas_core", "exp_target")
-    if all(answers[k] == recorded[k] for k in host):
-        assert answers == recorded
-    else:
-        for k in host:
-            del answers[k], recorded[k]
-        shift = _max_shift(answers, recorded)
-        assert shift <= WEIGHT_TOL, f"a weight moved by {shift:.3g}"
+    check_answers(ANSWERS, training_answers(), HOST, WEIGHT_TOL)
 
 
 if __name__ == "__main__":
-    answers = training_answers()
-    ANSWERS.write_text(json.dumps(answers, indent=1) + "\n")
-    print(f"recorded under OpenBLAS core {answers['openblas_core']} and "
-          f"exp target {answers['exp_target']} in {ANSWERS}")
+    record_answers(ANSWERS, training_answers(), HOST)

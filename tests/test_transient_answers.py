@@ -1,17 +1,15 @@
 """Pinned transient answers: counters, metrics and trace digests of eight
-cases, recorded in transient_answers.json.
-
-Counters compare exactly. Values compare bitwise when scipy's OpenBLAS runs
-the kernel the answers were recorded under; another kernel (another CPU
-class, or OPENBLAS_CORETYPE) may move the last bits of the banded solve, so
-there every value must agree within VALUE_TOL instead.
+cases, recorded in transient_answers.json and checked by the shared rule
+of helpers.check_answers. The host stamp is scipy's OpenBLAS kernel:
+another kernel (another CPU class, or OPENBLAS_CORETYPE) may move the last
+bits of the banded solve, so there every value must agree within
+VALUE_TOL.
 
 Re-record, after a change that is meant to move the answers, with
 ``PYTHONPATH=src python tests/test_transient_answers.py``.
 """
 
 import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +20,10 @@ from pcmopt.metrics import compute_metrics
 from pcmopt.solver import simulate
 from pcmopt.studies import geometry_case, property_case
 
-from helpers import openblas_core, steady_state
+from helpers import check_answers, openblas_core, record_answers, steady_state
 
 ANSWERS = Path(__file__).with_name("transient_answers.json")
+HOST = (openblas_core,)
 # Largest shift of a value (degC, s, or melt fraction) allowed off the
 # recorded kernel; other kernels were measured to move T_max by 5.5e-8 degC.
 VALUE_TOL = 1e-7
@@ -86,8 +85,7 @@ def _record(h) -> dict:
 
 def transient_answers(solder_history, baseline_history) -> dict:
     """The pinned answers, given the 5 um Solder 174 and solid runs."""
-    answers = {"openblas_core": openblas_core(),
-               "solder174_5um": _record(solder_history),
+    answers = {"solder174_5um": _record(solder_history),
                "solid_5um": _record(baseline_history)}
     for name, (case, kwargs) in CASES.items():
         answers[name] = _record(simulate(case, **kwargs))
@@ -99,39 +97,13 @@ def transient_answers(solder_history, baseline_history) -> dict:
     return answers
 
 
-def _assert_close(got, want, where="answers"):
-    """got == want, except that float.hex strings may differ by VALUE_TOL
-    and digests are not compared."""
-    if isinstance(want, dict):
-        assert got.keys() == want.keys(), where
-        for k in want:
-            if not k.endswith("sha256"):
-                _assert_close(got[k], want[k], f"{where}.{k}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_close(g, w, f"{where}[{i}]")
-    elif isinstance(want, str) and want.lstrip("-").startswith("0x"):
-        shift = abs(float.fromhex(got) - float.fromhex(want))
-        assert shift <= VALUE_TOL, f"{where} moved by {shift:.3g}"
-    else:
-        assert got == want, where
-
-
 def test_transients_reproduce_recorded_answers(solder_history,
                                                baseline_history):
-    recorded = json.loads(ANSWERS.read_text())
-    answers = transient_answers(solder_history, baseline_history)
-    if answers["openblas_core"] == recorded["openblas_core"]:
-        assert answers == recorded
-    else:
-        del answers["openblas_core"], recorded["openblas_core"]
-        _assert_close(answers, recorded)
+    check_answers(ANSWERS, transient_answers(solder_history, baseline_history),
+                  HOST, VALUE_TOL)
 
 
 if __name__ == "__main__":
-    answers = transient_answers(
-        simulate(Case()), simulate(Case(cell=UnitCellSpec(no_channel=True))))
-    ANSWERS.write_text(json.dumps(answers, indent=1) + "\n")
-    print(f"recorded under OpenBLAS core {answers['openblas_core']} "
-          f"in {ANSWERS}")
+    record_answers(ANSWERS, transient_answers(
+        simulate(Case()), simulate(Case(cell=UnitCellSpec(no_channel=True)))),
+        HOST)
