@@ -134,6 +134,19 @@ class _ProblemFile:
                              f"pair, got {self.bounds!r}")
 
 
+def _load_model(path, objective: str, n_inputs: int) -> SurrogateModel:
+    """The model file at path, refused unless it predicts the objective's
+    column from n_inputs inputs."""
+    model = SurrogateModel.load(path)
+    column = objective + "_C"
+    if model.target != column or model.input_dim != n_inputs:
+        raise ValueError(
+            f"model file {path} predicts {model.target!r} from "
+            f"{model.input_dim} inputs; this needs {column!r} from "
+            f"{n_inputs}")
+    return model
+
+
 def _load_problem(args):
     source = f"problem file {args.problem}"
     spec = from_record(_ProblemFile, read_json(args.problem, source), source)
@@ -149,7 +162,8 @@ def _load_problem(args):
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from e
     if args.backend.startswith("nn:"):
-        model = SurrogateModel.load(args.backend[3:])
+        model = _load_model(args.backend[3:], spec.objective,
+                            len(spec.bounds))
         problem = dc_replace(
             problem, backend=studies.SurrogateBackend(model, verifier))
     return problem
@@ -199,7 +213,7 @@ def _cmd_ablation(args):
 
 
 def _cmd_surface(args):
-    model = SurrogateModel.load(args.model)
+    model = _load_model(args.model, "T_o_max", len(studies.GEOMETRY_BOUNDS))
 
     def parse_grid(s):
         lo, hi, step = (float(v) for v in s.split(":"))

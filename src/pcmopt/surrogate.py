@@ -172,13 +172,23 @@ def _unpack(p, n_in, n_hid):
     return W1, b1, W2, b2
 
 
-def _jacobian(A, W2, Xn):
-    """Jacobian of the network output w.r.t. every weight, per sample, from
-    the hidden activations A that the forward pass on Xn gave."""
-    dact = (1.0 - A * A) * W2.ravel()       # (n, h)
-    J_W1 = dact[:, :, None] * Xn[:, None, :]  # (n, h, n_in)
-    return np.concatenate([J_W1.reshape(len(A), -1), dact, A,
-                           np.ones((len(A), 1))], axis=1)
+def _jacobian(J, A, W2, XnT):
+    """Fill J with the Jacobian of the network output w.r.t. every weight,
+    per sample, from the hidden activations A that the forward pass on the
+    inputs XnT.T gave.
+
+    J is C-ordered (n, n_params) with its last column (the output bias's)
+    already ones; XnT is the (n_in, n) inputs, C-ordered. The W1 block is
+    formed as (h, n_in, n) products along the rows, whose innermost axis is
+    long, and placed by one transposing copy. Every entry is the one
+    product or copy it would be in any layout, so J has the same bits.
+    """
+    h = A.shape[1]
+    n_w1 = h * len(XnT)
+    dact_T = ((1.0 - A * A) * W2.ravel()).T.copy()  # (h, n)
+    J[:, :n_w1] = (dact_T[:, None, :] * XnT).reshape(n_w1, -1).T
+    J[:, n_w1:n_w1 + h] = dact_T.T
+    J[:, n_w1 + h:-1] = A
 
 
 # Levenberg-Marquardt settings of train_lm: share of rows held out for early
@@ -250,9 +260,13 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
         # p's pass on the training rows, kept from the trial that accepted p
         A, e = residual(p, Xtr, ytr)
         train_sse = float(np.sum(e ** 2))
+        # every epoch refills J in place; its ones column is set here once
+        J = np.empty((len(ytr), n_params))
+        J[:, -1] = 1.0
+        XtrT = Xtr.T.copy()
 
         for _ in range(max_epochs):
-            J = _jacobian(A, _unpack(p, n_in, hidden)[2], Xtr)
+            _jacobian(J, A, _unpack(p, n_in, hidden)[2], XtrT)
             g = J.T @ e
             if np.linalg.norm(g) < GRAD_TOL:
                 break

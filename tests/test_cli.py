@@ -21,10 +21,16 @@ from pcmopt.metrics import simulate_metrics
 from pcmopt.solver import MAX_STEP_RESIDUAL, PHASES
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             SENSITIVITY_PROPERTIES)
-from pcmopt.surrogate import SurrogateModel
+from pcmopt.surrogate import SurrogateModel, load_training_csv, train_lm
 
 SUBCOMMANDS = ["simulate", "metrics", "compare-pcms", "sweep", "optimize",
                "generate", "train", "ablation", "surface", "sensitivity"]
+
+
+# a stand-in for SurrogateModel.load that gives what surface accepts: a
+# T_o_max network over the three geometry inputs
+SURFACE_MODEL = staticmethod(
+    lambda _: SimpleNamespace(target="T_o_max_C", input_dim=3))
 
 
 def coarse_case_file(tmp_path, **cell_kwargs):
@@ -275,7 +281,7 @@ def test_grids_end_at_or_below_their_upper_end(tmp_path, capsys,
     monkeypatch.setattr(solver, "simulate", lambda case, **_: None)
     monkeypatch.setattr(studies, "_tm_row", lambda history: {
         "T_o_max": 0.0, "T_osc": 0.0, "band_hi_C": 0.0, "band_lo_C": 0.0})
-    monkeypatch.setattr(SurrogateModel, "load", staticmethod(lambda _: None))
+    monkeypatch.setattr(SurrogateModel, "load", SURFACE_MODEL)
     grids = []
     monkeypatch.setattr(studies, "emit_surface",
                         lambda model, fixed_tm, h_grid, w_grid, **_:
@@ -404,7 +410,7 @@ def test_problem_file_settings_are_refused_before_the_search(
 
 def test_a_grid_without_a_positive_step_is_refused(tmp_path, capsys,
                                                    monkeypatch):
-    monkeypatch.setattr(SurrogateModel, "load", staticmethod(lambda _: None))
+    monkeypatch.setattr(SurrogateModel, "load", SURFACE_MODEL)
     out = tmp_path / "o"
     for argv, (lo, hi) in [(["sweep", "--tm-step", "0"], (47.0, 96.0)),
                            (["surface", "--model", "m.json", "--tm", "77",
@@ -636,6 +642,45 @@ def test_optimize_repeats_and_pso_on_a_surrogate(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"pcmopt optimize: error: --repeats must be at least 2, "
             f"got {repeats}\n")
+
+
+@pytest.mark.parametrize("objective,bounds", [
+    ("T_o_max", ["H_um", "W_um"]), ("T_osc", ["H_um", "W_um", "T_m_C"])],
+    ids=["another_target", "another_input_count"])
+def test_a_model_that_does_not_stand_for_the_objective_is_refused(
+        tmp_path, capsys, monkeypatch, objective, bounds):
+    """A T_osc network over H and W is refused before any case or search:
+    by a T_o_max search over the same inputs, by a T_osc search over three,
+    and by the surface, which needs T_o_max over all three."""
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    ran = []
+    monkeypatch.setattr(solver, "simulate",
+                        lambda case, **_: ran.append(case))
+    monkeypatch.setattr(studies.SurrogateBackend, "evaluate_batch",
+                        lambda self, X: ran.append(X))
+    data = load_training_csv(synthetic_campaign(tmp_path), target="T_osc_C",
+                             input_names=["H_um", "W_um"])
+    model = tmp_path / "model.json"
+    train_lm(data, hidden=3, max_epochs=5).save(model)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "objective": objective, "dx": 10e-6, "dt": 0.025,
+        "bounds": {k: list(GEOMETRY_BOUNDS[k]) for k in bounds}}))
+    out = tmp_path / "o"
+    for argv, needs in [
+            (["optimize", "--problem", str(problem), "--strategy", "ga",
+              "--backend", f"nn:{model}"], (f"{objective}_C", len(bounds))),
+            (["surface", "--model", str(model), "--tm", "77"],
+             ("T_o_max_C", 3))]:
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pcmopt {argv[0]}: error: model file {model} predicts "
+            f"'T_osc_C' from 2 inputs; this needs {needs[0]!r} from "
+            f"{needs[1]}\n")
+    assert ran == [] and not out.exists()
 
 
 def test_ablation_command_on_a_synthetic_campaign(tmp_path, capsys):

@@ -51,6 +51,32 @@ def test_training_is_bitwise_deterministic():
     assert not np.array_equal(m1.W1, m3.W1)
 
 
+def filled_jacobian(A, W2, Xn):
+    """_jacobian on a fresh J whose entries are NaN but for its ones column,
+    as train_lm sets it up."""
+    n, h = A.shape
+    J = np.full((n, h * Xn.shape[1] + 2 * h + 1), np.nan)
+    J[:, -1] = 1.0
+    _jacobian(J, A, W2, Xn.T.copy())
+    return J
+
+
+@pytest.mark.parametrize("n,n_in,h", [(1, 1, 1), (7, 2, 3), (40, 3, 10),
+                                      (1700, 3, 10), (33, 5, 4)])
+def test_jacobian_fills_the_bits_of_the_concatenated_construction(n, n_in,
+                                                                   h):
+    rng = np.random.default_rng(n * 100 + n_in * 10 + h)
+    A = activation(rng.normal(size=(n, h)))
+    W2 = rng.normal(size=(1, h))
+    Xn = rng.uniform(-1.0, 1.0, size=(n, n_in))
+    dact = (1.0 - A * A) * W2.ravel()
+    reference = np.concatenate(
+        [(dact[:, :, None] * Xn[:, None, :]).reshape(n, -1), dact, A,
+         np.ones((n, 1))], axis=1)
+    J = filled_jacobian(A, W2, Xn)
+    assert J.tobytes() == reference.tobytes()
+
+
 def test_jacobian_matches_central_differences():
     data = quadratic_set(n=40)
     model = train_lm(data, hidden=6, seed=0, max_epochs=20)
@@ -58,7 +84,7 @@ def test_jacobian_matches_central_differences():
     p = np.concatenate([model.W1.ravel(), model.b1, model.W2.ravel(),
                         model.b2])
     A, _ = _forward(model.W1, model.b1, model.W2, model.b2, Xn)
-    J = _jacobian(A, model.W2, Xn)
+    J = filled_jacobian(A, model.W2, Xn)
     eps = 1e-6
     for col in range(p.size):
         dp = np.zeros_like(p)
