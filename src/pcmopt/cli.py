@@ -14,14 +14,14 @@ from .geometry import Case, PowerProfile, UnitCellSpec
 from .materials import (UnknownMaterialError, builtin_material,
                         check_field_types, from_record, load_material_file,
                         read_json, write_json)
-from .metrics import compute_metrics
+from .metrics import OBJECTIVE_COLUMNS, compute_metrics
 from .optimize import STRATEGIES, grid_points, repeat_with_seeds
 from .solver import DEFAULT_DT, simulate
 from .surrogate import (SurrogateModel, load_training_csv, train_lm,
                         r_squared)
 
-#: --target tag -> the metric it trains on; a campaign's results.csv holds
-#: that metric in the column named metric + "_C".
+#: --target tag -> the metric it trains on, read from the metric's
+#: OBJECTIVE_COLUMNS column of a campaign's results.csv.
 _TARGETS = {"tomax": "T_o_max", "tosc": "T_osc"}
 
 
@@ -105,8 +105,22 @@ def _cmd_compare_pcms(args):
               f"dPhi={r['dPhi_melt']:.2f}")
 
 
+def _flag_values(flag: str, text: str, form: str, kind=float, sep: str = ",",
+                 count: int | None = None) -> list:
+    """The sep-separated values of a list flag, each a kind, and count of
+    them if given; otherwise a ValueError naming the flag and its form."""
+    try:
+        values = [kind(v) for v in text.split(sep)]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise ValueError(f"{flag} {text!r} is not {form}")
+    return values
+
+
 def _cmd_sweep(args):
-    powers = [float(p) for p in args.powers.split(",")]
+    powers = _flag_values("--powers", args.powers,
+                          "a comma-separated list of numbers")
     result = studies.run_tm_study(power_levels=powers, tm_step=args.tm_step,
                                   out_dir=args.out)
     for power, d in result.items():
@@ -134,19 +148,6 @@ class _ProblemFile:
                              f"pair, got {self.bounds!r}")
 
 
-def _load_model(path, objective: str, n_inputs: int) -> SurrogateModel:
-    """The model file at path, refused unless it predicts the objective's
-    column from n_inputs inputs."""
-    model = SurrogateModel.load(path)
-    column = objective + "_C"
-    if model.target != column or model.input_dim != n_inputs:
-        raise ValueError(
-            f"model file {path} predicts {model.target!r} from "
-            f"{model.input_dim} inputs; this needs {column!r} from "
-            f"{n_inputs}")
-    return model
-
-
 def _load_problem(args):
     source = f"problem file {args.problem}"
     spec = from_record(_ProblemFile, read_json(args.problem, source), source)
@@ -162,10 +163,8 @@ def _load_problem(args):
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from e
     if args.backend.startswith("nn:"):
-        model = _load_model(args.backend[3:], spec.objective,
-                            len(spec.bounds))
-        problem = dc_replace(
-            problem, backend=studies.SurrogateBackend(model, verifier))
+        problem = dc_replace(problem, backend=studies.SurrogateBackend(
+            SurrogateModel.load(args.backend[3:]), verifier))
     return problem
 
 
@@ -191,7 +190,8 @@ def _cmd_generate(args):
 
 
 def _cmd_train(args):
-    data = load_training_csv(args.data, target=_TARGETS[args.target] + "_C")
+    column = OBJECTIVE_COLUMNS[_TARGETS[args.target]]
+    data = load_training_csv(args.data, column)
     model = train_lm(data, hidden=args.hidden, seed=args.seed)
     model.save(args.out)
     print(f"model saved to {args.out} "
@@ -199,10 +199,11 @@ def _cmd_train(args):
 
 
 def _cmd_ablation(args):
+    sizes = _flag_values("--sizes", args.sizes,
+                         "a comma-separated list of integers", int)
     objective = _TARGETS[args.target]
-    pool = load_training_csv(args.pool, target=objective + "_C")
-    test = load_training_csv(args.test, target=objective + "_C")
-    sizes = [int(s) for s in args.sizes.split(",")]
+    pool = load_training_csv(args.pool, OBJECTIVE_COLUMNS[objective])
+    test = load_training_csv(args.test, OBJECTIVE_COLUMNS[objective])
 
     verifier = studies.SimulatorBackend(
         partial(studies.geometry_case, power=args.power, dx=args.dx_um / 1e6),
@@ -213,17 +214,15 @@ def _cmd_ablation(args):
 
 
 def _cmd_surface(args):
-    model = _load_model(args.model, "T_o_max", len(studies.GEOMETRY_BOUNDS))
-
-    def parse_grid(s):
-        lo, hi, step = (float(v) for v in s.split(":"))
-        return grid_points(lo, hi, step)
-
-    rows = studies.emit_surface(model, fixed_tm=args.tm,
-                                h_grid=parse_grid(args.h_grid),
-                                w_grid=parse_grid(args.w_grid),
-                                out_path=args.out, power=args.power,
-                                dx=args.dx_um / 1e6)
+    h_grid, w_grid = (
+        grid_points(*_flag_values(flag, text, "lower:upper:step", sep=":",
+                                  count=3))
+        for flag, text in [("--h-grid", args.h_grid),
+                           ("--w-grid", args.w_grid)])
+    rows = studies.emit_surface(SurrogateModel.load(args.model),
+                                fixed_tm=args.tm, h_grid=h_grid,
+                                w_grid=w_grid, out_path=args.out,
+                                power=args.power, dx=args.dx_um / 1e6)
     print(f"{len(rows)} surface rows written to {args.out}")
 
 

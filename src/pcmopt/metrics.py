@@ -16,6 +16,9 @@ from .solver import DEFAULT_DT, ThermalHistory, simulate
 
 CUTOFF_C = 85.0  # temperature limit of dt_85, degC
 
+#: MetricsReport field a search minimizes -> its campaign and model column.
+OBJECTIVE_COLUMNS = {"T_o_max": "T_o_max_C", "T_osc": "T_osc_C"}
+
 
 @dataclass(frozen=True)
 class MetricsReport:

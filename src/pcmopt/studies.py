@@ -201,10 +201,6 @@ def geometry_case(values: dict, power: float = PowerProfile.q0,
                          UnitCellSpec(dx=dx, **_swept_channel(values)))
 
 
-#: MetricsReport fields a simulator-backed search can minimize.
-_OBJECTIVES = ("T_o_max", "T_osc")
-
-
 class SimulatorBackend(Backend):
     """Objective: a metric of the transient of the case case_builder
     returns, run by _run_case at the step dt that sim_kwargs may set,
@@ -216,8 +212,9 @@ class SimulatorBackend(Backend):
 
     def __init__(self, case_builder, param_names, objective: str,
                  sim_kwargs: dict | None = None):
-        if objective not in _OBJECTIVES:
-            raise ValueError(f"objective must be one of {list(_OBJECTIVES)}")
+        if objective not in metrics.OBJECTIVE_COLUMNS:
+            raise ValueError("objective must be one of "
+                             f"{list(metrics.OBJECTIVE_COLUMNS)}")
         self.case_builder = case_builder
         self.param_names = list(param_names)
         self.objective = objective
@@ -244,11 +241,22 @@ def _predict_quietly(model: SurrogateModel, X) -> np.ndarray:
         return predict(model, X)
 
 
+def check_model(model: SurrogateModel, objective: str, param_names) -> None:
+    """Refuse model unless it predicts objective's column from param_names."""
+    column = metrics.OBJECTIVE_COLUMNS[objective]
+    if model.target != column or model.input_dim != len(param_names):
+        raise ValueError(
+            f"the model predicts {model.target!r} from {model.input_dim} "
+            f"inputs; {objective} over {list(param_names)} needs {column!r} "
+            f"from {len(param_names)}")
+
+
 class SurrogateBackend(Backend):
     """Objective evaluated by a trained network, simulator-verified. A batch
     is one predict call, which scores each row to the same bits as alone."""
 
     def __init__(self, model: SurrogateModel, verifier: Backend):
+        check_model(model, verifier.objective, verifier.param_names)
         self.model = model
         self.verifier = verifier
 
@@ -476,7 +484,8 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                 record = {"failed": str(h)}
             else:
                 m = metrics.compute_metrics(h)
-                record = {"T_o_max_C": m.T_o_max, "T_osc_C": m.T_osc}
+                record = {column: getattr(m, objective) for objective, column
+                          in metrics.OBJECTIVE_COLUMNS.items()}
             records[i] = {"inputs": inputs[i], **record, "config_hash": chash}
             # the case file marks the case done
             write_json(cases_dir / f"case_{i:06d}.json", records[i])
@@ -484,11 +493,12 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     for i, rec in sorted(records.items()):
         if "failed" in rec:
             warnings.warn(f"case {i} failed: {rec['failed']}", stacklevel=2)
+    columns = list(metrics.OBJECTIVE_COLUMNS.values())
     rows = [[i] + [rec["inputs"][k] for k in names]
-            + [rec["T_o_max_C"], rec["T_osc_C"], chash]
+            + [rec[c] for c in columns] + [chash]
             for i, rec in sorted(records.items()) if "failed" not in rec]
-    return _write_study(out, config, ["case_index"] + names
-                        + ["T_o_max_C", "T_osc_C", "config_hash"], rows,
+    return _write_study(out, config, ["case_index"] + names + columns
+                        + ["config_hash"], rows,
                         {"n_requested": n, "n_complete": len(rows),
                          "n_failed": n - len(rows)})
 
@@ -504,9 +514,8 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
     """Train/optimize/verify over GEOMETRY_BOUNDS across training-set sizes.
 
     verifier scores each optimum (a SimulatorBackend of the ablated
-    metric). pool and test must target the same metric pair; pool's
-    target_name selects the metric being ablated. Each size trains one
-    network per repeat seed, for its R^2 and for every strategy.
+    metric); pool and test must target that metric's column. Each size
+    trains one network per repeat seed, for its R^2 and for every strategy.
     """
     report = []
     for size in sizes:
@@ -515,7 +524,7 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
         seeds = range(base_seed, base_seed + repeats)
         entry = {"size": int(size), "r_squared": value_range(
             [r_squared(backend.fresh(seed).model, test) for seed in seeds])}
-        problem = problem_from_bounds(GEOMETRY_BOUNDS, pool.target_name,
+        problem = problem_from_bounds(GEOMETRY_BOUNDS, verifier.objective,
                                       backend, seed=base_seed)
         for strategy in strategies:
             entry[strategy] = repeat_with_seeds(
@@ -534,6 +543,7 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
                  dx: float = UnitCellSpec.dx,
                  dt: float = solver.DEFAULT_DT) -> list[dict]:
     """Paired NN/simulator T_o_max surface over an H/W grid at fixed T_m."""
+    check_model(model, "T_o_max", GEOMETRY_BOUNDS)
     points = [np.array([float(h_um), float(w_um), float(fixed_tm)])
               for h_um in h_grid for w_um in w_grid]
     cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power, dx=dx)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .materials import check_field_types, from_record, read_json, write_json
+from .metrics import OBJECTIVE_COLUMNS
 
 
 class ExtrapolationWarning(UserWarning):
@@ -60,9 +61,10 @@ def load_training_csv(path, target: str,
     """Read a training set from a headered CSV.
 
     The target column is named explicitly; input columns default to every
-    column that is not a known target column. A row whose width is not the
-    header's, or whose value there is not a number, is a ValueError naming
-    the file and the line.
+    column that is not a known target column. A file without the target or
+    an input column, or without a data row, is a ValueError naming the
+    file; a row whose width is not the header's, or whose value there is not
+    a number, one naming the file and the line.
     """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -71,9 +73,13 @@ def load_training_csv(path, target: str,
             raise ValueError(f"training file {path}: target column "
                              f"{target!r} not in {header}")
         if input_names is None:
-            reserved = {"T_o_max_C", "T_osc_C", "case_index", "config_hash",
-                        target}
+            reserved = {*OBJECTIVE_COLUMNS.values(), "case_index",
+                        "config_hash", target}
             input_names = [h for h in header if h not in reserved]
+        missing = [n for n in input_names if n not in header]
+        if missing:
+            raise ValueError(f"training file {path}: input columns "
+                             f"{missing} not in {header}")
         X, y = [], []
         for row in reader:
             try:
@@ -86,6 +92,8 @@ def load_training_csv(path, target: str,
             except ValueError as e:
                 raise ValueError(f"training file {path}, line "
                                  f"{reader.line_num}: {e}") from e
+    if not y:
+        raise ValueError(f"training file {path}: no data rows")
     return TrainingSet(np.asarray(X), np.asarray(y), input_names, target)
 
 

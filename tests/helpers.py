@@ -16,10 +16,14 @@ from pcmopt.solver import _factor_band, build_case_network, dpbtrs
 
 
 class FunctionBackend(Backend):
-    """Objective fn(x), which is also its verified value."""
+    """Objective fn(x), which is also its verified value. As a surrogate's
+    verifier it names the objective and parameters the surrogate must stand
+    for, as a SimulatorBackend does."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, objective: str | None = None, param_names=()):
         self.fn = fn
+        self.objective = objective
+        self.param_names = list(param_names)
 
     def evaluate(self, x):
         return float(self.fn(np.asarray(x, dtype=float)))

@@ -408,9 +408,8 @@ def test_problem_file_settings_are_refused_before_the_search(
                             f"{problem}: {message}\n")
 
 
-def test_a_grid_without_a_positive_step_is_refused(tmp_path, capsys,
-                                                   monkeypatch):
-    monkeypatch.setattr(SurrogateModel, "load", SURFACE_MODEL)
+def test_a_grid_without_a_positive_step_is_refused(tmp_path, capsys):
+    """Refused before the surface reads its model file."""
     out = tmp_path / "o"
     for argv, (lo, hi) in [(["sweep", "--tm-step", "0"], (47.0, 96.0)),
                            (["surface", "--model", "m.json", "--tm", "77",
@@ -505,8 +504,10 @@ def synthetic_campaign(tmp_path, n=30):
     (lambda text: text.replace("T_o_max_C", "T_max_C"),
      ": target column 'T_o_max_C' not in ['H_um', 'W_um', 'T_m_C', "
      "'T_max_C', 'T_osc_C']"),
-    (lambda text: "", ": target column 'T_o_max_C' not in []")],
-    ids=["short", "long", "not_a_number", "no_target_column", "empty"])
+    (lambda text: "", ": target column 'T_o_max_C' not in []"),
+    (lambda text: text.splitlines(keepends=True)[0], ": no data rows")],
+    ids=["short", "long", "not_a_number", "no_target_column", "empty",
+         "no_rows"])
 def test_a_malformed_training_row_is_one_line_naming_it(tmp_path, capsys,
                                                         edit, reason):
     campaign = Path(synthetic_campaign(tmp_path, n=11))
@@ -669,18 +670,61 @@ def test_a_model_that_does_not_stand_for_the_objective_is_refused(
     out = tmp_path / "o"
     for argv, needs in [
             (["optimize", "--problem", str(problem), "--strategy", "ga",
-              "--backend", f"nn:{model}"], (f"{objective}_C", len(bounds))),
+              "--backend", f"nn:{model}"],
+             f"{objective} over {bounds} needs {objective + '_C'!r} from "
+             f"{len(bounds)}"),
             (["surface", "--model", str(model), "--tm", "77"],
-             ("T_o_max_C", 3))]:
+             "T_o_max over ['H_um', 'W_um', 'T_m_C'] needs 'T_o_max_C' "
+             "from 3")]:
         capsys.readouterr()
         assert main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"pcmopt {argv[0]}: error: model file {model} predicts "
-            f"'T_osc_C' from 2 inputs; this needs {needs[0]!r} from "
-            f"{needs[1]}\n")
+            f"pcmopt {argv[0]}: error: the model predicts 'T_osc_C' from 2 "
+            f"inputs; {needs}\n")
     assert ran == [] and not out.exists()
+
+
+SURFACE = ["surface", "--model", "m.json", "--tm", "77", "--out", "{tmp}/o"]
+ABLATION = ["ablation", "--pool", "p.csv", "--test", "p.csv", "--target",
+            "tomax", "--out", "{tmp}/o"]
+
+
+@pytest.mark.parametrize("argv,flag,value,form", [
+    (SURFACE, "--h-grid", "20:100", "lower:upper:step"),
+    (SURFACE, "--h-grid", "a:b:c", "lower:upper:step"),
+    (SURFACE, "--w-grid", "20:100:10:5", "lower:upper:step"),
+    (["sweep", "--out", "{tmp}/o"], "--powers", "1e5,x",
+     "a comma-separated list of numbers"),
+    (ABLATION, "--sizes", "12,abc", "a comma-separated list of integers")],
+    ids=["too_few", "not_numbers", "too_many", "powers", "sizes"])
+def test_a_malformed_list_flag_is_one_line_naming_it(
+        tmp_path, capsys, monkeypatch, argv, flag, value, form):
+    """Refused before any input file is read or any case runs."""
+    ran = []
+    monkeypatch.setattr(solver, "simulate",
+                        lambda case, **_: ran.append(case))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([*argv, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"pcmopt {argv[0]}: error: {flag} {value!r} is not {form}\n")
+    assert ran == [] and not (tmp_path / "o").exists()
+
+
+def test_ablation_refuses_a_training_file_without_rows(tmp_path, capsys):
+    campaign = Path(synthetic_campaign(tmp_path, n=11))
+    header = campaign.read_text().splitlines(keepends=True)[0]
+    empty = tmp_path / "header.csv"
+    empty.write_text(header)
+    for pool, test in [(empty, campaign), (campaign, empty)]:
+        assert main(["ablation", "--pool", str(pool), "--test", str(test),
+                     "--target", "tosc", "--sizes", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"pcmopt ablation: error: training file {empty}: no data "
+            "rows\n")
 
 
 def test_ablation_command_on_a_synthetic_campaign(tmp_path, capsys):

@@ -30,6 +30,8 @@ from helpers import FunctionBackend
 
 COARSE_CELL = UnitCellSpec(dx=10e-6)
 COARSE_DT = 0.025
+#: what a stand-in verifier of a surrogate search stands for
+T_OSC_VERIFIER = {"objective": "T_osc", "param_names": list(GEOMETRY_BOUNDS)}
 
 
 def read_csv(path):
@@ -445,7 +447,7 @@ def test_equal_settings_hash_equally(tmp_path, monkeypatch):
         "float", dt=0.025) != campaign_hash("default")
 
 
-def synthetic_pool(n, seed=0):
+def synthetic_pool(n, seed=0, target="T_osc_C"):
     rng = np.random.default_rng(seed)
     names = list(GEOMETRY_BOUNDS)
     lo = np.array([GEOMETRY_BOUNDS[k][0] for k in names])
@@ -453,14 +455,14 @@ def synthetic_pool(n, seed=0):
     X = rng.uniform(lo, hi, size=(n, 3))
     y = (100.0 - 0.1 * X[:, 0] - 0.05 * X[:, 1]
          + 0.01 * (X[:, 2] - 77.0) ** 2)
-    return TrainingSet(X, y, names, "T_osc_C")
+    return TrainingSet(X, y, names, target)
 
 
 def test_surrogate_backend_verifies_through_simulator_stub():
     pool = synthetic_pool(200)
     model = train_lm(pool, seed=0)
     truth = FunctionBackend(lambda x: 100.0 - 0.1 * x[0] - 0.05 * x[1]
-                            + 0.01 * (x[2] - 77.0) ** 2)
+                            + 0.01 * (x[2] - 77.0) ** 2, **T_OSC_VERIFIER)
     backend = SurrogateBackend(model, truth)
     x = np.array([60.0, 60.0, 77.0])
     assert backend.evaluate(x) == pytest.approx(backend.verifier.verify(x),
@@ -480,7 +482,7 @@ def test_a_surrogate_search_verifies_its_optimum_once():
             return super().verify(x)
 
     backend = SurrogateBackend(train_lm(synthetic_pool(200), seed=0),
-                               CountingTruth(fn))
+                               CountingTruth(fn, **T_OSC_VERIFIER))
     # the network never answers for the simulator
     assert not hasattr(backend, "verify")
     problem = problem_from_bounds(
@@ -511,7 +513,7 @@ class RowwiseSurrogateBackend(SurrogateBackend):
 @pytest.mark.parametrize("search", ["ga", "pso", "sweep"])
 def test_batched_surrogate_search_matches_row_by_row(search):
     model = train_lm(synthetic_pool(200), seed=0)
-    truth = FunctionBackend(lambda x: float(np.sum(x)))
+    truth = FunctionBackend(lambda x: float(np.sum(x)), **T_OSC_VERIFIER)
     run = {"ga": lambda p: ga_minimize(p, GAConfig(max_generations=15)),
            "pso": lambda p: pso_minimize(p, PSOConfig(max_iterations=15)),
            "sweep": parametric_sweep}[search]
@@ -533,7 +535,7 @@ def test_batched_surrogate_search_matches_row_by_row(search):
 
 def test_resampling_backend_fresh_retrains(monkeypatch):
     pool = synthetic_pool(120)
-    truth = FunctionBackend(lambda x: float(x[0]))
+    truth = FunctionBackend(lambda x: float(x[0]), **T_OSC_VERIFIER)
     backend = ResamplingSurrogateBackend(pool, 60, truth, seed=0)
     x = np.array([50.0, 50.0, 70.0])
     assert backend.fresh(0) is backend
@@ -561,6 +563,24 @@ def test_resampling_backend_fresh_retrains(monkeypatch):
     assert len(trained) == 3
 
 
+def test_a_surrogate_backend_refuses_a_model_of_another_objective():
+    """A network must predict the verifier's objective column from one input
+    per search parameter, whichever backend builds on it."""
+    pool = synthetic_pool(120)  # T_osc_C from the three geometry inputs
+    model = train_lm(pool, seed=0)
+    for objective, names, needs in [
+            ("T_o_max", list(GEOMETRY_BOUNDS), "'T_o_max_C' from 3"),
+            ("T_osc", ["H_um", "W_um"], "'T_osc_C' from 2")]:
+        verifier = FunctionBackend(float, objective, names)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the model predicts 'T_osc_C' from 3 inputs; {objective} "
+                f"over {names} needs {needs}")):
+            SurrogateBackend(model, verifier)
+    with pytest.raises(ValueError, match="needs 'T_o_max_C' from 3"):
+        ResamplingSurrogateBackend(
+            pool, 60, FunctionBackend(float, "T_o_max", GEOMETRY_BOUNDS))
+
+
 def test_problem_from_bounds():
     problem = problem_from_bounds(GEOMETRY_BOUNDS, "T_osc",
                                   FunctionBackend(lambda x: 0.0),
@@ -574,7 +594,7 @@ def test_ablation_structure_with_synthetic_truth(monkeypatch):
     pool = synthetic_pool(300, seed=1)
     test = synthetic_pool(100, seed=2)
     truth = FunctionBackend(lambda x: 100.0 - 0.1 * x[0] - 0.05 * x[1]
-                            + 0.01 * (x[2] - 77.0) ** 2)
+                            + 0.01 * (x[2] - 77.0) ** 2, **T_OSC_VERIFIER)
     trained = []
     monkeypatch.setattr(studies, "train_lm", lambda *a, **kw: (
         trained.append(a) or train_lm(*a, **kw)))
@@ -600,7 +620,7 @@ def test_ablation_structure_with_synthetic_truth(monkeypatch):
 
 
 def test_emit_surface(tmp_path):
-    pool = synthetic_pool(150)
+    pool = synthetic_pool(150, target="T_o_max_C")
     model = train_lm(pool, seed=4)
     out = tmp_path / "surface.csv"
     rows = emit_surface(model, fixed_tm=77.0, h_grid=[40.0, 100.0],
@@ -614,8 +634,24 @@ def test_emit_surface(tmp_path):
                                       "T_sim_C"]
 
 
+def test_emit_surface_refuses_a_model_of_another_objective(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    ran = []
+    monkeypatch.setattr(solver, "simulate",
+                        lambda case, **_: ran.append(case))
+    out = tmp_path / "surface.csv"
+    with pytest.raises(ValueError, match=re.escape(
+            "the model predicts 'T_osc_C' from 3 inputs; T_o_max over "
+            "['H_um', 'W_um', 'T_m_C'] needs 'T_o_max_C' from 3")):
+        emit_surface(train_lm(synthetic_pool(150), seed=4), fixed_tm=77.0,
+                     h_grid=[40.0], w_grid=[40.0], out_path=out, dx=10e-6,
+                     dt=COARSE_DT)
+    assert ran == [] and not out.exists()
+
+
 def _coarse_surface(out, **settings):
-    model = train_lm(synthetic_pool(150), seed=4)
+    model = train_lm(synthetic_pool(150, target="T_o_max_C"), seed=4)
     return emit_surface(model, fixed_tm=77.0, h_grid=[40.0, 70.0, 100.0],
                         w_grid=[40.0, 100.0], out_path=out / "surface.csv",
                         dx=10e-6, **settings)

@@ -212,6 +212,25 @@ def test_load_training_csv(tmp_path):
         load_training_csv(path, target="missing")
 
 
+def test_load_training_csv_names_the_file_of_an_unknown_input_or_no_rows(
+        tmp_path):
+    path = tmp_path / "data.csv"
+    header = "case_index,H_um,W_um,T_m_C,T_o_max_C,T_osc_C,config_hash"
+    path.write_text(f"{header}\n0,20.0,30.0,50.0,90.0,10.0,0\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"training file {path}: input columns ['nope'] not in "
+            f"{header.split(',')}")):
+        load_training_csv(path, target="T_o_max_C",
+                          input_names=["H_um", "nope"])
+    # a campaign whose every case failed writes its header alone
+    path.write_text(f"{header}\n")
+    for input_names in (None, ["H_um", "W_um", "T_m_C"]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"training file {path}: no data rows")):
+            load_training_csv(path, target="T_o_max_C",
+                              input_names=input_names)
+
+
 def test_r_squared_definition():
     X = np.arange(20.0).reshape(-1, 1)
     data = TrainingSet(X, 2.0 * X.ravel(), ["x"], "t")
