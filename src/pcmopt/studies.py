@@ -517,6 +517,11 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
     metric); pool and test must target that metric's column. Each size
     trains one network per repeat seed, for its R^2 and for every strategy.
     """
+    column = metrics.OBJECTIVE_COLUMNS[verifier.objective]
+    for role, data in (("pool", pool), ("test set", test)):
+        if data.target_name != column:
+            raise ValueError(f"the {role} targets {data.target_name!r}; a "
+                             f"{verifier.objective} verifier needs {column!r}")
     report = []
     for size in sizes:
         backend = ResamplingSurrogateBackend(pool, int(size), verifier,

@@ -205,6 +205,8 @@ VAL_FRACTION = 0.15
 MU0 = 1e-3
 MU_MAX = 1e10
 GRAD_TOL = 1e-7
+# Fewest rows train_lm fits a network to.
+MIN_TRAINING_ROWS = 10
 
 
 def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
@@ -217,8 +219,8 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
     or validation error (on a VAL_FRACTION hold-out) rising for `patience`
     consecutive epochs. Deterministic for a given seed.
     """
-    if len(data) < 10:
-        raise ValueError("need at least 10 training rows")
+    if len(data) < MIN_TRAINING_ROWS:
+        raise ValueError(f"need at least {MIN_TRAINING_ROWS} training rows")
     for name, count in (("hidden", hidden), ("max_epochs", max_epochs),
                         ("patience", patience)):
         if count < 1:

@@ -687,8 +687,11 @@ def test_a_model_that_does_not_stand_for_the_objective_is_refused(
 
 
 SURFACE = ["surface", "--model", "m.json", "--tm", "77", "--out", "{tmp}/o"]
-ABLATION = ["ablation", "--pool", "p.csv", "--test", "p.csv", "--target",
-            "tomax", "--out", "{tmp}/o"]
+#: on synthetic_campaign's 30 rows
+ABLATION = ["ablation", "--pool", "{tmp}/campaign.csv", "--test",
+            "{tmp}/campaign.csv", "--target", "tomax", "--out", "{tmp}/o"]
+TRAINABLE_SIZES = ("a comma-separated list of integers from 10 to 30, the "
+                   "pool's rows")
 
 
 @pytest.mark.parametrize("argv,flag,value,form", [
@@ -697,14 +700,20 @@ ABLATION = ["ablation", "--pool", "p.csv", "--test", "p.csv", "--target",
     (SURFACE, "--w-grid", "20:100:10:5", "lower:upper:step"),
     (["sweep", "--out", "{tmp}/o"], "--powers", "1e5,x",
      "a comma-separated list of numbers"),
-    (ABLATION, "--sizes", "12,abc", "a comma-separated list of integers")],
-    ids=["too_few", "not_numbers", "too_many", "powers", "sizes"])
+    (ABLATION, "--sizes", "12,abc", "a comma-separated list of integers"),
+    (ABLATION, "--sizes", "0", TRAINABLE_SIZES),
+    (ABLATION, "--sizes", "-3", TRAINABLE_SIZES),
+    (ABLATION, "--sizes", "40", TRAINABLE_SIZES)],
+    ids=["too_few", "not_numbers", "too_many", "powers", "sizes",
+         "size_zero", "size_negative", "size_above_pool"])
 def test_a_malformed_list_flag_is_one_line_naming_it(
         tmp_path, capsys, monkeypatch, argv, flag, value, form):
-    """Refused before any input file is read or any case runs."""
+    """Refused before any case runs or any output is written; a list that
+    does not parse, before any input file is read."""
     ran = []
     monkeypatch.setattr(solver, "simulate",
                         lambda case, **_: ran.append(case))
+    synthetic_campaign(tmp_path)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main([*argv, flag, value]) == 2
     captured = capsys.readouterr()

@@ -619,6 +619,25 @@ def test_ablation_structure_with_synthetic_truth(monkeypatch):
     assert report[1]["r_squared"]["mean"] >= report[0]["r_squared"]["mean"]
 
 
+def test_ablation_refuses_a_set_of_another_column_before_training(
+        monkeypatch):
+    """A T_o_max_C test set (or pool) against a T_osc verifier is refused
+    before any network trains, naming both columns, rather than scored."""
+    trained = []
+    monkeypatch.setattr(studies, "train_lm",
+                        lambda *a, **kw: trained.append(a))
+    truth = FunctionBackend(float, **T_OSC_VERIFIER)
+    t_osc, t_o_max = synthetic_pool(60), synthetic_pool(60, target="T_o_max_C")
+    for role, pool, test in [("test set", t_osc, t_o_max),
+                             ("pool", t_o_max, t_osc)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"the {role} targets 'T_o_max_C'; a T_osc verifier needs "
+                "'T_osc_C'")):
+            run_ablation(pool, test, sizes=(40,), verifier=truth, repeats=2,
+                         strategies=("ga",))
+    assert trained == []
+
+
 def test_emit_surface(tmp_path):
     pool = synthetic_pool(150, target="T_o_max_C")
     model = train_lm(pool, seed=4)
