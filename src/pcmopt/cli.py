@@ -17,8 +17,8 @@ from .materials import (UnknownMaterialError, builtin_material,
 from .metrics import OBJECTIVE_COLUMNS, compute_metrics
 from .optimize import STRATEGIES, grid_points, repeat_with_seeds
 from .solver import DEFAULT_DT, simulate
-from .surrogate import (MIN_TRAINING_ROWS, SurrogateModel, load_training_csv,
-                        train_lm, r_squared)
+from .surrogate import (SurrogateModel, load_training_csv, train_lm,
+                        r_squared)
 
 #: --target tag -> the metric it trains on, read from the metric's
 #: OBJECTIVE_COLUMNS column of a campaign's results.csv.
@@ -204,10 +204,10 @@ def _cmd_ablation(args):
     objective = _TARGETS[args.target]
     pool = load_training_csv(args.pool, OBJECTIVE_COLUMNS[objective])
     test = load_training_csv(args.test, OBJECTIVE_COLUMNS[objective])
-    if not all(MIN_TRAINING_ROWS <= size <= len(pool) for size in sizes):
-        raise ValueError(f"--sizes {args.sizes!r} is not a comma-separated "
-                         f"list of integers from {MIN_TRAINING_ROWS} to "
-                         f"{len(pool)}, the pool's rows")
+    try:  # fail before training
+        studies.check_sizes(sizes, pool)
+    except ValueError as e:
+        raise ValueError(f"--sizes {args.sizes!r}: {e}") from e
 
     verifier = studies.SimulatorBackend(
         partial(studies.geometry_case, power=args.power, dx=args.dx_um / 1e6),

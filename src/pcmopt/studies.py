@@ -34,8 +34,9 @@ from .materials import (PCM_NAMES, Material, builtin_material, read_json,
                         write_json)
 from .optimize import (Backend, OptimizationProblem, ParameterSpec,
                        grid_points, repeat_with_seeds, value_range)
-from .surrogate import (ExtrapolationWarning, SurrogateModel, TrainingSet,
-                        predict, train_lm, r_squared)
+from .surrogate import (MIN_TRAINING_ROWS, ExtrapolationWarning,
+                        SurrogateModel, TrainingSet, predict, train_lm,
+                        r_squared)
 
 # Parameter bounds for the two optimization campaigns.
 PROPERTY_BOUNDS = {
@@ -507,6 +508,16 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
 # Training-set-size ablation
 
 
+def check_sizes(sizes, pool: TrainingSet) -> None:
+    """Refuse a training-set size that train_lm cannot fit or that pool
+    cannot draw without replacement."""
+    for size in sizes:
+        if not MIN_TRAINING_ROWS <= size <= len(pool):
+            raise ValueError(f"training-set size {size} is not from "
+                             f"{MIN_TRAINING_ROWS} to {len(pool)}, the "
+                             "pool's rows")
+
+
 def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
                  verifier: Backend, repeats: int = 10, base_seed: int = 0,
                  strategies=("ga", "pso"), optimizer_config=None
@@ -516,12 +527,14 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
     verifier scores each optimum (a SimulatorBackend of the ablated
     metric); pool and test must target that metric's column. Each size
     trains one network per repeat seed, for its R^2 and for every strategy.
+    The test set's column and every size are checked before any training;
+    the pool's column is check_model's, on the first network.
     """
     column = metrics.OBJECTIVE_COLUMNS[verifier.objective]
-    for role, data in (("pool", pool), ("test set", test)):
-        if data.target_name != column:
-            raise ValueError(f"the {role} targets {data.target_name!r}; a "
-                             f"{verifier.objective} verifier needs {column!r}")
+    if test.target_name != column:
+        raise ValueError(f"the test set targets {test.target_name!r}; a "
+                         f"{verifier.objective} verifier needs {column!r}")
+    check_sizes(sizes, pool)
     report = []
     for size in sizes:
         backend = ResamplingSurrogateBackend(pool, int(size), verifier,

@@ -201,6 +201,7 @@ def dispersion(campaign, n_pool, objective, sizes, repeats, config,
     """The range of the verified optima of repeated surrogate GA searches
     per training-set size, verified at fidelity. run_ablation trains with
     train_lm's defaults, so train only records them in the key."""
+    assert train == TRAIN, "run_ablation trains with train_lm's defaults"
     pool, test = campaign_sets(campaign, n_pool, objective)
     verifier = simulator("geometry", list(GEOMETRY_BOUNDS), objective,
                          fidelity)

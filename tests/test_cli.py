@@ -687,39 +687,45 @@ def test_a_model_that_does_not_stand_for_the_objective_is_refused(
 
 
 SURFACE = ["surface", "--model", "m.json", "--tm", "77", "--out", "{tmp}/o"]
+ABLATION = ["ablation", "--pool", "p.csv", "--test", "p.csv", "--target",
+            "tomax", "--out", "{tmp}/o"]
 #: on synthetic_campaign's 30 rows
-ABLATION = ["ablation", "--pool", "{tmp}/campaign.csv", "--test",
-            "{tmp}/campaign.csv", "--target", "tomax", "--out", "{tmp}/o"]
-TRAINABLE_SIZES = ("a comma-separated list of integers from 10 to 30, the "
-                   "pool's rows")
+ABLATION_ON_CAMPAIGN = ["ablation", "--pool", "{tmp}/campaign.csv", "--test",
+                        "{tmp}/campaign.csv", "--target", "tomax", "--out",
+                        "{tmp}/o"]
 
 
-@pytest.mark.parametrize("argv,flag,value,form", [
-    (SURFACE, "--h-grid", "20:100", "lower:upper:step"),
-    (SURFACE, "--h-grid", "a:b:c", "lower:upper:step"),
-    (SURFACE, "--w-grid", "20:100:10:5", "lower:upper:step"),
+def _untrainable(size):
+    return f": training-set size {size} is not from 10 to 30, the pool's rows"
+
+
+@pytest.mark.parametrize("argv,flag,value,why", [
+    (SURFACE, "--h-grid", "20:100", " is not lower:upper:step"),
+    (SURFACE, "--h-grid", "a:b:c", " is not lower:upper:step"),
+    (SURFACE, "--w-grid", "20:100:10:5", " is not lower:upper:step"),
     (["sweep", "--out", "{tmp}/o"], "--powers", "1e5,x",
-     "a comma-separated list of numbers"),
-    (ABLATION, "--sizes", "12,abc", "a comma-separated list of integers"),
-    (ABLATION, "--sizes", "0", TRAINABLE_SIZES),
-    (ABLATION, "--sizes", "-3", TRAINABLE_SIZES),
-    (ABLATION, "--sizes", "40", TRAINABLE_SIZES)],
+     " is not a comma-separated list of numbers"),
+    (ABLATION, "--sizes", "12,abc",
+     " is not a comma-separated list of integers"),
+    (ABLATION_ON_CAMPAIGN, "--sizes", "0", _untrainable(0)),
+    (ABLATION_ON_CAMPAIGN, "--sizes", "-3", _untrainable(-3)),
+    (ABLATION_ON_CAMPAIGN, "--sizes", "40", _untrainable(40))],
     ids=["too_few", "not_numbers", "too_many", "powers", "sizes",
          "size_zero", "size_negative", "size_above_pool"])
 def test_a_malformed_list_flag_is_one_line_naming_it(
-        tmp_path, capsys, monkeypatch, argv, flag, value, form):
+        tmp_path, capsys, monkeypatch, argv, flag, value, why):
     """Refused before any case runs or any output is written; a list that
     does not parse, before any input file is read."""
     ran = []
     monkeypatch.setattr(solver, "simulate",
                         lambda case, **_: ran.append(case))
-    synthetic_campaign(tmp_path)
+    if argv is ABLATION_ON_CAMPAIGN:
+        synthetic_campaign(tmp_path)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main([*argv, flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"pcmopt {argv[0]}: error: {flag} {value!r} is not {form}\n")
+    assert captured.err == f"pcmopt {argv[0]}: error: {flag} {value!r}{why}\n"
     assert ran == [] and not (tmp_path / "o").exists()
 
 

@@ -619,22 +619,37 @@ def test_ablation_structure_with_synthetic_truth(monkeypatch):
     assert report[1]["r_squared"]["mean"] >= report[0]["r_squared"]["mean"]
 
 
-def test_ablation_refuses_a_set_of_another_column_before_training(
+def test_ablation_refuses_a_test_set_of_another_column_before_training(
         monkeypatch):
-    """A T_o_max_C test set (or pool) against a T_osc verifier is refused
-    before any network trains, naming both columns, rather than scored."""
+    """A T_o_max_C test set against a T_osc verifier is refused before any
+    network trains, naming both columns, rather than scored."""
     trained = []
     monkeypatch.setattr(studies, "train_lm",
                         lambda *a, **kw: trained.append(a))
     truth = FunctionBackend(float, **T_OSC_VERIFIER)
-    t_osc, t_o_max = synthetic_pool(60), synthetic_pool(60, target="T_o_max_C")
-    for role, pool, test in [("test set", t_osc, t_o_max),
-                             ("pool", t_o_max, t_osc)]:
-        with pytest.raises(ValueError, match=re.escape(
-                f"the {role} targets 'T_o_max_C'; a T_osc verifier needs "
-                "'T_osc_C'")):
-            run_ablation(pool, test, sizes=(40,), verifier=truth, repeats=2,
-                         strategies=("ga",))
+    with pytest.raises(ValueError, match=re.escape(
+            "the test set targets 'T_o_max_C'; a T_osc verifier needs "
+            "'T_osc_C'")):
+        run_ablation(synthetic_pool(60), synthetic_pool(60, target="T_o_max_C"),
+                     sizes=(40,), verifier=truth, repeats=2,
+                     strategies=("ga",))
+    assert trained == []
+
+
+@pytest.mark.parametrize("bad", [9, 61])
+def test_ablation_refuses_an_untrainable_size_before_training(monkeypatch,
+                                                              bad):
+    """A size below train_lm's minimum or above the pool is refused before
+    the sizes ahead of it train and search."""
+    trained = []
+    monkeypatch.setattr(studies, "train_lm",
+                        lambda *a, **kw: trained.append(a))
+    truth = FunctionBackend(float, **T_OSC_VERIFIER)
+    with pytest.raises(ValueError, match=re.escape(
+            f"training-set size {bad} is not from 10 to 60, the pool's "
+            "rows")):
+        run_ablation(synthetic_pool(60), synthetic_pool(60), sizes=(40, bad),
+                     verifier=truth, repeats=2, strategies=("ga",))
     assert trained == []
 
 
