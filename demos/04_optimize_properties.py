@@ -10,15 +10,14 @@ re-simulated on the 5 um reference mesh for an honest final score.
 
 from pcmopt.geometry import UnitCellSpec
 from pcmopt.optimize import GAConfig, PSOConfig, ga_minimize, pso_minimize
+from pcmopt.solver import COARSE
 from pcmopt.studies import (PROPERTY_BOUNDS, SimulatorBackend,
                             problem_from_bounds, property_case)
 
-COARSE = UnitCellSpec(dx=10e-6)
-
 if __name__ == "__main__":
     backend = SimulatorBackend(
-        lambda v: property_case(v, cell=COARSE),
-        list(PROPERTY_BOUNDS), "T_o_max", sim_kwargs={"dt": 0.025})
+        lambda v: property_case(v, cell=UnitCellSpec(dx=COARSE.dx)),
+        list(PROPERTY_BOUNDS), "T_o_max", sim_kwargs={"dt": COARSE.dt})
     # each optimum is re-simulated at the reference mesh and step
     backend.verifier = SimulatorBackend(property_case, list(PROPERTY_BOUNDS),
                                         "T_o_max")

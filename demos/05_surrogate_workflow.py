@@ -16,19 +16,18 @@ steadily with more cases (see the ablation test in the test suite).
 import numpy as np
 
 from pcmopt.optimize import GAConfig, ga_minimize
+from pcmopt.solver import COARSE
 from pcmopt.studies import (GEOMETRY_BOUNDS, SimulatorBackend,
                             SurrogateBackend, generate_training_data,
                             geometry_case, problem_from_bounds)
 from pcmopt.surrogate import load_training_csv, r_squared, train_lm
 
 N_CASES = 150
-COARSE = {"dx": 10e-6}
-DT = 0.025
 
 if __name__ == "__main__":
     csv_path = generate_training_data(
         "geometry", N_CASES, "out/surrogate_campaign", seed=1,
-        dx=COARSE["dx"], dt=DT)
+        fidelity=COARSE)
     data = load_training_csv(csv_path, target="T_o_max_C",
                              input_names=["H_um", "W_um", "T_m_C"])
     holdout = data.subset(np.arange(N_CASES - 30, N_CASES))
@@ -37,8 +36,8 @@ if __name__ == "__main__":
           f"holdout R^2 = {r_squared(model, holdout):.3f}")
 
     verifier = SimulatorBackend(
-        lambda v: geometry_case(v, dx=COARSE["dx"]),
-        list(GEOMETRY_BOUNDS), "T_o_max", sim_kwargs={"dt": DT})
+        lambda v: geometry_case(v, dx=COARSE.dx),
+        list(GEOMETRY_BOUNDS), "T_o_max", sim_kwargs={"dt": COARSE.dt})
     problem = problem_from_bounds(GEOMETRY_BOUNDS, "T_o_max",
                                   SurrogateBackend(model, verifier))
     result = ga_minimize(problem, GAConfig(population=40,

@@ -8,7 +8,7 @@ from .network import NetworkModel, assemble_network
 from .optimize import (GAConfig, OptimizationProblem, OptimizationResult,
                        ParameterSpec, PSOConfig, ga_minimize,
                        parametric_sweep, pso_minimize, repeat_with_seeds)
-from .solver import ThermalHistory, simulate
+from .solver import COARSE, REFERENCE, Fidelity, ThermalHistory, simulate
 from .studies import sensitivity
 from .surrogate import (SurrogateModel, TrainingSet, activation,
                         load_training_csv, predict, r_squared, train_lm)
@@ -22,7 +22,8 @@ __all__ = [
     "NetworkModel", "assemble_network",
     "GAConfig", "OptimizationProblem", "OptimizationResult", "ParameterSpec",
     "PSOConfig", "ga_minimize", "parametric_sweep", "pso_minimize",
-    "repeat_with_seeds", "ThermalHistory", "simulate",
+    "repeat_with_seeds", "COARSE", "REFERENCE", "Fidelity", "ThermalHistory",
+    "simulate",
     "SurrogateModel", "TrainingSet", "activation",
     "load_training_csv", "predict", "r_squared", "train_lm",
     "__version__",

@@ -16,7 +16,7 @@ from .materials import (UnknownMaterialError, builtin_material,
                         read_json, write_json)
 from .metrics import OBJECTIVE_COLUMNS, compute_metrics
 from .optimize import STRATEGIES, grid_points, repeat_with_seeds
-from .solver import DEFAULT_DT, simulate
+from .solver import DEFAULT_DT, Fidelity, simulate
 from .surrogate import (SurrogateModel, load_training_csv, train_lm,
                         r_squared)
 
@@ -151,12 +151,14 @@ class _ProblemFile:
 def _load_problem(args):
     source = f"problem file {args.problem}"
     spec = from_record(_ProblemFile, read_json(args.problem, source), source)
-    builder = partial(studies.geometry_case, power=spec.power, dx=spec.dx)
     try:  # fail before searching
+        fidelity = Fidelity(spec.dx, spec.dt)
+        builder = partial(studies.geometry_case, power=spec.power,
+                          dx=fidelity.dx)
         builder({k: lo for k, (lo, hi) in spec.bounds.items()})
         verifier = studies.SimulatorBackend(
             builder, list(spec.bounds), spec.objective,
-            sim_kwargs={"dt": spec.dt})
+            sim_kwargs={"dt": fidelity.dt})
         problem = studies.problem_from_bounds(
             spec.bounds, spec.objective, verifier, seed=args.seed,
             steps=spec.steps)
@@ -168,9 +170,19 @@ def _load_problem(args):
     return problem
 
 
+def _check_repeats(repeats: int) -> None:
+    if repeats < 2:
+        raise ValueError(f"--repeats must be at least 2, got {repeats}")
+
+
+def _fidelity(args) -> Fidelity:
+    """The --dx-um mesh at the reference step."""
+    return Fidelity(args.dx_um / 1e6, DEFAULT_DT)
+
+
 def _cmd_optimize(args):
-    if args.repeats is not None and args.repeats < 2:
-        raise ValueError(f"--repeats must be at least 2, got {args.repeats}")
+    if args.repeats is not None:
+        _check_repeats(args.repeats)
     problem = _load_problem(args)
     if args.repeats is not None:
         out = repeat_with_seeds(problem, args.strategy, n_runs=args.repeats)
@@ -185,7 +197,7 @@ def _cmd_optimize(args):
 def _cmd_generate(args):
     path = studies.generate_training_data(
         kind=args.kind, n=args.n, out_dir=args.out, seed=args.seed,
-        sampler=args.sampler, power=args.power, dx=args.dx_um / 1e6)
+        sampler=args.sampler, power=args.power, fidelity=_fidelity(args))
     print(f"campaign written to {path}")
 
 
@@ -201,6 +213,8 @@ def _cmd_train(args):
 def _cmd_ablation(args):
     sizes = _flag_values("--sizes", args.sizes,
                          "a comma-separated list of integers", int)
+    _check_repeats(args.repeats)
+    fidelity = _fidelity(args)
     objective = _TARGETS[args.target]
     pool = load_training_csv(args.pool, OBJECTIVE_COLUMNS[objective])
     test = load_training_csv(args.test, OBJECTIVE_COLUMNS[objective])
@@ -210,8 +224,9 @@ def _cmd_ablation(args):
         raise ValueError(f"--sizes {args.sizes!r}: {e}") from e
 
     verifier = studies.SimulatorBackend(
-        partial(studies.geometry_case, power=args.power, dx=args.dx_um / 1e6),
-        list(studies.GEOMETRY_BOUNDS), objective)
+        partial(studies.geometry_case, power=args.power, dx=fidelity.dx),
+        list(studies.GEOMETRY_BOUNDS), objective,
+        sim_kwargs={"dt": fidelity.dt})
     report = studies.run_ablation(pool, test, sizes, verifier,
                                   repeats=args.repeats, base_seed=args.seed)
     _emit(report, args.out)
@@ -223,10 +238,11 @@ def _cmd_surface(args):
                                   count=3))
         for flag, text in [("--h-grid", args.h_grid),
                            ("--w-grid", args.w_grid)])
+    fidelity = _fidelity(args)
     rows = studies.emit_surface(SurrogateModel.load(args.model),
                                 fixed_tm=args.tm, h_grid=h_grid,
                                 w_grid=w_grid, out_path=args.out,
-                                power=args.power, dx=args.dx_um / 1e6)
+                                power=args.power, fidelity=fidelity)
     print(f"{len(rows)} surface rows written to {args.out}")
 
 

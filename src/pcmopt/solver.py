@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PERIOD, T_AMB_C, T_ON, Case, Mesh, build_mesh
+from .geometry import (PERIOD, T_AMB_C, T_ON, Case, Mesh, UnitCellSpec,
+                       build_mesh)
+from .materials import check_field_types
 from .network import NetworkModel, assemble_network
 
 
@@ -338,6 +340,28 @@ def step_counts(dt: float) -> tuple[int, int]:
     if any(abs(n - round(n)) > 1e-9 for n in steps):
         raise ValueError("dt must divide both T_ON and PERIOD")
     return round(steps[0]), round(steps[1])
+
+
+@dataclass(frozen=True)
+class Fidelity:
+    """Where a study's cases run: meshed at voxel edge dx, m, and stepped
+    at dt, s. A function that builds its own cases takes one of these; one
+    that is handed a case takes dt alone. Checked when built, with the
+    messages of the solid cell at dx and of step_counts(dt)."""
+
+    dx: float
+    dt: float
+
+    def __post_init__(self):
+        check_field_types(self)
+        UnitCellSpec(dx=self.dx, no_channel=True)
+        step_counts(self.dt)
+
+
+#: The fidelity every answer is judged at: the 5 um mesh, the 10 ms step.
+REFERENCE = Fidelity(UnitCellSpec.dx, DEFAULT_DT)
+#: The cheap fidelity most searches, sweeps and campaigns score at.
+COARSE = Fidelity(10e-6, 0.025)
 
 
 def simulate(case: Case, dt: float = DEFAULT_DT,

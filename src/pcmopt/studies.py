@@ -1,10 +1,12 @@
 """Study orchestration: PCM comparison, melt-temperature sweeps, property
 sensitivity, training campaigns, the training-set-size ablation, and surface
-emission. Every study runs its transients at one step dt through one case
-runner, evaluate_cases, which checks dt before any case runs and yields each
-case's ThermalHistory or its exception; the study reduces each history
-itself. A training campaign records a failed case, and every other study
-(and SimulatorBackend.evaluate) raises the first.
+emission. A study that builds its own cases takes one solver.Fidelity, the
+mesh size dx and the step dt (REFERENCE by default); one that is handed a
+case, as sensitivity is, takes dt alone. Every study runs its transients
+through one case runner, evaluate_cases, which checks dt before any case
+runs and yields each case's ThermalHistory or its exception; the study
+reduces each history itself. A training campaign records a failed case, and
+every other study (and SimulatorBackend.evaluate) raises the first.
 SimulatorBackend alone keeps a settings dict, which may set only dt, since
 the benchmark builds it that way until ROADMAP item 2.
 
@@ -22,7 +24,7 @@ import os
 import warnings
 from collections import deque
 from contextlib import closing
-from dataclasses import asdict, replace as dc_replace
+from dataclasses import asdict, fields, replace as dc_replace
 from functools import partial
 from pathlib import Path
 
@@ -311,18 +313,21 @@ def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
 
 
 def run_pcm_comparison(power: float = PowerProfile.q0, out_dir=None,
-                       cell: UnitCellSpec = UnitCellSpec(),
-                       dt: float = solver.DEFAULT_DT) -> list[dict]:
-    """Seven PCMs plus the solid-silicon baseline, ordered by T_m."""
+                       fidelity: solver.Fidelity = solver.REFERENCE
+                       ) -> list[dict]:
+    """Seven PCMs plus the solid-silicon baseline, ordered by T_m, in the
+    reference channel at fidelity."""
+    cell = UnitCellSpec(dx=fidelity.dx)
     config = {"study": "pcm-compare", "power_W_m2": power,
-              "cell": asdict(cell), "dt": dt}
+              "cell": asdict(cell), "dt": fidelity.dt}
     chash = config_hash(config)
 
     profile = PowerProfile(q0=power)
     cases = [Case(cell=dc_replace(cell, no_channel=True), power=profile)] + [
         Case(cell=cell, power=profile, pcm=builtin_material(name))
         for name in PCM_NAMES]
-    reports = map(metrics.compute_metrics, _values(evaluate_cases(cases, dt)))
+    reports = map(metrics.compute_metrics,
+                  _values(evaluate_cases(cases, fidelity.dt)))
     rows = [{"material": name, "T_m_C": tm, **m.to_dict(),
              "config_hash": chash}
             for m, name, tm in zip(
@@ -351,11 +356,13 @@ def _tm_row(h) -> dict:
 
 
 def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
-                 out_dir=None, cell: UnitCellSpec = UnitCellSpec(),
-                 dt: float = solver.DEFAULT_DT) -> dict:
-    """Sweep T_m over its bounds per power level: oscillation bands, optima."""
+                 out_dir=None, fidelity: solver.Fidelity = solver.REFERENCE
+                 ) -> dict:
+    """Sweep T_m over its bounds per power level, in the reference channel
+    at fidelity: oscillation bands, optima."""
+    cell = UnitCellSpec(dx=fidelity.dx)
     config = {"study": "tm-sweep", "power_levels": list(power_levels),
-              "tm_step": tm_step, "cell": asdict(cell), "dt": dt}
+              "tm_step": tm_step, "cell": asdict(cell), "dt": fidelity.dt}
     chash = config_hash(config)
     tms = grid_points(*PROPERTY_BOUNDS["T_m_C"], tm_step).tolist()
 
@@ -363,7 +370,7 @@ def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
              for power in power_levels for tm in tms]
     rows = [{"T_m_C": tm, **r, "config_hash": chash} for tm, r in zip(
         tms * len(power_levels),
-        map(_tm_row, _values(evaluate_cases(cases, dt))))]
+        map(_tm_row, _values(evaluate_cases(cases, fidelity.dt))))]
     tables = [rows[k:k + len(tms)] for k in range(0, len(rows), len(tms))]
     per_power = {power: {
         "table": table,
@@ -414,9 +421,9 @@ def _sample_inputs(sampler: str, n: int, bounds: dict, seed: int) -> np.ndarray:
 def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
                            sampler: str = "lhs",
                            power: float = PowerProfile.q0,
-                           dx: float = UnitCellSpec.dx,
-                           dt: float = solver.DEFAULT_DT) -> Path:
-    """Sample, simulate, and persist a training campaign.
+                           fidelity: solver.Fidelity = solver.REFERENCE
+                           ) -> Path:
+    """Sample, simulate, and persist a training campaign at fidelity.
 
     Writes one JSON artifact per case under out_dir/cases/ (the resume
     markers, each stamped with the campaign's config hash) and assembles
@@ -431,18 +438,20 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     if kind not in _CAMPAIGN_BOUNDS:
         raise ValueError(f"kind must be one of {list(_CAMPAIGN_BOUNDS)}")
     # what every sample shares: settings no sample could run with are
-    # refused here, not recorded as n failed cases. Geometry samples sweep
-    # the channel, so only the solid cell must mesh at dx.
+    # refused here, not recorded as n failed cases. The fidelity has
+    # meshed the solid cell; geometry samples sweep the channel, but a
+    # properties sample keeps the reference one, which must mesh too.
     PowerProfile(q0=power)
-    UnitCellSpec(dx=dx, no_channel=kind == "geometry")
+    if kind == "properties":
+        UnitCellSpec(dx=fidelity.dx)
     bounds = _CAMPAIGN_BOUNDS[kind]
     names = list(bounds)
     X = _sample_inputs(sampler, n, bounds, seed)
 
     config = {"study": "campaign", "kind": kind, "n": n, "seed": seed,
-              "sampler": sampler, "power_W_m2": power, "dx_m": dx,
+              "sampler": sampler, "power_W_m2": power, "dx_m": fidelity.dx,
               "bounds": {k: list(v) for k, v in bounds.items()},
-              "dt": dt}
+              "dt": fidelity.dt}
     chash = config_hash(config)
     out = Path(out_dir)
     config_path = out / "config.json"
@@ -470,11 +479,11 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     cases = {}
     for i, values in inputs.items():
         try:
-            cases[i] = geometry_case(values, power, dx)
+            cases[i] = geometry_case(values, power, fidelity.dx)
         except ValueError as exc:  # a sample no mesh holds fails alone
             cases[i] = exc
     results = evaluate_cases(
-        [c for c in cases.values() if isinstance(c, Case)], dt)
+        [c for c in cases.values() if isinstance(c, Case)], fidelity.dt)
     cases_dir.mkdir(parents=True, exist_ok=True)
     write_json(config_path, config)
 
@@ -527,14 +536,17 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
     verifier scores each optimum (a SimulatorBackend of the ablated
     metric); pool and test must target that metric's column. Each size
     trains one network per repeat seed, for its R^2 and for every strategy.
-    The test set's column and every size are checked before any training;
-    the pool's column is check_model's, on the first network.
+    The test set's column, every size and the repeats (at least two, for a
+    spread) are checked before any training; the pool's column is
+    check_model's, on the first network.
     """
     column = metrics.OBJECTIVE_COLUMNS[verifier.objective]
     if test.target_name != column:
         raise ValueError(f"the test set targets {test.target_name!r}; a "
                          f"{verifier.objective} verifier needs {column!r}")
     check_sizes(sizes, pool)
+    if repeats < 2:
+        raise ValueError(f"repeats must be at least 2, got {repeats}")
     report = []
     for size in sizes:
         backend = ResamplingSurrogateBackend(pool, int(size), verifier,
@@ -558,15 +570,16 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
 
 def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
                  out_path=None, power: float = PowerProfile.q0,
-                 dx: float = UnitCellSpec.dx,
-                 dt: float = solver.DEFAULT_DT) -> list[dict]:
-    """Paired NN/simulator T_o_max surface over an H/W grid at fixed T_m."""
+                 fidelity: solver.Fidelity = solver.REFERENCE) -> list[dict]:
+    """Paired NN/simulator T_o_max surface over an H/W grid at fixed T_m,
+    simulated at fidelity."""
     check_model(model, "T_o_max", GEOMETRY_BOUNDS)
     points = [np.array([float(h_um), float(w_um), float(fixed_tm)])
               for h_um in h_grid for w_um in w_grid]
-    cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power, dx=dx)
-             for x in points]
-    reports = map(metrics.compute_metrics, _values(evaluate_cases(cases, dt)))
+    cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power,
+                           dx=fidelity.dx) for x in points]
+    reports = map(metrics.compute_metrics,
+                  _values(evaluate_cases(cases, fidelity.dt)))
     t_nn = _predict_quietly(model, np.array(points)).tolist()
     rows = [{"H_um": x[0], "W_um": x[1], "T_m_C": x[2], "T_nn_C": t,
              "T_sim_C": m.T_o_max} for m, x, t in zip(reports, points, t_nn)]
@@ -582,6 +595,9 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
 
 #: Properties perturbed by the sensitivity study.
 SENSITIVITY_PROPERTIES = ("T_m", "L_H", "k", "cp_solid", "cp_liquid")
+#: What the sensitivity study can perturb: one conductivity for both
+#: phases, and each numeric Material field.
+_PERTURBABLE = ("k", *(f.name for f in fields(Material) if f.type == "float"))
 # Relative up and down step of each property in the sensitivity study.
 PERTURBATION = 0.10
 
@@ -605,6 +621,9 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
     """
     if base_case.cell.no_channel or not base_case.pcm.is_pcm:
         raise ValueError("sensitivity needs a case with a PCM channel")
+    if not properties or not set(properties) <= set(_PERTURBABLE):
+        raise ValueError("sensitivity perturbs one or more of "
+                         f"{list(_PERTURBABLE)}, got {properties!r}")
     cases = [base_case] + [
         dc_replace(base_case, pcm=_perturbed_material(base_case.pcm, prop,
                                                       factor))

@@ -5,20 +5,19 @@ temperature optima across power levels, property and geometry optimization,
 surrogate accuracy versus training-set size, optimization dispersion, the
 property sensitivity ordering, and the always-on physics/numerics checks.
 
-Every case runs at one of three fidelities, each a cell (which carries the
-mesh size dx) and a step dt, named once below: REFERENCE, the default 5 um
-mesh and 10 ms step; COARSE, 10 um and 25 ms, for most optimizer and sweep
-evaluations; and GEOMETRY, the 5 um mesh at the coarse step, for the
-geometry search, because channel dimensions snap to voxels and the 10 um
-mesh flattens that landscape into plateaus. Every optimum is verified at
-REFERENCE.
+Every case runs at one of three fidelities, each a solver.Fidelity (a mesh
+size dx and a step dt): REFERENCE, the 5 um mesh and 10 ms step; COARSE,
+10 um and 25 ms, for most optimizer and sweep evaluations; and GEOMETRY,
+named below, the 5 um mesh at the coarse step, for the geometry search,
+because channel dimensions snap to voxels and the 10 um mesh flattens that
+landscape into plateaus. Every optimum is verified at REFERENCE.
 
 Each long computation is an entry of TABLE: a name, a module-level
 function and its keyword arguments. Its value is cached as JSON in
 <name>_<key>.json under .acceptance_cache, or the directory
 PCMOPT_ACCEPTANCE_CACHE names, and every key follows one rule, entry_key:
 the hash of the function's bound arguments with its defaults applied,
-dataclasses encoded through asdict. So the cell, the step, both fidelities
+dataclasses encoded through asdict. So the mesh, the step, both fidelities
 of a search, the GA/PSO configs, the campaign and train_lm's settings enter
 every key they affect, and a search names its case builder by kind and
 fidelity, so no setting hides in a closure. A changed setting re-keys its
@@ -43,7 +42,7 @@ import cache_diff
 from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.metrics import OBJECTIVE_COLUMNS
 from pcmopt.optimize import GAConfig, PSOConfig, ga_minimize, pso_minimize
-from pcmopt.solver import DEFAULT_DT
+from pcmopt.solver import COARSE, REFERENCE, Fidelity
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             SimulatorBackend, config_hash,
                             generate_training_data, geometry_case,
@@ -57,21 +56,11 @@ CACHE = Path(os.environ.get("PCMOPT_ACCEPTANCE_CACHE", COMMITTED))
 CACHE.mkdir(parents=True, exist_ok=True)
 
 
-@dataclasses.dataclass(frozen=True)
-class Fidelity:
-    """Where a study's cases run: meshed as cell, stepped at dt."""
-
-    cell: UnitCellSpec
-    dt: float
-
-
-REFERENCE = Fidelity(UnitCellSpec(), DEFAULT_DT)
-COARSE = Fidelity(UnitCellSpec(dx=10e-6), 0.025)
 # The 10 um mesh turns the channel search into wide flat plateaus that hide
 # the full-channel corner, so the geometry search evaluates on the reference
 # mesh (finer plateaus, smooth descent to the corner) at the coarse step,
 # with smaller optimizer budgets to compensate for the slower simulations.
-GEOMETRY = Fidelity(REFERENCE.cell, COARSE.dt)
+GEOMETRY = Fidelity(REFERENCE.dx, COARSE.dt)
 
 PSO_CFG = PSOConfig(swarm=25, max_iterations=40, stall_iterations=10)
 # The five-property landscape is nearly flat along the liquid heat capacity,
@@ -105,9 +94,9 @@ def simulator(kind, names, objective, fidelity):
     """A SimulatorBackend of objective over names, on kind's cases at
     fidelity."""
     if kind == "property":
-        builder = partial(property_case, cell=fidelity.cell)
+        builder = partial(property_case, cell=UnitCellSpec(dx=fidelity.dx))
     else:
-        builder = partial(geometry_case, dx=fidelity.cell.dx)
+        builder = partial(geometry_case, dx=fidelity.dx)
     return SimulatorBackend(builder, names, objective,
                             sim_kwargs={"dt": fidelity.dt})
 
@@ -138,14 +127,12 @@ def tm_optima(bounds, objective, ga, pso, fidelity):
 
 def tm_table(power, tm_step, fidelity):
     """The T_m sweep's table at one power."""
-    return run_tm_study((power,), tm_step, cell=fidelity.cell,
-                        dt=fidelity.dt)[power]["table"]
+    return run_tm_study((power,), tm_step, fidelity=fidelity)[power]["table"]
 
 
 def tm_trend(power_levels, tm_step, fidelity):
     """The optimal T_m of each objective at each power."""
-    res = run_tm_study(power_levels, tm_step, cell=fidelity.cell,
-                       dt=fidelity.dt)
+    res = run_tm_study(power_levels, tm_step, fidelity=fidelity)
     return {str(p): {"T_o_max": res[p]["opt_T_m_for_T_o_max"],
                      "T_osc": res[p]["opt_T_m_for_T_osc"]}
             for p in power_levels}
@@ -156,8 +143,7 @@ def campaign_csv(kind, n, seed, sampler, power, fidelity):
     generated in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         path = generate_training_data(kind, n, Path(tmp) / "run", seed,
-                                      sampler, power, fidelity.cell.dx,
-                                      fidelity.dt)
+                                      sampler, power, fidelity)
         return path.read_bytes().decode()
 
 
@@ -218,7 +204,7 @@ def entries(reference, coarse, geometry):
                     power=100e3, fidelity=coarse)
     table = {
         "pcm_compare": (run_pcm_comparison, dict(
-            power=100e3, cell=reference.cell, dt=reference.dt)),
+            power=100e3, fidelity=reference)),
         "tm_sweep_default": (tm_table, dict(
             power=100e3, tm_step=1.0, fidelity=reference)),
         "tm_optimizers": (tm_optima, dict(
@@ -241,7 +227,8 @@ def entries(reference, coarse, geometry):
                             stall_generations=8),
             fidelity=coarse, train=TRAIN)),
         "sensitivity_reference": (sensitivity, dict(
-            base_case=Case(cell=reference.cell), dt=reference.dt)),
+            base_case=Case(cell=UnitCellSpec(dx=reference.dx)),
+            dt=reference.dt)),
     }
     for kind, bounds, objective, at, configs in [
             ("property", PROPERTY_BOUNDS, "T_o_max", coarse,
@@ -497,13 +484,10 @@ def test_every_entry_is_keyed_on_the_call_that_computes_it():
     for fidelities, reached in [
             (dict(reference=dataclasses.replace(REFERENCE, dt=0.005)),
              at_reference),
-            (dict(reference=Fidelity(UnitCellSpec(dx=2.5e-6),
-                                     REFERENCE.dt)), at_reference),
+            (dict(reference=Fidelity(2.5e-6, REFERENCE.dt)), at_reference),
             (dict(coarse=dataclasses.replace(COARSE, dt=0.02)), at_coarse),
-            (dict(coarse=Fidelity(UnitCellSpec(dx=20e-6), COARSE.dt)),
-             at_coarse),
-            (dict(geometry=Fidelity(UnitCellSpec(dx=2.5e-6), GEOMETRY.dt)),
-             at_geometry)]:
+            (dict(coarse=Fidelity(20e-6, COARSE.dt)), at_coarse),
+            (dict(geometry=Fidelity(2.5e-6, GEOMETRY.dt)), at_geometry)]:
         assert moved(**fidelities) == reached, fidelities
 
     def key_with(name, **changes):

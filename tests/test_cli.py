@@ -18,7 +18,8 @@ from pcmopt.cli import _load_problem, build_parser, main
 from pcmopt.geometry import Case, PowerProfile, UnitCellSpec
 from pcmopt.materials import PCM_NAMES, builtin_material
 from pcmopt.metrics import simulate_metrics
-from pcmopt.solver import MAX_STEP_RESIDUAL, PHASES
+from pcmopt.solver import (COARSE, DEFAULT_DT, MAX_STEP_RESIDUAL, PHASES,
+                           REFERENCE, Fidelity)
 from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             SENSITIVITY_PROPERTIES)
 from pcmopt.surrogate import SurrogateModel, load_training_csv, train_lm
@@ -35,7 +36,7 @@ SURFACE_MODEL = staticmethod(
 
 def coarse_case_file(tmp_path, **cell_kwargs):
     path = tmp_path / "case.json"
-    case = Case(cell=UnitCellSpec(dx=10e-6, **cell_kwargs),
+    case = Case(cell=UnitCellSpec(dx=COARSE.dx, **cell_kwargs),
                 power=PowerProfile(q0=100e3))
     path.write_text(json.dumps(asdict(case)))
     return str(path)
@@ -232,8 +233,7 @@ def test_generate_train_optimize_surface_chain(tmp_path, capsys):
 
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
-        "objective": "T_o_max", "dx": 10e-6,
-        "dt": 0.025,
+        "objective": "T_o_max", "dx": COARSE.dx, "dt": COARSE.dt,
         "bounds": {"H_um": [20, 100], "W_um": [20, 100],
                    "T_m_C": [47, 96]}}))
     result_path = tmp_path / "result.json"
@@ -421,10 +421,9 @@ def test_a_grid_without_a_positive_step_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,settings", [([], {}),
-                                            (["--dx-um", "20"],
-                                             {"dx": 20e-6})],
-                         ids=["defaults", "dx_20um"])
+@pytest.mark.parametrize("flags,settings", [
+    ([], {}), (["--dx-um", "20"], {"fidelity": Fidelity(20e-6, DEFAULT_DT)})],
+    ids=["defaults", "dx_20um"])
 def test_a_cli_campaign_resumes_through_the_api(tmp_path, capsys,
                                                 monkeypatch, flags,
                                                 settings):
@@ -444,7 +443,8 @@ def test_a_cli_campaign_resumes_through_the_api(tmp_path, capsys,
     written = (out / "results.csv").read_bytes()
     again = studies.generate_training_data("properties", 2, out, **settings)
     assert again.read_bytes() == written
-    assert [case.cell.dx for case in ran] == [settings.get("dx", 5e-6)] * 2
+    fidelity = settings.get("fidelity", REFERENCE)
+    assert [case.cell.dx for case in ran] == [fidelity.dx] * 2
 
 
 def test_a_cli_campaign_records_a_sample_no_mesh_holds(tmp_path, capsys,
@@ -540,8 +540,8 @@ def test_case_flags_override_the_case_file(tmp_path, capsys, flags, cell):
     case = coarse_case_file(tmp_path)
     assert main(["metrics", "--case", case, "--dt-ms", "25", *flags]) == 0
     expected = simulate_metrics(
-        Case(cell=UnitCellSpec(dx=10e-6, **cell),
-             power=PowerProfile(q0=100e3)), dt=0.025)
+        Case(cell=UnitCellSpec(dx=COARSE.dx, **cell),
+             power=PowerProfile(q0=100e3)), dt=COARSE.dt)
     assert json.loads(capsys.readouterr().out) == expected.to_dict()
 
 
@@ -615,7 +615,7 @@ def test_optimize_repeats_and_pso_on_a_surrogate(tmp_path, capsys):
     assert json.loads(model.read_text())["target"] == "T_o_max_C"
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
-        "objective": "T_o_max", "dx": 10e-6, "dt": 0.025,
+        "objective": "T_o_max", "dx": COARSE.dx, "dt": COARSE.dt,
         "bounds": {k: list(v) for k, v in GEOMETRY_BOUNDS.items()}}))
     argv = ["optimize", "--problem", str(problem), "--strategy", "pso",
             "--backend", f"nn:{model}"]
@@ -665,7 +665,7 @@ def test_a_model_that_does_not_stand_for_the_objective_is_refused(
     train_lm(data, hidden=3, max_epochs=5).save(model)
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
-        "objective": objective, "dx": 10e-6, "dt": 0.025,
+        "objective": objective, "dx": COARSE.dx, "dt": COARSE.dt,
         "bounds": {k: list(GEOMETRY_BOUNDS[k]) for k in bounds}}))
     out = tmp_path / "o"
     for argv, needs in [
@@ -693,6 +693,7 @@ ABLATION = ["ablation", "--pool", "p.csv", "--test", "p.csv", "--target",
 ABLATION_ON_CAMPAIGN = ["ablation", "--pool", "{tmp}/campaign.csv", "--test",
                         "{tmp}/campaign.csv", "--target", "tomax", "--out",
                         "{tmp}/o"]
+REPEATS_ON_CAMPAIGN = [*ABLATION_ON_CAMPAIGN, "--sizes", "12"]
 
 
 def _untrainable(size):
@@ -709,23 +710,31 @@ def _untrainable(size):
      " is not a comma-separated list of integers"),
     (ABLATION_ON_CAMPAIGN, "--sizes", "0", _untrainable(0)),
     (ABLATION_ON_CAMPAIGN, "--sizes", "-3", _untrainable(-3)),
-    (ABLATION_ON_CAMPAIGN, "--sizes", "40", _untrainable(40))],
+    (ABLATION_ON_CAMPAIGN, "--sizes", "40", _untrainable(40)),
+    # a count, named as optimize names its --repeats
+    (REPEATS_ON_CAMPAIGN, "--repeats", "1", None),
+    (REPEATS_ON_CAMPAIGN, "--repeats", "0", None),
+    (REPEATS_ON_CAMPAIGN, "--repeats", "-2", None)],
     ids=["too_few", "not_numbers", "too_many", "powers", "sizes",
-         "size_zero", "size_negative", "size_above_pool"])
+         "size_zero", "size_negative", "size_above_pool", "repeats_one",
+         "repeats_zero", "repeats_negative"])
 def test_a_malformed_list_flag_is_one_line_naming_it(
         tmp_path, capsys, monkeypatch, argv, flag, value, why):
-    """Refused before any case runs or any output is written; a list that
-    does not parse, before any input file is read."""
+    """Refused before any case runs, any network trains or any output is
+    written; a list that does not parse, before any input file is read."""
     ran = []
     monkeypatch.setattr(solver, "simulate",
                         lambda case, **_: ran.append(case))
-    if argv is ABLATION_ON_CAMPAIGN:
+    monkeypatch.setattr(studies, "train_lm", lambda *a, **_: ran.append(a))
+    if "{tmp}/campaign.csv" in argv:
         synthetic_campaign(tmp_path)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main([*argv, flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"pcmopt {argv[0]}: error: {flag} {value!r}{why}\n"
+    named = (f"{flag} {value!r}{why}" if why is not None
+             else f"{flag} must be at least 2, got {value}")
+    assert captured.err == f"pcmopt {argv[0]}: error: {named}\n"
     assert ran == [] and not (tmp_path / "o").exists()
 
 

@@ -12,6 +12,7 @@ from pcmopt.materials import (Material, PCM_NAMES, UnknownMaterialError,
                               write_json)
 from pcmopt.network import assemble_network
 from pcmopt.optimize import GAConfig, ParameterSpec, PSOConfig
+from pcmopt.solver import COARSE
 
 
 def test_seven_pcms_ordered_by_melt_temperature():
@@ -198,6 +199,7 @@ _VALID_RECORDS = {
     "ParameterSpec": ParameterSpec("x", 0.0, 1.0, step=0.1),
     "GAConfig": GAConfig(),
     "PSOConfig": PSOConfig(),
+    "Fidelity": COARSE,
 }
 
 
@@ -229,6 +231,11 @@ _VALID_RECORDS = {
     ("PSOConfig", "swarm", 0, ">= 1"),
     ("PSOConfig", "max_iterations", "100", "max_iterations must be a number"),
     ("PSOConfig", "tol", float("nan"), "tol must be finite, got nan"),
+    ("Fidelity", "dt", True, "dt must be a number, got True"),
+    ("Fidelity", "dt", float("nan"), "dt must be finite, got nan"),
+    ("Fidelity", "dt", 0.03, "dt must divide both T_ON and PERIOD"),
+    ("Fidelity", "dx", 70e-6,
+     "dx=7e-05 is too large: half the channel pitch snaps to no voxels"),
 ])
 def test_every_record_checks_itself_when_built(record, key, value, message):
     valid = _VALID_RECORDS[record]

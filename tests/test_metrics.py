@@ -1,11 +1,13 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pcmopt import solver
 from pcmopt.geometry import PERIOD, Case, PowerProfile, UnitCellSpec
 from pcmopt.metrics import compute_metrics
-from pcmopt.solver import ThermalHistory, settled, simulate
+from pcmopt.solver import COARSE, ThermalHistory, settled, simulate
 from pcmopt.studies import sensitivity
 
 
@@ -132,8 +134,9 @@ def test_metrics_refuse_a_history_shorter_than_one_cycle():
 
 
 def test_metrics_refuse_one_unsettled_cycle():
-    case = Case(cell=UnitCellSpec(dx=10e-6), power=PowerProfile(duration=1.0))
-    h = simulate(case, dt=0.025)
+    case = Case(cell=UnitCellSpec(dx=COARSE.dx),
+                power=PowerProfile(duration=1.0))
+    h = simulate(case, dt=COARSE.dt)
     assert (h.n_cycles, h.converged) == (1, False)
     with pytest.raises(ValueError, match=r"need >= 2 full cycles or a "
                                          r"converged early exit"):
@@ -141,8 +144,8 @@ def test_metrics_refuse_one_unsettled_cycle():
 
 
 def test_sensitivity_reports_mean_absolute_shift():
-    case = Case(cell=UnitCellSpec(dx=10e-6))
-    out = sensitivity(case, properties=("T_m", "k"), dt=0.025)
+    case = Case(cell=UnitCellSpec(dx=COARSE.dx))
+    out = sensitivity(case, properties=("T_m", "k"), dt=COARSE.dt)
     assert set(out) == {"T_m", "k"}
     for d in out.values():
         assert d["dT_o_max"] >= 0.0
@@ -154,5 +157,19 @@ def test_sensitivity_reports_mean_absolute_shift():
 
 def test_sensitivity_rejects_case_without_pcm():
     with pytest.raises(ValueError, match="PCM"):
-        sensitivity(Case(cell=UnitCellSpec(no_channel=True, dx=10e-6)),
-                    properties=("T_m",), dt=0.025)
+        sensitivity(Case(cell=UnitCellSpec(no_channel=True, dx=COARSE.dx)),
+                    properties=("T_m",), dt=COARSE.dt)
+
+
+@pytest.mark.parametrize("properties", [("foo",), (), ("T_m", "k_W_per_mK")],
+                         ids=["unknown", "none", "one_unknown"])
+def test_sensitivity_refuses_what_it_cannot_perturb(monkeypatch, properties):
+    """Before any transient runs, naming what it can perturb: one
+    conductivity for both phases, and each numeric material field."""
+    monkeypatch.setattr(solver, "simulate", None)  # so no case can run
+    with pytest.raises(ValueError, match=re.escape(
+            "sensitivity perturbs one or more of ['k', 'T_m', 'rho_solid', "
+            "'rho_liquid', 'k_solid', 'k_liquid', 'cp_solid', 'cp_liquid', "
+            f"'L_H'], got {properties!r}")):
+        sensitivity(Case(cell=UnitCellSpec(dx=COARSE.dx)),
+                    properties=properties, dt=COARSE.dt)

@@ -16,14 +16,14 @@ from pcmopt.metrics import compute_metrics
 from pcmopt import network, solver
 from pcmopt.network import NetworkModel
 import pcmopt
-from pcmopt.solver import (MAX_STEP_RESIDUAL, PHASES, QUASI_STEADY_TOL,
-                           SolverDivergence, _factor_band, _Integrator,
-                           build_case_network, simulate)
+from pcmopt.solver import (COARSE, MAX_STEP_RESIDUAL, PHASES,
+                           QUASI_STEADY_TOL, SolverDivergence, _factor_band,
+                           _Integrator, build_case_network, simulate)
 from pcmopt.studies import property_case
 
 from helpers import steady_state
 
-COARSE = UnitCellSpec(dx=10e-6)
+COARSE_CELL = UnitCellSpec(dx=COARSE.dx)
 
 
 def two_path_interface_temperature(q, h=500.0, T_amb_C=26.85):
@@ -96,7 +96,8 @@ def test_energy_balance_on_reference_cases(baseline_history, solder_history):
                                   (140e3, 800.0)])
 def test_transient_invariants_across_conditions(q0, h, monkeypatch):
     monkeypatch.setattr(network, "H_CONV", h)
-    hist = simulate(Case(cell=COARSE, power=PowerProfile(q0=q0)), dt=0.025)
+    hist = simulate(Case(cell=COARSE_CELL, power=PowerProfile(q0=q0)),
+                    dt=COARSE.dt)
     assert hist.energy_residual < 1e-4
     assert hist.T_max.min() >= 26.85 - 1e-9
     assert np.all((hist.phi_mean >= -1e-12) & (hist.phi_mean <= 1 + 1e-12))
@@ -105,8 +106,8 @@ def test_transient_invariants_across_conditions(q0, h, monkeypatch):
 def test_peak_temperature_monotone_in_power():
     peaks = []
     for q0 in (80e3, 100e3, 120e3):
-        case = Case(cell=COARSE, power=PowerProfile(q0=q0))
-        peaks.append(simulate(case, dt=0.025).T_max.max())
+        case = Case(cell=COARSE_CELL, power=PowerProfile(q0=q0))
+        peaks.append(simulate(case, dt=COARSE.dt).T_max.max())
     assert peaks[0] < peaks[1] < peaks[2]
 
 
@@ -115,10 +116,10 @@ def test_unmeltable_pcm_equals_plain_solid():
     solder = builtin_material("Solder174")
     never = replace(solder, T_m=500.0)
     inert = replace(never, is_pcm=False, L_H=0.0)
-    case_pcm = Case(cell=COARSE, pcm=never)
-    case_solid = Case(cell=COARSE, pcm=inert)
-    h1 = simulate(case_pcm, dt=0.025)
-    h2 = simulate(case_solid, dt=0.025)
+    case_pcm = Case(cell=COARSE_CELL, pcm=never)
+    case_solid = Case(cell=COARSE_CELL, pcm=inert)
+    h1 = simulate(case_pcm, dt=COARSE.dt)
+    h2 = simulate(case_solid, dt=COARSE.dt)
     n = min(h1.T_max.size, h2.T_max.size)
     assert np.allclose(h1.T_max[:n], h2.T_max[:n], atol=1e-9)
     assert np.allclose(h1.phi_mean, 0.0)
@@ -127,12 +128,13 @@ def test_unmeltable_pcm_equals_plain_solid():
 def test_silicon_filled_channel_runs_as_the_solid_baseline():
     """A channel filled with a material that never melts builds no melt
     state; filled with silicon, it is the no_channel cell, bit for bit."""
-    case = Case(cell=COARSE, pcm=builtin_material("Silicon"))
+    case = Case(cell=COARSE_CELL, pcm=builtin_material("Silicon"))
     _, net = build_case_network(case)
     assert not net.pcm.is_pcm
     assert net.pcm_nodes.size == 0
-    h = simulate(case, dt=0.025)
-    base = simulate(Case(cell=replace(COARSE, no_channel=True)), dt=0.025)
+    h = simulate(case, dt=COARSE.dt)
+    base = simulate(Case(cell=replace(COARSE_CELL, no_channel=True)),
+                    dt=COARSE.dt)
     for key in ("t", "T_max", "phi_mean"):
         assert np.array_equal(getattr(h, key), getattr(base, key))
     assert h.n_factorizations == base.n_factorizations
@@ -183,7 +185,7 @@ def test_factorization_rejects_indefinite_matrix():
 def test_a_non_finite_solve_raises(monkeypatch):
     # each value, on a non-PCM node and on a PCM node (where it passes
     # through the enthalpy correction), fails the first step's check
-    _, net = build_case_network(Case(cell=COARSE))
+    _, net = build_case_network(Case(cell=COARSE_CELL))
     assert not net.is_pcm[7]
     for node in (7, net.pcm_nodes[0]):
         for value in (np.inf, -np.inf, np.nan):
@@ -195,7 +197,7 @@ def test_a_non_finite_solve_raises(monkeypatch):
             monkeypatch.setattr(pcmopt.solver, "dpbtrs", non_finite)
             with pytest.raises(SolverDivergence,
                                match=r"non-finite temperature at t=0\.025 s"):
-                simulate(Case(cell=COARSE), dt=0.025)
+                simulate(Case(cell=COARSE_CELL), dt=COARSE.dt)
 
 
 def test_a_step_that_breaks_the_energy_balance_raises(monkeypatch):
@@ -208,7 +210,7 @@ def test_a_step_that_breaks_the_energy_balance_raises(monkeypatch):
     with pytest.raises(SolverDivergence,
                        match=r"per-step energy residual 1\.\d+e-05 exceeds "
                              r"1\.0e-06"):
-        simulate(Case(cell=COARSE), dt=0.025)
+        simulate(Case(cell=COARSE_CELL), dt=COARSE.dt)
 
 
 def test_early_exit_history_covers_settled_cycles(baseline_history):
@@ -227,12 +229,12 @@ def test_settled_metrics_lie_near_the_long_run_limit(monkeypatch):
     T_osc (measured: 0.0 and 0.0102 degC). The bound does not hold in
     general: Solder 174 at 5 um and 10 ms settles with T_osc off by
     0.038 degC, 3.8 times the tolerance."""
-    case = property_case({"T_m_C": 77.0}, cell=COARSE)
-    settled = compute_metrics(simulate(case, dt=0.025))
+    case = property_case({"T_m_C": 77.0}, cell=COARSE_CELL)
+    settled = compute_metrics(simulate(case, dt=COARSE.dt))
     assert settled.converged
     monkeypatch.setattr(solver, "settled", lambda extrema, tol: False)
     long = simulate(replace(case, power=replace(case.power, duration=200.0)),
-                    dt=0.025)
+                    dt=COARSE.dt)
     assert long.n_cycles == 200 and not long.converged
     limit = compute_metrics(long)
     assert abs(settled.T_o_max - limit.T_o_max) <= QUASI_STEADY_TOL
@@ -243,7 +245,7 @@ def test_dt_must_divide_the_cycle():
     # 0.2 s divides the period but not the 0.5 s on-time
     for dt in (0.03, 0.2, 0.0, -0.025):
         with pytest.raises(ValueError, match="dt"):
-            simulate(Case(cell=COARSE), dt=dt)
+            simulate(Case(cell=COARSE_CELL), dt=dt)
 
 
 def test_snapshot_every_must_be_a_positive_integer():
@@ -251,15 +253,16 @@ def test_snapshot_every_must_be_a_positive_integer():
     for every in (0, -1, 2.5, True, "40"):
         message = f"snapshot_every must be a positive integer, got {every!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            simulate(Case(cell=COARSE), dt=0.025, snapshot_every=every)
+            simulate(Case(cell=COARSE_CELL), dt=COARSE.dt,
+                     snapshot_every=every)
     # any integer type, before the step is checked
     with pytest.raises(ValueError, match="dt must divide"):
-        simulate(Case(cell=COARSE), dt=0.03, snapshot_every=np.int64(40))
+        simulate(Case(cell=COARSE_CELL), dt=0.03, snapshot_every=np.int64(40))
 
 
 def test_snapshots_have_field_shapes():
-    case = Case(cell=COARSE, power=PowerProfile(duration=2.0))
-    h = simulate(case, dt=0.025, snapshot_every=40)
+    case = Case(cell=COARSE_CELL, power=PowerProfile(duration=2.0))
+    h = simulate(case, dt=COARSE.dt, snapshot_every=40)
     assert len(h.snapshots) == 2
     t, T, phi = h.snapshots[0]
     assert t == pytest.approx(1.0)
@@ -353,8 +356,8 @@ def test_integrator_is_factored_when_built(monkeypatch):
     build = NetworkModel.conductance_matrix
     monkeypatch.setattr(NetworkModel, "conductance_matrix",
                         lambda net, *a: calls.append(a) or build(net, *a))
-    _, net = build_case_network(Case(cell=COARSE))
-    stepper = _Integrator(net, 0.025, 100e3)
+    _, net = build_case_network(Case(cell=COARSE_CELL))
+    stepper = _Integrator(net, COARSE.dt, 100e3)
     assert stepper.n_factorizations == 1
     assert len(calls) == 1
     assert stepper.phase_s["factor"] > 0.0
@@ -373,16 +376,16 @@ def test_one_matrix_build_per_factorization(monkeypatch):
         return build(net, *args, **kwargs)
 
     monkeypatch.setattr(NetworkModel, "conductance_matrix", counted)
-    h = simulate(Case(cell=COARSE), dt=0.025)
+    h = simulate(Case(cell=COARSE_CELL), dt=COARSE.dt)
     assert 1 < h.n_factorizations < h.t.size
     assert len(calls) == h.n_factorizations
 
 
 def test_phase_times_cover_the_run():
-    case = Case(cell=UnitCellSpec(no_channel=True, dx=10e-6),
+    case = Case(cell=UnitCellSpec(no_channel=True, dx=COARSE.dx),
                 power=PowerProfile(duration=20.0))
     t0 = time.perf_counter()
-    h = simulate(case, dt=0.025)
+    h = simulate(case, dt=COARSE.dt)
     wall = time.perf_counter() - t0
     assert tuple(h.phase_s) == PHASES
     assert all(v >= 0.0 for v in h.phase_s.values())
@@ -394,8 +397,8 @@ def test_phase_times_cover_the_run():
 
 def test_cycle_reductions_match_each_steps_fields():
     # Solder 174 melts and refreezes at 10 um: phi_mean moves every cycle
-    case = Case(cell=COARSE, power=PowerProfile(duration=3.0))
-    h = simulate(case, dt=0.025, snapshot_every=1)
+    case = Case(cell=COARSE_CELL, power=PowerProfile(duration=3.0))
+    h = simulate(case, dt=COARSE.dt, snapshot_every=1)
     _, net = build_case_network(case)
     assert len(h.snapshots) == h.t.size == 120
     for i, (t, T, phi) in enumerate(h.snapshots):
@@ -410,9 +413,9 @@ def test_cycle_reductions_match_each_steps_fields():
 
 def test_snapshot_fields_keep_the_mesh_orientation():
     # Cerrolow 117 (T_m 47 degC) melts through within the first pulse
-    case = Case(cell=COARSE, power=PowerProfile(duration=1.0),
+    case = Case(cell=COARSE_CELL, power=PowerProfile(duration=1.0),
                 pcm=builtin_material("Cerrolow117"))
-    h = simulate(case, dt=0.025, snapshot_every=20)
+    h = simulate(case, dt=COARSE.dt, snapshot_every=20)
     mesh, _ = build_case_network(case)
     t, T, phi = h.snapshots[0]
     assert t == pytest.approx(0.5)

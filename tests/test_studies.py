@@ -12,8 +12,9 @@ import pytest
 
 from pcmopt import metrics, solver, studies
 from pcmopt.geometry import Case, UnitCellSpec, build_mesh
-from pcmopt.metrics import simulate_metrics
-from pcmopt.solver import SolverDivergence
+from pcmopt.metrics import MetricsReport, simulate_metrics
+from pcmopt.solver import (COARSE, REFERENCE, Fidelity, SolverDivergence,
+                           ThermalHistory)
 from pcmopt.optimize import (Backend, GAConfig, PSOConfig, ga_minimize,
                              parametric_sweep, pso_minimize,
                              repeat_with_seeds, value_range)
@@ -28,8 +29,7 @@ from pcmopt.surrogate import TrainingSet, predict, r_squared, train_lm
 
 from helpers import FunctionBackend
 
-COARSE_CELL = UnitCellSpec(dx=10e-6)
-COARSE_DT = 0.025
+COARSE_CELL = UnitCellSpec(dx=COARSE.dx)
 #: what a stand-in verifier of a surrogate search stands for
 T_OSC_VERIFIER = {"objective": "T_osc", "param_names": list(GEOMETRY_BOUNDS)}
 
@@ -73,9 +73,9 @@ def test_case_builders():
     assert mat.rho_solid == 8780.0  # density stays at the base material
 
     geo = geometry_case({"H_um": 60.0, "W_um": 40.0, "T_m_C": 70.0},
-                        dx=10e-6)
+                        dx=COARSE.dx)
     assert geo.cell.H == 60e-6
-    assert geo.cell.dx == 10e-6
+    assert geo.cell.dx == COARSE.dx
     assert geo.pcm.T_m == 70.0
     assert geo.pcm.L_H == 47730.0
     # the swept channel meshes at 40 um, where the reference one does not
@@ -90,7 +90,7 @@ def test_case_builders():
     both = property_case({"H_um": 20.0, "W_um": 30.0, "T_m_C": 60.0,
                           "k_W_per_mK": 12.0}, cell=COARSE_CELL)
     assert (both.cell.H, both.cell.W) == (20e-6, 30e-6)
-    assert both.cell.dx == 10e-6
+    assert both.cell.dx == COARSE.dx
     assert (both.pcm.T_m, both.pcm.k_liquid) == (60.0, 12.0)
 
 
@@ -114,8 +114,7 @@ def test_property_case_rejects_unknown_names(name):
 
 
 def test_pcm_comparison_rows_and_artifacts(tmp_path):
-    rows = run_pcm_comparison(out_dir=tmp_path, cell=COARSE_CELL,
-                              dt=COARSE_DT)
+    rows = run_pcm_comparison(out_dir=tmp_path, fidelity=COARSE)
     assert [r["material"] for r in rows[:2]] == ["Silicon", "Cerrolow117"]
     assert len(rows) == 8
     tms = [r["T_m_C"] for r in rows[1:]]
@@ -128,7 +127,7 @@ def test_pcm_comparison_rows_and_artifacts(tmp_path):
 
 def test_tm_study_band_and_optima(tmp_path):
     res = run_tm_study(power_levels=(100e3,), tm_step=10.0, out_dir=tmp_path,
-                       cell=COARSE_CELL, dt=COARSE_DT)
+                       fidelity=COARSE)
     d = res[100e3]
     assert [r["T_m_C"] for r in d["table"]] == [47.0, 57.0, 67.0, 77.0, 87.0]
     for r in d["table"]:
@@ -144,7 +143,7 @@ def small_campaign(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PCMOPT_WORKERS", "1")
         csv_path = generate_training_data(
-            "geometry", 10, out, seed=3, dx=10e-6, dt=COARSE_DT)
+            "geometry", 10, out, seed=3, fidelity=COARSE)
     return out, csv_path
 
 
@@ -168,8 +167,8 @@ def test_campaign_resume_is_byte_identical(small_campaign, tmp_path):
     csv_path.unlink()
     (out / "cases" / "case_000003.json").unlink()
     (out / "cases" / "case_000007.json").unlink()
-    again = generate_training_data("geometry", 10, out, seed=3, dx=10e-6,
-                                   dt=COARSE_DT)
+    again = generate_training_data("geometry", 10, out, seed=3,
+                                   fidelity=COARSE)
     assert again.read_bytes() == original
 
 
@@ -178,7 +177,7 @@ def test_campaign_worker_count_does_not_change_results(small_campaign,
     out, csv_path = small_campaign
     monkeypatch.setenv("PCMOPT_WORKERS", "2")
     parallel = generate_training_data("geometry", 10, tmp_path, seed=3,
-                                      dx=10e-6, dt=COARSE_DT)
+                                      fidelity=COARSE)
     assert parallel.read_bytes() == csv_path.read_bytes()
 
 
@@ -201,7 +200,7 @@ def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
                             T_osc=case.cell.W * 1e6))
     with pytest.warns(UserWarning, match="case 2 failed: diverged on purpose"):
         csv_path = generate_training_data("geometry", 8, tmp_path,
-                                          sampler="grid", dx=10e-6)
+                                          sampler="grid", fidelity=COARSE)
     assert len(calls) == 8
     record = json.loads((tmp_path / "cases" / "case_000002.json").read_text())
     assert record["failed"] == "diverged on purpose"
@@ -215,7 +214,7 @@ def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
     original = csv_path.read_bytes()
     with pytest.warns(UserWarning, match="case 2 failed"):
         again = generate_training_data("geometry", 8, tmp_path,
-                                       sampler="grid", dx=10e-6)
+                                       sampler="grid", fidelity=COARSE)
     assert len(calls) == 8
     assert again.read_bytes() == original
 
@@ -226,7 +225,7 @@ def test_a_dead_worker_aborts_the_campaign_and_loses_no_case(
     it ran has no case file, and a resume completes the campaign."""
     out, csv_path = small_campaign
     inputs = json.loads((out / "cases" / "case_000004.json").read_text())
-    doomed = geometry_case(inputs["inputs"], dx=10e-6)
+    doomed = geometry_case(inputs["inputs"], dx=COARSE.dx)
     parent, simulate = os.getpid(), solver.simulate
 
     def dies_in_a_worker(case, **settings):
@@ -237,12 +236,12 @@ def test_a_dead_worker_aborts_the_campaign_and_loses_no_case(
     monkeypatch.setenv("PCMOPT_WORKERS", "2")
     monkeypatch.setattr(solver, "simulate", dies_in_a_worker)
     with pytest.raises(concurrent.futures.BrokenExecutor):
-        generate_training_data("geometry", 10, tmp_path, seed=3, dx=10e-6,
-                               dt=COARSE_DT)
+        generate_training_data("geometry", 10, tmp_path, seed=3,
+                               fidelity=COARSE)
     assert not (tmp_path / "cases" / "case_000004.json").exists()
     monkeypatch.setattr(solver, "simulate", simulate)
     again = generate_training_data("geometry", 10, tmp_path, seed=3,
-                                   dx=10e-6, dt=COARSE_DT)
+                                   fidelity=COARSE)
     assert again.read_bytes() == csv_path.read_bytes()
 
 
@@ -254,32 +253,33 @@ def test_a_compact_case_file_still_resumes(tmp_path, monkeypatch):
     monkeypatch.setattr(metrics, "compute_metrics",
                         lambda case: SimpleNamespace(T_o_max=case.cell.H,
                                                      T_osc=case.cell.W))
-    csv_path = generate_training_data("geometry", 3, tmp_path, dx=10e-6)
+    csv_path = generate_training_data("geometry", 3, tmp_path,
+                                      fidelity=COARSE)
     written = csv_path.read_bytes()
     for path in (tmp_path / "cases").iterdir():
         path.write_text(json.dumps(json.loads(path.read_text()),
                                    sort_keys=True))
     csv_path.unlink()
     monkeypatch.setattr(solver, "simulate", None)  # so no case can run
-    again = generate_training_data("geometry", 3, tmp_path, dx=10e-6)
+    again = generate_training_data("geometry", 3, tmp_path, fidelity=COARSE)
     assert again.read_bytes() == written
 
 
 def test_campaign_grid_sampler_deterministic(tmp_path):
     a = generate_training_data("geometry", 8, tmp_path / "a", sampler="grid",
-                               dx=10e-6, dt=COARSE_DT)
+                               fidelity=COARSE)
     b = generate_training_data("geometry", 8, tmp_path / "b", sampler="grid",
-                               dx=10e-6, dt=COARSE_DT)
+                               fidelity=COARSE)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_properties_campaign_honours_dx(tmp_path):
-    csv_path = generate_training_data("properties", 1, tmp_path, dx=10e-6,
-                                      dt=COARSE_DT)
+    csv_path = generate_training_data("properties", 1, tmp_path,
+                                      fidelity=COARSE)
     inputs = json.loads(
         (tmp_path / "cases" / "case_000000.json").read_text())["inputs"]
     expect = simulate_metrics(property_case(inputs, cell=COARSE_CELL),
-                              dt=COARSE_DT)
+                              dt=COARSE.dt)
     assert float(read_csv(csv_path)[0]["T_o_max_C"]) == expect.T_o_max
 
 
@@ -299,29 +299,29 @@ def test_campaign_input_validation(tmp_path):
 
 
 def test_campaign_resume_refuses_another_config(tmp_path):
-    generate_training_data("geometry", 2, tmp_path, seed=0, dx=10e-6,
-                           dt=COARSE_DT)
+    generate_training_data("geometry", 2, tmp_path, seed=0, fidelity=COARSE)
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     before = [p.read_bytes() for p in files]
     seed0 = config_hash(json.loads((tmp_path / "config.json").read_text()))
     with pytest.raises(ValueError, match=seed0) as err:
-        generate_training_data("geometry", 2, tmp_path, seed=1, dx=10e-6,
-                               dt=COARSE_DT)
+        generate_training_data("geometry", 2, tmp_path, seed=1,
+                               fidelity=COARSE)
     assert len(set(re.findall(r"\b[0-9a-f]{12}\b", str(err.value)))) == 2
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
     assert [p.read_bytes() for p in files] == before
 
 
 def test_campaign_resume_without_config_checks_each_case(tmp_path):
-    own = {"seed": 0, "power": 100e3, "dx": 10e-6, "dt": COARSE_DT}
+    own = {"seed": 0, "power": 100e3, "fidelity": COARSE}
     generate_training_data("geometry", 2, tmp_path, **own)
     (tmp_path / "config.json").unlink()
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     before = [p.read_bytes() for p in files]
     # another seed moves the sampled inputs; another power, mesh or solver
     # setting leaves them alone and is caught by each case's config hash
-    for changed in ({"seed": 1}, {"power": 50e3}, {"dx": 5e-6},
-                    {"dt": 0.05}):
+    for changed in ({"seed": 1}, {"power": 50e3},
+                    {"fidelity": Fidelity(5e-6, COARSE.dt)},
+                    {"fidelity": Fidelity(COARSE.dx, 0.05)}):
         with pytest.raises(ValueError, match="case_000000.json"):
             generate_training_data("geometry", 2, tmp_path,
                                    **{**own, **changed})
@@ -333,7 +333,7 @@ def test_campaign_resume_without_config_checks_each_case(tmp_path):
 
 
 def test_campaign_resume_names_a_malformed_file(tmp_path):
-    own = {"seed": 0, "dx": 10e-6, "dt": COARSE_DT}
+    own = {"seed": 0, "fidelity": COARSE}
     generate_training_data("geometry", 2, tmp_path, **own)
     # each case file is written under a temporary name, then renamed
     assert sorted(p.name for p in (tmp_path / "cases").iterdir()) == [
@@ -357,7 +357,7 @@ def test_campaign_resume_names_a_malformed_file(tmp_path):
 def test_simulator_backend_evaluate_and_verify():
     backend = SimulatorBackend(
         lambda v: property_case(v, cell=COARSE_CELL), ["T_m_C"], "T_o_max",
-        sim_kwargs={"dt": COARSE_DT})
+        sim_kwargs={"dt": COARSE.dt})
     x = np.array([77.0])
     assert backend.evaluate(x) == pytest.approx(backend.verify(x))
     # one function on the class, which a wrapper there can time by name
@@ -376,9 +376,11 @@ def test_simulator_backend_evaluate_and_verify():
     ids=["dt", "unknown_key", "snapshot_every"])
 def test_settings_simulate_refuses_are_refused_before_any_case_runs(
         tmp_path, monkeypatch, settings, message):
-    """A backend's settings dict may set only dt. A study takes dt alone,
-    so it refuses a bad dt by its message and any other setting as an
-    unexpected keyword; each before a case runs or a pool starts."""
+    """A backend's settings dict may set only dt. A bad dt is refused by
+    its message where it is given: by a fidelity when built, and by a
+    study handed a case, which takes dt alone. Any other setting is an
+    unexpected keyword to every study; each is refused before a case runs
+    or a pool starts."""
     def never(*args, **kwargs):
         raise AssertionError("a case ran or a worker pool started")
 
@@ -390,18 +392,24 @@ def test_settings_simulate_refuses_are_refused_before_any_case_runs(
     with pytest.raises(ValueError, match=re.escape(message)):
         SimulatorBackend(geometry_case, list(GEOMETRY_BOUNDS), "T_o_max",
                          sim_kwargs=settings)
-    error, match = ((ValueError, re.escape(message)) if "dt" in settings
-                    else (TypeError, "unexpected keyword argument"))
-    with pytest.raises(error, match=match):
-        generate_training_data("geometry", 3, tmp_path, dx=10e-6, **settings)
-    for study, run in STUDIES.items():
-        with pytest.raises(error, match=match):
-            run(tmp_path / study, **settings)
+    if "dt" in settings:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Fidelity(COARSE.dx, **settings)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sensitivity(Case(cell=COARSE_CELL), **settings)
+    else:
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            generate_training_data("geometry", 3, tmp_path, fidelity=COARSE,
+                                   **settings)
+        for study, run in STUDIES.items():
+            with pytest.raises(TypeError,
+                               match="unexpected keyword argument"):
+                run(tmp_path / study, COARSE, **settings)
     assert not any(tmp_path.iterdir())
     # so the directory still takes the corrected settings
     monkeypatch.undo()
     monkeypatch.setenv("PCMOPT_WORKERS", "1")
-    generate_training_data("geometry", 3, tmp_path, dx=10e-6, dt=COARSE_DT)
+    generate_training_data("geometry", 3, tmp_path, fidelity=COARSE)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert (summary["n_complete"], summary["n_failed"]) == (3, 0)
 
@@ -418,33 +426,61 @@ def test_a_plain_wrapper_on_simulate_leaves_dt_settable(tmp_path,
         return simulate(case, **kw)
 
     monkeypatch.setattr(solver, "simulate", timed)
-    run_tm_study(power_levels=(100e3,), tm_step=49.0, cell=COARSE_CELL,
-                 dt=COARSE_DT)
-    generate_training_data("geometry", 1, tmp_path, dx=10e-6, dt=COARSE_DT)
+    run_tm_study(power_levels=(100e3,), tm_step=49.0, fidelity=COARSE)
+    generate_training_data("geometry", 1, tmp_path, fidelity=COARSE)
     backend = SimulatorBackend(lambda v: property_case(v, cell=COARSE_CELL),
-                               ["T_m_C"], "T_o_max", sim_kwargs={"dt": 0.025})
+                               ["T_m_C"], "T_o_max",
+                               sim_kwargs={"dt": COARSE.dt})
     assert backend.evaluate(np.array([77.0])) > 26.85
-    assert steps == [0.025] * 4
+    assert steps == [COARSE.dt] * 4
 
 
 def test_equal_settings_hash_equally(tmp_path, monkeypatch):
-    """A study's config records dt itself: the default step given or left
-    out, and a numpy float or a Python one, is one config."""
+    """A study's config records the fidelity's values themselves: the
+    default fidelity given or left out, and a numpy float or a Python one,
+    is one config."""
     monkeypatch.setenv("PCMOPT_WORKERS", "1")
     monkeypatch.setattr(solver, "simulate", lambda case, **settings: case)
     monkeypatch.setattr(metrics, "compute_metrics",
                         lambda case: SimpleNamespace(T_o_max=50.0, T_osc=1.0))
 
     def campaign_hash(name, **settings):
-        generate_training_data("geometry", 1, tmp_path / name, dx=10e-6,
-                               **settings)
+        generate_training_data("geometry", 1, tmp_path / name, **settings)
         summary = json.loads((tmp_path / name / "summary.json").read_text())
         return summary["config_hash"]
 
     assert campaign_hash("default") == campaign_hash(
-        "given", dt=solver.DEFAULT_DT)
-    assert campaign_hash("numpy", dt=np.float64(0.025)) == campaign_hash(
-        "float", dt=0.025) != campaign_hash("default")
+        "given", fidelity=Fidelity(UnitCellSpec.dx, solver.DEFAULT_DT))
+    assert campaign_hash("numpy", fidelity=Fidelity(
+        np.float64(COARSE.dx), np.float64(COARSE.dt))) == campaign_hash(
+        "float", fidelity=COARSE) != campaign_hash("default")
+
+
+@pytest.mark.parametrize("fidelity,recorded", [
+    (REFERENCE, {"pcm_comparison": "2688fe782dc6", "tm_study": "3007fa0f6e6d",
+                 "campaign": "99de2aa85c1e"}),
+    (COARSE, {"pcm_comparison": "5a88d19d5511", "tm_study": "f59a7731e7b9",
+              "campaign": "cbdaad243c16"})], ids=["REFERENCE", "COARSE"])
+def test_a_fidelity_keeps_the_config_hash_of_its_pieces(fidelity, recorded,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """Each study's config hash at a named fidelity is the one recorded
+    when the studies took a cell (or dx) and dt in its place, which written
+    studies and campaign case files carry. No transient runs: each is a
+    one-cycle stand-in history, and every metrics report is the same."""
+    monkeypatch.setenv("PCMOPT_WORKERS", "1")
+    monkeypatch.setattr(solver, "simulate", lambda case, **_: ThermalHistory(
+        t=np.array([0.5, 1.0]), T_max=np.array([50.0, 40.0]),
+        phi_mean=np.zeros(2), dt=0.5, converged=True))
+    monkeypatch.setattr(metrics, "compute_metrics", lambda history:
+                        MetricsReport(50.0, 1.0, None, 0.0, 1, True))
+    generate_training_data("geometry", 1, tmp_path, fidelity=fidelity)
+    tm_rows = run_tm_study((100e3,), 49.0, fidelity=fidelity)[100e3]["table"]
+    assert {"pcm_comparison":
+            run_pcm_comparison(fidelity=fidelity)[0]["config_hash"],
+            "tm_study": tm_rows[0]["config_hash"],
+            "campaign": json.loads((tmp_path / "summary.json").read_text())[
+                "config_hash"]} == recorded
 
 
 def synthetic_pool(n, seed=0, target="T_osc_C"):
@@ -636,20 +672,26 @@ def test_ablation_refuses_a_test_set_of_another_column_before_training(
     assert trained == []
 
 
-@pytest.mark.parametrize("bad", [9, 61])
-def test_ablation_refuses_an_untrainable_size_before_training(monkeypatch,
-                                                              bad):
-    """A size below train_lm's minimum or above the pool is refused before
-    the sizes ahead of it train and search."""
+@pytest.mark.parametrize("sizes,repeats,refused", [
+    ((40, 9), 2, "training-set size 9 is not from 10 to 60, the pool's rows"),
+    ((40, 61), 2,
+     "training-set size 61 is not from 10 to 60, the pool's rows"),
+    ((40,), 1, "repeats must be at least 2, got 1"),
+    ((40,), 0, "repeats must be at least 2, got 0"),
+    ((40,), -2, "repeats must be at least 2, got -2")],
+    ids=["9", "61", "repeats_1", "repeats_0", "repeats_-2"])
+def test_ablation_refuses_an_untrainable_size_before_training(
+        monkeypatch, sizes, repeats, refused):
+    """A size below train_lm's minimum or above the pool, or fewer than
+    the two repeats a spread needs, is refused before the sizes ahead of
+    it train and search."""
     trained = []
     monkeypatch.setattr(studies, "train_lm",
                         lambda *a, **kw: trained.append(a))
     truth = FunctionBackend(float, **T_OSC_VERIFIER)
-    with pytest.raises(ValueError, match=re.escape(
-            f"training-set size {bad} is not from 10 to 60, the pool's "
-            "rows")):
-        run_ablation(synthetic_pool(60), synthetic_pool(60), sizes=(40, bad),
-                     verifier=truth, repeats=2, strategies=("ga",))
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        run_ablation(synthetic_pool(60), synthetic_pool(60), sizes=sizes,
+                     verifier=truth, repeats=repeats, strategies=("ga",))
     assert trained == []
 
 
@@ -658,8 +700,7 @@ def test_emit_surface(tmp_path):
     model = train_lm(pool, seed=4)
     out = tmp_path / "surface.csv"
     rows = emit_surface(model, fixed_tm=77.0, h_grid=[40.0, 100.0],
-                        w_grid=[40.0, 100.0], out_path=out, dx=10e-6,
-                        dt=COARSE_DT)
+                        w_grid=[40.0, 100.0], out_path=out, fidelity=COARSE)
     assert len(rows) == 4
     for r in rows:
         assert r["T_sim_C"] > 26.85
@@ -679,29 +720,30 @@ def test_emit_surface_refuses_a_model_of_another_objective(tmp_path,
             "the model predicts 'T_osc_C' from 3 inputs; T_o_max over "
             "['H_um', 'W_um', 'T_m_C'] needs 'T_o_max_C' from 3")):
         emit_surface(train_lm(synthetic_pool(150), seed=4), fixed_tm=77.0,
-                     h_grid=[40.0], w_grid=[40.0], out_path=out, dx=10e-6,
-                     dt=COARSE_DT)
+                     h_grid=[40.0], w_grid=[40.0], out_path=out,
+                     fidelity=COARSE)
     assert ran == [] and not out.exists()
 
 
-def _coarse_surface(out, **settings):
+def _surface(out, fidelity, **settings):
     model = train_lm(synthetic_pool(150, target="T_o_max_C"), seed=4)
     return emit_surface(model, fixed_tm=77.0, h_grid=[40.0, 70.0, 100.0],
                         w_grid=[40.0, 100.0], out_path=out / "surface.csv",
-                        dx=10e-6, **settings)
+                        fidelity=fidelity, **settings)
 
 
-#: Every study but the campaign, on the coarse mesh: (out_dir, **settings)
-#: -> its return value.
+#: Every study but the campaign: (out_dir, fidelity, **settings) -> its
+#: return value. Sensitivity is handed the reference channel at the
+#: fidelity's mesh, and takes its step.
 STUDIES = {
-    "pcm_comparison": lambda out, **settings: run_pcm_comparison(
-        out_dir=out, cell=COARSE_CELL, **settings),
-    "tm_study": lambda out, **settings: run_tm_study(
+    "pcm_comparison": lambda out, fidelity, **settings: run_pcm_comparison(
+        out_dir=out, fidelity=fidelity, **settings),
+    "tm_study": lambda out, fidelity, **settings: run_tm_study(
         power_levels=(50e3, 100e3), tm_step=10.0, out_dir=out,
-        cell=COARSE_CELL, **settings),
-    "sensitivity": lambda out, **settings: sensitivity(Case(cell=COARSE_CELL),
-                                                       **settings),
-    "surface": _coarse_surface,
+        fidelity=fidelity, **settings),
+    "sensitivity": lambda out, fidelity, **settings: sensitivity(
+        Case(cell=UnitCellSpec(dx=fidelity.dx)), dt=fidelity.dt, **settings),
+    "surface": _surface,
 }
 
 
@@ -713,7 +755,7 @@ def test_study_results_do_not_depend_on_worker_count(study, tmp_path,
         monkeypatch.setenv("PCMOPT_WORKERS", workers)
         out = tmp_path / workers
         out.mkdir()
-        results.append(STUDIES[study](out, dt=COARSE_DT))
+        results.append(STUDIES[study](out, COARSE))
         files.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert results[0] == results[1]
     assert files[0] == files[1]
@@ -727,8 +769,8 @@ def test_the_case_runner_yields_each_transient_with_its_stats(workers,
     monkeypatch.setenv("PCMOPT_WORKERS", workers)
     cases = [property_case({"T_m_C": tm}, cell=COARSE_CELL)
              for tm in (60.0, 77.0)]
-    for case, h in zip(cases, studies.evaluate_cases(cases, COARSE_DT)):
-        alone = solver.simulate(case, dt=COARSE_DT)
+    for case, h in zip(cases, studies.evaluate_cases(cases, COARSE.dt)):
+        alone = solver.simulate(case, dt=COARSE.dt)
         assert isinstance(h, solver.ThermalHistory)
         assert np.array_equal(h.T_max, alone.T_max)
         stats, want = h.stats(), alone.stats()
@@ -755,7 +797,7 @@ def test_a_failed_case_raises_its_own_exception_from_a_study(workers,
                                                      T_osc=case.pcm.L_H))
     # 11 cases: at two workers, the k + 10 % case runs in a worker
     with pytest.raises(SolverDivergence, match="diverged in process") as err:
-        sensitivity(base, dt=COARSE_DT)
+        sensitivity(base, dt=COARSE.dt)
     in_worker = str(err.value) != f"diverged in process {os.getpid()}"
     assert in_worker == (workers == "2")
     # the raising function is named, from the worker's traceback there
@@ -770,7 +812,7 @@ def test_a_failed_case_raises_from_the_simulator_backend(monkeypatch):
     monkeypatch.setattr(solver, "simulate", diverges)
     backend = SimulatorBackend(lambda v: property_case(v, cell=COARSE_CELL),
                                ["T_m_C"], "T_o_max",
-                               sim_kwargs={"dt": COARSE_DT})
+                               sim_kwargs={"dt": COARSE.dt})
     with pytest.raises(SolverDivergence, match="diverged on purpose"):
         backend.evaluate(np.array([77.0]))
     # so a search scores the point +inf and names the reason

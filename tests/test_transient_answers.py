@@ -17,7 +17,7 @@ import numpy as np
 from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.materials import builtin_material
 from pcmopt.metrics import compute_metrics
-from pcmopt.solver import simulate
+from pcmopt.solver import COARSE, simulate
 from pcmopt.studies import geometry_case, property_case
 
 from helpers import check_answers, openblas_core, record_answers, steady_state
@@ -28,23 +28,24 @@ HOST = (openblas_core,)
 # recorded kernel; other kernels were measured to move T_max by 5.5e-8 degC.
 VALUE_TOL = 1e-7
 
-COARSE = UnitCellSpec(dx=10e-6)
+COARSE_CELL = UnitCellSpec(dx=COARSE.dx)
 # Every case simulated here, beside the two 5 um references the session
 # fixtures provide: (case, simulate keyword arguments).
 CASES = {
     "property_10um": (property_case(
         {"T_m_C": 80.0, "L_H_J_per_kg": 30000.0, "k_W_per_mK": 20.0,
          "cp_solid_J_per_kgK": 300.0, "cp_liquid_J_per_kgK": 500.0},
-        cell=COARSE), {"dt": 0.025}),
+        cell=COARSE_CELL), {"dt": COARSE.dt}),
     "channel_60x60_5um": (geometry_case(
-        {"H_um": 60.0, "W_um": 60.0, "T_m_C": 77.0}, dx=5e-6), {"dt": 0.025}),
+        {"H_um": 60.0, "W_um": 60.0, "T_m_C": 77.0}, dx=5e-6),
+        {"dt": COARSE.dt}),
     "channel_60x60_10um": (geometry_case(
-        {"H_um": 60.0, "W_um": 60.0, "T_m_C": 77.0}, dx=10e-6),
-        {"dt": 0.025}),
-    "silicon_channel_10um": (Case(cell=COARSE,
+        {"H_um": 60.0, "W_um": 60.0, "T_m_C": 77.0}, dx=COARSE.dx),
+        {"dt": COARSE.dt}),
+    "silicon_channel_10um": (Case(cell=COARSE_CELL,
                                   pcm=builtin_material("Silicon")),
-                             {"dt": 0.025}),
-    "snapshots_10um": (Case(cell=COARSE), {"dt": 0.025,
+                             {"dt": COARSE.dt}),
+    "snapshots_10um": (Case(cell=COARSE_CELL), {"dt": COARSE.dt,
                                            "snapshot_every": 40}),
 }
 
