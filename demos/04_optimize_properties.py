@@ -8,19 +8,14 @@ the recipe Solder 174 happens to approximate. The winning candidate is
 re-simulated on the 5 um reference mesh for an honest final score.
 """
 
-from pcmopt.geometry import UnitCellSpec
 from pcmopt.optimize import GAConfig, PSOConfig, ga_minimize, pso_minimize
-from pcmopt.solver import COARSE
-from pcmopt.studies import (PROPERTY_BOUNDS, SimulatorBackend,
-                            problem_from_bounds, property_case)
+from pcmopt.solver import COARSE, REFERENCE
+from pcmopt.studies import PROPERTY_BOUNDS, problem_from_bounds, simulator
 
 if __name__ == "__main__":
-    backend = SimulatorBackend(
-        lambda v: property_case(v, cell=UnitCellSpec(dx=COARSE.dx)),
-        list(PROPERTY_BOUNDS), "T_o_max", sim_kwargs={"dt": COARSE.dt})
+    backend = simulator(list(PROPERTY_BOUNDS), "T_o_max", COARSE)
     # each optimum is re-simulated at the reference mesh and step
-    backend.verifier = SimulatorBackend(property_case, list(PROPERTY_BOUNDS),
-                                        "T_o_max")
+    backend.verifier = simulator(list(PROPERTY_BOUNDS), "T_o_max", REFERENCE)
     problem = problem_from_bounds(PROPERTY_BOUNDS, "T_o_max", backend)
 
     runs = [

@@ -17,9 +17,9 @@ import numpy as np
 
 from pcmopt.optimize import GAConfig, ga_minimize
 from pcmopt.solver import COARSE
-from pcmopt.studies import (GEOMETRY_BOUNDS, SimulatorBackend,
-                            SurrogateBackend, generate_training_data,
-                            geometry_case, problem_from_bounds)
+from pcmopt.studies import (GEOMETRY_BOUNDS, SurrogateBackend,
+                            generate_training_data, problem_from_bounds,
+                            simulator)
 from pcmopt.surrogate import load_training_csv, r_squared, train_lm
 
 N_CASES = 150
@@ -35,9 +35,7 @@ if __name__ == "__main__":
     print(f"trained on {N_CASES - 30} cases; "
           f"holdout R^2 = {r_squared(model, holdout):.3f}")
 
-    verifier = SimulatorBackend(
-        lambda v: geometry_case(v, dx=COARSE.dx),
-        list(GEOMETRY_BOUNDS), "T_o_max", sim_kwargs={"dt": COARSE.dt})
+    verifier = simulator(list(GEOMETRY_BOUNDS), "T_o_max", COARSE)
     problem = problem_from_bounds(GEOMETRY_BOUNDS, "T_o_max",
                                   SurrogateBackend(model, verifier))
     result = ga_minimize(problem, GAConfig(population=40,

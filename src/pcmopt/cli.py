@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, replace as dc_replace
-from functools import partial
 from pathlib import Path
 
 from . import studies
@@ -152,13 +151,9 @@ def _load_problem(args):
     source = f"problem file {args.problem}"
     spec = from_record(_ProblemFile, read_json(args.problem, source), source)
     try:  # fail before searching
-        fidelity = Fidelity(spec.dx, spec.dt)
-        builder = partial(studies.geometry_case, power=spec.power,
-                          dx=fidelity.dx)
-        builder({k: lo for k, (lo, hi) in spec.bounds.items()})
-        verifier = studies.SimulatorBackend(
-            builder, list(spec.bounds), spec.objective,
-            sim_kwargs={"dt": fidelity.dt})
+        verifier = studies.simulator(list(spec.bounds), spec.objective,
+                                     Fidelity(spec.dx, spec.dt), spec.power)
+        verifier.case_builder({k: lo for k, (lo, hi) in spec.bounds.items()})
         problem = studies.problem_from_bounds(
             spec.bounds, spec.objective, verifier, seed=args.seed,
             steps=spec.steps)
@@ -223,10 +218,8 @@ def _cmd_ablation(args):
     except ValueError as e:
         raise ValueError(f"--sizes {args.sizes!r}: {e}") from e
 
-    verifier = studies.SimulatorBackend(
-        partial(studies.geometry_case, power=args.power, dx=fidelity.dx),
-        list(studies.GEOMETRY_BOUNDS), objective,
-        sim_kwargs={"dt": fidelity.dt})
+    verifier = studies.simulator(list(studies.GEOMETRY_BOUNDS), objective,
+                                 fidelity, args.power)
     report = studies.run_ablation(pool, test, sizes, verifier,
                                   repeats=args.repeats, base_seed=args.seed)
     _emit(report, args.out)

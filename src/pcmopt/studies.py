@@ -7,8 +7,12 @@ through one case runner, evaluate_cases, which checks dt before any case
 runs and yields each case's ThermalHistory or its exception; the study
 reduces each history itself. A training campaign records a failed case, and
 every other study (and SimulatorBackend.evaluate) raises the first.
-SimulatorBackend alone keeps a settings dict, which may set only dt, since
-the benchmark builds it that way until ROADMAP item 2.
+
+Every simulator objective, a search's and its verifier's, comes from one
+call, simulator(param_names, objective, fidelity, power), which runs
+geometry_case's cases at the fidelity's mesh and step. SimulatorBackend's
+own constructor, with a case builder and a settings dict that may set only
+dt, stays for the benchmark, which builds it that way until ROADMAP item 2.
 
 Each study writes a directory with config.json, results.csv, and
 summary.json; training campaigns additionally keep one artifact per case so
@@ -209,8 +213,9 @@ class SimulatorBackend(Backend):
     returns, run by _run_case at the step dt that sim_kwargs may set,
     checked when built.
     A dict, since the benchmark passes sim_kwargs={"dt": ...} until ROADMAP
-    item 2. verify is evaluate, bound on the class, so a wrapper put on an
-    instance's evaluate (as the benchmark's timers are) never counts a
+    item 2; every other caller builds one through simulator(). verify is
+    evaluate, bound on the class, so a wrapper put on an instance's
+    evaluate (as the benchmark's timers are) never counts a
     verification."""
 
     def __init__(self, case_builder, param_names, objective: str,
@@ -235,6 +240,20 @@ class SimulatorBackend(Backend):
         return float(getattr(report, self.objective))
 
     verify = evaluate
+
+
+def simulator(param_names, objective: str,
+              fidelity: solver.Fidelity = solver.REFERENCE,
+              power: float = PowerProfile.q0) -> SimulatorBackend:
+    """The SimulatorBackend of objective over param_names, on
+    geometry_case's cases at power, meshed at fidelity.dx and stepped at
+    fidelity.dt. A point that sweeps no channel dimension keeps the
+    reference channel, so it builds the case property_case builds in a
+    cell meshed at fidelity.dx."""
+    return SimulatorBackend(partial(geometry_case, power=power,
+                                    dx=fidelity.dx),
+                            param_names, objective,
+                            sim_kwargs={"dt": fidelity.dt})
 
 
 def _predict_quietly(model: SurrogateModel, X) -> np.ndarray:
@@ -272,13 +291,13 @@ class SurrogateBackend(Backend):
 
 class ResamplingSurrogateBackend(SurrogateBackend):
     """Surrogate trained on `size` rows of pool drawn without replacement
-    by seed. fresh(seed) builds a new backend the first time it sees a
-    seed and returns that one after: one network per seed."""
+    by seed, a size check_sizes allows. fresh(seed) builds a new backend
+    the first time it sees a seed and returns that one after: one network
+    per seed."""
 
     def __init__(self, pool: TrainingSet, size: int, verifier: Backend,
                  seed: int = 0, **train_kwargs):
-        if size > len(pool):
-            raise ValueError("subset size exceeds pool")
+        check_sizes([size], pool)
         self.pool = pool
         self.size = size
         self.train_kwargs = train_kwargs
@@ -299,6 +318,19 @@ class ResamplingSurrogateBackend(SurrogateBackend):
 def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
                         seed: int = 0, steps: dict | None = None
                         ) -> OptimizationProblem:
+    """The problem of minimizing objective over bounds, in their order, on
+    backend. A backend, or its verifier, that names its parameters and
+    objective (as a SimulatorBackend and a surrogate's verifier do) must
+    name these, since it reads a point's values by its own names; one that
+    names nothing is taken as it is."""
+    for named in (backend, backend.verifier):
+        if getattr(named, "objective", None) is not None and (
+                named.param_names != list(bounds)
+                or named.objective != objective):
+            raise ValueError(
+                f"the backend scores {named.objective} over "
+                f"{named.param_names}; the problem is {objective} over "
+                f"{list(bounds)}")
     steps = steps or {}
     if set(steps) - set(bounds):
         raise ValueError(f"steps {sorted(set(steps) - set(bounds))} name no "
@@ -534,16 +566,22 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
     """Train/optimize/verify over GEOMETRY_BOUNDS across training-set sizes.
 
     verifier scores each optimum (a SimulatorBackend of the ablated
-    metric); pool and test must target that metric's column. Each size
-    trains one network per repeat seed, for its R^2 and for every strategy.
-    The test set's column, every size and the repeats (at least two, for a
-    spread) are checked before any training; the pool's column is
-    check_model's, on the first network.
+    metric); pool and test must target that metric's column from
+    GEOMETRY_BOUNDS' inputs, in that order. Each size trains one network
+    per repeat seed, for its R^2 and for every strategy. Both sets'
+    columns, every size and the repeats (at least two, for a spread) are
+    checked before any training.
     """
     column = metrics.OBJECTIVE_COLUMNS[verifier.objective]
-    if test.target_name != column:
-        raise ValueError(f"the test set targets {test.target_name!r}; a "
-                         f"{verifier.objective} verifier needs {column!r}")
+    for which, data in (("pool", pool), ("test set", test)):
+        if data.target_name != column:
+            raise ValueError(f"the {which} targets {data.target_name!r}; a "
+                             f"{verifier.objective} verifier needs "
+                             f"{column!r}")
+        if list(data.input_names) != list(GEOMETRY_BOUNDS):
+            raise ValueError(f"the {which} has the inputs "
+                             f"{list(data.input_names)}; the ablation needs "
+                             f"{list(GEOMETRY_BOUNDS)}, in that order")
     check_sizes(sizes, pool)
     if repeats < 2:
         raise ValueError(f"repeats must be at least 2, got {repeats}")

@@ -19,12 +19,12 @@ PCMOPT_ACCEPTANCE_CACHE names, and every key follows one rule, entry_key:
 the hash of the function's bound arguments with its defaults applied,
 dataclasses encoded through asdict. So the mesh, the step, both fidelities
 of a search, the GA/PSO configs, the campaign and train_lm's settings enter
-every key they affect, and a search names its case builder by kind and
-fidelity, so no setting hides in a closure. A changed setting re-keys its
-entry, which must then be re-derived cold (from an empty cache directory)
-and the re-derivation logged in CHANGES.md. A key sees the call, not the
-code: a change to the simulator, the optimizers or the surrogate reaches an
-entry only through a cold run.
+every key they affect, and a search builds its backends through
+studies.simulator from its fidelities, so no setting hides in a closure.
+A changed setting re-keys its entry, which must then be re-derived cold
+(from an empty cache directory) and the re-derivation logged in
+CHANGES.md. A key sees the call, not the code: a change to the simulator,
+the optimizers or the surrogate reaches an entry only through a cold run.
 """
 
 import dataclasses
@@ -32,7 +32,6 @@ import inspect
 import json
 import os
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +42,10 @@ from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.metrics import OBJECTIVE_COLUMNS
 from pcmopt.optimize import GAConfig, PSOConfig, ga_minimize, pso_minimize
 from pcmopt.solver import COARSE, REFERENCE, Fidelity
-from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
-                            SimulatorBackend, config_hash,
-                            generate_training_data, geometry_case,
-                            problem_from_bounds, property_case,
+from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS, config_hash,
+                            generate_training_data, problem_from_bounds,
                             run_ablation, run_pcm_comparison, run_tm_study,
-                            sensitivity)
+                            sensitivity, simulator)
 from pcmopt.surrogate import load_training_csv, r_squared, train_lm
 
 COMMITTED = Path(__file__).parent / ".acceptance_cache"
@@ -90,37 +87,26 @@ slow = pytest.mark.slow
 SEARCHES = {GAConfig: ga_minimize, PSOConfig: pso_minimize}
 
 
-def simulator(kind, names, objective, fidelity):
-    """A SimulatorBackend of objective over names, on kind's cases at
-    fidelity."""
-    if kind == "property":
-        builder = partial(property_case, cell=UnitCellSpec(dx=fidelity.dx))
-    else:
-        builder = partial(geometry_case, dx=fidelity.dx)
-    return SimulatorBackend(builder, names, objective,
-                            sim_kwargs={"dt": fidelity.dt})
-
-
-def search(kind, bounds, objective, config, fidelity, verify=None):
-    """config's search (GA or PSO) of objective over bounds on kind's cases
-    at fidelity; given verify, the optimum is verified at that fidelity."""
-    backend = simulator(kind, list(bounds), objective, fidelity)
+def search(bounds, objective, config, fidelity, verify=None):
+    """config's search (GA or PSO) of objective over bounds at fidelity;
+    given verify, the optimum is verified at that fidelity."""
+    backend = simulator(list(bounds), objective, fidelity)
     if verify is not None:
-        backend.verifier = simulator(kind, list(bounds), objective, verify)
+        backend.verifier = simulator(list(bounds), objective, verify)
     problem = problem_from_bounds(bounds, objective, backend)
     return SEARCHES[type(config)](problem, config)
 
 
-def optimum(kind, bounds, objective, config, fidelity, verify):
+def optimum(bounds, objective, config, fidelity, verify):
     """The optimum's parameters and its objective verified at verify."""
-    r = search(kind, bounds, objective, config, fidelity, verify)
+    r = search(bounds, objective, config, fidelity, verify)
     return {"parameters": r.parameters, "verified": r.verified_objective}
 
 
 def tm_optima(bounds, objective, ga, pso, fidelity):
     """The T_m the GA and the PSO find within bounds, other properties at
     Solder 174's."""
-    return {name: search("property", bounds, objective, config,
+    return {name: search(bounds, objective, config,
                          fidelity).parameters["T_m_C"]
             for name, config in (("ga", ga), ("pso", pso))}
 
@@ -189,8 +175,7 @@ def dispersion(campaign, n_pool, objective, sizes, repeats, config,
     train_lm's defaults, so train only records them in the key."""
     assert train == TRAIN, "run_ablation trains with train_lm's defaults"
     pool, test = campaign_sets(campaign, n_pool, objective)
-    verifier = simulator("geometry", list(GEOMETRY_BOUNDS), objective,
-                         fidelity)
+    verifier = simulator(list(GEOMETRY_BOUNDS), objective, fidelity)
     report = run_ablation(pool, test, sizes=sizes, verifier=verifier,
                           repeats=repeats, base_seed=0, strategies=("ga",),
                           optimizer_config=config)
@@ -237,8 +222,8 @@ def entries(reference, coarse, geometry):
              (GEO_GA_CFG, GEO_PSO_CFG))]:
         for strategy, config in zip(("ga", "pso"), configs):
             table[f"{kind}_opt_{strategy}"] = (optimum, dict(
-                kind=kind, bounds=bounds, objective=objective,
-                config=config, fidelity=at, verify=reference))
+                bounds=bounds, objective=objective, config=config,
+                fidelity=at, verify=reference))
     return table
 
 
@@ -501,10 +486,10 @@ def test_every_entry_is_keyed_on_the_call_that_computes_it():
             != keys["geometry_opt_pso"])
     assert (key_with("surrogate_scores", train={**TRAIN, "hidden": 12})
             != keys["surrogate_scores"])
-    # a default passed explicitly keys as left out; a changed default moves
+    # a default passed explicitly keys as left out; a changed default moves,
+    # as it keys as its new value passed explicitly
     assert key_with("pcm_compare", out_dir=None) == keys["pcm_compare"]
-    assert (entry_key(partial(sensitivity, properties=("T_m",)),
-                      TABLE["sensitivity_reference"][1])
+    assert (key_with("sensitivity_reference", properties=("T_m",))
             != keys["sensitivity_reference"])
 
 

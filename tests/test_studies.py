@@ -2,9 +2,11 @@ import concurrent.futures
 import csv
 import json
 import os
+import pickle
 import re
 import traceback
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +26,7 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             emit_surface, generate_training_data,
                             geometry_case, problem_from_bounds, property_case,
                             run_ablation, run_pcm_comparison, run_tm_study,
-                            sensitivity)
+                            sensitivity, simulator)
 from pcmopt.surrogate import TrainingSet, predict, r_squared, train_lm
 
 from helpers import FunctionBackend
@@ -367,6 +369,28 @@ def test_simulator_backend_evaluate_and_verify():
         SimulatorBackend(property_case, ["T_m_C"], "dt_85")
 
 
+def test_simulator_scores_as_a_backend_built_by_hand():
+    """simulator at COARSE scores a property point and a geometry point to
+    the bits of a SimulatorBackend built by hand, pickled or not, and at
+    REFERENCE as simulate_metrics scores the case geometry_case builds."""
+    for names, x, power, builder in [
+            (list(PROPERTY_BOUNDS), [76.33, 44907.0, 34.86, 401.0, 883.0],
+             100e3, partial(property_case, cell=COARSE_CELL)),
+            (list(GEOMETRY_BOUNDS), [60.0, 90.0, 77.0],
+             75e3, partial(geometry_case, power=75e3, dx=COARSE.dx))]:
+        by_hand = SimulatorBackend(builder, names, "T_o_max",
+                                   sim_kwargs={"dt": COARSE.dt})
+        backend = simulator(names, "T_o_max", COARSE, power)
+        x = np.array(x)
+        want = by_hand.evaluate(x)
+        assert backend.evaluate(x) == want
+        assert pickle.loads(pickle.dumps(backend)).evaluate(x) == want
+    x = np.array([60.0, 90.0, 77.0])
+    case = geometry_case(dict(zip(GEOMETRY_BOUNDS, x.tolist())))
+    assert (simulator(list(GEOMETRY_BOUNDS), "T_osc").evaluate(x)
+            == simulate_metrics(case).T_osc)
+
+
 @pytest.mark.parametrize("settings,message", [
     ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
     ({"dtt": 0.025}, "unknown simulation settings ['dtt']; the only one is "
@@ -599,6 +623,23 @@ def test_resampling_backend_fresh_retrains(monkeypatch):
     assert len(trained) == 3
 
 
+@pytest.mark.parametrize("size", [5, -3, 40])
+def test_a_resampling_backend_refuses_an_untrainable_size_before_training(
+        monkeypatch, size):
+    """A size below train_lm's minimum, below zero or beyond the pool is
+    refused by check_sizes' rule, naming the size and the pool, before a
+    network trains."""
+    trained = []
+    monkeypatch.setattr(studies, "train_lm",
+                        lambda *a, **kw: trained.append(a))
+    with pytest.raises(ValueError, match=re.escape(
+            f"training-set size {size} is not from 10 to 30, the pool's "
+            "rows")):
+        ResamplingSurrogateBackend(synthetic_pool(30), size,
+                                   FunctionBackend(float, **T_OSC_VERIFIER))
+    assert trained == []
+
+
 def test_a_surrogate_backend_refuses_a_model_of_another_objective():
     """A network must predict the verifier's objective column from one input
     per search parameter, whichever backend builds on it."""
@@ -624,6 +665,36 @@ def test_problem_from_bounds():
     assert problem.names == ["H_um", "W_um", "T_m_C"]
     assert problem.parameters[2].step == 1.0
     assert list(problem.lower) == [20.0, 20.0, 47.0]
+
+
+SWAPPED = {name: GEOMETRY_BOUNDS[name] for name in ("W_um", "H_um", "T_m_C")}
+
+
+@pytest.mark.parametrize("bounds,objective,backend,scores", [
+    (SWAPPED, "T_o_max", "T_o_max", "T_o_max over ['H_um', 'W_um', 'T_m_C']"),
+    (GEOMETRY_BOUNDS, "T_osc", "T_o_max",
+     "T_o_max over ['H_um', 'W_um', 'T_m_C']"),
+    (SWAPPED, "T_osc", "surrogate", "T_osc over ['H_um', 'W_um', 'T_m_C']"),
+    (GEOMETRY_BOUNDS, "T_o_max", "verified_as_T_osc",
+     "T_osc over ['H_um', 'W_um', 'T_m_C']")],
+    ids=["order", "objective", "surrogate_verifier", "verifier"])
+def test_problem_from_bounds_refuses_a_backend_of_other_names(
+        bounds, objective, backend, scores):
+    """A backend reads a point's values by its own parameter names, so one
+    that names others, or another objective, than the problem is refused,
+    as is a surrogate's or a simulator's verifier that does."""
+    if backend == "surrogate":
+        backend = SurrogateBackend(train_lm(synthetic_pool(60), seed=0),
+                                   FunctionBackend(float, **T_OSC_VERIFIER))
+    elif backend == "verified_as_T_osc":
+        backend = simulator(list(GEOMETRY_BOUNDS), "T_o_max", COARSE)
+        backend.verifier = simulator(list(GEOMETRY_BOUNDS), "T_osc")
+    else:
+        backend = simulator(list(GEOMETRY_BOUNDS), backend, COARSE)
+    with pytest.raises(ValueError, match=re.escape(
+            f"the backend scores {scores}; the problem is {objective} over "
+            f"{list(bounds)}")):
+        problem_from_bounds(bounds, objective, backend)
 
 
 def test_ablation_structure_with_synthetic_truth(monkeypatch):
@@ -669,6 +740,45 @@ def test_ablation_refuses_a_test_set_of_another_column_before_training(
         run_ablation(synthetic_pool(60), synthetic_pool(60, target="T_o_max_C"),
                      sizes=(40,), verifier=truth, repeats=2,
                      strategies=("ga",))
+    assert trained == []
+
+
+def properties_pool(n):
+    """A T_osc_C pool over the five property inputs."""
+    X = np.random.default_rng(0).uniform(size=(n, len(PROPERTY_BOUNDS)))
+    return TrainingSet(X, X.sum(axis=1), list(PROPERTY_BOUNDS), "T_osc_C")
+
+
+def swapped(data):
+    """data with its W_um column ahead of its H_um one."""
+    return TrainingSet(data.X[:, [1, 0, 2]], data.y,
+                       ["W_um", "H_um", "T_m_C"], data.target_name)
+
+
+@pytest.mark.parametrize("pool,test,refused", [
+    (swapped(synthetic_pool(60)), synthetic_pool(60),
+     "the pool has the inputs ['W_um', 'H_um', 'T_m_C']; the ablation "
+     "needs ['H_um', 'W_um', 'T_m_C'], in that order"),
+    (synthetic_pool(60), swapped(synthetic_pool(60)),
+     "the test set has the inputs ['W_um', 'H_um', 'T_m_C']"),
+    (properties_pool(60), synthetic_pool(60),
+     f"the pool has the inputs {list(PROPERTY_BOUNDS)}"),
+    (synthetic_pool(60, target="T_o_max_C"), synthetic_pool(60),
+     "the pool targets 'T_o_max_C'; a T_osc verifier needs 'T_osc_C'")],
+    ids=["pool_order", "test_order", "properties_pool", "pool_target"])
+def test_ablation_refuses_a_set_of_other_columns_before_training(
+        monkeypatch, pool, test, refused):
+    """The pool, like the test set, must target the verifier's column from
+    GEOMETRY_BOUNDS' inputs in their order, since its rows train the
+    network that the search reads by those names; it is refused before
+    any network trains."""
+    trained = []
+    monkeypatch.setattr(studies, "train_lm",
+                        lambda *a, **kw: trained.append(a))
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        run_ablation(pool, test, sizes=(40,),
+                     verifier=FunctionBackend(float, **T_OSC_VERIFIER),
+                     repeats=2, strategies=("ga",))
     assert trained == []
 
 
