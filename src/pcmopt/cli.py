@@ -201,8 +201,8 @@ def _cmd_train(args):
     data = load_training_csv(args.data, column)
     model = train_lm(data, hidden=args.hidden, seed=args.seed)
     model.save(args.out)
-    print(f"model saved to {args.out} "
-          f"(train R^2 = {r_squared(model, data):.4f})")
+    print(f"model saved to {args.out}: {model.target_name} from "
+          f"{model.input_names} (train R^2 = {r_squared(model, data):.4f})")
 
 
 def _cmd_ablation(args):

@@ -8,6 +8,9 @@ runs and yields each case's ThermalHistory or its exception; the study
 reduces each history itself. A training campaign records a failed case, and
 every other study (and SimulatorBackend.evaluate) raises the first.
 
+check_columns is the one column rule: a model or a training set stands for
+an objective only if it maps the search parameters, in order, to its column.
+
 Every simulator objective, a search's and its verifier's, comes from one
 call, simulator(param_names, objective, fidelity, power), which runs
 geometry_case's cases at the fidelity's mesh and step. SimulatorBackend's
@@ -263,14 +266,15 @@ def _predict_quietly(model: SurrogateModel, X) -> np.ndarray:
         return predict(model, X)
 
 
-def check_model(model: SurrogateModel, objective: str, param_names) -> None:
-    """Refuse model unless it predicts objective's column from param_names."""
-    column = metrics.OBJECTIVE_COLUMNS[objective]
-    if model.target != column or model.input_dim != len(param_names):
-        raise ValueError(
-            f"the model predicts {model.target!r} from {model.input_dim} "
-            f"inputs; {objective} over {list(param_names)} needs {column!r} "
-            f"from {len(param_names)}")
+def check_columns(what: str, record, objective: str, param_names) -> None:
+    """Refuse record, a SurrogateModel or a TrainingSet, unless it maps
+    param_names, in that order, to objective's column; what names it."""
+    have = (record.target_name, list(record.input_names))
+    need = (metrics.OBJECTIVE_COLUMNS[objective], list(param_names))
+    if have != need:
+        raise ValueError(f"the {what} predicts {have[0]!r} from {have[1]}; "
+                         f"{objective} needs {need[0]!r} from {need[1]}, "
+                         "in that order")
 
 
 class SurrogateBackend(Backend):
@@ -278,7 +282,8 @@ class SurrogateBackend(Backend):
     is one predict call, which scores each row to the same bits as alone."""
 
     def __init__(self, model: SurrogateModel, verifier: Backend):
-        check_model(model, verifier.objective, verifier.param_names)
+        check_columns("model", model, verifier.objective,
+                      verifier.param_names)
         self.model = model
         self.verifier = verifier
 
@@ -291,12 +296,13 @@ class SurrogateBackend(Backend):
 
 class ResamplingSurrogateBackend(SurrogateBackend):
     """Surrogate trained on `size` rows of pool drawn without replacement
-    by seed, a size check_sizes allows. fresh(seed) builds a new backend
-    the first time it sees a seed and returns that one after: one network
-    per seed."""
+    by seed, a size check_sizes allows from a pool whose columns
+    check_columns allows. fresh(seed) builds a new backend the first time
+    it sees a seed and returns that one after: one network per seed."""
 
     def __init__(self, pool: TrainingSet, size: int, verifier: Backend,
                  seed: int = 0, **train_kwargs):
+        check_columns("pool", pool, verifier.objective, verifier.param_names)
         check_sizes([size], pool)
         self.pool = pool
         self.size = size
@@ -565,23 +571,15 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
                  ) -> list[dict]:
     """Train/optimize/verify over GEOMETRY_BOUNDS across training-set sizes.
 
-    verifier scores each optimum (a SimulatorBackend of the ablated
-    metric); pool and test must target that metric's column from
-    GEOMETRY_BOUNDS' inputs, in that order. Each size trains one network
-    per repeat seed, for its R^2 and for every strategy. Both sets'
-    columns, every size and the repeats (at least two, for a spread) are
-    checked before any training.
+    verifier scores each optimum over GEOMETRY_BOUNDS (a SimulatorBackend
+    of the ablated metric); pool and test must map those inputs to its
+    column. Each size trains one network per repeat seed, for its R^2 and
+    for every strategy. The verifier, both sets, every size and the repeats
+    (at least two, for a spread) are checked before any training.
     """
-    column = metrics.OBJECTIVE_COLUMNS[verifier.objective]
-    for which, data in (("pool", pool), ("test set", test)):
-        if data.target_name != column:
-            raise ValueError(f"the {which} targets {data.target_name!r}; a "
-                             f"{verifier.objective} verifier needs "
-                             f"{column!r}")
-        if list(data.input_names) != list(GEOMETRY_BOUNDS):
-            raise ValueError(f"the {which} has the inputs "
-                             f"{list(data.input_names)}; the ablation needs "
-                             f"{list(GEOMETRY_BOUNDS)}, in that order")
+    problem = problem_from_bounds(GEOMETRY_BOUNDS, verifier.objective,
+                                  verifier, seed=base_seed)
+    check_columns("test set", test, verifier.objective, GEOMETRY_BOUNDS)
     check_sizes(sizes, pool)
     if repeats < 2:
         raise ValueError(f"repeats must be at least 2, got {repeats}")
@@ -592,12 +590,10 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
         seeds = range(base_seed, base_seed + repeats)
         entry = {"size": int(size), "r_squared": value_range(
             [r_squared(backend.fresh(seed).model, test) for seed in seeds])}
-        problem = problem_from_bounds(GEOMETRY_BOUNDS, verifier.objective,
-                                      backend, seed=base_seed)
         for strategy in strategies:
             entry[strategy] = repeat_with_seeds(
-                problem, strategy, n_runs=repeats,
-                config=optimizer_config)["summary"]
+                dc_replace(problem, backend=backend), strategy,
+                n_runs=repeats, config=optimizer_config)["summary"]
         report.append(entry)
     return report
 
@@ -611,7 +607,7 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
                  fidelity: solver.Fidelity = solver.REFERENCE) -> list[dict]:
     """Paired NN/simulator T_o_max surface over an H/W grid at fixed T_m,
     simulated at fidelity."""
-    check_model(model, "T_o_max", GEOMETRY_BOUNDS)
+    check_columns("model", model, "T_o_max", GEOMETRY_BOUNDS)
     points = [np.array([float(h_um), float(w_um), float(fixed_tm)])
               for h_um in h_grid for w_um in w_grid]
     cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power,

@@ -3,7 +3,8 @@
 Architecture: input layer, one sigmoid hidden layer (default 10 neurons),
 and a single linear output neuron predicting one thermal metric. Inputs and
 targets are min-max normalized to [-1, 1]; the ranges are stored with the
-model so prediction round-trips in physical units.
+model so prediction round-trips in physical units. A model records the
+input_names and target_name of the TrainingSet it was fitted to, in order.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ class TrainingSet:
         self.y = np.asarray(self.y, dtype=float).ravel()
         if self.X.shape[0] != self.y.size:
             raise ValueError("X and y row counts differ")
+        if len(self.input_names) != self.X.shape[1]:
+            raise ValueError(f"input names {list(self.input_names)} do not "
+                             f"name the {self.X.shape[1]} columns of X")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
             raise ValueError("training data contains non-finite entries")
 
@@ -101,9 +105,9 @@ def load_training_csv(path, target: str,
 class SurrogateModel:
     """Trained network weights plus normalization ranges and provenance."""
 
-    input_dim: int
+    input_names: list[str]
     hidden: list[int]
-    W1: np.ndarray  # (hidden, input_dim)
+    W1: np.ndarray  # (hidden, len(input_names))
     b1: np.ndarray  # (hidden,)
     W2: np.ndarray  # (1, hidden)
     b2: np.ndarray  # (1,)
@@ -111,13 +115,13 @@ class SurrogateModel:
     in_max: np.ndarray
     out_min: float
     out_max: float
-    target: str
+    target_name: str
     seed: int
     train_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_field_types(self)
-        n, h = self.input_dim, self.hidden  # h lists the one layer's width
+        n, h = len(self.input_names), self.hidden  # h: the one layer's width
         shapes = {"W1": (*h, n), "b1": (*h,), "W2": (1, *h), "b2": (1,),
                   "in_min": (n,), "in_max": (n,)}
         for name, shape in shapes.items():
@@ -125,7 +129,7 @@ class SurrogateModel:
             if value.shape != shape:
                 raise ValueError(
                     f"{name} has shape {value.shape}, not {shape} for "
-                    f"input_dim {n} and hidden {h}")
+                    f"{n} inputs and hidden {h}")
             setattr(self, name, value)
 
     def save(self, path) -> None:
@@ -155,9 +159,9 @@ def _forward(W1, b1, W2, b2, Xn):
 def predict(model: SurrogateModel, x) -> float | np.ndarray:
     """Metric estimate in physical units for one input vector or a batch."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    if X.shape[1] != model.input_dim:
+    if X.shape[1] != len(model.input_names):
         raise ValueError(
-            f"expected {model.input_dim} inputs, got {X.shape[1]}")
+            f"expected {len(model.input_names)} inputs, got {X.shape[1]}")
     if np.any(X < model.in_min - 1e-12) or np.any(X > model.in_max + 1e-12):
         warnings.warn("input outside training bounds; extrapolating",
                       ExtrapolationWarning, stacklevel=2)
@@ -311,10 +315,10 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
 
     W1, b1, W2, b2 = _unpack(best_p, n_in, hidden)
     return SurrogateModel(
-        input_dim=n_in, hidden=[hidden],
+        input_names=list(data.input_names), hidden=[hidden],
         W1=W1.copy(), b1=b1.copy(), W2=W2.copy(), b2=b2.copy(),
         in_min=in_min, in_max=in_max, out_min=out_min, out_max=out_max,
-        target=data.target_name, seed=seed, train_config=config)
+        target_name=data.target_name, seed=seed, train_config=config)
 
 
 def r_squared(model: SurrogateModel, test: TrainingSet) -> float:

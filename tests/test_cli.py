@@ -31,7 +31,8 @@ SUBCOMMANDS = ["simulate", "metrics", "compare-pcms", "sweep", "optimize",
 # a stand-in for SurrogateModel.load that gives what surface accepts: a
 # T_o_max network over the three geometry inputs
 SURFACE_MODEL = staticmethod(
-    lambda _: SimpleNamespace(target="T_o_max_C", input_dim=3))
+    lambda _: SimpleNamespace(target_name="T_o_max_C",
+                              input_names=list(GEOMETRY_BOUNDS)))
 
 
 def coarse_case_file(tmp_path, **cell_kwargs):
@@ -227,9 +228,16 @@ def test_generate_train_optimize_surface_chain(tmp_path, capsys):
                  "--out", str(camp), "--dx-um", "10", "--seed", "5"]) == 0
 
     model = tmp_path / "model.json"
+    capsys.readouterr()
     assert main(["train", "--data", str(camp / "results.csv"),
                  "--target", "tomax", "--out", str(model)]) == 0
-    assert json.loads(model.read_text())["target"] == "T_o_max_C"
+    record = json.loads(model.read_text())
+    assert (record["target_name"], record["input_names"]) == (
+        "T_o_max_C", ["H_um", "W_um", "T_m_C"])
+    # the columns it trained on, to match a problem file's bounds against
+    assert capsys.readouterr().out.startswith(
+        f"model saved to {model}: T_o_max_C from ['H_um', 'W_um', 'T_m_C'] "
+        "(train R^2 = ")
 
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
@@ -612,7 +620,7 @@ def test_optimize_repeats_and_pso_on_a_surrogate(tmp_path, capsys):
     model = tmp_path / "model.json"
     assert main(["train", "--data", synthetic_campaign(tmp_path),
                  "--target", "tomax", "--out", str(model)]) == 0
-    assert json.loads(model.read_text())["target"] == "T_o_max_C"
+    assert json.loads(model.read_text())["target_name"] == "T_o_max_C"
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
         "objective": "T_o_max", "dx": COARSE.dx, "dt": COARSE.dt,
@@ -645,14 +653,21 @@ def test_optimize_repeats_and_pso_on_a_surrogate(tmp_path, capsys):
             f"got {repeats}\n")
 
 
-@pytest.mark.parametrize("objective,bounds", [
-    ("T_o_max", ["H_um", "W_um"]), ("T_osc", ["H_um", "W_um", "T_m_C"])],
-    ids=["another_target", "another_input_count"])
+@pytest.mark.parametrize("objective,bounds,old_format", [
+    ("T_o_max", ["H_um", "W_um"], False),
+    ("T_osc", ["H_um", "W_um", "T_m_C"], False),
+    ("T_osc", ["W_um", "H_um"], False),
+    ("T_osc", ["H_um", "W_um"], True)],
+    ids=["another_target", "another_input_count", "another_order",
+         "old_format"])
 def test_a_model_that_does_not_stand_for_the_objective_is_refused(
-        tmp_path, capsys, monkeypatch, objective, bounds):
-    """A T_osc network over H and W is refused before any case or search:
-    by a T_o_max search over the same inputs, by a T_osc search over three,
-    and by the surface, which needs T_o_max over all three."""
+        tmp_path, capsys, monkeypatch, objective, bounds, old_format):
+    """A T_osc network over H and W, in that order, is refused before any
+    case or search: by a T_o_max search over the same inputs, by a T_osc
+    search over three or over W and H, and by the surface, which needs
+    T_o_max over all three. A model file of the old format, which named
+    its target and counted its inputs, is refused by both, naming its
+    keys."""
     monkeypatch.setenv("PCMOPT_WORKERS", "1")
     ran = []
     monkeypatch.setattr(solver, "simulate",
@@ -663,26 +678,36 @@ def test_a_model_that_does_not_stand_for_the_objective_is_refused(
                              input_names=["H_um", "W_um"])
     model = tmp_path / "model.json"
     train_lm(data, hidden=3, max_epochs=5).save(model)
+    refused = "the model predicts 'T_osc_C' from ['H_um', 'W_um']; "
+    needs = {"optimize": f"{objective} needs {objective + '_C'!r} from "
+                         f"{bounds}, in that order",
+             "surface": "T_o_max needs 'T_o_max_C' from ['H_um', 'W_um', "
+                        "'T_m_C'], in that order"}
+    if old_format:
+        record = json.loads(model.read_text())
+        record["input_dim"] = len(record.pop("input_names"))
+        record["target"] = record.pop("target_name")
+        model.write_text(json.dumps(record))
+        refused = (f"model file {model}: unknown keys ['input_dim', "
+                   "'target']; missing keys ['input_names', 'target_name']; "
+                   "expected an object with keys input_names, hidden, W1, "
+                   "b1, W2, b2, in_min, in_max, out_min, out_max, "
+                   "target_name, seed, train_config")
+        needs = dict.fromkeys(needs, "")
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
         "objective": objective, "dx": COARSE.dx, "dt": COARSE.dt,
         "bounds": {k: list(GEOMETRY_BOUNDS[k]) for k in bounds}}))
     out = tmp_path / "o"
-    for argv, needs in [
-            (["optimize", "--problem", str(problem), "--strategy", "ga",
-              "--backend", f"nn:{model}"],
-             f"{objective} over {bounds} needs {objective + '_C'!r} from "
-             f"{len(bounds)}"),
-            (["surface", "--model", str(model), "--tm", "77"],
-             "T_o_max over ['H_um', 'W_um', 'T_m_C'] needs 'T_o_max_C' "
-             "from 3")]:
+    for argv in (["optimize", "--problem", str(problem), "--strategy", "ga",
+                  "--backend", f"nn:{model}"],
+                 ["surface", "--model", str(model), "--tm", "77"]):
         capsys.readouterr()
         assert main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"pcmopt {argv[0]}: error: the model predicts 'T_osc_C' from 2 "
-            f"inputs; {needs}\n")
+            f"pcmopt {argv[0]}: error: {refused}{needs[argv[0]]}\n")
     assert ran == [] and not out.exists()
 
 

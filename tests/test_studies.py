@@ -641,21 +641,47 @@ def test_a_resampling_backend_refuses_an_untrainable_size_before_training(
 
 
 def test_a_surrogate_backend_refuses_a_model_of_another_objective():
-    """A network must predict the verifier's objective column from one input
-    per search parameter, whichever backend builds on it."""
+    """A network must predict the verifier's objective column from the
+    search parameters, by name and in their order, whichever backend
+    builds on it."""
     pool = synthetic_pool(120)  # T_osc_C from the three geometry inputs
     model = train_lm(pool, seed=0)
-    for objective, names, needs in [
-            ("T_o_max", list(GEOMETRY_BOUNDS), "'T_o_max_C' from 3"),
-            ("T_osc", ["H_um", "W_um"], "'T_osc_C' from 2")]:
+    for objective, names in [("T_o_max", list(GEOMETRY_BOUNDS)),
+                             ("T_osc", ["H_um", "W_um"]),
+                             ("T_osc", ["W_um", "H_um", "T_m_C"])]:
         verifier = FunctionBackend(float, objective, names)
         with pytest.raises(ValueError, match=re.escape(
-                f"the model predicts 'T_osc_C' from 3 inputs; {objective} "
-                f"over {names} needs {needs}")):
+                f"the model predicts 'T_osc_C' from {list(GEOMETRY_BOUNDS)}; "
+                f"{objective} needs {objective + '_C'!r} from {names}, in "
+                "that order")):
             SurrogateBackend(model, verifier)
-    with pytest.raises(ValueError, match="needs 'T_o_max_C' from 3"):
+    with pytest.raises(ValueError, match=re.escape(
+            "the pool predicts 'T_osc_C' from ['H_um', 'W_um', 'T_m_C']; "
+            "T_o_max needs 'T_o_max_C' from ['H_um', 'W_um', 'T_m_C'], in "
+            "that order")):
         ResamplingSurrogateBackend(
             pool, 60, FunctionBackend(float, "T_o_max", GEOMETRY_BOUNDS))
+
+
+@pytest.mark.parametrize("names,target", [
+    (list(GEOMETRY_BOUNDS), "T_o_max_C"),
+    (list(PROPERTY_BOUNDS)[:3], "T_osc_C")],
+    ids=["another_target", "other_names"])
+def test_a_resampling_backend_refuses_a_pool_of_other_columns_before_training(
+        monkeypatch, names, target):
+    """A pool of another target, or of other inputs as many as the
+    verifier's, is refused before a network trains on it."""
+    data = synthetic_pool(60)
+    pool = TrainingSet(data.X, data.y, names, target)
+    trained = []
+    monkeypatch.setattr(studies, "train_lm",
+                        lambda *a, **kw: trained.append(a))
+    with pytest.raises(ValueError, match=re.escape(
+            f"the pool predicts {target!r} from {names}; T_osc needs "
+            "'T_osc_C' from ['H_um', 'W_um', 'T_m_C'], in that order")):
+        ResamplingSurrogateBackend(pool, 40,
+                                   FunctionBackend(float, **T_OSC_VERIFIER))
+    assert trained == []
 
 
 def test_problem_from_bounds():
@@ -735,8 +761,9 @@ def test_ablation_refuses_a_test_set_of_another_column_before_training(
                         lambda *a, **kw: trained.append(a))
     truth = FunctionBackend(float, **T_OSC_VERIFIER)
     with pytest.raises(ValueError, match=re.escape(
-            "the test set targets 'T_o_max_C'; a T_osc verifier needs "
-            "'T_osc_C'")):
+            "the test set predicts 'T_o_max_C' from ['H_um', 'W_um', "
+            "'T_m_C']; T_osc needs 'T_osc_C' from ['H_um', 'W_um', "
+            "'T_m_C'], in that order")):
         run_ablation(synthetic_pool(60), synthetic_pool(60, target="T_o_max_C"),
                      sizes=(40,), verifier=truth, repeats=2,
                      strategies=("ga",))
@@ -755,16 +782,20 @@ def swapped(data):
                        ["W_um", "H_um", "T_m_C"], data.target_name)
 
 
+#: what the ablation's T_osc verifier needs of the pool and the test set
+T_OSC_NEEDS = ("; T_osc needs 'T_osc_C' from ['H_um', 'W_um', 'T_m_C'], in "
+               "that order")
+
+
 @pytest.mark.parametrize("pool,test,refused", [
     (swapped(synthetic_pool(60)), synthetic_pool(60),
-     "the pool has the inputs ['W_um', 'H_um', 'T_m_C']; the ablation "
-     "needs ['H_um', 'W_um', 'T_m_C'], in that order"),
+     "the pool predicts 'T_osc_C' from ['W_um', 'H_um', 'T_m_C']"),
     (synthetic_pool(60), swapped(synthetic_pool(60)),
-     "the test set has the inputs ['W_um', 'H_um', 'T_m_C']"),
+     "the test set predicts 'T_osc_C' from ['W_um', 'H_um', 'T_m_C']"),
     (properties_pool(60), synthetic_pool(60),
-     f"the pool has the inputs {list(PROPERTY_BOUNDS)}"),
+     f"the pool predicts 'T_osc_C' from {list(PROPERTY_BOUNDS)}"),
     (synthetic_pool(60, target="T_o_max_C"), synthetic_pool(60),
-     "the pool targets 'T_o_max_C'; a T_osc verifier needs 'T_osc_C'")],
+     "the pool predicts 'T_o_max_C' from ['H_um', 'W_um', 'T_m_C']")],
     ids=["pool_order", "test_order", "properties_pool", "pool_target"])
 def test_ablation_refuses_a_set_of_other_columns_before_training(
         monkeypatch, pool, test, refused):
@@ -775,7 +806,7 @@ def test_ablation_refuses_a_set_of_other_columns_before_training(
     trained = []
     monkeypatch.setattr(studies, "train_lm",
                         lambda *a, **kw: trained.append(a))
-    with pytest.raises(ValueError, match=re.escape(refused)):
+    with pytest.raises(ValueError, match=re.escape(refused + T_OSC_NEEDS)):
         run_ablation(pool, test, sizes=(40,),
                      verifier=FunctionBackend(float, **T_OSC_VERIFIER),
                      repeats=2, strategies=("ga",))
@@ -805,6 +836,22 @@ def test_ablation_refuses_an_untrainable_size_before_training(
     assert trained == []
 
 
+def test_ablation_refuses_a_verifier_of_other_names_before_training(
+        monkeypatch):
+    """A verifier that reads a point as W, H, T_m scores no optimum of the
+    H, W, T_m search; it is refused before any network trains."""
+    trained = []
+    monkeypatch.setattr(studies, "train_lm",
+                        lambda *a, **kw: trained.append(a))
+    verifier = FunctionBackend(float, "T_osc", ["W_um", "H_um", "T_m_C"])
+    with pytest.raises(ValueError, match=re.escape(
+            "the backend scores T_osc over ['W_um', 'H_um', 'T_m_C']; the "
+            "problem is T_osc over ['H_um', 'W_um', 'T_m_C']")):
+        run_ablation(synthetic_pool(60), synthetic_pool(60), sizes=(40,),
+                     verifier=verifier, repeats=3, strategies=("ga",))
+    assert trained == []
+
+
 def test_emit_surface(tmp_path):
     pool = synthetic_pool(150, target="T_o_max_C")
     model = train_lm(pool, seed=4)
@@ -827,8 +874,9 @@ def test_emit_surface_refuses_a_model_of_another_objective(tmp_path,
                         lambda case, **_: ran.append(case))
     out = tmp_path / "surface.csv"
     with pytest.raises(ValueError, match=re.escape(
-            "the model predicts 'T_osc_C' from 3 inputs; T_o_max over "
-            "['H_um', 'W_um', 'T_m_C'] needs 'T_o_max_C' from 3")):
+            "the model predicts 'T_osc_C' from ['H_um', 'W_um', 'T_m_C']; "
+            "T_o_max needs 'T_o_max_C' from ['H_um', 'W_um', 'T_m_C'], in "
+            "that order")):
         emit_surface(train_lm(synthetic_pool(150), seed=4), fixed_tm=77.0,
                      h_grid=[40.0], w_grid=[40.0], out_path=out,
                      fidelity=COARSE)

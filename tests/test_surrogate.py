@@ -153,6 +153,10 @@ def test_training_set_validation():
         TrainingSet(np.zeros((3, 2)), np.zeros(4), ["a", "b"], "t")
     with pytest.raises(ValueError):
         TrainingSet(np.array([[np.nan, 1.0]]), np.array([1.0]), ["a", "b"], "t")
+    # a name per column: a network trained on them names its inputs so
+    with pytest.raises(ValueError, match=re.escape(
+            "input names ['a', 'b'] do not name the 3 columns of X")):
+        TrainingSet(np.zeros((12, 3)), np.zeros(12), ["a", "b"], "t")
     with pytest.raises(ValueError):
         train_lm(TrainingSet(np.zeros((4, 1)), np.arange(4.0), ["x"], "t"))
     for name in ("max_epochs", "patience"):
@@ -169,7 +173,7 @@ def test_model_json_round_trip(tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(model, name))
     x = np.array([0.4, -1.1])
     assert predict(loaded, x) == predict(model, x)
-    assert loaded.target == model.target
+    assert (loaded.target_name, loaded.input_names) == ("f", ["a", "b"])
     assert loaded.seed == model.seed
     assert loaded.train_config == model.train_config
     # a key the model does not have fails and names the file, not dropped
@@ -248,7 +252,7 @@ def test_validation_split_reproducible_and_disjoint():
     model = train_lm(data, seed=11)
     assert model.train_config["val_fraction"] == 0.15
     assert model.hidden == [10]
-    assert model.input_dim == 2
+    assert model.input_names == ["a", "b"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         predict(model, data.X)  # in-range batch must not warn
