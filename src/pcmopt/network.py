@@ -78,18 +78,15 @@ class NetworkModel:
         """Sensible capacitance rho(phi)*cp(phi)*V of the PCM nodes at
         their melt fractions phi, J/K; solid_capacitance holds every
         node's at phi = 0."""
-        rho, drho, cp, dcp, volume = self._blend
-        return (rho + phi * drho) * (cp + phi * dcp) * volume
+        work = self.melt_work()
+        work.gather(phi)
+        return work.capacitance()
 
-    @cached_property
-    def _blend(self) -> tuple[np.ndarray, ...]:
-        """capacitance's constants, one per PCM node so that each product
-        has two array operands: solid rho, liquid - solid rho, solid cp,
-        liquid - solid cp and the volume."""
-        m = self.pcm
-        return tuple(np.full(self.pcm_nodes.size, v) for v in (
-            m.rho_solid, m.rho_liquid - m.rho_solid,
-            m.cp_solid, m.cp_liquid - m.cp_solid, self.volume))
+    def melt_work(self, dt: float | None = None) -> "MeltWork":
+        """Fresh buffers for conductance_matrix to rebuild the
+        phi-dependent entries of C/dt + G at step dt, s (None: of G
+        alone)."""
+        return MeltWork(self._melt, dt)
 
     def expand_phi(self, phi: np.ndarray) -> np.ndarray:
         """Melt fractions of the PCM nodes -> full-length node array."""
@@ -105,7 +102,7 @@ class NetworkModel:
 
     def conductance_matrix(self, phi: np.ndarray,
                            trailing: np.ndarray | None = None,
-                           pcm_diag: np.ndarray | None = None) -> np.ndarray:
+                           work: "MeltWork | None" = None) -> np.ndarray:
         """Conduction Laplacian plus convection diagonal (SPD) at the PCM
         nodes' melt fractions phi, in LAPACK upper band storage of shape
         (nx + 1, n).
@@ -115,29 +112,32 @@ class NetworkModel:
         1 (horizontal edges) and nx (vertical edges) are nonzero. The
         array is Fortran-ordered so LAPACK can factor it in place.
 
-        One scatter adds the edges that touch a PCM node (the melt edges),
-        all of which lie in the trailing columns [melt_block_start:], to
-        the phi-independent entries, and pcm_diag (one value per PCM node)
-        to the PCM nodes' diagonal. With trailing None it scatters into a
-        copy of fixed_band with pcm_diag zero (+0.0, added last to a bin,
-        keeps its bits) and returns the full band. Otherwise trailing is
-        those columns of a band that already holds the phi-independent
-        entries (the solver's factor); the scatter adds to it in place.
+        One gather blends every phi-dependent property (see MeltWork). One
+        scatter adds the edges that touch a PCM node (the melt edges), all
+        of which lie in the trailing columns [melt_block_start:], to the
+        phi-independent entries, and the PCM nodes' C/dt to their
+        diagonal. With trailing None it scatters into a copy of fixed_band
+        with C/dt zero (+0.0, added last to a bin, keeps its bits) and
+        returns the full band. Otherwise trailing is those columns of a
+        band that already holds the phi-independent entries (the solver's
+        factor), and work a melt_work(dt) of the caller's: the scatter
+        adds to trailing in place and leaves the PCM nodes' C and C/dt in
+        work.C and work.C_dt.
         """
         s = self._melt
         band = trailing
         if trailing is None:
             band = self.fixed_band.copy(order="F")
             trailing = band[:, s.start:]
-            pcm_diag = np.zeros(self.pcm_nodes.size)
+            work = self.melt_work()
         elif not trailing.flags.f_contiguous:
             raise ValueError("trailing columns must be Fortran-contiguous")
-        k = s.k_end + phi[s.end_pcm] * s.dk_end
-        half = k.size // 2
-        g = _series_conductance(k[:half], k[half:])
-        trailing.ravel(order="F")[s.slots] -= g  # a view: Fortran order
-        trailing[-1] += np.bincount(s.diag, np.concatenate((g, g, pcm_diag)),
-                                    trailing.shape[1])
+        work.gather(phi)
+        if work.dt is not None:
+            np.divide(work.capacitance(), work.dt, out=work.C_dt)
+        g = _series_conductance(work.k_i, work.k_j, out=work.g)
+        trailing.ravel(order="F")[s.slots] -= g[:s.edges]  # a view: F order
+        trailing[-1] += np.bincount(s.diag, work.weights, trailing.shape[1])
         return band
 
     @cached_property
@@ -160,22 +160,30 @@ class NetworkModel:
         return self.is_pcm[self.edge_i] | self.is_pcm[self.edge_j]
 
     @cached_property
-    def _melt(self) -> "_MeltScatter":
+    def _melt(self) -> "_MeltPlan":
         melt = self._melt_edges
         i, j = self.edge_i[melt], self.edge_j[melt]
-        ends = np.concatenate([i, j])
+        ends = np.concatenate([i, i, j, j])  # see MeltWork
         pcm = self.pcm_nodes
+        n_pcm = pcm.size
         start = int(np.concatenate([i, pcm]).min(initial=self.n_nodes))
-        # each end's index into phi; a non-PCM end reads phi[0] times 0
+        # each value's index into phi; a non-PCM end reads phi[0] times 0
         at = np.zeros(self.n_nodes, dtype=np.intp)
-        at[pcm] = np.arange(pcm.size)
-        dk = self.pcm.k_liquid - self.pcm.k_solid
+        at[pcm] = np.arange(n_pcm)
+        m = self.pcm
         rows = self.mesh.nx - (j - i)
-        return _MeltScatter(
+        return _MeltPlan(
             start=start, slots=rows + (self.mesh.nx + 1) * (j - start),
-            end_pcm=at[ends], k_end=self.k_solid[ends],
-            dk_end=np.where(self.is_pcm[ends], dk, 0.0),
-            diag=np.concatenate([ends, pcm]) - start)
+            diag=np.concatenate([i, j, pcm]) - start,
+            at=np.concatenate([at[ends], at[pcm], at[pcm]]),
+            base=np.concatenate([self.k_solid[ends],
+                                 np.full(n_pcm, m.rho_solid),
+                                 np.full(n_pcm, m.cp_solid)]),
+            delta=np.concatenate([
+                np.where(self.is_pcm[ends], m.k_liquid - m.k_solid, 0.0),
+                np.full(n_pcm, m.rho_liquid - m.rho_solid),
+                np.full(n_pcm, m.cp_liquid - m.cp_solid)]),
+            volume=np.full(n_pcm, self.volume), edges=i.size)
 
     def source_vector(self, q_flux: float) -> np.ndarray:
         """Nodal power vector for a given interface heat flux, W."""
@@ -191,25 +199,73 @@ class NetworkModel:
         return b
 
 
-class _MeltScatter(NamedTuple):
-    """Where conductance_matrix writes the melt edges, in trailing-column
-    coordinates (column c is band column start + c)."""
+class _MeltPlan(NamedTuple):
+    """Where conductance_matrix reads phi and writes the melt edges, in
+    trailing-column coordinates (column c is band column start + c)."""
 
     start: int  # NetworkModel.melt_block_start
     slots: np.ndarray  # each edge's off-diagonal, flat in Fortran order
-    end_pcm: np.ndarray  # index into phi of each end, i ends then j ends
-    k_end: np.ndarray  # solid conductivity of each end
-    dk_end: np.ndarray  # liquid - solid conductivity (0 off the PCM)
-    diag: np.ndarray  # trailing column of each end, then of each PCM node
+    diag: np.ndarray  # trailing column of each i end, j end and PCM node
+    # gathered value v = phi[at] * delta + base, laid out as MeltWork.values
+    at: np.ndarray  # index into phi
+    base: np.ndarray  # solid value
+    delta: np.ndarray  # liquid - solid value (0 off the PCM)
+    volume: np.ndarray  # node volume, one per PCM node
+    edges: int  # number of melt edges
 
 
-def _series_conductance(ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
-    """Conductance of edges between nodes of conductivity ki and kj, W/K.
+class MeltWork:
+    """Buffers of one rebuild of the phi-dependent entries of C/dt + G
+    (see NetworkModel.conductance_matrix), with views naming their parts.
+
+    values holds what one gather blends: the conductivity at each melt
+    edge's ends, laid out i, i, j, j so that the series conductance of
+    k_i = [k at i, k at i] and k_j = [k at j, k at j] is [g, g], then rho
+    and cp of each PCM node. weights holds what bincount adds to the band
+    diagonal: g at the i ends, g at the j ends (the view g) and C/dt of
+    each PCM node (the view C_dt, zero when dt is None).
+    """
+
+    def __init__(self, plan: _MeltPlan, dt: float | None):
+        e, n = plan.edges, plan.volume.size
+        self.plan = plan
+        v = self.values = np.empty(plan.at.size)
+        self.k_i, self.k_j = v[:2 * e], v[2 * e:4 * e]
+        self.rho, self.cp = v[4 * e:4 * e + n], v[4 * e + n:]
+        self.weights = np.zeros(2 * e + n)
+        self.g, self.C_dt = self.weights[:2 * e], self.weights[2 * e:]
+        self.C = np.empty(n)
+        # the step, one per PCM node: array operands are cheaper than floats
+        self.dt = None if dt is None else np.full(n, dt)
+
+    def gather(self, phi: np.ndarray) -> None:
+        """values at the PCM nodes' melt fractions phi."""
+        p = self.plan
+        # the method: np.take's Python wrapper costs more than the gather
+        v = phi.take(p.at, out=self.values, mode="clip")
+        v *= p.delta
+        v += p.base
+
+    def capacitance(self) -> np.ndarray:
+        """C = rho * cp * V of the PCM nodes from the gathered values,
+        J/K; returns the buffer C."""
+        C = np.multiply(self.rho, self.cp, out=self.C)
+        C *= self.plan.volume
+        return C
+
+
+def _series_conductance(ki: np.ndarray, kj: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Conductance of edges between nodes of conductivity ki and kj, W/K,
+    in out if given.
 
     With square voxels and unit depth, the series conductance
     G = k_series * A / dx reduces to the harmonic mean 2*ki*kj/(ki+kj).
     """
-    return (ki + ki) * kj / (ki + kj)  # ki + ki is 2.0 * ki, exactly
+    g = np.add(ki, ki, out=out)  # 2.0 * ki, exactly
+    g *= kj
+    g /= ki + kj
+    return g
 
 
 def assemble_network(mesh: Mesh, pcm: Material) -> NetworkModel:

@@ -82,7 +82,8 @@ class ThermalHistory:
     # settled cycle, or cycles run if unsettled (see simulate)
     quasi_steady_cycle: int | None = None
     converged: bool = False
-    energy_residual: float = 0.0  # global |in - out - stored| / in
+    # global |in - out - stored| over its scale (_Integrator.energy_residual)
+    energy_residual: float = 0.0
     worst_step_residual: float = 0.0  # largest per-step relative residual
     n_factorizations: int = 0  # system-matrix factorizations in the run
     # wall seconds per phase, keyed by PHASES: mesh and network assembly;
@@ -118,7 +119,8 @@ class ThermalHistory:
 def _factor_band(band: np.ndarray) -> np.ndarray:
     """Banded Cholesky factor of an SPD matrix in upper band storage,
     computed in place when band is Fortran-ordered float64."""
-    chol, info = dpbtrf(band, overwrite_ab=1)
+    # positional (lower, ldab, overwrite_ab): f2py parses keywords slowly
+    chol, info = dpbtrf(band, 0, band.shape[0], 1)
     if info > 0:
         raise SolverDivergence(
             f"system matrix is not positive definite (leading minor of "
@@ -188,7 +190,7 @@ class _Integrator:
     Construction factors C/dt + G with every PCM node solid. The factor is
     rebuilt only when the melt-fraction field has moved since the last
     build, since G and C depend on state only through phi, and then only
-    in its trailing block (see _TrailingCholesky). Each step adds its
+    in its trailing block (see _TrailingCholesky). Each cycle adds its
     energy terms to the run totals and its wall time to phase_s; simulate
     fills in the assemble and bookkeeping phases.
     """
@@ -206,12 +208,16 @@ class _Integrator:
         # per-PCM-node constants: array operands are cheaper than floats
         self._latent_cap = net.latent_capacity
         self._T_m = np.full(idx.size, net.pcm.T_m)
-        self._dt_pcm = np.full(idx.size, dt)
         self._zero = np.zeros(idx.size)
         self._rebuild_tol = np.full(idx.size, REBUILD_TOL)
+        # C and C/dt per node, those of the PCM nodes kept in _work by
+        # each rebuild
+        self._work = work = net.melt_work(dt)
+        np.copyto(work.C, net.capacitance(self.phi))
+        np.divide(work.C, work.dt, out=work.C_dt)
         self._C = net.solid_capacitance.copy()
         self._C_dt = self._C / dt
-        self._update_capacitance()
+        self._built()
         # right-hand side and interface power of the on and off phases
         self._b_off = net.ambient_vector()
         self._b_on = net.source_vector(q_flux) + self._b_off
@@ -219,8 +225,8 @@ class _Integrator:
         self._conv_nodes = net.conv_nodes
         self._conv_G = net.conv_G
         self._conv_G_T_amb = float(np.sum(net.conv_G)) * T_AMB_C
-        # run totals
-        self.e_in = self.e_out = self.e_stored = 0.0
+        # run totals; e_floor sums the steps' balance floors
+        self.e_in = self.e_out = self.e_stored = self.e_floor = 0.0
         self.worst_residual = 0.0
         self.phase_s = dict.fromkeys(PHASES, 0.0)
         t0 = time.perf_counter()
@@ -228,86 +234,130 @@ class _Integrator:
         self.phase_s["factor"] = time.perf_counter() - t0
         self.n_factorizations = 1
 
-    def _update_capacitance(self) -> np.ndarray:
-        """C and C/dt at the current phi; returns the PCM nodes' C/dt."""
+    def _built(self) -> None:
+        """Copy the PCM nodes' C and C/dt from _work after a build at the
+        current phi."""
         idx = self._pcm_idx
-        C = self._C_pcm = self.net.capacitance(self.phi)
-        C_dt = C / self._dt_pcm
-        self._C[idx] = C
-        self._C_dt[idx] = C_dt
+        self._C[idx] = self._work.C
+        self._C_dt[idx] = self._work.C_dt
         # floor of the per-step balance scale: the energy of a uniform
         # millikelvin change, so a quiescent step is not judged by roundoff
         self._scale_floor = 1e-3 * float(np.add.reduce(self._C))
-        self._phi_at_build = self.phi  # step replaces phi, never writes it
-        return C_dt
+        self._phi_at_build = self.phi  # a step replaces phi, never writes it
 
     def _rebuild(self) -> np.ndarray:
-        """Capacitance update and C/dt + G at the current phi, written into
-        the trailing columns of the factor, which it returns (see
-        _TrailingCholesky)."""
-        C_dt = self._update_capacitance()
-        return self.net.conductance_matrix(self.phi, self._factor.load_base(),
-                                           C_dt)
+        """C/dt + G at the current phi, written into the trailing columns
+        of the factor, which it returns (see _TrailingCholesky)."""
+        tail = self.net.conductance_matrix(
+            self.phi, self._factor.load_base(), self._work)
+        self._built()
+        return tail
 
-    def step(self, heating: bool) -> None:
-        """Advance one dt, with the source on or off."""
+    def cycle(self, steps_on: int, t_rows: np.ndarray, T_rows: np.ndarray,
+              phi_rows: np.ndarray) -> None:
+        """Advance len(t_rows) steps, the source on for the first
+        steps_on. Step k writes its end time to t_rows[k], its temperatures
+        to T_rows[k] and its melt fractions to phi_rows[k]."""
         clock = time.perf_counter
-        phase = self.phase_s
+        count_nonzero, absolute = np.count_nonzero, np.abs
+        minimum, maximum = np.minimum, np.maximum
+        add_reduce, dot, isfinite = np.add.reduce, np.dot, math.isfinite
+        solve = dpbtrs  # looked up per cycle, so it can be replaced
+        rebuild, refactor = self._rebuild, self._factor.refactor
+        chol = self._factor.chol
+        ldab = chol.shape[0]
+        melts, idx, tol = self._melts, self._pcm_idx, self._rebuild_tol
+        T_m, zero, cap = self._T_m, self._zero, self._latent_cap
+        C, C_dt, Cp = self._C, self._C_dt, self._work.C
+        b_on, b_off = self._b_on, self._b_off
+        conv_nodes, conv_G = self._conv_nodes, self._conv_G
+        conv_G_T_amb = self._conv_G_T_amb
         dt = self.dt
-        t0 = clock()
-        moved = self._melts and np.count_nonzero(
-            np.abs(self.phi - self._phi_at_build) > self._rebuild_tol)
-        if moved:
-            self._rebuild()
-        t1 = clock()
-        phase["rebuild"] += t1 - t0
-        if moved:
-            self._factor.refactor()
-            self.n_factorizations += 1
+        e_on = self._power_on * dt
+        T, phi, latent = self.T, self.phi, self.latent
+        phi_built, floor = self._phi_at_build, self._scale_floor
+        now, worst = self.t, self.worst_residual
+        total_in, total_out = self.e_in, self.e_out
+        stored, floors = self.e_stored, self.e_floor
+        factorizations = 0
+        s_rebuild = s_factor = s_solve = s_enthalpy = 0.0
+        for k in range(t_rows.size):
+            heating = k < steps_on
+            t0 = clock()
+            moved = melts and count_nonzero(absolute(phi - phi_built) > tol)
+            if moved:
+                self.phi = phi
+                rebuild()
+                phi_built, floor = phi, self._scale_floor
+            t1 = clock()
+            s_rebuild += t1 - t0
+            if moved:
+                refactor()
+                factorizations += 1
+                t0, t1 = t1, clock()
+                s_factor += t1 - t0
+
+            rhs = C_dt * T
+            rhs += b_on if heating else b_off
+            # positional (lower, ldab, overwrite_b): see _factor_band
+            T_new, _ = solve(chol, rhs, 0, ldab, 1)
+            e_out = (float(dot(conv_G, T_new[conv_nodes]))
+                     - conv_G_T_amb) * dt
             t0, t1 = t1, clock()
-            phase["factor"] += t1 - t0
+            s_solve += t1 - t0
 
-        rhs = self._C_dt * self.T
-        rhs += self._b_on if heating else self._b_off
-        T_new, _ = dpbtrs(self._factor.chol, rhs, overwrite_b=1)
-        e_out = (float(np.dot(self._conv_G, T_new[self._conv_nodes]))
-                 - self._conv_G_T_amb) * dt
-        t0, t1 = t1, clock()
-        phase["solve"] += t1 - t0
+            e_lat = 0.0
+            if melts:
+                excess = Cp * (T_new[idx] - T_m)
+                new_latent = minimum(maximum(latent + excess, zero), cap)
+                d_latent = new_latent - latent
+                T_new[idx] = T_m + (excess - d_latent) / Cp
+                phi = new_latent / cap
+                latent = new_latent
+                e_lat = float(add_reduce(d_latent))
+            s_enthalpy += clock() - t1
 
-        e_lat = 0.0
-        if self._melts:
-            idx = self._pcm_idx
-            Cp = self._C_pcm
-            excess = Cp * (T_new[idx] - self._T_m)
-            new_latent = np.minimum(np.maximum(self.latent + excess,
-                                               self._zero), self._latent_cap)
-            d_latent = new_latent - self.latent
-            T_new[idx] = self._T_m + (excess - d_latent) / Cp
-            self.phi = new_latent / self._latent_cap
-            self.latent = new_latent
-            e_lat = float(np.add.reduce(d_latent))
-        phase["enthalpy"] += clock() - t1
+            # Per-step balance, evaluated with the matrices the solve used.
+            # As C > 0 and the enthalpy correction keeps a non-finite
+            # temperature non-finite, e_sens is finite only if T_new is.
+            e_sens = float(dot(C, T_new - T))
+            if not isfinite(e_sens):
+                raise SolverDivergence(
+                    f"non-finite temperature at t={now + dt:.6g} s "
+                    f"(dt={dt}); reduce dt or check inputs")
+            e_in = e_on if heating else 0.0
+            scale = max(abs(e_in), abs(e_out), abs(e_sens) + abs(e_lat),
+                        floor)
+            residual = abs(e_in - e_out - e_sens - e_lat) / scale
+            if residual > worst:
+                worst = residual
+            total_in += e_in
+            total_out += e_out
+            stored += e_sens + e_lat
+            floors += floor
+            T = T_new
+            now += dt
+            t_rows[k] = now
+            T_rows[k] = T
+            phi_rows[k] = phi
+        self.T, self.phi, self.latent, self.t = T, phi, latent, now
+        self.e_in, self.e_out, self.e_stored = total_in, total_out, stored
+        self.e_floor = floors
+        self.worst_residual = worst
+        self.n_factorizations += factorizations
+        phase = self.phase_s
+        phase["rebuild"] += s_rebuild
+        phase["factor"] += s_factor
+        phase["solve"] += s_solve
+        phase["enthalpy"] += s_enthalpy
 
-        # Per-step balance, evaluated with the matrices the solve used. As
-        # C > 0 and the enthalpy correction keeps a non-finite temperature
-        # non-finite, e_sens is finite only if T_new is.
-        e_sens = float(np.dot(self._C, T_new - self.T))
-        if not math.isfinite(e_sens):
-            raise SolverDivergence(
-                f"non-finite temperature at t={self.t + dt:.6g} s "
-                f"(dt={dt}); reduce dt or check inputs")
-        e_in = self._power_on * dt if heating else 0.0
-        scale = max(abs(e_in), abs(e_out), abs(e_sens) + abs(e_lat),
-                    self._scale_floor)
-        residual = abs(e_in - e_out - e_sens - e_lat) / scale
-        if residual > self.worst_residual:
-            self.worst_residual = residual
-        self.e_in += e_in
-        self.e_out += e_out
-        self.e_stored += e_sens + e_lat
-        self.T = T_new
-        self.t += dt
+    def energy_residual(self) -> float:
+        """The run's global |in - out - stored|, relative to its largest
+        energy term or, if larger, to the sum of its steps' floors: each
+        step may leave roundoff in proportion to its own."""
+        scale = max(abs(self.e_in), abs(self.e_out), abs(self.e_stored),
+                    self.e_floor)
+        return abs(self.e_in - self.e_out - self.e_stored) / scale
 
 
 def settled(extrema: list[tuple[float, float]], tol: float) -> bool:
@@ -333,13 +383,18 @@ def build_case_network(case: Case) -> tuple[Mesh, NetworkModel]:
 
 def step_counts(dt: float) -> tuple[int, int]:
     """Steps of dt in the heating phase and in one cycle; ValueError
-    unless dt is positive and divides both T_ON and PERIOD."""
+    unless dt is positive, divides both T_ON and PERIOD and leaves each of
+    the heating and the cooling phase at least one step."""
     if not (isinstance(dt, numbers.Real) and dt > 0):
         raise ValueError(f"dt must be a positive number, got {dt!r}")
     steps = (T_ON / dt, PERIOD / dt)
     if any(abs(n - round(n)) > 1e-9 for n in steps):
         raise ValueError("dt must divide both T_ON and PERIOD")
-    return round(steps[0]), round(steps[1])
+    on, cycle = round(steps[0]), round(steps[1])
+    if not 0 < on < cycle:
+        raise ValueError("dt must leave the heating and the cooling phase "
+                         f"a whole step each, got {dt!r}")
+    return on, cycle
 
 
 @dataclass(frozen=True)
@@ -388,7 +443,8 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
     stepper = _Integrator(net, dt, power.q0)
     n_pcm = net.pcm_nodes.size
 
-    # each step's T and phi go to one cycle's rows, reduced at its end
+    # each step's time, T and phi go to one cycle's rows, reduced at its end
+    t_cycle = np.empty(steps_cycle)
     T_cycle = np.empty((steps_cycle, net.n_nodes))
     phi_cycle = np.empty((steps_cycle, n_pcm))
     times, T_max, phi_mean = [], [], []
@@ -397,14 +453,15 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
     converged = False
 
     for cycle in range(n_cycles):
-        for k in range(steps_cycle):
-            stepper.step(k < steps_on)
-            times.append(stepper.t)
-            T_cycle[k] = stepper.T
-            phi_cycle[k] = stepper.phi
-            if snapshot_every and len(times) % snapshot_every == 0:
-                snapshots.append((stepper.t, net.mesh_field(stepper.T),
-                                  net.mesh_field(net.expand_phi(stepper.phi))))
+        stepper.cycle(steps_on, t_cycle, T_cycle, phi_cycle)
+        times.append(t_cycle.copy())
+        if snapshot_every:
+            # the fields after every snapshot_every-th step of the run
+            first = -(cycle * steps_cycle + 1) % snapshot_every
+            for k in range(first, steps_cycle, snapshot_every):
+                snapshots.append((
+                    float(t_cycle[k]), net.mesh_field(T_cycle[k]),
+                    net.mesh_field(net.expand_phi(phi_cycle[k]))))
         trace = T_cycle.max(axis=1)
         T_max.append(trace)
         phi_mean.append(phi_cycle.sum(axis=1) / max(n_pcm, 1))
@@ -413,11 +470,6 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
         if converged:
             break
     t_end = time.perf_counter()
-
-    # Global conservation check over the whole run.
-    denom = max(stepper.e_in, 1e-30)
-    global_residual = abs(stepper.e_in - stepper.e_out
-                          - stepper.e_stored) / denom
 
     worst_residual = stepper.worst_residual
     if worst_residual > MAX_STEP_RESIDUAL:
@@ -430,13 +482,13 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
     phase_s["assemble"] = t_loop - t_start
 
     return ThermalHistory(
-        t=np.asarray(times),
+        t=np.concatenate(times),
         T_max=np.concatenate(T_max),
         phi_mean=np.concatenate(phi_mean),
         dt=dt,
         quasi_steady_cycle=len(extrema) - 2 if converged else len(extrema),
         converged=converged,
-        energy_residual=global_residual,
+        energy_residual=stepper.energy_residual(),
         worst_step_residual=worst_residual,
         n_factorizations=stepper.n_factorizations,
         phase_s=phase_s,

@@ -157,7 +157,11 @@ def test_input_error_is_one_stderr_line(tmp_path, capsys):
              "solid-silicon baseline"),
             (["simulate", "--no-channel", "--snapshot-every", "0", "--out",
               str(tmp_path / "o")],
-             "snapshot_every must be a positive integer, got 0")]:
+             "snapshot_every must be a positive integer, got 0"),
+            # no whole step in either phase (numpy's reduction error before)
+            (["metrics", "--dt-ms", "1e303"],
+             "dt must leave the heating and the cooling phase a whole step "
+             "each, got 1e+300")]:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"pcmopt {argv[0]}: error: ")

@@ -234,6 +234,8 @@ _VALID_RECORDS = {
     ("Fidelity", "dt", True, "dt must be a number, got True"),
     ("Fidelity", "dt", float("nan"), "dt must be finite, got nan"),
     ("Fidelity", "dt", 0.03, "dt must divide both T_ON and PERIOD"),
+    ("Fidelity", "dt", 1e300, r"dt must leave the heating and the cooling "
+     r"phase a whole step each, got 1e\+300"),
     ("Fidelity", "dx", 70e-6,
      "dx=7e-05 is too large: half the channel pitch snaps to no voxels"),
 ])

@@ -393,11 +393,13 @@ def test_simulator_scores_as_a_backend_built_by_hand():
 
 @pytest.mark.parametrize("settings,message", [
     ({"dt": 0.03}, "dt must divide both T_ON and PERIOD"),
+    ({"dt": 1e300}, "dt must leave the heating and the cooling phase a "
+                    "whole step each, got 1e+300"),
     ({"dtt": 0.025}, "unknown simulation settings ['dtt']; the only one is "
                      "'dt'"),
     ({"snapshot_every": 40}, "unknown simulation settings ['snapshot_every']; "
                              "the only one is 'dt'")],
-    ids=["dt", "unknown_key", "snapshot_every"])
+    ids=["dt", "dt_beyond_the_phases", "unknown_key", "snapshot_every"])
 def test_settings_simulate_refuses_are_refused_before_any_case_runs(
         tmp_path, monkeypatch, settings, message):
     """A backend's settings dict may set only dt. A bad dt is refused by
