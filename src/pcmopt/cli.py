@@ -153,6 +153,9 @@ def _load_problem(args):
     try:  # fail before searching
         verifier = studies.simulator(list(spec.bounds), spec.objective,
                                      Fidelity(spec.dx, spec.dt), spec.power)
+        # simulator has refused a name no case takes; building the lower
+        # corner's case refuses what only a case shows, such as a corner
+        # channel that no mesh holds, before every point scores +inf
         verifier.case_builder({k: lo for k, (lo, hi) in spec.bounds.items()})
         problem = studies.problem_from_bounds(
             spec.bounds, spec.objective, verifier, seed=args.seed,
@@ -168,6 +171,11 @@ def _load_problem(args):
 def _check_repeats(repeats: int) -> None:
     if repeats < 2:
         raise ValueError(f"--repeats must be at least 2, got {repeats}")
+
+
+def _add_seed_flag(p):
+    """--seed, which main refuses below 0 before the command runs."""
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _fidelity(args) -> Fidelity:
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=list(STRATEGIES), required=True)
     sp.add_argument("--backend", default="sim",
                     help="'sim' or 'nn:<model.json>'")
-    sp.add_argument("--seed", type=int, default=0)
+    _add_seed_flag(sp)
     sp.add_argument("--repeats", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_optimize)
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    _add_seed_flag(sp)
     sp.add_argument("--sampler", choices=["lhs", "grid"], default="lhs")
     sp.add_argument("--power", type=float, default=PowerProfile.q0)
     sp.add_argument("--dx-um", type=float, default=UnitCellSpec.dx * 1e6)
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train a surrogate network")
     sp.add_argument("--data", required=True)
     sp.add_argument("--target", choices=list(_TARGETS), required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    _add_seed_flag(sp)
     sp.add_argument("--hidden", type=int, default=10)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_train)
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", choices=list(_TARGETS), required=True)
     sp.add_argument("--sizes", required=True)
     sp.add_argument("--repeats", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
+    _add_seed_flag(sp)
     sp.add_argument("--power", type=float, default=PowerProfile.q0)
     sp.add_argument("--dx-um", type=float, default=UnitCellSpec.dx * 1e6)
     sp.add_argument("--out")
@@ -343,6 +351,9 @@ def main(argv=None) -> int:
     as argparse reports its own."""
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be a non-negative integer, got "
+                             f"{args.seed}")
         args.func(args)
     except (ValueError, UnknownMaterialError) as exc:
         # args[0], since str() of a KeyError quotes its message

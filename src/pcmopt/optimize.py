@@ -405,7 +405,7 @@ def repeat_with_seeds(problem: OptimizationProblem, strategy: str,
     the simulator-verified objective.
     """
     if n_runs < 2:
-        raise ValueError("n_runs must be >= 2")
+        raise ValueError(f"n_runs must be at least 2, got {n_runs}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     run = STRATEGIES[strategy]

@@ -8,8 +8,9 @@ runs and yields each case's ThermalHistory or its exception; the study
 reduces each history itself. A training campaign records a failed case, and
 every other study (and SimulatorBackend.evaluate) raises the first.
 
-check_columns is the one column rule: a model or a training set stands for
-an objective only if it maps the search parameters, in order, to its column.
+check_columns is the one names rule for every record a search reads a point
+through: a network, a training set, a backend or a verifier stands for an
+objective only if it maps the search parameters, in order, to its column.
 
 Every simulator objective, a search's and its verifier's, comes from one
 call, simulator(param_names, objective, fidelity, power), which runs
@@ -185,16 +186,21 @@ def _swept_channel(values: dict) -> dict:
             for name, field in _CHANNEL_PARAMETERS.items() if name in values}
 
 
+def _check_swept(names) -> None:
+    """ValueError on a swept parameter name neither table knows."""
+    unknown = set(names) - set(_PCM_PARAMETERS) - set(_CHANNEL_PARAMETERS)
+    if unknown:
+        known = [*_PCM_PARAMETERS, *_CHANNEL_PARAMETERS]
+        raise ValueError(f"unknown swept parameters {sorted(unknown)}; "
+                         f"known: {known}")
+
+
 def property_case(values: dict, power: float = PowerProfile.q0,
                   cell: UnitCellSpec = UnitCellSpec()) -> Case:
     """Case.pcm, the reference Solder 174, in a channel of cell, with every
     swept parameter in values applied; ValueError on a name neither table
     knows."""
-    unknown = set(values) - set(_PCM_PARAMETERS) - set(_CHANNEL_PARAMETERS)
-    if unknown:
-        known = [*_PCM_PARAMETERS, *_CHANNEL_PARAMETERS]
-        raise ValueError(f"unknown swept parameters {sorted(unknown)}; "
-                         f"known: {known}")
+    _check_swept(values)
     cell = dc_replace(cell, **_swept_channel(values))
     pcm = dc_replace(Case.pcm, name="swept",
                      **{field: values[name]
@@ -211,6 +217,14 @@ def geometry_case(values: dict, power: float = PowerProfile.q0,
                          UnitCellSpec(dx=dx, **_swept_channel(values)))
 
 
+def _objective_column(objective: str) -> str:
+    """objective's OBJECTIVE_COLUMNS column; ValueError naming it if none."""
+    if objective not in metrics.OBJECTIVE_COLUMNS:
+        raise ValueError(f"unknown objective {objective!r}; known: "
+                         f"{list(metrics.OBJECTIVE_COLUMNS)}")
+    return metrics.OBJECTIVE_COLUMNS[objective]
+
+
 class SimulatorBackend(Backend):
     """Objective: a metric of the transient of the case case_builder
     returns, run by _run_case at the step dt that sim_kwargs may set,
@@ -219,15 +233,13 @@ class SimulatorBackend(Backend):
     item 2; every other caller builds one through simulator(). verify is
     evaluate, bound on the class, so a wrapper put on an instance's
     evaluate (as the benchmark's timers are) never counts a
-    verification."""
+    verification. It names its inputs and its column as a network does."""
 
     def __init__(self, case_builder, param_names, objective: str,
                  sim_kwargs: dict | None = None):
-        if objective not in metrics.OBJECTIVE_COLUMNS:
-            raise ValueError("objective must be one of "
-                             f"{list(metrics.OBJECTIVE_COLUMNS)}")
+        self.target_name = _objective_column(objective)
         self.case_builder = case_builder
-        self.param_names = list(param_names)
+        self.input_names = list(param_names)
         self.objective = objective
         settings = dict(sim_kwargs or {})
         self.dt = settings.pop("dt", solver.DEFAULT_DT)
@@ -237,7 +249,7 @@ class SimulatorBackend(Backend):
         solver.step_counts(self.dt)
 
     def evaluate(self, x):
-        values = dict(zip(self.param_names, map(float, x)))
+        values = dict(zip(self.input_names, map(float, x)))
         report = metrics.compute_metrics(
             _run_case(self.case_builder(values), self.dt))
         return float(getattr(report, self.objective))
@@ -252,7 +264,8 @@ def simulator(param_names, objective: str,
     geometry_case's cases at power, meshed at fidelity.dx and stepped at
     fidelity.dt. A point that sweeps no channel dimension keeps the
     reference channel, so it builds the case property_case builds in a
-    cell meshed at fidelity.dx."""
+    cell meshed at fidelity.dx. A name no case takes is refused here."""
+    _check_swept(param_names)
     return SimulatorBackend(partial(geometry_case, power=power,
                                     dx=fidelity.dx),
                             param_names, objective,
@@ -267,10 +280,10 @@ def _predict_quietly(model: SurrogateModel, X) -> np.ndarray:
 
 
 def check_columns(what: str, record, objective: str, param_names) -> None:
-    """Refuse record, a SurrogateModel or a TrainingSet, unless it maps
+    """Refuse record (a model, a training set or a backend) unless it maps
     param_names, in that order, to objective's column; what names it."""
     have = (record.target_name, list(record.input_names))
-    need = (metrics.OBJECTIVE_COLUMNS[objective], list(param_names))
+    need = (_objective_column(objective), list(param_names))
     if have != need:
         raise ValueError(f"the {what} predicts {have[0]!r} from {have[1]}; "
                          f"{objective} needs {need[0]!r} from {need[1]}, "
@@ -283,7 +296,7 @@ class SurrogateBackend(Backend):
 
     def __init__(self, model: SurrogateModel, verifier: Backend):
         check_columns("model", model, verifier.objective,
-                      verifier.param_names)
+                      verifier.input_names)
         self.model = model
         self.verifier = verifier
 
@@ -302,7 +315,7 @@ class ResamplingSurrogateBackend(SurrogateBackend):
 
     def __init__(self, pool: TrainingSet, size: int, verifier: Backend,
                  seed: int = 0, **train_kwargs):
-        check_columns("pool", pool, verifier.objective, verifier.param_names)
+        check_columns("pool", pool, verifier.objective, verifier.input_names)
         check_sizes([size], pool)
         self.pool = pool
         self.size = size
@@ -325,18 +338,13 @@ def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
                         seed: int = 0, steps: dict | None = None
                         ) -> OptimizationProblem:
     """The problem of minimizing objective over bounds, in their order, on
-    backend. A backend, or its verifier, that names its parameters and
-    objective (as a SimulatorBackend and a surrogate's verifier do) must
-    name these, since it reads a point's values by its own names; one that
-    names nothing is taken as it is."""
-    for named in (backend, backend.verifier):
-        if getattr(named, "objective", None) is not None and (
-                named.param_names != list(bounds)
-                or named.objective != objective):
-            raise ValueError(
-                f"the backend scores {named.objective} over "
-                f"{named.param_names}; the problem is {objective} over "
-                f"{list(bounds)}")
+    backend. A backend, or its verifier, that names its objective (as a
+    SimulatorBackend and a surrogate's verifier do) must pass check_columns
+    for it, since it reads a point's values by its own names; one that names
+    nothing is taken as it is."""
+    for what, named in (("backend", backend), ("verifier", backend.verifier)):
+        if getattr(named, "objective", None) is not None:
+            check_columns(what, named, objective, bounds)
     steps = steps or {}
     if set(steps) - set(bounds):
         raise ValueError(f"steps {sorted(set(steps) - set(bounds))} name no "

@@ -10,6 +10,7 @@ input_names and target_name of the TrainingSet it was fitted to, in order.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -68,7 +69,7 @@ def load_training_csv(path, target: str,
     column that is not a known target column. A file without the target or
     an input column, or without a data row, is a ValueError naming the
     file; a row whose width is not the header's, or whose value there is not
-    a number, one naming the file and the line.
+    a finite number, one naming the file and the line.
     """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -84,6 +85,7 @@ def load_training_csv(path, target: str,
         if missing:
             raise ValueError(f"training file {path}: input columns "
                              f"{missing} not in {header}")
+        columns = [*input_names, target]  # the target last
         X, y = [], []
         for row in reader:
             try:
@@ -91,8 +93,13 @@ def load_training_csv(path, target: str,
                 # short row's gaps with None
                 if None in row or None in row.values():
                     raise ValueError(f"not the header's {len(header)} fields")
-                X.append([float(row[n]) for n in input_names])
-                y.append(float(row[target]))
+                values = [float(row[n]) for n in columns]
+                bad = [n for n, v in zip(columns, values)
+                       if not math.isfinite(v)]
+                if bad:
+                    raise ValueError(f"columns {bad} are not finite")
+                X.append(values[:-1])
+                y.append(values[-1])
             except ValueError as e:
                 raise ValueError(f"training file {path}, line "
                                  f"{reader.line_num}: {e}") from e

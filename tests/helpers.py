@@ -11,19 +11,21 @@ from pathlib import Path
 import numpy as np
 
 from pcmopt.geometry import Case
+from pcmopt.metrics import OBJECTIVE_COLUMNS
 from pcmopt.optimize import Backend
 from pcmopt.solver import _factor_band, build_case_network, dpbtrs
 
 
 class FunctionBackend(Backend):
     """Objective fn(x), which is also its verified value. As a surrogate's
-    verifier it names the objective and parameters the surrogate must stand
+    verifier it names the objective and inputs the surrogate must stand
     for, as a SimulatorBackend does."""
 
     def __init__(self, fn, objective: str | None = None, param_names=()):
         self.fn = fn
         self.objective = objective
-        self.param_names = list(param_names)
+        self.input_names = list(param_names)
+        self.target_name = OBJECTIVE_COLUMNS.get(objective)
 
     def evaluate(self, x):
         return float(self.fn(np.asarray(x, dtype=float)))

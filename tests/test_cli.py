@@ -400,10 +400,16 @@ PROBLEM_KEYS = ("expected an object with keys bounds, power, objective, "
     ({"bounds": {"T_m_C": [96, 47]}}, "T_m_C: lower must be < upper"),
     ({"steps": {"T_m_C": -5}}, "T_m_C: grid step must be positive"),
     ({"steps": {"Tm_C": 5}}, "steps ['Tm_C'] name no bound; the bounds are "
-                             "['T_m_C']")],
+                             "['T_m_C']"),
+    # a lower corner whose channel no mesh holds, refused by building its
+    # case, not scored +inf at every point the search visits
+    ({"bounds": {"H_um": [1, 100], "T_m_C": [70, 80]}, "dt": 0.025},
+     "at dx=1e-05 the height or half width of channel H=1e-06, W=5e-05 "
+     "snaps to no voxels; use no_channel for the solid-silicon baseline")],
     ids=["dt", "unknown_key", "dt_text", "snapshot_every", "sim_kwargs",
          "bounds_list", "bound_number", "bound_single", "steps_list",
-         "bounds_reversed", "step_negative", "step_unknown_name"])
+         "bounds_reversed", "step_negative", "step_unknown_name",
+         "lower_corner_unmeshable"])
 def test_problem_file_settings_are_refused_before_the_search(
         tmp_path, capsys, setting, message):
     problem = tmp_path / "problem.json"
@@ -513,13 +519,17 @@ def synthetic_campaign(tmp_path, n=30):
      ", line 13: not the header's 5 fields"),
     (lambda text: text + "40,50,abc,80.5,2.5\n",
      ", line 13: could not convert string to float: 'abc'"),
+    (lambda text: text + "40,50,nan,80.5,2.5\n",
+     ", line 13: columns ['T_m_C'] are not finite"),
+    (lambda text: text + "40,50,60,inf,2.5\n",
+     ", line 13: columns ['T_o_max_C'] are not finite"),
     (lambda text: text.replace("T_o_max_C", "T_max_C"),
      ": target column 'T_o_max_C' not in ['H_um', 'W_um', 'T_m_C', "
      "'T_max_C', 'T_osc_C']"),
     (lambda text: "", ": target column 'T_o_max_C' not in []"),
     (lambda text: text.splitlines(keepends=True)[0], ": no data rows")],
-    ids=["short", "long", "not_a_number", "no_target_column", "empty",
-         "no_rows"])
+    ids=["short", "long", "not_a_number", "nan_input", "inf_target",
+         "no_target_column", "empty", "no_rows"])
 def test_a_malformed_training_row_is_one_line_naming_it(tmp_path, capsys,
                                                         edit, reason):
     campaign = Path(synthetic_campaign(tmp_path, n=11))
@@ -725,6 +735,11 @@ ABLATION_ON_CAMPAIGN = ["ablation", "--pool", "{tmp}/campaign.csv", "--test",
 REPEATS_ON_CAMPAIGN = [*ABLATION_ON_CAMPAIGN, "--sizes", "12"]
 
 
+#: the refusal of a count below 2 and of a negative seed
+AT_LEAST_2 = "must be at least 2"
+NON_NEGATIVE = "must be a non-negative integer"
+
+
 def _untrainable(size):
     return f": training-set size {size} is not from 10 to 30, the pool's rows"
 
@@ -741,12 +756,21 @@ def _untrainable(size):
     (ABLATION_ON_CAMPAIGN, "--sizes", "-3", _untrainable(-3)),
     (ABLATION_ON_CAMPAIGN, "--sizes", "40", _untrainable(40)),
     # a count, named as optimize names its --repeats
-    (REPEATS_ON_CAMPAIGN, "--repeats", "1", None),
-    (REPEATS_ON_CAMPAIGN, "--repeats", "0", None),
-    (REPEATS_ON_CAMPAIGN, "--repeats", "-2", None)],
+    (REPEATS_ON_CAMPAIGN, "--repeats", "1", AT_LEAST_2),
+    (REPEATS_ON_CAMPAIGN, "--repeats", "0", AT_LEAST_2),
+    (REPEATS_ON_CAMPAIGN, "--repeats", "-2", AT_LEAST_2),
+    # a seed, refused before the file it names is read
+    (["optimize", "--problem", "p.json", "--strategy", "ga"], "--seed", "-1",
+     NON_NEGATIVE),
+    (["generate", "--kind", "geometry", "--n", "2", "--out", "{tmp}/o"],
+     "--seed", "-1", NON_NEGATIVE),
+    (["train", "--data", "p.csv", "--target", "tomax", "--out", "{tmp}/o"],
+     "--seed", "-1", NON_NEGATIVE),
+    ([*ABLATION, "--sizes", "12"], "--seed", "-1", NON_NEGATIVE)],
     ids=["too_few", "not_numbers", "too_many", "powers", "sizes",
          "size_zero", "size_negative", "size_above_pool", "repeats_one",
-         "repeats_zero", "repeats_negative"])
+         "repeats_zero", "repeats_negative", "seed_optimize", "seed_generate",
+         "seed_train", "seed_ablation"])
 def test_a_malformed_list_flag_is_one_line_naming_it(
         tmp_path, capsys, monkeypatch, argv, flag, value, why):
     """Refused before any case runs, any network trains or any output is
@@ -761,8 +785,8 @@ def test_a_malformed_list_flag_is_one_line_naming_it(
     assert main([*argv, flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    named = (f"{flag} {value!r}{why}" if why is not None
-             else f"{flag} must be at least 2, got {value}")
+    named = (f"{flag} {why}, got {value}" if why.startswith("must")
+             else f"{flag} {value!r}{why}")
     assert captured.err == f"pcmopt {argv[0]}: error: {named}\n"
     assert ran == [] and not (tmp_path / "o").exists()
 

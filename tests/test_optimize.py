@@ -217,7 +217,7 @@ def test_repeat_with_seeds_summary():
     v = s["verified_objective"]
     assert v["min"] <= v["mean"] <= v["max"]
     assert set(s["parameters"]) == {"x0", "x1"}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_runs must be at least 2, got 1"):
         repeat_with_seeds(problem, "ga", n_runs=1)
     with pytest.raises(ValueError):
         repeat_with_seeds(problem, "annealing", n_runs=3)

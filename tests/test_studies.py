@@ -115,6 +115,19 @@ def test_property_case_rejects_unknown_names(name):
         geometry_case({name: 1.0}, dx=10e-6)
 
 
+def test_simulator_refuses_an_unknown_name_when_built(monkeypatch):
+    """A name no case can take is refused by simulator itself, naming it
+    and the known names, before any case runs."""
+    ran = []
+    monkeypatch.setattr(solver, "simulate", lambda case, **_: ran.append(case))
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown swept parameters ['nope']; known: ['T_m_C', "
+            "'L_H_J_per_kg', 'k_W_per_mK', 'cp_solid_J_per_kgK', "
+            "'cp_liquid_J_per_kgK', 'H_um', 'W_um']")):
+        simulator(["nope"], "T_o_max", COARSE)
+    assert ran == []
+
+
 def test_pcm_comparison_rows_and_artifacts(tmp_path):
     rows = run_pcm_comparison(out_dir=tmp_path, fidelity=COARSE)
     assert [r["material"] for r in rows[:2]] == ["Silicon", "Cerrolow117"]
@@ -698,19 +711,29 @@ def test_problem_from_bounds():
 SWAPPED = {name: GEOMETRY_BOUNDS[name] for name in ("W_um", "H_um", "T_m_C")}
 
 
-@pytest.mark.parametrize("bounds,objective,backend,scores", [
-    (SWAPPED, "T_o_max", "T_o_max", "T_o_max over ['H_um', 'W_um', 'T_m_C']"),
-    (GEOMETRY_BOUNDS, "T_osc", "T_o_max",
-     "T_o_max over ['H_um', 'W_um', 'T_m_C']"),
-    (SWAPPED, "T_osc", "surrogate", "T_osc over ['H_um', 'W_um', 'T_m_C']"),
-    (GEOMETRY_BOUNDS, "T_o_max", "verified_as_T_osc",
-     "T_osc over ['H_um', 'W_um', 'T_m_C']")],
-    ids=["order", "objective", "surrogate_verifier", "verifier"])
+@pytest.mark.parametrize("bounds,objective,backend,refused", [
+    (SWAPPED, "T_o_max", "T_o_max", "the backend predicts 'T_o_max_C' from "
+     "['H_um', 'W_um', 'T_m_C']; T_o_max needs 'T_o_max_C' from "
+     "['W_um', 'H_um', 'T_m_C'], in that order"),
+    (GEOMETRY_BOUNDS, "T_osc", "T_o_max", "the backend predicts 'T_o_max_C' "
+     "from ['H_um', 'W_um', 'T_m_C']; T_osc needs 'T_osc_C' from "
+     "['H_um', 'W_um', 'T_m_C'], in that order"),
+    (SWAPPED, "T_osc", "surrogate", "the verifier predicts 'T_osc_C' from "
+     "['H_um', 'W_um', 'T_m_C']; T_osc needs 'T_osc_C' from "
+     "['W_um', 'H_um', 'T_m_C'], in that order"),
+    (GEOMETRY_BOUNDS, "T_o_max", "verified_as_T_osc", "the verifier predicts "
+     "'T_osc_C' from ['H_um', 'W_um', 'T_m_C']; T_o_max needs 'T_o_max_C' "
+     "from ['H_um', 'W_um', 'T_m_C'], in that order"),
+    (GEOMETRY_BOUNDS, "foo", "T_o_max", "unknown objective 'foo'; known: "
+     "['T_o_max', 'T_osc']")],
+    ids=["order", "objective", "surrogate_verifier", "verifier",
+         "unknown_objective"])
 def test_problem_from_bounds_refuses_a_backend_of_other_names(
-        bounds, objective, backend, scores):
+        bounds, objective, backend, refused):
     """A backend reads a point's values by its own parameter names, so one
-    that names others, or another objective, than the problem is refused,
-    as is a surrogate's or a simulator's verifier that does."""
+    that names others, or another objective, than the problem is refused by
+    check_columns, as is a surrogate's or a simulator's verifier that does,
+    and a problem objective no column holds."""
     if backend == "surrogate":
         backend = SurrogateBackend(train_lm(synthetic_pool(60), seed=0),
                                    FunctionBackend(float, **T_OSC_VERIFIER))
@@ -719,9 +742,7 @@ def test_problem_from_bounds_refuses_a_backend_of_other_names(
         backend.verifier = simulator(list(GEOMETRY_BOUNDS), "T_osc")
     else:
         backend = simulator(list(GEOMETRY_BOUNDS), backend, COARSE)
-    with pytest.raises(ValueError, match=re.escape(
-            f"the backend scores {scores}; the problem is {objective} over "
-            f"{list(bounds)}")):
+    with pytest.raises(ValueError, match=re.escape(refused)):
         problem_from_bounds(bounds, objective, backend)
 
 
@@ -847,8 +868,9 @@ def test_ablation_refuses_a_verifier_of_other_names_before_training(
                         lambda *a, **kw: trained.append(a))
     verifier = FunctionBackend(float, "T_osc", ["W_um", "H_um", "T_m_C"])
     with pytest.raises(ValueError, match=re.escape(
-            "the backend scores T_osc over ['W_um', 'H_um', 'T_m_C']; the "
-            "problem is T_osc over ['H_um', 'W_um', 'T_m_C']")):
+            "the backend predicts 'T_osc_C' from ['W_um', 'H_um', 'T_m_C']; "
+            "T_osc needs 'T_osc_C' from ['H_um', 'W_um', 'T_m_C'], in that "
+            "order")):
         run_ablation(synthetic_pool(60), synthetic_pool(60), sizes=(40,),
                      verifier=verifier, repeats=3, strategies=("ga",))
     assert trained == []

@@ -226,6 +226,14 @@ def test_load_training_csv_names_the_file_of_an_unknown_input_or_no_rows(
             f"{header.split(',')}")):
         load_training_csv(path, target="T_o_max_C",
                           input_names=["H_um", "nope"])
+    # a value float() reads but no network can fit, refused on its line
+    for row, bad in [("1,nan,30.0,50.0,90.0,10.0,0", ["H_um"]),
+                     ("1,20.0,-inf,inf,90.0,10.0,0", ["W_um", "T_m_C"])]:
+        path.write_text(f"{header}\n0,20.0,30.0,50.0,90.0,10.0,0\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"training file {path}, line 3: columns {bad} are not "
+                "finite")):
+            load_training_csv(path, target="T_o_max_C")
     # a campaign whose every case failed writes its header alone
     path.write_text(f"{header}\n")
     for input_names in (None, ["H_um", "W_um", "T_m_C"]):
