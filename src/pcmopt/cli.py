@@ -14,7 +14,8 @@ from .materials import (UnknownMaterialError, builtin_material,
                         check_field_types, from_record, load_material_file,
                         read_json, write_json)
 from .metrics import OBJECTIVE_COLUMNS, compute_metrics
-from .optimize import STRATEGIES, grid_points, repeat_with_seeds
+from .optimize import (STRATEGIES, check_repeats, grid_points,
+                       repeat_with_seeds)
 from .solver import DEFAULT_DT, Fidelity, simulate
 from .surrogate import (SurrogateModel, load_training_csv, train_lm,
                         r_squared)
@@ -148,29 +149,30 @@ class _ProblemFile:
 
 
 def _load_problem(args):
+    model_file = args.backend[3:] if args.backend.startswith("nn:") else ""
+    if args.backend != "sim" and not model_file:
+        raise ValueError(f"--backend {args.backend!r} is not 'sim' or "
+                         "'nn:<model file>'")
     source = f"problem file {args.problem}"
     spec = from_record(_ProblemFile, read_json(args.problem, source), source)
     try:  # fail before searching
         verifier = studies.simulator(list(spec.bounds), spec.objective,
                                      Fidelity(spec.dx, spec.dt), spec.power)
-        # simulator has refused a name no case takes; building the lower
-        # corner's case refuses what only a case shows, such as a corner
-        # channel that no mesh holds, before every point scores +inf
-        verifier.case_builder({k: lo for k, (lo, hi) in spec.bounds.items()})
+        # simulator has refused a name no case takes; building both
+        # corners' cases refuses what only a case shows, such as a corner
+        # channel that no mesh or device layer holds, before the points
+        # beyond it score +inf
+        for corner in zip(*spec.bounds.values()):
+            verifier.case_builder(dict(zip(spec.bounds, corner)))
         problem = studies.problem_from_bounds(
             spec.bounds, spec.objective, verifier, seed=args.seed,
             steps=spec.steps)
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from e
-    if args.backend.startswith("nn:"):
+    if model_file:
         problem = dc_replace(problem, backend=studies.SurrogateBackend(
-            SurrogateModel.load(args.backend[3:]), verifier))
+            SurrogateModel.load(model_file), verifier))
     return problem
-
-
-def _check_repeats(repeats: int) -> None:
-    if repeats < 2:
-        raise ValueError(f"--repeats must be at least 2, got {repeats}")
 
 
 def _add_seed_flag(p):
@@ -185,7 +187,7 @@ def _fidelity(args) -> Fidelity:
 
 def _cmd_optimize(args):
     if args.repeats is not None:
-        _check_repeats(args.repeats)
+        check_repeats(args.repeats, [args.strategy], "--repeats")
     problem = _load_problem(args)
     if args.repeats is not None:
         out = repeat_with_seeds(problem, args.strategy, n_runs=args.repeats)
@@ -216,7 +218,7 @@ def _cmd_train(args):
 def _cmd_ablation(args):
     sizes = _flag_values("--sizes", args.sizes,
                          "a comma-separated list of integers", int)
-    _check_repeats(args.repeats)
+    check_repeats(args.repeats, (), "--repeats")
     fidelity = _fidelity(args)
     objective = _TARGETS[args.target]
     pool = load_training_csv(args.pool, OBJECTIVE_COLUMNS[objective])

@@ -395,6 +395,16 @@ def value_range(values) -> dict[str, float]:
             "max": float(arr.max())}
 
 
+def check_repeats(n_runs: int, strategies, count: str = "n_runs") -> None:
+    """The pre-flight of a repeated search: refuse fewer than the two runs a
+    spread needs, naming n_runs as count, or a strategy not in STRATEGIES."""
+    if n_runs < 2:
+        raise ValueError(f"{count} must be at least 2, got {n_runs}")
+    for strategy in strategies:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def repeat_with_seeds(problem: OptimizationProblem, strategy: str,
                       n_runs: int = 10, config=None) -> dict:
     """Repeat a strategy from STRATEGIES n_runs times with the seeds
@@ -404,10 +414,7 @@ def repeat_with_seeds(problem: OptimizationProblem, strategy: str,
     (via Backend.fresh). Reports the value_range of each parameter and of
     the simulator-verified objective.
     """
-    if n_runs < 2:
-        raise ValueError(f"n_runs must be at least 2, got {n_runs}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    check_repeats(n_runs, [strategy])
     run = STRATEGIES[strategy]
 
     results = [run(dc_replace(problem, backend=problem.backend.fresh(seed),

@@ -43,7 +43,8 @@ from .geometry import T_AMB_C, Case, PowerProfile, UnitCellSpec
 from .materials import (PCM_NAMES, Material, builtin_material, read_json,
                         write_json)
 from .optimize import (Backend, OptimizationProblem, ParameterSpec,
-                       grid_points, repeat_with_seeds, value_range)
+                       check_repeats, grid_points, repeat_with_seeds,
+                       value_range)
 from .surrogate import (MIN_TRAINING_ROWS, ExtrapolationWarning,
                         SurrogateModel, TrainingSet, predict, train_lm,
                         r_squared)
@@ -264,19 +265,14 @@ def simulator(param_names, objective: str,
     geometry_case's cases at power, meshed at fidelity.dx and stepped at
     fidelity.dt. A point that sweeps no channel dimension keeps the
     reference channel, so it builds the case property_case builds in a
-    cell meshed at fidelity.dx. A name no case takes is refused here."""
+    cell meshed at fidelity.dx. A name no case takes, and a negative
+    power, are refused here."""
     _check_swept(param_names)
+    PowerProfile(q0=power)
     return SimulatorBackend(partial(geometry_case, power=power,
                                     dx=fidelity.dx),
                             param_names, objective,
                             sim_kwargs={"dt": fidelity.dt})
-
-
-def _predict_quietly(model: SurrogateModel, X) -> np.ndarray:
-    """predict(model, X) with ExtrapolationWarning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        return predict(model, X)
 
 
 def check_columns(what: str, record, objective: str, param_names) -> None:
@@ -304,7 +300,9 @@ class SurrogateBackend(Backend):
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
 
     def evaluate_batch(self, X):
-        return _predict_quietly(self.model, X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            return predict(self.model, X)
 
 
 class ResamplingSurrogateBackend(SurrogateBackend):
@@ -582,15 +580,14 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
     verifier scores each optimum over GEOMETRY_BOUNDS (a SimulatorBackend
     of the ablated metric); pool and test must map those inputs to its
     column. Each size trains one network per repeat seed, for its R^2 and
-    for every strategy. The verifier, both sets, every size and the repeats
-    (at least two, for a spread) are checked before any training.
+    for every strategy. The verifier, both sets, every size, the repeats
+    and the strategies (check_repeats) are checked before any training.
     """
     problem = problem_from_bounds(GEOMETRY_BOUNDS, verifier.objective,
                                   verifier, seed=base_seed)
     check_columns("test set", test, verifier.objective, GEOMETRY_BOUNDS)
     check_sizes(sizes, pool)
-    if repeats < 2:
-        raise ValueError(f"repeats must be at least 2, got {repeats}")
+    check_repeats(repeats, strategies, "repeats")
     report = []
     for size in sizes:
         backend = ResamplingSurrogateBackend(pool, int(size), verifier,
@@ -614,15 +611,16 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
                  out_path=None, power: float = PowerProfile.q0,
                  fidelity: solver.Fidelity = solver.REFERENCE) -> list[dict]:
     """Paired NN/simulator T_o_max surface over an H/W grid at fixed T_m,
-    simulated at fidelity."""
-    check_columns("model", model, "T_o_max", GEOMETRY_BOUNDS)
+    simulated at fidelity; the network scores it as a SurrogateBackend."""
+    verifier = simulator(list(GEOMETRY_BOUNDS), "T_o_max", fidelity, power)
+    backend = SurrogateBackend(model, verifier)
     points = [np.array([float(h_um), float(w_um), float(fixed_tm)])
               for h_um in h_grid for w_um in w_grid]
-    cases = [geometry_case(dict(zip(GEOMETRY_BOUNDS, x)), power=power,
-                           dx=fidelity.dx) for x in points]
+    cases = [verifier.case_builder(dict(zip(GEOMETRY_BOUNDS, x)))
+             for x in points]
     reports = map(metrics.compute_metrics,
                   _values(evaluate_cases(cases, fidelity.dt)))
-    t_nn = _predict_quietly(model, np.array(points)).tolist()
+    t_nn = backend.evaluate_batch(np.array(points)).tolist()
     rows = [{"H_um": x[0], "W_um": x[1], "T_m_C": x[2], "T_nn_C": t,
              "T_sim_C": m.T_o_max} for m, x, t in zip(reports, points, t_nn)]
     if out_path:

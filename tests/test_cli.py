@@ -405,11 +405,15 @@ PROBLEM_KEYS = ("expected an object with keys bounds, power, objective, "
     # case, not scored +inf at every point the search visits
     ({"bounds": {"H_um": [1, 100], "T_m_C": [70, 80]}, "dt": 0.025},
      "at dx=1e-05 the height or half width of channel H=1e-06, W=5e-05 "
-     "snaps to no voxels; use no_channel for the solid-silicon baseline")],
+     "snaps to no voxels; use no_channel for the solid-silicon baseline"),
+    # and an upper corner whose channel the device layer cannot hold
+    ({"bounds": {"H_um": [20, 250], "T_m_C": [70, 80]},
+      "steps": {"H_um": 115, "T_m_C": 10}, "dt": 0.025},
+     "channel height exceeds device layer")],
     ids=["dt", "unknown_key", "dt_text", "snapshot_every", "sim_kwargs",
          "bounds_list", "bound_number", "bound_single", "steps_list",
          "bounds_reversed", "step_negative", "step_unknown_name",
-         "lower_corner_unmeshable"])
+         "lower_corner_unmeshable", "upper_corner_beyond_the_device_layer"])
 def test_problem_file_settings_are_refused_before_the_search(
         tmp_path, capsys, setting, message):
     problem = tmp_path / "problem.json"
@@ -766,11 +770,14 @@ def _untrainable(size):
      "--seed", "-1", NON_NEGATIVE),
     (["train", "--data", "p.csv", "--target", "tomax", "--out", "{tmp}/o"],
      "--seed", "-1", NON_NEGATIVE),
-    ([*ABLATION, "--sizes", "12"], "--seed", "-1", NON_NEGATIVE)],
+    ([*ABLATION, "--sizes", "12"], "--seed", "-1", NON_NEGATIVE),
+    # a backend with no colon, refused before the problem file is read
+    (["optimize", "--problem", "p.json", "--strategy", "sweep"], "--backend",
+     "nn_model.json", " is not 'sim' or 'nn:<model file>'")],
     ids=["too_few", "not_numbers", "too_many", "powers", "sizes",
          "size_zero", "size_negative", "size_above_pool", "repeats_one",
          "repeats_zero", "repeats_negative", "seed_optimize", "seed_generate",
-         "seed_train", "seed_ablation"])
+         "seed_train", "seed_ablation", "backend_without_colon"])
 def test_a_malformed_list_flag_is_one_line_naming_it(
         tmp_path, capsys, monkeypatch, argv, flag, value, why):
     """Refused before any case runs, any network trains or any output is
@@ -789,6 +796,21 @@ def test_a_malformed_list_flag_is_one_line_naming_it(
              else f"{flag} {value!r}{why}")
     assert captured.err == f"pcmopt {argv[0]}: error: {named}\n"
     assert ran == [] and not (tmp_path / "o").exists()
+
+
+def test_ablation_refuses_a_negative_power_before_training(
+        tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(studies, "train_lm",
+                        lambda *a, **_: trained.append(a))
+    argv = [a.format(tmp=tmp_path) for a in REPEATS_ON_CAMPAIGN]
+    synthetic_campaign(tmp_path)
+    assert main([*argv, "--repeats", "2", "--power", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("pcmopt ablation: error: q0 must be "
+                            "non-negative\n")
+    assert trained == [] and not (tmp_path / "o").exists()
 
 
 def test_ablation_refuses_a_training_file_without_rows(tmp_path, capsys):

@@ -128,6 +128,16 @@ def test_simulator_refuses_an_unknown_name_when_built(monkeypatch):
     assert ran == []
 
 
+def test_simulator_refuses_a_negative_power_when_built(monkeypatch):
+    """A power no case can take is refused by simulator itself, not by the
+    first case a search or a verification builds."""
+    ran = []
+    monkeypatch.setattr(solver, "simulate", lambda case, **_: ran.append(case))
+    with pytest.raises(ValueError, match="q0 must be non-negative"):
+        simulator(list(GEOMETRY_BOUNDS), "T_o_max", COARSE, power=-5)
+    assert ran == []
+
+
 def test_pcm_comparison_rows_and_artifacts(tmp_path):
     rows = run_pcm_comparison(out_dir=tmp_path, fidelity=COARSE)
     assert [r["material"] for r in rows[:2]] == ["Silicon", "Cerrolow117"]
@@ -836,26 +846,29 @@ def test_ablation_refuses_a_set_of_other_columns_before_training(
     assert trained == []
 
 
-@pytest.mark.parametrize("sizes,repeats,refused", [
-    ((40, 9), 2, "training-set size 9 is not from 10 to 60, the pool's rows"),
-    ((40, 61), 2,
+@pytest.mark.parametrize("sizes,repeats,strategies,refused", [
+    ((40, 9), 2, ("ga",),
+     "training-set size 9 is not from 10 to 60, the pool's rows"),
+    ((40, 61), 2, ("ga",),
      "training-set size 61 is not from 10 to 60, the pool's rows"),
-    ((40,), 1, "repeats must be at least 2, got 1"),
-    ((40,), 0, "repeats must be at least 2, got 0"),
-    ((40,), -2, "repeats must be at least 2, got -2")],
-    ids=["9", "61", "repeats_1", "repeats_0", "repeats_-2"])
+    ((40,), 1, ("ga",), "repeats must be at least 2, got 1"),
+    ((40,), 0, ("ga",), "repeats must be at least 2, got 0"),
+    ((40,), -2, ("ga",), "repeats must be at least 2, got -2"),
+    ((40,), 2, ("ga", "nope"), "unknown strategy 'nope'")],
+    ids=["9", "61", "repeats_1", "repeats_0", "repeats_-2",
+         "unknown_strategy"])
 def test_ablation_refuses_an_untrainable_size_before_training(
-        monkeypatch, sizes, repeats, refused):
-    """A size below train_lm's minimum or above the pool, or fewer than
-    the two repeats a spread needs, is refused before the sizes ahead of
-    it train and search."""
+        monkeypatch, sizes, repeats, strategies, refused):
+    """A size below train_lm's minimum or above the pool, fewer than the
+    two repeats a spread needs, or a strategy no search runs, is refused
+    before the sizes ahead of it train and search."""
     trained = []
     monkeypatch.setattr(studies, "train_lm",
                         lambda *a, **kw: trained.append(a))
     truth = FunctionBackend(float, **T_OSC_VERIFIER)
     with pytest.raises(ValueError, match=re.escape(refused)):
         run_ablation(synthetic_pool(60), synthetic_pool(60), sizes=sizes,
-                     verifier=truth, repeats=repeats, strategies=("ga",))
+                     verifier=truth, repeats=repeats, strategies=strategies)
     assert trained == []
 
 
