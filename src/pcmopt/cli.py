@@ -15,7 +15,7 @@ from .materials import (UnknownMaterialError, builtin_material,
                         read_json, write_json)
 from .metrics import OBJECTIVE_COLUMNS, compute_metrics
 from .optimize import (STRATEGIES, check_repeats, grid_points,
-                       repeat_with_seeds)
+                       parametric_sweep, repeat_with_seeds)
 from .solver import DEFAULT_DT, Fidelity, simulate
 from .surrogate import (SurrogateModel, load_training_csv, train_lm,
                         r_squared)
@@ -193,9 +193,11 @@ def _cmd_optimize(args):
         out = repeat_with_seeds(problem, args.strategy, n_runs=args.repeats)
         payload = {"summary": out["summary"],
                    "runs": [asdict(r) for r in out["runs"]]}
+    elif args.strategy == "sweep":
+        result, table = parametric_sweep(problem)
+        payload = {"result": asdict(result), "table": table}
     else:
-        result, extra = STRATEGIES[args.strategy](problem)
-        payload = {"result": asdict(result), **extra}
+        payload = {"result": asdict(STRATEGIES[args.strategy](problem))}
     _emit(payload, args.out)
 
 
@@ -291,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("optimize", help="run an optimization problem")
     sp.add_argument("--problem", required=True)
-    sp.add_argument("--strategy", choices=list(STRATEGIES), required=True)
+    sp.add_argument("--strategy", choices=["sweep", *STRATEGIES],
+                    required=True)
     sp.add_argument("--backend", default="sim",
                     help="'sim' or 'nn:<model.json>'")
     _add_seed_flag(sp)

@@ -1,6 +1,6 @@
 """Bound-constrained minimization: exhaustive sweep, real-coded genetic
 algorithm, and particle swarm, over objectives backed by the simulator or a
-trained surrogate.
+trained surrogate. Only the seeded searches (STRATEGIES: GA, PSO) repeat.
 
 Every result carries both the backend's best objective and a simulator-
 verified value (for surrogate backends the optimum is always re-simulated
@@ -10,6 +10,7 @@ before reporting).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, asdict, replace as dc_replace
@@ -28,7 +29,7 @@ PSO_INERTIA_START = 0.9
 PSO_INERTIA_END = 0.4
 PSO_COGNITIVE = 1.49
 PSO_SOCIAL = 1.49
-# Largest grid parametric_sweep will enumerate.
+# Largest grid a sweep or study enumerates, and largest grid axis.
 SWEEP_GRID_CAP = 200_000
 
 
@@ -215,12 +216,24 @@ class _Search:
 def grid_points(lower: float, upper: float, step: float) -> np.ndarray:
     """lower, lower + step, ... for as long as the points stay within
     upper; upper itself is the last point when step divides the range
-    (to 1e-9 of a step)."""
+    (to 1e-9 of a step). More than SWEEP_GRID_CAP points are refused."""
     if not (step > 0 and lower <= upper):
         raise ValueError(f"a grid from {lower} to {upper} needs a positive "
                          f"step and lower <= upper, got step {step}")
-    n = int(np.floor((upper - lower) / step + 1e-9)) + 1
-    return lower + step * np.arange(n)
+    n = np.floor((upper - lower) / step + 1e-9) + 1
+    if n > SWEEP_GRID_CAP:
+        raise ValueError(f"a grid from {lower} to {upper} at step {step} "
+                         f"exceeds cap {SWEEP_GRID_CAP} points")
+    return lower + step * np.arange(int(n))
+
+
+def grid(axes) -> np.ndarray:
+    """One row per combination of the axes' values, the last varying
+    fastest; more than SWEEP_GRID_CAP rows are refused before any is built."""
+    total = math.prod(len(axis) for axis in axes)
+    if total > SWEEP_GRID_CAP:
+        raise ValueError(f"{total} grid points exceed cap {SWEEP_GRID_CAP}")
+    return np.array(list(itertools.product(*axes)), dtype=float)
 
 
 def parametric_sweep(problem: OptimizationProblem
@@ -233,19 +246,13 @@ def parametric_sweep(problem: OptimizationProblem
         if p.step is None:
             raise ValueError(f"{p.name} has no grid step; use GA or PSO")
         axes.append(grid_points(p.lower, p.upper, p.step))
-    total = int(np.prod([a.size for a in axes]))
-    if total > SWEEP_GRID_CAP:
-        raise ValueError(
-            f"grid of {total} points exceeds cap {SWEEP_GRID_CAP}; "
-            "use ga_minimize or pso_minimize instead")
-
-    grid = np.array(list(itertools.product(*axes)))
-    values = search.batch(grid)
+    points = grid(axes)
+    values = search.batch(points)
     best = int(np.argmin(values))  # first of the lowest
     search.append(values[best])
     table = [{**dict(zip(problem.names, combo)), problem.objective: f}
-             for combo, f in zip(grid.tolist(), values.tolist())]
-    return search.result(problem, "sweep", grid[best], values[best], None,
+             for combo, f in zip(points.tolist(), values.tolist())]
+    return search.result(problem, "sweep", points[best], values[best], None,
                          {"grid_cap": SWEEP_GRID_CAP}), table
 
 
@@ -367,25 +374,11 @@ def pso_minimize(problem: OptimizationProblem,
                          asdict(config))
 
 
-def _sweep(problem: OptimizationProblem, config=None
-           ) -> tuple[OptimizationResult, dict]:
-    """parametric_sweep as a strategy: it takes no config, and its grid
-    table is the extra payload."""
-    result, table = parametric_sweep(problem)
-    return result, {"table": table}
-
-
-def _search(minimize):
-    """A stochastic search as a strategy, with no extra payload."""
-    return lambda problem, config=None: (minimize(problem, config), {})
-
-
-#: Strategy name -> run(problem, config) -> (result, extra payload). Each
-#: holds the function object bound here, so a wrapper later set on a
-#: module name (as the benchmark's tracer does) does not run inside a
-#: repeat.
-STRATEGIES = {"sweep": _sweep, "ga": _search(ga_minimize),
-              "pso": _search(pso_minimize)}
+#: The seeded searches a repeat spreads over: name -> minimize(problem,
+#: config). Each holds the function object bound here, so a wrapper later
+#: set on a module name (as the benchmark's tracer does) does not run
+#: inside a repeat.
+STRATEGIES = {"ga": ga_minimize, "pso": pso_minimize}
 
 
 def value_range(values) -> dict[str, float]:
@@ -402,12 +395,13 @@ def check_repeats(n_runs: int, strategies, count: str = "n_runs") -> None:
         raise ValueError(f"{count} must be at least 2, got {n_runs}")
     for strategy in strategies:
         if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
+            raise ValueError(f"only the seeded searches {list(STRATEGIES)} "
+                             f"repeat, not {strategy!r}")
 
 
 def repeat_with_seeds(problem: OptimizationProblem, strategy: str,
                       n_runs: int = 10, config=None) -> dict:
-    """Repeat a strategy from STRATEGIES n_runs times with the seeds
+    """Repeat a seeded search from STRATEGIES n_runs times with the seeds
     problem.seed, problem.seed + 1, ...
 
     Surrogate backends resample their training subset and retrain per run
@@ -418,7 +412,7 @@ def repeat_with_seeds(problem: OptimizationProblem, strategy: str,
     run = STRATEGIES[strategy]
 
     results = [run(dc_replace(problem, backend=problem.backend.fresh(seed),
-                              seed=seed), config)[0]
+                              seed=seed), config)
                for seed in range(problem.seed, problem.seed + n_runs)]
 
     summary = {

@@ -1,4 +1,4 @@
-"""Study orchestration: PCM comparison, melt-temperature sweeps, property
+"""Study orchestration: PCM comparison, melt-temperature sweeps, five-property
 sensitivity, training campaigns, the training-set-size ablation, and surface
 emission. A study that builds its own cases takes one solver.Fidelity, the
 mesh size dx and the step dt (REFERENCE by default); one that is handed a
@@ -32,7 +32,7 @@ import os
 import warnings
 from collections import deque
 from contextlib import closing
-from dataclasses import asdict, fields, replace as dc_replace
+from dataclasses import asdict, replace as dc_replace
 from functools import partial
 from pathlib import Path
 
@@ -43,7 +43,7 @@ from .geometry import T_AMB_C, Case, PowerProfile, UnitCellSpec
 from .materials import (PCM_NAMES, Material, builtin_material, read_json,
                         write_json)
 from .optimize import (Backend, OptimizationProblem, ParameterSpec,
-                       check_repeats, grid_points, repeat_with_seeds,
+                       check_repeats, grid, grid_points, repeat_with_seeds,
                        value_range)
 from .surrogate import (MIN_TRAINING_ROWS, ExtrapolationWarning,
                         SurrogateModel, TrainingSet, predict, train_lm,
@@ -403,19 +403,23 @@ def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
                  out_dir=None, fidelity: solver.Fidelity = solver.REFERENCE
                  ) -> dict:
     """Sweep T_m over its bounds per power level, in the reference channel
-    at fidelity: oscillation bands, optima."""
+    at fidelity: oscillation bands, optima; a repeated power is refused."""
+    power_levels = list(power_levels)
+    for i, power in enumerate(power_levels):
+        if power in power_levels[:i]:
+            raise ValueError(f"power level {power} is given more than once")
     cell = UnitCellSpec(dx=fidelity.dx)
-    config = {"study": "tm-sweep", "power_levels": list(power_levels),
+    config = {"study": "tm-sweep", "power_levels": power_levels,
               "tm_step": tm_step, "cell": asdict(cell), "dt": fidelity.dt}
     chash = config_hash(config)
-    tms = grid_points(*PROPERTY_BOUNDS["T_m_C"], tm_step).tolist()
+    tms = grid_points(*PROPERTY_BOUNDS["T_m_C"], tm_step)
+    points = grid([power_levels, tms]).tolist()
 
     cases = [property_case({"T_m_C": tm}, power, cell)
-             for power in power_levels for tm in tms]
-    rows = [{"T_m_C": tm, **r, "config_hash": chash} for tm, r in zip(
-        tms * len(power_levels),
-        map(_tm_row, _values(evaluate_cases(cases, fidelity.dt))))]
-    tables = [rows[k:k + len(tms)] for k in range(0, len(rows), len(tms))]
+             for power, tm in points]
+    rows = [{"T_m_C": tm, **r, "config_hash": chash} for (_, tm), r in zip(
+        points, map(_tm_row, _values(evaluate_cases(cases, fidelity.dt))))]
+    tables = [rows[k:k + tms.size] for k in range(0, len(rows), tms.size)]
     per_power = {power: {
         "table": table,
         "opt_T_m_for_T_o_max": min(table, key=lambda r: r["T_o_max"])["T_m_C"],
@@ -614,13 +618,12 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
     simulated at fidelity; the network scores it as a SurrogateBackend."""
     verifier = simulator(list(GEOMETRY_BOUNDS), "T_o_max", fidelity, power)
     backend = SurrogateBackend(model, verifier)
-    points = [np.array([float(h_um), float(w_um), float(fixed_tm)])
-              for h_um in h_grid for w_um in w_grid]
+    points = grid([h_grid, w_grid, [fixed_tm]])
     cases = [verifier.case_builder(dict(zip(GEOMETRY_BOUNDS, x)))
              for x in points]
     reports = map(metrics.compute_metrics,
                   _values(evaluate_cases(cases, fidelity.dt)))
-    t_nn = backend.evaluate_batch(np.array(points)).tolist()
+    t_nn = backend.evaluate_batch(points).tolist()
     rows = [{"H_um": x[0], "W_um": x[1], "T_m_C": x[2], "T_nn_C": t,
              "T_sim_C": m.T_o_max} for m, x, t in zip(reports, points, t_nn)]
     if out_path:
@@ -633,11 +636,9 @@ def emit_surface(model: SurrogateModel, fixed_tm: float, h_grid, w_grid,
 # Property sensitivity
 
 
-#: Properties perturbed by the sensitivity study.
+#: Properties perturbed by the sensitivity study, the paper's five; k is
+#: one conductivity for both phases.
 SENSITIVITY_PROPERTIES = ("T_m", "L_H", "k", "cp_solid", "cp_liquid")
-#: What the sensitivity study can perturb: one conductivity for both
-#: phases, and each numeric Material field.
-_PERTURBABLE = ("k", *(f.name for f in fields(Material) if f.type == "float"))
 # Relative up and down step of each property in the sensitivity study.
 PERTURBATION = 0.10
 
@@ -652,8 +653,8 @@ def _perturbed_material(base: Material, prop: str, factor: float) -> Material:
     return dc_replace(base, **{prop: factor * getattr(base, prop)})
 
 
-def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
-                dt: float = solver.DEFAULT_DT) -> dict[str, dict[str, float]]:
+def sensitivity(base_case: Case, dt: float = solver.DEFAULT_DT
+                ) -> dict[str, dict[str, float]]:
     """Mean absolute metric shift under +/-PERTURBATION of each property.
 
     Returns {property: {"dT_o_max": ..., "dT_osc": ...}} where each value is
@@ -661,13 +662,10 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
     """
     if base_case.cell.no_channel or not base_case.pcm.is_pcm:
         raise ValueError("sensitivity needs a case with a PCM channel")
-    if not properties or not set(properties) <= set(_PERTURBABLE):
-        raise ValueError("sensitivity perturbs one or more of "
-                         f"{list(_PERTURBABLE)}, got {properties!r}")
     cases = [base_case] + [
         dc_replace(base_case, pcm=_perturbed_material(base_case.pcm, prop,
                                                       factor))
-        for prop in properties
+        for prop in SENSITIVITY_PROPERTIES
         for factor in (1.0 + PERTURBATION, 1.0 - PERTURBATION)]
     base, *runs = map(metrics.compute_metrics,
                       _values(evaluate_cases(cases, dt)))
@@ -675,4 +673,5 @@ def sensitivity(base_case: Case, properties=SENSITIVITY_PROPERTIES,
                                               for m in pair])),
                    "dT_osc": float(np.mean([abs(m.T_osc - base.T_osc)
                                             for m in pair]))}
-            for prop, pair in zip(properties, zip(runs[0::2], runs[1::2]))}
+            for prop, pair in zip(SENSITIVITY_PROPERTIES,
+                                  zip(runs[0::2], runs[1::2]))}

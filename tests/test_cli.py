@@ -671,6 +671,33 @@ def test_optimize_repeats_and_pso_on_a_surrogate(tmp_path, capsys):
             f"got {repeats}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--powers", "1e5,100000"],
+     "power level 100000.0 is given more than once"),
+    (["sweep", "--tm-step", "0.0001"],
+     "a grid from 47.0 to 96.0 at step 0.0001 exceeds cap 200000 points"),
+    (["optimize", "--problem", "{tmp}/missing.json", "--strategy", "sweep",
+      "--repeats", "2"],
+     "only the seeded searches ['ga', 'pso'] repeat, not 'sweep'")],
+    ids=["repeated_power", "tm_grid_past_the_cap", "repeated_sweep"])
+def test_a_repeat_or_a_grid_past_the_cap_is_one_line(
+        tmp_path, capsys, monkeypatch, argv, message):
+    """Refused before any case is built or any file is read or written: a
+    power level given twice (two spellings of one number), a T_m grid past
+    the cap, and a sweep to repeat, which draws no seed and so would give
+    one answer twice."""
+    def never(*args, **kwargs):
+        raise AssertionError("a case was built")
+
+    monkeypatch.setattr(studies, "property_case", never)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pcmopt {argv[0]}: error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("objective,bounds,old_format", [
     ("T_o_max", ["H_um", "W_um"], False),
     ("T_osc", ["H_um", "W_um", "T_m_C"], False),

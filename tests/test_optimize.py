@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -219,8 +220,12 @@ def test_repeat_with_seeds_summary():
     assert set(s["parameters"]) == {"x0", "x1"}
     with pytest.raises(ValueError, match="n_runs must be at least 2, got 1"):
         repeat_with_seeds(problem, "ga", n_runs=1)
-    with pytest.raises(ValueError):
-        repeat_with_seeds(problem, "annealing", n_runs=3)
+    # only a seeded search repeats; a sweep would give one answer n times
+    for strategy in ("annealing", "sweep"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"only the seeded searches ['ga', 'pso'] repeat, not "
+                f"{strategy!r}")):
+            repeat_with_seeds(problem, strategy, n_runs=3)
 
 
 def test_ga_config_validation():

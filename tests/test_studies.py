@@ -162,6 +162,32 @@ def test_tm_study_band_and_optima(tmp_path):
     assert len(read_csv(tmp_path / "results.csv")) == 5
 
 
+@pytest.mark.parametrize("study,refused", [
+    (lambda: run_tm_study((100e3, 50e3, 100e3), 49.0, fidelity=COARSE),
+     "power level 100000.0 is given more than once"),
+    (lambda: run_tm_study((100e3,), 1e-4, fidelity=COARSE),
+     "a grid from 47.0 to 96.0 at step 0.0001 exceeds cap 200000 points"),
+    (lambda: emit_surface(
+        SimpleNamespace(target_name="T_o_max_C",
+                        input_names=list(GEOMETRY_BOUNDS)),
+        fixed_tm=77.0, h_grid=np.linspace(20.0, 100.0, 1000),
+        w_grid=np.linspace(20.0, 100.0, 1000), fidelity=COARSE),
+     "1000000 grid points exceed cap 200000")],
+    ids=["repeated_power", "tm_grid_past_the_cap", "surface_past_the_cap"])
+def test_a_study_refuses_a_repeated_power_or_a_grid_past_the_cap(
+        monkeypatch, study, refused):
+    """Before any case is built: a T_m study that would run a power level
+    twice and report it once, and a grid of more points than the cap, on
+    one axis or across them."""
+    def never(*args, **kwargs):
+        raise AssertionError("a case was built")
+
+    for name in ("property_case", "geometry_case"):
+        monkeypatch.setattr(studies, name, never)
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        study()
+
+
 @pytest.fixture(scope="module")
 def small_campaign(tmp_path_factory):
     out = tmp_path_factory.mktemp("campaign")
@@ -854,14 +880,18 @@ def test_ablation_refuses_a_set_of_other_columns_before_training(
     ((40,), 1, ("ga",), "repeats must be at least 2, got 1"),
     ((40,), 0, ("ga",), "repeats must be at least 2, got 0"),
     ((40,), -2, ("ga",), "repeats must be at least 2, got -2"),
-    ((40,), 2, ("ga", "nope"), "unknown strategy 'nope'")],
+    ((40,), 2, ("ga", "nope"),
+     "only the seeded searches ['ga', 'pso'] repeat, not 'nope'"),
+    ((40,), 2, ("sweep",),
+     "only the seeded searches ['ga', 'pso'] repeat, not 'sweep'")],
     ids=["9", "61", "repeats_1", "repeats_0", "repeats_-2",
-         "unknown_strategy"])
+         "unknown_strategy", "sweep"])
 def test_ablation_refuses_an_untrainable_size_before_training(
         monkeypatch, sizes, repeats, strategies, refused):
     """A size below train_lm's minimum or above the pool, fewer than the
-    two repeats a spread needs, or a strategy no search runs, is refused
-    before the sizes ahead of it train and search."""
+    two repeats a spread needs, or a strategy that is no seeded search (the
+    sweep draws no seed), is refused before the sizes ahead of it train and
+    search."""
     trained = []
     monkeypatch.setattr(studies, "train_lm",
                         lambda *a, **kw: trained.append(a))
