@@ -217,9 +217,9 @@ def grid_points(lower: float, upper: float, step: float) -> np.ndarray:
     """lower, lower + step, ... for as long as the points stay within
     upper; upper itself is the last point when step divides the range
     (to 1e-9 of a step). More than SWEEP_GRID_CAP points are refused."""
-    if not (step > 0 and lower <= upper):
-        raise ValueError(f"a grid from {lower} to {upper} needs a positive "
-                         f"step and lower <= upper, got step {step}")
+    if not (0 < step < math.inf and lower <= upper):
+        raise ValueError(f"a grid from {lower} to {upper} needs a finite "
+                         f"positive step and lower <= upper, got step {step}")
     n = np.floor((upper - lower) / step + 1e-9) + 1
     if n > SWEEP_GRID_CAP:
         raise ValueError(f"a grid from {lower} to {upper} at step {step} "

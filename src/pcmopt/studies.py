@@ -42,9 +42,9 @@ from . import metrics, solver
 from .geometry import T_AMB_C, Case, PowerProfile, UnitCellSpec
 from .materials import (PCM_NAMES, Material, builtin_material, read_json,
                         write_json)
-from .optimize import (Backend, OptimizationProblem, ParameterSpec,
-                       check_repeats, grid, grid_points, repeat_with_seeds,
-                       value_range)
+from .optimize import (STRATEGIES, Backend, OptimizationProblem,
+                       ParameterSpec, check_repeats, grid, grid_points,
+                       repeat_with_seeds, value_range)
 from .surrogate import (MIN_TRAINING_ROWS, ExtrapolationWarning,
                         SurrogateModel, TrainingSet, predict, train_lm,
                         r_squared)
@@ -567,31 +567,33 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
 
 def check_sizes(sizes, pool: TrainingSet) -> None:
     """Refuse a training-set size that train_lm cannot fit or that pool
-    cannot draw without replacement."""
-    for size in sizes:
+    cannot draw without replacement, and a size given twice."""
+    for i, size in enumerate(sizes):
         if not MIN_TRAINING_ROWS <= size <= len(pool):
             raise ValueError(f"training-set size {size} is not from "
                              f"{MIN_TRAINING_ROWS} to {len(pool)}, the "
                              "pool's rows")
+        if size in sizes[:i]:
+            raise ValueError(f"training-set size {size} is given more "
+                             "than once")
 
 
 def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
-                 verifier: Backend, repeats: int = 10, base_seed: int = 0,
-                 strategies=("ga", "pso"), optimizer_config=None
+                 verifier: Backend, repeats: int = 10, base_seed: int = 0
                  ) -> list[dict]:
     """Train/optimize/verify over GEOMETRY_BOUNDS across training-set sizes.
 
     verifier scores each optimum over GEOMETRY_BOUNDS (a SimulatorBackend
     of the ablated metric); pool and test must map those inputs to its
     column. Each size trains one network per repeat seed, for its R^2 and
-    for every strategy. The verifier, both sets, every size, the repeats
-    and the strategies (check_repeats) are checked before any training.
+    for each seeded search in STRATEGIES at its defaults. The verifier,
+    both sets, every size and the repeats are checked before any training.
     """
     problem = problem_from_bounds(GEOMETRY_BOUNDS, verifier.objective,
                                   verifier, seed=base_seed)
     check_columns("test set", test, verifier.objective, GEOMETRY_BOUNDS)
     check_sizes(sizes, pool)
-    check_repeats(repeats, strategies, "repeats")
+    check_repeats(repeats, (), "repeats")
     report = []
     for size in sizes:
         backend = ResamplingSurrogateBackend(pool, int(size), verifier,
@@ -599,10 +601,10 @@ def run_ablation(pool: TrainingSet, test: TrainingSet, sizes,
         seeds = range(base_seed, base_seed + repeats)
         entry = {"size": int(size), "r_squared": value_range(
             [r_squared(backend.fresh(seed).model, test) for seed in seeds])}
-        for strategy in strategies:
+        for strategy in STRATEGIES:
             entry[strategy] = repeat_with_seeds(
                 dc_replace(problem, backend=backend), strategy,
-                n_runs=repeats, config=optimizer_config)["summary"]
+                n_runs=repeats)["summary"]
         report.append(entry)
     return report
 

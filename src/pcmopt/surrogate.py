@@ -67,13 +67,18 @@ def load_training_csv(path, target: str,
 
     The target column is named explicitly; input columns default to every
     column that is not a known target column. A file without the target or
-    an input column, or without a data row, is a ValueError naming the
-    file; a row whose width is not the header's, or whose value there is not
-    a finite number, one naming the file and the line.
+    an input column, with a column named twice, or without a data row, is a
+    ValueError naming the file; a row whose width is not the header's, or
+    whose value there is not a finite number, one naming the file and the
+    line.
     """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise ValueError(f"training file {path}: column {repeated[0]!r} "
+                             "is named more than once")
         if target not in header:
             raise ValueError(f"training file {path}: target column "
                              f"{target!r} not in {header}")

@@ -23,14 +23,17 @@ every key they affect, and a search builds its backends through
 studies.simulator from its fidelities, so no setting hides in a closure.
 A changed setting re-keys its entry, which must then be re-derived cold
 (from an empty cache directory) and the re-derivation logged in
-CHANGES.md. A key sees the call, not the code: a change to the simulator,
-the optimizers or the surrogate reaches an entry only through a cold run.
+CHANGES.md: only a directory PCMOPT_ACCEPTANCE_CACHE names is written, so
+against the committed cache an entry with no file fails without running.
+A key sees the call, not the code: a change to the simulator, the
+optimizers or the surrogate reaches an entry only through a cold run.
 """
 
 import dataclasses
 import inspect
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -40,9 +43,11 @@ import pytest
 import cache_diff
 from pcmopt.geometry import Case, UnitCellSpec
 from pcmopt.metrics import OBJECTIVE_COLUMNS
-from pcmopt.optimize import GAConfig, PSOConfig, ga_minimize, pso_minimize
+from pcmopt.optimize import (STRATEGIES, GAConfig, PSOConfig, ga_minimize,
+                             pso_minimize)
 from pcmopt.solver import COARSE, REFERENCE, Fidelity
-from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS, config_hash,
+from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
+                            ResamplingSurrogateBackend, config_hash,
                             generate_training_data, problem_from_bounds,
                             run_ablation, run_pcm_comparison, run_tm_study,
                             sensitivity, simulator)
@@ -148,38 +153,33 @@ def campaign_sets(campaign, n_pool, objective):
 
 
 def surrogate_scores(campaign, n_pool, objective, sizes, seeds, train):
-    """R^2 on the held-out rows of networks trained on sizes pool rows,
-    one per seed."""
+    """R^2 on the held-out rows of the networks a ResamplingSurrogateBackend
+    trains on sizes pool rows, one per seed. Its verifier only names the
+    columns; it never runs."""
     pool, test = campaign_sets(campaign, n_pool, objective)
+    verifier = simulator(list(GEOMETRY_BOUNDS), objective)
     scores = {}
     for size in sizes:
-        r2 = []
-        for seed in range(seeds):
-            if size < len(pool):
-                idx = np.random.default_rng(seed).choice(
-                    len(pool), size=size, replace=False)
-                subset = pool.subset(idx)
-            else:
-                subset = pool
-            model = train_lm(subset, seed=seed, **train)
-            r2.append(r_squared(model, test))
+        backend = ResamplingSurrogateBackend(pool, size, verifier, **train)
+        r2 = [r_squared(backend.fresh(seed).model, test)
+              for seed in range(seeds)]
         scores[str(size)] = {"mean": float(np.mean(r2)),
                              "values": [float(v) for v in r2]}
     return scores
 
 
-def dispersion(campaign, n_pool, objective, sizes, repeats, config,
-               fidelity, train):
-    """The range of the verified optima of repeated surrogate GA searches
-    per training-set size, verified at fidelity. run_ablation trains with
-    train_lm's defaults, so train only records them in the key."""
+def dispersion(campaign, n_pool, objective, sizes, repeats, fidelity, train):
+    """Each seeded search's range of verified optima over repeated
+    surrogate searches per training-set size, verified at fidelity.
+    run_ablation trains with train_lm's defaults, so train only records
+    them in the key."""
     assert train == TRAIN, "run_ablation trains with train_lm's defaults"
     pool, test = campaign_sets(campaign, n_pool, objective)
     verifier = simulator(list(GEOMETRY_BOUNDS), objective, fidelity)
     report = run_ablation(pool, test, sizes=sizes, verifier=verifier,
-                          repeats=repeats, base_seed=0, strategies=("ga",),
-                          optimizer_config=config)
-    return {str(e["size"]): e["ga"]["verified_objective"] for e in report}
+                          repeats=repeats, base_seed=0)
+    return {str(e["size"]): {s: e[s]["verified_objective"]
+                             for s in STRATEGIES} for e in report}
 
 
 def entries(reference, coarse, geometry):
@@ -207,10 +207,7 @@ def entries(reference, coarse, geometry):
             sizes=(30, 100, N_POOL), seeds=10, train=TRAIN)),
         "ablation_dispersion": (dispersion, dict(
             campaign=campaign, n_pool=N_POOL, objective="T_osc",
-            sizes=(50, 250), repeats=10,
-            config=GAConfig(population=24, max_generations=30,
-                            stall_generations=8),
-            fidelity=coarse, train=TRAIN)),
+            sizes=(50, 250), repeats=10, fidelity=coarse, train=TRAIN)),
         "sensitivity_reference": (sensitivity, dict(
             base_case=Case(cell=UnitCellSpec(dx=reference.dx)),
             dt=reference.dt)),
@@ -240,10 +237,17 @@ def entry_key(fn, kwargs) -> str:
 
 
 def cached(name, fn, kwargs):
-    """fn(**kwargs), memoized as JSON under name and its entry_key."""
+    """fn(**kwargs), memoized as JSON under name and its entry_key. Only a
+    directory PCMOPT_ACCEPTANCE_CACHE names is written: an entry the
+    committed cache lacks fails at once, and fn does not run."""
     path = CACHE / f"{name}_{entry_key(fn, kwargs)}.json"
     if path.exists():
         return json.loads(path.read_text())
+    if CACHE.resolve() == COMMITTED.resolve():
+        pytest.fail(f"{path.name} is not in the committed cache; derive it "
+                    "cold with PCMOPT_ACCEPTANCE_CACHE=<an empty directory> "
+                    "python -m pytest tests/test_acceptance.py, then commit "
+                    f"that directory's {path.name}", pytrace=False)
     value = fn(**kwargs)
     path.write_text(json.dumps(value))
     return value
@@ -395,10 +399,12 @@ def test_surrogate_accuracy_improves_with_training_size():
 
 @slow
 def test_surrogate_optimization_dispersion_shrinks():
-    spread = answer("ablation_dispersion")
-    width_small = spread["50"]["max"] - spread["50"]["min"]
-    width_large = spread["250"]["max"] - spread["250"]["min"]
-    assert width_large < width_small
+    by_size = answer("ablation_dispersion")
+    for strategy in STRATEGIES:
+        spread = {size: ranges[strategy] for size, ranges in by_size.items()}
+        width_small = spread["50"]["max"] - spread["50"]["min"]
+        width_large = spread["250"]["max"] - spread["250"]["min"]
+        assert width_large < width_small, strategy
 
 
 # -------------------------------------------------------------------------
@@ -490,6 +496,29 @@ def test_every_entry_is_keyed_on_the_call_that_computes_it():
     # as it keys as its new value passed explicitly
     assert key_with("pcm_compare", out_dir=None) == keys["pcm_compare"]
     assert key_with("pcm_compare", out_dir="out") != keys["pcm_compare"]
+
+
+def test_an_entry_not_committed_fails_without_computing_it(monkeypatch):
+    """Against the committed cache, a table entry with no file fails naming
+    the file and the cold command; its function never runs and nothing is
+    written."""
+    calls = []
+
+    def compute(x):
+        calls.append(x)
+        return x
+
+    monkeypatch.setitem(globals(), "CACHE", COMMITTED)
+    monkeypatch.setitem(TABLE, "not_committed", (compute, {"x": 1.0}))
+    before = sorted(COMMITTED.iterdir())
+    name = f"not_committed_{entry_key(compute, {'x': 1.0})}.json"
+    with pytest.raises(pytest.fail.Exception, match=re.escape(
+            f"{name} is not in the committed cache; derive it cold with "
+            "PCMOPT_ACCEPTANCE_CACHE=<an empty directory> python -m pytest "
+            "tests/test_acceptance.py")):
+        answer("not_committed")
+    assert calls == []
+    assert sorted(COMMITTED.iterdir()) == before
 
 
 def test_cache_diff_reports_each_entry_and_refuses_a_name_not_committed(

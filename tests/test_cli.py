@@ -431,15 +431,21 @@ def test_problem_file_settings_are_refused_before_the_search(
 
 
 def test_a_grid_without_a_positive_step_is_refused(tmp_path, capsys):
-    """Refused before the surface reads its model file."""
+    """Refused before the surface reads its model file, in one line: an
+    infinite step too, which would give a grid of NaN."""
     out = tmp_path / "o"
-    for argv, (lo, hi) in [(["sweep", "--tm-step", "0"], (47.0, 96.0)),
-                           (["surface", "--model", "m.json", "--tm", "77",
-                             "--h-grid", "20:100:0"], (20.0, 100.0))]:
-        assert main([*argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"pcmopt {argv[0]}: error: a grid from {lo} to {hi} needs a "
-            "positive step and lower <= upper, got step 0.0\n")
+    for step in ("0", "inf"):
+        for argv, (lo, hi) in [
+                (["sweep", "--tm-step", step], (47.0, 96.0)),
+                (["surface", "--model", "m.json", "--tm", "77",
+                  "--h-grid", f"20:100:{step}"], (20.0, 100.0))]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"pcmopt {argv[0]}: error: a grid from {lo} to {hi} needs a "
+                "finite positive step and lower <= upper, got step "
+                f"{float(step)}\n")
     assert not out.exists()
 
 
@@ -786,6 +792,8 @@ def _untrainable(size):
     (ABLATION_ON_CAMPAIGN, "--sizes", "0", _untrainable(0)),
     (ABLATION_ON_CAMPAIGN, "--sizes", "-3", _untrainable(-3)),
     (ABLATION_ON_CAMPAIGN, "--sizes", "40", _untrainable(40)),
+    (ABLATION_ON_CAMPAIGN, "--sizes", "12,12",
+     ": training-set size 12 is given more than once"),
     # a count, named as optimize names its --repeats
     (REPEATS_ON_CAMPAIGN, "--repeats", "1", AT_LEAST_2),
     (REPEATS_ON_CAMPAIGN, "--repeats", "0", AT_LEAST_2),
@@ -802,7 +810,8 @@ def _untrainable(size):
     (["optimize", "--problem", "p.json", "--strategy", "sweep"], "--backend",
      "nn_model.json", " is not 'sim' or 'nn:<model file>'")],
     ids=["too_few", "not_numbers", "too_many", "powers", "sizes",
-         "size_zero", "size_negative", "size_above_pool", "repeats_one",
+         "size_zero", "size_negative", "size_above_pool", "repeated_size",
+         "repeats_one",
          "repeats_zero", "repeats_negative", "seed_optimize", "seed_generate",
          "seed_train", "seed_ablation", "backend_without_colon"])
 def test_a_malformed_list_flag_is_one_line_naming_it(

@@ -167,18 +167,23 @@ def test_tm_study_band_and_optima(tmp_path):
      "power level 100000.0 is given more than once"),
     (lambda: run_tm_study((100e3,), 1e-4, fidelity=COARSE),
      "a grid from 47.0 to 96.0 at step 0.0001 exceeds cap 200000 points"),
+    (lambda: run_tm_study((100e3,), np.inf, fidelity=COARSE),
+     "a grid from 47.0 to 96.0 needs a finite positive step and lower <= "
+     "upper, got step inf"),
     (lambda: emit_surface(
         SimpleNamespace(target_name="T_o_max_C",
                         input_names=list(GEOMETRY_BOUNDS)),
         fixed_tm=77.0, h_grid=np.linspace(20.0, 100.0, 1000),
         w_grid=np.linspace(20.0, 100.0, 1000), fidelity=COARSE),
      "1000000 grid points exceed cap 200000")],
-    ids=["repeated_power", "tm_grid_past_the_cap", "surface_past_the_cap"])
+    ids=["repeated_power", "tm_grid_past_the_cap", "tm_grid_infinite_step",
+         "surface_past_the_cap"])
 def test_a_study_refuses_a_repeated_power_or_a_grid_past_the_cap(
         monkeypatch, study, refused):
     """Before any case is built: a T_m study that would run a power level
-    twice and report it once, and a grid of more points than the cap, on
-    one axis or across them."""
+    twice and report it once, a grid of more points than the cap, on one
+    axis or across them, and a T_m step so long that it would give a grid
+    of NaN (inf * 0)."""
     def never(*args, **kwargs):
         raise AssertionError("a case was built")
 
@@ -790,11 +795,8 @@ def test_ablation_structure_with_synthetic_truth(monkeypatch):
     trained = []
     monkeypatch.setattr(studies, "train_lm", lambda *a, **kw: (
         trained.append(a) or train_lm(*a, **kw)))
-    report = run_ablation(pool, test, sizes=(40, 200),
-                          verifier=truth,
-                          repeats=3, strategies=("ga",),
-                          optimizer_config=GAConfig(population=12,
-                                                    max_generations=10))
+    report = run_ablation(pool, test, sizes=(40, 200), verifier=truth,
+                          repeats=3)
     # one network per (size, seed), scored and searched alike
     assert len(trained) == 3 * 2
     monkeypatch.undo()
@@ -807,7 +809,7 @@ def test_ablation_structure_with_synthetic_truth(monkeypatch):
     for entry in report:
         assert entry["r_squared"]["min"] <= entry["r_squared"]["mean"] \
             <= entry["r_squared"]["max"]
-        assert entry["ga"]["n_runs"] == 3
+        assert entry["ga"]["n_runs"] == entry["pso"]["n_runs"] == 3
     assert report[1]["r_squared"]["mean"] >= report[0]["r_squared"]["mean"]
 
 
@@ -824,8 +826,7 @@ def test_ablation_refuses_a_test_set_of_another_column_before_training(
             "'T_m_C']; T_osc needs 'T_osc_C' from ['H_um', 'W_um', "
             "'T_m_C'], in that order")):
         run_ablation(synthetic_pool(60), synthetic_pool(60, target="T_o_max_C"),
-                     sizes=(40,), verifier=truth, repeats=2,
-                     strategies=("ga",))
+                     sizes=(40,), verifier=truth, repeats=2)
     assert trained == []
 
 
@@ -868,37 +869,32 @@ def test_ablation_refuses_a_set_of_other_columns_before_training(
     with pytest.raises(ValueError, match=re.escape(refused + T_OSC_NEEDS)):
         run_ablation(pool, test, sizes=(40,),
                      verifier=FunctionBackend(float, **T_OSC_VERIFIER),
-                     repeats=2, strategies=("ga",))
+                     repeats=2)
     assert trained == []
 
 
-@pytest.mark.parametrize("sizes,repeats,strategies,refused", [
-    ((40, 9), 2, ("ga",),
-     "training-set size 9 is not from 10 to 60, the pool's rows"),
-    ((40, 61), 2, ("ga",),
+@pytest.mark.parametrize("sizes,repeats,refused", [
+    ((40, 9), 2, "training-set size 9 is not from 10 to 60, the pool's rows"),
+    ((40, 61), 2,
      "training-set size 61 is not from 10 to 60, the pool's rows"),
-    ((40,), 1, ("ga",), "repeats must be at least 2, got 1"),
-    ((40,), 0, ("ga",), "repeats must be at least 2, got 0"),
-    ((40,), -2, ("ga",), "repeats must be at least 2, got -2"),
-    ((40,), 2, ("ga", "nope"),
-     "only the seeded searches ['ga', 'pso'] repeat, not 'nope'"),
-    ((40,), 2, ("sweep",),
-     "only the seeded searches ['ga', 'pso'] repeat, not 'sweep'")],
-    ids=["9", "61", "repeats_1", "repeats_0", "repeats_-2",
-         "unknown_strategy", "sweep"])
+    ((40, 40), 2, "training-set size 40 is given more than once"),
+    ((40,), 1, "repeats must be at least 2, got 1"),
+    ((40,), 0, "repeats must be at least 2, got 0"),
+    ((40,), -2, "repeats must be at least 2, got -2")],
+    ids=["9", "61", "repeated_size", "repeats_1", "repeats_0", "repeats_-2"])
 def test_ablation_refuses_an_untrainable_size_before_training(
-        monkeypatch, sizes, repeats, strategies, refused):
-    """A size below train_lm's minimum or above the pool, fewer than the
-    two repeats a spread needs, or a strategy that is no seeded search (the
-    sweep draws no seed), is refused before the sizes ahead of it train and
-    search."""
+        monkeypatch, sizes, repeats, refused):
+    """A size below train_lm's minimum or above the pool, a size given
+    twice (which would train and search it twice), or fewer than the two
+    repeats a spread needs, is refused before the sizes ahead of it train
+    and search."""
     trained = []
     monkeypatch.setattr(studies, "train_lm",
                         lambda *a, **kw: trained.append(a))
     truth = FunctionBackend(float, **T_OSC_VERIFIER)
     with pytest.raises(ValueError, match=re.escape(refused)):
         run_ablation(synthetic_pool(60), synthetic_pool(60), sizes=sizes,
-                     verifier=truth, repeats=repeats, strategies=strategies)
+                     verifier=truth, repeats=repeats)
     assert trained == []
 
 
@@ -915,7 +911,7 @@ def test_ablation_refuses_a_verifier_of_other_names_before_training(
             "T_osc needs 'T_osc_C' from ['H_um', 'W_um', 'T_m_C'], in that "
             "order")):
         run_ablation(synthetic_pool(60), synthetic_pool(60), sizes=(40,),
-                     verifier=verifier, repeats=3, strategies=("ga",))
+                     verifier=verifier, repeats=3)
     assert trained == []
 
 

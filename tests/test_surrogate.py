@@ -226,6 +226,11 @@ def test_load_training_csv_names_the_file_of_an_unknown_input_or_no_rows(
             f"{header.split(',')}")):
         load_training_csv(path, target="T_o_max_C",
                           input_names=["H_um", "nope"])
+    # a column named twice, which DictReader would read as its last copy
+    path.write_text("H_um,H_um,T_m_C,T_o_max_C\n1,2,3,4\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"training file {path}: column 'H_um' is named more than once")):
+        load_training_csv(path, target="T_o_max_C")
     # a value float() reads but no network can fit, refused on its line
     for row, bad in [("1,nan,30.0,50.0,90.0,10.0,0", ["H_um"]),
                      ("1,20.0,-inf,inf,90.0,10.0,0", ["W_um", "T_m_C"])]:
