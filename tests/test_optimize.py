@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -269,17 +270,29 @@ _SEEDED_RUNS = {
 SEEDED_ANSWERS = Path(__file__).with_name("seeded_search_answers.json")
 
 
+def plateau(x):
+    """Flat steps, +inf for b > 0.6: the GA's tournaments tie often, so the
+    pin tells the first drawn of the fittest from the smallest index."""
+    if x[1] > 0.6:
+        return math.inf
+    return float(math.floor(4 * x[0]) + math.floor(4 * x[2]))
+
+
 def seeded_answers() -> dict:
-    """Each strategy's answer on on_bound for seeds 0-3, floats as
-    float.hex. With no host stamp, they compare exactly."""
+    """Each strategy's answer on on_bound, and the GA's on plateau, for
+    seeds 0-3, floats as float.hex. With no host stamp, they compare
+    exactly."""
     params = [ParameterSpec("a", 0.0, 1.0), ParameterSpec("b", -1.0, 1.0),
               ParameterSpec("c", 0.0, 2.0)]
+    runs = [(name, run, on_bound) for name, run in _SEEDED_RUNS.items()]
+    runs += [(f"{name}/plateau", _SEEDED_RUNS[name], plateau)
+             for name in ("ga", "ga_small")]
     answers = {}
-    for name, run in _SEEDED_RUNS.items():
+    for key, run, fn in runs:
         for seed in range(4):
-            r = run(OptimizationProblem(params, "f", FunctionBackend(on_bound),
+            r = run(OptimizationProblem(params, "f", FunctionBackend(fn),
                                         seed=seed))
-            answers[f"{name}/{seed}"] = {
+            answers[f"{key}/{seed}"] = {
                 "parameters": {k: v.hex() for k, v in r.parameters.items()},
                 "objective_value": r.objective_value.hex(),
                 "trace": [v.hex() for v in r.trace],
@@ -295,6 +308,38 @@ def test_seeded_searches_reproduce_recorded_answers():
     # clipping to the bounds breeds duplicate children: cache hits
     assert any(a["n_calls"] > a["n_evaluations"]
                for key, a in answers.items() if key.startswith("ga"))
+
+
+class RecordingRng:
+    """A Generator that records each call it serves as (method, size)."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def record(*args, **kwargs):
+            self.calls.append((name, kwargs.get("size")))
+            return method(*args, **kwargs)
+        return record
+
+
+def test_ga_makes_the_seed_contracts_draws_in_order(monkeypatch):
+    """One generation of a population of 10: 6 crossover children draw two
+    tournaments of 3, then their blend weights; then 2 mutants draw one
+    tournament, the coordinate and the normal step."""
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: RecordingRng(default_rng(seed), calls))
+    dim = 3
+    ga_minimize(make_problem(sphere, dim),
+                GAConfig(population=10, max_generations=1))
+    assert calls == ([("uniform", (10, dim))]
+                     + 6 * [("integers", 6), ("uniform", dim)]
+                     + 2 * [("integers", 3), ("integers", None),
+                            ("normal", None)])
 
 
 @pytest.mark.parametrize("result", [np.array([1.0]), 1.0, np.ones(4)])
