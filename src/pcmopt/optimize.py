@@ -77,6 +77,11 @@ class OptimizationProblem:
     backend: Backend
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.parameters:
+            raise ValueError("a problem needs at least one parameter to "
+                             "search, got none")
+
     @property
     def names(self) -> list[str]:
         return [p.name for p in self.parameters]
@@ -121,6 +126,22 @@ class PSOConfig:
             raise ValueError("all PSO counts must be >= 1")
 
 
+#: The config class each seeded search in STRATEGIES takes.
+_CONFIGS = {"ga": GAConfig, "pso": PSOConfig}
+
+
+def _config(strategy: str, config):
+    """config, or its search's default for None; a config of another class
+    is refused, before the search draws or evaluates anything."""
+    cls = _CONFIGS[strategy]
+    if config is None:
+        return cls()
+    if not isinstance(config, cls):
+        raise ValueError(f"the {strategy} search takes a {cls.__name__}, "
+                         f"got {type(config).__name__}")
+    return config
+
+
 @dataclass
 class OptimizationResult:
     parameters: dict[str, float]
@@ -153,9 +174,11 @@ class _Search:
     entry, and the result they report.
 
     Each batch sends the backend its uncached rows once each, in first-seen
-    order, in one evaluate_batch call; a batch call that raises scores all
-    of them +inf. Non-finite values score +inf. A result that does not hold
-    one value per row raises ValueError.
+    order, in one evaluate_batch call: X's own rows, the first of each key
+    (a row's tuple of floats, so -0.0 and 0.0 share one key and a row
+    holding NaN is scored anew each time). A batch call that raises scores
+    all of them +inf. Non-finite values score +inf. A result that does not
+    hold one value per row raises ValueError.
     """
 
     def __init__(self, backend: Backend):
@@ -168,10 +191,15 @@ class _Search:
         self.start = self._last = time.perf_counter()
 
     def batch(self, X: np.ndarray) -> np.ndarray:
-        keys = [tuple(row) for row in np.asarray(X, dtype=float).tolist()]
-        new = list(dict.fromkeys(k for k in keys if k not in self.cache))
+        X = np.asarray(X, dtype=float)
+        keys = [tuple(row) for row in X.tolist()]
+        new = {}  # each uncached key -> the row it is first seen at
+        for i, k in enumerate(keys):
+            if k not in self.cache:
+                new.setdefault(k, i)
         if new:
-            values = _penalized(self.backend.evaluate_batch, np.array(new),
+            values = _penalized(self.backend.evaluate_batch,
+                                X[list(new.values())],
                                 failed=np.full(len(new), np.inf))
             if values.shape != (len(new),):
                 raise ValueError(f"backend returned {values.size} values "
@@ -267,8 +295,11 @@ def ga_minimize(problem: OptimizationProblem,
     weights; a mutant draws its tournament, then the coordinate, then the
     normal step. A tournament goes to the fittest of its draws, and a tie
     to the first drawn.
+
+    A generation makes all of its children's draws first, then decides
+    every tournament at once: one argmin per row of the drawn table.
     """
-    config = config or GAConfig()
+    config = _config("ga", config)
     rng = np.random.default_rng(problem.seed)
     search = _Search(problem.backend)
 
@@ -282,10 +313,6 @@ def ga_minimize(problem: OptimizationProblem,
     pop = rng.uniform(lower, upper, size=(config.population, dim))
     fitness = search.batch(pop)
 
-    def draw(n_tournaments):
-        return rng.integers(0, config.population,
-                            size=n_tournaments * GA_TOURNAMENT).tolist()
-
     for gen in range(config.max_generations):
         order = np.argsort(fitness, kind="stable")
         pop, fitness = pop[order], fitness[order]
@@ -295,25 +322,30 @@ def ga_minimize(problem: OptimizationProblem,
 
         sigma = config.mutation_sigma_frac * span * (
             1.0 - 0.9 * gen / config.max_generations)
-        # min() keeps the first of equal keys, as np.argmin does; fitness is
-        # never NaN (the cache scores non-finite values +inf).
-        rank = fitness.tolist().__getitem__
-        parents, mates, blends, coords, steps = [], [], [], [], []
+        drawn, blends, coords, steps = [], [], [], []
         for _ in range(n_xover):
-            idx = draw(2)
-            parents.append(min(idx[:GA_TOURNAMENT], key=rank))
-            mates.append(min(idx[GA_TOURNAMENT:], key=rank))
+            drawn.append(rng.integers(0, config.population,
+                                      size=2 * GA_TOURNAMENT))
             blends.append(rng.uniform(-0.25, 1.25, size=dim))
         for _ in mutants:
             # One coordinate at a time: a steep valley in one variable must
             # not veto exploration along directions the objective barely
             # resolves.
-            parents.append(min(draw(1), key=rank))
+            drawn.append(rng.integers(0, config.population,
+                                      size=GA_TOURNAMENT))
             coords.append(int(rng.integers(dim)))
             steps.append(rng.normal(0.0, 1.0))
+        # One tournament per row: argmin keeps the first of equal values, so
+        # a tie goes to the first drawn; fitness is never NaN (the cache
+        # scores non-finite values +inf).
+        drawn = np.concatenate(drawn).reshape(-1, GA_TOURNAMENT)
+        won = drawn[np.arange(len(drawn)), fitness[drawn].argmin(axis=1)]
+        parents = np.concatenate([won[:2 * n_xover:2], won[2 * n_xover:]])
+        mates = won[1:2 * n_xover:2]
         children = pop[parents]
         bred = children[:n_xover]  # a view: the first parents, blended
-        bred += np.array(blends) * (pop[mates] - bred)
+        bred += (np.concatenate(blends).reshape(n_xover, dim)
+                 * (pop[mates] - bred))
         children[mutants, coords] += np.array(steps) * sigma[coords]
         np.clip(children, lower, upper, out=children)
 
@@ -331,7 +363,7 @@ def pso_minimize(problem: OptimizationProblem,
     """Particle swarm seeded by problem.seed, with linearly annealed
     inertia; positions clipped to bounds with the wall-normal velocity
     zeroed."""
-    config = config or PSOConfig()
+    config = _config("pso", config)
     rng = np.random.default_rng(problem.seed)
     search = _Search(problem.backend)
 
@@ -410,6 +442,7 @@ def repeat_with_seeds(problem: OptimizationProblem, strategy: str,
     """
     check_repeats(n_runs, [strategy])
     run = STRATEGIES[strategy]
+    config = _config(strategy, config)  # refused before any backend.fresh
 
     results = [run(dc_replace(problem, backend=problem.backend.fresh(seed),
                               seed=seed), config)

@@ -174,7 +174,7 @@ def predict(model: SurrogateModel, x) -> float | np.ndarray:
     if X.shape[1] != len(model.input_names):
         raise ValueError(
             f"expected {len(model.input_names)} inputs, got {X.shape[1]}")
-    if np.any(X < model.in_min - 1e-12) or np.any(X > model.in_max + 1e-12):
+    if (X < model.in_min - 1e-12).any() or (X > model.in_max + 1e-12).any():
         warnings.warn("input outside training bounds; extrapolating",
                       ExtrapolationWarning, stacklevel=2)
     # Stacked as (n, 1, in), each row goes through its own (1, in) @ (in, h)

@@ -409,11 +409,15 @@ PROBLEM_KEYS = ("expected an object with keys bounds, power, objective, "
     # and an upper corner whose channel the device layer cannot hold
     ({"bounds": {"H_um": [20, 250], "T_m_C": [70, 80]},
       "steps": {"H_um": 115, "T_m_C": 10}, "dt": 0.025},
-     "channel height exceeds device layer")],
+     "channel height exceeds device layer"),
+    # a problem with nothing to search, refused before any case runs
+    ({"bounds": {}, "steps": {}},
+     "a problem needs at least one parameter to search, got none")],
     ids=["dt", "unknown_key", "dt_text", "snapshot_every", "sim_kwargs",
          "bounds_list", "bound_number", "bound_single", "steps_list",
          "bounds_reversed", "step_negative", "step_unknown_name",
-         "lower_corner_unmeshable", "upper_corner_beyond_the_device_layer"])
+         "lower_corner_unmeshable", "upper_corner_beyond_the_device_layer",
+         "no_parameters"])
 def test_problem_file_settings_are_refused_before_the_search(
         tmp_path, capsys, setting, message):
     problem = tmp_path / "problem.json"

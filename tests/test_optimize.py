@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pcmopt.optimize import (Backend, GAConfig, OptimizationProblem,
-                             ParameterSpec, PSOConfig, _Search, ga_minimize,
-                             parametric_sweep, pso_minimize,
+                             ParameterSpec, PSOConfig, STRATEGIES, _Search,
+                             ga_minimize, parametric_sweep, pso_minimize,
                              repeat_with_seeds)
 
 from helpers import FunctionBackend, check_answers, record_answers
@@ -340,6 +340,61 @@ def test_ga_makes_the_seed_contracts_draws_in_order(monkeypatch):
                      + 6 * [("integers", 6), ("uniform", dim)]
                      + 2 * [("integers", 3), ("integers", None),
                             ("normal", None)])
+
+
+class CountingBackend(Backend):
+    """sphere(x), counting the rows it scores and the variants it makes."""
+
+    def __init__(self):
+        self.evaluated, self.fresh_seeds = 0, []
+
+    def evaluate(self, x):
+        self.evaluated += 1
+        return sphere(x)
+
+    def fresh(self, seed):
+        self.fresh_seeds.append(seed)
+        return self
+
+
+@pytest.mark.parametrize("search", ["sweep", "ga", "pso"])
+def test_a_problem_with_no_parameters_is_refused_when_built(search):
+    """Nothing is searched: GA failed after one evaluation, and PSO and the
+    sweep reported the empty point as an optimum."""
+    run = {"sweep": parametric_sweep, **STRATEGIES}[search]
+    backend = CountingBackend()
+    with pytest.raises(ValueError, match=re.escape(
+            "a problem needs at least one parameter to search, got none")):
+        run(OptimizationProblem([], "f", backend))
+    with pytest.raises(ValueError, match="at least one parameter"):
+        run(replace(make_problem(sphere, 1), parameters=[]))
+    assert backend.evaluated == 0
+
+
+@pytest.mark.parametrize("strategy,config,takes,repeated", [
+    ("ga", PSOConfig(), "GAConfig", False),
+    ("pso", GAConfig(), "PSOConfig", False),
+    ("ga", PSOConfig(), "GAConfig", True),
+    ("pso", GAConfig(), "PSOConfig", True)],
+    ids=["ga", "pso", "repeat_ga", "repeat_pso"])
+def test_a_search_refuses_the_other_searchs_config(monkeypatch, strategy,
+                                                    config, takes, repeated):
+    """Refused naming the class the search takes, before it draws, makes a
+    backend variant or evaluates, not as an AttributeError."""
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: RecordingRng(default_rng(seed), calls))
+    backend = CountingBackend()
+    problem = replace(make_problem(sphere, 2), backend=backend)
+    with pytest.raises(ValueError, match=re.escape(
+            f"the {strategy} search takes a {takes}, got "
+            f"{type(config).__name__}")):
+        if repeated:
+            repeat_with_seeds(problem, strategy, n_runs=2, config=config)
+        else:
+            STRATEGIES[strategy](problem, config)
+    assert (calls, backend.fresh_seeds, backend.evaluated) == ([], [], 0)
 
 
 @pytest.mark.parametrize("result", [np.array([1.0]), 1.0, np.ones(4)])
