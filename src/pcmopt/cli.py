@@ -204,7 +204,7 @@ def _cmd_optimize(args):
 def _cmd_generate(args):
     path = studies.generate_training_data(
         kind=args.kind, n=args.n, out_dir=args.out, seed=args.seed,
-        sampler=args.sampler, power=args.power, fidelity=_fidelity(args))
+        power=args.power, fidelity=_fidelity(args))
     print(f"campaign written to {path}")
 
 
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--out", required=True)
     _add_seed_flag(sp)
-    sp.add_argument("--sampler", choices=["lhs", "grid"], default="lhs")
     sp.add_argument("--power", type=float, default=PowerProfile.q0)
     sp.add_argument("--dx-um", type=float, default=UnitCellSpec.dx * 1e6)
     sp.set_defaults(func=_cmd_generate)

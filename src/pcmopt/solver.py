@@ -10,6 +10,7 @@ step, so every step balances energy to solver precision.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -17,7 +18,9 @@ import numbers
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +55,36 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
+
+
+def _load_openblas():
+    """The OpenBLAS that scipy's wheel bundles and its LAPACK routines run
+    in, through ctypes, or None where scipy bundles none."""
+    libs = Path(_flapack.__file__).parents[2] / "scipy.libs"
+    found = sorted(libs.glob("libscipy_openblas*.so"))
+    return ctypes.CDLL(str(found[0])) if found else None
+
+
+_openblas = _load_openblas()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block's band routines on one OpenBLAS thread, and give the
+    caller its own count back after it, also when it raises. A band is too
+    narrow for threads to pay: one trailing refactor at 2.5 um takes ~7x as
+    long on two threads as on one (README, "One BLAS thread"). Where scipy
+    bundles no OpenBLAS, the thread count is left to the platform's BLAS."""
+    if _openblas is None:
+        yield
+        return
+    threads = _openblas.scipy_openblas_get_num_threads()
+    _openblas.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        _openblas.scipy_openblas_set_num_threads(threads)
+
 
 # Time step of the reference transients, s.
 DEFAULT_DT = 0.01
@@ -426,7 +459,9 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
     Starts from ambient with all PCM solid. Terminates early once the
     cyclic response has settled (see settled), otherwise runs the full
     duration. snapshot_every, if given, is a positive integer (not a
-    bool): the fields are kept every that many steps.
+    bool): the fields are kept every that many steps. The band routines
+    run on one thread of scipy's OpenBLAS, and the caller's thread count
+    is restored when the run ends.
     """
     if not (snapshot_every is None or (
             isinstance(snapshot_every, numbers.Integral)
@@ -440,7 +475,6 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
     t_start = time.perf_counter()
     mesh, net = build_case_network(case)
     t_loop = time.perf_counter()
-    stepper = _Integrator(net, dt, power.q0)
     n_pcm = net.pcm_nodes.size
 
     # each step's time, T and phi go to one cycle's rows, reduced at its end
@@ -452,23 +486,25 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
     extrema = []  # (max, min) of each cycle's T_max trace
     converged = False
 
-    for cycle in range(n_cycles):
-        stepper.cycle(steps_on, t_cycle, T_cycle, phi_cycle)
-        times.append(t_cycle.copy())
-        if snapshot_every:
-            # the fields after every snapshot_every-th step of the run
-            first = -(cycle * steps_cycle + 1) % snapshot_every
-            for k in range(first, steps_cycle, snapshot_every):
-                snapshots.append((
-                    float(t_cycle[k]), net.mesh_field(T_cycle[k]),
-                    net.mesh_field(net.expand_phi(phi_cycle[k]))))
-        trace = T_cycle.max(axis=1)
-        T_max.append(trace)
-        phi_mean.append(phi_cycle.sum(axis=1) / max(n_pcm, 1))
-        extrema.append((float(trace.max()), float(trace.min())))
-        converged = settled(extrema, QUASI_STEADY_TOL)
-        if converged:
-            break
+    with _one_blas_thread():
+        stepper = _Integrator(net, dt, power.q0)
+        for cycle in range(n_cycles):
+            stepper.cycle(steps_on, t_cycle, T_cycle, phi_cycle)
+            times.append(t_cycle.copy())
+            if snapshot_every:
+                # the fields after every snapshot_every-th step of the run
+                first = -(cycle * steps_cycle + 1) % snapshot_every
+                for k in range(first, steps_cycle, snapshot_every):
+                    snapshots.append((
+                        float(t_cycle[k]), net.mesh_field(T_cycle[k]),
+                        net.mesh_field(net.expand_phi(phi_cycle[k]))))
+            trace = T_cycle.max(axis=1)
+            T_max.append(trace)
+            phi_mean.append(phi_cycle.sum(axis=1) / max(n_pcm, 1))
+            extrema.append((float(trace.max()), float(trace.min())))
+            converged = settled(extrema, QUASI_STEADY_TOL)
+            if converged:
+                break
     t_end = time.perf_counter()
 
     worst_residual = stepper.worst_residual

@@ -4,7 +4,6 @@ checked against, the OpenBLAS kernel the answer pins are keyed on, and the
 one rule by which every pin checks and re-records its answers."""
 
 import ctypes
-import importlib.util
 import json
 from pathlib import Path
 
@@ -13,7 +12,8 @@ import numpy as np
 from pcmopt.geometry import Case
 from pcmopt.metrics import OBJECTIVE_COLUMNS
 from pcmopt.optimize import Backend
-from pcmopt.solver import _factor_band, build_case_network, dpbtrs
+from pcmopt.solver import (_factor_band, _openblas, build_case_network,
+                           dpbtrs)
 
 
 class FunctionBackend(Backend):
@@ -49,14 +49,11 @@ def steady_state(case: Case, constant_flux: float) -> np.ndarray:
 
 
 def openblas_core() -> str | None:
-    """The kernel scipy's bundled OpenBLAS picked at load, or None where
-    scipy ships no such library."""
-    spec = importlib.util.find_spec("scipy")
-    libs = Path(spec.origin).parent.with_name("scipy.libs")
-    found = sorted(libs.glob("libscipy_openblas*.so"))
-    if not found:
+    """The kernel scipy's bundled OpenBLAS picked at load, read through the
+    solver's handle, or None where scipy ships no such library."""
+    if _openblas is None:
         return None
-    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename
+    corename = _openblas.scipy_openblas_get_corename
     corename.restype = ctypes.c_char_p
     return corename().decode()
 

@@ -129,12 +129,12 @@ def tm_trend(power_levels, tm_step, fidelity):
             for p in power_levels}
 
 
-def campaign_csv(kind, n, seed, sampler, power, fidelity):
+def campaign_csv(kind, n, seed, power, fidelity):
     """The campaign's results.csv text (bytes and CRLF line ends kept),
     generated in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         path = generate_training_data(kind, n, Path(tmp) / "run", seed,
-                                      sampler, power, fidelity)
+                                      power, fidelity)
         return path.read_bytes().decode()
 
 
@@ -185,8 +185,8 @@ def dispersion(campaign, n_pool, objective, sizes, repeats, fidelity, train):
 def entries(reference, coarse, geometry):
     """Every cached computation of the slow tier at the three fidelities:
     name -> (function, keyword arguments)."""
-    campaign = dict(kind="geometry", n=N_CAMPAIGN, seed=0, sampler="lhs",
-                    power=100e3, fidelity=coarse)
+    campaign = dict(kind="geometry", n=N_CAMPAIGN, seed=0, power=100e3,
+                    fidelity=coarse)
     table = {
         "pcm_compare": (run_pcm_comparison, dict(
             power=100e3, fidelity=reference)),

@@ -473,3 +473,42 @@ import scipy.linalg.lapack as lapack
 print(solver.dpbtrf is lapack.dpbtrf, solver.dpbtrs is lapack.dpbtrs)
 """)
     assert out == "True True\n"
+
+
+@pytest.mark.skipif(solver._openblas is None,
+                    reason="scipy bundles no OpenBLAS; the platform's BLAS "
+                           "keeps its own thread count")
+@pytest.mark.parametrize("diverges", [False, True])
+def test_band_routines_run_on_one_blas_thread(diverges, monkeypatch):
+    """Every dpbtrf and dpbtrs call of a run sees one OpenBLAS thread, and
+    the caller's count is back after the run, also after one that raises."""
+    blas = solver._openblas
+    threads = blas.scipy_openblas_get_num_threads
+    seen = {"dpbtrf": [], "dpbtrs": []}
+
+    def recording(name, routine):
+        def call(*args):
+            seen[name].append(threads())
+            out, info = routine(*args)
+            if diverges and name == "dpbtrs":
+                out[0] = np.nan
+            return out, info
+        return call
+
+    for name in seen:
+        monkeypatch.setattr(solver, name,
+                            recording(name, getattr(solver, name)))
+    caller = threads()
+    blas.scipy_openblas_set_num_threads(3)
+    try:
+        if diverges:
+            with pytest.raises(SolverDivergence, match="non-finite"):
+                simulate(Case(cell=COARSE_CELL), dt=COARSE.dt)
+        else:
+            simulate(Case(cell=COARSE_CELL), dt=COARSE.dt)
+        after = threads()
+    finally:
+        blas.scipy_openblas_set_num_threads(caller)
+    assert after == 3
+    assert all(seen.values())
+    assert {n for calls in seen.values() for n in calls} == {1}

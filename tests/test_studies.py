@@ -256,7 +256,7 @@ def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
                             T_osc=case.cell.W * 1e6))
     with pytest.warns(UserWarning, match="case 2 failed: diverged on purpose"):
         csv_path = generate_training_data("geometry", 8, tmp_path,
-                                          sampler="grid", fidelity=COARSE)
+                                          fidelity=COARSE)
     assert len(calls) == 8
     record = json.loads((tmp_path / "cases" / "case_000002.json").read_text())
     assert record["failed"] == "diverged on purpose"
@@ -270,7 +270,7 @@ def test_a_failed_campaign_case_is_kept_out_and_not_rerun(tmp_path,
     original = csv_path.read_bytes()
     with pytest.warns(UserWarning, match="case 2 failed"):
         again = generate_training_data("geometry", 8, tmp_path,
-                                       sampler="grid", fidelity=COARSE)
+                                       fidelity=COARSE)
     assert len(calls) == 8
     assert again.read_bytes() == original
 
@@ -321,14 +321,6 @@ def test_a_compact_case_file_still_resumes(tmp_path, monkeypatch):
     assert again.read_bytes() == written
 
 
-def test_campaign_grid_sampler_deterministic(tmp_path):
-    a = generate_training_data("geometry", 8, tmp_path / "a", sampler="grid",
-                               fidelity=COARSE)
-    b = generate_training_data("geometry", 8, tmp_path / "b", sampler="grid",
-                               fidelity=COARSE)
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_properties_campaign_honours_dx(tmp_path):
     csv_path = generate_training_data("properties", 1, tmp_path,
                                       fidelity=COARSE)
@@ -346,11 +338,6 @@ def test_campaign_input_validation(tmp_path):
         generate_training_data("shapes", 5, tmp_path)
     with pytest.raises(ValueError):
         generate_training_data("tm", 5, tmp_path)
-    # a 3-parameter grid needs a cube number of cases
-    with pytest.raises(ValueError, match="8 and 27"):
-        generate_training_data("geometry", 10, tmp_path, sampler="grid")
-    with pytest.raises(ValueError, match="unknown sampler 'sobol'"):
-        generate_training_data("geometry", 8, tmp_path, sampler="sobol")
     assert not any(tmp_path.iterdir())
 
 
