@@ -142,10 +142,6 @@ class _ProblemFile:
 
     def __post_init__(self):
         check_field_types(self)
-        if not all(isinstance(v, list) and len(v) == 2
-                   for v in self.bounds.values()):
-            raise ValueError("bounds must map each name to a [lower, upper] "
-                             f"pair, got {self.bounds!r}")
 
 
 def _load_problem(args):
@@ -158,15 +154,14 @@ def _load_problem(args):
     try:  # fail before searching
         verifier = studies.simulator(list(spec.bounds), spec.objective,
                                      Fidelity(spec.dx, spec.dt), spec.power)
-        # simulator has refused a name no case takes; building both
-        # corners' cases refuses what only a case shows, such as a corner
-        # channel that no mesh or device layer holds, before the points
-        # beyond it score +inf
-        for corner in zip(*spec.bounds.values()):
-            verifier.case_builder(dict(zip(spec.bounds, corner)))
         problem = studies.problem_from_bounds(
             spec.bounds, spec.objective, verifier, seed=args.seed,
             steps=spec.steps)
+        # with the names and the bounds refused above, both corners' cases
+        # refuse what only a case shows, such as a channel that no mesh or
+        # device layer holds, before the points beyond it score +inf
+        for corner in (problem.lower.tolist(), problem.upper.tolist()):
+            verifier.case_builder(dict(zip(problem.names, corner)))
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from e
     if model_file:

@@ -26,12 +26,21 @@ def check_field_types(record) -> None:
             continue
         if f.type.startswith("dict") and not isinstance(value, dict):
             raise ValueError(f"{f.name} must be an object, got {value!r}")
-        if f.type not in ("float", "int", "float | None"):
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{f.name} must be a number, got {value!r}")
-        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if f.type in ("float", "int"):
+            check_number(f.name, value)
+
+
+def check_number(name: str, value) -> None:
+    """ValueError naming name unless value is a finite real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict, replace as dc_replace
 
 import numpy as np
 
-from .materials import check_field_types
+from .materials import check_field_types, check_number, is_integer
 
 # Fixed GA operators: survivors per generation, share of children bred by
 # crossover (the rest by mutation), and tournament size.
@@ -31,21 +31,6 @@ PSO_COGNITIVE = 1.49
 PSO_SOCIAL = 1.49
 # Largest grid a sweep or study enumerates, and largest grid axis.
 SWEEP_GRID_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class ParameterSpec:
-    name: str
-    lower: float
-    upper: float
-    step: float | None = None  # grid step, required for sweeps
-
-    def __post_init__(self):
-        check_field_types(self)
-        if not self.lower < self.upper:
-            raise ValueError(f"{self.name}: lower must be < upper")
-        if self.step is not None and self.step <= 0:
-            raise ValueError(f"{self.name}: grid step must be positive")
 
 
 class Backend:
@@ -72,27 +57,51 @@ class Backend:
 
 @dataclass
 class OptimizationProblem:
-    parameters: list[ParameterSpec]
+    bounds: dict  # name -> (lower, upper), in search order; kept as a copy
     objective: str  # metric tag, e.g. "T_o_max" or "T_osc"
     backend: Backend
     seed: int = 0
+    steps: dict = field(default_factory=dict)  # name -> a sweep's grid step
 
     def __post_init__(self):
-        if not self.parameters:
+        if not self.bounds:
             raise ValueError("a problem needs at least one parameter to "
                              "search, got none")
+        if not isinstance(self.bounds, dict) or not all(
+                isinstance(v, (list, tuple)) and len(v) == 2
+                for v in self.bounds.values()):
+            raise ValueError("bounds must map each name to a [lower, upper] "
+                             f"pair, got {self.bounds!r}")
+        self.bounds = {name: tuple(v) for name, v in self.bounds.items()}
+        self.steps = dict(self.steps)
+        unknown = sorted(set(self.steps) - set(self.bounds))
+        if unknown:
+            raise ValueError(f"steps {unknown} name no bound; the bounds are "
+                             f"{self.names}")
+        for name, (lower, upper) in self.bounds.items():
+            check_number(f"{name}: lower", lower)
+            check_number(f"{name}: upper", upper)
+            if not lower < upper:
+                raise ValueError(f"{name}: lower must be < upper")
+        for name, step in self.steps.items():
+            check_number(f"{name}: grid step", step)
+            if step <= 0:
+                raise ValueError(f"{name}: grid step must be positive")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer, got "
+                             f"{self.seed!r}")
 
     @property
     def names(self) -> list[str]:
-        return [p.name for p in self.parameters]
+        return list(self.bounds)
 
     @property
     def lower(self) -> np.ndarray:
-        return np.array([p.lower for p in self.parameters])
+        return np.array([lower for lower, _ in self.bounds.values()])
 
     @property
     def upper(self) -> np.ndarray:
-        return np.array([p.upper for p in self.parameters])
+        return np.array([upper for _, upper in self.bounds.values()])
 
 
 @dataclass(frozen=True)
@@ -270,10 +279,10 @@ def parametric_sweep(problem: OptimizationProblem
     first-lowest tie break) plus the full table for plotting."""
     search = _Search(problem.backend)
     axes = []
-    for p in problem.parameters:
-        if p.step is None:
-            raise ValueError(f"{p.name} has no grid step; use GA or PSO")
-        axes.append(grid_points(p.lower, p.upper, p.step))
+    for name, (lower, upper) in problem.bounds.items():
+        if name not in problem.steps:
+            raise ValueError(f"{name} has no grid step; use GA or PSO")
+        axes.append(grid_points(lower, upper, problem.steps[name]))
     points = grid(axes)
     values = search.batch(points)
     best = int(np.argmin(values))  # first of the lowest
@@ -423,6 +432,8 @@ def value_range(values) -> dict[str, float]:
 def check_repeats(n_runs: int, strategies, count: str = "n_runs") -> None:
     """The pre-flight of a repeated search: refuse fewer than the two runs a
     spread needs, naming n_runs as count, or a strategy not in STRATEGIES."""
+    if not is_integer(n_runs):
+        raise ValueError(f"{count} must be an integer, got {n_runs!r}")
     if n_runs < 2:
         raise ValueError(f"{count} must be at least 2, got {n_runs}")
     for strategy in strategies:

@@ -40,11 +40,11 @@ import numpy as np
 
 from . import metrics, solver
 from .geometry import T_AMB_C, Case, PowerProfile, UnitCellSpec
-from .materials import (PCM_NAMES, Material, builtin_material, read_json,
-                        write_json)
+from .materials import (PCM_NAMES, Material, builtin_material, is_integer,
+                        read_json, write_json)
 from .optimize import (STRATEGIES, Backend, OptimizationProblem,
-                       ParameterSpec, check_repeats, grid, grid_points,
-                       repeat_with_seeds, value_range)
+                       check_repeats, grid, grid_points, repeat_with_seeds,
+                       value_range)
 from .surrogate import (MIN_TRAINING_ROWS, ExtrapolationWarning,
                         SurrogateModel, TrainingSet, predict, train_lm,
                         r_squared)
@@ -343,13 +343,8 @@ def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
     for what, named in (("backend", backend), ("verifier", backend.verifier)):
         if getattr(named, "objective", None) is not None:
             check_columns(what, named, objective, bounds)
-    steps = steps or {}
-    if set(steps) - set(bounds):
-        raise ValueError(f"steps {sorted(set(steps) - set(bounds))} name no "
-                         f"bound; the bounds are {list(bounds)}")
-    params = [ParameterSpec(name, lo, hi, steps.get(name))
-              for name, (lo, hi) in bounds.items()]
-    return OptimizationProblem(params, objective, backend, seed=seed)
+    return OptimizationProblem(bounds, objective, backend, seed=seed,
+                               steps=steps or {})
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +398,11 @@ def run_tm_study(power_levels=DEFAULT_POWER_LEVELS, tm_step: float = 1.0,
                  out_dir=None, fidelity: solver.Fidelity = solver.REFERENCE
                  ) -> dict:
     """Sweep T_m over its bounds per power level, in the reference channel
-    at fidelity: oscillation bands, optima; a repeated power is refused."""
+    at fidelity: oscillation bands, optima; no power or a repeated one is
+    refused."""
     power_levels = list(power_levels)
+    if not power_levels:
+        raise ValueError("no power level is given")
     for i, power in enumerate(power_levels):
         if power in power_levels[:i]:
             raise ValueError(f"power level {power} is given more than once")
@@ -556,9 +554,14 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
 
 
 def check_sizes(sizes, pool: TrainingSet) -> None:
-    """Refuse a training-set size that train_lm cannot fit or that pool
-    cannot draw without replacement, and a size given twice."""
+    """Refuse no size at all, a training-set size that is not an integer,
+    that train_lm cannot fit or that pool cannot draw without replacement,
+    and a size given twice."""
+    if not len(sizes):
+        raise ValueError("no training-set size is given")
     for i, size in enumerate(sizes):
+        if not is_integer(size):
+            raise ValueError(f"training-set size {size!r} is not an integer")
         if not MIN_TRAINING_ROWS <= size <= len(pool):
             raise ValueError(f"training-set size {size} is not from "
                              f"{MIN_TRAINING_ROWS} to {len(pool)}, the "

@@ -11,7 +11,7 @@ from pcmopt.materials import (Material, PCM_NAMES, UnknownMaterialError,
                               builtin_material, load_material_file,
                               write_json)
 from pcmopt.network import assemble_network
-from pcmopt.optimize import GAConfig, ParameterSpec, PSOConfig
+from pcmopt.optimize import GAConfig, PSOConfig
 from pcmopt.solver import COARSE
 
 
@@ -196,7 +196,6 @@ _VALID_RECORDS = {
     "Material": builtin_material("Solder174"),
     "UnitCellSpec": UnitCellSpec(),
     "PowerProfile": PowerProfile(),
-    "ParameterSpec": ParameterSpec("x", 0.0, 1.0, step=0.1),
     "GAConfig": GAConfig(),
     "PSOConfig": PSOConfig(),
     "Fidelity": COARSE,
@@ -222,9 +221,6 @@ _VALID_RECORDS = {
     ("PowerProfile", "duration", 0.5, "duration must cover at least one"),
     ("PowerProfile", "duration", 2.6,
      "duration must be a whole number of periods, got 2.6"),
-    ("ParameterSpec", "lower", 2.0, "lower must be < upper"),
-    ("ParameterSpec", "step", "0.1", "step must be a number"),
-    ("ParameterSpec", "lower", -float("inf"), "lower must be finite, got -inf"),
     ("GAConfig", "population", 2, "elite"),
     ("GAConfig", "tol", None, "tol must be a number"),
     ("GAConfig", "population", float("inf"), "population must be finite"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pcmopt.optimize import (Backend, GAConfig, OptimizationProblem,
-                             ParameterSpec, PSOConfig, STRATEGIES, _Search,
+                             PSOConfig, STRATEGIES, _Search, check_repeats,
                              ga_minimize, parametric_sweep, pso_minimize,
                              repeat_with_seeds)
 
@@ -25,9 +25,11 @@ def rosenbrock(x):
 
 def make_problem(fn, dim, lo=-5.0, hi=5.0, step=None, objective="f",
                  seed=0):
-    params = [ParameterSpec(f"x{i}", lo, hi, step) for i in range(dim)]
-    return OptimizationProblem(params, objective, FunctionBackend(fn),
-                               seed=seed)
+    names = [f"x{i}" for i in range(dim)]
+    return OptimizationProblem(dict.fromkeys(names, (lo, hi)), objective,
+                               FunctionBackend(fn), seed=seed,
+                               steps={} if step is None
+                               else dict.fromkeys(names, step))
 
 
 def test_ga_solves_sphere():
@@ -240,11 +242,79 @@ def test_ga_config_validation():
     GAConfig(population=3)
 
 
-def test_parameter_spec_validation():
-    with pytest.raises(ValueError):
-        ParameterSpec("x", 2.0, 1.0)
-    with pytest.raises(ValueError):
-        ParameterSpec("x", 0.0, 1.0, step=-0.1)
+@pytest.mark.parametrize("bounds,steps,message", [
+    ({"x": (2.0, 1.0)}, {}, "x: lower must be < upper"),
+    ({"x": (0.0, 1.0)}, {"x": -0.1}, "x: grid step must be positive"),
+    ({"x": (0.0, 1.0)}, {"x": "0.1"}, "x: grid step must be a number, got "
+                                      "'0.1'"),
+    ({"x": (-math.inf, 1.0)}, {}, "x: lower must be finite, got -inf"),
+    ({"T_m_C": ("47", 96.0)}, {}, "T_m_C: lower must be a number, got '47'"),
+    ({"x": [0.0, math.nan]}, {}, "x: upper must be finite, got nan"),
+    ({"x": (True, 2.0)}, {}, "x: lower must be a number, got True"),
+    ({"x": (0.0, 1.0), "y": (0.0, None)}, {},
+     "y: upper must be a number, got None"),
+    ({"x": (0.0, 1.0, 2.0)}, {}, "bounds must map each name to a [lower, "
+                                 "upper] pair, got {'x': (0.0, 1.0, 2.0)}"),
+    ([("x", 0.0, 1.0)], {}, "bounds must map each name to a [lower, upper] "
+                            "pair, got [('x', 0.0, 1.0)]"),
+    ({"x": (0.0, 1.0)}, {"y": 0.5}, "steps ['y'] name no bound; the bounds "
+                                    "are ['x']")],
+    ids=["lower_not_below_upper", "step_negative", "step_text",
+         "lower_minus_inf", "lower_text", "upper_nan", "lower_bool",
+         "upper_none", "bound_triple", "bounds_list", "step_unknown_name"])
+def test_a_malformed_search_space_is_refused_when_built(bounds, steps,
+                                                        message):
+    """Each bound and step is a finite number, refused under its bound's
+    name otherwise, and a pair whose lower is below its upper; a replace
+    is checked as a new problem is."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OptimizationProblem(bounds, "f", FunctionBackend(sphere),
+                            steps=steps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(make_problem(sphere, 1), bounds=bounds, steps=steps)
+
+
+def test_a_problem_keeps_its_own_search_space():
+    """A later edit of the caller's dicts moves no built problem; numpy
+    scalars and a JSON list pass, and the arrays keep the given order."""
+    bounds = {"b": [np.float64(-1.0), 1], "a": (0, np.int64(2))}
+    steps = {"a": 0.5}
+    problem = OptimizationProblem(bounds, "f", FunctionBackend(sphere),
+                                  steps=steps)
+    bounds["b"][0] = 5.0
+    bounds["c"] = (0.0, 1.0)
+    steps["a"] = -1.0
+    assert problem.names == ["b", "a"]
+    assert problem.lower.tolist() == [-1.0, 0.0]
+    assert problem.upper.tolist() == [1.0, 2.0]
+    assert problem.steps == {"a": 0.5}
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "0", None],
+                         ids=["float", "negative", "bool", "text", "none"])
+def test_a_bad_seed_is_refused_when_built(seed):
+    """A float failed at the first draw inside numpy, a negative seed with
+    numpy's own words, and True ran and reported "seed": true."""
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OptimizationProblem({"x": (0.0, 1.0)}, "f", FunctionBackend(sphere),
+                            seed=seed)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(make_problem(sphere, 1), seed=seed)
+    assert make_problem(sphere, 1, seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("n_runs", [2.5, np.float64(3.0), True],
+                         ids=["float", "numpy_float", "bool"])
+def test_check_repeats_refuses_a_count_that_is_not_an_integer(n_runs):
+    """2.5 passed, and repeat_with_seeds then died in range with a
+    TypeError; a numpy integer passes."""
+    message = f"n_runs must be an integer, got {n_runs!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_repeats(n_runs, ["ga"])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        repeat_with_seeds(make_problem(sphere, 1), "ga", n_runs=n_runs)
+    check_repeats(np.int64(2), ["ga"])
 
 
 def test_result_rounding_and_serialization():
@@ -282,15 +352,14 @@ def seeded_answers() -> dict:
     """Each strategy's answer on on_bound, and the GA's on plateau, for
     seeds 0-3, floats as float.hex. With no host stamp, they compare
     exactly."""
-    params = [ParameterSpec("a", 0.0, 1.0), ParameterSpec("b", -1.0, 1.0),
-              ParameterSpec("c", 0.0, 2.0)]
+    bounds = {"a": (0.0, 1.0), "b": (-1.0, 1.0), "c": (0.0, 2.0)}
     runs = [(name, run, on_bound) for name, run in _SEEDED_RUNS.items()]
     runs += [(f"{name}/plateau", _SEEDED_RUNS[name], plateau)
              for name in ("ga", "ga_small")]
     answers = {}
     for key, run, fn in runs:
         for seed in range(4):
-            r = run(OptimizationProblem(params, "f", FunctionBackend(fn),
+            r = run(OptimizationProblem(bounds, "f", FunctionBackend(fn),
                                         seed=seed))
             answers[f"{key}/{seed}"] = {
                 "parameters": {k: v.hex() for k, v in r.parameters.items()},
@@ -365,9 +434,9 @@ def test_a_problem_with_no_parameters_is_refused_when_built(search):
     backend = CountingBackend()
     with pytest.raises(ValueError, match=re.escape(
             "a problem needs at least one parameter to search, got none")):
-        run(OptimizationProblem([], "f", backend))
+        run(OptimizationProblem({}, "f", backend))
     with pytest.raises(ValueError, match="at least one parameter"):
-        run(replace(make_problem(sphere, 1), parameters=[]))
+        run(replace(make_problem(sphere, 1), bounds={}))
     assert backend.evaluated == 0
 
 

@@ -193,6 +193,15 @@ def test_a_study_refuses_a_repeated_power_or_a_grid_past_the_cap(
         study()
 
 
+def test_a_tm_study_of_no_power_level_is_refused(tmp_path, monkeypatch):
+    """It returned {} and wrote a header-only results.csv and "optima": {};
+    now it is refused before any case is built or any file written."""
+    monkeypatch.setattr(studies, "property_case", lambda *a, **kw: 1 / 0)
+    with pytest.raises(ValueError, match="no power level is given"):
+        run_tm_study((), 49.0, out_dir=tmp_path / "tm", fidelity=COARSE)
+    assert not (tmp_path / "tm").exists()
+
+
 @pytest.fixture(scope="module")
 def small_campaign(tmp_path_factory):
     out = tmp_path_factory.mktemp("campaign")
@@ -666,18 +675,22 @@ def test_resampling_backend_fresh_retrains(monkeypatch):
     assert len(trained) == 3
 
 
-@pytest.mark.parametrize("size", [5, -3, 40])
+@pytest.mark.parametrize("size,why", [
+    (5, "is not from 10 to 30, the pool's rows"),
+    (-3, "is not from 10 to 30, the pool's rows"),
+    (40, "is not from 10 to 30, the pool's rows"),
+    (20.5, "is not an integer")], ids=["5", "-3", "40", "20.5"])
 def test_a_resampling_backend_refuses_an_untrainable_size_before_training(
-        monkeypatch, size):
+        monkeypatch, size, why):
     """A size below train_lm's minimum, below zero or beyond the pool is
-    refused by check_sizes' rule, naming the size and the pool, before a
+    refused by check_sizes' rule, naming the size and the pool, and so is
+    a size that is not an integer (which died in numpy's choice), before a
     network trains."""
     trained = []
     monkeypatch.setattr(studies, "train_lm",
                         lambda *a, **kw: trained.append(a))
     with pytest.raises(ValueError, match=re.escape(
-            f"training-set size {size} is not from 10 to 30, the pool's "
-            "rows")):
+            f"training-set size {size} {why}")):
         ResamplingSurrogateBackend(synthetic_pool(30), size,
                                    FunctionBackend(float, **T_OSC_VERIFIER))
     assert trained == []
@@ -732,7 +745,7 @@ def test_problem_from_bounds():
                                   FunctionBackend(lambda x: 0.0),
                                   steps={"T_m_C": 1.0})
     assert problem.names == ["H_um", "W_um", "T_m_C"]
-    assert problem.parameters[2].step == 1.0
+    assert problem.steps == {"T_m_C": 1.0}
     assert list(problem.lower) == [20.0, 20.0, 47.0]
 
 
@@ -867,14 +880,19 @@ def test_ablation_refuses_a_set_of_other_columns_before_training(
     ((40, 40), 2, "training-set size 40 is given more than once"),
     ((40,), 1, "repeats must be at least 2, got 1"),
     ((40,), 0, "repeats must be at least 2, got 0"),
-    ((40,), -2, "repeats must be at least 2, got -2")],
-    ids=["9", "61", "repeated_size", "repeats_1", "repeats_0", "repeats_-2"])
+    ((40,), -2, "repeats must be at least 2, got -2"),
+    ((40, 40.5), 2, "training-set size 40.5 is not an integer"),
+    ((40,), 2.5, "repeats must be an integer, got 2.5"),
+    ((), 2, "no training-set size is given")],
+    ids=["9", "61", "repeated_size", "repeats_1", "repeats_0", "repeats_-2",
+         "size_40.5", "repeats_2.5", "no_size"])
 def test_ablation_refuses_an_untrainable_size_before_training(
         monkeypatch, sizes, repeats, refused):
     """A size below train_lm's minimum or above the pool, a size given
-    twice (which would train and search it twice), or fewer than the two
-    repeats a spread needs, is refused before the sizes ahead of it train
-    and search."""
+    twice (which would train and search it twice), a size or a repeat count
+    that is not an integer (40.5 trained and reported size 40 again), no
+    size at all, or fewer than the two repeats a spread needs, is refused
+    before the sizes ahead of it train and search."""
     trained = []
     monkeypatch.setattr(studies, "train_lm",
                         lambda *a, **kw: trained.append(a))
