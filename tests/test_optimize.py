@@ -242,6 +242,15 @@ def test_ga_config_validation():
     GAConfig(population=3)
 
 
+def test_parameter_spec_validation():
+    """A parameter's bound and grid step are checked where the problem
+    holds them."""
+    with pytest.raises(ValueError):
+        make_problem(sphere, 1, lo=2.0, hi=1.0)
+    with pytest.raises(ValueError):
+        make_problem(sphere, 1, lo=0.0, hi=1.0, step=-0.1)
+
+
 @pytest.mark.parametrize("bounds,steps,message", [
     ({"x": (2.0, 1.0)}, {}, "x: lower must be < upper"),
     ({"x": (0.0, 1.0)}, {"x": -0.1}, "x: grid step must be positive"),
