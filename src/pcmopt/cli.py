@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import studies
 from .geometry import Case, PowerProfile, UnitCellSpec
-from .materials import (UnknownMaterialError, builtin_material,
+from .materials import (UnknownMaterialError, builtin_material, check_count,
                         check_field_types, from_record, load_material_file,
                         read_json, write_json)
 from .metrics import OBJECTIVE_COLUMNS, compute_metrics
@@ -350,9 +350,7 @@ def main(argv=None) -> int:
     as argparse reports its own."""
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError("--seed must be a non-negative integer, got "
-                             f"{args.seed}")
+        check_count("--seed", getattr(args, "seed", 0), 0)
         args.func(args)
     except (ValueError, UnknownMaterialError) as exc:
         # args[0], since str() of a KeyError quotes its message

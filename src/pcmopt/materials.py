@@ -13,21 +13,27 @@ import numpy as np
 
 def check_field_types(record) -> None:
     """ValueError naming the first field of the dataclass record whose value
-    does not fit its annotation: a number field holding anything but a real
-    number (a str, a bool, a list or None), or NaN or an infinity, a bool
-    field holding anything but a bool, or a dict field anything but a dict.
-    numpy scalars pass, and so does None where the annotation allows it.
-    Each record's __post_init__ calls this before it checks any value."""
+    does not fit its annotation: a float field holding anything but a real
+    number (a str, a bool, a list or None), or NaN or an infinity, an int
+    field anything but a non-negative integer (check_count), a str field
+    anything but a str, a bool field anything but a bool, or a dict field
+    anything but a dict. numpy scalars of the field's kind pass, and so
+    does None where the annotation allows it. Each record's __post_init__ calls this before it
+    checks any value."""
     for f in fields(record):
         value = getattr(record, f.name)
         if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{f.name} must be a bool, got {value!r}")
+        if f.type == "str" and not isinstance(value, str):
+            raise ValueError(f"{f.name} must be a string, got {value!r}")
         if value is None and f.type.endswith("None"):
             continue
         if f.type.startswith("dict") and not isinstance(value, dict):
             raise ValueError(f"{f.name} must be an object, got {value!r}")
-        if f.type in ("float", "int"):
+        if f.type == "float":
             check_number(f.name, value)
+        if f.type == "int":
+            check_count(f.name, value, 0)
 
 
 def check_number(name: str, value) -> None:
@@ -38,9 +44,14 @@ def check_number(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def is_integer(value) -> bool:
-    """True for an int or a numpy integer, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_count(name: str, value, least: int) -> None:
+    """ValueError naming name and value unless value is an int or a numpy
+    integer, not a bool, of at least least: a count, a size or a seed."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict, replace as dc_replace
 
 import numpy as np
 
-from .materials import check_field_types, check_number, is_integer
+from .materials import check_count, check_field_types, check_number
 
 # Fixed GA operators: survivors per generation, share of children bred by
 # crossover (the rest by mutation), and tournament size.
@@ -87,9 +87,7 @@ class OptimizationProblem:
             check_number(f"{name}: grid step", step)
             if step <= 0:
                 raise ValueError(f"{name}: grid step must be positive")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer, got "
-                             f"{self.seed!r}")
+        check_count("seed", self.seed, 0)
 
     @property
     def names(self) -> list[str]:
@@ -114,9 +112,8 @@ class GAConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if min(self.population, self.stall_generations,
-               self.max_generations) < 1:
-            raise ValueError("all GA counts must be >= 1")
+        for name in ("population", "stall_generations", "max_generations"):
+            check_count(name, getattr(self, name), 1)
         if self.population <= GA_ELITE:
             raise ValueError(f"GA population must exceed the {GA_ELITE} "
                              f"elite survivors, got {self.population}")
@@ -131,8 +128,8 @@ class PSOConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if min(self.swarm, self.stall_iterations, self.max_iterations) < 1:
-            raise ValueError("all PSO counts must be >= 1")
+        for name in ("swarm", "stall_iterations", "max_iterations"):
+            check_count(name, getattr(self, name), 1)
 
 
 #: The config class each seeded search in STRATEGIES takes.
@@ -430,12 +427,10 @@ def value_range(values) -> dict[str, float]:
 
 
 def check_repeats(n_runs: int, strategies, count: str = "n_runs") -> None:
-    """The pre-flight of a repeated search: refuse fewer than the two runs a
-    spread needs, naming n_runs as count, or a strategy not in STRATEGIES."""
-    if not is_integer(n_runs):
-        raise ValueError(f"{count} must be an integer, got {n_runs!r}")
-    if n_runs < 2:
-        raise ValueError(f"{count} must be at least 2, got {n_runs}")
+    """The pre-flight of a repeated search: refuse a run count that is not
+    an integer of at least the two runs a spread needs, naming n_runs as
+    count, or a strategy not in STRATEGIES."""
+    check_count(count, n_runs, 2)
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ValueError(f"only the seeded searches {list(STRATEGIES)} "

@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import (PERIOD, T_AMB_C, T_ON, Case, Mesh, UnitCellSpec,
                        build_mesh)
-from .materials import check_field_types
+from .materials import check_count, check_field_types
 from .network import NetworkModel, assemble_network
 
 
@@ -458,16 +458,14 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
 
     Starts from ambient with all PCM solid. Terminates early once the
     cyclic response has settled (see settled), otherwise runs the full
-    duration. snapshot_every, if given, is a positive integer (not a
-    bool): the fields are kept every that many steps. The band routines
+    duration. snapshot_every, if given, keeps the fields every that many
+    steps; one that is not a positive integer (a bool, 2.5, 0) is refused
+    before anything is built. The band routines
     run on one thread of scipy's OpenBLAS, and the caller's thread count
     is restored when the run ends.
     """
-    if not (snapshot_every is None or (
-            isinstance(snapshot_every, numbers.Integral)
-            and not isinstance(snapshot_every, bool) and snapshot_every > 0)):
-        raise ValueError("snapshot_every must be a positive integer, got "
-                         f"{snapshot_every!r}")
+    if snapshot_every is not None:
+        check_count("snapshot_every", snapshot_every, 1)
     steps_on, steps_cycle = step_counts(dt)
     power = case.power
     n_cycles = int(round(power.duration / PERIOD))

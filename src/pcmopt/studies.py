@@ -40,7 +40,7 @@ import numpy as np
 
 from . import metrics, solver
 from .geometry import T_AMB_C, Case, PowerProfile, UnitCellSpec
-from .materials import (PCM_NAMES, Material, builtin_material, is_integer,
+from .materials import (PCM_NAMES, Material, builtin_material, check_count,
                         read_json, write_json)
 from .optimize import (STRATEGIES, Backend, OptimizationProblem,
                        check_repeats, grid, grid_points, repeat_with_seeds,
@@ -465,10 +465,13 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
     identical file. A directory that holds another campaign's config.json,
     or a case file that carries another (or no) config hash or whose inputs
     this campaign does not sample at its index, is refused before anything
-    runs or is written. Returns the CSV path.
+    runs or is written, and so is an n that is not a positive integer, a
+    seed that is not a non-negative integer (bools are refused), an unknown
+    kind, and a power or fidelity no sample could run at. Returns the CSV
+    path.
     """
-    if n < 1:
-        raise ValueError("campaign size must be >= 1")
+    check_count("n", n, 1)
+    check_count("seed", seed, 0)
     if kind not in _CAMPAIGN_BOUNDS:
         raise ValueError(f"kind must be one of {list(_CAMPAIGN_BOUNDS)}")
     # what every sample shares: settings no sample could run with are
@@ -554,14 +557,13 @@ def generate_training_data(kind: str, n: int, out_dir, seed: int = 0,
 
 
 def check_sizes(sizes, pool: TrainingSet) -> None:
-    """Refuse no size at all, a training-set size that is not an integer,
-    that train_lm cannot fit or that pool cannot draw without replacement,
-    and a size given twice."""
+    """Refuse no size at all, a training-set size that is not a
+    non-negative integer, that train_lm cannot fit or that pool cannot draw
+    without replacement, and a size given twice."""
     if not len(sizes):
         raise ValueError("no training-set size is given")
     for i, size in enumerate(sizes):
-        if not is_integer(size):
-            raise ValueError(f"training-set size {size!r} is not an integer")
+        check_count("training-set size", size, 0)
         if not MIN_TRAINING_ROWS <= size <= len(pool):
             raise ValueError(f"training-set size {size} is not from "
                              f"{MIN_TRAINING_ROWS} to {len(pool)}, the "

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .materials import check_field_types, from_record, read_json, write_json
+from .materials import (check_count, check_field_types, from_record,
+                        read_json, write_json)
 from .metrics import OBJECTIVE_COLUMNS
 
 
@@ -234,13 +235,17 @@ def train_lm(data: TrainingSet, hidden: int = 10, seed: int = 0,
     one. Stops on max_epochs, mu above MU_MAX, gradient norm below GRAD_TOL,
     or validation error (on a VAL_FRACTION hold-out) rising for `patience`
     consecutive epochs. Deterministic for a given seed.
+
+    Refused before anything is drawn: fewer than MIN_TRAINING_ROWS rows, a
+    hidden, max_epochs or patience that is not a positive integer, and a
+    seed that is not a non-negative integer (bools are refused).
     """
     if len(data) < MIN_TRAINING_ROWS:
         raise ValueError(f"need at least {MIN_TRAINING_ROWS} training rows")
     for name, count in (("hidden", hidden), ("max_epochs", max_epochs),
                         ("patience", patience)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count!r}")
+        check_count(name, count, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n, n_in = data.X.shape
 

@@ -564,7 +564,7 @@ def test_train_refuses_a_network_without_hidden_neurons(tmp_path, capsys,
                  "--target", "tomax", "--hidden", hidden,
                  "--out", str(model)]) == 2
     assert capsys.readouterr().err == (
-        f"pcmopt train: error: hidden must be >= 1, got {hidden}\n")
+        f"pcmopt train: error: hidden must be a positive integer, got {hidden}\n")
     assert not model.exists()
 
 
@@ -677,8 +677,8 @@ def test_optimize_repeats_and_pso_on_a_surrogate(tmp_path, capsys):
     for repeats in ("0", "1", "-3"):
         assert main([*argv, "--repeats", repeats]) == 2
         assert capsys.readouterr().err == (
-            f"pcmopt optimize: error: --repeats must be at least 2, "
-            f"got {repeats}\n")
+            f"pcmopt optimize: error: --repeats must be an integer of at "
+            f"least 2, got {repeats}\n")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -777,7 +777,7 @@ REPEATS_ON_CAMPAIGN = [*ABLATION_ON_CAMPAIGN, "--sizes", "12"]
 
 
 #: the refusal of a count below 2 and of a negative seed
-AT_LEAST_2 = "must be at least 2"
+AT_LEAST_2 = "must be an integer of at least 2"
 NON_NEGATIVE = "must be a non-negative integer"
 
 
@@ -794,7 +794,8 @@ def _untrainable(size):
     (ABLATION, "--sizes", "12,abc",
      " is not a comma-separated list of integers"),
     (ABLATION_ON_CAMPAIGN, "--sizes", "0", _untrainable(0)),
-    (ABLATION_ON_CAMPAIGN, "--sizes", "-3", _untrainable(-3)),
+    (ABLATION_ON_CAMPAIGN, "--sizes", "-3",
+     ": training-set size must be a non-negative integer, got -3"),
     (ABLATION_ON_CAMPAIGN, "--sizes", "40", _untrainable(40)),
     (ABLATION_ON_CAMPAIGN, "--sizes", "12,12",
      ": training-set size 12 is given more than once"),

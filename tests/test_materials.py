@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pcmopt.geometry import PowerProfile, UnitCellSpec, build_mesh
+from pcmopt.cli import _ProblemFile
+from pcmopt.geometry import Case, PowerProfile, UnitCellSpec, build_mesh
 from pcmopt.materials import (Material, PCM_NAMES, UnknownMaterialError,
                               builtin_material, load_material_file,
                               write_json)
 from pcmopt.network import assemble_network
-from pcmopt.optimize import GAConfig, PSOConfig
-from pcmopt.solver import COARSE
+from pcmopt import studies
+from pcmopt.optimize import GAConfig, PSOConfig, repeat_with_seeds
+from pcmopt.solver import COARSE, simulate
+from pcmopt.surrogate import SurrogateModel, TrainingSet, train_lm
+
+from helpers import FunctionBackend
 
 
 def test_seven_pcms_ordered_by_melt_temperature():
@@ -199,6 +204,11 @@ _VALID_RECORDS = {
     "GAConfig": GAConfig(),
     "PSOConfig": PSOConfig(),
     "Fidelity": COARSE,
+    "SurrogateModel": SurrogateModel(
+        ["x"], [1], W1=[[0.5]], b1=[0.0], W2=[[1.0]], b2=[0.0], in_min=[0.0],
+        in_max=[1.0], out_min=0.0, out_max=1.0, target_name="T_osc_C",
+        seed=0),
+    "_ProblemFile": _ProblemFile(bounds={"H_um": [20.0, 100.0]}),
 }
 
 
@@ -209,6 +219,8 @@ _VALID_RECORDS = {
     ("Material", "is_pcm", 0, "is_pcm must be a bool"),
     ("Material", "T_m", float("nan"), "T_m must be finite, got nan"),
     ("Material", "rho_solid", [8780.0], "rho_solid must be a number"),
+    ("Material", "name", None, "name must be a string, got None"),
+    ("Material", "name", 5, "name must be a string, got 5"),
     ("UnitCellSpec", "H", 250e-6, "height exceeds"),
     ("UnitCellSpec", "dx", None, "dx must be a number"),
     ("UnitCellSpec", "dx", float("inf"), "dx must be finite, got inf"),
@@ -223,9 +235,22 @@ _VALID_RECORDS = {
      "duration must be a whole number of periods, got 2.6"),
     ("GAConfig", "population", 2, "elite"),
     ("GAConfig", "tol", None, "tol must be a number"),
-    ("GAConfig", "population", float("inf"), "population must be finite"),
-    ("PSOConfig", "swarm", 0, ">= 1"),
-    ("PSOConfig", "max_iterations", "100", "max_iterations must be a number"),
+    ("GAConfig", "population", float("inf"),
+     "population must be a non-negative integer, got inf"),
+    ("GAConfig", "population", 10.5,
+     "population must be a non-negative integer, got 10.5"),
+    ("GAConfig", "population", np.float64(50.0),
+     "population must be a non-negative integer, got "
+     + re.escape(repr(np.float64(50.0)))),
+    ("GAConfig", "stall_generations", True,
+     "stall_generations must be a non-negative integer, got True"),
+    ("GAConfig", "max_generations", 0,
+     "max_generations must be a positive integer, got 0"),
+    ("PSOConfig", "swarm", 0, "swarm must be a positive integer, got 0"),
+    ("PSOConfig", "swarm", 7.5, "swarm must be a non-negative integer, "
+     "got 7.5"),
+    ("PSOConfig", "max_iterations", "100",
+     "max_iterations must be a non-negative integer, got '100'"),
     ("PSOConfig", "tol", float("nan"), "tol must be finite, got nan"),
     ("Fidelity", "dt", True, "dt must be a number, got True"),
     ("Fidelity", "dt", float("nan"), "dt must be finite, got nan"),
@@ -234,6 +259,17 @@ _VALID_RECORDS = {
      r"phase a whole step each, got 1e\+300"),
     ("Fidelity", "dx", 70e-6,
      "dx=7e-05 is too large: half the channel pitch snaps to no voxels"),
+    ("SurrogateModel", "seed", 1.5, "seed must be a non-negative integer, "
+     "got 1.5"),
+    ("SurrogateModel", "seed", -1, "seed must be a non-negative integer, "
+     "got -1"),
+    ("SurrogateModel", "seed", True, "seed must be a non-negative integer, "
+     "got True"),
+    ("SurrogateModel", "target_name", 5, "target_name must be a string, "
+     "got 5"),
+    ("_ProblemFile", "objective", 5, "objective must be a string, got 5"),
+    ("_ProblemFile", "objective", None, "objective must be a string, "
+     "got None"),
 ])
 def test_every_record_checks_itself_when_built(record, key, value, message):
     valid = _VALID_RECORDS[record]
@@ -243,5 +279,75 @@ def test_every_record_checks_itself_when_built(record, key, value, message):
     with pytest.raises(ValueError, match=message):
         replace(valid, **{key: value})
     # the builders pass numpy scalars
-    scalar = np.bool_ if isinstance(getattr(valid, key), bool) else np.float64
+    scalar = {bool: np.bool_, int: np.int64, str: np.str_}.get(
+        type(getattr(valid, key)), np.float64)
     assert replace(valid, **{key: scalar(getattr(valid, key))}) == valid
+
+
+def _count_call(call, tmp_path):
+    """call's function, taking the argument under test as a keyword."""
+    x = np.linspace(0.0, 1.0, 12)
+    return {
+        "train_lm": lambda **kw: train_lm(
+            TrainingSet(x[:, None], x ** 2, ["x"], "f"), **kw),
+        "campaign": lambda **kw: studies.generate_training_data(
+            "geometry", **{"n": 2, **kw}, out_dir=tmp_path / "c",
+            fidelity=COARSE),
+        # at a step that does not divide the cycle, which is checked after
+        # snapshot_every
+        "simulate": lambda **kw: simulate(
+            Case(cell=UnitCellSpec(dx=COARSE.dx)), dt=0.03, **kw),
+        "repeat": lambda **kw: repeat_with_seeds(studies.problem_from_bounds(
+            {"x": (0.0, 1.0)}, "f", FunctionBackend(float)), "ga", **kw),
+    }[call]
+
+
+POSITIVE = "must be a positive integer, got"
+NON_NEGATIVE = "must be a non-negative integer, got"
+AT_LEAST_2 = "must be an integer of at least 2, got"
+_COUNT_ROWS = [
+    ("train_lm", "hidden", 2.5, f"hidden {POSITIVE} 2.5"),
+    ("train_lm", "hidden", True, f"hidden {POSITIVE} True"),
+    ("train_lm", "hidden", 0, f"hidden {POSITIVE} 0"),
+    ("train_lm", "max_epochs", 2.5, f"max_epochs {POSITIVE} 2.5"),
+    ("train_lm", "max_epochs", 0, f"max_epochs {POSITIVE} 0"),
+    ("train_lm", "patience", 1.5, f"patience {POSITIVE} 1.5"),
+    ("train_lm", "patience", 0, f"patience {POSITIVE} 0"),
+    ("train_lm", "seed", -1, f"seed {NON_NEGATIVE} -1"),
+    ("train_lm", "seed", 1.5, f"seed {NON_NEGATIVE} 1.5"),
+    ("train_lm", "seed", True, f"seed {NON_NEGATIVE} True"),
+    ("campaign", "n", 2.5, f"n {POSITIVE} 2.5"),
+    ("campaign", "n", True, f"n {POSITIVE} True"),
+    ("campaign", "n", 0, f"n {POSITIVE} 0"),
+    ("campaign", "seed", -1, f"seed {NON_NEGATIVE} -1"),
+    ("campaign", "seed", 1.5, f"seed {NON_NEGATIVE} 1.5"),
+    ("simulate", "snapshot_every", 0, f"snapshot_every {POSITIVE} 0"),
+    ("simulate", "snapshot_every", -1, f"snapshot_every {POSITIVE} -1"),
+    ("simulate", "snapshot_every", 2.5, f"snapshot_every {POSITIVE} 2.5"),
+    ("simulate", "snapshot_every", True, f"snapshot_every {POSITIVE} True"),
+    ("simulate", "snapshot_every", "40", f"snapshot_every {POSITIVE} '40'"),
+    # a numpy integer passes, on to the step check
+    ("simulate", "snapshot_every", np.int64(40), "dt must divide"),
+    ("repeat", "n_runs", 2.5, f"n_runs {AT_LEAST_2} 2.5"),
+    ("repeat", "n_runs", True, f"n_runs {AT_LEAST_2} True"),
+    ("repeat", "n_runs", 1, f"n_runs {AT_LEAST_2} 1"),
+]
+
+
+@pytest.mark.parametrize("call,key,value,message", _COUNT_ROWS,
+                         ids=[f"{c}-{k}-{v!r}" for c, k, v, _ in _COUNT_ROWS])
+def test_a_count_or_seed_argument_is_refused_by_name(
+        tmp_path, monkeypatch, call, key, value, message):
+    """A hidden or max_epochs that is not an integer died in range or in
+    numpy, a bool hidden in numpy, a fractional patience trained, and a
+    bad seed failed in numpy's words or trained; a fractional campaign
+    size died in numpy and a bool one ran. Each is refused naming the
+    argument, before any case runs or any file is written. snapshot_every
+    was refused so before and goes through the same rule now; a problem's
+    seed is checked in test_optimize.py."""
+    ran = []
+    monkeypatch.setattr(studies, "evaluate_cases",
+                        lambda *a, **kw: ran.append(a))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _count_call(call, tmp_path)(**{key: value})
+    assert ran == [] and not any(tmp_path.iterdir())

@@ -221,7 +221,8 @@ def test_repeat_with_seeds_summary():
     v = s["verified_objective"]
     assert v["min"] <= v["mean"] <= v["max"]
     assert set(s["parameters"]) == {"x0", "x1"}
-    with pytest.raises(ValueError, match="n_runs must be at least 2, got 1"):
+    with pytest.raises(ValueError,
+                       match="n_runs must be an integer of at least 2, got 1"):
         repeat_with_seeds(problem, "ga", n_runs=1)
     # only a seeded search repeats; a sweep would give one answer n times
     for strategy in ("annealing", "sweep"):
@@ -235,10 +236,10 @@ def test_ga_config_validation():
     for population in (1, 2):
         with pytest.raises(ValueError, match="elite"):
             GAConfig(population=population)
-    for bad in (dict(population=0), dict(stall_generations=0),
-                dict(max_generations=0)):
-        with pytest.raises(ValueError, match=">= 1"):
-            GAConfig(**bad)
+    for name in ("population", "stall_generations", "max_generations"):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be a positive integer, got 0"):
+            GAConfig(**{name: 0})
     GAConfig(population=3)
 
 
@@ -318,7 +319,7 @@ def test_a_bad_seed_is_refused_when_built(seed):
 def test_check_repeats_refuses_a_count_that_is_not_an_integer(n_runs):
     """2.5 passed, and repeat_with_seeds then died in range with a
     TypeError; a numpy integer passes."""
-    message = f"n_runs must be an integer, got {n_runs!r}"
+    message = f"n_runs must be an integer of at least 2, got {n_runs!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         check_repeats(n_runs, ["ga"])
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,5 +1,4 @@
 import os
-import re
 import subprocess
 import sys
 import time
@@ -253,18 +252,6 @@ def test_dt_must_divide_the_cycle():
     for dt in (0.03, 0.2, 0.0, -0.025, 1e300, float("inf")):
         with pytest.raises(ValueError, match="dt"):
             simulate(Case(cell=COARSE_CELL), dt=dt)
-
-
-def test_snapshot_every_must_be_a_positive_integer():
-    # 0 took no snapshot, -1 one per step and 2.5 every fifth step
-    for every in (0, -1, 2.5, True, "40"):
-        message = f"snapshot_every must be a positive integer, got {every!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            simulate(Case(cell=COARSE_CELL), dt=COARSE.dt,
-                     snapshot_every=every)
-    # any integer type, before the step is checked
-    with pytest.raises(ValueError, match="dt must divide"):
-        simulate(Case(cell=COARSE_CELL), dt=0.03, snapshot_every=np.int64(40))
 
 
 def test_snapshots_have_field_shapes():

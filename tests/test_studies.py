@@ -675,13 +675,14 @@ def test_resampling_backend_fresh_retrains(monkeypatch):
     assert len(trained) == 3
 
 
-@pytest.mark.parametrize("size,why", [
-    (5, "is not from 10 to 30, the pool's rows"),
-    (-3, "is not from 10 to 30, the pool's rows"),
-    (40, "is not from 10 to 30, the pool's rows"),
-    (20.5, "is not an integer")], ids=["5", "-3", "40", "20.5"])
+@pytest.mark.parametrize("size,refused", [
+    (5, "training-set size 5 is not from 10 to 30, the pool's rows"),
+    (-3, "training-set size must be a non-negative integer, got -3"),
+    (40, "training-set size 40 is not from 10 to 30, the pool's rows"),
+    (20.5, "training-set size must be a non-negative integer, got 20.5")],
+    ids=["5", "-3", "40", "20.5"])
 def test_a_resampling_backend_refuses_an_untrainable_size_before_training(
-        monkeypatch, size, why):
+        monkeypatch, size, refused):
     """A size below train_lm's minimum, below zero or beyond the pool is
     refused by check_sizes' rule, naming the size and the pool, and so is
     a size that is not an integer (which died in numpy's choice), before a
@@ -689,8 +690,7 @@ def test_a_resampling_backend_refuses_an_untrainable_size_before_training(
     trained = []
     monkeypatch.setattr(studies, "train_lm",
                         lambda *a, **kw: trained.append(a))
-    with pytest.raises(ValueError, match=re.escape(
-            f"training-set size {size} {why}")):
+    with pytest.raises(ValueError, match=re.escape(refused)):
         ResamplingSurrogateBackend(synthetic_pool(30), size,
                                    FunctionBackend(float, **T_OSC_VERIFIER))
     assert trained == []
@@ -878,11 +878,12 @@ def test_ablation_refuses_a_set_of_other_columns_before_training(
     ((40, 61), 2,
      "training-set size 61 is not from 10 to 60, the pool's rows"),
     ((40, 40), 2, "training-set size 40 is given more than once"),
-    ((40,), 1, "repeats must be at least 2, got 1"),
-    ((40,), 0, "repeats must be at least 2, got 0"),
-    ((40,), -2, "repeats must be at least 2, got -2"),
-    ((40, 40.5), 2, "training-set size 40.5 is not an integer"),
-    ((40,), 2.5, "repeats must be an integer, got 2.5"),
+    ((40,), 1, "repeats must be an integer of at least 2, got 1"),
+    ((40,), 0, "repeats must be an integer of at least 2, got 0"),
+    ((40,), -2, "repeats must be an integer of at least 2, got -2"),
+    ((40, 40.5), 2,
+     "training-set size must be a non-negative integer, got 40.5"),
+    ((40,), 2.5, "repeats must be an integer of at least 2, got 2.5"),
     ((), 2, "no training-set size is given")],
     ids=["9", "61", "repeated_size", "repeats_1", "repeats_0", "repeats_-2",
          "size_40.5", "repeats_2.5", "no_size"])
