@@ -157,11 +157,6 @@ def _load_problem(args):
         problem = studies.problem_from_bounds(
             spec.bounds, spec.objective, verifier, seed=args.seed,
             steps=spec.steps)
-        # with the names and the bounds refused above, both corners' cases
-        # refuse what only a case shows, such as a channel that no mesh or
-        # device layer holds, before the points beyond it score +inf
-        for corner in (problem.lower.tolist(), problem.upper.tolist()):
-            verifier.case_builder(dict(zip(problem.names, corner)))
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from e
     if model_file:

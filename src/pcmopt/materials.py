@@ -16,16 +16,23 @@ def check_field_types(record) -> None:
     does not fit its annotation: a float field holding anything but a real
     number (a str, a bool, a list or None), or NaN or an infinity, an int
     field anything but a non-negative integer (check_count), a str field
-    anything but a str, a bool field anything but a bool, or a dict field
-    anything but a dict. numpy scalars of the field's kind pass, and so
-    does None where the annotation allows it. Each record's __post_init__ calls this before it
-    checks any value."""
+    anything but a str, a list[str] field an element that is not a str
+    (named by its index, as names[1]), a bool field anything but a bool,
+    or a dict field anything but a dict. numpy scalars of the field's kind
+    pass, and so does None where the annotation allows it. Each record's
+    __post_init__ calls this before it checks any value, but
+    OptimizationProblem calls it after its bounds and steps checks."""
     for f in fields(record):
         value = getattr(record, f.name)
         if f.type == "bool" and not isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{f.name} must be a bool, got {value!r}")
         if f.type == "str" and not isinstance(value, str):
             raise ValueError(f"{f.name} must be a string, got {value!r}")
+        if f.type == "list[str]":
+            for i, item in enumerate(value):
+                if not isinstance(item, str):
+                    raise ValueError(
+                        f"{f.name}[{i}] must be a string, got {item!r}")
         if value is None and f.type.endswith("None"):
             continue
         if f.type.startswith("dict") and not isinstance(value, dict):

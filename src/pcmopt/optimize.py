@@ -87,7 +87,7 @@ class OptimizationProblem:
             check_number(f"{name}: grid step", step)
             if step <= 0:
                 raise ValueError(f"{name}: grid step must be positive")
-        check_count("seed", self.seed, 0)
+        check_field_types(self)
 
     @property
     def names(self) -> list[str]:

@@ -20,6 +20,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -115,15 +116,16 @@ class ThermalHistory:
     # settled cycle, or cycles run if unsettled (see simulate)
     quasi_steady_cycle: int | None = None
     converged: bool = False
-    # global |in - out - stored| over its scale (_Integrator.energy_residual)
+    # global |in - out - stored| over its scale (see _cycles)
     energy_residual: float = 0.0
     worst_step_residual: float = 0.0  # largest per-step relative residual
     n_factorizations: int = 0  # system-matrix factorizations in the run
     # wall seconds per phase, keyed by PHASES: mesh and network assembly;
     # the melt-fraction test, capacitance update and band rebuild; the
-    # factorizations, the first with its band build; right-hand side and
-    # triangular solves; the enthalpy correction; and the rest (stepper
-    # set-up, energy balance, history and cycle-end reductions, settle test)
+    # factorizations, the first with the _System set-up that builds its
+    # band; right-hand side and triangular solves; the enthalpy
+    # correction; and the rest (the step loop's other set-up, energy
+    # balance, history and cycle-end reductions, settle test)
     phase_s: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)  # (t, T field, phi field)
 
@@ -163,27 +165,37 @@ def _factor_band(band: np.ndarray) -> np.ndarray:
     return chol
 
 
-class _TrailingCholesky:
-    """Banded Cholesky factor U (A = U^T U) of a network's C/dt + G, whose
-    leading block of columns [0, melt_block_start) never changes.
+class _System:
+    """C/dt + G of a network at step dt and its banded Cholesky factor
+    chol = U (A = U^T U), built and factored with every PCM node solid.
+    G and C depend on state only through the melt fractions, and only in
+    the trailing columns [melt_block_start, n), so a rebuild rewrites and
+    refactors just those (tail, a view of chol).
 
     With A = [[A11, A12], [A12^T, A22]] and U = [[U11, U12], [0, U22]],
     U11 and U12 depend only on A11 and A12, and U22 is the factor of
     A22 - U12^T U12. The band couples only nx rows across the split, so
     S = U12^T U12 fills just the first nx columns of the trailing block.
-
-    Construction factors the full band with every PCM node solid. It keeps
-    the trailing base: the fixed (phi-independent) part of A's trailing
+    The trailing base is the fixed (phi-independent) part of A's trailing
     columns with S subtracted in the block, and U12 in the slots above it.
-    A rebuild copies the base into the stored factor's trailing columns
-    (load_base), adds the phi-dependent entries there, and refactor()
-    factors them in place.
+    rebuild(phi) copies the base into tail and adds the phi-dependent
+    entries there, and refactor() factors them in place.
+
+    C and C_dt hold each node's C and C/dt at the last build, those of
+    the PCM nodes kept in work; floor is the balance floor at that build.
     """
 
-    def __init__(self, net: NetworkModel, C_dt: np.ndarray):
-        """C_dt is C/dt per node, that of the PCM nodes at phi = 0."""
-        band = net.conductance_matrix(np.zeros(net.pcm_nodes.size))
-        band[-1] += C_dt
+    def __init__(self, net: NetworkModel, dt: float):
+        self.net = net
+        solid = np.zeros(net.pcm_nodes.size)
+        self.work = work = net.melt_work(dt)
+        np.copyto(work.C, net.capacitance(solid))
+        np.divide(work.C, work.dt, out=work.C_dt)
+        self.C = net.solid_capacitance.copy()
+        self.C_dt = self.C / dt
+        self._built()
+        band = net.conductance_matrix(solid)
+        band[-1] += self.C_dt
         start = net.melt_block_start
         self.chol = _factor_band(band)
         self.tail = self.chol[:, start:]
@@ -200,128 +212,94 @@ class _TrailingCholesky:
         U12[(c + r)[above], c[above]] = head[above]
         S = U12.T @ U12
         self._base = net.fixed_band[:, start:].copy(order="F")
-        self._base[-1] += np.where(net.is_pcm, 0.0, C_dt)[start:]
+        self._base[-1] += np.where(net.is_pcm, 0.0, self.C_dt)[start:]
         base_head = self._base[:, :w]
         base_head[~above] -= S[(c - kd + r)[~above], c[~above]]
         base_head[above] = head[above]
 
-    def load_base(self) -> np.ndarray:
-        """Reset the trailing columns of the factor to the base; returns
-        them for the phi-dependent entries to be added."""
+    def _built(self) -> None:
+        """Copy the PCM nodes' C and C/dt from work after a build."""
+        idx = self.net.pcm_nodes
+        self.C[idx] = self.work.C
+        self.C_dt[idx] = self.work.C_dt
+        # floor of the per-step balance scale: the energy of a uniform
+        # millikelvin change, so a quiescent step is not judged by roundoff
+        self.floor = 1e-3 * float(np.add.reduce(self.C))
+
+    def rebuild(self, phi: np.ndarray) -> np.ndarray:
+        """Write C/dt + G at melt fractions phi into tail, which it
+        returns for refactor()."""
         self.tail[...] = self._base
+        self.net.conductance_matrix(phi, self.tail, self.work)
+        self._built()
         return self.tail
 
     def refactor(self) -> None:
-        """Factor the trailing columns in place after load_base()."""
+        """Factor tail in place after rebuild()."""
         if self.tail.size and _factor_band(self.tail) is not self.tail:
             raise RuntimeError("dpbtrf copied the trailing block")
 
 
-class _Integrator:
-    """Backward-Euler stepper over the state T, phi and stored latent energy.
+def _cycles(net: NetworkModel, dt: float, q_flux: float, steps_on: int,
+            t_rows: np.ndarray, T_rows: np.ndarray, phi_rows: np.ndarray,
+            phase_s: dict):
+    """Backward-Euler step loop over the state T, phi and stored latent
+    energy, from ambient with every PCM node solid.
 
-    Construction factors C/dt + G with every PCM node solid. The factor is
-    rebuilt only when the melt-fraction field has moved since the last
-    build, since G and C depend on state only through phi, and then only
-    in its trailing block (see _TrailingCholesky). Each cycle adds its
-    energy terms to the run totals and its wall time to phase_s; simulate
-    fills in the assemble and bookkeeping phases.
+    The first next() factors the system (see _System) before its first
+    step; a step rebuilds and refactors it only when the melt-fraction
+    field has moved since the last build. Each next() advances
+    len(t_rows) steps, the source on for the first steps_on: step k writes
+    its end time to t_rows[k], its temperatures to T_rows[k] and its melt
+    fractions to phi_rows[k]. It then sets the rebuild, factor, solve and
+    enthalpy wall times of the run so far in phase_s, and yields the
+    run's energy residual (|in - out - stored| relative to its largest
+    term or, if larger, to the sum of its steps' floors: each step may
+    leave roundoff in proportion to its own), its worst per-step residual
+    and its factorization count.
     """
-
-    def __init__(self, network: NetworkModel, dt: float, q_flux: float):
-        net = network
-        self.net = net
-        self.dt = dt
-        self.t = 0.0
-        self.T = np.full(net.n_nodes, T_AMB_C)
-        self._pcm_idx = idx = net.pcm_nodes
-        self._melts = idx.size > 0
-        self.phi = np.zeros(idx.size)
-        self.latent = np.zeros(idx.size)  # absorbed latent, J
-        # per-PCM-node constants: array operands are cheaper than floats
-        self._latent_cap = net.latent_capacity
-        self._T_m = np.full(idx.size, net.pcm.T_m)
-        self._zero = np.zeros(idx.size)
-        self._rebuild_tol = np.full(idx.size, REBUILD_TOL)
-        # C and C/dt per node, those of the PCM nodes kept in _work by
-        # each rebuild
-        self._work = work = net.melt_work(dt)
-        np.copyto(work.C, net.capacitance(self.phi))
-        np.divide(work.C, work.dt, out=work.C_dt)
-        self._C = net.solid_capacitance.copy()
-        self._C_dt = self._C / dt
-        self._built()
-        # right-hand side and interface power of the on and off phases
-        self._b_off = net.ambient_vector()
-        self._b_on = net.source_vector(q_flux) + self._b_off
-        self._power_on = q_flux * net.width  # W (unit depth)
-        self._conv_nodes = net.conv_nodes
-        self._conv_G = net.conv_G
-        self._conv_G_T_amb = float(np.sum(net.conv_G)) * T_AMB_C
-        # run totals; e_floor sums the steps' balance floors
-        self.e_in = self.e_out = self.e_stored = self.e_floor = 0.0
-        self.worst_residual = 0.0
-        self.phase_s = dict.fromkeys(PHASES, 0.0)
-        t0 = time.perf_counter()
-        self._factor = _TrailingCholesky(net, self._C_dt)
-        self.phase_s["factor"] = time.perf_counter() - t0
-        self.n_factorizations = 1
-
-    def _built(self) -> None:
-        """Copy the PCM nodes' C and C/dt from _work after a build at the
-        current phi."""
-        idx = self._pcm_idx
-        self._C[idx] = self._work.C
-        self._C_dt[idx] = self._work.C_dt
-        # floor of the per-step balance scale: the energy of a uniform
-        # millikelvin change, so a quiescent step is not judged by roundoff
-        self._scale_floor = 1e-3 * float(np.add.reduce(self._C))
-        self._phi_at_build = self.phi  # a step replaces phi, never writes it
-
-    def _rebuild(self) -> np.ndarray:
-        """C/dt + G at the current phi, written into the trailing columns
-        of the factor, which it returns (see _TrailingCholesky)."""
-        tail = self.net.conductance_matrix(
-            self.phi, self._factor.load_base(), self._work)
-        self._built()
-        return tail
-
-    def cycle(self, steps_on: int, t_rows: np.ndarray, T_rows: np.ndarray,
-              phi_rows: np.ndarray) -> None:
-        """Advance len(t_rows) steps, the source on for the first
-        steps_on. Step k writes its end time to t_rows[k], its temperatures
-        to T_rows[k] and its melt fractions to phi_rows[k]."""
-        clock = time.perf_counter
-        count_nonzero, absolute = np.count_nonzero, np.abs
-        minimum, maximum = np.minimum, np.maximum
-        add_reduce, dot, isfinite = np.add.reduce, np.dot, math.isfinite
-        solve = dpbtrs  # looked up per cycle, so it can be replaced
-        rebuild, refactor = self._rebuild, self._factor.refactor
-        chol = self._factor.chol
-        ldab = chol.shape[0]
-        melts, idx, tol = self._melts, self._pcm_idx, self._rebuild_tol
-        T_m, zero, cap = self._T_m, self._zero, self._latent_cap
-        C, C_dt, Cp = self._C, self._C_dt, self._work.C
-        b_on, b_off = self._b_on, self._b_off
-        conv_nodes, conv_G = self._conv_nodes, self._conv_G
-        conv_G_T_amb = self._conv_G_T_amb
-        dt = self.dt
-        e_on = self._power_on * dt
-        T, phi, latent = self.T, self.phi, self.latent
-        phi_built, floor = self._phi_at_build, self._scale_floor
-        now, worst = self.t, self.worst_residual
-        total_in, total_out = self.e_in, self.e_out
-        stored, floors = self.e_stored, self.e_floor
-        factorizations = 0
-        s_rebuild = s_factor = s_solve = s_enthalpy = 0.0
+    clock = time.perf_counter
+    t0 = clock()
+    system = _System(net, dt)
+    s_factor = clock() - t0
+    s_rebuild = s_solve = s_enthalpy = 0.0
+    factorizations = 1
+    count_nonzero, absolute = np.count_nonzero, np.abs
+    minimum, maximum = np.minimum, np.maximum
+    add_reduce, dot, isfinite = np.add.reduce, np.dot, math.isfinite
+    solve = dpbtrs  # looked up per run, so it can be replaced
+    rebuild, refactor = system.rebuild, system.refactor
+    chol = system.chol
+    ldab = chol.shape[0]
+    idx = net.pcm_nodes
+    melts = idx.size > 0
+    # per-PCM-node constants: array operands are cheaper than floats
+    tol = np.full(idx.size, REBUILD_TOL)
+    T_m = np.full(idx.size, net.pcm.T_m)
+    zero = np.zeros(idx.size)
+    cap = net.latent_capacity
+    C, C_dt, Cp = system.C, system.C_dt, system.work.C
+    # right-hand side and interface energy of the on and off phases
+    b_off = net.ambient_vector()
+    b_on = net.source_vector(q_flux) + b_off
+    e_on = q_flux * net.width * dt  # J (unit depth)
+    conv_nodes, conv_G = net.conv_nodes, net.conv_G
+    conv_G_T_amb = float(np.sum(conv_G)) * T_AMB_C
+    T = np.full(net.n_nodes, T_AMB_C)
+    # a step replaces phi, never writes it
+    phi = phi_built = np.zeros(idx.size)
+    latent = np.zeros(idx.size)  # absorbed latent, J
+    floor = system.floor
+    # run totals; floors sums the steps' balance floors
+    now = worst = total_in = total_out = stored = floors = 0.0
+    while True:
         for k in range(t_rows.size):
             heating = k < steps_on
             t0 = clock()
             moved = melts and count_nonzero(absolute(phi - phi_built) > tol)
             if moved:
-                self.phi = phi
-                rebuild()
-                phi_built, floor = phi, self._scale_floor
+                rebuild(phi)
+                phi_built, floor = phi, system.floor
             t1 = clock()
             s_rebuild += t1 - t0
             if moved:
@@ -373,24 +351,11 @@ class _Integrator:
             t_rows[k] = now
             T_rows[k] = T
             phi_rows[k] = phi
-        self.T, self.phi, self.latent, self.t = T, phi, latent, now
-        self.e_in, self.e_out, self.e_stored = total_in, total_out, stored
-        self.e_floor = floors
-        self.worst_residual = worst
-        self.n_factorizations += factorizations
-        phase = self.phase_s
-        phase["rebuild"] += s_rebuild
-        phase["factor"] += s_factor
-        phase["solve"] += s_solve
-        phase["enthalpy"] += s_enthalpy
-
-    def energy_residual(self) -> float:
-        """The run's global |in - out - stored|, relative to its largest
-        energy term or, if larger, to the sum of its steps' floors: each
-        step may leave roundoff in proportion to its own."""
-        scale = max(abs(self.e_in), abs(self.e_out), abs(self.e_stored),
-                    self.e_floor)
-        return abs(self.e_in - self.e_out - self.e_stored) / scale
+        phase_s.update(rebuild=s_rebuild, factor=s_factor, solve=s_solve,
+                       enthalpy=s_enthalpy)
+        scale = max(abs(total_in), abs(total_out), abs(stored), floors)
+        yield (abs(total_in - total_out - stored) / scale, worst,
+               factorizations)
 
 
 def settled(extrema: list[tuple[float, float]], tol: float) -> bool:
@@ -484,10 +449,12 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
     extrema = []  # (max, min) of each cycle's T_max trace
     converged = False
 
+    phase_s = dict.fromkeys(PHASES, 0.0)
     with _one_blas_thread():
-        stepper = _Integrator(net, dt, power.q0)
-        for cycle in range(n_cycles):
-            stepper.cycle(steps_on, t_cycle, T_cycle, phi_cycle)
+        stepper = _cycles(net, dt, power.q0, steps_on, t_cycle, T_cycle,
+                          phi_cycle, phase_s)
+        for cycle, (residual, worst_residual, n_factorizations) in enumerate(
+                islice(stepper, n_cycles)):
             times.append(t_cycle.copy())
             if snapshot_every:
                 # the fields after every snapshot_every-th step of the run
@@ -505,13 +472,11 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
                 break
     t_end = time.perf_counter()
 
-    worst_residual = stepper.worst_residual
     if worst_residual > MAX_STEP_RESIDUAL:
         raise SolverDivergence(
             f"per-step energy residual {worst_residual:.3e} exceeds "
             f"{MAX_STEP_RESIDUAL:.1e}")
 
-    phase_s = stepper.phase_s
     phase_s["bookkeeping"] = t_end - t_loop - sum(phase_s.values())
     phase_s["assemble"] = t_loop - t_start
 
@@ -522,9 +487,9 @@ def simulate(case: Case, dt: float = DEFAULT_DT,
         dt=dt,
         quasi_steady_cycle=len(extrema) - 2 if converged else len(extrema),
         converged=converged,
-        energy_residual=stepper.energy_residual(),
+        energy_residual=residual,
         worst_step_residual=worst_residual,
-        n_factorizations=stepper.n_factorizations,
+        n_factorizations=n_factorizations,
         phase_s=phase_s,
         snapshots=snapshots,
     )

@@ -309,12 +309,14 @@ class ResamplingSurrogateBackend(SurrogateBackend):
     """Surrogate trained on `size` rows of pool drawn without replacement
     by seed, a size check_sizes allows from a pool whose columns
     check_columns allows. fresh(seed) builds a new backend the first time
-    it sees a seed and returns that one after: one network per seed."""
+    it sees a seed and returns that one after: one network per seed. Both
+    refuse a seed the count rule refuses before anything is drawn."""
 
     def __init__(self, pool: TrainingSet, size: int, verifier: Backend,
                  seed: int = 0, **train_kwargs):
         check_columns("pool", pool, verifier.objective, verifier.input_names)
         check_sizes([size], pool)
+        check_count("seed", seed, 0)
         self.pool = pool
         self.size = size
         self.train_kwargs = train_kwargs
@@ -325,6 +327,7 @@ class ResamplingSurrogateBackend(SurrogateBackend):
         self._built = {seed: self}
 
     def fresh(self, seed: int) -> "ResamplingSurrogateBackend":
+        check_count("seed", seed, 0)  # before True finds the seed-1 network
         if seed not in self._built:
             self._built[seed] = ResamplingSurrogateBackend(
                 self.pool, self.size, self.verifier, seed=seed,
@@ -339,12 +342,20 @@ def problem_from_bounds(bounds: dict, objective: str, backend: Backend,
     backend. A backend, or its verifier, that names its objective (as a
     SimulatorBackend and a surrogate's verifier do) must pass check_columns
     for it, since it reads a point's values by its own names; one that names
-    nothing is taken as it is."""
+    nothing is taken as it is. One that builds cases (a case_builder, as a
+    SimulatorBackend has) builds both corners of the bounds, so what only a
+    case shows, such as a channel that no mesh or device layer holds, is
+    refused here rather than scoring the points beyond it +inf."""
     for what, named in (("backend", backend), ("verifier", backend.verifier)):
         if getattr(named, "objective", None) is not None:
             check_columns(what, named, objective, bounds)
-    return OptimizationProblem(bounds, objective, backend, seed=seed,
-                               steps=steps or {})
+    problem = OptimizationProblem(bounds, objective, backend, seed=seed,
+                                  steps=steps or {})
+    for named in (backend, backend.verifier):
+        if hasattr(named, "case_builder"):
+            for corner in (problem.lower.tolist(), problem.upper.tolist()):
+                named.case_builder(dict(zip(problem.names, corner)))
+    return problem
 
 
 # ---------------------------------------------------------------------------

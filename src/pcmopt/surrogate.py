@@ -44,6 +44,7 @@ class TrainingSet:
     target_name: str
 
     def __post_init__(self):
+        check_field_types(self)
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         self.y = np.asarray(self.y, dtype=float).ravel()
         if self.X.shape[0] != self.y.size:
@@ -134,6 +135,8 @@ class SurrogateModel:
 
     def __post_init__(self):
         check_field_types(self)
+        for i, width in enumerate(self.hidden):
+            check_count(f"hidden[{i}]", width, 1)
         n, h = len(self.input_names), self.hidden  # h: the one layer's width
         shapes = {"W1": (*h, n), "b1": (*h,), "W2": (1, *h), "b2": (1,),
                   "in_min": (n,), "in_max": (n,)}

@@ -13,7 +13,8 @@ from pcmopt.materials import (Material, PCM_NAMES, UnknownMaterialError,
                               write_json)
 from pcmopt.network import assemble_network
 from pcmopt import studies
-from pcmopt.optimize import GAConfig, PSOConfig, repeat_with_seeds
+from pcmopt.optimize import (GAConfig, OptimizationProblem, PSOConfig,
+                             repeat_with_seeds)
 from pcmopt.solver import COARSE, simulate
 from pcmopt.surrogate import SurrogateModel, TrainingSet, train_lm
 
@@ -209,6 +210,10 @@ _VALID_RECORDS = {
         in_max=[1.0], out_min=0.0, out_max=1.0, target_name="T_osc_C",
         seed=0),
     "_ProblemFile": _ProblemFile(bounds={"H_um": [20.0, 100.0]}),
+    "TrainingSet": TrainingSet(np.array([[0.5]]), np.array([1.0]), ["x"],
+                               "f"),
+    "OptimizationProblem": OptimizationProblem(
+        {"x": (0.0, 1.0)}, "f", FunctionBackend(float)),
 }
 
 
@@ -270,6 +275,18 @@ _VALID_RECORDS = {
     ("_ProblemFile", "objective", 5, "objective must be a string, got 5"),
     ("_ProblemFile", "objective", None, "objective must be a string, "
      "got None"),
+    ("SurrogateModel", "hidden", [True],
+     r"hidden\[0\] must be a positive integer, got True"),
+    ("SurrogateModel", "hidden", [1.0],
+     r"hidden\[0\] must be a positive integer, got 1\.0"),
+    ("SurrogateModel", "input_names", [1],
+     r"input_names\[0\] must be a string, got 1"),
+    ("TrainingSet", "target_name", None, "target_name must be a string, "
+     "got None"),
+    ("TrainingSet", "input_names", [1],
+     r"input_names\[0\] must be a string, got 1"),
+    ("OptimizationProblem", "objective", 5, "objective must be a string, "
+     "got 5"),
 ])
 def test_every_record_checks_itself_when_built(record, key, value, message):
     valid = _VALID_RECORDS[record]
@@ -278,10 +295,14 @@ def test_every_record_checks_itself_when_built(record, key, value, message):
         kind(**{**asdict(valid), key: value})
     with pytest.raises(ValueError, match=message):
         replace(valid, **{key: value})
-    # the builders pass numpy scalars
-    scalar = {bool: np.bool_, int: np.int64, str: np.str_}.get(
-        type(getattr(valid, key)), np.float64)
-    assert replace(valid, **{key: scalar(getattr(valid, key))}) == valid
+    # the builders pass numpy scalars, also as a list's elements
+    def as_numpy(value):
+        if isinstance(value, list):
+            return [as_numpy(item) for item in value]
+        return {bool: np.bool_, int: np.int64, str: np.str_}.get(
+            type(value), np.float64)(value)
+
+    assert replace(valid, **{key: as_numpy(getattr(valid, key))}) == valid
 
 
 def _count_call(call, tmp_path):

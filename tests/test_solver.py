@@ -16,8 +16,9 @@ from pcmopt import network, solver
 from pcmopt.network import NetworkModel
 import pcmopt
 from pcmopt.solver import (COARSE, MAX_STEP_RESIDUAL, PHASES,
-                           QUASI_STEADY_TOL, SolverDivergence, _factor_band,
-                           _Integrator, build_case_network, simulate)
+                           QUASI_STEADY_TOL, SolverDivergence, _cycles,
+                           _factor_band, _System, build_case_network,
+                           simulate)
 from pcmopt.studies import property_case
 
 from helpers import steady_state
@@ -274,14 +275,14 @@ def system_band(net, phi, dt=0.01):
 
 
 def first_factorization(net, dt=0.01):
-    """A freshly built integrator, factored at all-solid phi, and the U12
+    """A freshly built system, factored at all-solid phi, and the U12
     slots of its factor: the band slots of the first trailing columns that
     hold rows above the block."""
-    stepper = _Integrator(net, dt, 0.0)
-    chol, start = stepper._factor.chol, net.melt_block_start
+    system = _System(net, dt)
+    chol, start = system.chol, net.melt_block_start
     kd = chol.shape[0] - 1
     r, c = np.indices(chol[:, start:start + kd].shape)
-    return stepper, r < kd - c
+    return system, r < kd - c
 
 
 @pytest.mark.parametrize("cell", [
@@ -293,16 +294,15 @@ def test_trailing_refactor_matches_full_factorization(cell):
     _, net = build_case_network(Case(cell=cell))
     n_pcm = net.pcm_nodes.size
     start = net.melt_block_start
-    stepper, above = first_factorization(net)
-    chol = stepper._factor.chol
+    system, above = first_factorization(net)
+    chol = system.chol
     kd = chol.shape[0] - 1
     u12 = chol[:, start:start + kd][above].copy()
     b = np.random.default_rng(0).uniform(1.0, 2.0, net.n_nodes)
     for phi in (np.linspace(0.0, 1.0, n_pcm), np.ones(n_pcm)):
-        stepper.phi = phi
-        stepper._rebuild()
-        stepper._factor.refactor()
-        assert stepper._factor.chol is chol
+        system.rebuild(phi)
+        system.refactor()
+        assert system.chol is chol
         assert np.array_equal(chol[:, start:start + kd][above], u12)
         x, _ = dpbtrs(chol, b)
         expect, _ = dpbtrs(_factor_band(system_band(net, phi)), b)
@@ -319,8 +319,8 @@ def test_rebuild_writes_the_full_path_trailing_block(cell):
     _, net = build_case_network(Case(cell=cell))
     n_pcm = net.pcm_nodes.size
     start = net.melt_block_start
-    stepper, above = first_factorization(net)
-    chol = stepper._factor.chol
+    system, above = first_factorization(net)
+    chol = system.chol
     kd, w = above.shape[0] - 1, above.shape[1]
     u12 = chol[:, start:start + w][above].copy()
     # S from U12 (rows start - kd .. start - 1), dense
@@ -329,8 +329,7 @@ def test_rebuild_writes_the_full_path_trailing_block(cell):
     U12[(c + r)[above], c[above]] = u12
     S = U12.T @ U12
     for phi in (np.linspace(0.0, 1.0, n_pcm), np.ones(n_pcm)):
-        stepper.phi = phi
-        tail = stepper._rebuild()
+        tail = system.rebuild(phi)
         assert tail.shape == (kd + 1, net.n_nodes - start)
         assert np.shares_memory(tail, chol)
         expect = system_band(net, phi)[:, start:]
@@ -340,26 +339,35 @@ def test_rebuild_writes_the_full_path_trailing_block(cell):
         assert np.array_equal(tail[:-1], expect[:-1])
         assert np.max(np.abs(tail[-1] - expect[-1])
                       / np.abs(expect[-1])) <= 1e-13
-        stepper._factor.refactor()
-        assert stepper._factor.chol is chol
+        system.refactor()
+        assert system.chol is chol
         assert np.array_equal(chol[:, start:start + w][above], u12)
 
 
 def test_integrator_is_factored_when_built(monkeypatch):
+    """Setting up the step loop builds the system once and factors it
+    once, and the first step solves with that factor."""
     calls = []
-    build = NetworkModel.conductance_matrix
-    monkeypatch.setattr(NetworkModel, "conductance_matrix",
-                        lambda net, *a: calls.append(a) or build(net, *a))
+    build, factor = NetworkModel.conductance_matrix, solver.dpbtrf
+    monkeypatch.setattr(
+        NetworkModel, "conductance_matrix",
+        lambda net, *a: calls.append("build") or build(net, *a))
+    monkeypatch.setattr(solver, "dpbtrf",
+                        lambda *a: calls.append("factor") or factor(*a))
     _, net = build_case_network(Case(cell=COARSE_CELL))
-    stepper = _Integrator(net, COARSE.dt, 100e3)
-    assert stepper.n_factorizations == 1
-    assert len(calls) == 1
-    assert stepper.phase_s["factor"] > 0.0
-    # the first step solves with that factor: nothing has melted yet
-    stepper.cycle(1, np.empty(1), np.empty((1, net.n_nodes)),
-                  np.empty((1, net.pcm_nodes.size)))
-    assert stepper.n_factorizations == 1
-    assert len(calls) == 1
+    _System(net, COARSE.dt)
+    assert calls == ["build", "factor"]
+    calls.clear()
+    phase_s = {}
+    steps = _cycles(net, COARSE.dt, 100e3, 1, np.empty(1),
+                    np.empty((1, net.n_nodes)),
+                    np.empty((1, net.pcm_nodes.size)), phase_s)
+    assert not calls  # the first next() sets it up
+    # nothing has melted before the first step, so it needs no rebuild
+    _, _, n_factorizations = next(steps)
+    assert n_factorizations == 1
+    assert calls == ["build", "factor"]
+    assert phase_s["factor"] > 0.0
 
 
 def test_one_matrix_build_per_factorization(monkeypatch):

@@ -27,7 +27,8 @@ from pcmopt.studies import (GEOMETRY_BOUNDS, PROPERTY_BOUNDS,
                             geometry_case, problem_from_bounds, property_case,
                             run_ablation, run_pcm_comparison, run_tm_study,
                             sensitivity, simulator)
-from pcmopt.surrogate import TrainingSet, predict, r_squared, train_lm
+from pcmopt.surrogate import (SurrogateModel, TrainingSet, predict,
+                              r_squared, train_lm)
 
 from helpers import FunctionBackend
 
@@ -694,6 +695,45 @@ def test_a_resampling_backend_refuses_an_untrainable_size_before_training(
         ResamplingSurrogateBackend(synthetic_pool(30), size,
                                    FunctionBackend(float, **T_OSC_VERIFIER))
     assert trained == []
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["-1", "1.5", "True"])
+def test_a_resampling_backend_refuses_a_seed_that_is_not_a_count(
+        monkeypatch, seed):
+    """A seed below 0 or not an integer, given when the backend is built or
+    to fresh, is refused by name before rows are drawn or a network
+    trains: -1 died in numpy's draw, 1.5 in its SeedSequence, and
+    fresh(True) returned the seed-1 network."""
+    pool = synthetic_pool(30)
+    verifier = FunctionBackend(float, **T_OSC_VERIFIER)
+    backend = ResamplingSurrogateBackend(pool, 20, verifier, seed=1,
+                                         max_epochs=5)
+    trained = []
+    monkeypatch.setattr(studies, "train_lm",
+                        lambda *a, **kw: trained.append(a))
+    refused = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(ValueError, match=refused):
+        ResamplingSurrogateBackend(pool, 20, verifier, seed=seed)
+    with pytest.raises(ValueError, match=refused):
+        backend.fresh(seed)
+    assert trained == []
+
+
+def test_a_problem_whose_corner_case_cannot_be_built_is_refused():
+    """problem_from_bounds builds both corners' cases through the case
+    builder of the backend or of its verifier, so an H above the device
+    layer is refused there, not scored +inf point by point, also for a
+    surrogate search, which would then fail to verify its optimum."""
+    bounds = {"H_um": (20.0, 250.0), "T_m_C": (70.0, 80.0)}
+    verifier = simulator(list(bounds), "T_o_max", COARSE)
+    model = SurrogateModel(
+        list(bounds), [1], W1=[[0.5, 0.5]], b1=[0.0], W2=[[1.0]], b2=[0.0],
+        in_min=[20.0, 70.0], in_max=[250.0, 80.0], out_min=0.0,
+        out_max=1.0, target_name=verifier.target_name, seed=0)
+    for backend in (verifier, SurrogateBackend(model, verifier)):
+        with pytest.raises(ValueError,
+                           match="channel height exceeds device layer"):
+            problem_from_bounds(bounds, "T_o_max", backend)
 
 
 def test_a_surrogate_backend_refuses_a_model_of_another_objective():

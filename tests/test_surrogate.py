@@ -187,6 +187,21 @@ def test_model_file_is_its_record_as_indented_json(tmp_path):
         asdict(model), indent=2, default=np.ndarray.tolist).encode()
 
 
+@pytest.mark.parametrize("key,value,refused", [
+    ("hidden", [True], "hidden[0] must be a positive integer, got True"),
+    ("hidden", [4.0], "hidden[0] must be a positive integer, got 4.0"),
+    ("input_names", ["a", 1], "input_names[1] must be a string, got 1")],
+    ids=["hidden_true", "hidden_float", "input_name_int"])
+def test_a_model_file_of_a_bad_width_or_name_is_refused(tmp_path, key, value,
+                                                        refused):
+    path = tmp_path / "model.json"
+    train_lm(quadratic_set(), hidden=4, seed=5).save(path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    named = f"{re.escape(str(path))}: {re.escape(refused)}"
+    with pytest.raises(ValueError, match=named):
+        SurrogateModel.load(path)
+
+
 def test_model_file_with_a_truncated_weight_matrix_is_refused(tmp_path):
     path = tmp_path / "model.json"
     train_lm(quadratic_set(), hidden=4, seed=5).save(path)
